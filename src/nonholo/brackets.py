@@ -13,9 +13,12 @@ Routes computed here, all of which must coincide on M:
 
 A PointContext precomputes the per-point linear data (projectors, the
 projection Jacobian, the dual-bundle correspondence Jacobians) so sweeps
-over many observable pairs stay cheap; the standalone functions follow the
-defining formulas directly and are cross-checked against the context path in
-the test suite.
+over many observable pairs stay cheap. Each route also has one formula over
+generic scalars (``_*_value_generic``), which the Jacobiator nests; the
+standalone functions (``canonical_bracket``, ``eden_bracket``,
+``nonholonomic_bracket``, ``dstar_bracket``) are the validation they run
+plus that formula on floats, and serve as the oracles the test suite checks
+the context path against.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 
 from . import geometry, numdiff
 from .errors import InternalConsistencyError, SectionNotInDError
-from .numdiff import DualScalar
 from .system import (
     DStarObservable,
     DStarPoint,
@@ -38,23 +40,24 @@ from .system import (
 )
 
 
-def _pair(a, b, n: int) -> float:
+def _pair(a, b, n: int):
     """Canonical two-form pairing of gradient (or field) block vectors."""
-    return float(a[:n] @ b[n:] - a[n:] @ b[:n])
+    acc = a[0] * b[n]
+    for i in range(1, n):
+        acc = acc + a[i] * b[n + i]
+    for i in range(n):
+        acc = acc - a[n + i] * b[i]
+    return acc
 
 
-def _symp(grad: np.ndarray, n: int) -> np.ndarray:
+def _symp(grad, n: int) -> list:
     """Hamiltonian field components from a gradient: (dF/dp, -dF/dq)."""
-    return np.concatenate([grad[n:], -grad[:n]])
+    return list(grad[n:]) + [-v for v in grad[:n]]
 
 
 def canonical_bracket(f: Observable, g: Observable, x: PhasePoint) -> float:
     """{F, G} = sum_i dF/dq_i dG/dp_i - dF/dp_i dG/dq_i via dual gradients."""
-    z = x.scalars()
-    n = len(z) // 2
-    _, gf = numdiff.gradient(f.fn, z)
-    _, gg = numdiff.gradient(g.fn, z)
-    return _pair(gf, gg, n)
+    return float(_canonical_value_generic(f.fn, g.fn, x.scalars(), len(x.q)))
 
 
 def gamma_extension(sys: SystemDefinition, f: Observable) -> Observable:
@@ -63,10 +66,11 @@ def gamma_extension(sys: SystemDefinition, f: Observable) -> Observable:
     The result is defined on all of phase space, differentiable through the
     configuration dependence of the projection, and restricts to f on M.
     """
-    return Observable(
-        label=f"gamma({f.label})",
-        fn=lambda s, fn=f.fn: fn(geometry.gamma_hat_apply(sys, s)),
-    )
+    return Observable(label=f"gamma({f.label})", fn=_gamma_ext_fn(sys, f.fn))
+
+
+def _gamma_ext_fn(sys: SystemDefinition, fn):
+    return lambda s: fn(geometry.gamma_hat_apply(sys, s))
 
 
 class PointContext:
@@ -166,33 +170,33 @@ class PointContext:
     # -- the four bracket routes --
 
     def eden_value(self, f: Observable, g: Observable) -> float:
-        return _pair(self.grad_ext(f), self.grad_ext(g), self.n)
+        return float(_pair(self.grad_ext(f), self.grad_ext(g), self.n))
 
     def nh_value(self, f: Observable, g: Observable) -> float:
         P, n = self.P, self.n
         xf = P @ _symp(self.grad_ext(f), n)
         xg = P @ _symp(self.grad_ext(g), n)
-        return _pair(xf, xg, n)
+        return float(_pair(xf, xg, n))
 
     def nh2_value(self, f: Observable, g: Observable) -> float:
         P, n = self.P, self.n
         xf = _symp(self.grad_ext(f), n)
         xg = P @ _symp(self.grad_ext(g), n)
-        return _pair(xf, xg, n)
+        return float(_pair(xf, xg, n))
 
     def one_side_projected_value(self, f: Observable, g_raw: Observable) -> float:
         """nh2 form with the second argument left as a raw extension."""
         P, n = self.P, self.n
         xf = _symp(self.grad_ext(f), n)
         xg = P @ _symp(self.grad_raw(g_raw), n)
-        return _pair(xf, xg, n)
+        return float(_pair(xf, xg, n))
 
     def nh_values_from_grads(self, gf_ext, gg_ext) -> tuple[float, float]:
         """(nh, nh2) from caller-supplied extension gradients."""
         P, n = self.P, self.n
         xf = _symp(gf_ext, n)
         xg = P @ _symp(gg_ext, n)
-        return _pair(P @ xf, xg, n), _pair(xf, xg, n)
+        return float(_pair(P @ xf, xg, n)), float(_pair(xf, xg, n))
 
     def residual_gradients(self) -> np.ndarray:
         """Gradients of the membership residuals (extensions vanishing on M)."""
@@ -202,7 +206,7 @@ class PointContext:
         _, _, _, dd = self.dstar_data
         gf = dd.T @ self._grad_prime(f)
         gg = dd.T @ self._grad_prime(g)
-        return _pair(gf, gg, self.n)
+        return float(_pair(gf, gg, self.n))
 
 
 def bracket_route_tables(ctx: PointContext, observables) -> dict[str, np.ndarray]:
@@ -277,7 +281,7 @@ def eden_bracket(
 ) -> float:
     """Canonical bracket of the momentum-projection extensions, on M."""
     geometry.require_on_m(sys, x.q, x.p, on_m_tol)
-    return canonical_bracket(gamma_extension(sys, f), gamma_extension(sys, g), x)
+    return float(_eden_value_generic(sys, f.fn, g.fn, x.scalars()))
 
 
 def nonholonomic_bracket(
@@ -288,9 +292,10 @@ def nonholonomic_bracket(
     on_m_tol: float | None = None,
 ) -> float:
     """Projected-field bracket; cross-checks its one-side-projected form."""
-    ctx = PointContext(sys, x, on_m_tol)
-    a = ctx.nh_value(f, g)
-    b = ctx.nh2_value(f, g)
+    # validation only: on M, and the splitting's SVD degeneracy check
+    geometry.tangent_splitting(sys, x.q, x.p, on_m_tol)
+    xf, pxf, pxg = _nh_fields_generic(sys, f.fn, g.fn, x.scalars())
+    a, b = float(_pair(pxf, pxg, sys.n)), float(_pair(xf, pxg, sys.n))
     if abs(a - b) > 1e-9:
         raise InternalConsistencyError(
             f"projected bracket forms disagree at {x}: {a!r} vs {b!r}"
@@ -305,19 +310,9 @@ def dstar_bracket(
     y: DStarPoint,
 ) -> float:
     """Bracket on the dual bundle via canonical pullbacks through the frame."""
-    n = sys.n
-    fr = geometry.frame_at(sys, y.q)
-    free = fr.free_cols
-
-    def pullback(obs):
-        return Observable(
-            label=f"pull({obs.label})",
-            fn=lambda s, fn=obs.fn: fn(
-                list(s[:n]) + geometry.to_dstar_apply(sys, s[:n], s[n:], free)
-            ),
-        )
-
-    return canonical_bracket(pullback(f), pullback(g), from_dstar(sys, y))
+    free = geometry.frame_at(sys, y.q).free_cols
+    geometry.metric_at(sys, y.q)  # the cometric behind from_dstar must be SPD
+    return float(_dstar_value_generic(sys, f.fn, g.fn, y.scalars(), free))
 
 
 def pushforward_observable(sys: SystemDefinition, f: Observable) -> DStarObservable:
@@ -399,77 +394,42 @@ def almost_lie_bracket(sys: SystemDefinition, X, Y, q) -> np.ndarray:
 
 def _grad_generic(fn, scalars):
     """Gradient over generic scalars: one more lift on top of the inputs."""
-    duals = numdiff.lift(list(scalars))
-    level = duals[0].level
-    out = fn(duals)
-    if isinstance(out, DualScalar) and out.level == level:
-        return list(out.partials)
-    return [0.0] * len(scalars)
-
-
-def _pair_generic(a, b, n: int):
-    acc = a[0] * b[n]
-    for i in range(1, n):
-        acc = acc + a[i] * b[n + i]
-    for i in range(n):
-        acc = acc - a[n + i] * b[i]
-    return acc
+    return numdiff.jacobian_generic(lambda s: [fn(s)], scalars)[0]
 
 
 def _canonical_value_generic(ffn, gfn, scalars, n):
-    return _pair_generic(_grad_generic(ffn, scalars), _grad_generic(gfn, scalars), n)
+    return _pair(_grad_generic(ffn, scalars), _grad_generic(gfn, scalars), n)
 
 
 def _eden_value_generic(sys, ffn, gfn, scalars):
-    def ext(fn):
-        return lambda s: fn(geometry.gamma_hat_apply(sys, s))
+    return _canonical_value_generic(
+        _gamma_ext_fn(sys, ffn), _gamma_ext_fn(sys, gfn), scalars, sys.n
+    )
 
-    return _canonical_value_generic(ext(ffn), ext(gfn), scalars, sys.n)
 
+def _nh_fields_generic(sys, ffn, gfn, scalars):
+    """Extension fields X_f, P X_f and P X_g over generic scalars.
 
-def _omega_inv_row(row, n):
-    return [-v for v in row[n:]] + list(row[:n])
+    P = I - Omega^-1 C^T (C Omega^-1 C^T)^-1 C from the splitting rows C;
+    the columns below are Omega^-1 C^T up to a sign that cancels in P.
+    """
+    n = sys.n
+    xf = _symp(_grad_generic(_gamma_ext_fn(sys, ffn), scalars), n)
+    xg = _symp(_grad_generic(_gamma_ext_fn(sys, gfn), scalars), n)
+    rows = geometry.splitting_rows(sys, scalars)
+    cols = [_symp(r, n) for r in rows]
+    K = [[numdiff.sum_prod(r, col) for col in cols] for r in rows]
+
+    def project(v):
+        u = numdiff.solve_linear(K, [numdiff.sum_prod(r, v) for r in rows])
+        return [v[i] - numdiff.sum_prod([c[i] for c in cols], u) for i in range(2 * n)]
+
+    return xf, project(xf), project(xg)
 
 
 def _nh_value_generic(sys, ffn, gfn, scalars):
-    n, m = sys.n, sys.n_constraints
-
-    def ext(fn):
-        return lambda s: fn(geometry.gamma_hat_apply(sys, s))
-
-    gf = _grad_generic(ext(ffn), scalars)
-    gg = _grad_generic(ext(gfn), scalars)
-    xf = list(gf[n:]) + [-v for v in gf[:n]]
-    xg = list(gg[n:]) + [-v for v in gg[:n]]
-
-    duals = numdiff.lift(list(scalars))
-    level = duals[0].level
-    res = geometry.residual_apply(sys, duals[:n], duals[n:])
-    rows = []
-    for r in res:
-        if isinstance(r, DualScalar) and r.level == level:
-            rows.append(list(r.partials))
-        else:
-            rows.append([0.0] * (2 * n))
-    mu = sys.mu_values(list(scalars[:n]))
-    for a in range(m):
-        rows.append(list(mu[a]) + [0.0] * n)
-    ocols = [_omega_inv_row(r, n) for r in rows]
-    K = [[numdiff.sum_prod(ri, oc) for oc in ocols] for ri in rows]
-
-    def q_apply(v):
-        w = [numdiff.sum_prod(r, v) for r in rows]
-        u = numdiff.solve_linear(K, w)
-        out = [0.0] * (2 * n)
-        for j, uj in enumerate(u):
-            col = ocols[j]
-            for i in range(2 * n):
-                out[i] = out[i] + col[i] * uj
-        return out
-
-    pxg = [a - b for a, b in zip(xg, q_apply(xg))]
-    pxf = [a - b for a, b in zip(xf, q_apply(xf))]
-    return _pair_generic(pxf, pxg, n)
+    _, pxf, pxg = _nh_fields_generic(sys, ffn, gfn, scalars)
+    return _pair(pxf, pxg, sys.n)
 
 
 def _dstar_value_generic(sys, ffn, gfn, scalars, free_cols):

@@ -15,6 +15,7 @@ is allowed to reuse the other's intermediates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,6 @@ def hamiltonian_field(sys: SystemDefinition, x: PhasePoint) -> PhaseVelocity:
     n = sys.n
     _, grad = numdiff.gradient(lambda s: hamiltonian_scalar(sys, s), x.scalars())
     return PhaseVelocity(dq=grad[n:], dp=-grad[:n])
-
-
-def _residual_jacobian(sys: SystemDefinition, x: PhasePoint) -> np.ndarray:
-    n = sys.n
-    return numdiff.jacobian(
-        lambda s: geometry.residual_apply(sys, s[:n], s[n:]), x.scalars()
-    )
 
 
 def multipliers(
@@ -195,18 +189,6 @@ class FieldEvaluator:
         H = 0.5 * float(p @ v) + Vval
         return np.concatenate([v, dp]), lam, c, H
 
-    def project(self, q, p):
-        """Momentum projection at q using the same cached entry closures."""
-        if self._const_metric_inv is not None:
-            Ginv = self._const_metric_inv
-        else:
-            G = np.asarray(self.sys.metric_values(list(q)), dtype=float)
-            Ginv = np.linalg.inv(0.5 * (G + G.T))
-        mu = np.asarray(self.sys.mu_values(list(q)), dtype=float)
-        muGinv = mu @ Ginv
-        gram = muGinv @ mu.T
-        return p - mu.T @ np.linalg.solve(gram, muGinv @ p)
-
 
 def integrate(
     sys: SystemDefinition,
@@ -220,9 +202,14 @@ def integrate(
     """Classical fixed-step RK4 on the multiplier-route constrained field.
 
     With ``project_each_step`` the momentum is re-projected onto the
-    constraint manifold after every step (the projector is the system's own,
-    and cheap); without it the raw drift is observable and the on-manifold
-    tolerance is enforced at step boundaries.
+    constraint manifold after every step by ``geometry.eden_project``, which
+    validates the metric and the constraint rows there; without it the raw
+    drift is observable, the metric is still validated at each accepted
+    state and the on-manifold tolerance is enforced at step boundaries. The
+    evaluation at an accepted state is both its recorded row and the next
+    step's first stage. A state that fails validation or records a
+    non-finite H, residual or multiplier raises StepFailureError carrying
+    the trajectory up to the last good state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -236,19 +223,31 @@ def integrate(
     z = np.concatenate([x0.q, x0.p])
     points: list[TrajectoryPoint] = []
 
-    def record(t, z):
-        _, lam, c, H = ev.evaluate(z[:n], z[n:])
+    def accept(t, z):
+        """Evaluate at an accepted state, check it, record it; return k1."""
+        k1, lam, c, H = ev.evaluate(z[:n], z[n:])
+        finite = np.all(np.isfinite(c)) and np.all(np.isfinite(lam))
+        if not (math.isfinite(H) and finite):
+            raise StepFailureError(
+                f"non-finite energy, residual or multiplier at t={t:.6g}",
+                trajectory=Trajectory(points=points),
+            )
+        if not project_each_step and float(np.max(np.abs(c))) > tol:
+            raise StepFailureError(
+                f"constraint residual {float(np.max(np.abs(c))):.3e} exceeded "
+                f"{tol:.3e} at t={t:.6g} with projection off",
+                trajectory=Trajectory(points=points),
+            )
         points.append(
             TrajectoryPoint(
                 t=t, x=PhasePoint(q=z[:n].copy(), p=z[n:].copy()), H=H, c=c, lam=lam
             )
         )
-        return c
+        return k1
 
     try:
-        record(t0, z)
+        k1 = accept(t0, z)
         for i in range(n_steps):
-            k1, _, _, _ = ev.evaluate(z[:n], z[n:])
             z2 = z + 0.5 * dt * k1
             k2, _, _, _ = ev.evaluate(z2[:n], z2[n:])
             z3 = z + 0.5 * dt * k2
@@ -257,20 +256,15 @@ def integrate(
             k4, _, _, _ = ev.evaluate(z4[:n], z4[n:])
             z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if project_each_step:
-                z[n:] = ev.project(z[:n], z[n:])
-            t_next = t0 + (i + 1) * dt
-            c = record(t_next, z)
-            if not project_each_step and float(np.max(np.abs(c))) > tol:
-                raise StepFailureError(
-                    f"constraint residual {float(np.max(np.abs(c))):.3e} exceeded "
-                    f"{tol:.3e} at t={t_next:.6g} with projection off",
-                    trajectory=Trajectory(points=points[:-1]),
-                )
+                z[n:] = geometry.eden_project(sys, z[:n], z[n:])
+            else:
+                geometry.metric_at(sys, z[:n])
+            k1 = accept(t0 + (i + 1) * dt, z)
     except StepFailureError:
         raise
     except NonholoError as exc:
         raise StepFailureError(
-            f"field evaluation failed mid-integration: {exc}",
+            f"integration stopped: {exc}",
             trajectory=Trajectory(points=points),
         ) from exc
     return Trajectory(points=points)

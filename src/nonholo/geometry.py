@@ -1,9 +1,12 @@
 """Pointwise metric algebra and the two projectors.
 
-Numeric entry points work on numpy arrays; the ``*_apply`` twins evaluate the
-same formulas over generic scalars (floats or duals) so that every projector
-and residual can be differentiated by the forward-mode engine. The float and
-generic paths share the compiled expression closures on the system object.
+Each geometric object has one formula, written over generic scalars (floats
+or duals) in the ``*_apply`` functions and ``splitting_rows`` so that the
+forward-mode engine can differentiate it. The float entry points are
+validation (symmetry and positive definiteness, rank, conditioning, frame
+membership) plus that formula on floats. The exception is ``eden_project``,
+which keeps its own numpy arithmetic because sampling seeds every point
+through it; ``gamma_apply`` is its differentiable counterpart.
 
 The on-manifold tolerance ON_M_TOL is the single default used by every
 operation that requires its phase point to satisfy the momentum constraints;
@@ -18,11 +21,13 @@ import numpy as np
 
 from . import numdiff
 from .errors import (
+    DomainError,
     FrameDegenerateError,
     FrameInvalidError,
     NotOnMError,
     NotSPDError,
     RankDeficientError,
+    SingularMatrixError,
     SplittingDegenerateError,
 )
 
@@ -175,41 +180,34 @@ def default_frame_plan(mu: np.ndarray, strict_ties: bool = False):
 def frame_at(sys, q, strict_ties: bool = False) -> FrameAtPoint:
     """Evaluate (or construct) a frame spanning the distribution fiber at q.
 
-    User-supplied frames are validated against mu E = 0 and column
-    independence. The default frame projects the free coordinate axes onto
-    ker(mu) orthogonally and normalizes, which varies smoothly with q away
-    from pivot switches.
+    The columns come from frame_apply on floats. The default frame projects
+    the free coordinate axes onto ker(mu) orthogonally and normalizes, which
+    varies smoothly with q away from pivot switches. Either frame must
+    satisfy mu E = 0 with independent columns; a user frame that fails raises
+    FrameInvalidError, a default frame FrameDegenerateError.
     """
     q_list = [float(v) for v in q]
     mu = np.asarray(sys.mu_values(q_list), dtype=float)
-    user = sys.frame_values(q_list)
-    if user is not None:
-        E = np.asarray(user, dtype=float).T  # stored as columns
-        scale = max(1.0, float(np.max(np.abs(mu))) * float(np.max(np.abs(E))))
-        if float(np.max(np.abs(mu @ E))) > 1e-10 * scale:
-            raise FrameInvalidError(
-                f"user frame leaves the distribution at q={q_list}"
-            )
-        s = np.linalg.svd(E, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-10 * max(1.0, s[0]):
-            raise FrameInvalidError(f"user frame columns are dependent at q={q_list}")
-        return FrameAtPoint(E=E, free_cols=None, pivot_tie=False)
-    free, tie = default_frame_plan(mu, strict_ties)
-    A = mu @ mu.T
-    try:
-        W = np.linalg.solve(A, mu[:, list(free)])
-    except np.linalg.LinAlgError:
-        raise RankDeficientError("constraint rows are dependent here") from None
-    E = np.eye(sys.n)[:, list(free)] - mu.T @ W
-    norms = np.linalg.norm(E, axis=0)
-    if np.any(norms <= 1e-10):
-        raise FrameDegenerateError(
-            f"default frame column collapsed at q={q_list}"
-        )
-    E = E / norms
+    if sys.frame_exprs is not None:
+        free, tie, label, invalid = None, False, "user", FrameInvalidError
+        E = np.asarray(frame_apply(sys, q_list, free), dtype=float).T
+    else:
+        free, tie = default_frame_plan(mu, strict_ties)
+        label, invalid = "default", FrameDegenerateError
+        try:
+            E = np.asarray(frame_apply(sys, q_list, free), dtype=float).T
+        except SingularMatrixError:
+            raise RankDeficientError("constraint rows are dependent here") from None
+        except DomainError:  # a column of zero norm
+            raise FrameDegenerateError(
+                f"default frame column collapsed at q={q_list}"
+            ) from None
+    scale = max(1.0, float(np.max(np.abs(mu))) * float(np.max(np.abs(E))))
+    if float(np.max(np.abs(mu @ E))) > 1e-10 * scale:
+        raise invalid(f"{label} frame leaves the distribution at q={q_list}")
     s = np.linalg.svd(E, compute_uv=False)
-    if s[-1] <= 1e-10 * max(1.0, s[0]):
-        raise FrameDegenerateError(f"default frame columns are dependent at q={q_list}")
+    if s[0] == 0.0 or s[-1] <= 1e-10 * max(1.0, s[0]):
+        raise invalid(f"{label} frame columns are dependent at q={q_list}")
     return FrameAtPoint(E=E, free_cols=free, pivot_tie=tie)
 
 
@@ -244,10 +242,7 @@ def tangent_splitting(sys, q, p, on_m_tol: float | None = None):
     """
     require_on_m(sys, q, p, on_m_tol)
     n = sys.n
-    z = [*map(float, q), *map(float, p)]
-    Cc = numdiff.jacobian(lambda s: residual_apply(sys, s[:n], s[n:]), z)
-    mu = np.asarray(sys.mu_values(z[:n]), dtype=float)
-    C = np.vstack([Cc, np.hstack([mu, np.zeros_like(mu)])])
+    C = np.asarray(splitting_rows(sys, [*map(float, q), *map(float, p)]), dtype=float)
     M1 = omega_inv_apply(C.T)
     K = C @ M1
     s = np.linalg.svd(K, compute_uv=False)
@@ -266,7 +261,7 @@ def tangent_projector(sys, q, p, on_m_tol: float | None = None) -> np.ndarray:
     return tangent_splitting(sys, q, p, on_m_tol)[0]
 
 
-# --- generic-scalar formula twins ---------------------------------------------
+# --- generic-scalar formulas -------------------------------------------------
 
 
 def cometric_apply(sys, q_s, p_s):
@@ -279,6 +274,17 @@ def residual_apply(sys, q_s, p_s):
     """Constraint residuals c_a = mu_a . G^-1 p over generic scalars."""
     v = cometric_apply(sys, q_s, p_s)
     return [numdiff.sum_prod(row, v) for row in sys.mu_values(q_s)]
+
+
+def splitting_rows(sys, scalars):
+    """Rows of the splitting matrix C over generic scalars.
+
+    The differentials of the residuals c_a (taken one lift level above the
+    inputs), then the base conditions (mu_a, 0).
+    """
+    n = sys.n
+    rows = numdiff.jacobian_generic(lambda s: residual_apply(sys, s[:n], s[n:]), scalars)
+    return rows + [list(row) + [0.0] * n for row in sys.mu_values(list(scalars[:n]))]
 
 
 def gamma_apply(sys, q_s, p_s):

@@ -339,23 +339,23 @@ def gradient(f, x):
 def jacobian(F, x):
     """Row i is the gradient of the i-th component of F at x."""
     xs = [float(v) for v in x]
-    outs = F(lift(xs))
-    rows = []
-    for comp in outs:
-        if isinstance(comp, DualScalar):
-            rows.append(list(comp.partials))
-        else:
-            rows.append([0.0] * len(xs))
-    return np.asarray(rows, dtype=float).reshape(len(rows), len(xs))
+    return np.asarray(jacobian_generic(F, xs), dtype=float).reshape(-1, len(xs))
 
 
-def directional(f, x, v):
-    """Return (f(x), df(x)[v]) using a single-direction dual pass."""
-    duals = [DualScalar(float(a), (float(b),)) for a, b in zip(x, v)]
-    out = f(duals)
-    if isinstance(out, DualScalar):
-        return float(out.value), float(out.partials[0])
-    return float(out), 0.0
+def jacobian_generic(F, scalars):
+    """Jacobian rows of F over generic scalars, one lift above the inputs.
+
+    Components that do not depend on the new level get zero rows, so this
+    also differentiates functions evaluated at dual points.
+    """
+    duals = lift(scalars)
+    level = duals[0].level
+    return [
+        list(c.partials)
+        if isinstance(c, DualScalar) and c.level == level
+        else [0.0] * len(duals)
+        for c in F(duals)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -128,10 +128,8 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     a = dynamics.nonholonomic_field_multiplier(sysd, x, on_m_tol=tol)
     b = dynamics.nonholonomic_field_projection(sysd, x, on_m_tol=tol)
     two_route = float(np.max(np.abs(a.as_vector() - b.as_vector())))
-    dc = dynamics._residual_jacobian(sysd, x)
-    tangency = float(np.max(np.abs(dc @ a.as_vector())))
-
     P, Q, C = ctx.splitting
+    tangency = float(np.max(np.abs(ctx.residual_gradients() @ a.as_vector())))
     projector_laws = max(
         float(np.max(np.abs(P @ P - P))), float(np.max(np.abs(C @ P)))
     )

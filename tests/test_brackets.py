@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nonholo import brackets, catalog, dsl, geometry, numdiff
-from nonholo.errors import NotOnMError, SectionNotInDError
+from nonholo.errors import NotOnMError, SectionNotInDError, SplittingDegenerateError
 from nonholo.rng import SplitMix64
 from nonholo.system import (
     DStarObservable,
@@ -10,6 +10,7 @@ from nonholo.system import (
     Observable,
     PhasePoint,
     hamiltonian_observable,
+    to_dstar,
 )
 
 SYS_A = catalog.get_system("holonomic_control")
@@ -68,6 +69,41 @@ def test_direct_routes_match_context_routes():
             assert direct == pytest.approx(ctx.eden_value(fo, go), abs=1e-11)
             nh = brackets.nonholonomic_bracket(SYS_B, fo, go, x)
             assert nh == pytest.approx(ctx.nh_value(fo, go), abs=1e-11)
+            fd, gd = (brackets.pushforward_observable(SYS_B, o) for o in (fo, go))
+            dstar = brackets.dstar_bracket(SYS_B, fd, gd, to_dstar(SYS_B, x))
+            assert dstar == pytest.approx(ctx.dstar_value(fo, go), abs=1e-11)
+    # the standalone oracles differentiate the generic formulas at the point;
+    # PointContext contracts gradients with cached numpy projectors and
+    # correspondence Jacobians
+    for ent in catalog.catalog_systems():
+        sysd = ent.system()
+        observables = catalog.observable_test_set(sysd)
+        n = sysd.n
+        pairs = [(0, n), (n - 1, 2 * n - 1), (1, min(2 * n, len(observables) - 1))]
+        for x in catalog.sample_entry_points(ent, 3, 33):
+            ctx = brackets.PointContext(sysd, x)
+            y = to_dstar(sysd, x)
+            for i, j in pairs:
+                fo, go = observables[i], observables[j]
+                eden = brackets.eden_bracket(sysd, fo, go, x)
+                assert eden == pytest.approx(ctx.eden_value(fo, go), abs=1e-11)
+                nh = brackets.nonholonomic_bracket(sysd, fo, go, x)
+                assert nh == pytest.approx(ctx.nh_value(fo, go), abs=1e-11)
+                fd, gd = (brackets.pushforward_observable(sysd, o) for o in (fo, go))
+                dstar = brackets.dstar_bracket(sysd, fd, gd, y)
+                assert dstar == pytest.approx(ctx.dstar_value(fo, go), abs=1e-11)
+
+
+def test_nonholonomic_bracket_runs_splitting_check(monkeypatch):
+    # the oracle validates the splitting as PointContext does, so a degenerate
+    # splitting surfaces as SplittingDegenerateError, not as a solve failure
+    def degenerate(*args, **kwargs):
+        raise SplittingDegenerateError("degenerate")
+
+    monkeypatch.setattr(geometry, "tangent_splitting", degenerate)
+    x = PhasePoint(q=[0.2, 0.3], p=[0.7, 0.0])
+    with pytest.raises(SplittingDegenerateError):
+        brackets.nonholonomic_bracket(SYS_A, obs(SYS_A, "x"), obs(SYS_A, "p_x"), x)
 
 
 def test_nonholonomic_bracket_control_cases():

@@ -79,6 +79,40 @@ def test_simulate_residual_column_bounded():
     assert max(abs(h - hs[0]) for h in hs) <= 1e-8
 
 
+SINGULAR_METRIC = (
+    "[system]\nname = singular_metric\ndim = 2\ncoords = x, y\n"
+    "[metric]\nrow1 = 1 - x, 0\nrow2 = 0, 1\n[potential]\nV = 0\n"
+    "[constraint]\nform = 0, 1\n"
+)
+
+
+@pytest.mark.parametrize("extra", [(), ("--no-project",)], ids=["project", "no-project"])
+def test_simulate_stops_at_singular_metric(tmp_path, extra):
+    # x reaches 1, where the metric 1 - x stops being positive definite
+    path = tmp_path / "singular.system"
+    path.write_text(SINGULAR_METRIC)
+    proc = run_cli(
+        "simulate", "--system", str(path), "--q0", "0,0", "--p0", "1,0",
+        "--t1", "3", "--dt", "0.01", "--format", "csv", *extra, expect=3,
+    )
+    assert "not positive definite" in proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "t,q1,q2,p1,p2,H,c1,lambda1"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert 1 <= len(rows) < 301
+    assert np.all(rows[:, 1] < 1.0)
+    assert np.max(np.abs(rows[:, 5] - 0.5)) < 1e-2
+
+
+def test_simulate_overflow_is_step_failure():
+    proc = run_cli(
+        "simulate", "--system", "catalog:nonholonomic_particle",
+        "--q0", "0,1,0", "--p0", "1e300,0,1e300", expect=3,
+    )
+    assert "non-finite" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_brackets_command_values_and_errors():
     proc = run_cli(
         "brackets", "--system", "catalog:holonomic_control",
