@@ -14,15 +14,17 @@ Routes computed here, all of which must coincide on M:
 A PointContext precomputes the per-point linear data (projectors, the
 projection Jacobian, the dual-bundle correspondence Jacobians) so sweeps
 over many observable pairs stay cheap. Each route also has one formula over
-generic scalars (``_*_value_generic``), which the Jacobiator nests; the
+generic scalars, ``_route_rows``, which evaluates the route's extension map
+once per lift for all observables; the Jacobiator nests it, and the
 standalone functions (``canonical_bracket``, ``eden_bracket``,
 ``nonholonomic_bracket``, ``dstar_bracket``) are the validation they run
-plus that formula on floats, and serve as the oracles the test suite checks
+plus that formula on floats. They serve as the oracles the test suite checks
 the context path against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,13 @@ def _symp(grad, n: int) -> list:
 
 def canonical_bracket(f: Observable, g: Observable, x: PhasePoint) -> float:
     """{F, G} = sum_i dF/dq_i dG/dp_i - dF/dp_i dG/dq_i via dual gradients."""
-    return float(_canonical_value_generic(f.fn, g.fn, x.scalars(), len(x.q)))
+    return _pair_value(None, "canonical", f, g, x.scalars())
+
+
+def _pair_value(sys, kind, f, g, scalars, free_cols=None) -> float:
+    """One bracket value of two observables under ``kind`` (see _route_rows)."""
+    rf, rg = _route_rows(sys, kind, lambda s: [f.fn(s), g.fn(s)], scalars, free_cols)
+    return float(_pair(rf, rg, len(rf) // 2))
 
 
 def gamma_extension(sys: SystemDefinition, f: Observable) -> Observable:
@@ -66,11 +74,8 @@ def gamma_extension(sys: SystemDefinition, f: Observable) -> Observable:
     The result is defined on all of phase space, differentiable through the
     configuration dependence of the projection, and restricts to f on M.
     """
-    return Observable(label=f"gamma({f.label})", fn=_gamma_ext_fn(sys, f.fn))
-
-
-def _gamma_ext_fn(sys: SystemDefinition, fn):
-    return lambda s: fn(geometry.gamma_hat_apply(sys, s))
+    label = f"gamma({f.label})"
+    return Observable(label=label, fn=lambda s: f.fn(geometry.gamma_hat_apply(sys, s)))
 
 
 class PointContext:
@@ -281,7 +286,7 @@ def eden_bracket(
 ) -> float:
     """Canonical bracket of the momentum-projection extensions, on M."""
     geometry.require_on_m(sys, x.q, x.p, on_m_tol)
-    return float(_eden_value_generic(sys, f.fn, g.fn, x.scalars()))
+    return _pair_value(sys, "eden", f, g, x.scalars())
 
 
 def nonholonomic_bracket(
@@ -294,8 +299,11 @@ def nonholonomic_bracket(
     """Projected-field bracket; cross-checks its one-side-projected form."""
     # validation only: on M, and the splitting's SVD degeneracy check
     geometry.tangent_splitting(sys, x.q, x.p, on_m_tol)
-    xf, pxf, pxg = _nh_fields_generic(sys, f.fn, g.fn, x.scalars())
-    a, b = float(_pair(pxf, pxg, sys.n)), float(_pair(xf, pxg, sys.n))
+    n, z = sys.n, x.scalars()
+    # unprojected extension fields from the eden rows, projected once below
+    xf, xg = (_symp(r, n) for r in _route_rows(sys, "eden", lambda s: [f.fn(s), g.fn(s)], z))
+    pxf, pxg = _project_fields(sys, [xf, xg], z)
+    a, b = float(_pair(pxf, pxg, n)), float(_pair(xf, pxg, n))
     if abs(a - b) > 1e-9:
         raise InternalConsistencyError(
             f"projected bracket forms disagree at {x}: {a!r} vs {b!r}"
@@ -312,7 +320,7 @@ def dstar_bracket(
     """Bracket on the dual bundle via canonical pullbacks through the frame."""
     free = geometry.frame_at(sys, y.q).free_cols
     geometry.metric_at(sys, y.q)  # the cometric behind from_dstar must be SPD
-    return float(_dstar_value_generic(sys, f.fn, g.fn, y.scalars(), free))
+    return _pair_value(sys, "dstar", f, g, y.scalars(), free)
 
 
 def pushforward_observable(sys: SystemDefinition, f: Observable) -> DStarObservable:
@@ -389,60 +397,51 @@ def almost_lie_bracket(sys: SystemDefinition, X, Y, q) -> np.ndarray:
     return fr.E @ np.linalg.solve(fr.E.T @ ge, ge.T @ w)
 
 
-# --- Jacobiator via nested dual numbers ---------------------------------------
+# --- shared-lift route rows and the Jacobiator --------------------------------
 
 
-def _grad_generic(fn, scalars):
-    """Gradient over generic scalars: one more lift on top of the inputs."""
-    return numdiff.jacobian_generic(lambda s: [fn(s)], scalars)[0]
+def _route_rows(sys, kind, obs_fn, scalars, free_cols=None):
+    """Rows of every value of ``obs_fn`` (a list-valued function) under ``kind``.
 
-
-def _canonical_value_generic(ffn, gfn, scalars, n):
-    return _pair(_grad_generic(ffn, scalars), _grad_generic(gfn, scalars), n)
-
-
-def _eden_value_generic(sys, ffn, gfn, scalars):
-    return _canonical_value_generic(
-        _gamma_ext_fn(sys, ffn), _gamma_ext_fn(sys, gfn), scalars, sys.n
-    )
-
-
-def _nh_fields_generic(sys, ffn, gfn, scalars):
-    """Extension fields X_f, P X_f and P X_g over generic scalars.
-
-    P = I - Omega^-1 C^T (C Omega^-1 C^T)^-1 C from the splitting rows C;
-    the columns below are Omega^-1 C^T up to a sign that cancels in P.
+    The extension map depends on the point, not the observable, so one lift
+    evaluates it once for all values. The rows are extension gradients, or
+    for ``nh`` projected Hamiltonian fields; ``_pair`` reads both the same
+    way. The scalars are (q, pi) for ``dstar``, else (q, p).
     """
+    if kind == "canonical":
+        return numdiff.jacobian_generic(obs_fn, scalars)
     n = sys.n
-    xf = _symp(_grad_generic(_gamma_ext_fn(sys, ffn), scalars), n)
-    xg = _symp(_grad_generic(_gamma_ext_fn(sys, gfn), scalars), n)
+    if kind == "dstar":
+        q_s = list(scalars[:n])
+        scalars = q_s + geometry.from_dstar_apply(sys, q_s, list(scalars[n:]), free_cols)
+
+        def ext(s):
+            return list(s[:n]) + geometry.to_dstar_apply(sys, s[:n], s[n:], free_cols)
+
+    else:
+        ext = functools.partial(geometry.gamma_hat_apply, sys)
+    rows = numdiff.jacobian_generic(lambda s: obs_fn(ext(s)), scalars)
+    if kind == "nh":
+        return _project_fields(sys, [_symp(r, n) for r in rows], scalars)
+    return rows
+
+
+def _project_fields(sys, fields, scalars):
+    """Apply P = I - Omega^-1 C^T (C Omega^-1 C^T)^-1 C to every field.
+
+    C holds the splitting rows at the point; the columns below are
+    Omega^-1 C^T up to a sign that cancels in P. One elimination with a
+    matrix right-hand side serves all fields.
+    """
     rows = geometry.splitting_rows(sys, scalars)
-    cols = [_symp(r, n) for r in rows]
+    cols = [_symp(r, sys.n) for r in rows]
     K = [[numdiff.sum_prod(r, col) for col in cols] for r in rows]
-
-    def project(v):
-        u = numdiff.solve_linear(K, [numdiff.sum_prod(r, v) for r in rows])
-        return [v[i] - numdiff.sum_prod([c[i] for c in cols], u) for i in range(2 * n)]
-
-    return xf, project(xf), project(xg)
-
-
-def _nh_value_generic(sys, ffn, gfn, scalars):
-    _, pxf, pxg = _nh_fields_generic(sys, ffn, gfn, scalars)
-    return _pair(pxf, pxg, sys.n)
-
-
-def _dstar_value_generic(sys, ffn, gfn, scalars, free_cols):
-    n = sys.n
-    q_s = list(scalars[:n])
-    p_s = geometry.from_dstar_apply(sys, q_s, list(scalars[n:]), free_cols)
-
-    def pull(fn):
-        return lambda s: fn(
-            list(s[:n]) + geometry.to_dstar_apply(sys, s[:n], s[n:], free_cols)
-        )
-
-    return _canonical_value_generic(pull(ffn), pull(gfn), q_s + p_s, n)
+    U = numdiff.solve_linear(K, [[numdiff.sum_prod(r, v) for v in fields] for r in rows])
+    out = []
+    for j, v in enumerate(fields):
+        u = [row[j] for row in U]
+        out.append([v[i] - numdiff.sum_prod([c[i] for c in cols], u) for i in range(len(v))])
+    return out
 
 
 BRACKET_KINDS = ("canonical", "eden", "nh", "dstar")
@@ -459,43 +458,34 @@ def jacobiator(
 ) -> float:
     """J = {f,{g,h}} + {g,{h,f}} + {h,{f,g}} for the selected bracket kind.
 
-    Outer derivatives come from evaluating the inner bracket at dual-number
+    Outer derivatives come from evaluating the inner brackets at dual-number
     perturbed points, so every kind reuses its own defining formula without
-    symbolic composition. For the dual-bundle kind the observables are
-    dual-bundle expressions and the evaluation point is the image of x.
+    symbolic composition. The extension map of a route (the momentum
+    projection, the splitting rows, the frame pullback) depends on the point
+    and not on the observable, so each nesting level lifts once and
+    evaluates it once: the inner level returns {g,h}, {h,f} and {f,g}
+    together, and the outer level reads the rows of f, g, h and the three
+    inner brackets off one lift. For the dual-bundle kind the observables
+    are dual-bundle expressions and the evaluation point is the image of x.
     """
     if kind not in BRACKET_KINDS:
         raise ValueError(f"unknown bracket kind {kind!r}")
     geometry.require_on_m(sys, x.q, x.p, on_m_tol)
+    n, free, base = sys.n, None, x.scalars()
     if kind == "dstar":
         free = geometry.frame_at(sys, x.q).free_cols
-        y = to_dstar(sys, x, on_m_tol=np.inf)
-        base = y.scalars()
+        base = to_dstar(sys, x, on_m_tol=np.inf).scalars()
 
-        def value(afn, bfn, s):
-            return _dstar_value_generic(sys, afn, bfn, s, free)
+    def values(e):
+        return [f.fn(e), g.fn(e), h.fn(e)]
 
-    else:
-        base = x.scalars()
-        if kind == "canonical":
+    def inner(s):
+        rf, rg, rh = _route_rows(sys, kind, values, s, free)
+        return [_pair(rg, rh, n), _pair(rh, rf, n), _pair(rf, rg, n)]
 
-            def value(afn, bfn, s):
-                return _canonical_value_generic(afn, bfn, s, sys.n)
-
-        elif kind == "eden":
-
-            def value(afn, bfn, s):
-                return _eden_value_generic(sys, afn, bfn, s)
-
-        else:
-
-            def value(afn, bfn, s):
-                return _nh_value_generic(sys, afn, bfn, s)
-
-    def inner(a, b):
-        return lambda s: value(a.fn, b.fn, s)
-
-    total = value(f.fn, inner(g, h), base)
-    total = total + value(g.fn, inner(h, f), base)
-    total = total + value(h.fn, inner(f, g), base)
+    outer = _route_rows(sys, kind, lambda e: values(e) + inner(e), base, free)
+    rf, rg, rh, r_gh, r_hf, r_fg = outer
+    total = _pair(rf, r_gh, n)
+    total = total + _pair(rg, r_hf, n)
+    total = total + _pair(rh, r_fg, n)
     return float(numdiff.float_core(total))

@@ -245,28 +245,30 @@ def integrate(
         )
         return k1
 
-    try:
-        k1 = accept(t0, z)
-        for i in range(n_steps):
-            z2 = z + 0.5 * dt * k1
-            k2, _, _, _ = ev.evaluate(z2[:n], z2[n:])
-            z3 = z + 0.5 * dt * k2
-            k3, _, _, _ = ev.evaluate(z3[:n], z3[n:])
-            z4 = z + dt * k3
-            k4, _, _, _ = ev.evaluate(z4[:n], z4[n:])
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if project_each_step:
-                z[n:] = geometry.eden_project(sys, z[:n], z[n:])
-            else:
-                geometry.metric_at(sys, z[:n])
-            k1 = accept(t0 + (i + 1) * dt, z)
-    except StepFailureError:
-        raise
-    except NonholoError as exc:
-        raise StepFailureError(
-            f"integration stopped: {exc}",
-            trajectory=Trajectory(points=points),
-        ) from exc
+    # overflow reaches accept()'s finiteness checks as inf/NaN, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            k1 = accept(t0, z)
+            for i in range(n_steps):
+                z2 = z + 0.5 * dt * k1
+                k2, _, _, _ = ev.evaluate(z2[:n], z2[n:])
+                z3 = z + 0.5 * dt * k2
+                k3, _, _, _ = ev.evaluate(z3[:n], z3[n:])
+                z4 = z + dt * k3
+                k4, _, _, _ = ev.evaluate(z4[:n], z4[n:])
+                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if project_each_step:
+                    z[n:] = geometry.eden_project(sys, z[:n], z[n:])
+                else:
+                    geometry.metric_at(sys, z[:n])
+                k1 = accept(t0 + (i + 1) * dt, z)
+        except StepFailureError:
+            raise
+        except NonholoError as exc:
+            raise StepFailureError(
+                f"integration stopped: {exc}",
+                trajectory=Trajectory(points=points),
+            ) from exc
     return Trajectory(points=points)
 
 

@@ -40,7 +40,7 @@ class VerifyConfig:
     workers: int = 1
     region: tuple | None = None
     momentum_scale: float = 1.0
-    jacobiator_cap: int = 12  # points given to the (expensive) defect scans
+    jacobiator_cap: int = 12  # defect-scan points; ~1/5 of a verify run at 12/100
 
 
 def _jacobiator_triples(n_obs: int, n: int):

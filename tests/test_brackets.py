@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonholo import brackets, catalog, dsl, geometry, numdiff
+from nonholo import brackets, catalog, dsl, geometry
 from nonholo.errors import NotOnMError, SectionNotInDError, SplittingDegenerateError
 from nonholo.rng import SplitMix64
 from nonholo.system import (
@@ -183,37 +183,56 @@ def test_almost_lie_bracket_cases():
 
 
 def fd_jacobiator(sysd, kind, f, g, h, x, hstep=1e-5):
-    """Outer derivatives by central differences instead of nested duals."""
+    """Outer derivatives by central differences instead of nested duals.
+
+    The inner brackets come from one dual level of brackets._route_rows at
+    each perturbed point; the outer bracket differentiates the kind's
+    extension of each argument by central differences and, for nh, projects
+    the fields with the numpy projector of geometry.tangent_splitting.
+    """
     n = sysd.n
+    free = None
+    z = x.scalars()
+    if kind == "dstar":
+        free = geometry.frame_at(sysd, x.q).free_cols
 
-    def value(afn, bfn, s):
-        if kind == "eden":
-            return numdiff.float_core(brackets._eden_value_generic(sysd, afn, bfn, s))
-        return numdiff.float_core(brackets._canonical_value_generic(afn, bfn, s, n))
+        def ext(w):
+            return w[:n] + geometry.to_dstar_apply(sysd, w[:n], w[n:], free)
 
-    def fd_can(F, G, z):
-        def grad(fn):
-            out = np.zeros(len(z))
-            for i in range(len(z)):
-                zp, zm = list(z), list(z)
-                zp[i] += hstep
-                zm[i] -= hstep
-                out[i] = (fn(zp) - fn(zm)) / (2 * hstep)
-            return out
+    elif kind == "canonical":
 
-        gf, gg = grad(F), grad(G)
-        return float(gf[:n] @ gg[n:] - gf[n:] @ gg[:n])
+        def ext(w):
+            return w
 
-    def ext(fn):
-        return lambda z: numdiff.float_core(fn(geometry.gamma_hat_apply(sysd, list(z))))
+    else:
+
+        def ext(w):
+            return geometry.gamma_hat_apply(sysd, w)
 
     def inner(a, b):
-        return lambda s: value(a.fn, b.fn, s)
+        def fn(s):
+            ra, rb = brackets._route_rows(sysd, kind, lambda e: [a.fn(e), b.fn(e)], s, free)
+            return brackets._pair(ra, rb, n)
 
-    z = x.scalars()
+        return fn
+
+    def grad(fn):
+        out = np.zeros(2 * n)
+        for i in range(2 * n):
+            zp, zm = list(z), list(z)
+            zp[i] += hstep
+            zm[i] -= hstep
+            out[i] = (fn(ext(zp)) - fn(ext(zm))) / (2 * hstep)
+        return out
+
+    P = np.eye(2 * n)
+    if kind == "nh":
+        P = geometry.tangent_splitting(sysd, x.q, x.p)[0]
     total = 0.0
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
-        total += fd_can(ext(a.fn), ext(inner(b, c)), z)
+        xa = P @ brackets._symp(grad(a.fn), n)
+        xi = P @ brackets._symp(grad(inner(b, c)), n)
+        total += float(brackets._pair(xa, xi, n))
     return total
 
 
@@ -260,6 +279,103 @@ def test_jacobiator_documented_example_triple_vanishes():
     j = brackets.jacobiator(SYS_B, "eden", f, g, h, PROBE)
     j_fd = fd_jacobiator(SYS_B, "eden", f, g, h, PROBE)
     assert abs(j) < 1e-12 and abs(j_fd) < 1e-6
+
+
+# (system, phase triple, eden, nh, dstar) at the first seed-5 sample point;
+# the dstar triple is (pi_1, pi_2, x). Recorded with the per-pair nested
+# formula that evaluated each observable's extension separately.
+PINNED_JACOBIATORS = (
+    ("nonholonomic_particle", ("z", "p_x", "p_y"),
+     -0.7651225043644454, -0.7651225043644453, 0.3096127365907064),
+    ("chaplygin_sleigh", ("x", "p_x", "p_th"),
+     0.2756985497838126, 0.2756985497838128, 0.4874892870704745),
+    ("vertical_rolling_disk", ("x", "p_x", "0.5*(p_x^2/m + p_y^2/m + p_th^2/I + p_ph^2/J)"),
+     0.19196881735808352, 0.19196881735808352, -0.31136914819716105),
+)
+
+
+def _pinned_case(name, texts):
+    ent = catalog.get_entry(name)
+    sysd = ent.system()
+    x = catalog.sample_entry_points(ent, 1, 5)[0]
+    phase = [obs(sysd, t) for t in texts]
+    dual = [DStarObservable.from_expression(sysd, t) for t in ("pi_1", "pi_2", "x")]
+    return sysd, x, phase, dual
+
+
+@pytest.mark.parametrize("name, texts, eden, nh, dstar", PINNED_JACOBIATORS)
+def test_jacobiator_pinned_values(name, texts, eden, nh, dstar):
+    sysd, x, phase, dual = _pinned_case(name, texts)
+    assert brackets.jacobiator(sysd, "eden", *phase, x) == pytest.approx(eden, abs=1e-12)
+    assert brackets.jacobiator(sysd, "nh", *phase, x) == pytest.approx(nh, abs=1e-12)
+    assert brackets.jacobiator(sysd, "dstar", *dual, x) == pytest.approx(dstar, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", brackets.BRACKET_KINDS)
+@pytest.mark.parametrize("name, texts", [c[:2] for c in PINNED_JACOBIATORS[:2]])
+def test_jacobiator_matches_fd_oracle(name, texts, kind):
+    sysd, x, phase, dual = _pinned_case(name, texts)
+    f, g, h = dual if kind == "dstar" else phase
+    j = brackets.jacobiator(sysd, kind, f, g, h, x)
+    if kind != "canonical":
+        assert abs(j) > 1e-3  # a witness, not a vanishing defect
+    assert abs(j - fd_jacobiator(sysd, kind, f, g, h, x)) < 1e-4
+
+
+def test_jacobiator_nh_equals_eden_on_all_systems():
+    # both brackets agree on M and the Jacobiator sees the inner bracket only
+    # on M, so the two defects coincide
+    for ent in catalog.catalog_systems():
+        sysd = ent.system()
+        n = sysd.n
+        observables = catalog.observable_test_set(sysd)
+        for x in catalog.sample_entry_points(ent, 3, 83):
+            for t in ((n - 1, n, n + 1), (0, n, 2 * n), (n, n + 1, 2 * n + 1)):
+                f, g, h = (observables[i] for i in t)
+                eden = brackets.jacobiator(sysd, "eden", f, g, h, x)
+                nh = brackets.jacobiator(sysd, "nh", f, g, h, x)
+                assert nh == pytest.approx(eden, abs=1e-10)
+
+
+def test_project_fields_matches_numpy_projector():
+    # bracket values cannot check the size of the projection: on extension
+    # fields pair(X_f, Q X_g) vanishes, so any I - c Q gives the same value
+    rng = SplitMix64(89)
+    for ent in catalog.catalog_systems():
+        sysd = ent.system()
+        m = 2 * sysd.n
+        for x in catalog.sample_entry_points(ent, 3, 89):
+            P = geometry.tangent_splitting(sysd, x.q, x.p)[0]
+            fields = [[rng.uniform(-1.0, 1.0) for _ in range(m)] for _ in range(3)]
+            got = brackets._project_fields(sysd, fields, x.scalars())
+            assert np.allclose(got, np.array(fields) @ P.T, rtol=0, atol=1e-10)
+
+
+EXTENSION_MAPS = ("gamma_hat_apply", "splitting_rows", "from_dstar_apply", "to_dstar_apply")
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("canonical", {}),
+    ("eden", {"gamma_hat_apply": 2}),
+    ("nh", {"gamma_hat_apply": 2, "splitting_rows": 2}),
+    ("dstar", {"from_dstar_apply": 2, "to_dstar_apply": 2}),
+])
+def test_jacobiator_evaluates_extension_maps_once_per_level(monkeypatch, kind, expected):
+    counts = dict.fromkeys(EXTENSION_MAPS, 0)
+    for name in EXTENSION_MAPS:
+        original = getattr(geometry, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, counted)
+    if kind == "dstar":
+        triple = [DStarObservable.from_expression(SYS_B, t) for t in ("pi_1", "pi_2", "x")]
+    else:
+        triple = [obs(SYS_B, t) for t in ("z", "p_x", "p_y")]
+    brackets.jacobiator(SYS_B, kind, *triple, PROBE)
+    assert counts == {name: expected.get(name, 0) for name in EXTENSION_MAPS}
 
 
 def test_extension_independence():

@@ -110,6 +110,7 @@ def test_simulate_overflow_is_step_failure():
         "--q0", "0,1,0", "--p0", "1e300,0,1e300", expect=3,
     )
     assert "non-finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert proc.stdout == ""
 
 
