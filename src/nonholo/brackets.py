@@ -11,15 +11,20 @@ Routes computed here, all of which must coincide on M:
 * ``dstar`` - push the observables to the dual bundle through the frame
   isomorphism and bracket the pullbacks there.
 
-A PointContext precomputes the per-point linear data (projectors, the
-projection Jacobian, the dual-bundle correspondence Jacobians) so sweeps
-over many observable pairs stay cheap. Each route also has one formula over
-generic scalars, ``_route_rows``, which evaluates the route's extension map
-once per lift for all observables; the Jacobiator nests it, and the
-standalone functions (``canonical_bracket``, ``eden_bracket``,
-``nonholonomic_bracket``, ``dstar_bracket``) are the validation they run
-plus that formula on floats. They serve as the oracles the test suite checks
-the context path against.
+A PointContext holds the per-point linear data (projectors, the projection
+Jacobian, the dual-bundle correspondence Jacobians) and reads the gradient
+rows of a whole list of observables off one lift at the point, or one at the
+relanded dual-bundle point. ``bracket_route_tables`` contracts those rows
+into all four routes over every ordered pair; it is the only bracket formula
+of the context path, and ``verify``, ``compare_brackets`` and the dynamics
+evolution check read their values from it or from the rows.
+
+Each route also has one formula over generic scalars, ``_route_rows``, which
+evaluates the route's extension map once per lift for all observables; the
+Jacobiator nests it, and the standalone functions (``canonical_bracket``,
+``eden_bracket``, ``nonholonomic_bracket``, ``dstar_bracket``) are the
+validation they run plus that formula on floats. They serve as the oracles
+the test suite checks the context path against.
 """
 
 from __future__ import annotations
@@ -79,7 +84,13 @@ def gamma_extension(sys: SystemDefinition, f: Observable) -> Observable:
 
 
 class PointContext:
-    """Per-point workspace shared by bracket evaluations at one M-point."""
+    """Per-point workspace shared by bracket evaluations at one M-point.
+
+    The splitting, the projection Jacobian and the dual-bundle data are built
+    lazily, once. Gradient rows are not cached: each call of ``raw_rows`` or
+    ``dstar_rows`` lifts its evaluation point once for every observable in
+    the list, so callers pass all the observables they need in one call.
+    """
 
     def __init__(self, sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None):
         geometry.require_on_m(sys, x.q, x.p, on_m_tol)
@@ -87,10 +98,6 @@ class PointContext:
         self.x = x
         self.n = sys.n
         self.z = x.scalars()
-        # keyed by the observable object itself: holding the reference keeps
-        # ids stable for the lifetime of the cache
-        self._grad_raw: dict = {}
-        self._grad_raw_prime: dict = {}
         self._splitting = None
         self._dgamma = None
         self._dstar = None
@@ -152,49 +159,20 @@ class PointContext:
             self._dstar = (free, xp, zp, dtheta @ dpsi)
         return self._dstar
 
-    # -- gradients --
+    # -- gradient rows, one lift per evaluation point --
 
-    def grad_raw(self, f: Observable) -> np.ndarray:
-        g = self._grad_raw.get(f)
-        if g is None:
-            _, g = numdiff.gradient(f.fn, self.z)
-            self._grad_raw[f] = g
-        return g
+    def raw_rows(self, observables) -> np.ndarray:
+        """Raw gradient rows of every observable at this point, off one lift.
 
-    def grad_ext(self, f: Observable) -> np.ndarray:
-        """Gradient of the momentum-projection extension of f at this point."""
-        return self.dgamma.T @ self.grad_raw(f)
+        Their extension rows (gradients of the momentum-projection
+        extensions) are these rows ``@ self.dgamma``.
+        """
+        return numdiff.jacobian(lambda s: [f.fn(s) for f in observables], self.z)
 
-    def _grad_prime(self, f: Observable) -> np.ndarray:
-        g = self._grad_raw_prime.get(f)
-        if g is None:
-            _, g = numdiff.gradient(f.fn, self.dstar_data[2])
-            self._grad_raw_prime[f] = g
-        return g
-
-    # -- the four bracket routes --
-
-    def eden_value(self, f: Observable, g: Observable) -> float:
-        return float(_pair(self.grad_ext(f), self.grad_ext(g), self.n))
-
-    def nh_value(self, f: Observable, g: Observable) -> float:
-        P, n = self.P, self.n
-        xf = P @ _symp(self.grad_ext(f), n)
-        xg = P @ _symp(self.grad_ext(g), n)
-        return float(_pair(xf, xg, n))
-
-    def nh2_value(self, f: Observable, g: Observable) -> float:
-        P, n = self.P, self.n
-        xf = _symp(self.grad_ext(f), n)
-        xg = P @ _symp(self.grad_ext(g), n)
-        return float(_pair(xf, xg, n))
-
-    def one_side_projected_value(self, f: Observable, g_raw: Observable) -> float:
-        """nh2 form with the second argument left as a raw extension."""
-        P, n = self.P, self.n
-        xf = _symp(self.grad_ext(f), n)
-        xg = P @ _symp(self.grad_raw(g_raw), n)
-        return float(_pair(xf, xg, n))
+    def dstar_rows(self, observables) -> np.ndarray:
+        """Dual-bundle rows: raw rows at the relanded point, pulled back."""
+        _, _, zp, dd = self.dstar_data
+        return numdiff.jacobian(lambda s: [f.fn(s) for f in observables], zp) @ dd
 
     def nh_values_from_grads(self, gf_ext, gg_ext) -> tuple[float, float]:
         """(nh, nh2) from caller-supplied extension gradients."""
@@ -207,23 +185,18 @@ class PointContext:
         """Gradients of the membership residuals (extensions vanishing on M)."""
         return self.C[: self.sys.n_constraints]
 
-    def dstar_value(self, f: Observable, g: Observable) -> float:
-        _, _, _, dd = self.dstar_data
-        gf = dd.T @ self._grad_prime(f)
-        gg = dd.T @ self._grad_prime(g)
-        return float(_pair(gf, gg, self.n))
-
 
 def bracket_route_tables(ctx: PointContext, observables) -> dict[str, np.ndarray]:
     """All four bracket routes over every ordered observable pair at a point.
 
     Returns route-name -> (n_obs, n_obs) matrix; entry (i, j) is the bracket
-    of observable i with observable j. Gradients are computed once per
-    observable and the pair contraction is a handful of matrix products, so
-    full-pair sweeps stay cheap.
+    of observable i with observable j. The rows of every observable come off
+    one lift at the point and one at the relanded dual-bundle point, and the
+    pair contraction is a handful of matrix products, so full-pair sweeps
+    stay cheap.
     """
     n = ctx.n
-    gext = np.array([ctx.grad_ext(f) for f in observables])
+    gext = ctx.raw_rows(observables) @ ctx.dgamma
     gq, gp = gext[:, :n], gext[:, n:]
 
     def pair_table(aq, ap, bq, bp):
@@ -234,8 +207,7 @@ def bracket_route_tables(ctx: PointContext, observables) -> dict[str, np.ndarray
     PX = X @ ctx.P.T
     nh = pair_table(PX[:, :n], PX[:, n:], PX[:, :n], PX[:, n:])
     nh2 = pair_table(X[:, :n], X[:, n:], PX[:, :n], PX[:, n:])
-    _, _, _, dd = ctx.dstar_data
-    gstar = np.array([ctx._grad_prime(f) for f in observables]) @ dd
+    gstar = ctx.dstar_rows(observables)
     dstar = pair_table(gstar[:, :n], gstar[:, n:], gstar[:, :n], gstar[:, n:])
     return {"nh": nh, "nh2": nh2, "eden": eden, "dstar": dstar}
 
@@ -261,19 +233,18 @@ def compare_brackets(
     f: Observable,
     g: Observable,
     x: PhasePoint,
-    ctx: PointContext | None = None,
     on_m_tol: float | None = None,
 ) -> BracketReport:
     """Evaluate all four bracket routes at one point and report the spread."""
-    ctx = ctx or PointContext(sys, x, on_m_tol)
+    tables = bracket_route_tables(PointContext(sys, x, on_m_tol), [f, g])
     return BracketReport(
         point=x,
         f=f.label,
         g=g.label,
-        value_nh=ctx.nh_value(f, g),
-        value_nh2=ctx.nh2_value(f, g),
-        value_eden=ctx.eden_value(f, g),
-        value_dstar=ctx.dstar_value(f, g),
+        value_nh=float(tables["nh"][0, 1]),
+        value_nh2=float(tables["nh2"][0, 1]),
+        value_eden=float(tables["eden"][0, 1]),
+        value_dstar=float(tables["dstar"][0, 1]),
     )
 
 

@@ -294,8 +294,10 @@ def observable_evolution_check(sys: SystemDefinition, traj: Trajectory, f) -> fl
         dt2 = pts[i + 1].t - pts[i - 1].t
         fd = (f.at(xp) - f.at(xm)) / dt2
         ctx = brackets.PointContext(sys, x0)
-        br = ctx.eden_value(f, h_obs)
-        raw = ctx.one_side_projected_value(f, h_obs)
+        rows = ctx.raw_rows([f, h_obs])
+        ext_f, ext_h = rows @ ctx.dgamma
+        br = float(brackets._pair(ext_f, ext_h, sys.n))
+        raw = ctx.nh_values_from_grads(ext_f, rows[1])[1]
         if abs(br - raw) > 1e-9:
             raise InternalConsistencyError(
                 f"evolution bracket forms disagree: {br!r} vs {raw!r}"

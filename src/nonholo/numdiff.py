@@ -317,13 +317,12 @@ def lift(values):
     level = 1 + max(
         (v.level for v in vals if isinstance(v, DualScalar)), default=0
     )
-    w = len(vals)
+    zeros = (0.0,) * len(vals)
     out = []
     for i, v in enumerate(vals):
         if isinstance(v, _NUM):
             v = float(v)
-        seeds = tuple(1.0 if j == i else 0.0 for j in range(w))
-        out.append(DualScalar(v, seeds, level))
+        out.append(DualScalar(v, zeros[:i] + (1.0,) + zeros[i + 1 :], level))
     return out
 
 

@@ -93,30 +93,30 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     ctx = brackets.PointContext(sysd, x, on_m_tol=tol)
     n_obs = len(observables)
     routes = ("nh", "nh2", "eden", "dstar")
-    vals = brackets.bracket_route_tables(ctx, observables)
+    triples = _leibniz_triples(n_obs, n)
+    # the Leibniz products join the one table call; the other suites read
+    # the n_obs x n_obs block of the observables themselves
+    prods = [Observable.product(observables[i], observables[j]) for i, j, _ in triples]
+    tables = brackets.bracket_route_tables(ctx, observables + prods)
+    vals = {r: tables[r][:n_obs, :n_obs] for r in routes}
     stacked = np.stack([vals[r] for r in routes])
     coincidence = float(np.max(np.abs(stacked[:, None] - stacked[None, :])))
     forms_gap = float(np.max(np.abs(vals["nh"] - vals["nh2"])))
     skew = float(max(np.max(np.abs(vals[r] + vals[r].T)) for r in routes))
 
     leibniz = 0.0
-    for i, j, g_idx in _leibniz_triples(n_obs, n):
-        f, f2, g = observables[i], observables[j], observables[g_idx]
-        prod = Observable.product(f, f2)
-        fv, f2v = f.at(x), f2.at(x)
-        for r, fn in (
-            ("nh", ctx.nh_value),
-            ("nh2", ctx.nh2_value),
-            ("eden", ctx.eden_value),
-            ("dstar", ctx.dstar_value),
-        ):
-            resid = fn(prod, g) - fv * vals[r][j, g_idx] - f2v * vals[r][i, g_idx]
+    for t, (i, j, g_idx) in enumerate(triples):
+        fv, f2v = observables[i].at(x), observables[j].at(x)
+        for r in routes:
+            tab = tables[r]
+            resid = tab[n_obs + t, g_idx] - fv * tab[j, g_idx] - f2v * tab[i, g_idx]
             leibniz = max(leibniz, abs(resid))
 
+    ext = ctx.raw_rows(observables) @ ctx.dgamma
     ext_ind = 0.0
     w_grad = ctx.residual_gradients()[0]
     for i, j in ((0, n), (n, min(2 * n, n_obs - 1))):
-        gf, gg = ctx.grad_ext(observables[i]), ctx.grad_ext(observables[j])
+        gf, gg = ext[i], ext[j]
         base = ctx.nh_values_from_grads(gf, gg)
         for c in (1.0, -1.0, 10.0):
             for pert in (
@@ -144,8 +144,8 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     mu = np.asarray(sysd.mu_values(list(x.q)), dtype=float)
     base_in_d = 0.0
     vertical = 0.0
-    for f in observables:
-        xf = brackets._symp(ctx.grad_ext(f), n)
+    for g_ext in ext:
+        xf = brackets._symp(g_ext, n)
         base_in_d = max(base_in_d, float(np.max(np.abs(mu @ xf[:n]))))
         qx = Q @ xf
         vertical = max(vertical, float(np.max(np.abs(qx[:n]))))

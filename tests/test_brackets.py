@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonholo import brackets, catalog, dsl, geometry
+from nonholo import brackets, catalog, dsl, geometry, numdiff
 from nonholo.errors import NotOnMError, SectionNotInDError, SplittingDegenerateError
 from nonholo.rng import SplitMix64
 from nonholo.system import (
@@ -65,33 +65,34 @@ def test_direct_routes_match_context_routes():
         ctx = brackets.PointContext(SYS_B, x)
         for f, g in [("x", "p_x"), ("y*p_x", "p_z"), ("z", "x*p_z")]:
             fo, go = obs(SYS_B, f), obs(SYS_B, g)
+            tables = brackets.bracket_route_tables(ctx, [fo, go])
             direct = brackets.eden_bracket(SYS_B, fo, go, x)
-            assert direct == pytest.approx(ctx.eden_value(fo, go), abs=1e-11)
+            assert direct == pytest.approx(tables["eden"][0, 1], abs=1e-11)
             nh = brackets.nonholonomic_bracket(SYS_B, fo, go, x)
-            assert nh == pytest.approx(ctx.nh_value(fo, go), abs=1e-11)
+            assert nh == pytest.approx(tables["nh"][0, 1], abs=1e-11)
             fd, gd = (brackets.pushforward_observable(SYS_B, o) for o in (fo, go))
             dstar = brackets.dstar_bracket(SYS_B, fd, gd, to_dstar(SYS_B, x))
-            assert dstar == pytest.approx(ctx.dstar_value(fo, go), abs=1e-11)
+            assert dstar == pytest.approx(tables["dstar"][0, 1], abs=1e-11)
     # the standalone oracles differentiate the generic formulas at the point;
-    # PointContext contracts gradients with cached numpy projectors and
-    # correspondence Jacobians
+    # the route tables contract shared-lift gradient rows with cached numpy
+    # projectors and correspondence Jacobians
     for ent in catalog.catalog_systems():
         sysd = ent.system()
         observables = catalog.observable_test_set(sysd)
         n = sysd.n
         pairs = [(0, n), (n - 1, 2 * n - 1), (1, min(2 * n, len(observables) - 1))]
         for x in catalog.sample_entry_points(ent, 3, 33):
-            ctx = brackets.PointContext(sysd, x)
+            tables = brackets.bracket_route_tables(brackets.PointContext(sysd, x), observables)
             y = to_dstar(sysd, x)
             for i, j in pairs:
                 fo, go = observables[i], observables[j]
                 eden = brackets.eden_bracket(sysd, fo, go, x)
-                assert eden == pytest.approx(ctx.eden_value(fo, go), abs=1e-11)
+                assert eden == pytest.approx(tables["eden"][i, j], abs=1e-11)
                 nh = brackets.nonholonomic_bracket(sysd, fo, go, x)
-                assert nh == pytest.approx(ctx.nh_value(fo, go), abs=1e-11)
+                assert nh == pytest.approx(tables["nh"][i, j], abs=1e-11)
                 fd, gd = (brackets.pushforward_observable(sysd, o) for o in (fo, go))
                 dstar = brackets.dstar_bracket(sysd, fd, gd, y)
-                assert dstar == pytest.approx(ctx.dstar_value(fo, go), abs=1e-11)
+                assert dstar == pytest.approx(tables["dstar"][i, j], abs=1e-11)
 
 
 def test_nonholonomic_bracket_runs_splitting_check(monkeypatch):
@@ -118,9 +119,10 @@ def test_nh_forms_agree_and_match_eden():
     for x in catalog.sample_entry_points(B_ENTRY, 50, 37):
         ctx = brackets.PointContext(SYS_B, x)
         for f, g in [("x", "p_x"), ("p_x", "p_z"), ("y", "y*p_y")]:
-            fo, go = obs(SYS_B, f), obs(SYS_B, g)
-            assert abs(ctx.nh_value(fo, go) - ctx.nh2_value(fo, go)) <= 1e-9
-            assert abs(ctx.nh_value(fo, go) - ctx.eden_value(fo, go)) <= 1e-9
+            tables = brackets.bracket_route_tables(ctx, [obs(SYS_B, f), obs(SYS_B, g)])
+            nh = tables["nh"][0, 1]
+            assert abs(nh - tables["nh2"][0, 1]) <= 1e-9
+            assert abs(nh - tables["eden"][0, 1]) <= 1e-9
 
 
 def test_compare_brackets_control_case():
@@ -129,6 +131,49 @@ def test_compare_brackets_control_case():
     for v in (rep.value_nh, rep.value_nh2, rep.value_eden, rep.value_dstar):
         assert v == pytest.approx(1.0, abs=1e-12)
     assert rep.max_pairwise_gap <= 1e-12
+
+
+def test_route_tables_lift_once_per_evaluation_point(monkeypatch):
+    # with the per-point linear data built, the tables read the rows of every
+    # observable off one lift at the point and one at the relanded point
+    original = numdiff.lift
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return original(values)
+
+    for ent in catalog.catalog_systems():
+        sysd = ent.system()
+        observables = catalog.observable_test_set(sysd)
+        x = catalog.sample_entry_points(ent, 1, 5)[0]
+        ctx = brackets.PointContext(sysd, x)
+        ctx.splitting, ctx.dgamma, ctx.dstar_data
+        calls.clear()
+        monkeypatch.setattr(numdiff, "lift", counted)
+        brackets.bracket_route_tables(ctx, observables)
+        monkeypatch.setattr(numdiff, "lift", original)
+        assert calls == [2 * sysd.n, 2 * sysd.n], ent.id
+
+
+def test_shared_lift_rows_match_per_observable_gradients():
+    # one lift over many observables must not mix them: every row equals the
+    # observable's own gradient bitwise, a constant gives a zero row
+    for ent in catalog.catalog_systems():
+        sysd = ent.system()
+        observables = catalog.observable_test_set(sysd) + [
+            hamiltonian_observable(sysd),
+            obs(sysd, f"sin({sysd.coords[-1]})"),
+            obs(sysd, "2.5"),
+        ]
+        for x in catalog.sample_entry_points(ent, 3, 79):
+            ctx = brackets.PointContext(sysd, x)
+            _, _, zp, dd = ctx.dstar_data
+            raw = np.array([numdiff.gradient(f.fn, ctx.z)[1] for f in observables])
+            raw_p = np.array([numdiff.gradient(f.fn, zp)[1] for f in observables])
+            assert np.array_equal(ctx.raw_rows(observables), raw)
+            assert np.array_equal(ctx.dstar_rows(observables), raw_p @ dd)
+            assert not np.any(raw[-1])
 
 
 def test_dstar_bracket_canonical_pair_and_skew():
@@ -156,8 +201,12 @@ def test_dstar_value_frame_independent():
     )
     for x in catalog.sample_entry_points(B_ENTRY, 25, 47):
         for f, g in [("x", "p_x"), ("p_x", "p_z"), ("z", "y*p_x")]:
-            v_default = brackets.PointContext(SYS_B, x).dstar_value(obs(SYS_B, f), obs(SYS_B, g))
-            v_alt = brackets.PointContext(alt, x).dstar_value(obs(alt, f), obs(alt, g))
+            v_default, v_alt = (
+                brackets.bracket_route_tables(
+                    brackets.PointContext(sysd, x), [obs(sysd, f), obs(sysd, g)]
+                )["dstar"][0, 1]
+                for sysd in (SYS_B, alt)
+            )
             assert abs(v_default - v_alt) < 1e-9
 
 
@@ -383,8 +432,7 @@ def test_extension_independence():
         ctx = brackets.PointContext(SYS_B, x)
         w_grads = ctx.residual_gradients()
         for f, g in [("x", "p_x"), ("p_x", "p_z")]:
-            fo, go = obs(SYS_B, f), obs(SYS_B, g)
-            gf, gg = ctx.grad_ext(fo), ctx.grad_ext(go)
+            gf, gg = ctx.raw_rows([obs(SYS_B, f), obs(SYS_B, g)]) @ ctx.dgamma
             base_nh, base_nh2 = ctx.nh_values_from_grads(gf, gg)
             for c in (1.0, -1.0, 10.0):
                 pert = gf + c * w_grads[0]
@@ -400,18 +448,15 @@ def test_extension_independence():
 def test_skew_and_leibniz():
     observables = catalog.observable_test_set(SYS_C)[:8]
     for x in catalog.sample_entry_points(C_ENTRY, 10, 71):
-        ctx = brackets.PointContext(SYS_C, x)
-        routes = {
-            "nh": ctx.nh_value,
-            "nh2": ctx.nh2_value,
-            "eden": ctx.eden_value,
-            "dstar": ctx.dstar_value,
-        }
         f, g, f2 = observables[0], observables[4], observables[5]
-        for name, route in routes.items():
-            assert abs(route(f, g) + route(g, f)) <= 1e-12
-            prod = Observable.product(f, f2)
-            resid = route(prod, g) - f.at(x) * route(f2, g) - f2.at(x) * route(f, g)
+        prod = Observable.product(f, f2)
+        # rows: f, g, f2, f*f2
+        tables = brackets.bracket_route_tables(
+            brackets.PointContext(SYS_C, x), [f, g, f2, prod]
+        )
+        for name, tab in tables.items():
+            assert abs(tab[0, 1] + tab[1, 0]) <= 1e-12
+            resid = tab[3, 1] - f.at(x) * tab[2, 1] - f2.at(x) * tab[0, 1]
             assert abs(resid) <= 1e-10, name
 
 
@@ -445,18 +490,19 @@ def test_extension_fields_base_in_distribution():
             Q = ctx.Q
             mu = np.asarray(sysd.mu_values(list(x.q)), dtype=float)
             obs_set = catalog.observable_test_set(sysd)[: 2 * n + 1]
-            for f in obs_set:
-                xf = brackets._symp(ctx.grad_ext(f), n)
+            ext = ctx.raw_rows(obs_set) @ ctx.dgamma
+            for g_ext in ext:
+                xf = brackets._symp(g_ext, n)
                 assert np.max(np.abs(mu @ xf[:n])) <= 1e-9
                 qx = Q @ xf
                 # vertical annihilator lift: no base motion, dp in span(mu^T)
                 assert np.max(np.abs(qx[:n])) <= 1e-9
                 lam, *_ = np.linalg.lstsq(mu.T, qx[n:], rcond=None)
                 assert np.max(np.abs(mu.T @ lam - qx[n:])) <= 1e-9
-            for f in obs_set[:4]:
-                for g in obs_set[:4]:
-                    xf = brackets._symp(ctx.grad_ext(f), n)
-                    xg = brackets._symp(ctx.grad_ext(g), n)
+            for gf in ext[:4]:
+                for gg in ext[:4]:
+                    xf = brackets._symp(gf, n)
+                    xg = brackets._symp(gg, n)
                     assert abs(brackets._pair(xf, Q @ xg, n)) <= 1e-9
 
 
