@@ -8,23 +8,24 @@ Routes computed here, all of which must coincide on M:
   splitting is symplectic);
 * ``eden``  - canonical bracket of the momentum-projection extensions,
   restricted to M;
-* ``dstar`` - push the observables to the dual bundle through the frame
-  isomorphism and bracket the pullbacks there.
+* ``dstar`` - the linear almost-Poisson bracket of the almost Lie
+  algebroid on the dual bundle D* (anchor E, projected frame brackets).
 
 A PointContext holds the per-point linear data (projectors, the projection
-Jacobian, the dual-bundle correspondence Jacobians) and reads the gradient
-rows of a whole list of observables off one lift at the point, or one at the
-relanded dual-bundle point. ``bracket_route_tables`` contracts those rows
-into all four routes over every ordered pair; it is the only bracket formula
-of the context path, and ``verify``, ``compare_brackets`` and the dynamics
-evolution check read their values from it or from the rows.
+Jacobian, the algebroid bivector and the Jacobian of the map D* -> M) and
+reads the gradient rows of a whole list of observables off one lift at the
+point. ``bracket_route_tables`` contracts those rows into all four routes
+over every ordered pair; it is the only bracket formula of the context path,
+and ``verify``, ``compare_brackets`` and the dynamics evolution check read
+their values from it or from the rows.
 
 Each route also has one formula over generic scalars, ``_route_rows``, which
 evaluates the route's extension map once per lift for all observables; the
 Jacobiator nests it, and the standalone functions (``canonical_bracket``,
 ``eden_bracket``, ``nonholonomic_bracket``, ``dstar_bracket``) are the
 validation they run plus that formula on floats. They serve as the oracles
-the test suite checks the context path against.
+the test suite checks the context path against; ``dstar_bracket`` keeps the
+pullback formula, so it checks the algebroid bracket.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .system import (
     Observable,
     PhasePoint,
     SystemDefinition,
-    from_dstar,
     to_dstar,
 )
 
@@ -86,10 +86,10 @@ def gamma_extension(sys: SystemDefinition, f: Observable) -> Observable:
 class PointContext:
     """Per-point workspace shared by bracket evaluations at one M-point.
 
-    The splitting, the projection Jacobian and the dual-bundle data are built
-    lazily, once. Gradient rows are not cached: each call of ``raw_rows`` or
-    ``dstar_rows`` lifts its evaluation point once for every observable in
-    the list, so callers pass all the observables they need in one call.
+    The splitting, the projection Jacobian, the frame and the algebroid data
+    are built lazily, once. Gradient rows are not cached: each call of
+    ``raw_rows`` lifts the point once for every observable in the list, so
+    callers pass all the observables they need in one call.
     """
 
     def __init__(self, sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None):
@@ -98,19 +98,12 @@ class PointContext:
         self.x = x
         self.n = sys.n
         self.z = x.scalars()
-        self._splitting = None
-        self._dgamma = None
-        self._dstar = None
 
     # -- lazily built linear data --
 
-    @property
+    @functools.cached_property
     def splitting(self):
-        if self._splitting is None:
-            self._splitting = geometry.tangent_splitting(
-                self.sys, self.x.q, self.x.p, on_m_tol=np.inf
-            )
-        return self._splitting
+        return geometry.tangent_splitting(self.sys, self.x.q, self.x.p, on_m_tol=np.inf)
 
     @property
     def P(self) -> np.ndarray:
@@ -124,42 +117,40 @@ class PointContext:
     def C(self) -> np.ndarray:
         return self.splitting[2]
 
-    @property
+    @functools.cached_property
     def dgamma(self) -> np.ndarray:
         """Jacobian of the phase-space momentum projection at this point."""
-        if self._dgamma is None:
-            self._dgamma = numdiff.jacobian(
-                lambda s: geometry.gamma_hat_apply(self.sys, s), self.z
-            )
-        return self._dgamma
+        return numdiff.jacobian(lambda s: geometry.gamma_hat_apply(self.sys, s), self.z)
 
-    @property
-    def dstar_data(self):
-        """Correspondence data: relanded point and the two route Jacobians."""
-        if self._dstar is None:
-            sys, n = self.sys, self.n
-            fr = geometry.frame_at(sys, self.x.q)
-            free = fr.free_cols
-            y = DStarPoint(q=self.x.q, pi=fr.E.T @ self.x.p)
-            xp = from_dstar(sys, y)
-            zp = xp.scalars()
-            dpsi = numdiff.jacobian(
-                lambda s: list(s[:n])
-                + geometry.to_dstar_apply(sys, s[:n], s[n:], free),
-                zp,
-            )
-            yp = list(xp.q) + geometry.to_dstar_apply(
-                sys, list(xp.q), list(xp.p), free
-            )
-            dtheta = numdiff.jacobian(
-                lambda s: list(s[:n])
-                + geometry.from_dstar_apply(sys, s[:n], s[n:], free),
-                yp,
-            )
-            self._dstar = (free, xp, zp, dtheta @ dpsi)
-        return self._dstar
+    @functools.cached_property
+    def frame(self) -> geometry.FrameAtPoint:
+        return geometry.frame_at(self.sys, self.x.q)
 
-    # -- gradient rows, one lift per evaluation point --
+    @functools.cached_property
+    def algebroid(self):
+        """(Theta, Lambda, C) of the almost Lie algebroid on D* at this point.
+
+        Theta = d(q, p)/d(q, pi) at pi = E^T p; the structure functions are
+        [e_a, e_b]_D = C[c, a, b] e_c; Lambda = [[0, E], [-E^T, -pi.C]] is
+        the bivector of the linear almost-Poisson bracket in (q, pi).
+        """
+        sys, n, k, fr = self.sys, self.n, self.sys.k, self.frame
+        pi = fr.E.T @ self.x.p
+
+        def chart(s):  # (q, pi) -> (q, p, frame columns)
+            q_s = list(s[:n])
+            cols = geometry.frame_apply(sys, q_s, fr.free_cols)
+            return q_s + geometry.from_dstar_apply(sys, q_s, s[n:], cols) + sum(cols, [])
+
+        J = numdiff.jacobian(chart, [*self.x.q.tolist(), *pi.tolist()])
+        # de[i, a, b] = (De_a e_b)^i and [e_a, e_b] = De_b e_a - De_a e_b
+        de = np.einsum("aij,jb->iab", J[2 * n :, :n].reshape(k, n, n), fr.E)
+        G = geometry.metric_at(sys, self.x.q).G
+        C = geometry.frame_components(G, fr.E, de.transpose(0, 2, 1) - de)
+        piC = np.einsum("c,cab->ab", pi, C)
+        return J[: 2 * n], np.block([[np.zeros((n, n)), fr.E], [-fr.E.T, -piC]]), C
+
+    # -- gradient rows, one lift per point --
 
     def raw_rows(self, observables) -> np.ndarray:
         """Raw gradient rows of every observable at this point, off one lift.
@@ -168,11 +159,6 @@ class PointContext:
         extensions) are these rows ``@ self.dgamma``.
         """
         return numdiff.jacobian(lambda s: [f.fn(s) for f in observables], self.z)
-
-    def dstar_rows(self, observables) -> np.ndarray:
-        """Dual-bundle rows: raw rows at the relanded point, pulled back."""
-        _, _, zp, dd = self.dstar_data
-        return numdiff.jacobian(lambda s: [f.fn(s) for f in observables], zp) @ dd
 
     def nh_values_from_grads(self, gf_ext, gg_ext) -> tuple[float, float]:
         """(nh, nh2) from caller-supplied extension gradients."""
@@ -186,17 +172,17 @@ class PointContext:
         return self.C[: self.sys.n_constraints]
 
 
-def bracket_route_tables(ctx: PointContext, observables) -> dict[str, np.ndarray]:
+def bracket_route_tables(ctx: PointContext, raw: np.ndarray) -> dict[str, np.ndarray]:
     """All four bracket routes over every ordered observable pair at a point.
 
-    Returns route-name -> (n_obs, n_obs) matrix; entry (i, j) is the bracket
-    of observable i with observable j. The rows of every observable come off
-    one lift at the point and one at the relanded dual-bundle point, and the
-    pair contraction is a handful of matrix products, so full-pair sweeps
-    stay cheap.
+    ``raw`` holds the observables' raw gradient rows at the point
+    (``ctx.raw_rows``), one lift that serves every route. Returns route-name
+    -> (n_obs, n_obs) matrix; entry (i, j) is the bracket of observable i
+    with observable j. The pair contraction is a handful of matrix products,
+    so full-pair sweeps stay cheap.
     """
     n = ctx.n
-    gext = ctx.raw_rows(observables) @ ctx.dgamma
+    gext = raw @ ctx.dgamma
     gq, gp = gext[:, :n], gext[:, n:]
 
     def pair_table(aq, ap, bq, bp):
@@ -207,9 +193,9 @@ def bracket_route_tables(ctx: PointContext, observables) -> dict[str, np.ndarray
     PX = X @ ctx.P.T
     nh = pair_table(PX[:, :n], PX[:, n:], PX[:, :n], PX[:, n:])
     nh2 = pair_table(X[:, :n], X[:, n:], PX[:, :n], PX[:, n:])
-    gstar = ctx.dstar_rows(observables)
-    dstar = pair_table(gstar[:, :n], gstar[:, n:], gstar[:, :n], gstar[:, n:])
-    return {"nh": nh, "nh2": nh2, "eden": eden, "dstar": dstar}
+    theta, lam, _ = ctx.algebroid
+    A = raw @ theta  # rows of the pushed observables on D*
+    return {"nh": nh, "nh2": nh2, "eden": eden, "dstar": A @ lam @ A.T}
 
 
 @dataclass(frozen=True)
@@ -236,7 +222,8 @@ def compare_brackets(
     on_m_tol: float | None = None,
 ) -> BracketReport:
     """Evaluate all four bracket routes at one point and report the spread."""
-    tables = bracket_route_tables(PointContext(sys, x, on_m_tol), [f, g])
+    ctx = PointContext(sys, x, on_m_tol)
+    tables = bracket_route_tables(ctx, ctx.raw_rows([f, g]))
     return BracketReport(
         point=x,
         f=f.label,
@@ -300,9 +287,8 @@ def pushforward_observable(sys: SystemDefinition, f: Observable) -> DStarObserva
 
     def fn(s):
         q_s = list(s[:n])
-        free = _free_cols_at(sys, q_s)
-        p_s = geometry.from_dstar_apply(sys, q_s, list(s[n:]), free)
-        return f.fn(q_s + p_s)
+        cols = geometry.frame_apply(sys, q_s, _free_cols_at(sys, q_s))
+        return f.fn(q_s + geometry.from_dstar_apply(sys, q_s, list(s[n:]), cols))
 
     return DStarObservable(label=f"push({f.label})", fn=fn)
 
@@ -362,10 +348,8 @@ def almost_lie_bracket(sys: SystemDefinition, X, Y, q) -> np.ndarray:
                 f"section {nm} leaves the distribution at q={q_list} (residual {r:.3e})"
             )
     w = lie_bracket_raw(sys, X, Y, q_list)
-    met = geometry.metric_at(sys, q_list)
-    fr = geometry.frame_at(sys, q_list)
-    ge = met.G @ fr.E
-    return fr.E @ np.linalg.solve(fr.E.T @ ge, ge.T @ w)
+    E = geometry.frame_at(sys, q_list).E
+    return E @ geometry.frame_components(geometry.metric_at(sys, q_list).G, E, w)
 
 
 # --- shared-lift route rows and the Jacobiator --------------------------------
@@ -384,7 +368,8 @@ def _route_rows(sys, kind, obs_fn, scalars, free_cols=None):
     n = sys.n
     if kind == "dstar":
         q_s = list(scalars[:n])
-        scalars = q_s + geometry.from_dstar_apply(sys, q_s, list(scalars[n:]), free_cols)
+        cols = geometry.frame_apply(sys, q_s, free_cols)
+        scalars = q_s + geometry.from_dstar_apply(sys, q_s, list(scalars[n:]), cols)
 
         def ext(s):
             return list(s[:n]) + geometry.to_dstar_apply(sys, s[:n], s[n:], free_cols)

@@ -73,26 +73,30 @@ def multipliers(
     free field is a single-direction dual pass, so the configuration
     dependence of mu and the cometric is included exactly.
     """
+    return _free_field_and_multipliers(sys, x, on_m_tol)[1]
+
+
+def _free_field_and_multipliers(sys, x, on_m_tol):
     geometry.require_on_m(sys, x.q, x.p, on_m_tol)
     cons = geometry.constraints_at(sys, x.q)
-    xh = hamiltonian_field(sys, x).as_vector()
+    free = hamiltonian_field(sys, x)
     n = sys.n
     duals = [
-        numdiff.DualScalar(float(v), (float(d),)) for v, d in zip(x.scalars(), xh)
+        numdiff.DualScalar(float(v), (float(d),))
+        for v, d in zip(x.scalars(), free.as_vector())
     ]
     rates = geometry.residual_apply(sys, duals[:n], duals[n:])
     cdot = np.array(
         [r.partials[0] if isinstance(r, numdiff.DualScalar) else 0.0 for r in rates]
     )
-    return np.linalg.solve(cons.gram, cdot)
+    return free, np.linalg.solve(cons.gram, cdot)
 
 
 def nonholonomic_field_multiplier(
     sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None
 ) -> PhaseVelocity:
     """Constrained field via reaction forces in the annihilator."""
-    lam = multipliers(sys, x, on_m_tol)
-    free = hamiltonian_field(sys, x)
+    free, lam = _free_field_and_multipliers(sys, x, on_m_tol)
     mu = np.asarray(sys.mu_values(x.q.tolist()), dtype=float)
     return PhaseVelocity(dq=free.dq, dp=free.dp - mu.T @ lam)
 

@@ -211,6 +211,17 @@ def frame_at(sys, q, strict_ties: bool = False) -> FrameAtPoint:
     return FrameAtPoint(E=E, free_cols=free, pivot_tie=tie)
 
 
+def frame_components(G, E, w) -> np.ndarray:
+    """xi = (E^T G E)^-1 E^T G w, so E xi is the G-orthogonal projection of w.
+
+    Trailing axes of w form one matrix right-hand side; xi has shape
+    (k,) + w.shape[1:].
+    """
+    ge = G @ E
+    xi = np.linalg.solve(E.T @ ge, ge.T @ w.reshape(len(w), -1))
+    return xi.reshape(E.shape[1:] + w.shape[1:])
+
+
 # --- symplectic splitting along the constraint manifold -----------------------
 
 
@@ -344,9 +355,8 @@ def to_dstar_apply(sys, q_s, p_s, free_cols):
     return [numdiff.sum_prod(col, p_s) for col in cols]
 
 
-def from_dstar_apply(sys, q_s, pi_s, free_cols):
-    """p = G E (E^T G E)^-1 pi over generic scalars."""
-    cols = frame_apply(sys, q_s, free_cols)
+def from_dstar_apply(sys, q_s, pi_s, cols):
+    """p = G E (E^T G E)^-1 pi over generic scalars, E the frame columns at q."""
     G = sys.metric_values(q_s)
     ge = [numdiff.mat_vec(G, col) for col in cols]  # k vectors of length n
     K = [[numdiff.sum_prod(ca, gb) for gb in ge] for ca in cols]

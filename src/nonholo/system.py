@@ -283,10 +283,9 @@ def from_dstar(sys: SystemDefinition, y: DStarPoint) -> PhasePoint:
 
     The image always satisfies the momentum constraints since mu.E = 0.
     """
-    met = geometry.metric_at(sys, y.q)
-    fr = geometry.frame_at(sys, y.q)
-    ge = met.G @ fr.E
-    p = ge @ np.linalg.solve(fr.E.T @ ge, y.pi)
+    geometry.metric_at(sys, y.q)  # validation: the metric must be SPD
+    cols = geometry.frame_at(sys, y.q).E.T.tolist()
+    p = geometry.from_dstar_apply(sys, y.q.tolist(), y.pi.tolist(), cols)
     return PhasePoint(q=y.q, p=p)
 
 

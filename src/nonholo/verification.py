@@ -97,7 +97,8 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     # the Leibniz products join the one table call; the other suites read
     # the n_obs x n_obs block of the observables themselves
     prods = [Observable.product(observables[i], observables[j]) for i, j, _ in triples]
-    tables = brackets.bracket_route_tables(ctx, observables + prods)
+    raw = ctx.raw_rows(observables + prods)
+    tables = brackets.bracket_route_tables(ctx, raw)
     vals = {r: tables[r][:n_obs, :n_obs] for r in routes}
     stacked = np.stack([vals[r] for r in routes])
     coincidence = float(np.max(np.abs(stacked[:, None] - stacked[None, :])))
@@ -112,7 +113,7 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
             resid = tab[n_obs + t, g_idx] - fv * tab[j, g_idx] - f2v * tab[i, g_idx]
             leibniz = max(leibniz, abs(resid))
 
-    ext = ctx.raw_rows(observables) @ ctx.dgamma
+    ext = raw[:n_obs] @ ctx.dgamma
     ext_ind = 0.0
     w_grad = ctx.residual_gradients()[0]
     for i, j in ((0, n), (n, min(2 * n, n_obs - 1))):
@@ -142,23 +143,18 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
         proj_identity = float("inf")
 
     mu = np.asarray(sysd.mu_values(list(x.q)), dtype=float)
-    base_in_d = 0.0
-    vertical = 0.0
-    for g_ext in ext:
-        xf = brackets._symp(g_ext, n)
-        base_in_d = max(base_in_d, float(np.max(np.abs(mu @ xf[:n]))))
-        qx = Q @ xf
-        vertical = max(vertical, float(np.max(np.abs(qx[:n]))))
-        lam, *_ = np.linalg.lstsq(mu.T, qx[n:], rcond=None)
-        vertical = max(vertical, float(np.max(np.abs(mu.T @ lam - qx[n:]))))
+    fields = np.hstack([ext[:, n:], -ext[:, :n]])  # extension fields, by row
+    base_in_d = float(np.max(np.abs(fields[:, :n] @ mu.T)))
+    qx = fields @ Q.T  # must be vertical, with dp in span(mu^T)
+    lam, *_ = np.linalg.lstsq(mu.T, qx[:, n:].T, rcond=None)
+    off_span = mu.T @ lam - qx[:, n:].T
+    vertical = float(max(np.max(np.abs(qx[:, :n])), np.max(np.abs(off_span))))
 
     # informational: projection Jacobian vs projector on base-admissible
     # vectors that leave the manifold tangent space
-    fr = geometry.frame_at(sysd, x.q)
-    strong_gap = 0.0
-    for a_idx in range(sysd.k):
-        zvec = np.concatenate([fr.E[:, a_idx], np.ones(n)])
-        strong_gap = max(strong_gap, float(np.max(np.abs((dgam - P) @ zvec))))
+    E = ctx.frame.E
+    zvecs = np.vstack([E, np.ones((n, E.shape[1]))])
+    strong_gap = float(np.max(np.abs((dgam - P) @ zvecs)))
 
     out = {
         "bracket_coincidence": coincidence,

@@ -56,7 +56,7 @@ def test_criterion_01_three_bracket_coincidence():
         obs = catalog.observable_test_set(sysd)
         for x in seeded_points(entry, 100, SEED_POINTS):
             ctx = brackets.PointContext(sysd, x)
-            tables = brackets.bracket_route_tables(ctx, obs)
+            tables = brackets.bracket_route_tables(ctx, ctx.raw_rows(obs))
             stacked = np.stack([tables[r] for r in ("nh", "nh2", "eden", "dstar")])
             gap = float(np.max(np.abs(stacked[:, None] - stacked[None, :])))
             worst = max(worst, gap)
@@ -92,7 +92,7 @@ def test_criterion_03_almost_poisson_axioms():
             ctx = brackets.PointContext(sysd, x)
             # the products f*f2 of the triples join the table as extra rows
             prods = [Observable.product(obs[i], obs[j]) for i, j, _ in trip]
-            tables = brackets.bracket_route_tables(ctx, obs + prods)
+            tables = brackets.bracket_route_tables(ctx, ctx.raw_rows(obs + prods))
             m = len(obs)
             for r, tab in tables.items():
                 sq = tab[:m, :m]
@@ -253,12 +253,13 @@ def test_criterion_08_extension_independence_and_forms():
         n = sysd.n
         for x in seeded_points(entry, 100, SEED_POINTS + 6):
             ctx = brackets.PointContext(sysd, x)
-            tables = brackets.bracket_route_tables(ctx, obs)
+            raw = ctx.raw_rows(obs)
+            tables = brackets.bracket_route_tables(ctx, raw)
             worst_forms = max(
                 worst_forms, float(np.max(np.abs(tables["nh"] - tables["nh2"])))
             )
             w_grad = ctx.residual_gradients()[0]
-            ext = ctx.raw_rows(obs) @ ctx.dgamma
+            ext = raw @ ctx.dgamma
             for i, j in ((0, n), (n, 2 * n)):
                 gf, gg = ext[i], ext[j]
                 base = ctx.nh_values_from_grads(gf, gg)

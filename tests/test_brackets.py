@@ -63,9 +63,9 @@ def test_eden_bracket_trivial_cases():
 def test_direct_routes_match_context_routes():
     for x in catalog.sample_entry_points(B_ENTRY, 10, 33):
         ctx = brackets.PointContext(SYS_B, x)
-        for f, g in [("x", "p_x"), ("y*p_x", "p_z"), ("z", "x*p_z")]:
+        for f, g in [("x", "p_x"), ("y*p_x", "p_z"), ("z", "x*p_z"), ("p_x", "p_y")]:
             fo, go = obs(SYS_B, f), obs(SYS_B, g)
-            tables = brackets.bracket_route_tables(ctx, [fo, go])
+            tables = brackets.bracket_route_tables(ctx, ctx.raw_rows([fo, go]))
             direct = brackets.eden_bracket(SYS_B, fo, go, x)
             assert direct == pytest.approx(tables["eden"][0, 1], abs=1e-11)
             nh = brackets.nonholonomic_bracket(SYS_B, fo, go, x)
@@ -73,16 +73,19 @@ def test_direct_routes_match_context_routes():
             fd, gd = (brackets.pushforward_observable(SYS_B, o) for o in (fo, go))
             dstar = brackets.dstar_bracket(SYS_B, fd, gd, to_dstar(SYS_B, x))
             assert dstar == pytest.approx(tables["dstar"][0, 1], abs=1e-11)
-    # the standalone oracles differentiate the generic formulas at the point;
-    # the route tables contract shared-lift gradient rows with cached numpy
-    # projectors and correspondence Jacobians
+    # the standalone oracles differentiate the generic formulas at the point
+    # (dstar: the canonical bracket of the pullbacks through the frame); the
+    # route tables contract shared-lift gradient rows with cached numpy
+    # projectors and the algebroid bivector
     for ent in catalog.catalog_systems():
         sysd = ent.system()
         observables = catalog.observable_test_set(sysd)
         n = sysd.n
-        pairs = [(0, n), (n - 1, 2 * n - 1), (1, min(2 * n, len(observables) - 1))]
+        # (p_x, p_y) and (p_x, H) bring in the pi-pi block of the algebroid
+        pairs = [(0, n), (n - 1, 2 * n - 1), (1, 2 * n), (n, n + 1), (n, 2 * n)]
         for x in catalog.sample_entry_points(ent, 3, 33):
-            tables = brackets.bracket_route_tables(brackets.PointContext(sysd, x), observables)
+            ctx = brackets.PointContext(sysd, x)
+            tables = brackets.bracket_route_tables(ctx, ctx.raw_rows(observables))
             y = to_dstar(sysd, x)
             for i, j in pairs:
                 fo, go = observables[i], observables[j]
@@ -119,7 +122,9 @@ def test_nh_forms_agree_and_match_eden():
     for x in catalog.sample_entry_points(B_ENTRY, 50, 37):
         ctx = brackets.PointContext(SYS_B, x)
         for f, g in [("x", "p_x"), ("p_x", "p_z"), ("y", "y*p_y")]:
-            tables = brackets.bracket_route_tables(ctx, [obs(SYS_B, f), obs(SYS_B, g)])
+            tables = brackets.bracket_route_tables(
+                ctx, ctx.raw_rows([obs(SYS_B, f), obs(SYS_B, g)])
+            )
             nh = tables["nh"][0, 1]
             assert abs(nh - tables["nh2"][0, 1]) <= 1e-9
             assert abs(nh - tables["eden"][0, 1]) <= 1e-9
@@ -134,8 +139,8 @@ def test_compare_brackets_control_case():
 
 
 def test_route_tables_lift_once_per_evaluation_point(monkeypatch):
-    # with the per-point linear data built, the tables read the rows of every
-    # observable off one lift at the point and one at the relanded point
+    # with the per-point linear data built, the tables of every route read
+    # the rows of every observable off one lift at the point
     original = numdiff.lift
     calls = []
 
@@ -148,12 +153,12 @@ def test_route_tables_lift_once_per_evaluation_point(monkeypatch):
         observables = catalog.observable_test_set(sysd)
         x = catalog.sample_entry_points(ent, 1, 5)[0]
         ctx = brackets.PointContext(sysd, x)
-        ctx.splitting, ctx.dgamma, ctx.dstar_data
+        ctx.splitting, ctx.dgamma, ctx.algebroid
         calls.clear()
         monkeypatch.setattr(numdiff, "lift", counted)
-        brackets.bracket_route_tables(ctx, observables)
+        brackets.bracket_route_tables(ctx, ctx.raw_rows(observables))
         monkeypatch.setattr(numdiff, "lift", original)
-        assert calls == [2 * sysd.n, 2 * sysd.n], ent.id
+        assert calls == [2 * sysd.n], ent.id
 
 
 def test_shared_lift_rows_match_per_observable_gradients():
@@ -168,11 +173,8 @@ def test_shared_lift_rows_match_per_observable_gradients():
         ]
         for x in catalog.sample_entry_points(ent, 3, 79):
             ctx = brackets.PointContext(sysd, x)
-            _, _, zp, dd = ctx.dstar_data
             raw = np.array([numdiff.gradient(f.fn, ctx.z)[1] for f in observables])
-            raw_p = np.array([numdiff.gradient(f.fn, zp)[1] for f in observables])
             assert np.array_equal(ctx.raw_rows(observables), raw)
-            assert np.array_equal(ctx.dstar_rows(observables), raw_p @ dd)
             assert not np.any(raw[-1])
 
 
@@ -195,19 +197,64 @@ def test_dstar_bracket_canonical_pair_and_skew():
         )
 
 
+PARTICLE_USER_FRAME = dsl.parse_system(
+    B_ENTRY.definition + "\n[frame]\ncol1 = 1, 0, y\ncol2 = 0, 1, 0\n"
+)
+
+
+def dstar_table(sysd, x, observables):
+    ctx = brackets.PointContext(sysd, x)
+    return brackets.bracket_route_tables(ctx, ctx.raw_rows(observables))["dstar"]
+
+
 def test_dstar_value_frame_independent():
-    alt = dsl.parse_system(
-        B_ENTRY.definition + "\n[frame]\ncol1 = 1, 0, y\ncol2 = 0, 1, 0\n"
-    )
+    alt = PARTICLE_USER_FRAME
     for x in catalog.sample_entry_points(B_ENTRY, 25, 47):
         for f, g in [("x", "p_x"), ("p_x", "p_z"), ("z", "y*p_x")]:
             v_default, v_alt = (
-                brackets.bracket_route_tables(
-                    brackets.PointContext(sysd, x), [obs(sysd, f), obs(sysd, g)]
-                )["dstar"][0, 1]
+                dstar_table(sysd, x, [obs(sysd, f), obs(sysd, g)])[0, 1]
                 for sysd in (SYS_B, alt)
             )
             assert abs(v_default - v_alt) < 1e-9
+
+
+def frame_sections(sysd, q):
+    free = geometry.frame_at(sysd, q).free_cols
+    return [lambda s, a=a: geometry.frame_apply(sysd, s, free)[a] for a in range(sysd.k)]
+
+
+def test_structure_functions_closed_form():
+    # particle, metric I, frame e1 = (1, 0, y), e2 = (0, 1, 0): [e1, e2] is
+    # -d/dz, whose G-orthogonal projection onto D is -y/(1+y^2) e1
+    alt = PARTICLE_USER_FRAME
+    for x in catalog.sample_entry_points(B_ENTRY, 10, 53):
+        ctx = brackets.PointContext(alt, x)
+        _, lam, C = ctx.algebroid
+        c12 = -x.q[1] / (1.0 + x.q[1] ** 2)
+        expected = np.zeros((2, 2, 2))
+        expected[0, 0, 1], expected[0, 1, 0] = c12, -c12
+        assert np.max(np.abs(C - expected)) <= 1e-15
+        pi = ctx.frame.E.T @ x.p
+        assert lam[4, 3] == pytest.approx(-lam[3, 4], abs=1e-15)
+        assert lam[3, 4] == pytest.approx(-pi[0] * c12, abs=1e-15)
+        assert np.array_equal(lam[:3, 3:], ctx.frame.E)
+        e1, e2 = frame_sections(alt, x.q)
+        w = brackets.almost_lie_bracket(alt, e1, e2, x.q)
+        assert np.max(np.abs(w - ctx.frame.E @ C[:, 0, 1])) <= 1e-15
+    # every frame pair on every catalog system: C against the projected
+    # Lie bracket, and antisymmetric in its lower indices
+    for ent in catalog.catalog_systems():
+        sysd = ent.system()
+        for x in catalog.sample_entry_points(ent, 3, 53):
+            ctx = brackets.PointContext(sysd, x)
+            C = ctx.algebroid[2]
+            assert np.max(np.abs(C + C.transpose(0, 2, 1))) <= 1e-15, ent.id
+            secs = frame_sections(sysd, x.q)
+            for a in range(sysd.k):
+                for b in range(sysd.k):
+                    w = brackets.almost_lie_bracket(sysd, secs[a], secs[b], x.q)
+                    gap = np.max(np.abs(w - ctx.frame.E @ C[:, a, b]))
+                    assert gap <= 1e-12, (ent.id, a, b)
 
 
 def test_almost_lie_bracket_cases():
@@ -451,9 +498,8 @@ def test_skew_and_leibniz():
         f, g, f2 = observables[0], observables[4], observables[5]
         prod = Observable.product(f, f2)
         # rows: f, g, f2, f*f2
-        tables = brackets.bracket_route_tables(
-            brackets.PointContext(SYS_C, x), [f, g, f2, prod]
-        )
+        ctx = brackets.PointContext(SYS_C, x)
+        tables = brackets.bracket_route_tables(ctx, ctx.raw_rows([f, g, f2, prod]))
         for name, tab in tables.items():
             assert abs(tab[0, 1] + tab[1, 0]) <= 1e-12
             resid = tab[3, 1] - f.at(x) * tab[2, 1] - f2.at(x) * tab[0, 1]
