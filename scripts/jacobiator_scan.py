@@ -26,17 +26,18 @@ def main():
     sysd = entry.system()
     obs = catalog.observable_test_set(sysd)
     # coordinates and momenta only: products add little beyond noise here
-    pool = list(range(2 * sysd.n))
+    triples = list(itertools.combinations(range(2 * sysd.n), 3))
+    kind_obs = obs
+    if args.kind == "dstar":
+        kind_obs = [brackets.pushforward_observable(sysd, o) for o in obs]
+    f, g, h = ([kind_obs[t[c]] for t in triples] for c in range(3))
     points = catalog.sample_entry_points(entry, args.count, args.seed)
 
     rows = []
     for idx, x in enumerate(points):
-        for i, j, k in itertools.combinations(pool, 3):
-            if args.kind == "dstar":
-                f, g, h = (brackets.pushforward_observable(sysd, obs[t]) for t in (i, j, k))
-            else:
-                f, g, h = obs[i], obs[j], obs[k]
-            val = brackets.jacobiator(sysd, args.kind, f, g, h, x)
+        # every triple at this point in one call
+        values = brackets.jacobiator(sysd, args.kind, f, g, h, x)
+        for (i, j, k), val in zip(triples, values):
             rows.append((abs(val), val, idx, (obs[i].label, obs[j].label, obs[k].label)))
     rows.sort(key=lambda r: (-r[0], r[2], r[3]))
 

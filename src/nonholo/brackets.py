@@ -86,24 +86,25 @@ def gamma_extension(sys: SystemDefinition, f: Observable) -> Observable:
 class PointContext:
     """Per-point workspace shared by bracket evaluations at one M-point.
 
-    The splitting, the projection Jacobian, the frame and the algebroid data
-    are built lazily, once. Gradient rows are not cached: each call of
-    ``raw_rows`` lifts the point once for every observable in the list, so
-    callers pass all the observables they need in one call.
+    The constructor validates the point once: ``x`` is the resulting
+    ``geometry.OnMPoint``, whose metric, constraint rows and splitting the
+    later steps read. The splitting, the projection Jacobian, the frame and
+    the algebroid data are built lazily, once. Gradient rows are not cached:
+    each call of ``raw_rows`` lifts the point once for every observable in
+    the list, so callers pass all the observables they need in one call.
     """
 
     def __init__(self, sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None):
-        geometry.require_on_m(sys, x.q, x.p, on_m_tol)
         self.sys = sys
-        self.x = x
+        self.x = geometry.on_m_point(sys, x, on_m_tol)
         self.n = sys.n
-        self.z = x.scalars()
+        self.z = self.x.scalars()
 
     # -- lazily built linear data --
 
-    @functools.cached_property
+    @property
     def splitting(self):
-        return geometry.tangent_splitting(self.sys, self.x.q, self.x.p, on_m_tol=np.inf)
+        return self.x.splitting
 
     @property
     def P(self) -> np.ndarray:
@@ -145,8 +146,7 @@ class PointContext:
         J = numdiff.jacobian(chart, [*self.x.q.tolist(), *pi.tolist()])
         # de[i, a, b] = (De_a e_b)^i and [e_a, e_b] = De_b e_a - De_a e_b
         de = np.einsum("aij,jb->iab", J[2 * n :, :n].reshape(k, n, n), fr.E)
-        G = geometry.metric_at(sys, self.x.q).G
-        C = geometry.frame_components(G, fr.E, de.transpose(0, 2, 1) - de)
+        C = geometry.frame_components(self.x.met.G, fr.E, de.transpose(0, 2, 1) - de)
         piC = np.einsum("c,cab->ab", pi, C)
         return J[: 2 * n], np.block([[np.zeros((n, n)), fr.E], [-fr.E.T, -piC]]), C
 
@@ -256,7 +256,7 @@ def nonholonomic_bracket(
 ) -> float:
     """Projected-field bracket; cross-checks its one-side-projected form."""
     # validation only: on M, and the splitting's SVD degeneracy check
-    geometry.tangent_splitting(sys, x.q, x.p, on_m_tol)
+    geometry.tangent_splitting(sys, x, on_m_tol)
     n, z = sys.n, x.scalars()
     # unprojected extension fields from the eden rows, projected once below
     xf, xg = (_symp(r, n) for r in _route_rows(sys, "eden", lambda s: [f.fn(s), g.fn(s)], z))
@@ -411,37 +411,54 @@ def jacobiator(
     h,
     x: PhasePoint,
     on_m_tol: float | None = None,
-) -> float:
+):
     """J = {f,{g,h}} + {g,{h,f}} + {h,{f,g}} for the selected bracket kind.
+
+    ``f``, ``g`` and ``h`` are observables, giving one float, or
+    equal-length sequences of them, giving one float per triple
+    ``(f[t], g[t], h[t])``. ``x`` is a PhasePoint or an OnMPoint.
 
     Outer derivatives come from evaluating the inner brackets at dual-number
     perturbed points, so every kind reuses its own defining formula without
     symbolic composition. The extension map of a route (the momentum
     projection, the splitting rows, the frame pullback) depends on the point
     and not on the observable, so each nesting level lifts once and
-    evaluates it once: the inner level returns {g,h}, {h,f} and {f,g}
-    together, and the outer level reads the rows of f, g, h and the three
-    inner brackets off one lift. For the dual-bundle kind the observables
-    are dual-bundle expressions and the evaluation point is the image of x.
+    evaluates it once for every triple: the inner level returns each
+    distinct inner bracket ({g,h}, {h,f}, {f,g} of every triple) together,
+    and the outer level reads the rows of every distinct observable and
+    inner bracket off one lift. Each value is bitwise the value of its
+    triple alone. For the dual-bundle kind the observables are dual-bundle
+    expressions and the evaluation point is the image of x.
     """
     if kind not in BRACKET_KINDS:
         raise ValueError(f"unknown bracket kind {kind!r}")
-    geometry.require_on_m(sys, x.q, x.p, on_m_tol)
+    single = not isinstance(f, (list, tuple))
+    triples = list(zip([f], [g], [h]) if single else zip(f, g, h, strict=True))
+    x = geometry.on_m_point(sys, x, on_m_tol)
     n, free, base = sys.n, None, x.scalars()
     if kind == "dstar":
         free = geometry.frame_at(sys, x.q).free_cols
         base = to_dstar(sys, x, on_m_tol=np.inf).scalars()
+    # slots of the distinct observables (by identity) and of the distinct
+    # ordered inner pairs; {a,b} and {b,a} differ in rounding, so both stay
+    obs = list({id(o): o for t in triples for o in t}.values())
+    slot = {id(o): i for i, o in enumerate(obs)}
+    tri = [tuple(slot[id(o)] for o in t) for t in triples]
+    pairs = list(dict.fromkeys(p for a, b, c in tri for p in ((b, c), (c, a), (a, b))))
 
     def values(e):
-        return [f.fn(e), g.fn(e), h.fn(e)]
+        return [o.fn(e) for o in obs]
 
     def inner(s):
-        rf, rg, rh = _route_rows(sys, kind, values, s, free)
-        return [_pair(rg, rh, n), _pair(rh, rf, n), _pair(rf, rg, n)]
+        rows = _route_rows(sys, kind, values, s, free)
+        return [_pair(rows[a], rows[b], n) for a, b in pairs]
 
-    outer = _route_rows(sys, kind, lambda e: values(e) + inner(e), base, free)
-    rf, rg, rh, r_gh, r_hf, r_fg = outer
-    total = _pair(rf, r_gh, n)
-    total = total + _pair(rg, r_hf, n)
-    total = total + _pair(rh, r_fg, n)
-    return float(numdiff.float_core(total))
+    rows = _route_rows(sys, kind, lambda e: values(e) + inner(e), base, free)
+    bracket_row = dict(zip(pairs, rows[len(obs) :]))
+    out = []
+    for a, b, c in tri:
+        total = _pair(rows[a], bracket_row[b, c], n)
+        total = total + _pair(rows[b], bracket_row[c, a], n)
+        total = total + _pair(rows[c], bracket_row[a, b], n)
+        out.append(float(numdiff.float_core(total)))
+    return out[0] if single else out

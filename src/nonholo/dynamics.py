@@ -10,7 +10,12 @@ The constrained field is built twice, by independent constructions:
   Hamiltonian field.
 
 Their pointwise agreement is a central verification target, so neither route
-is allowed to reuse the other's intermediates.
+is allowed to reuse the other's intermediates. What they may share is their
+validated input: a point checked once by ``geometry.require_on_m`` (a
+``geometry.OnMPoint``) with the metric and constraint rows that check
+produced. The multiplier route reads the constraint rows and their Gram
+matrix; the projection route reads the point's symplectic splitting. Neither
+reads the other's free field, residual rates, multipliers or projected field.
 """
 
 from __future__ import annotations
@@ -73,12 +78,11 @@ def multipliers(
     free field is a single-direction dual pass, so the configuration
     dependence of mu and the cometric is included exactly.
     """
-    return _free_field_and_multipliers(sys, x, on_m_tol)[1]
+    return _free_field_and_multipliers(sys, geometry.on_m_point(sys, x, on_m_tol))[1]
 
 
-def _free_field_and_multipliers(sys, x, on_m_tol):
-    geometry.require_on_m(sys, x.q, x.p, on_m_tol)
-    cons = geometry.constraints_at(sys, x.q)
+def _free_field_and_multipliers(sys, x):
+    """Free field and multipliers at a validated point (an OnMPoint)."""
     free = hamiltonian_field(sys, x)
     n = sys.n
     duals = [
@@ -89,16 +93,16 @@ def _free_field_and_multipliers(sys, x, on_m_tol):
     cdot = np.array(
         [r.partials[0] if isinstance(r, numdiff.DualScalar) else 0.0 for r in rates]
     )
-    return free, np.linalg.solve(cons.gram, cdot)
+    return free, np.linalg.solve(x.cons.gram, cdot)
 
 
 def nonholonomic_field_multiplier(
     sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None
 ) -> PhaseVelocity:
     """Constrained field via reaction forces in the annihilator."""
-    free, lam = _free_field_and_multipliers(sys, x, on_m_tol)
-    mu = np.asarray(sys.mu_values(x.q.tolist()), dtype=float)
-    return PhaseVelocity(dq=free.dq, dp=free.dp - mu.T @ lam)
+    x = geometry.on_m_point(sys, x, on_m_tol)
+    free, lam = _free_field_and_multipliers(sys, x)
+    return PhaseVelocity(dq=free.dq, dp=free.dp - x.cons.mu.T @ lam)
 
 
 def nonholonomic_field_projection(
@@ -106,8 +110,8 @@ def nonholonomic_field_projection(
 ) -> PhaseVelocity:
     """Constrained field as the symplectic projection of the free field."""
     n = sys.n
-    P = geometry.tangent_projector(sys, x.q, x.p, on_m_tol)
-    v = P @ hamiltonian_field(sys, x).as_vector()
+    x = geometry.on_m_point(sys, x, on_m_tol)
+    v = x.splitting[0] @ hamiltonian_field(sys, x).as_vector()
     return PhaseVelocity(dq=v[:n], dp=v[n:])
 
 

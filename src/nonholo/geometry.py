@@ -10,12 +10,16 @@ through it; ``gamma_apply`` is its differentiable counterpart.
 
 The on-manifold tolerance ON_M_TOL is the single default used by every
 operation that requires its phase point to satisfy the momentum constraints;
-callers may override it per call.
+callers may override it per call. ``require_on_m`` validates a point once and
+returns an ``OnMPoint`` holding the validated metric and constraint rows;
+operations that need a point on M accept it in place of a PhasePoint and read
+that data instead of validating again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,12 +132,57 @@ def residual_norm(sys, q, p) -> float:
     return float(np.max(np.abs(velocity_constraint(sys, q, p))))
 
 
-def require_on_m(sys, q, p, on_m_tol: float | None = None) -> float:
+@dataclass(frozen=True, eq=False)
+class OnMPoint:
+    """A phase point on M with the data its validation produced.
+
+    Built by ``require_on_m`` only: the metric passed ``metric_at``, the
+    constraint rows passed ``constraints_at`` and the residual was within
+    the caller's tolerance. It has the ``q``, ``p`` and ``scalars()`` of a
+    PhasePoint, and caches the symplectic splitting at the point.
+    """
+
+    sys: object = field(repr=False)
+    q: np.ndarray
+    p: np.ndarray
+    met: MetricAtPoint = field(repr=False)
+    cons: ConstraintsAtPoint = field(repr=False)
+    residual: float
+
+    def scalars(self) -> list[float]:
+        return [*self.q.tolist(), *self.p.tolist()]
+
+    @cached_property
+    def splitting(self):
+        """(P, Q, C) of tangent_splitting; the point is validated already."""
+        return tangent_splitting(self.sys, self, on_m_tol=np.inf)
+
+
+def require_on_m(sys, q, p, on_m_tol: float | None = None) -> OnMPoint:
+    """Validate (q, p) on M: metric, constraint rows, then the residual bound."""
     tol = ON_M_TOL if on_m_tol is None else on_m_tol
-    r = residual_norm(sys, q, p)
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    met = metric_at(sys, q)
+    cons = constraints_at(sys, q, met)
+    r = float(np.max(np.abs(cons.mu @ (met.Ginv @ p))))
     if r > tol:
         raise NotOnMError(r, tol)
-    return r
+    return OnMPoint(sys=sys, q=q, p=p, met=met, cons=cons, residual=r)
+
+
+def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
+    """The phase point x validated on M at on_m_tol.
+
+    A PhasePoint goes through ``require_on_m``. An OnMPoint is checked
+    against on_m_tol by its recorded residual; nothing is evaluated again.
+    """
+    if not isinstance(x, OnMPoint):
+        return require_on_m(sys, x.q, x.p, on_m_tol)
+    tol = ON_M_TOL if on_m_tol is None else on_m_tol
+    if x.residual > tol:
+        raise NotOnMError(x.residual, tol)
+    return x
 
 
 # --- frames for the distribution ---------------------------------------------
@@ -239,7 +288,7 @@ def omega_inv_apply(cols: np.ndarray) -> np.ndarray:
     return np.vstack([-cols[n:], cols[:n]])
 
 
-def tangent_splitting(sys, q, p, on_m_tol: float | None = None):
+def tangent_splitting(sys, x, on_m_tol: float | None = None):
     """Projectors of the symplectic splitting along the constraint manifold.
 
     Rows of C are the differentials of (i) the membership residuals
@@ -248,12 +297,12 @@ def tangent_splitting(sys, q, p, on_m_tol: float | None = None):
 
         Q = Omega^-1 C^T (C Omega^-1 C^T)^-1 C,    P = I - Q
 
-    project onto it along its symplectic orthogonal complement. Returns
-    (P, Q, C).
+    project onto it along its symplectic orthogonal complement. ``x`` is a
+    PhasePoint or an OnMPoint (see on_m_point). Returns (P, Q, C).
     """
-    require_on_m(sys, q, p, on_m_tol)
+    x = on_m_point(sys, x, on_m_tol)
     n = sys.n
-    C = np.asarray(splitting_rows(sys, [*map(float, q), *map(float, p)]), dtype=float)
+    C = np.asarray(splitting_rows(sys, x.scalars()), dtype=float)
     M1 = omega_inv_apply(C.T)
     K = C @ M1
     s = np.linalg.svd(K, compute_uv=False)
@@ -265,11 +314,6 @@ def tangent_splitting(sys, q, p, on_m_tol: float | None = None):
     Q = M1 @ np.linalg.solve(K, C)
     P = np.eye(2 * n) - Q
     return P, Q, C
-
-
-def tangent_projector(sys, q, p, on_m_tol: float | None = None) -> np.ndarray:
-    """The projector P of the symplectic splitting (see tangent_splitting)."""
-    return tangent_splitting(sys, q, p, on_m_tol)[0]
 
 
 # --- generic-scalar formulas -------------------------------------------------

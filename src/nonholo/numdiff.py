@@ -15,6 +15,10 @@ outside its domain raises DomainError naming the primitive.
 from __future__ import annotations
 
 import math
+from operator import add as _add
+from operator import neg as _neg
+from operator import sub as _sub
+from operator import truediv as _truediv
 
 import numpy as np
 
@@ -42,7 +46,7 @@ class DualScalar:
 
     def __init__(self, value, partials, level=1):
         self.value = value
-        self.partials = partials if isinstance(partials, tuple) else tuple(partials)
+        self.partials = partials if type(partials) is tuple else tuple(partials)
         self.level = level
 
     @property
@@ -58,16 +62,24 @@ class DualScalar:
     def __repr__(self):
         return f"DualScalar({self.value!r}, {self.partials!r}, level={self.level})"
 
+    # The arithmetic below is the hot loop of the package. Partials are built
+    # from list comprehensions or map (cheaper than tuple(<generator>)), a
+    # plain float operand takes the first branch, and _check runs only when
+    # the widths differ. The values are those of the plain formulas.
+
     def __neg__(self):
-        return DualScalar(-self.value, tuple(-p for p in self.partials), self.level)
+        return DualScalar(-self.value, tuple(map(_neg, self.partials)), self.level)
 
     def __add__(self, other):
+        if type(other) is float:
+            return DualScalar(self.value + other, self.partials, self.level)
         if isinstance(other, DualScalar):
             if other.level == self.level:
-                self._check(other)
+                if len(self.partials) != len(other.partials):
+                    self._check(other)
                 return DualScalar(
                     self.value + other.value,
-                    tuple(a + b for a, b in zip(self.partials, other.partials)),
+                    tuple(map(_add, self.partials, other.partials)),
                     self.level,
                 )
             if other.level > self.level:
@@ -80,19 +92,20 @@ class DualScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is float:
+            return DualScalar(self.value - other, self.partials, self.level)
         if isinstance(other, DualScalar):
             if other.level == self.level:
-                self._check(other)
+                if len(self.partials) != len(other.partials):
+                    self._check(other)
                 return DualScalar(
                     self.value - other.value,
-                    tuple(a - b for a, b in zip(self.partials, other.partials)),
+                    tuple(map(_sub, self.partials, other.partials)),
                     self.level,
                 )
             if other.level > self.level:
                 return DualScalar(
-                    self - other.value,
-                    tuple(-p for p in other.partials),
-                    other.level,
+                    self - other.value, tuple(map(_neg, other.partials)), other.level
                 )
             return DualScalar(self.value - other, self.partials, self.level)
         if isinstance(other, _NUM):
@@ -101,37 +114,38 @@ class DualScalar:
 
     def __rsub__(self, other):
         if isinstance(other, _NUM):
-            return DualScalar(
-                other - self.value, tuple(-p for p in self.partials), self.level
-            )
+            return DualScalar(other - self.value, tuple(map(_neg, self.partials)), self.level)
         return NotImplemented
 
     def __mul__(self, other):
+        if type(other) is float:
+            return DualScalar(
+                self.value * other, tuple([p * other for p in self.partials]), self.level
+            )
         if isinstance(other, DualScalar):
             if other.level == self.level:
-                self._check(other)
+                if len(self.partials) != len(other.partials):
+                    self._check(other)
                 sv, ov = self.value, other.value
                 return DualScalar(
                     sv * ov,
-                    tuple(a * ov + sv * b for a, b in zip(self.partials, other.partials)),
+                    tuple([a * ov + sv * b for a, b in zip(self.partials, other.partials)]),
                     self.level,
                 )
             if other.level > self.level:
                 return DualScalar(
                     self * other.value,
-                    tuple(self * p for p in other.partials),
+                    tuple([self * p for p in other.partials]),
                     other.level,
                 )
             return DualScalar(
                 self.value * other,
-                tuple(p * other for p in self.partials),
+                tuple([p * other for p in self.partials]),
                 self.level,
             )
         if isinstance(other, _NUM):
             return DualScalar(
-                self.value * other,
-                tuple(p * other for p in self.partials),
-                self.level,
+                self.value * other, tuple([p * other for p in self.partials]), self.level
             )
         return NotImplemented
 
@@ -151,40 +165,36 @@ class DualScalar:
 
 
 def divide(num, den):
-    """num / den with an explicit zero-denominator domain check."""
+    """num / den with an explicit zero-denominator domain check.
+
+    Once the check has passed, partials over a plain-float denominator value
+    are divided with ``/`` directly.
+    """
     if isinstance(den, DualScalar):
-        if float_core(den.value) == 0.0:
+        dv = den.value
+        if float_core(dv) == 0.0:
             raise DomainError("division", "division by zero")
+        div = _truediv if type(dv) is float else divide
         if isinstance(num, DualScalar):
             if num.level == den.level:
-                num._check(den)
-                q = divide(num.value, den.value)
+                if len(num.partials) != len(den.partials):
+                    num._check(den)
+                q = divide(num.value, dv)
                 return DualScalar(
                     q,
-                    tuple(
-                        divide(a - q * b, den.value)
-                        for a, b in zip(num.partials, den.partials)
-                    ),
+                    tuple([div(a - q * b, dv) for a, b in zip(num.partials, den.partials)]),
                     num.level,
                 )
             if num.level > den.level:
                 return DualScalar(
                     divide(num.value, den),
-                    tuple(divide(p, den) for p in num.partials),
+                    tuple([divide(p, den) for p in num.partials]),
                     num.level,
                 )
-            # num belongs to a lower level: constant relative to den's seeds
-            q = divide(num, den.value)
-            return DualScalar(
-                q,
-                tuple(divide(-(q * b), den.value) for b in den.partials),
-                den.level,
-            )
-        q = divide(num, den.value)
+        # num is constant relative to den's seeds (a number or a lower level)
+        q = divide(num, dv)
         return DualScalar(
-            q,
-            tuple(divide(-(q * b), den.value) for b in den.partials),
-            den.level,
+            q, tuple([div(-(q * b), dv) for b in den.partials]), den.level
         )
     # den is a plain number
     if den == 0.0:
@@ -192,7 +202,7 @@ def divide(num, den):
     if isinstance(num, DualScalar):
         return DualScalar(
             divide(num.value, den),
-            tuple(divide(p, den) for p in num.partials),
+            tuple([p / den for p in num.partials]),
             num.level,
         )
     return num / den
@@ -225,7 +235,7 @@ def power(base, exponent):
     val = power(base.value, e)
     slope = power(base.value, e - 1.0) * e
     return DualScalar(
-        val, tuple(slope * p for p in base.partials), base.level
+        val, tuple([slope * p for p in base.partials]), base.level
     )
 
 
@@ -244,14 +254,14 @@ def _float_pow(b, e):
 def sin(x):
     if isinstance(x, DualScalar):
         c = cos(x.value)
-        return DualScalar(sin(x.value), tuple(c * p for p in x.partials), x.level)
+        return DualScalar(sin(x.value), tuple([c * p for p in x.partials]), x.level)
     return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, DualScalar):
         s = sin(x.value)
-        return DualScalar(cos(x.value), tuple(-(s * p) for p in x.partials), x.level)
+        return DualScalar(cos(x.value), tuple([-(s * p) for p in x.partials]), x.level)
     return math.cos(x)
 
 
@@ -259,14 +269,14 @@ def tan(x):
     if isinstance(x, DualScalar):
         t = tan(x.value)
         sec2 = 1.0 + t * t
-        return DualScalar(t, tuple(sec2 * p for p in x.partials), x.level)
+        return DualScalar(t, tuple([sec2 * p for p in x.partials]), x.level)
     return math.tan(x)
 
 
 def exp(x):
     if isinstance(x, DualScalar):
         v = exp(x.value)
-        return DualScalar(v, tuple(v * p for p in x.partials), x.level)
+        return DualScalar(v, tuple([v * p for p in x.partials]), x.level)
     try:
         return math.exp(x)
     except OverflowError:
@@ -278,7 +288,7 @@ def log(x):
         raise DomainError("log", "argument must be positive")
     if isinstance(x, DualScalar):
         return DualScalar(
-            log(x.value), tuple(divide(p, x.value) for p in x.partials), x.level
+            log(x.value), tuple([divide(p, x.value) for p in x.partials]), x.level
         )
     return math.log(x)
 
@@ -292,7 +302,7 @@ def sqrt(x):
             raise DomainError("sqrt", "derivative unbounded at 0")
         v = sqrt(x.value)
         half = divide(0.5, v)
-        return DualScalar(v, tuple(half * p for p in x.partials), x.level)
+        return DualScalar(v, tuple([half * p for p in x.partials]), x.level)
     return math.sqrt(x)
 
 

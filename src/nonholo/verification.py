@@ -18,6 +18,7 @@ sub-bundle without asserting anything about it.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -40,7 +41,9 @@ class VerifyConfig:
     workers: int = 1
     region: tuple | None = None
     momentum_scale: float = 1.0
-    jacobiator_cap: int = 12  # defect-scan points; ~1/5 of a verify run at 12/100
+    # defect-scan points; at 12/100 the Jacobi suite is 14-26% of a verify
+    # run by system, about 1/5 over the four catalog systems
+    jacobiator_cap: int = 12
 
 
 def _jacobiator_triples(n_obs: int, n: int):
@@ -87,10 +90,18 @@ def _system_is_integrable(sysd, region, seed) -> bool:
     return worst <= 1e-10
 
 
+def _max_abs(*parts) -> float:
+    """Largest absolute entry over all parts; a NaN anywhere is the result."""
+    return float(np.max([np.max(np.abs(p)) for p in parts]))
+
+
 def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     n = sysd.n
     tol = cfg_dict["on_m_tol"]
     ctx = brackets.PointContext(sysd, x, on_m_tol=tol)
+    # the one validated state of this point: every step below reads its
+    # metric, constraint rows and splitting instead of validating again
+    x = ctx.x
     n_obs = len(observables)
     routes = ("nh", "nh2", "eden", "dstar")
     triples = _leibniz_triples(n_obs, n)
@@ -103,18 +114,18 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     stacked = np.stack([vals[r] for r in routes])
     coincidence = float(np.max(np.abs(stacked[:, None] - stacked[None, :])))
     forms_gap = float(np.max(np.abs(vals["nh"] - vals["nh2"])))
-    skew = float(max(np.max(np.abs(vals[r] + vals[r].T)) for r in routes))
+    skew = _max_abs(*(vals[r] + vals[r].T for r in routes))
 
-    leibniz = 0.0
+    resids = []
     for t, (i, j, g_idx) in enumerate(triples):
         fv, f2v = observables[i].at(x), observables[j].at(x)
         for r in routes:
             tab = tables[r]
-            resid = tab[n_obs + t, g_idx] - fv * tab[j, g_idx] - f2v * tab[i, g_idx]
-            leibniz = max(leibniz, abs(resid))
+            resids.append(tab[n_obs + t, g_idx] - fv * tab[j, g_idx] - f2v * tab[i, g_idx])
+    leibniz = _max_abs(resids)
 
     ext = raw[:n_obs] @ ctx.dgamma
-    ext_ind = 0.0
+    gaps = []
     w_grad = ctx.residual_gradients()[0]
     for i, j in ((0, n), (n, min(2 * n, n_obs - 1))):
         gf, gg = ext[i], ext[j]
@@ -124,16 +135,15 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
                 ctx.nh_values_from_grads(gf + c * w_grad, gg),
                 ctx.nh_values_from_grads(gf, gg + c * w_grad),
             ):
-                ext_ind = max(ext_ind, abs(pert[0] - base[0]), abs(pert[1] - base[1]))
+                gaps += [pert[0] - base[0], pert[1] - base[1]]
+    ext_ind = _max_abs(gaps)
 
     a = dynamics.nonholonomic_field_multiplier(sysd, x, on_m_tol=tol)
     b = dynamics.nonholonomic_field_projection(sysd, x, on_m_tol=tol)
     two_route = float(np.max(np.abs(a.as_vector() - b.as_vector())))
     P, Q, C = ctx.splitting
     tangency = float(np.max(np.abs(ctx.residual_gradients() @ a.as_vector())))
-    projector_laws = max(
-        float(np.max(np.abs(P @ P - P))), float(np.max(np.abs(C @ P)))
-    )
+    projector_laws = _max_abs(P @ P - P, C @ P)
     dgam = ctx.dgamma
     u, s, _ = np.linalg.svd(P)
     rank = int(np.sum(s > 1e-8 * s[0]))
@@ -142,13 +152,13 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     if rank != 2 * sysd.k:
         proj_identity = float("inf")
 
-    mu = np.asarray(sysd.mu_values(list(x.q)), dtype=float)
+    mu = x.cons.mu
     fields = np.hstack([ext[:, n:], -ext[:, :n]])  # extension fields, by row
     base_in_d = float(np.max(np.abs(fields[:, :n] @ mu.T)))
     qx = fields @ Q.T  # must be vertical, with dp in span(mu^T)
     lam, *_ = np.linalg.lstsq(mu.T, qx[:, n:].T, rcond=None)
     off_span = mu.T @ lam - qx[:, n:].T
-    vertical = float(max(np.max(np.abs(qx[:, :n])), np.max(np.abs(off_span))))
+    vertical = _max_abs(qx[:, :n], off_span)
 
     # informational: projection Jacobian vs projector on base-admissible
     # vectors that leave the manifold tangent space
@@ -172,33 +182,19 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     }
 
     if do_jacobiator:
-        triples = _jacobiator_triples(n_obs, n)
-        jc = 0.0
-        for i, j, k in triples:
-            jc = max(
-                jc,
-                abs(
-                    brackets.jacobiator(
-                        sysd, "canonical", observables[i], observables[j],
-                        observables[k], x, on_m_tol=tol,
-                    )
-                ),
-            )
-        out["jacobiator_canonical"] = jc
-        jdef = 0.0
-        for i, j, k in triples:
-            f, g, h = observables[i], observables[j], observables[k]
-            jdef = max(jdef, abs(brackets.jacobiator(sysd, "eden", f, g, h, x, on_m_tol=tol)))
-            if cfg_dict["integrable"]:
-                jdef = max(
-                    jdef, abs(brackets.jacobiator(sysd, "nh", f, g, h, x, on_m_tol=tol))
-                )
-                fd, gd, hd = (brackets.pushforward_observable(sysd, o) for o in (f, g, h))
-                jdef = max(
-                    jdef,
-                    abs(brackets.jacobiator(sysd, "dstar", fd, gd, hd, x, on_m_tol=tol)),
-                )
-        out["jacobiator_defect"] = jdef
+        # one call per kind for all triples
+        f, g, h = ([observables[t[c]] for t in _jacobiator_triples(n_obs, n)] for c in range(3))
+
+        def jac(kind, f, g, h):
+            return brackets.jacobiator(sysd, kind, f, g, h, x, on_m_tol=tol)
+
+        out["jacobiator_canonical"] = _max_abs(jac("canonical", f, g, h))
+        defects = jac("eden", f, g, h)
+        if cfg_dict["integrable"]:
+            push = {id(o): brackets.pushforward_observable(sysd, o) for o in f + g + h}
+            fd, gd, hd = ([push[id(o)] for o in col] for col in (f, g, h))
+            defects += jac("nh", f, g, h) + jac("dstar", fd, gd, hd)
+        out["jacobiator_defect"] = _max_abs(defects)
     return out
 
 
@@ -255,11 +251,17 @@ def run_verify(cfg: VerifyConfig) -> dict:
         results = _chunk_worker({**payload_base, "indices": indices})
     results.sort(key=lambda item: item[0])
 
+    # a suite reports its largest value, or its first non-finite one: a NaN
+    # compares false with everything, so it must displace a finite value
     merged: dict[str, float] = {}
     argmax: dict[str, int] = {}
     for idx, metrics in results:
         for name, value in metrics.items():
-            if name not in merged or value > merged[name]:
+            if (
+                name not in merged
+                or value > merged[name]
+                or (math.isfinite(merged[name]) and not math.isfinite(value))
+            ):
                 merged[name] = value
                 argmax[name] = idx
 
@@ -267,7 +269,9 @@ def run_verify(cfg: VerifyConfig) -> dict:
 
     def add(name, tolerance, mode="max"):
         value = merged.get(name, 0.0)
-        if tolerance is None:
+        if not math.isfinite(value):
+            ok = False
+        elif tolerance is None:
             ok = True
         elif mode == "max":
             ok = value <= tolerance

@@ -323,7 +323,7 @@ def fd_jacobiator(sysd, kind, f, g, h, x, hstep=1e-5):
 
     P = np.eye(2 * n)
     if kind == "nh":
-        P = geometry.tangent_splitting(sysd, x.q, x.p)[0]
+        P = geometry.tangent_splitting(sysd, x)[0]
     total = 0.0
     for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):
         xa = P @ brackets._symp(grad(a.fn), n)
@@ -441,7 +441,7 @@ def test_project_fields_matches_numpy_projector():
         sysd = ent.system()
         m = 2 * sysd.n
         for x in catalog.sample_entry_points(ent, 3, 89):
-            P = geometry.tangent_splitting(sysd, x.q, x.p)[0]
+            P = geometry.tangent_splitting(sysd, x)[0]
             fields = [[rng.uniform(-1.0, 1.0) for _ in range(m)] for _ in range(3)]
             got = brackets._project_fields(sysd, fields, x.scalars())
             assert np.allclose(got, np.array(fields) @ P.T, rtol=0, atol=1e-10)
@@ -467,11 +467,38 @@ def test_jacobiator_evaluates_extension_maps_once_per_level(monkeypatch, kind, e
 
         monkeypatch.setattr(geometry, name, counted)
     if kind == "dstar":
-        triple = [DStarObservable.from_expression(SYS_B, t) for t in ("pi_1", "pi_2", "x")]
+        make, texts = DStarObservable.from_expression, ("pi_1", "pi_2", "x", "y")
     else:
-        triple = [obs(SYS_B, t) for t in ("z", "p_x", "p_y")]
-    brackets.jacobiator(SYS_B, kind, *triple, PROBE)
+        make, texts = Observable.from_expression, ("z", "p_x", "p_y", "x")
+    o = [make(SYS_B, t) for t in texts]
+    brackets.jacobiator(SYS_B, kind, *o[:3], PROBE)
     assert counts == {name: expected.get(name, 0) for name in EXTENSION_MAPS}
+    # three overlapping triples in one call still lift once per level
+    counts.update(dict.fromkeys(EXTENSION_MAPS, 0))
+    f, g, h = [o[0], o[1], o[3]], [o[1], o[2], o[3]], [o[2], o[0], o[1]]
+    assert len(brackets.jacobiator(SYS_B, kind, f, g, h, PROBE)) == 3
+    assert counts == {name: expected.get(name, 0) for name in EXTENSION_MAPS}
+
+
+@pytest.mark.parametrize("kind", brackets.BRACKET_KINDS)
+def test_multi_triple_jacobiator_equals_per_triple_calls(kind):
+    # overlapping triples, repeated observables and both orders of an inner
+    # pair; every value must be bitwise the value of its triple alone
+    for ent in catalog.catalog_systems():
+        sysd = ent.system()
+        n = sysd.n
+        observables = catalog.observable_test_set(sysd)
+        if kind == "dstar":
+            observables = [brackets.pushforward_observable(sysd, o) for o in observables]
+        index_triples = [
+            (n - 1, n, n + 1), (0, n, 2 * n), (n, n + 1, 2 * n + 1),
+            (n + 1, n, n - 1), (n, n, 0), (2 * n, 2 * n, 2 * n),
+        ]
+        f, g, h = ([observables[t[c]] for t in index_triples] for c in range(3))
+        for x in catalog.sample_entry_points(ent, 2, 91):
+            many = brackets.jacobiator(sysd, kind, f, g, h, x)
+            assert many == [brackets.jacobiator(sysd, kind, *t, x) for t in zip(f, g, h)]
+            assert tuple(many) == tuple(brackets.jacobiator(sysd, kind, tuple(f), g, h, x))
 
 
 def test_extension_independence():

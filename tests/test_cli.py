@@ -178,6 +178,25 @@ def test_verify_reports_witness_for_nonintegrable():
     assert defect["statistic"] == "max_witness" and defect["value"] > 1e-3
 
 
+def test_verify_reports_a_nan_after_the_first_point(tmp_path):
+    # V = 1e308*x^3 overflows into NaN at points 8, 11, 12, 21, 23 and 24 of
+    # this sample; the NaN must become the suite's value and fail it
+    src = (DATA / "nonholonomic_particle.system").read_text()
+    assert "V = 0" in src
+    path = tmp_path / "overflow.system"
+    path.write_text(src.replace("V = 0", "V = 1e308*x^3"))
+    proc = run_cli(
+        "verify", "--system", str(path), "--count", "30", "--seed", "1", expect=1,
+    )
+    rep = json.loads(proc.stdout)
+    suite = next(
+        s for s in rep["suites"] if s["name"] == "extension_field_base_in_distribution"
+    )
+    assert np.isnan(suite["value"])
+    assert suite["worst_point_index"] == 8 and suite["pass"] is False
+    assert rep["pass"] is False
+
+
 def test_verify_determinism_across_runs_and_workers(tmp_path):
     outs = []
     for i, workers in enumerate((1, 1, 8)):

@@ -94,7 +94,7 @@ def test_two_route_agreement():
             b = dynamics.nonholonomic_field_projection(sysd, x).as_vector()
             assert np.max(np.abs(a - b)) < 1e-9
             # the projected field has no component in the complement
-            _, Q, _ = geometry.tangent_splitting(sysd, x.q, x.p)
+            _, Q, _ = geometry.tangent_splitting(sysd, x)
             assert np.max(np.abs(Q @ b)) < 1e-10
 
 
@@ -196,3 +196,16 @@ def test_observable_evolution_check():
     assert dynamics.observable_evolution_check(SYS_B, traj, h_obs) < 1e-6
     fx = Observable.from_expression(SYS_B, "x")
     assert dynamics.observable_evolution_check(SYS_B, traj, fx) < 1e-5
+
+
+def test_field_routes_require_on_m():
+    off = PhasePoint(q=[0.0, 0.5, 0.0], p=[0.0, 0.0, 1.0])  # residual 1
+    for route in (dynamics.nonholonomic_field_projection, dynamics.nonholonomic_field_multiplier):
+        with pytest.raises(NotOnMError):
+            route(SYS_B, off)
+        # a point validated at a loose tolerance is checked again at the
+        # caller's tolerance
+        loose = geometry.require_on_m(SYS_B, off.q, off.p, on_m_tol=10.0)
+        with pytest.raises(NotOnMError):
+            route(SYS_B, loose)
+        route(SYS_B, loose, on_m_tol=10.0)

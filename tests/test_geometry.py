@@ -12,6 +12,7 @@ from nonholo.errors import (
     RankDeficientError,
 )
 from nonholo.rng import SplitMix64
+from nonholo.system import PhasePoint
 
 SYS_A = catalog.get_system("holonomic_control")
 SYS_B = catalog.get_system("nonholonomic_particle")
@@ -188,7 +189,7 @@ def test_user_frame_validation():
 def test_tangent_projector_control_case():
     pts = catalog.sample_entry_points(catalog.get_entry("holonomic_control"), 5, 4)
     for x in pts:
-        P = geometry.tangent_projector(SYS_A, x.q, x.p)
+        P = geometry.tangent_splitting(SYS_A, x)[0]
         assert np.allclose(P, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-12)
 
 
@@ -199,7 +200,7 @@ def test_tangent_projector_laws():
         J = geometry.omega_matrix(n)
         rng = SplitMix64(123)
         for x in catalog.sample_entry_points(ent, 25, 8):
-            P, Q, C = geometry.tangent_splitting(sysd, x.q, x.p)
+            P, Q, C = geometry.tangent_splitting(sysd, x)
             assert np.max(np.abs(P @ P - P)) < 1e-10
             assert np.max(np.abs(C @ P)) < 1e-10
             assert np.linalg.matrix_rank(P, tol=1e-8) == 2 * sysd.k
@@ -224,7 +225,7 @@ def _nullspace(C):
 
 def test_tangent_projector_requires_on_m():
     with pytest.raises(NotOnMError):
-        geometry.tangent_projector(SYS_B, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+        geometry.tangent_splitting(SYS_B, PhasePoint(q=[0.0, 1.0, 0.0], p=[0.0, 0.0, 1.0]))
 
 
 def test_projection_jacobian_matches_finite_differences():

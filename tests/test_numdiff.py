@@ -157,3 +157,94 @@ def test_solve_linear_matches_numpy_and_differentiates():
     _, grad = numdiff.gradient(solve_entry, [2.0])
     ref = fd_gradient(lambda s: np.linalg.solve([[s[0], 1.0], [1.0, 3.0]], [1.0, 2.0])[0], [2.0])
     assert abs(grad[0] - ref[0]) < 1e-7
+
+
+def _same(u, v):
+    """Bitwise equality of (nested) duals: level, value and every partial."""
+    if isinstance(u, DualScalar) or isinstance(v, DualScalar):
+        return (
+            isinstance(u, DualScalar) and isinstance(v, DualScalar)
+            and u.level == v.level and len(u.partials) == len(v.partials)
+            and _same(u.value, v.value)
+            and all(_same(a, b) for a, b in zip(u.partials, v.partials))
+        )
+    return repr(float(u)) == repr(float(v))
+
+
+def test_fast_paths_match_plain_formulas_bitwise():
+    # The arithmetic takes shortcuts (plain-float branches first, map and
+    # list comprehensions, `/` once the zero check has run); each result
+    # must be bitwise the plain formula it stands for.
+    a = DualScalar(0.3, (1.25, -0.7))
+    b = DualScalar(-1.9, (0.1, 2.5))
+    c = 0.37
+    q = 0.3 / -1.9
+    r = c / 0.3
+    level1 = [
+        (-a, DualScalar(-0.3, (-1.25, 0.7))),
+        (a + b, DualScalar(0.3 + -1.9, (1.25 + 0.1, -0.7 + 2.5))),
+        (a + c, DualScalar(0.3 + c, a.partials)),
+        (c + a, DualScalar(0.3 + c, a.partials)),
+        (a - b, DualScalar(0.3 - -1.9, (1.25 - 0.1, -0.7 - 2.5))),
+        (a - c, DualScalar(0.3 - c, a.partials)),
+        (c - a, DualScalar(c - 0.3, (-1.25, 0.7))),
+        (a * b, DualScalar(0.3 * -1.9, (1.25 * -1.9 + 0.3 * 0.1, -0.7 * -1.9 + 0.3 * 2.5))),
+        (a * c, DualScalar(0.3 * c, (1.25 * c, -0.7 * c))),
+        (c * a, DualScalar(0.3 * c, (1.25 * c, -0.7 * c))),
+        (a * 2, DualScalar(0.6, (2.5, -1.4))),
+        (a / b, DualScalar(q, ((1.25 - q * 0.1) / -1.9, (-0.7 - q * 2.5) / -1.9))),
+        (a / c, DualScalar(0.3 / c, (1.25 / c, -0.7 / c))),
+        (c / a, DualScalar(r, (-(r * 1.25) / 0.3, -(r * -0.7) / 0.3))),
+        (numdiff.sin(a), DualScalar(math.sin(0.3), tuple(math.cos(0.3) * p for p in a.partials))),
+        (numdiff.cos(a), DualScalar(math.cos(0.3), tuple(-(math.sin(0.3) * p) for p in a.partials))),
+        (numdiff.tan(a), DualScalar(math.tan(0.3), tuple((1.0 + math.tan(0.3) ** 2) * p for p in a.partials))),
+        (numdiff.exp(a), DualScalar(math.exp(0.3), tuple(math.exp(0.3) * p for p in a.partials))),
+        (numdiff.log(a), DualScalar(math.log(0.3), (1.25 / 0.3, -0.7 / 0.3))),
+        (numdiff.sqrt(a), DualScalar(math.sqrt(0.3), tuple(0.5 / math.sqrt(0.3) * p for p in a.partials))),
+        (numdiff.power(a, 3.0), DualScalar(0.3**3.0, tuple(0.3**2.0 * 3.0 * p for p in a.partials))),
+    ]
+    for got, want in level1:
+        assert _same(got, want), (got, want)
+
+    # level 2 over level-1 values, mixed with floats and level-1 scalars;
+    # the formulas are written with the (checked) level-1 arithmetic
+    u1, v1 = numdiff.lift([0.3, -1.2])
+    u, v, w = numdiff.lift([u1 * 0.5, v1, 1.7])
+    qv = u.value / v.value
+    qw = u.value / 1.7
+    q1 = u1 / u.value
+    level2 = [
+        (-u, DualScalar(-u.value, [-p for p in u.partials], 2)),
+        (u + v, DualScalar(u.value + v.value, [x + y for x, y in zip(u.partials, v.partials)], 2)),
+        (u - v, DualScalar(u.value - v.value, [x - y for x, y in zip(u.partials, v.partials)], 2)),
+        (u * v, DualScalar(
+            u.value * v.value,
+            [x * v.value + u.value * y for x, y in zip(u.partials, v.partials)], 2)),
+        (u * c, DualScalar(u.value * c, [p * c for p in u.partials], 2)),
+        (u1 * u, DualScalar(u1 * u.value, [u1 * p for p in u.partials], 2)),
+        (u * v1, DualScalar(u.value * v1, [p * v1 for p in u.partials], 2)),
+        (u1 - u, DualScalar(u1 - u.value, [-p for p in u.partials], 2)),
+        (u / v, DualScalar(qv, [(x - qv * y) / v.value for x, y in zip(u.partials, v.partials)], 2)),
+        (u / w, DualScalar(qw, [(x - qw * y) / 1.7 for x, y in zip(u.partials, w.partials)], 2)),
+        (u / u1, DualScalar(u.value / u1, [p / u1 for p in u.partials], 2)),
+        (u1 / u, DualScalar(q1, [-(q1 * p) / u.value for p in u.partials], 2)),
+        (numdiff.sin(u), DualScalar(
+            numdiff.sin(u.value), [numdiff.cos(u.value) * p for p in u.partials], 2)),
+    ]
+    for got, want in level2:
+        assert _same(got, want), (got, want)
+
+    # the shortcuts keep the width and division checks
+    narrow = DualScalar(1.0, (1.0,))
+    for op in (
+        lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t, lambda s, t: s / t,
+    ):
+        with pytest.raises(WidthMismatchError):
+            op(a, narrow)
+        with pytest.raises(WidthMismatchError):
+            op(u, DualScalar(u.value, (1.0,), 2))
+    zero = DualScalar(0.0, (1.0, 0.0))
+    for num, den in ((a, zero), (c, zero), (a, 0.0), (u, DualScalar(u1 - 0.3, (1.0, 0.0, 0.0), 2))):
+        with pytest.raises(DomainError) as exc:
+            numdiff.divide(num, den)
+        assert exc.value.primitive == "division"
