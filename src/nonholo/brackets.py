@@ -11,21 +11,22 @@ Routes computed here, all of which must coincide on M:
 * ``dstar`` - the linear almost-Poisson bracket of the almost Lie
   algebroid on the dual bundle D* (anchor E, projected frame brackets).
 
-A PointContext holds the per-point linear data (projectors, the projection
-Jacobian, the algebroid bivector and the Jacobian of the map D* -> M) and
-reads the gradient rows of a whole list of observables off one lift at the
-point. ``bracket_route_tables`` contracts those rows into all four routes
-over every ordered pair; it is the only bracket formula of the context path,
-and ``verify``, ``compare_brackets`` and the dynamics evolution check read
-their values from it or from the rows.
+The per-point linear data (projectors, the projection Jacobian, the
+algebroid bivector and the Jacobian of the map D* -> M) live on the
+validated point, ``geometry.OnMPoint``. ``raw_rows`` reads the gradient rows
+of a whole list of observables off one lift at that point, and
+``bracket_route_tables`` contracts them into all four routes over every
+ordered pair; it is the only bracket formula of the route-table path, and
+``verify``, ``compare_brackets`` and the dynamics evolution check read their
+values from it or from the rows.
 
 Each route also has one formula over generic scalars, ``_route_rows``, which
 evaluates the route's extension map once per lift for all observables; the
 Jacobiator nests it, and the standalone functions (``canonical_bracket``,
 ``eden_bracket``, ``nonholonomic_bracket``, ``dstar_bracket``) are the
 validation they run plus that formula on floats. They serve as the oracles
-the test suite checks the context path against; ``dstar_bracket`` keeps the
-pullback formula, so it checks the algebroid bracket.
+the test suite checks the route-table path against; ``dstar_bracket`` keeps
+the pullback formula, so it checks the algebroid bracket.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .system import (
     Observable,
     PhasePoint,
     SystemDefinition,
-    to_dstar,
 )
 
 
@@ -83,106 +83,39 @@ def gamma_extension(sys: SystemDefinition, f: Observable) -> Observable:
     return Observable(label=label, fn=lambda s: f.fn(geometry.gamma_hat_apply(sys, s)))
 
 
-class PointContext:
-    """Per-point workspace shared by bracket evaluations at one M-point.
+def raw_rows(x: geometry.OnMPoint, observables) -> np.ndarray:
+    """Raw gradient rows of every observable at the point x, off one lift.
 
-    The constructor validates the point once: ``x`` is the resulting
-    ``geometry.OnMPoint``, whose metric, constraint rows and splitting the
-    later steps read. The splitting, the projection Jacobian, the frame and
-    the algebroid data are built lazily, once. Gradient rows are not cached:
-    each call of ``raw_rows`` lifts the point once for every observable in
-    the list, so callers pass all the observables they need in one call.
+    Their extension rows (gradients of the momentum-projection extensions)
+    are these rows ``@ x.dgamma``.
     """
-
-    def __init__(self, sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None):
-        self.sys = sys
-        self.x = geometry.on_m_point(sys, x, on_m_tol)
-        self.n = sys.n
-        self.z = self.x.scalars()
-
-    # -- lazily built linear data --
-
-    @property
-    def splitting(self):
-        return self.x.splitting
-
-    @property
-    def P(self) -> np.ndarray:
-        return self.splitting[0]
-
-    @property
-    def Q(self) -> np.ndarray:
-        return self.splitting[1]
-
-    @property
-    def C(self) -> np.ndarray:
-        return self.splitting[2]
-
-    @functools.cached_property
-    def dgamma(self) -> np.ndarray:
-        """Jacobian of the phase-space momentum projection at this point."""
-        return numdiff.jacobian(lambda s: geometry.gamma_hat_apply(self.sys, s), self.z)
-
-    @functools.cached_property
-    def frame(self) -> geometry.FrameAtPoint:
-        return geometry.frame_at(self.sys, self.x.q)
-
-    @functools.cached_property
-    def algebroid(self):
-        """(Theta, Lambda, C) of the almost Lie algebroid on D* at this point.
-
-        Theta = d(q, p)/d(q, pi) at pi = E^T p; the structure functions are
-        [e_a, e_b]_D = C[c, a, b] e_c; Lambda = [[0, E], [-E^T, -pi.C]] is
-        the bivector of the linear almost-Poisson bracket in (q, pi).
-        """
-        sys, n, k, fr = self.sys, self.n, self.sys.k, self.frame
-        pi = fr.E.T @ self.x.p
-
-        def chart(s):  # (q, pi) -> (q, p, frame columns)
-            q_s = list(s[:n])
-            cols = geometry.frame_apply(sys, q_s, fr.free_cols)
-            return q_s + geometry.from_dstar_apply(sys, q_s, s[n:], cols) + sum(cols, [])
-
-        J = numdiff.jacobian(chart, [*self.x.q.tolist(), *pi.tolist()])
-        # de[i, a, b] = (De_a e_b)^i and [e_a, e_b] = De_b e_a - De_a e_b
-        de = np.einsum("aij,jb->iab", J[2 * n :, :n].reshape(k, n, n), fr.E)
-        C = geometry.frame_components(self.x.met.G, fr.E, de.transpose(0, 2, 1) - de)
-        piC = np.einsum("c,cab->ab", pi, C)
-        return J[: 2 * n], np.block([[np.zeros((n, n)), fr.E], [-fr.E.T, -piC]]), C
-
-    # -- gradient rows, one lift per point --
-
-    def raw_rows(self, observables) -> np.ndarray:
-        """Raw gradient rows of every observable at this point, off one lift.
-
-        Their extension rows (gradients of the momentum-projection
-        extensions) are these rows ``@ self.dgamma``.
-        """
-        return numdiff.jacobian(lambda s: [f.fn(s) for f in observables], self.z)
-
-    def nh_values_from_grads(self, gf_ext, gg_ext) -> tuple[float, float]:
-        """(nh, nh2) from caller-supplied extension gradients."""
-        P, n = self.P, self.n
-        xf = _symp(gf_ext, n)
-        xg = P @ _symp(gg_ext, n)
-        return float(_pair(P @ xf, xg, n)), float(_pair(xf, xg, n))
-
-    def residual_gradients(self) -> np.ndarray:
-        """Gradients of the membership residuals (extensions vanishing on M)."""
-        return self.C[: self.sys.n_constraints]
+    return numdiff.jacobian(lambda s: [f.fn(s) for f in observables], x.scalars())
 
 
-def bracket_route_tables(ctx: PointContext, raw: np.ndarray) -> dict[str, np.ndarray]:
+def nh_values_from_grads(x: geometry.OnMPoint, gf_ext, gg_ext) -> tuple[float, float]:
+    """(nh, nh2) at the point x from caller-supplied extension gradients."""
+    P, n = x.splitting[0], x.sys.n
+    xf = _symp(gf_ext, n)
+    xg = P @ _symp(gg_ext, n)
+    return float(_pair(P @ xf, xg, n)), float(_pair(xf, xg, n))
+
+
+def residual_gradients(x: geometry.OnMPoint) -> np.ndarray:
+    """Gradients of the membership residuals (extensions vanishing on M)."""
+    return x.splitting[2][: x.sys.n_constraints]
+
+
+def bracket_route_tables(x: geometry.OnMPoint, raw: np.ndarray) -> dict[str, np.ndarray]:
     """All four bracket routes over every ordered observable pair at a point.
 
-    ``raw`` holds the observables' raw gradient rows at the point
-    (``ctx.raw_rows``), one lift that serves every route. Returns route-name
+    ``raw`` holds the observables' raw gradient rows at the point x
+    (``raw_rows``), one lift that serves every route. Returns route-name
     -> (n_obs, n_obs) matrix; entry (i, j) is the bracket of observable i
     with observable j. The pair contraction is a handful of matrix products,
     so full-pair sweeps stay cheap.
     """
-    n = ctx.n
-    gext = raw @ ctx.dgamma
+    n = x.sys.n
+    gext = raw @ x.dgamma
     gq, gp = gext[:, :n], gext[:, n:]
 
     def pair_table(aq, ap, bq, bp):
@@ -190,10 +123,10 @@ def bracket_route_tables(ctx: PointContext, raw: np.ndarray) -> dict[str, np.nda
 
     eden = pair_table(gq, gp, gq, gp)
     X = np.hstack([gp, -gq])  # rows are the extension Hamiltonian fields
-    PX = X @ ctx.P.T
+    PX = X @ x.splitting[0].T
     nh = pair_table(PX[:, :n], PX[:, n:], PX[:, :n], PX[:, n:])
     nh2 = pair_table(X[:, :n], X[:, n:], PX[:, :n], PX[:, n:])
-    theta, lam, _ = ctx.algebroid
+    theta, lam, _ = x.algebroid
     A = raw @ theta  # rows of the pushed observables on D*
     return {"nh": nh, "nh2": nh2, "eden": eden, "dstar": A @ lam @ A.T}
 
@@ -222,8 +155,8 @@ def compare_brackets(
     on_m_tol: float | None = None,
 ) -> BracketReport:
     """Evaluate all four bracket routes at one point and report the spread."""
-    ctx = PointContext(sys, x, on_m_tol)
-    tables = bracket_route_tables(ctx, ctx.raw_rows([f, g]))
+    xm = geometry.on_m_point(sys, x, on_m_tol)
+    tables = bracket_route_tables(xm, raw_rows(xm, [f, g]))
     return BracketReport(
         point=x,
         f=f.label,
@@ -437,8 +370,8 @@ def jacobiator(
     x = geometry.on_m_point(sys, x, on_m_tol)
     n, free, base = sys.n, None, x.scalars()
     if kind == "dstar":
-        free = geometry.frame_at(sys, x.q).free_cols
-        base = to_dstar(sys, x, on_m_tol=np.inf).scalars()
+        free = x.frame.free_cols
+        base = DStarPoint(q=x.q, pi=x.frame.E.T @ x.p).scalars()
     # slots of the distinct observables (by identity) and of the distinct
     # ordered inner pairs; {a,b} and {b,a} differ in rounding, so both stay
     obs = list({id(o): o for t in triples for o in t}.values())

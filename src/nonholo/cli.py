@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,31 +23,6 @@ EXIT_SUITE_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_STEP_FAILURE = 3
 EXIT_IO = 4
-
-
-@dataclass
-class RunConfig:
-    system_ref: str
-    on_m_tol: float
-    compare_tol: float
-    seed: int
-    count: int
-    fmt: str
-    output: str | None
-    t0: float = 0.0
-    t1: float = 1.0
-    dt: float = 1e-3
-    project: bool = True
-
-    def validate(self):
-        if self.dt <= 0:
-            raise NonholoError("dt must be positive")
-        if self.t1 <= self.t0:
-            raise NonholoError("t1 must exceed t0")
-        if self.count < 1:
-            raise NonholoError("count must be at least 1")
-        if self.on_m_tol <= 0 or self.compare_tol <= 0:
-            raise NonholoError("tolerances must be positive")
 
 
 def _load_system(locator: str):
@@ -142,12 +116,12 @@ def _verify_payload(report: dict, fmt: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg = RunConfig(
-        system_ref=args.system, on_m_tol=args.tol, compare_tol=1e-9,
-        seed=args.seed, count=1, fmt=args.format, output=args.output,
-        t0=args.t0, t1=args.t1, dt=args.dt, project=not args.no_project,
-    )
-    cfg.validate()
+    if args.dt <= 0:
+        raise NonholoError("dt must be positive")
+    if args.t1 <= args.t0:
+        raise NonholoError("t1 must exceed t0")
+    if args.tol <= 0:
+        raise NonholoError("tolerances must be positive")
     sysd, _ = _load_system(args.system)
     q0 = _parse_reals(args.q0, sysd.n, "--q0")
     if (args.p0 is None) == (args.v0 is None):
@@ -159,34 +133,43 @@ def cmd_simulate(args) -> int:
         p0 = _parse_reals(args.p0, sysd.n, "--p0")
         x0 = PhasePoint(q=q0, p=p0)
     resid = geometry.residual_norm(sysd, x0.q, x0.p)
-    if resid > cfg.on_m_tol:
+    if resid > args.tol:
         print(
             f"warning: initial momentum violates the constraints "
-            f"(residual {resid:.3e} > {cfg.on_m_tol:.3e}); projecting onto M",
+            f"(residual {resid:.3e} > {args.tol:.3e}); projecting onto M",
             file=sys.stderr,
         )
         x0 = PhasePoint(q=x0.q, p=geometry.eden_project(sysd, x0.q, x0.p))
     try:
         traj = dynamics.integrate(
-            sysd, x0, cfg.t0, cfg.t1, cfg.dt,
-            project_each_step=cfg.project, on_m_tol=cfg.on_m_tol,
+            sysd, x0, args.t0, args.t1, args.dt,
+            project_each_step=not args.no_project, on_m_tol=args.tol,
         )
     except StepFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.trajectory is not None and len(exc.trajectory):
-            _emit(_trajectory_payload(exc.trajectory, sysd, cfg.fmt), cfg.output)
+            _emit(_trajectory_payload(exc.trajectory, sysd, args.format), args.output)
         return EXIT_STEP_FAILURE
-    return _emit(_trajectory_payload(traj, sysd, cfg.fmt), cfg.output)
+    return _emit(_trajectory_payload(traj, sysd, args.format), args.output)
+
+
+def _require_finite(obj: dict) -> dict:
+    """The payload obj, or a validation error naming its first non-finite value."""
+    for key, value in obj.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise NonholoError(f"{obj['command']} {key} is not finite ({value!r})")
+    return obj
 
 
 def cmd_brackets(args) -> int:
     sysd, _ = _load_system(args.system)
     x_vals = _parse_reals(args.point, 2 * sysd.n, "--point")
     x = PhasePoint(q=x_vals[: sysd.n], p=x_vals[sysd.n :])
-    geometry.require_on_m(sysd, x.q, x.p, args.tol)
+    x = geometry.require_on_m(sysd, x.q, x.p, args.tol)
     f = Observable.from_expression(sysd, args.f)
     g = Observable.from_expression(sysd, args.g)
-    rep = brackets.compare_brackets(sysd, f, g, x, on_m_tol=args.tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = brackets.compare_brackets(sysd, f, g, x, on_m_tol=args.tol)
     obj = {
         "command": "brackets",
         "system": args.system,
@@ -199,7 +182,7 @@ def cmd_brackets(args) -> int:
         "value_dstar": rep.value_dstar,
         "max_pairwise_gap": rep.max_pairwise_gap,
     }
-    return _emit(_report_payload(obj, args.format), args.output)
+    return _emit(_report_payload(_require_finite(obj), args.format), args.output)
 
 
 def cmd_verify(args) -> int:
@@ -230,14 +213,15 @@ def cmd_jacobiator(args) -> int:
     sysd, _ = _load_system(args.system)
     x_vals = _parse_reals(args.point, 2 * sysd.n, "--point")
     x = PhasePoint(q=x_vals[: sysd.n], p=x_vals[sysd.n :])
-    geometry.require_on_m(sysd, x.q, x.p, args.tol)
+    x = geometry.require_on_m(sysd, x.q, x.p, args.tol)
     if args.kind == "dstar":
         f, g, h = (
             DStarObservable.from_expression(sysd, t) for t in (args.f, args.g, args.h)
         )
     else:
         f, g, h = (Observable.from_expression(sysd, t) for t in (args.f, args.g, args.h))
-    value = brackets.jacobiator(sysd, args.kind, f, g, h, x, on_m_tol=args.tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = brackets.jacobiator(sysd, args.kind, f, g, h, x, on_m_tol=args.tol)
     obj = {
         "command": "jacobiator",
         "system": args.system,
@@ -248,7 +232,7 @@ def cmd_jacobiator(args) -> int:
         "point": ",".join(_fmt_float(v) for v in x_vals),
         "value": value,
     }
-    return _emit(_report_payload(obj, args.format), args.output)
+    return _emit(_report_payload(_require_finite(obj), args.format), args.output)
 
 
 def cmd_catalog(args) -> int:

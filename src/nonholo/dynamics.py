@@ -301,11 +301,11 @@ def observable_evolution_check(sys: SystemDefinition, traj: Trajectory, f) -> fl
         xm, x0, xp = pts[i - 1].x, pts[i].x, pts[i + 1].x
         dt2 = pts[i + 1].t - pts[i - 1].t
         fd = (f.at(xp) - f.at(xm)) / dt2
-        ctx = brackets.PointContext(sys, x0)
-        rows = ctx.raw_rows([f, h_obs])
-        ext_f, ext_h = rows @ ctx.dgamma
+        x0 = geometry.on_m_point(sys, x0)
+        rows = brackets.raw_rows(x0, [f, h_obs])
+        ext_f, ext_h = rows @ x0.dgamma
         br = float(brackets._pair(ext_f, ext_h, sys.n))
-        raw = ctx.nh_values_from_grads(ext_f, rows[1])[1]
+        raw = brackets.nh_values_from_grads(x0, ext_f, rows[1])[1]
         if abs(br - raw) > 1e-9:
             raise InternalConsistencyError(
                 f"evolution bracket forms disagree: {br!r} vs {raw!r}"

@@ -13,7 +13,9 @@ operation that requires its phase point to satisfy the momentum constraints;
 callers may override it per call. ``require_on_m`` validates a point once and
 returns an ``OnMPoint`` holding the validated metric and constraint rows;
 operations that need a point on M accept it in place of a PhasePoint and read
-that data instead of validating again.
+that data instead of validating again. It is the one per-point object: the
+bracket routes and the verify suites also read the linear data it builds
+once, on demand (splitting, projection Jacobian, frame, algebroid).
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ class OnMPoint:
     Built by ``require_on_m`` only: the metric passed ``metric_at``, the
     constraint rows passed ``constraints_at`` and the residual was within
     the caller's tolerance. It has the ``q``, ``p`` and ``scalars()`` of a
-    PhasePoint, and caches the symplectic splitting at the point.
+    PhasePoint, and builds the per-point linear data lazily, once: the
+    symplectic splitting, the projection Jacobian, the distribution frame
+    and the almost Lie algebroid.
     """
 
     sys: object = field(repr=False)
@@ -156,6 +160,38 @@ class OnMPoint:
     def splitting(self):
         """(P, Q, C) of tangent_splitting; the point is validated already."""
         return tangent_splitting(self.sys, self, on_m_tol=np.inf)
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        """Jacobian of the phase-space momentum projection at this point."""
+        return numdiff.jacobian(lambda s: gamma_hat_apply(self.sys, s), self.scalars())
+
+    @cached_property
+    def frame(self) -> FrameAtPoint:
+        return frame_at(self.sys, self.q)
+
+    @cached_property
+    def algebroid(self):
+        """(Theta, Lambda, C) of the almost Lie algebroid on D* at this point.
+
+        Theta = d(q, p)/d(q, pi) at pi = E^T p; the structure functions are
+        [e_a, e_b]_D = C[c, a, b] e_c; Lambda = [[0, E], [-E^T, -pi.C]] is
+        the bivector of the linear almost-Poisson bracket in (q, pi).
+        """
+        sys, n, k, fr = self.sys, self.sys.n, self.sys.k, self.frame
+        pi = fr.E.T @ self.p
+
+        def chart(s):  # (q, pi) -> (q, p, frame columns)
+            q_s = list(s[:n])
+            cols = frame_apply(sys, q_s, fr.free_cols)
+            return q_s + from_dstar_apply(sys, q_s, s[n:], cols) + sum(cols, [])
+
+        J = numdiff.jacobian(chart, [*self.q.tolist(), *pi.tolist()])
+        # de[i, a, b] = (De_a e_b)^i and [e_a, e_b] = De_b e_a - De_a e_b
+        de = np.einsum("aij,jb->iab", J[2 * n :, :n].reshape(k, n, n), fr.E)
+        C = frame_components(self.met.G, fr.E, de.transpose(0, 2, 1) - de)
+        piC = np.einsum("c,cab->ab", pi, C)
+        return J[: 2 * n], np.block([[np.zeros((n, n)), fr.E], [-fr.E.T, -piC]]), C
 
 
 def require_on_m(sys, q, p, on_m_tol: float | None = None) -> OnMPoint:

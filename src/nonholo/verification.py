@@ -9,6 +9,12 @@ distribution membership of extension fields, and the Jacobiator policy
 (zero everywhere for an integrable distribution, a reproducible nonzero
 witness otherwise).
 
+Each point is validated once into a ``geometry.OnMPoint``, and every suite
+at that point reads the metric, constraint rows, splitting, projection
+Jacobian, frame and algebroid it carries. Overflow in a suite is not
+reported as a numpy warning: the non-finite value reaches the report and
+fails its suite.
+
 Points are distributed across worker processes by index; per-point results
 are merged in index order, so reports are byte-identical for any worker
 count. The informational ``strong_projection_gap`` row reports how far the
@@ -98,18 +104,18 @@ def _max_abs(*parts) -> float:
 def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     n = sysd.n
     tol = cfg_dict["on_m_tol"]
-    ctx = brackets.PointContext(sysd, x, on_m_tol=tol)
     # the one validated state of this point: every step below reads its
-    # metric, constraint rows and splitting instead of validating again
-    x = ctx.x
+    # metric, constraint rows, splitting, frame and algebroid instead of
+    # validating again
+    x = geometry.on_m_point(sysd, x, tol)
     n_obs = len(observables)
     routes = ("nh", "nh2", "eden", "dstar")
     triples = _leibniz_triples(n_obs, n)
     # the Leibniz products join the one table call; the other suites read
     # the n_obs x n_obs block of the observables themselves
     prods = [Observable.product(observables[i], observables[j]) for i, j, _ in triples]
-    raw = ctx.raw_rows(observables + prods)
-    tables = brackets.bracket_route_tables(ctx, raw)
+    raw = brackets.raw_rows(x, observables + prods)
+    tables = brackets.bracket_route_tables(x, raw)
     vals = {r: tables[r][:n_obs, :n_obs] for r in routes}
     stacked = np.stack([vals[r] for r in routes])
     coincidence = float(np.max(np.abs(stacked[:, None] - stacked[None, :])))
@@ -124,16 +130,16 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
             resids.append(tab[n_obs + t, g_idx] - fv * tab[j, g_idx] - f2v * tab[i, g_idx])
     leibniz = _max_abs(resids)
 
-    ext = raw[:n_obs] @ ctx.dgamma
+    ext = raw[:n_obs] @ x.dgamma
     gaps = []
-    w_grad = ctx.residual_gradients()[0]
+    w_grad = brackets.residual_gradients(x)[0]
     for i, j in ((0, n), (n, min(2 * n, n_obs - 1))):
         gf, gg = ext[i], ext[j]
-        base = ctx.nh_values_from_grads(gf, gg)
+        base = brackets.nh_values_from_grads(x, gf, gg)
         for c in (1.0, -1.0, 10.0):
             for pert in (
-                ctx.nh_values_from_grads(gf + c * w_grad, gg),
-                ctx.nh_values_from_grads(gf, gg + c * w_grad),
+                brackets.nh_values_from_grads(x, gf + c * w_grad, gg),
+                brackets.nh_values_from_grads(x, gf, gg + c * w_grad),
             ):
                 gaps += [pert[0] - base[0], pert[1] - base[1]]
     ext_ind = _max_abs(gaps)
@@ -141,10 +147,10 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     a = dynamics.nonholonomic_field_multiplier(sysd, x, on_m_tol=tol)
     b = dynamics.nonholonomic_field_projection(sysd, x, on_m_tol=tol)
     two_route = float(np.max(np.abs(a.as_vector() - b.as_vector())))
-    P, Q, C = ctx.splitting
-    tangency = float(np.max(np.abs(ctx.residual_gradients() @ a.as_vector())))
+    P, Q, C = x.splitting
+    tangency = float(np.max(np.abs(brackets.residual_gradients(x) @ a.as_vector())))
     projector_laws = _max_abs(P @ P - P, C @ P)
-    dgam = ctx.dgamma
+    dgam = x.dgamma
     u, s, _ = np.linalg.svd(P)
     rank = int(np.sum(s > 1e-8 * s[0]))
     basis = u[:, :rank]
@@ -162,7 +168,7 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
 
     # informational: projection Jacobian vs projector on base-admissible
     # vectors that leave the manifold tangent space
-    E = ctx.frame.E
+    E = x.frame.E
     zvecs = np.vstack([E, np.ones((n, E.shape[1]))])
     strong_gap = float(np.max(np.abs((dgam - P) @ zvecs)))
 
@@ -209,15 +215,16 @@ def _chunk_worker(payload):
         momentum_scale=payload["momentum_scale"],
     )
     out = []
-    for idx in payload["indices"]:
-        metrics = _point_metrics(
-            sysd,
-            points[idx],
-            observables,
-            payload,
-            do_jacobiator=idx < payload["jacobiator_cap"],
-        )
-        out.append((idx, metrics))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in payload["indices"]:
+            metrics = _point_metrics(
+                sysd,
+                points[idx],
+                observables,
+                payload,
+                do_jacobiator=idx < payload["jacobiator_cap"],
+            )
+            out.append((idx, metrics))
     return out
 
 

@@ -55,8 +55,8 @@ def test_criterion_01_three_bracket_coincidence():
         sysd = entry.system()
         obs = catalog.observable_test_set(sysd)
         for x in seeded_points(entry, 100, SEED_POINTS):
-            ctx = brackets.PointContext(sysd, x)
-            tables = brackets.bracket_route_tables(ctx, ctx.raw_rows(obs))
+            xm = geometry.on_m_point(sysd, x)
+            tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, obs))
             stacked = np.stack([tables[r] for r in ("nh", "nh2", "eden", "dstar")])
             gap = float(np.max(np.abs(stacked[:, None] - stacked[None, :])))
             worst = max(worst, gap)
@@ -89,10 +89,10 @@ def test_criterion_03_almost_poisson_axioms():
         n = sysd.n
         trip = [(0, n, 2 * n), (1, n + 1, 0), (n, 2 * n, 1)]
         for x in seeded_points(entry, 100, SEED_POINTS + 2):
-            ctx = brackets.PointContext(sysd, x)
+            xm = geometry.on_m_point(sysd, x)
             # the products f*f2 of the triples join the table as extra rows
             prods = [Observable.product(obs[i], obs[j]) for i, j, _ in trip]
-            tables = brackets.bracket_route_tables(ctx, ctx.raw_rows(obs + prods))
+            tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, obs + prods))
             m = len(obs)
             for r, tab in tables.items():
                 sq = tab[:m, :m]
@@ -161,9 +161,9 @@ def test_criterion_05_projection_identity_and_field_membership():
         sysd = entry.system()
         obs = catalog.observable_test_set(sysd)
         for x in seeded_points(entry, 100, SEED_POINTS + 5):
-            ctx = brackets.PointContext(sysd, x)
-            P, Q = ctx.P, ctx.Q
-            dgam = ctx.dgamma
+            xm = geometry.on_m_point(sysd, x)
+            P, Q = xm.splitting[0], xm.splitting[1]
+            dgam = xm.dgamma
             u, s, _ = np.linalg.svd(P)
             rank = int(np.sum(s > 1e-8 * s[0]))
             assert rank == 2 * sysd.k
@@ -171,7 +171,7 @@ def test_criterion_05_projection_identity_and_field_membership():
             worst_identity = max(
                 worst_identity, float(np.max(np.abs(dgam @ basis - basis)))
             )
-            ext = ctx.raw_rows(obs) @ dgam
+            ext = brackets.raw_rows(xm, obs) @ dgam
             for f, g_ext in zip(obs, ext):
                 qx = Q @ brackets._symp(g_ext, sysd.n)
                 mag = float(np.max(np.abs(qx)))
@@ -252,21 +252,21 @@ def test_criterion_08_extension_independence_and_forms():
         obs = catalog.observable_test_set(sysd)
         n = sysd.n
         for x in seeded_points(entry, 100, SEED_POINTS + 6):
-            ctx = brackets.PointContext(sysd, x)
-            raw = ctx.raw_rows(obs)
-            tables = brackets.bracket_route_tables(ctx, raw)
+            xm = geometry.on_m_point(sysd, x)
+            raw = brackets.raw_rows(xm, obs)
+            tables = brackets.bracket_route_tables(xm, raw)
             worst_forms = max(
                 worst_forms, float(np.max(np.abs(tables["nh"] - tables["nh2"])))
             )
-            w_grad = ctx.residual_gradients()[0]
-            ext = raw @ ctx.dgamma
+            w_grad = brackets.residual_gradients(xm)[0]
+            ext = raw @ xm.dgamma
             for i, j in ((0, n), (n, 2 * n)):
                 gf, gg = ext[i], ext[j]
-                base = ctx.nh_values_from_grads(gf, gg)
+                base = brackets.nh_values_from_grads(xm, gf, gg)
                 for c in (1.0, -1.0, 10.0):
                     for pert in (
-                        ctx.nh_values_from_grads(gf + c * w_grad, gg),
-                        ctx.nh_values_from_grads(gf, gg + c * w_grad),
+                        brackets.nh_values_from_grads(xm, gf + c * w_grad, gg),
+                        brackets.nh_values_from_grads(xm, gf, gg + c * w_grad),
                     ):
                         worst_ext = max(
                             worst_ext, abs(pert[0] - base[0]), abs(pert[1] - base[1])

@@ -62,10 +62,10 @@ def test_eden_bracket_trivial_cases():
 
 def test_direct_routes_match_context_routes():
     for x in catalog.sample_entry_points(B_ENTRY, 10, 33):
-        ctx = brackets.PointContext(SYS_B, x)
+        xm = geometry.on_m_point(SYS_B, x)
         for f, g in [("x", "p_x"), ("y*p_x", "p_z"), ("z", "x*p_z"), ("p_x", "p_y")]:
             fo, go = obs(SYS_B, f), obs(SYS_B, g)
-            tables = brackets.bracket_route_tables(ctx, ctx.raw_rows([fo, go]))
+            tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, [fo, go]))
             direct = brackets.eden_bracket(SYS_B, fo, go, x)
             assert direct == pytest.approx(tables["eden"][0, 1], abs=1e-11)
             nh = brackets.nonholonomic_bracket(SYS_B, fo, go, x)
@@ -84,8 +84,8 @@ def test_direct_routes_match_context_routes():
         # (p_x, p_y) and (p_x, H) bring in the pi-pi block of the algebroid
         pairs = [(0, n), (n - 1, 2 * n - 1), (1, 2 * n), (n, n + 1), (n, 2 * n)]
         for x in catalog.sample_entry_points(ent, 3, 33):
-            ctx = brackets.PointContext(sysd, x)
-            tables = brackets.bracket_route_tables(ctx, ctx.raw_rows(observables))
+            xm = geometry.on_m_point(sysd, x)
+            tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, observables))
             y = to_dstar(sysd, x)
             for i, j in pairs:
                 fo, go = observables[i], observables[j]
@@ -99,8 +99,9 @@ def test_direct_routes_match_context_routes():
 
 
 def test_nonholonomic_bracket_runs_splitting_check(monkeypatch):
-    # the oracle validates the splitting as PointContext does, so a degenerate
-    # splitting surfaces as SplittingDegenerateError, not as a solve failure
+    # the oracle validates the splitting as the route tables do, so a
+    # degenerate splitting surfaces as SplittingDegenerateError, not as a
+    # solve failure
     def degenerate(*args, **kwargs):
         raise SplittingDegenerateError("degenerate")
 
@@ -120,10 +121,10 @@ def test_nh_forms_agree_and_match_eden():
     rep = brackets.compare_brackets(SYS_B, obs(SYS_B, "x"), obs(SYS_B, "z"), PROBE)
     assert rep.max_pairwise_gap <= 1e-9
     for x in catalog.sample_entry_points(B_ENTRY, 50, 37):
-        ctx = brackets.PointContext(SYS_B, x)
+        xm = geometry.on_m_point(SYS_B, x)
         for f, g in [("x", "p_x"), ("p_x", "p_z"), ("y", "y*p_y")]:
             tables = brackets.bracket_route_tables(
-                ctx, ctx.raw_rows([obs(SYS_B, f), obs(SYS_B, g)])
+                xm, brackets.raw_rows(xm, [obs(SYS_B, f), obs(SYS_B, g)])
             )
             nh = tables["nh"][0, 1]
             assert abs(nh - tables["nh2"][0, 1]) <= 1e-9
@@ -152,11 +153,11 @@ def test_route_tables_lift_once_per_evaluation_point(monkeypatch):
         sysd = ent.system()
         observables = catalog.observable_test_set(sysd)
         x = catalog.sample_entry_points(ent, 1, 5)[0]
-        ctx = brackets.PointContext(sysd, x)
-        ctx.splitting, ctx.dgamma, ctx.algebroid
+        xm = geometry.on_m_point(sysd, x)
+        xm.splitting, xm.dgamma, xm.algebroid
         calls.clear()
         monkeypatch.setattr(numdiff, "lift", counted)
-        brackets.bracket_route_tables(ctx, ctx.raw_rows(observables))
+        brackets.bracket_route_tables(xm, brackets.raw_rows(xm, observables))
         monkeypatch.setattr(numdiff, "lift", original)
         assert calls == [2 * sysd.n], ent.id
 
@@ -172,9 +173,9 @@ def test_shared_lift_rows_match_per_observable_gradients():
             obs(sysd, "2.5"),
         ]
         for x in catalog.sample_entry_points(ent, 3, 79):
-            ctx = brackets.PointContext(sysd, x)
-            raw = np.array([numdiff.gradient(f.fn, ctx.z)[1] for f in observables])
-            assert np.array_equal(ctx.raw_rows(observables), raw)
+            xm = geometry.on_m_point(sysd, x)
+            raw = np.array([numdiff.gradient(f.fn, xm.scalars())[1] for f in observables])
+            assert np.array_equal(brackets.raw_rows(xm, observables), raw)
             assert not np.any(raw[-1])
 
 
@@ -203,8 +204,8 @@ PARTICLE_USER_FRAME = dsl.parse_system(
 
 
 def dstar_table(sysd, x, observables):
-    ctx = brackets.PointContext(sysd, x)
-    return brackets.bracket_route_tables(ctx, ctx.raw_rows(observables))["dstar"]
+    xm = geometry.on_m_point(sysd, x)
+    return brackets.bracket_route_tables(xm, brackets.raw_rows(xm, observables))["dstar"]
 
 
 def test_dstar_value_frame_independent():
@@ -228,32 +229,32 @@ def test_structure_functions_closed_form():
     # -d/dz, whose G-orthogonal projection onto D is -y/(1+y^2) e1
     alt = PARTICLE_USER_FRAME
     for x in catalog.sample_entry_points(B_ENTRY, 10, 53):
-        ctx = brackets.PointContext(alt, x)
-        _, lam, C = ctx.algebroid
+        xm = geometry.on_m_point(alt, x)
+        _, lam, C = xm.algebroid
         c12 = -x.q[1] / (1.0 + x.q[1] ** 2)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 1], expected[0, 1, 0] = c12, -c12
         assert np.max(np.abs(C - expected)) <= 1e-15
-        pi = ctx.frame.E.T @ x.p
+        pi = xm.frame.E.T @ x.p
         assert lam[4, 3] == pytest.approx(-lam[3, 4], abs=1e-15)
         assert lam[3, 4] == pytest.approx(-pi[0] * c12, abs=1e-15)
-        assert np.array_equal(lam[:3, 3:], ctx.frame.E)
+        assert np.array_equal(lam[:3, 3:], xm.frame.E)
         e1, e2 = frame_sections(alt, x.q)
         w = brackets.almost_lie_bracket(alt, e1, e2, x.q)
-        assert np.max(np.abs(w - ctx.frame.E @ C[:, 0, 1])) <= 1e-15
+        assert np.max(np.abs(w - xm.frame.E @ C[:, 0, 1])) <= 1e-15
     # every frame pair on every catalog system: C against the projected
     # Lie bracket, and antisymmetric in its lower indices
     for ent in catalog.catalog_systems():
         sysd = ent.system()
         for x in catalog.sample_entry_points(ent, 3, 53):
-            ctx = brackets.PointContext(sysd, x)
-            C = ctx.algebroid[2]
+            xm = geometry.on_m_point(sysd, x)
+            C = xm.algebroid[2]
             assert np.max(np.abs(C + C.transpose(0, 2, 1))) <= 1e-15, ent.id
             secs = frame_sections(sysd, x.q)
             for a in range(sysd.k):
                 for b in range(sysd.k):
                     w = brackets.almost_lie_bracket(sysd, secs[a], secs[b], x.q)
-                    gap = np.max(np.abs(w - ctx.frame.E @ C[:, a, b]))
+                    gap = np.max(np.abs(w - xm.frame.E @ C[:, a, b]))
                     assert gap <= 1e-12, (ent.id, a, b)
 
 
@@ -456,16 +457,8 @@ EXTENSION_MAPS = ("gamma_hat_apply", "splitting_rows", "from_dstar_apply", "to_d
     ("nh", {"gamma_hat_apply": 2, "splitting_rows": 2}),
     ("dstar", {"from_dstar_apply": 2, "to_dstar_apply": 2}),
 ])
-def test_jacobiator_evaluates_extension_maps_once_per_level(monkeypatch, kind, expected):
-    counts = dict.fromkeys(EXTENSION_MAPS, 0)
-    for name in EXTENSION_MAPS:
-        original = getattr(geometry, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(geometry, name, counted)
+def test_jacobiator_evaluates_extension_maps_once_per_level(count_calls, kind, expected):
+    counts = count_calls(geometry, EXTENSION_MAPS)
     if kind == "dstar":
         make, texts = DStarObservable.from_expression, ("pi_1", "pi_2", "x", "y")
     else:
@@ -501,20 +494,39 @@ def test_multi_triple_jacobiator_equals_per_triple_calls(kind):
             assert tuple(many) == tuple(brackets.jacobiator(sysd, kind, tuple(f), g, h, x))
 
 
+def test_dstar_jacobiator_reads_the_frame_of_its_point(count_calls):
+    # at a validated point whose frame is built, the dual-bundle kind
+    # evaluates nothing again, and gives the value it gives at the PhasePoint
+    cases = []
+    for ent in catalog.catalog_systems():
+        sysd = ent.system()
+        n = sysd.n
+        observables = catalog.observable_test_set(sysd)
+        fgh = [brackets.pushforward_observable(sysd, observables[i]) for i in (0, n, 2 * n)]
+        for x in catalog.sample_entry_points(ent, 2, 97):
+            xm = geometry.on_m_point(sysd, x)
+            xm.frame
+            cases.append((sysd, fgh, xm, brackets.jacobiator(sysd, "dstar", *fgh, x)))
+    counts = count_calls(geometry, ("metric_at", "constraints_at", "frame_at"))
+    for sysd, fgh, xm, expected in cases:
+        assert brackets.jacobiator(sysd, "dstar", *fgh, xm) == expected
+    assert counts == dict.fromkeys(counts, 0)
+
+
 def test_extension_independence():
     for x in catalog.sample_entry_points(B_ENTRY, 25, 67):
-        ctx = brackets.PointContext(SYS_B, x)
-        w_grads = ctx.residual_gradients()
+        xm = geometry.on_m_point(SYS_B, x)
+        w_grads = brackets.residual_gradients(xm)
         for f, g in [("x", "p_x"), ("p_x", "p_z")]:
-            gf, gg = ctx.raw_rows([obs(SYS_B, f), obs(SYS_B, g)]) @ ctx.dgamma
-            base_nh, base_nh2 = ctx.nh_values_from_grads(gf, gg)
+            gf, gg = brackets.raw_rows(xm, [obs(SYS_B, f), obs(SYS_B, g)]) @ xm.dgamma
+            base_nh, base_nh2 = brackets.nh_values_from_grads(xm, gf, gg)
             for c in (1.0, -1.0, 10.0):
                 pert = gf + c * w_grads[0]
-                v_nh, v_nh2 = ctx.nh_values_from_grads(pert, gg)
+                v_nh, v_nh2 = brackets.nh_values_from_grads(xm, pert, gg)
                 assert abs(v_nh - base_nh) <= 1e-9
                 assert abs(v_nh2 - base_nh2) <= 1e-9
                 pert_g = gg + c * w_grads[0]
-                v_nh, v_nh2 = ctx.nh_values_from_grads(gf, pert_g)
+                v_nh, v_nh2 = brackets.nh_values_from_grads(xm, gf, pert_g)
                 assert abs(v_nh - base_nh) <= 1e-9
                 assert abs(v_nh2 - base_nh2) <= 1e-9
 
@@ -525,8 +537,8 @@ def test_skew_and_leibniz():
         f, g, f2 = observables[0], observables[4], observables[5]
         prod = Observable.product(f, f2)
         # rows: f, g, f2, f*f2
-        ctx = brackets.PointContext(SYS_C, x)
-        tables = brackets.bracket_route_tables(ctx, ctx.raw_rows([f, g, f2, prod]))
+        xm = geometry.on_m_point(SYS_C, x)
+        tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, [f, g, f2, prod]))
         for name, tab in tables.items():
             assert abs(tab[0, 1] + tab[1, 0]) <= 1e-12
             resid = tab[3, 1] - f.at(x) * tab[2, 1] - f2.at(x) * tab[0, 1]
@@ -537,9 +549,9 @@ def test_projection_jacobian_is_identity_on_admissible_tangents():
     for ent in catalog.catalog_systems():
         sysd = ent.system()
         for x in catalog.sample_entry_points(ent, 10, 73):
-            ctx = brackets.PointContext(sysd, x)
-            P = ctx.P
-            dgam = ctx.dgamma
+            xm = geometry.on_m_point(sysd, x)
+            P = xm.splitting[0]
+            dgam = xm.dgamma
             u, s, _ = np.linalg.svd(P)
             rank = int(np.sum(s > 1e-8 * s[0]))
             assert rank == 2 * sysd.k
@@ -559,11 +571,11 @@ def test_extension_fields_base_in_distribution():
         sysd = ent.system()
         n = sysd.n
         for x in catalog.sample_entry_points(ent, 10, 73):
-            ctx = brackets.PointContext(sysd, x)
-            Q = ctx.Q
+            xm = geometry.on_m_point(sysd, x)
+            Q = xm.splitting[1]
             mu = np.asarray(sysd.mu_values(list(x.q)), dtype=float)
             obs_set = catalog.observable_test_set(sysd)[: 2 * n + 1]
-            ext = ctx.raw_rows(obs_set) @ ctx.dgamma
+            ext = brackets.raw_rows(xm, obs_set) @ xm.dgamma
             for g_ext in ext:
                 xf = brackets._symp(g_ext, n)
                 assert np.max(np.abs(mu @ xf[:n])) <= 1e-9

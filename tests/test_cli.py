@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nonholo import cli, geometry
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -152,6 +154,46 @@ def test_jacobiator_command_kinds():
             "--point", "0,1,0,0,0,1", expect=2)
 
 
+OVERFLOW = [
+    "--system", "catalog:nonholonomic_particle", "--point", "2,0,0,1,0,0",
+    "--f", "1e308*x^3",
+]
+
+
+def assert_one_error_line(proc, text):
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error:") and text in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_brackets_command_rejects_a_non_finite_value():
+    proc = run_cli("brackets", *OVERFLOW, "--g", "p_x", expect=2)
+    assert_one_error_line(proc, "value_nh is not finite (nan)")
+
+
+def test_jacobiator_command_rejects_a_non_finite_value():
+    proc = run_cli("jacobiator", "--kind", "eden", *OVERFLOW, "--g", "p_x", "--h", "p_y", expect=2)
+    assert_one_error_line(proc, "value is not finite (nan)")
+
+
+POINT = ["--system", "catalog:nonholonomic_particle", "--point", "0,1,0,1,1,1"]
+
+
+@pytest.mark.parametrize("argv, frames", [
+    (["brackets", *POINT, "--f", "x", "--g", "z"], 1),
+    (["jacobiator", "--kind", "canonical", *POINT, "--f", "x", "--g", "p_x", "--h", "y*p_y"], 0),
+    (["jacobiator", "--kind", "eden", *POINT, "--f", "z", "--g", "p_x", "--h", "p_y"], 0),
+    (["jacobiator", "--kind", "nh", *POINT, "--f", "z", "--g", "p_x", "--h", "p_y"], 0),
+    (["jacobiator", "--kind", "dstar", *POINT, "--f", "pi_1", "--g", "pi_2", "--h", "x"], 1),
+], ids=["brackets", "canonical", "eden", "nh", "dstar"])
+def test_point_commands_validate_their_point_once(count_calls, capsys, argv, frames):
+    counts = count_calls(geometry, ("metric_at", "constraints_at", "frame_at"))
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+    assert counts == {"metric_at": 1, "constraints_at": 1, "frame_at": frames}
+
+
 def test_verify_exit_codes_and_failure_path():
     proc = run_cli(
         "verify", "--system", "catalog:holonomic_control",
@@ -195,6 +237,7 @@ def test_verify_reports_a_nan_after_the_first_point(tmp_path):
     assert np.isnan(suite["value"])
     assert suite["worst_point_index"] == 8 and suite["pass"] is False
     assert rep["pass"] is False
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_verify_determinism_across_runs_and_workers(tmp_path):

@@ -7,25 +7,12 @@ from nonholo import brackets, catalog, geometry, verification
 VALIDATION = ("tangent_splitting", "metric_at", "constraints_at")
 
 
-def _count(monkeypatch, module, names):
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(module, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return counts
-
-
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
-def test_point_metrics_validate_each_point_once(monkeypatch, ent):
+def test_point_metrics_validate_each_point_once(count_calls, ent):
     sysd = ent.system()
     observables = catalog.observable_test_set(sysd)
     points = catalog.sample_entry_points(ent, 3, 5)
-    counts = _count(monkeypatch, geometry, VALIDATION)
+    counts = count_calls(geometry, VALIDATION)
     cfg = {"on_m_tol": geometry.ON_M_TOL, "integrable": True}
     for x in points:
         counts.update(dict.fromkeys(VALIDATION, 0))
