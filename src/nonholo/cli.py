@@ -165,10 +165,10 @@ def cmd_brackets(args) -> int:
     sysd, _ = _load_system(args.system)
     x_vals = _parse_reals(args.point, 2 * sysd.n, "--point")
     x = PhasePoint(q=x_vals[: sysd.n], p=x_vals[sysd.n :])
-    x = geometry.require_on_m(sysd, x.q, x.p, args.tol)
-    f = Observable.from_expression(sysd, args.f)
-    g = Observable.from_expression(sysd, args.g)
     with np.errstate(over="ignore", invalid="ignore"):
+        x = geometry.require_on_m(sysd, x.q, x.p, args.tol)
+        f = Observable.from_expression(sysd, args.f)
+        g = Observable.from_expression(sysd, args.g)
         rep = brackets.compare_brackets(sysd, f, g, x, on_m_tol=args.tol)
     obj = {
         "command": "brackets",
@@ -213,14 +213,10 @@ def cmd_jacobiator(args) -> int:
     sysd, _ = _load_system(args.system)
     x_vals = _parse_reals(args.point, 2 * sysd.n, "--point")
     x = PhasePoint(q=x_vals[: sysd.n], p=x_vals[sysd.n :])
-    x = geometry.require_on_m(sysd, x.q, x.p, args.tol)
-    if args.kind == "dstar":
-        f, g, h = (
-            DStarObservable.from_expression(sysd, t) for t in (args.f, args.g, args.h)
-        )
-    else:
-        f, g, h = (Observable.from_expression(sysd, t) for t in (args.f, args.g, args.h))
     with np.errstate(over="ignore", invalid="ignore"):
+        x = geometry.require_on_m(sysd, x.q, x.p, args.tol)
+        obs = DStarObservable if args.kind == "dstar" else Observable
+        f, g, h = (obs.from_expression(sysd, t) for t in (args.f, args.g, args.h))
         value = brackets.jacobiator(sysd, args.kind, f, g, h, x, on_m_tol=args.tol)
     obj = {
         "command": "jacobiator",
@@ -246,12 +242,10 @@ def cmd_catalog(args) -> int:
     return _emit(entry.definition, args.output)
 
 
-def _add_shared(p, with_seed=True):
+def _add_shared(p):
     p.add_argument("--system", required=True, help="system file path or catalog:<id>")
     p.add_argument("--tol", type=float, default=geometry.ON_M_TOL,
                    help="on-manifold tolerance (default 1e-8)")
-    if with_seed:
-        p.add_argument("--seed", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--output", default=None, help="write payload to a file")
 
@@ -284,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification sweeps")
     _add_shared(p)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=100, help="sample points on M")
     p.add_argument("--tol-compare", type=float, default=1e-9,
                    help="bracket-coincidence tolerance (default 1e-9)")

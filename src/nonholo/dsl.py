@@ -11,6 +11,10 @@ Grammar (recursive descent, one token of lookahead)::
 Power binds tighter than unary minus, so ``-q1^2`` is -(q1^2). The function
 set is closed and matches the differentiation engine exactly. Numbers are
 doubles; implicit multiplication is rejected.
+
+A parsed tree is evaluated only through ``compile_expression``: one
+positional closure per tree, the same over floats and dual scalars. Constant
+folding and the metric-symmetry probe call these closures too.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .errors import (
     DomainError,
     ExpressionSyntaxError,
     StructuralError,
-    UnboundIdentifierError,
     UnknownFunctionError,
     UnknownIdentifierError,
 )
@@ -236,34 +239,7 @@ def parse_expression(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-# --- evaluation --------------------------------------------------------------
-
-
-def evaluate(expr: Expr, env):
-    """Evaluate over any scalar type (floats and duals share this path)."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundIdentifierError(expr.name) from None
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, env)
-    if isinstance(expr, Bin):
-        lhs = evaluate(expr.left, env)
-        rhs = evaluate(expr.right, env)
-        op = expr.op
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            return numdiff.divide(lhs, rhs)
-        return numdiff.power(lhs, rhs)
-    return numdiff.FUNCTIONS[expr.fn](evaluate(expr.arg, env))
+# --- compilation -------------------------------------------------------------
 
 
 def expression_names(expr: Expr) -> set[str]:
@@ -297,25 +273,19 @@ def compile_expression(expr: Expr, names, constants=None):
     """
     constants = constants or {}
     index = {nm: i for i, nm in enumerate(names)}
-
-    def is_const(e) -> bool:
-        if isinstance(e, Num):
-            return True
-        if isinstance(e, Var):
-            return e.name in constants and e.name not in index
-        if isinstance(e, Neg):
-            return is_const(e.arg)
-        if isinstance(e, Bin):
-            return is_const(e.left) and is_const(e.right)
-        return is_const(e.arg)
+    baked = set(constants) - set(index)
 
     def build(e):
-        if is_const(e):
+        f = build_node(e)
+        if expression_names(e) <= baked:
             try:
-                v = evaluate(e, constants)
+                v = f([])
                 return lambda s, v=v: v
             except DomainError:
                 pass  # leave dynamic so the error surfaces at evaluation
+        return f
+
+    def build_node(e):
         if isinstance(e, Num):
             v = e.value
             return lambda s, v=v: v
@@ -452,38 +422,31 @@ def read_system_sections(text: str) -> SystemFile:
             sf.system[key] = value
         elif section == "params":
             sf.params.append((key, value))
-        elif section == "metric":
-            if not key.startswith("row"):
-                raise StructuralError(f"line {lineno}: [metric] keys must be row<i>")
+        elif section in ("metric", "frame"):
+            prefix, var = ("row", "i") if section == "metric" else ("col", "a")
+            table = sf.metric_rows if section == "metric" else sf.frame_cols
+            if not key.startswith(prefix):
+                raise StructuralError(f"line {lineno}: [{section}] keys must be {prefix}<{var}>")
             try:
                 idx = int(key[3:])
             except ValueError:
-                raise StructuralError(f"line {lineno}: bad metric row key '{key}'") from None
-            if idx in sf.metric_rows:
-                raise StructuralError(f"line {lineno}: duplicate metric row{idx}")
-            sf.metric_rows[idx] = [c.strip() for c in value.split(",")]
+                bad = f"line {lineno}: bad {section} {prefix} key '{key}'"
+                raise StructuralError(bad) from None
+            if idx in table:
+                raise StructuralError(f"line {lineno}: duplicate {section} {prefix}{idx}")
+            table[idx] = [c.strip() for c in value.split(",")]
         elif section == "potential":
             if key != "V":
                 raise StructuralError(f"line {lineno}: [potential] key must be V")
             if sf.potential is not None:
                 raise StructuralError(f"line {lineno}: duplicate potential")
             sf.potential = value
-        elif section == "constraint":
+        else:  # constraint
             if key != "form":
                 raise StructuralError(f"line {lineno}: [constraint] key must be form")
             if "form" in constraint_current:
                 raise StructuralError(f"line {lineno}: duplicate form in constraint section")
             constraint_current["form"] = [c.strip() for c in value.split(",")]
-        else:  # frame
-            if not key.startswith("col"):
-                raise StructuralError(f"line {lineno}: [frame] keys must be col<a>")
-            try:
-                idx = int(key[3:])
-            except ValueError:
-                raise StructuralError(f"line {lineno}: bad frame col key '{key}'") from None
-            if idx in sf.frame_cols:
-                raise StructuralError(f"line {lineno}: duplicate frame col{idx}")
-            sf.frame_cols[idx] = [c.strip() for c in value.split(",")]
     return sf
 
 
@@ -497,13 +460,16 @@ def _check_ident(name: str, what: str):
         raise StructuralError(f"{what} '{name}' collides with a builtin function name")
 
 
-def _parse_cell(text: str, where: str) -> Expr:
+def _parse_cell(text: str, where: str, allowed) -> Expr:
+    """One expression cell of a system file, over the identifiers allowed."""
     if not text:
         raise StructuralError(f"{where}: empty expression")
     try:
-        return parse_expression(text)
-    except (ExpressionSyntaxError, UnknownFunctionError) as exc:
+        e = parse_expression(text)
+        validate_identifiers(e, allowed)
+    except (ExpressionSyntaxError, UnknownFunctionError, UnknownIdentifierError) as exc:
         raise StructuralError(f"{where}: {exc}") from exc
+    return e
 
 
 def _parse_number(text: str, where: str) -> float:
@@ -558,79 +524,50 @@ def parse_system(text: str):
 
     allowed = set(coords) | set(params)
 
+    def parse_cells(cells, head, across):
+        """The dim cells of one metric row, constraint row or frame column."""
+        if len(cells) != dim:
+            raise StructuralError(f"{head} must have {dim} entries")
+        return tuple(
+            _parse_cell(cell, f"{head} {across} {j}", allowed)
+            for j, cell in enumerate(cells, start=1)
+        )
+
     if sorted(sf.metric_rows) != list(range(1, dim + 1)):
         raise StructuralError(f"[metric] must define rows row1..row{dim}")
-    metric: list[tuple[Expr, ...]] = []
-    for i in range(1, dim + 1):
-        cells = sf.metric_rows[i]
-        if len(cells) != dim:
-            raise StructuralError(f"[metric] row{i} must have {dim} entries")
-        row = []
-        for j, cell in enumerate(cells, start=1):
-            e = _parse_cell(cell, f"[metric] row{i} column {j}")
-            try:
-                validate_identifiers(e, allowed)
-            except UnknownIdentifierError as exc:
-                raise StructuralError(f"[metric] row{i} column {j}: {exc}") from exc
-            row.append(e)
-        metric.append(tuple(row))
+    metric = tuple(
+        parse_cells(sf.metric_rows[i], f"[metric] row{i}", "column") for i in range(1, dim + 1)
+    )
 
     if sf.potential is None:
         raise StructuralError("[potential] section with V = <expr> is required")
-    pot = _parse_cell(sf.potential, "[potential] V")
-    try:
-        validate_identifiers(pot, allowed)
-    except UnknownIdentifierError as exc:
-        raise StructuralError(f"[potential] V: {exc}") from exc
+    pot = _parse_cell(sf.potential, "[potential] V", allowed)
 
     m = len(sf.constraint_rows)
     if not 1 <= m <= dim - 1:
         raise StructuralError(
             f"constraint count must lie in [1, {dim - 1}], got {m}"
         )
-    constraints: list[tuple[Expr, ...]] = []
+    constraints = []
     for r, block in enumerate(sf.constraint_rows, start=1):
         if "form" not in block:
             raise StructuralError(f"[constraint] section {r} is missing 'form'")
-        cells = block["form"]
-        if len(cells) != dim:
-            raise StructuralError(f"[constraint] row {r} must have {dim} entries")
-        row = []
-        for j, cell in enumerate(cells, start=1):
-            e = _parse_cell(cell, f"[constraint] row {r} column {j}")
-            try:
-                validate_identifiers(e, allowed)
-            except UnknownIdentifierError as exc:
-                raise StructuralError(f"[constraint] row {r} column {j}: {exc}") from exc
-            row.append(e)
-        constraints.append(tuple(row))
+        constraints.append(parse_cells(block["form"], f"[constraint] row {r}", "column"))
 
     k = dim - m
     frame = None
     if sf.frame_cols:
         if sorted(sf.frame_cols) != list(range(1, k + 1)):
             raise StructuralError(f"[frame] must define columns col1..col{k}")
-        cols = []
-        for a in range(1, k + 1):
-            cells = sf.frame_cols[a]
-            if len(cells) != dim:
-                raise StructuralError(f"[frame] col{a} must have {dim} entries")
-            col = []
-            for j, cell in enumerate(cells, start=1):
-                e = _parse_cell(cell, f"[frame] col{a} row {j}")
-                try:
-                    validate_identifiers(e, allowed)
-                except UnknownIdentifierError as exc:
-                    raise StructuralError(f"[frame] col{a} row {j}: {exc}") from exc
-                col.append(e)
-            cols.append(tuple(col))
-        frame = tuple(cols)
+        frame = tuple(
+            parse_cells(sf.frame_cols[a], f"[frame] col{a}", "row") for a in range(1, k + 1)
+        )
 
     sysdef = SystemDefinition(
         name=name,
         coords=coords,
         params=params,
-        metric_exprs=tuple(metric),
+        metric_exprs=metric,
         potential_expr=pot,
         constraint_exprs=tuple(constraints),
         frame_exprs=frame,
@@ -659,14 +596,12 @@ def _validate_metric_symmetry(sysdef):
     probes = []
     for _ in range(8):
         probes.append([rng.uniform(-1.0, 1.0) for _ in range(n)])
+    fns = sysdef._metric_fns
     checked = 0
     for q in probes:
-        env = {c: q[i] for i, c in enumerate(sysdef.coords)}
-        env.update(sysdef.params)
         try:
             for i, j in pending:
-                va = evaluate(exprs[i][j], env)
-                vb = evaluate(exprs[j][i], env)
+                va, vb = fns[i][j](q), fns[j][i](q)
                 if abs(va - vb) > 1e-10 * max(1.0, abs(va), abs(vb)):
                     raise StructuralError(
                         f"[metric] entry ({i + 1},{j + 1}) differs from ({j + 1},{i + 1}) "

@@ -63,12 +63,6 @@ class UnknownIdentifierError(NonholoError):
         super().__init__(f"unknown identifier '{name}'")
 
 
-class UnboundIdentifierError(NonholoError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"identifier '{name}' is not bound in this environment")
-
-
 class StructuralError(NonholoError):
     """A system-definition file violates a structural rule."""
 

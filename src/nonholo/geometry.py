@@ -202,7 +202,7 @@ def require_on_m(sys, q, p, on_m_tol: float | None = None) -> OnMPoint:
     met = metric_at(sys, q)
     cons = constraints_at(sys, q, met)
     r = float(np.max(np.abs(cons.mu @ (met.Ginv @ p))))
-    if r > tol:
+    if not r <= tol:  # a NaN residual fails too
         raise NotOnMError(r, tol)
     return OnMPoint(sys=sys, q=q, p=p, met=met, cons=cons, residual=r)
 
@@ -216,7 +216,7 @@ def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
     if not isinstance(x, OnMPoint):
         return require_on_m(sys, x.q, x.p, on_m_tol)
     tol = ON_M_TOL if on_m_tol is None else on_m_tol
-    if x.residual > tol:
+    if not x.residual <= tol:
         raise NotOnMError(x.residual, tol)
     return x
 

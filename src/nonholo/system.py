@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import geometry, numdiff
+from . import dsl, geometry, numdiff
 from .errors import StructuralError
 
 
@@ -51,45 +51,30 @@ class SystemDefinition:
 
     # -- compiled entry closures (built once, reused by every evaluation) --
 
-    @cached_property
-    def _metric_fns(self):
-        from . import dsl
-
+    def _compile_table(self, table):
+        """Closures over q for a table of configuration expressions."""
         return [
-            [dsl.compile_expression(e, self.coords, self.params) for e in row]
-            for row in self.metric_exprs
+            [dsl.compile_expression(e, self.coords, self.params) for e in row] for row in table
         ]
 
     @cached_property
-    def _potential_fn(self):
-        from . import dsl
+    def _metric_fns(self):
+        return self._compile_table(self.metric_exprs)
 
+    @cached_property
+    def _potential_fn(self):
         return dsl.compile_expression(self.potential_expr, self.coords, self.params)
 
     @cached_property
     def _mu_fns(self):
-        from . import dsl
-
-        return [
-            [dsl.compile_expression(e, self.coords, self.params) for e in row]
-            for row in self.constraint_exprs
-        ]
+        return self._compile_table(self.constraint_exprs)
 
     @cached_property
     def _frame_fns(self):
-        if self.frame_exprs is None:
-            return None
-        from . import dsl
-
-        return [
-            [dsl.compile_expression(e, self.coords, self.params) for e in col]
-            for col in self.frame_exprs
-        ]
+        return None if self.frame_exprs is None else self._compile_table(self.frame_exprs)
 
     @cached_property
     def metric_is_constant(self) -> bool:
-        from . import dsl
-
         names = set()
         for row in self.metric_exprs:
             for e in row:
@@ -98,8 +83,6 @@ class SystemDefinition:
 
     @cached_property
     def potential_is_constant(self) -> bool:
-        from . import dsl
-
         return not (dsl.expression_names(self.potential_expr) & set(self.coords))
 
     # -- pointwise evaluation over any scalar type --
@@ -174,8 +157,6 @@ class Observable:
 
     @staticmethod
     def from_expression(sys: SystemDefinition, text: str) -> "Observable":
-        from . import dsl
-
         expr = dsl.parse_expression(text)
         allowed = set(sys.phase_names) | set(sys.params)
         dsl.validate_identifiers(expr, allowed)
@@ -206,20 +187,11 @@ class DStarObservable:
 
     @staticmethod
     def from_expression(sys: SystemDefinition, text: str) -> "DStarObservable":
-        from . import dsl
-
         expr = dsl.parse_expression(text)
         names = sys.coords + tuple(f"pi_{a + 1}" for a in range(sys.k))
         dsl.validate_identifiers(expr, set(names) | set(sys.params))
         fn = dsl.compile_expression(expr, names, sys.params)
         return DStarObservable(label=text, fn=fn, expr=expr)
-
-    @staticmethod
-    def product(a, b):
-        return DStarObservable(
-            label=f"({a.label})*({b.label})",
-            fn=lambda s, fa=a.fn, fb=b.fn: fa(s) * fb(s),
-        )
 
 
 # --- energies and the fiber-derivative maps ----------------------------------

@@ -34,6 +34,9 @@ from . import brackets, catalog, dsl, dynamics, geometry
 from .system import Observable
 
 WITNESS_FLOOR = 1e-3
+# defect-scan points; at 12/100 the Jacobi suite is 14-26% of a verify
+# run by system, about 1/5 over the four catalog systems
+JACOBIATOR_CAP = 12
 
 
 @dataclass
@@ -47,9 +50,6 @@ class VerifyConfig:
     workers: int = 1
     region: tuple | None = None
     momentum_scale: float = 1.0
-    # defect-scan points; at 12/100 the Jacobi suite is 14-26% of a verify
-    # run by system, about 1/5 over the four catalog systems
-    jacobiator_cap: int = 12
 
 
 def _jacobiator_triples(n_obs: int, n: int):
@@ -222,7 +222,7 @@ def _chunk_worker(payload):
                 points[idx],
                 observables,
                 payload,
-                do_jacobiator=idx < payload["jacobiator_cap"],
+                do_jacobiator=idx < JACOBIATOR_CAP,
             )
             out.append((idx, metrics))
     return out
@@ -240,7 +240,6 @@ def run_verify(cfg: VerifyConfig) -> dict:
         "region": region,
         "momentum_scale": cfg.momentum_scale,
         "on_m_tol": cfg.on_m_tol,
-        "jacobiator_cap": min(cfg.jacobiator_cap, cfg.count),
         "integrable": integrable,
     }
     indices = list(range(cfg.count))

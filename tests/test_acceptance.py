@@ -344,9 +344,12 @@ def test_criterion_10_parser():
             assert dsl.parse_expression(dsl.format_expression(expr)) == expr
 
     # documented precedence fixtures, exact
-    assert dsl.evaluate(dsl.parse_expression("-q1^2"), {"q1": 3.0}) == -9.0
-    assert dsl.evaluate(dsl.parse_expression("(-q1)^2"), {"q1": 3.0}) == 9.0
-    assert dsl.evaluate(dsl.parse_expression("2^3^2"), {}) == 512.0
+    def value(text, **env):
+        return dsl.compile_expression(dsl.parse_expression(text), list(env))(list(env.values()))
+
+    assert value("-q1^2", q1=3.0) == -9.0
+    assert value("(-q1)^2", q1=3.0) == 9.0
+    assert value("2^3^2") == 512.0
 
     # totality over 1e5 seeded byte strings
     rng = SplitMix64(0xF0552)

@@ -177,6 +177,36 @@ def test_jacobiator_command_rejects_a_non_finite_value():
     assert_one_error_line(proc, "value is not finite (nan)")
 
 
+NAN_RESIDUAL = [
+    "--system", "catalog:chaplygin_sleigh",
+    "--point", "0.1,0.1,0.5235987755982988,1.7e308,1.7e308,1.7e308",
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["brackets", *NAN_RESIDUAL, "--f", "x", "--g", "p_x"],
+    ["jacobiator", *NAN_RESIDUAL, "--f", "x", "--g", "p_x", "--h", "y"],
+], ids=["brackets", "jacobiator"])
+def test_point_commands_reject_a_nan_residual(argv):
+    proc = run_cli(*argv, expect=2)
+    assert_one_error_line(proc, "residual nan")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("simulate", ["--q0", "0,0,0", "--p0", "1,0,0"]),
+    ("brackets", ["--f", "x", "--g", "p_x", "--point", "0,0,0,1,0,0"]),
+    ("jacobiator", ["--f", "x", "--g", "p_x", "--h", "y", "--point", "0,0,0,1,0,0"]),
+])
+def test_only_verify_takes_a_seed(command, extra):
+    ap = cli.build_parser()
+    shared = ["--system", "catalog:nonholonomic_particle"]
+    ap.parse_args([command, *shared, *extra])
+    with pytest.raises(SystemExit):
+        ap.parse_args([command, *shared, *extra, "--seed", "1"])
+    assert ap.parse_args(["verify", *shared, "--seed", "7"]).seed == 7
+
+
 POINT = ["--system", "catalog:nonholonomic_particle", "--point", "0,1,0,1,1,1"]
 
 

@@ -228,6 +228,17 @@ def test_tangent_projector_requires_on_m():
         geometry.tangent_splitting(SYS_B, PhasePoint(q=[0.0, 1.0, 0.0], p=[0.0, 0.0, 1.0]))
 
 
+# G^-1 p overflows at these momenta, so the residual is NaN
+NAN_RESIDUAL_POINT = ([0.1, 0.1, 0.5235987755982988], [1.7e308, 1.7e308, 1.7e308])
+
+
+def test_require_on_m_rejects_a_nan_residual():
+    q, p = NAN_RESIDUAL_POINT
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotOnMError) as exc:
+        geometry.require_on_m(SYS_C, q, p)
+    assert np.isnan(exc.value.residual)
+
+
 def test_projection_jacobian_matches_finite_differences():
     x = catalog.sample_entry_points(catalog.get_entry("nonholonomic_particle"), 1, 63)[0]
     sysd = SYS_B
