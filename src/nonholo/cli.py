@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import brackets, catalog, dsl, dynamics, geometry, verification
-from .errors import NonholoError, StepFailureError
+from .errors import NonholoError, NotOnMError, StepFailureError
 from .system import DStarObservable, Observable, PhasePoint, legendre
 
 EXIT_OK = 0
@@ -132,7 +132,10 @@ def cmd_simulate(args) -> int:
     else:
         p0 = _parse_reals(args.p0, sysd.n, "--p0")
         x0 = PhasePoint(q=q0, p=p0)
-    resid = geometry.residual_norm(sysd, x0.q, x0.p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = geometry.residual_norm(sysd, x0.q, x0.p)
+    if not np.isfinite(resid):  # NaN compares false: no projection can help
+        raise NotOnMError(resid, args.tol)
     if resid > args.tol:
         print(
             f"warning: initial momentum violates the constraints "

@@ -269,56 +269,57 @@ def compile_expression(expr: Expr, names, constants=None):
     """Compile to a positional closure over a scalar sequence.
 
     ``names[i]`` binds to slot i of the argument; ``constants`` are baked in.
-    Constant subtrees are folded at compile time when safe.
+    Constant subtrees are folded at compile time when safe. One pass over
+    the tree: each node is built once and reports whether it is constant.
     """
     constants = constants or {}
     index = {nm: i for i, nm in enumerate(names)}
-    baked = set(constants) - set(index)
 
     def build(e):
-        f = build_node(e)
-        if expression_names(e) <= baked:
+        """(closure, constant): constant when every name below is baked in."""
+        f, const = build_node(e)
+        if const:
             try:
                 v = f([])
-                return lambda s, v=v: v
+                return (lambda s, v=v: v), True
             except DomainError:
                 pass  # leave dynamic so the error surfaces at evaluation
-        return f
+        return f, const
 
     def build_node(e):
         if isinstance(e, Num):
             v = e.value
-            return lambda s, v=v: v
+            return (lambda s, v=v: v), True
         if isinstance(e, Var):
             if e.name in index:
                 i = index[e.name]
-                return lambda s, i=i: s[i]
+                return (lambda s, i=i: s[i]), False
             if e.name in constants:
                 v = float(constants[e.name])
-                return lambda s, v=v: v
+                return (lambda s, v=v: v), True
             raise UnknownIdentifierError(e.name)
         if isinstance(e, Neg):
-            f = build(e.arg)
-            return lambda s, f=f: -f(s)
+            f, const = build(e.arg)
+            return (lambda s, f=f: -f(s)), const
         if isinstance(e, Bin):
-            lf, rf = build(e.left), build(e.right)
-            op = e.op
+            (lf, lconst), (rf, rconst) = build(e.left), build(e.right)
+            op, const = e.op, lconst and rconst
             if op == "+":
-                return lambda s, lf=lf, rf=rf: lf(s) + rf(s)
+                return (lambda s, lf=lf, rf=rf: lf(s) + rf(s)), const
             if op == "-":
-                return lambda s, lf=lf, rf=rf: lf(s) - rf(s)
+                return (lambda s, lf=lf, rf=rf: lf(s) - rf(s)), const
             if op == "*":
-                return lambda s, lf=lf, rf=rf: lf(s) * rf(s)
+                return (lambda s, lf=lf, rf=rf: lf(s) * rf(s)), const
             if op == "/":
                 dv = numdiff.divide
-                return lambda s, lf=lf, rf=rf, dv=dv: dv(lf(s), rf(s))
+                return (lambda s, lf=lf, rf=rf, dv=dv: dv(lf(s), rf(s))), const
             pw = numdiff.power
-            return lambda s, lf=lf, rf=rf, pw=pw: pw(lf(s), rf(s))
+            return (lambda s, lf=lf, rf=rf, pw=pw: pw(lf(s), rf(s))), const
         fn = numdiff.FUNCTIONS[e.fn]
-        af = build(e.arg)
-        return lambda s, fn=fn, af=af: fn(af(s))
+        af, const = build(e.arg)
+        return (lambda s, fn=fn, af=af: fn(af(s))), const
 
-    return build(expr)
+    return build(expr)[0]
 
 
 # --- pretty printer ----------------------------------------------------------

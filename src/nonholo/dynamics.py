@@ -16,6 +16,8 @@ validated input: a point checked once by ``geometry.require_on_m`` (a
 produced. The multiplier route reads the constraint rows and their Gram
 matrix; the projection route reads the point's symplectic splitting. Neither
 reads the other's free field, residual rates, multipliers or projected field.
+Either route takes the gradient of H from its caller when that caller lifted
+it for many points at once (``verify``, one batched lift per route).
 """
 
 from __future__ import annotations
@@ -62,11 +64,13 @@ class Trajectory:
         return self.points[-1]
 
 
-def hamiltonian_field(sys: SystemDefinition, x: PhasePoint) -> PhaseVelocity:
-    """Free field: dq = dH/dp, dp = -dH/dq from the dual-number gradient."""
+def hamiltonian_field(sys: SystemDefinition, x: PhasePoint, dH=None) -> PhaseVelocity:
+    """Free field: dq = dH/dp, dp = -dH/dq from the dual-number gradient dH."""
     n = sys.n
-    _, grad = numdiff.gradient(lambda s: hamiltonian_scalar(sys, s), x.scalars())
-    return PhaseVelocity(dq=grad[n:], dp=-grad[:n])
+    if dH is None:
+        _, dH = numdiff.gradient(lambda s: hamiltonian_scalar(sys, s), x.scalars())
+    return PhaseVelocity(dq=dH[n:], dp=-dH[:n])
+
 
 
 def multipliers(
@@ -81,9 +85,9 @@ def multipliers(
     return _free_field_and_multipliers(sys, geometry.on_m_point(sys, x, on_m_tol))[1]
 
 
-def _free_field_and_multipliers(sys, x):
+def _free_field_and_multipliers(sys, x, dH=None):
     """Free field and multipliers at a validated point (an OnMPoint)."""
-    free = hamiltonian_field(sys, x)
+    free = hamiltonian_field(sys, x, dH)
     n = sys.n
     duals = [
         numdiff.DualScalar(float(v), (float(d),))
@@ -97,21 +101,21 @@ def _free_field_and_multipliers(sys, x):
 
 
 def nonholonomic_field_multiplier(
-    sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None
+    sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None, dH=None
 ) -> PhaseVelocity:
     """Constrained field via reaction forces in the annihilator."""
     x = geometry.on_m_point(sys, x, on_m_tol)
-    free, lam = _free_field_and_multipliers(sys, x)
+    free, lam = _free_field_and_multipliers(sys, x, dH)
     return PhaseVelocity(dq=free.dq, dp=free.dp - x.cons.mu.T @ lam)
 
 
 def nonholonomic_field_projection(
-    sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None
+    sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None, dH=None
 ) -> PhaseVelocity:
     """Constrained field as the symplectic projection of the free field."""
     n = sys.n
     x = geometry.on_m_point(sys, x, on_m_tol)
-    v = x.splitting[0] @ hamiltonian_field(sys, x).as_vector()
+    v = x.splitting[0] @ hamiltonian_field(sys, x, dH).as_vector()
     return PhaseVelocity(dq=v[:n], dp=v[n:])
 
 

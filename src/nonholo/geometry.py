@@ -20,6 +20,7 @@ once, on demand (splitting, projection Jacobian, frame, algebroid).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,7 @@ from . import numdiff
 from .errors import (
     DomainError,
     FrameDegenerateError,
+    NonholoError,
     FrameInvalidError,
     NotOnMError,
     NotSPDError,
@@ -161,14 +163,29 @@ class OnMPoint:
         """(P, Q, C) of tangent_splitting; the point is validated already."""
         return tangent_splitting(self.sys, self, on_m_tol=np.inf)
 
+    @cached_property  # lifted, like dgamma and chart_jacobian (see lift_batch)
+    def residual_rows(self) -> np.ndarray:
+        """Differentials of the residuals c_a (the first splitting rows)."""
+        return numdiff.jacobian(functools.partial(residual_phase, self.sys), self.scalars())
+
     @cached_property
     def dgamma(self) -> np.ndarray:
         """Jacobian of the phase-space momentum projection at this point."""
-        return numdiff.jacobian(lambda s: gamma_hat_apply(self.sys, s), self.scalars())
+        return numdiff.jacobian(functools.partial(gamma_hat_apply, self.sys), self.scalars())
 
     @cached_property
     def frame(self) -> FrameAtPoint:
-        return frame_at(self.sys, self.q)
+        return frame_at(self.sys, self.q, mu=self.cons.mu)
+
+    def dstar_scalars(self) -> list[float]:
+        """(q, pi) with pi = E^T p, the image of this point in D*."""
+        return [*self.q.tolist(), *(self.frame.E.T @ self.p).tolist()]
+
+    @cached_property
+    def chart_jacobian(self) -> np.ndarray:
+        """Jacobian of ``dstar_chart`` at (q, pi): rows (q, p, frame columns)."""
+        chart = functools.partial(dstar_chart, self.sys, self.frame.free_cols)
+        return numdiff.jacobian(chart, self.dstar_scalars())
 
     @cached_property
     def algebroid(self):
@@ -178,20 +195,48 @@ class OnMPoint:
         [e_a, e_b]_D = C[c, a, b] e_c; Lambda = [[0, E], [-E^T, -pi.C]] is
         the bivector of the linear almost-Poisson bracket in (q, pi).
         """
-        sys, n, k, fr = self.sys, self.sys.n, self.sys.k, self.frame
+        n, k, fr, J = self.sys.n, self.sys.k, self.frame, self.chart_jacobian
         pi = fr.E.T @ self.p
-
-        def chart(s):  # (q, pi) -> (q, p, frame columns)
-            q_s = list(s[:n])
-            cols = frame_apply(sys, q_s, fr.free_cols)
-            return q_s + from_dstar_apply(sys, q_s, s[n:], cols) + sum(cols, [])
-
-        J = numdiff.jacobian(chart, [*self.q.tolist(), *pi.tolist()])
         # de[i, a, b] = (De_a e_b)^i and [e_a, e_b] = De_b e_a - De_a e_b
         de = np.einsum("aij,jb->iab", J[2 * n :, :n].reshape(k, n, n), fr.E)
         C = frame_components(self.met.G, fr.E, de.transpose(0, 2, 1) - de)
         piC = np.einsum("c,cab->ab", pi, C)
         return J[: 2 * n], np.block([[np.zeros((n, n)), fr.E], [-fr.E.T, -piC]]), C
+
+
+def dstar_chart(sys, free_cols, s):
+    """(q, pi) -> (q, p, frame columns) over generic scalars."""
+    q_s = list(s[: sys.n])
+    cols = frame_apply(sys, q_s, free_cols)
+    return q_s + from_dstar_apply(sys, q_s, s[sys.n :], cols) + sum(cols, [])
+
+
+# raised by a batched lift where the per-point lifts raise or carry non-finite values
+BATCH_FAILURES = (NonholoError, ArithmeticError, ValueError)
+
+
+def lift_batch(points) -> None:
+    """Seed the lifted data of many OnMPoints of one system, frames built:
+    one ``numdiff.jacobian_batch`` per object (and frame plan), bitwise the
+    per-point lifts. A build that raises is left to those lifts instead."""
+    sys, z = points[0].sys, [x.scalars() for x in points]
+    builds = [
+        (points, "residual_rows", functools.partial(residual_phase, sys), z),
+        (points, "dgamma", functools.partial(gamma_hat_apply, sys), z),
+    ]
+    plans = {}
+    for x in points:
+        plans.setdefault(x.frame.free_cols, []).append(x)
+    for free, group in plans.items():
+        chart = functools.partial(dstar_chart, sys, free)
+        builds.append((group, "chart_jacobian", chart, [x.dstar_scalars() for x in group]))
+    for group, name, fn, args in builds:
+        try:
+            rows = numdiff.jacobian_batch(fn, args)
+        except BATCH_FAILURES:
+            continue
+        for x, r in zip(group, rows):
+            x.__dict__[name] = r  # the cached_property's slot
 
 
 def require_on_m(sys, q, p, on_m_tol: float | None = None) -> OnMPoint:
@@ -262,17 +307,19 @@ def default_frame_plan(mu: np.ndarray, strict_ties: bool = False):
     return free, tie
 
 
-def frame_at(sys, q, strict_ties: bool = False) -> FrameAtPoint:
+def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
     """Evaluate (or construct) a frame spanning the distribution fiber at q.
 
     The columns come from frame_apply on floats. The default frame projects
     the free coordinate axes onto ker(mu) orthogonally and normalizes, which
     varies smoothly with q away from pivot switches. Either frame must
     satisfy mu E = 0 with independent columns; a user frame that fails raises
-    FrameInvalidError, a default frame FrameDegenerateError.
+    FrameInvalidError, a default frame FrameDegenerateError. ``mu`` takes
+    the constraint rows at q when the caller has them validated already.
     """
     q_list = [float(v) for v in q]
-    mu = np.asarray(sys.mu_values(q_list), dtype=float)
+    if mu is None:
+        mu = np.asarray(sys.mu_values(q_list), dtype=float)
     if sys.frame_exprs is not None:
         free, tie, label, invalid = None, False, "user", FrameInvalidError
         E = np.asarray(frame_apply(sys, q_list, free), dtype=float).T
@@ -338,7 +385,7 @@ def tangent_splitting(sys, x, on_m_tol: float | None = None):
     """
     x = on_m_point(sys, x, on_m_tol)
     n = sys.n
-    C = np.asarray(splitting_rows(sys, x.scalars()), dtype=float)
+    C = np.asarray(splitting_rows(sys, x.scalars(), x.residual_rows), dtype=float)
     M1 = omega_inv_apply(C.T)
     K = C @ M1
     s = np.linalg.svd(K, compute_uv=False)
@@ -367,15 +414,23 @@ def residual_apply(sys, q_s, p_s):
     return [numdiff.sum_prod(row, v) for row in sys.mu_values(q_s)]
 
 
-def splitting_rows(sys, scalars):
+def residual_phase(sys, scalars):
+    """The residuals c_a as a function of the phase scalars (q, p)."""
+    return residual_apply(sys, scalars[: sys.n], scalars[sys.n :])
+
+
+def splitting_rows(sys, scalars, residual_rows=None):
     """Rows of the splitting matrix C over generic scalars.
 
     The differentials of the residuals c_a (taken one lift level above the
-    inputs), then the base conditions (mu_a, 0).
+    inputs, unless the caller has them, as floats), then the base conditions
+    (mu_a, 0).
     """
     n = sys.n
-    rows = numdiff.jacobian_generic(lambda s: residual_apply(sys, s[:n], s[n:]), scalars)
-    return rows + [list(row) + [0.0] * n for row in sys.mu_values(list(scalars[:n]))]
+    if residual_rows is None:
+        residual_rows = numdiff.jacobian_generic(functools.partial(residual_phase, sys), scalars)
+    mu = sys.mu_values(list(scalars[:n]))
+    return [list(row) for row in residual_rows] + [list(row) + [0.0] * n for row in mu]
 
 
 def gamma_apply(sys, q_s, p_s):

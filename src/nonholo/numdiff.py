@@ -7,6 +7,11 @@ from different levels treats the lower level as a constant, so derivatives of
 functions that internally take derivatives come out right without any special
 casing at the call site.
 
+A BatchJet is one first-order level over B points at once (vector forward
+mode; Griewank & Walther, *Evaluating Derivatives*, 2008), seeded by
+``jacobian_batch``. It replays the DualScalar formulas, domain checks and
+libm calls elementwise, so each element is bitwise the scalar result.
+
 Everything here is pure and first order. Supported primitives: +, -, *, /,
 power, sin, cos, tan, exp, log, sqrt and unary minus. Evaluating a primitive
 outside its domain raises DomainError naming the primitive.
@@ -164,6 +169,74 @@ class DualScalar:
         return power(other, self)
 
 
+class BatchJet:
+    """Value (B,) and partials (B, w). It mixes with numbers and jets of its
+    width; a DualScalar operand raises TypeError (jets do not nest)."""
+
+    __slots__ = ("value", "partials")
+    __array_ufunc__ = None  # numpy operands defer to the methods below
+
+    def __init__(self, value, partials):
+        self.value, self.partials = value, partials
+
+    def _operand(self, other):
+        """(value, partials) of the other operand; a number has None."""
+        if isinstance(other, _NUM):
+            return other, None
+        if not isinstance(other, BatchJet):
+            raise TypeError(f"a BatchJet does not mix with {type(other).__name__}")
+        if other.partials.shape[1] != self.partials.shape[1]:
+            raise WidthMismatchError("partials widths differ")
+        return other.value, other.partials
+
+    def __neg__(self):
+        return BatchJet(-self.value, -self.partials)
+
+    def __add__(self, other):
+        v, p = self._operand(other)
+        return BatchJet(self.value + v, self.partials if p is None else self.partials + p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        v, p = self._operand(other)
+        return BatchJet(self.value - v, self.partials if p is None else self.partials - p)
+
+    def __rsub__(self, other):
+        return -self + other  # o - v is o + (-v) in IEEE arithmetic
+
+    def __mul__(self, other):
+        v, p = self._operand(other)
+        if p is None:
+            return BatchJet(self.value * v, self.partials * v)
+        return BatchJet(self.value * v, self.partials * v[:, None] + self.value[:, None] * p)
+
+    __rmul__ = __mul__
+    __truediv__, __rtruediv__ = DualScalar.__truediv__, DualScalar.__rtruediv__
+    __pow__, __rpow__ = DualScalar.__pow__, DualScalar.__rpow__
+
+
+def _map(fn, values):
+    """fn on every element, through the same libm call as the scalar path."""
+    return np.fromiter(map(fn, values.tolist()), float, len(values))
+
+
+def _divide_jets(num, den):
+    """divide() when either operand is a BatchJet."""
+    if not isinstance(den, BatchJet):  # a number: a DualScalar took divide's first branch
+        if den == 0.0:
+            raise DomainError("division", "division by zero")
+        return BatchJet(num.value / den, num.partials / den)
+    nv, npart = den._operand(num)
+    dv = den.value
+    if np.any(dv == 0.0):
+        raise DomainError("division", "division by zero")
+    q = nv / dv
+    if npart is None:
+        return BatchJet(q, -(q[:, None] * den.partials) / dv[:, None])
+    return BatchJet(q, (npart - q[:, None] * den.partials) / dv[:, None])
+
+
 def divide(num, den):
     """num / den with an explicit zero-denominator domain check.
 
@@ -192,10 +265,14 @@ def divide(num, den):
                     num.level,
                 )
         # num is constant relative to den's seeds (a number or a lower level)
+        if isinstance(num, BatchJet):
+            num._operand(den)  # raises: a jet does not mix with a dual
         q = divide(num, dv)
         return DualScalar(
             q, tuple([div(-(q * b), dv) for b in den.partials]), den.level
         )
+    if isinstance(den, BatchJet) or isinstance(num, BatchJet):
+        return _divide_jets(num, den)
     # den is a plain number
     if den == 0.0:
         raise DomainError("division", "division by zero")
@@ -215,23 +292,29 @@ def power(base, exponent):
     negative bases); dual exponents go through exp(exponent * log(base)) and
     therefore require a positive base.
     """
-    if isinstance(exponent, DualScalar):
+    if isinstance(exponent, (DualScalar, BatchJet)):
         return exp(exponent * log(base))
     e = float(exponent)
-    if not isinstance(base, DualScalar):
+    if isinstance(base, DualScalar):
+        core, anywhere = float_core(base.value), bool
+    elif isinstance(base, BatchJet):  # the same checks, elementwise
+        core, anywhere = base.value, np.any
+    else:
         return _float_pow(base, e)
-    core = float_core(base.value)
-    if core < 0.0 and not e.is_integer():
+    if anywhere(core < 0.0) and not e.is_integer():
         raise DomainError("power", "negative base with non-integer exponent")
     if e == 0.0:
         return 1.0
     if e == 1.0:
         return base
-    if core == 0.0:
+    if anywhere(core == 0.0):
         if e < 0.0:
             raise DomainError("power", "zero base with negative exponent")
         if e < 1.0:
             raise DomainError("power", "derivative of x^e unbounded at 0 for e < 1")
+    if isinstance(base, BatchJet):
+        slope = _map(lambda b: _float_pow(b, e - 1.0), core) * e
+        return BatchJet(_map(lambda b: _float_pow(b, e), core), slope[:, None] * base.partials)
     val = power(base.value, e)
     slope = power(base.value, e - 1.0) * e
     return DualScalar(
@@ -255,6 +338,8 @@ def sin(x):
     if isinstance(x, DualScalar):
         c = cos(x.value)
         return DualScalar(sin(x.value), tuple([c * p for p in x.partials]), x.level)
+    if isinstance(x, BatchJet):
+        return BatchJet(_map(math.sin, x.value), _map(math.cos, x.value)[:, None] * x.partials)
     return math.sin(x)
 
 
@@ -262,6 +347,8 @@ def cos(x):
     if isinstance(x, DualScalar):
         s = sin(x.value)
         return DualScalar(cos(x.value), tuple([-(s * p) for p in x.partials]), x.level)
+    if isinstance(x, BatchJet):  # (-s) p is -(s p) bitwise
+        return BatchJet(_map(math.cos, x.value), -_map(math.sin, x.value)[:, None] * x.partials)
     return math.cos(x)
 
 
@@ -270,6 +357,9 @@ def tan(x):
         t = tan(x.value)
         sec2 = 1.0 + t * t
         return DualScalar(t, tuple([sec2 * p for p in x.partials]), x.level)
+    if isinstance(x, BatchJet):
+        t = _map(math.tan, x.value)
+        return BatchJet(t, (1.0 + t * t)[:, None] * x.partials)
     return math.tan(x)
 
 
@@ -278,12 +368,19 @@ def exp(x):
         v = exp(x.value)
         return DualScalar(v, tuple([v * p for p in x.partials]), x.level)
     try:
+        if isinstance(x, BatchJet):
+            v = _map(math.exp, x.value)
+            return BatchJet(v, v[:, None] * x.partials)
         return math.exp(x)
     except OverflowError:
         raise DomainError("exp", "overflow") from None
 
 
 def log(x):
+    if isinstance(x, BatchJet):
+        if np.any(x.value <= 0.0):
+            raise DomainError("log", "argument must be positive")
+        return BatchJet(_map(math.log, x.value), x.partials / x.value[:, None])
     if float_core(x) <= 0.0:
         raise DomainError("log", "argument must be positive")
     if isinstance(x, DualScalar):
@@ -294,6 +391,13 @@ def log(x):
 
 
 def sqrt(x):
+    if isinstance(x, BatchJet):
+        if np.any(x.value < 0.0):
+            raise DomainError("sqrt", "argument must be nonnegative")
+        if np.any(x.value == 0.0):
+            raise DomainError("sqrt", "derivative unbounded at 0")
+        v = _map(math.sqrt, x.value)
+        return BatchJet(v, (0.5 / v)[:, None] * x.partials)
     core = float_core(x)
     if core < 0.0:
         raise DomainError("sqrt", "argument must be nonnegative")
@@ -367,6 +471,20 @@ def jacobian_generic(F, scalars):
     ]
 
 
+def jacobian_batch(F, X):
+    """Jacobians of F at the B points X: (B, w) -> (B, rows, w).
+
+    F runs once, on BatchJet seeds; plain-number components get zero rows.
+    Row b is bitwise ``jacobian(F, X[b])``.
+    """
+    X = np.asarray(X, dtype=float)
+    B, w = X.shape
+    seeds = [BatchJet(X[:, i].copy(), np.broadcast_to(np.eye(w)[i], (B, w))) for i in range(w)]
+    zeros = np.zeros((B, w))
+    rows = [c.partials if isinstance(c, BatchJet) else zeros for c in F(seeds)]
+    return np.stack(rows, axis=1) if rows else np.zeros((B, 0, w))
+
+
 # ---------------------------------------------------------------------------
 # Small dense linear algebra over generic scalars (floats or duals). Sizes in
 # this package never exceed 2n x 2n with n <= 10, so direct elimination with
@@ -379,7 +497,8 @@ def solve_linear(a_rows, b):
 
     ``b`` may be a vector (list) or a matrix (list of rows); the result has
     the same shape. Pivoting compares the float cores so the routine works
-    unchanged on nested duals.
+    unchanged on nested duals. With BatchJet entries each element pivots on
+    its own values (``_pivot_batch``); the elimination order is the same.
     """
     n = len(a_rows)
     a = [list(row) for row in a_rows]
@@ -388,24 +507,33 @@ def solve_linear(a_rows, b):
         rhs = [[v] for v in b]
     else:
         rhs = [list(row) for row in b]
-    scale = max((abs(float_core(e)) for row in a for e in row), default=0.0)
-    if scale == 0.0:
+    jet = next((e for row in a + rhs for e in row if isinstance(e, BatchJet)), None)
+    if jet is None:
+        scale = max((abs(float_core(e)) for row in a for e in row), default=0.0)
+        zero = scale == 0.0
+    else:
+        scale = _first_max([np.abs(_values(e)) for row in a for e in row])
+        zero = np.any(scale == 0.0)
+    if zero:
         raise SingularMatrixError("zero matrix")
     for col in range(n):
-        piv, best = col, abs(float_core(a[col][col]))
-        for r in range(col + 1, n):
-            mag = abs(float_core(a[r][col]))
-            if mag > best:
-                piv, best = r, mag
-        if best <= 1e-14 * scale:
-            raise SingularMatrixError(f"singular matrix (pivot {best:.3e})")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        if jet is not None:
+            _pivot_batch(a, rhs, col, scale, jet)
+        else:
+            piv, best = col, abs(float_core(a[col][col]))
+            for r in range(col + 1, n):
+                mag = abs(float_core(a[r][col]))
+                if mag > best:
+                    piv, best = r, mag
+            if best <= 1e-14 * scale:
+                raise SingularMatrixError(f"singular matrix (pivot {best:.3e})")
+            if piv != col:
+                a[col], a[piv] = a[piv], a[col]
+                rhs[col], rhs[piv] = rhs[piv], rhs[col]
         pv = a[col][col]
         for r in range(col + 1, n):
             f = divide(a[r][col], pv)
-            if float_core(f) == 0.0 and not isinstance(f, DualScalar):
+            if not isinstance(f, (DualScalar, BatchJet)) and f == 0.0:
                 continue
             for c in range(col + 1, n):
                 a[r][c] = a[r][c] - f * a[col][c]
@@ -422,6 +550,54 @@ def solve_linear(a_rows, b):
     if vector:
         return [row[0] for row in rhs]
     return rhs
+
+
+def _values(e):
+    return e.value if isinstance(e, BatchJet) else float(e)
+
+
+def _first_max(mags):
+    """Elementwise ``max(mags)``: the first strict maximum wins, NaN never."""
+    out = np.asarray(mags[0], dtype=float)
+    for m in mags[1:]:
+        out = np.where(m > out, m, out)
+    return out
+
+
+def _select(mask, u, v, like):
+    """Entry u where mask, else v; numbers become jets with zero partials."""
+    zeros = np.zeros_like(like.partials)
+    up, vp = (e.partials if isinstance(e, BatchJet) else zeros for e in (u, v))
+    return BatchJet(np.where(mask, _values(u), _values(v)), np.where(mask[:, None], up, vp))
+
+
+def _pivot_batch(a, rhs, col, scale, like):
+    """Pivot column ``col`` by the scalar rule, one pivot row per element.
+
+    A non-finite pivot raises DomainError (the scalar path carries it on).
+    Rows swap as lists when every element picks the same pivot row, else
+    entry by entry under a mask.
+    """
+    shape = like.value.shape
+    mags = np.stack([np.broadcast_to(np.abs(_values(row[col])), shape) for row in a[col:]])
+    best = _first_max(mags)
+    piv = col + np.argmax(mags == best, axis=0)  # the first row reaching it
+    if not np.all(np.isfinite(best)):
+        raise DomainError("solve_linear", "non-finite pivot")
+    small = best <= 1e-14 * scale
+    if np.any(small):
+        raise SingularMatrixError(f"singular matrix (pivot {best[np.argmax(small)]:.3e})")
+    for r in np.unique(piv).tolist():
+        if r == col:
+            continue
+        mask = piv == r
+        for rows in (a, rhs):
+            if mask.all():
+                rows[col], rows[r] = rows[r], rows[col]
+            else:
+                top, low = rows[col], rows[r]
+                rows[col] = [_select(mask, v, u, like) for u, v in zip(top, low)]
+                rows[r] = [_select(mask, u, v, like) for u, v in zip(top, low)]
 
 
 def mat_vec(m, v):

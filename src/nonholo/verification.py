@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import brackets, catalog, dsl, dynamics, geometry
-from .system import Observable
+from . import brackets, catalog, dsl, dynamics, geometry, numdiff
+from .system import Observable, hamiltonian_scalar
 
 WITNESS_FLOOR = 1e-3
 # defect-scan points; at 12/100 the Jacobi suite is 14-26% of a verify
@@ -101,7 +101,16 @@ def _max_abs(*parts) -> float:
     return float(np.max([np.max(np.abs(p)) for p in parts]))
 
 
-def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
+def _table_observables(observables, n):
+    """The observables plus the Leibniz products, the rows of one table call."""
+    triples = _leibniz_triples(len(observables), n)
+    prods = [Observable.product(observables[i], observables[j]) for i, j, _ in triples]
+    return observables + prods
+
+
+def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator, batched=None):
+    """Every suite at one point; what ``batched`` lacks is lifted here."""
+    batched = batched or {}
     n = sysd.n
     tol = cfg_dict["on_m_tol"]
     # the one validated state of this point: every step below reads its
@@ -113,8 +122,9 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
     triples = _leibniz_triples(n_obs, n)
     # the Leibniz products join the one table call; the other suites read
     # the n_obs x n_obs block of the observables themselves
-    prods = [Observable.product(observables[i], observables[j]) for i, j, _ in triples]
-    raw = brackets.raw_rows(x, observables + prods)
+    raw = batched.get("raw")
+    if raw is None:
+        raw = brackets.raw_rows(x, _table_observables(observables, n))
     tables = brackets.bracket_route_tables(x, raw)
     vals = {r: tables[r][:n_obs, :n_obs] for r in routes}
     stacked = np.stack([vals[r] for r in routes])
@@ -144,8 +154,8 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator):
                 gaps += [pert[0] - base[0], pert[1] - base[1]]
     ext_ind = _max_abs(gaps)
 
-    a = dynamics.nonholonomic_field_multiplier(sysd, x, on_m_tol=tol)
-    b = dynamics.nonholonomic_field_projection(sysd, x, on_m_tol=tol)
+    a = dynamics.nonholonomic_field_multiplier(sysd, x, tol, batched.get("dH_multiplier"))
+    b = dynamics.nonholonomic_field_projection(sysd, x, tol, batched.get("dH_projection"))
     two_route = float(np.max(np.abs(a.as_vector() - b.as_vector())))
     P, Q, C = x.splitting
     tangency = float(np.max(np.abs(brackets.residual_gradients(x) @ a.as_vector())))
@@ -214,18 +224,55 @@ def _chunk_worker(payload):
         region=payload["region"],
         momentum_scale=payload["momentum_scale"],
     )
+    indices = payload["indices"]
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx in payload["indices"]:
+        # validate in index order up to the first failure; the pass below
+        # meets that point unvalidated and raises there, as it would alone
+        valid = []
+        for idx in indices:
+            try:
+                x = geometry.on_m_point(sysd, points[idx], payload["on_m_tol"])
+                x.frame  # built and checked here, before the batched lifts
+            except Exception:
+                break
+            valid.append(x)
+        batched = _batched_lifts(sysd, valid, observables)
+        for pos, idx in enumerate(indices):
             metrics = _point_metrics(
                 sysd,
-                points[idx],
+                valid[pos] if pos < len(valid) else points[idx],
                 observables,
                 payload,
                 do_jacobiator=idx < JACOBIATOR_CAP,
+                batched=batched[pos] if pos < len(batched) else None,
             )
             out.append((idx, metrics))
     return out
+
+
+def _batched_lifts(sysd, points, observables):
+    """Seed the points' lifted data; return, per point, its table rows and
+    each dynamics route's gradient of H (one lift per route: the routes share
+    only the point). An object whose batched build raises is left out."""
+    if not points:
+        return []
+    geometry.lift_batch(points)
+    table = _table_observables(observables, sysd.n)
+    z = [x.scalars() for x in points]
+
+    lifted = {}
+    for name, fn in (
+        ("raw", lambda s: [f.fn(s) for f in table]),
+        ("dH_multiplier", lambda s: [hamiltonian_scalar(sysd, s)]),
+        ("dH_projection", lambda s: [hamiltonian_scalar(sysd, s)]),
+    ):
+        try:
+            rows = numdiff.jacobian_batch(fn, z)
+        except geometry.BATCH_FAILURES:
+            continue
+        lifted[name] = rows if name == "raw" else rows[:, 0]
+    return [{name: rows[b] for name, rows in lifted.items()} for b in range(len(points))]
 
 
 def run_verify(cfg: VerifyConfig) -> dict:

@@ -193,6 +193,16 @@ def test_point_commands_reject_a_nan_residual(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_rejects_a_non_finite_start_residual():
+    # the start state of the NaN-residual point: G^-1 p overflows
+    proc = run_cli(
+        "simulate", "--system", "catalog:chaplygin_sleigh", "--q0", "0.1,0.1,0.5235987755982988",
+        "--p0", "1.7e308,1.7e308,1.7e308", expect=2,
+    )
+    assert_one_error_line(proc, "residual nan")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command, extra", [
     ("simulate", ["--q0", "0,0,0", "--p0", "1,0,0"]),
     ("brackets", ["--f", "x", "--g", "p_x", "--point", "0,0,0,1,0,0"]),

@@ -72,6 +72,17 @@ def test_constant_folding_matches_the_written_out_values():
     assert compiled("2^3^2*x")([d]).partials == (512.0,)
 
 
+@pytest.mark.parametrize("terms", [100, 300])
+def test_compiling_walks_the_tree_once(count_calls, terms):
+    # the constancy of each subtree comes back with its closure; no subtree
+    # is walked again for its names
+    text = "+".join(f"x*{i}" for i in range(terms))
+    counts = count_calls(dsl, ["expression_names"])
+    fn = dsl.compile_expression(dsl.parse_expression(text), ["x"], {"a": 1.5})
+    assert counts["expression_names"] <= 1
+    assert fn([2.0]) == float(sum(2 * i for i in range(terms)))
+
+
 def test_constant_domain_error_surfaces_at_evaluation():
     fn = dsl.compile_expression(dsl.parse_expression("x + log(0 - 1)"), ["x"])
     with pytest.raises(DomainError) as exc:

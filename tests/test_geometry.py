@@ -268,3 +268,26 @@ def test_generic_paths_match_numeric():
         fr = geometry.frame_at(SYS_C, q)
         cols = geometry.frame_apply(SYS_C, q, fr.free_cols)
         assert np.max(np.abs(np.array(cols).T - fr.E)) < 1e-12
+
+
+@pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
+def test_point_frame_reads_the_validated_constraint_rows(monkeypatch, ent):
+    sysd = ent.system()
+    x = geometry.on_m_point(sysd, catalog.sample_entry_points(ent, 1, 4)[0])
+    ref = geometry.frame_at(sysd, x.q)
+    calls = []
+    original = sysd.mu_values
+
+    def counted(q_s):
+        calls.append(1)
+        return original(q_s)
+
+    monkeypatch.setattr(sysd, "mu_values", counted)
+    geometry.frame_apply(sysd, x.q.tolist(), ref.free_cols)
+    per_frame_apply = len(calls)
+    calls.clear()
+    fr = x.frame
+    # the only evaluation left is the one inside frame_apply's columns
+    assert len(calls) == per_frame_apply
+    assert fr.E.tobytes() == ref.E.tobytes()
+    assert (fr.free_cols, fr.pivot_tie) == (ref.free_cols, ref.pivot_tie)

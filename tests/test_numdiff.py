@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonholo import numdiff
-from nonholo.errors import DomainError, WidthMismatchError
+from nonholo.errors import DomainError, SingularMatrixError, WidthMismatchError
 from nonholo.numdiff import DualScalar
 
 
@@ -248,3 +248,167 @@ def test_fast_paths_match_plain_formulas_bitwise():
         with pytest.raises(DomainError) as exc:
             numdiff.divide(num, den)
         assert exc.value.primitive == "division"
+
+
+# --- BatchJet: the array form of one level, elementwise the DualScalar ---
+
+RNG = np.random.default_rng(20)
+B, W = 6, 3
+
+
+def jet(values):
+    values = np.asarray(values, dtype=float)
+    return numdiff.BatchJet(values, RNG.normal(size=(len(values), W)))
+
+
+def duals(j):
+    """The batch elements of a jet as level-1 DualScalars."""
+    return [DualScalar(float(v), tuple(p.tolist())) for v, p in zip(j.value, j.partials)]
+
+
+def bitwise(got, want):
+    """Element b of the jet got is bitwise the scalar want[b]."""
+    if not isinstance(got, numdiff.BatchJet):
+        return all(_same(got, w) for w in want)
+    return all(
+        isinstance(w, DualScalar)
+        and repr(float(got.value[b])) == repr(float(w.value))
+        and [repr(v) for v in got.partials[b].tolist()] == [repr(float(v)) for v in w.partials]
+        for b, w in enumerate(want)
+    )
+
+
+def test_batch_jet_replays_every_dual_formula_bitwise():
+    a = jet(RNG.uniform(-3.0, 3.0, B))
+    b = jet(RNG.uniform(0.5, 2.0, B) * np.sign(RNG.normal(size=B)))
+    pos = jet(RNG.uniform(0.1, 4.0, B))
+    c = 0.37
+    cases = [
+        (lambda u, v, w: -u, (a, b, pos)),
+        (lambda u, v, w: u + v, (a, b, pos)),
+        (lambda u, v, w: u + c, (a, b, pos)),
+        (lambda u, v, w: c + u, (a, b, pos)),
+        (lambda u, v, w: u - v, (a, b, pos)),
+        (lambda u, v, w: u - c, (a, b, pos)),
+        (lambda u, v, w: c - u, (a, b, pos)),
+        (lambda u, v, w: u * v, (a, b, pos)),
+        (lambda u, v, w: u * c, (a, b, pos)),
+        (lambda u, v, w: c * u, (a, b, pos)),
+        (lambda u, v, w: u * 2, (a, b, pos)),
+        (lambda u, v, w: 3 - u, (a, b, pos)),
+        (lambda u, v, w: u / v, (a, b, pos)),
+        (lambda u, v, w: u / c, (a, b, pos)),
+        (lambda u, v, w: c / v, (a, b, pos)),
+        (lambda u, v, w: 2 / v, (a, b, pos)),
+        (lambda u, v, w: numdiff.sin(u), (a, b, pos)),
+        (lambda u, v, w: numdiff.cos(u), (a, b, pos)),
+        (lambda u, v, w: numdiff.tan(u), (a, b, pos)),
+        (lambda u, v, w: numdiff.exp(u), (a, b, pos)),
+        (lambda u, v, w: numdiff.log(w), (a, b, pos)),
+        (lambda u, v, w: numdiff.sqrt(w), (a, b, pos)),
+        (lambda u, v, w: numdiff.power(u, 3.0), (a, b, pos)),
+        (lambda u, v, w: numdiff.power(u, 2), (a, b, pos)),
+        (lambda u, v, w: numdiff.power(v, -2.0), (a, b, pos)),
+        (lambda u, v, w: numdiff.power(w, 0.5), (a, b, pos)),
+        (lambda u, v, w: numdiff.power(w, 2.7), (a, b, pos)),
+        (lambda u, v, w: numdiff.power(u, 1.0), (a, b, pos)),
+        (lambda u, v, w: numdiff.power(u, 0.0), (a, b, pos)),
+        (lambda u, v, w: w**u, (a, b, pos)),
+        (lambda u, v, w: 2.0**u, (a, b, pos)),
+        (lambda u, v, w: u**2.0, (a, b, pos)),
+        (lambda u, v, w: numdiff.sum_prod([u, v, 1.5], [w, c, u]), (a, b, pos)),
+    ]
+    for k, (op, (u, v, w)) in enumerate(cases):
+        got = op(u, v, w)
+        want = [op(du, dv, dw) for du, dv, dw in zip(duals(u), duals(v), duals(w))]
+        assert bitwise(got, want), k
+
+
+def test_batch_jet_domain_edges_name_the_primitive():
+    z = jet([1.0, 0.0, 2.0])
+    neg = jet([1.0, -0.5, 2.0])
+    cases = [
+        (lambda: numdiff.divide(1.0, z), "division"),
+        (lambda: numdiff.divide(neg, z), "division"),
+        (lambda: numdiff.divide(neg, 0.0), "division"),
+        (lambda: numdiff.log(z), "log"),
+        (lambda: numdiff.log(neg), "log"),
+        (lambda: numdiff.sqrt(z), "sqrt"),
+        (lambda: numdiff.sqrt(neg), "sqrt"),
+        (lambda: numdiff.power(neg, 0.5), "power"),
+        (lambda: numdiff.power(z, -1.0), "power"),
+        (lambda: numdiff.power(z, 0.5), "power"),
+        (lambda: numdiff.exp(jet([1.0, 800.0, 0.0])), "exp"),
+        (lambda: numdiff.power(jet([1.0, 1e200, 2.0]), 3.0), "power"),
+    ]
+    for fn, name in cases:
+        with pytest.raises(DomainError) as exc:
+            fn()
+        assert exc.value.primitive == name
+
+
+def test_batch_jet_refuses_dual_scalars_and_other_widths():
+    j = jet([1.0, 2.0])
+    (d,) = numdiff.lift([1.5])
+    for op in (
+        lambda: j + d, lambda: d + j, lambda: j - d, lambda: d - j,
+        lambda: j * d, lambda: d * j, lambda: j / d, lambda: d / j,
+        lambda: numdiff.power(d, j),
+    ):
+        with pytest.raises(TypeError):
+            op()
+    narrow = numdiff.BatchJet(np.ones(2), np.ones((2, 1)))
+    for op in (lambda: j + narrow, lambda: j - narrow, lambda: j * narrow, lambda: j / narrow):
+        with pytest.raises(WidthMismatchError):
+            op()
+
+
+def test_jacobian_batch_is_the_per_point_jacobian():
+    def F(s):
+        return [s[0] * s[1], numdiff.sin(s[2]) / (1.0 + s[0] * s[0]), 4.0, s[1]]
+
+    X = RNG.uniform(-1.0, 1.0, size=(5, 3))
+    J = numdiff.jacobian_batch(F, X)
+    assert J.shape == (5, 4, 3)
+    for b in range(5):
+        assert J[b].tobytes() == numdiff.jacobian(F, X[b]).tobytes()
+    assert not J[:, 2].any()  # a constant output has zero rows
+
+
+def _scalar_solve(a, rhs, b):
+    """The scalar solve of batch element b, entries as level-1 duals."""
+
+    def elem(e):
+        return duals(e)[b] if isinstance(e, numdiff.BatchJet) else e
+
+    return numdiff.solve_linear(
+        [[elem(e) for e in row] for row in a],
+        [elem(e) for e in rhs] if not isinstance(rhs[0], list)
+        else [[elem(e) for e in row] for row in rhs],
+    )
+
+
+def test_batched_solve_linear_pivots_per_element():
+    # column 0 pivots on row 0, 1 and 2 in the three elements
+    s, t = jet([3.0, 0.1, 0.2]), jet([0.5, 0.4, 2.0])
+    u = jet([1.3, -0.7, 0.9])
+    a = [[s, 1.0, 2.0], [1.0, u, 0.5], [t, 2.0, -1.0]]
+    for rhs in ([u, 1.0, s], [[u, 1.0], [2.0, s], [t, -0.5]]):
+        got = numdiff.solve_linear(a, rhs)
+        for b in range(3):
+            want = _scalar_solve(a, rhs, b)
+            flat_got = got if not isinstance(rhs[0], list) else sum(got, [])
+            flat_want = want if not isinstance(rhs[0], list) else sum(want, [])
+            for g, w in zip(flat_got, flat_want):
+                assert g.value[b] == w.value
+                assert list(g.partials[b]) == list(w.partials)
+
+
+def test_batched_solve_linear_raises_for_one_bad_member():
+    s = jet([2.0, 1.0, 3.0])  # element 1 makes [[s, 1], [1, 1]] singular
+    with pytest.raises(SingularMatrixError):
+        numdiff.solve_linear([[s, 1.0], [1.0, 1.0]], [1.0, s])
+    nan = jet([2.0, float("nan"), 3.0])
+    with pytest.raises(DomainError) as exc:
+        numdiff.solve_linear([[nan, 1.0], [1.0, 3.0]], [1.0, s])
+    assert exc.value.primitive == "solve_linear"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from nonholo import brackets, catalog, geometry, verification
+from nonholo import brackets, catalog, geometry, numdiff, verification
+from nonholo.errors import DomainError
 
 VALIDATION = ("tangent_splitting", "metric_at", "constraints_at")
 
@@ -41,3 +42,62 @@ def test_point_metrics_call_the_jacobiator_once_per_kind(monkeypatch, integrable
     expected = ["canonical", "eden"] + (["nh", "dstar"] if integrable else [])
     assert sorted(kinds) == sorted(expected)
     assert out["jacobiator_defect"] > verification.WITNESS_FLOOR
+
+
+def _payload(ent, count, indices):
+    sysd = ent.system()
+    return {
+        "source": ent.definition,
+        "count": count,
+        "seed": 3,
+        "region": ent.sample_region,
+        "momentum_scale": ent.momentum_scale,
+        "on_m_tol": geometry.ON_M_TOL,
+        "integrable": verification._system_is_integrable(sysd, ent.sample_region, 3),
+        "indices": indices,
+    }
+
+
+@pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
+def test_chunk_metrics_do_not_depend_on_the_batch(ent):
+    # the batched lifts cover whatever points a chunk holds; every metric at
+    # an index is exactly its value in any other chunk, and exactly the
+    # metric of the point taken alone on the per-point path
+    count = 14
+    full = dict(verification._chunk_worker(_payload(ent, count, list(range(count)))))
+    indices = list(range(count))
+    for chunk in (indices[::2], indices[1::2], [count - 1], [0]):
+        part = verification._chunk_worker(_payload(ent, count, chunk))
+        assert [idx for idx, _ in part] == chunk
+        for idx, metrics in part:
+            assert metrics == full[idx]
+    sysd = ent.system()
+    points = catalog.sample_entry_points(ent, count, 3)
+    observables = catalog.observable_test_set(sysd)
+    cfg = _payload(ent, count, [])
+    for idx in (0, count - 1):
+        alone = verification._point_metrics(
+            sysd, points[idx], observables, cfg, idx < verification.JACOBIATOR_CAP
+        )
+        assert alone == full[idx]
+
+
+@pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
+def test_chunk_points_past_the_jacobiator_cap_take_no_scalar_lift(count_calls, ent):
+    cap = verification.JACOBIATOR_CAP
+    payload = _payload(ent, cap + 4, list(range(cap, cap + 4)))
+    counts = count_calls(numdiff, ["lift", "jacobian", "gradient"])
+    verification._chunk_worker(payload)
+    assert counts == {"lift": 0, "jacobian": 0, "gradient": 0}
+
+
+def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
+    ent = catalog.get_entry("chaplygin_sleigh")
+    payload = _payload(ent, 6, list(range(6)))
+    batched = verification._chunk_worker(payload)
+
+    def refuse(F, X):
+        raise DomainError("solve_linear", "non-finite pivot")
+
+    monkeypatch.setattr(numdiff, "jacobian_batch", refuse)
+    assert verification._chunk_worker(payload) == batched
