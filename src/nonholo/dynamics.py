@@ -72,7 +72,6 @@ def hamiltonian_field(sys: SystemDefinition, x: PhasePoint, dH=None) -> PhaseVel
     return PhaseVelocity(dq=dH[n:], dp=-dH[:n])
 
 
-
 def multipliers(
     sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None
 ) -> np.ndarray:

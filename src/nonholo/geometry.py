@@ -211,7 +211,8 @@ def dstar_chart(sys, free_cols, s):
     return q_s + from_dstar_apply(sys, q_s, s[sys.n :], cols) + sum(cols, [])
 
 
-# raised by a batched lift where the per-point lifts raise or carry non-finite values
+# raised by validation or a batched lift; the per-point pass then redoes that
+# work, and raises or carries a non-finite value as a lone point would
 BATCH_FAILURES = (NonholoError, ArithmeticError, ValueError)
 
 

@@ -234,7 +234,7 @@ def _chunk_worker(payload):
             try:
                 x = geometry.on_m_point(sysd, points[idx], payload["on_m_tol"])
                 x.frame  # built and checked here, before the batched lifts
-            except Exception:
+            except geometry.BATCH_FAILURES:
                 break
             valid.append(x)
         batched = _batched_lifts(sysd, valid, observables)
