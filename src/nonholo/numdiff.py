@@ -587,10 +587,10 @@ def _pivot_batch(a, rhs, col, scale, like):
     small = best <= 1e-14 * scale
     if np.any(small):
         raise SingularMatrixError(f"singular matrix (pivot {best[np.argmax(small)]:.3e})")
-    for r in np.unique(piv).tolist():
-        if r == col:
-            continue
+    for r in range(col + 1, len(a)):
         mask = piv == r
+        if not mask.any():
+            continue
         for rows in (a, rhs):
             if mask.all():
                 rows[col], rows[r] = rows[r], rows[col]

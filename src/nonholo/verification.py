@@ -34,8 +34,8 @@ from . import brackets, catalog, dsl, dynamics, geometry, numdiff
 from .system import Observable, hamiltonian_scalar
 
 WITNESS_FLOOR = 1e-3
-# defect-scan points; at 12/100 the Jacobi suite is 14-26% of a verify
-# run by system, about 1/5 over the four catalog systems
+# defect-scan points; at 12/100 the jacobiator calls take 10-22% of a
+# verify run by system, about 18% over the four catalog systems
 JACOBIATOR_CAP = 12
 
 
@@ -239,14 +239,17 @@ def _chunk_worker(payload):
             valid.append(x)
         batched = _batched_lifts(sysd, valid, observables)
         for pos, idx in enumerate(indices):
+            on = pos < len(valid)
             metrics = _point_metrics(
                 sysd,
-                valid[pos] if pos < len(valid) else points[idx],
+                valid[pos] if on else points[idx],
                 observables,
                 payload,
                 do_jacobiator=idx < JACOBIATOR_CAP,
-                batched=batched[pos] if pos < len(batched) else None,
+                batched=batched[pos] if on else None,
             )
+            if on:  # a point's cached linear data is not needed again
+                valid[pos] = batched[pos] = None
             out.append((idx, metrics))
     return out
 
