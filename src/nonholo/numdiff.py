@@ -507,7 +507,8 @@ def solve_linear(a_rows, b):
         rhs = [[v] for v in b]
     else:
         rhs = [list(row) for row in b]
-    jet = next((e for row in a + rhs for e in row if isinstance(e, BatchJet)), None)
+    # jets in b alone leave one pivot order for the whole batch: the scalar path
+    jet = next((e for row in a for e in row if isinstance(e, BatchJet)), None)
     if jet is None:
         scale = max((abs(float_core(e)) for row in a for e in row), default=0.0)
         zero = scale == 0.0
