@@ -284,43 +284,43 @@ def test_batch_jet_replays_every_dual_formula_bitwise():
     pos = jet(RNG.uniform(0.1, 4.0, B))
     c = 0.37
     cases = [
-        (lambda u, v, w: -u, (a, b, pos)),
-        (lambda u, v, w: u + v, (a, b, pos)),
-        (lambda u, v, w: u + c, (a, b, pos)),
-        (lambda u, v, w: c + u, (a, b, pos)),
-        (lambda u, v, w: u - v, (a, b, pos)),
-        (lambda u, v, w: u - c, (a, b, pos)),
-        (lambda u, v, w: c - u, (a, b, pos)),
-        (lambda u, v, w: u * v, (a, b, pos)),
-        (lambda u, v, w: u * c, (a, b, pos)),
-        (lambda u, v, w: c * u, (a, b, pos)),
-        (lambda u, v, w: u * 2, (a, b, pos)),
-        (lambda u, v, w: 3 - u, (a, b, pos)),
-        (lambda u, v, w: u / v, (a, b, pos)),
-        (lambda u, v, w: u / c, (a, b, pos)),
-        (lambda u, v, w: c / v, (a, b, pos)),
-        (lambda u, v, w: 2 / v, (a, b, pos)),
-        (lambda u, v, w: numdiff.sin(u), (a, b, pos)),
-        (lambda u, v, w: numdiff.cos(u), (a, b, pos)),
-        (lambda u, v, w: numdiff.tan(u), (a, b, pos)),
-        (lambda u, v, w: numdiff.exp(u), (a, b, pos)),
-        (lambda u, v, w: numdiff.log(w), (a, b, pos)),
-        (lambda u, v, w: numdiff.sqrt(w), (a, b, pos)),
-        (lambda u, v, w: numdiff.power(u, 3.0), (a, b, pos)),
-        (lambda u, v, w: numdiff.power(u, 2), (a, b, pos)),
-        (lambda u, v, w: numdiff.power(v, -2.0), (a, b, pos)),
-        (lambda u, v, w: numdiff.power(w, 0.5), (a, b, pos)),
-        (lambda u, v, w: numdiff.power(w, 2.7), (a, b, pos)),
-        (lambda u, v, w: numdiff.power(u, 1.0), (a, b, pos)),
-        (lambda u, v, w: numdiff.power(u, 0.0), (a, b, pos)),
-        (lambda u, v, w: w**u, (a, b, pos)),
-        (lambda u, v, w: 2.0**u, (a, b, pos)),
-        (lambda u, v, w: u**2.0, (a, b, pos)),
-        (lambda u, v, w: numdiff.sum_prod([u, v, 1.5], [w, c, u]), (a, b, pos)),
+        lambda u, v, w: -u,
+        lambda u, v, w: u + v,
+        lambda u, v, w: u + c,
+        lambda u, v, w: c + u,
+        lambda u, v, w: u - v,
+        lambda u, v, w: u - c,
+        lambda u, v, w: c - u,
+        lambda u, v, w: u * v,
+        lambda u, v, w: u * c,
+        lambda u, v, w: c * u,
+        lambda u, v, w: u * 2,
+        lambda u, v, w: 3 - u,
+        lambda u, v, w: u / v,
+        lambda u, v, w: u / c,
+        lambda u, v, w: c / v,
+        lambda u, v, w: 2 / v,
+        lambda u, v, w: numdiff.sin(u),
+        lambda u, v, w: numdiff.cos(u),
+        lambda u, v, w: numdiff.tan(u),
+        lambda u, v, w: numdiff.exp(u),
+        lambda u, v, w: numdiff.log(w),
+        lambda u, v, w: numdiff.sqrt(w),
+        lambda u, v, w: numdiff.power(u, 3.0),
+        lambda u, v, w: numdiff.power(u, 2),
+        lambda u, v, w: numdiff.power(v, -2.0),
+        lambda u, v, w: numdiff.power(w, 0.5),
+        lambda u, v, w: numdiff.power(w, 2.7),
+        lambda u, v, w: numdiff.power(u, 1.0),
+        lambda u, v, w: numdiff.power(u, 0.0),
+        lambda u, v, w: w**u,
+        lambda u, v, w: 2.0**u,
+        lambda u, v, w: u**2.0,
+        lambda u, v, w: numdiff.sum_prod([u, v, 1.5], [w, c, u]),
     ]
-    for k, (op, (u, v, w)) in enumerate(cases):
-        got = op(u, v, w)
-        want = [op(du, dv, dw) for du, dv, dw in zip(duals(u), duals(v), duals(w))]
+    for k, op in enumerate(cases):
+        got = op(a, b, pos)
+        want = [op(da, db, dp) for da, db, dp in zip(duals(a), duals(b), duals(pos))]
         assert bitwise(got, want), k
 
 
