@@ -92,12 +92,23 @@ def raw_rows(x: geometry.OnMPoint, observables) -> np.ndarray:
     return numdiff.jacobian(lambda s: [f.fn(s) for f in observables], x.scalars())
 
 
-def nh_values_from_grads(x: geometry.OnMPoint, gf_ext, gg_ext) -> tuple[float, float]:
-    """(nh, nh2) at the point x from caller-supplied extension gradients."""
+def nh_values_from_grads(x: geometry.OnMPoint, gf_ext, gg_ext):
+    """(nh, nh2) at the point x from caller-supplied extension gradients.
+
+    Gradients stacked on leading axes give arrays over those axes, each entry
+    bitwise its own pair's value; 1-D gradients give floats.
+    """
     P, n = x.splitting[0], x.sys.n
-    xf = _symp(gf_ext, n)
-    xg = P @ _symp(gg_ext, n)
-    return float(_pair(P @ xf, xg, n)), float(_pair(xf, xg, n))
+    xf, xg = (  # the Hamiltonian fields (dF/dp, -dF/dq)
+        np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
+        for g in (np.asarray(gf_ext, dtype=float), np.asarray(gg_ext, dtype=float))
+    )
+    pxf, pxg = ((P @ v[..., None])[..., 0] for v in (xf, xg))
+    a, b, c = (np.moveaxis(v, -1, 0) for v in (pxf, xf, pxg))
+    nh, nh2 = _pair(a, c, n), _pair(b, c, n)
+    if xf.ndim == 1:
+        return float(nh), float(nh2)
+    return nh, nh2
 
 
 def residual_gradients(x: geometry.OnMPoint) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -115,13 +116,22 @@ def _verify_payload(report: dict, fmt: str) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+def _check_real_options(args) -> None:
+    """Every real option of the command is finite; tolerances and dt positive."""
+    for name in ("tol", "tol_compare", "dt", "t0", "t1"):
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if not math.isfinite(value):
+            raise NonholoError(f"{flag} must be finite, got {value!r}")
+        if name not in ("t0", "t1") and value <= 0:
+            raise NonholoError(f"{flag} must be positive, got {value!r}")
+
+
 def cmd_simulate(args) -> int:
-    if args.dt <= 0:
-        raise NonholoError("dt must be positive")
     if args.t1 <= args.t0:
         raise NonholoError("t1 must exceed t0")
-    if args.tol <= 0:
-        raise NonholoError("tolerances must be positive")
     sysd, _ = _load_system(args.system)
     q0 = _parse_reals(args.q0, sysd.n, "--q0")
     if (args.p0 is None) == (args.v0 is None):
@@ -203,8 +213,6 @@ def cmd_verify(args) -> int:
     )
     if cfg.count < 1 or cfg.workers < 1:
         raise NonholoError("count and workers must be at least 1")
-    if cfg.on_m_tol <= 0 or cfg.compare_tol <= 0:
-        raise NonholoError("tolerances must be positive")
     report = verification.run_verify(cfg)
     rc = _emit(_verify_payload(report, args.format), args.output)
     if rc != EXIT_OK:
@@ -312,6 +320,7 @@ def main(argv=None) -> int:
         print("error: catalog show requires a system id", file=sys.stderr)
         return EXIT_VALIDATION
     try:
+        _check_real_options(args)
         return args.fn(args)
     except StepFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,14 +7,19 @@ from different levels treats the lower level as a constant, so derivatives of
 functions that internally take derivatives come out right without any special
 casing at the call site.
 
-A BatchJet is one first-order level over B points at once (vector forward
-mode; Griewank & Walther, *Evaluating Derivatives*, 2008), seeded by
-``jacobian_batch``. It replays the DualScalar formulas, domain checks and
-libm calls elementwise, so each element is bitwise the scalar result.
+The float cores under every dual layer are floats or ``(B,)`` arrays. An
+array core carries B points through the same formulas at once (vector
+forward mode; Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13):
+the arithmetic is elementwise, every libm call and domain check is the float
+one applied to each element, and ``solve_linear`` pivots each element by the
+scalar rule, so each element is bitwise the float result. A plain ndarray
+operand is a constant, as a number is. ``jacobian_batch`` seeds one lift over
+B points; a batch nests with other lifts like any level.
 
 Everything here is pure and first order. Supported primitives: +, -, *, /,
 power, sin, cos, tan, exp, log, sqrt and unary minus. Evaluating a primitive
-outside its domain raises DomainError naming the primitive.
+outside its domain (at any element of an array core) raises DomainError
+naming the primitive.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 from .errors import DomainError, SingularMatrixError, WidthMismatchError
 
 _NUM = (int, float)
+_CONST = (int, float, np.ndarray)  # operands with no partials at any level
 
 
 def float_core(x):
@@ -44,10 +50,12 @@ class DualScalar:
 
     ``partials`` has one slot per independent variable of the lift that
     created this level; entries (and ``value``) may themselves be duals of a
-    lower level when lifts are nested.
+    lower level when lifts are nested. The float cores below every level are
+    floats or ``(B,)`` arrays.
     """
 
     __slots__ = ("value", "partials", "level")
+    __array_ufunc__ = None  # an ndarray operand defers to the methods below
 
     def __init__(self, value, partials, level=1):
         self.value = value
@@ -90,7 +98,7 @@ class DualScalar:
             if other.level > self.level:
                 return DualScalar(self + other.value, other.partials, other.level)
             return DualScalar(self.value + other, self.partials, self.level)
-        if isinstance(other, _NUM):
+        if isinstance(other, _CONST):
             return DualScalar(self.value + other, self.partials, self.level)
         return NotImplemented
 
@@ -113,12 +121,12 @@ class DualScalar:
                     self - other.value, tuple(map(_neg, other.partials)), other.level
                 )
             return DualScalar(self.value - other, self.partials, self.level)
-        if isinstance(other, _NUM):
+        if isinstance(other, _CONST):
             return DualScalar(self.value - other, self.partials, self.level)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _NUM):
+        if isinstance(other, _CONST):
             return DualScalar(other - self.value, tuple(map(_neg, self.partials)), self.level)
         return NotImplemented
 
@@ -148,7 +156,7 @@ class DualScalar:
                 tuple([p * other for p in self.partials]),
                 self.level,
             )
-        if isinstance(other, _NUM):
+        if isinstance(other, _CONST):
             return DualScalar(
                 self.value * other, tuple([p * other for p in self.partials]), self.level
             )
@@ -169,85 +177,31 @@ class DualScalar:
         return power(other, self)
 
 
-class BatchJet:
-    """Value (B,) and partials (B, w). It mixes with numbers and jets of its
-    width; a DualScalar operand raises TypeError (jets do not nest)."""
-
-    __slots__ = ("value", "partials")
-    __array_ufunc__ = None  # numpy operands defer to the methods below
-
-    def __init__(self, value, partials):
-        self.value, self.partials = value, partials
-
-    def _operand(self, other):
-        """(value, partials) of the other operand; a number has None."""
-        if isinstance(other, _NUM):
-            return other, None
-        if not isinstance(other, BatchJet):
-            raise TypeError(f"a BatchJet does not mix with {type(other).__name__}")
-        if other.partials.shape[1] != self.partials.shape[1]:
-            raise WidthMismatchError("partials widths differ")
-        return other.value, other.partials
-
-    def __neg__(self):
-        return BatchJet(-self.value, -self.partials)
-
-    def __add__(self, other):
-        v, p = self._operand(other)
-        return BatchJet(self.value + v, self.partials if p is None else self.partials + p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v, p = self._operand(other)
-        return BatchJet(self.value - v, self.partials if p is None else self.partials - p)
-
-    def __rsub__(self, other):
-        return -self + other  # o - v is o + (-v) in IEEE arithmetic
-
-    def __mul__(self, other):
-        v, p = self._operand(other)
-        if p is None:
-            return BatchJet(self.value * v, self.partials * v)
-        return BatchJet(self.value * v, self.partials * v[:, None] + self.value[:, None] * p)
-
-    __rmul__ = __mul__
-    __truediv__, __rtruediv__ = DualScalar.__truediv__, DualScalar.__rtruediv__
-    __pow__, __rpow__ = DualScalar.__pow__, DualScalar.__rpow__
+def _anywhere(cond):
+    """A domain test on a float core, or on any element of an array core."""
+    return cond if type(cond) is bool else cond.any()
 
 
-def _map(fn, values):
-    """fn on every element, through the same libm call as the scalar path."""
-    return np.fromiter(map(fn, values.tolist()), float, len(values))
-
-
-def _divide_jets(num, den):
-    """divide() when either operand is a BatchJet."""
-    if not isinstance(den, BatchJet):  # a number: a DualScalar took divide's first branch
-        if den == 0.0:
-            raise DomainError("division", "division by zero")
-        return BatchJet(num.value / den, num.partials / den)
-    nv, npart = den._operand(num)
-    dv = den.value
-    if np.any(dv == 0.0):
-        raise DomainError("division", "division by zero")
-    q = nv / dv
-    if npart is None:
-        return BatchJet(q, -(q[:, None] * den.partials) / dv[:, None])
-    return BatchJet(q, (npart - q[:, None] * den.partials) / dv[:, None])
+def _map(fn, x):
+    """fn(x) on a float core; on an array core, the same call per element.
+    (The primitives call fn directly on a float: their leaves are hot.)"""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, len(x))
+    return fn(x)
 
 
 def divide(num, den):
     """num / den with an explicit zero-denominator domain check.
 
-    Once the check has passed, partials over a plain-float denominator value
+    Once the check has passed, partials over a float-core denominator value
     are divided with ``/`` directly.
     """
     if isinstance(den, DualScalar):
         dv = den.value
-        if float_core(dv) == 0.0:
+        zero = float_core(dv) == 0.0  # _anywhere inlined: divide is the hot path
+        if zero if type(zero) is bool else zero.any():
             raise DomainError("division", "division by zero")
-        div = _truediv if type(dv) is float else divide
+        div = divide if isinstance(dv, DualScalar) else _truediv
         if isinstance(num, DualScalar):
             if num.level == den.level:
                 if len(num.partials) != len(den.partials):
@@ -264,17 +218,14 @@ def divide(num, den):
                     tuple([divide(p, den) for p in num.partials]),
                     num.level,
                 )
-        # num is constant relative to den's seeds (a number or a lower level)
-        if isinstance(num, BatchJet):
-            num._operand(den)  # raises: a jet does not mix with a dual
+        # num is constant relative to den's seeds (a number, an array or a lower level)
         q = divide(num, dv)
         return DualScalar(
             q, tuple([div(-(q * b), dv) for b in den.partials]), den.level
         )
-    if isinstance(den, BatchJet) or isinstance(num, BatchJet):
-        return _divide_jets(num, den)
-    # den is a plain number
-    if den == 0.0:
+    # den is a constant
+    zero = den == 0.0
+    if zero if type(zero) is bool else zero.any():
         raise DomainError("division", "division by zero")
     if isinstance(num, DualScalar):
         return DualScalar(
@@ -292,29 +243,23 @@ def power(base, exponent):
     negative bases); dual exponents go through exp(exponent * log(base)) and
     therefore require a positive base.
     """
-    if isinstance(exponent, (DualScalar, BatchJet)):
+    if isinstance(exponent, DualScalar):
         return exp(exponent * log(base))
     e = float(exponent)
-    if isinstance(base, DualScalar):
-        core, anywhere = float_core(base.value), bool
-    elif isinstance(base, BatchJet):  # the same checks, elementwise
-        core, anywhere = base.value, np.any
-    else:
-        return _float_pow(base, e)
-    if anywhere(core < 0.0) and not e.is_integer():
+    if not isinstance(base, DualScalar):
+        return _map(lambda b: _float_pow(b, e), base)
+    core = float_core(base.value)
+    if _anywhere(core < 0.0) and not e.is_integer():
         raise DomainError("power", "negative base with non-integer exponent")
     if e == 0.0:
         return 1.0
     if e == 1.0:
         return base
-    if anywhere(core == 0.0):
+    if _anywhere(core == 0.0):
         if e < 0.0:
             raise DomainError("power", "zero base with negative exponent")
         if e < 1.0:
             raise DomainError("power", "derivative of x^e unbounded at 0 for e < 1")
-    if isinstance(base, BatchJet):
-        slope = _map(lambda b: _float_pow(b, e - 1.0), core) * e
-        return BatchJet(_map(lambda b: _float_pow(b, e), core), slope[:, None] * base.partials)
     val = power(base.value, e)
     slope = power(base.value, e - 1.0) * e
     return DualScalar(
@@ -338,18 +283,14 @@ def sin(x):
     if isinstance(x, DualScalar):
         c = cos(x.value)
         return DualScalar(sin(x.value), tuple([c * p for p in x.partials]), x.level)
-    if isinstance(x, BatchJet):
-        return BatchJet(_map(math.sin, x.value), _map(math.cos, x.value)[:, None] * x.partials)
-    return math.sin(x)
+    return math.sin(x) if type(x) is float else _map(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, DualScalar):
         s = sin(x.value)
         return DualScalar(cos(x.value), tuple([-(s * p) for p in x.partials]), x.level)
-    if isinstance(x, BatchJet):  # (-s) p is -(s p) bitwise
-        return BatchJet(_map(math.cos, x.value), -_map(math.sin, x.value)[:, None] * x.partials)
-    return math.cos(x)
+    return math.cos(x) if type(x) is float else _map(math.cos, x)
 
 
 def tan(x):
@@ -357,10 +298,7 @@ def tan(x):
         t = tan(x.value)
         sec2 = 1.0 + t * t
         return DualScalar(t, tuple([sec2 * p for p in x.partials]), x.level)
-    if isinstance(x, BatchJet):
-        t = _map(math.tan, x.value)
-        return BatchJet(t, (1.0 + t * t)[:, None] * x.partials)
-    return math.tan(x)
+    return math.tan(x) if type(x) is float else _map(math.tan, x)
 
 
 def exp(x):
@@ -368,46 +306,32 @@ def exp(x):
         v = exp(x.value)
         return DualScalar(v, tuple([v * p for p in x.partials]), x.level)
     try:
-        if isinstance(x, BatchJet):
-            v = _map(math.exp, x.value)
-            return BatchJet(v, v[:, None] * x.partials)
-        return math.exp(x)
+        return math.exp(x) if type(x) is float else _map(math.exp, x)
     except OverflowError:
         raise DomainError("exp", "overflow") from None
 
 
 def log(x):
-    if isinstance(x, BatchJet):
-        if np.any(x.value <= 0.0):
-            raise DomainError("log", "argument must be positive")
-        return BatchJet(_map(math.log, x.value), x.partials / x.value[:, None])
-    if float_core(x) <= 0.0:
+    if _anywhere(float_core(x) <= 0.0):
         raise DomainError("log", "argument must be positive")
     if isinstance(x, DualScalar):
         return DualScalar(
             log(x.value), tuple([divide(p, x.value) for p in x.partials]), x.level
         )
-    return math.log(x)
+    return math.log(x) if type(x) is float else _map(math.log, x)
 
 
 def sqrt(x):
-    if isinstance(x, BatchJet):
-        if np.any(x.value < 0.0):
-            raise DomainError("sqrt", "argument must be nonnegative")
-        if np.any(x.value == 0.0):
-            raise DomainError("sqrt", "derivative unbounded at 0")
-        v = _map(math.sqrt, x.value)
-        return BatchJet(v, (0.5 / v)[:, None] * x.partials)
     core = float_core(x)
-    if core < 0.0:
+    if _anywhere(core < 0.0):
         raise DomainError("sqrt", "argument must be nonnegative")
     if isinstance(x, DualScalar):
-        if core == 0.0:
+        if _anywhere(core == 0.0):
             raise DomainError("sqrt", "derivative unbounded at 0")
         v = sqrt(x.value)
         half = divide(0.5, v)
         return DualScalar(v, tuple([half * p for p in x.partials]), x.level)
-    return math.sqrt(x)
+    return math.sqrt(x) if type(x) is float else _map(math.sqrt, x)
 
 
 FUNCTIONS = {
@@ -474,15 +398,17 @@ def jacobian_generic(F, scalars):
 def jacobian_batch(F, X):
     """Jacobians of F at the B points X: (B, w) -> (B, rows, w).
 
-    F runs once, on BatchJet seeds; plain-number components get zero rows.
-    Row b is bitwise ``jacobian(F, X[b])``.
+    F runs once, on one lift whose cores are the columns of X; constant
+    components get zero rows. Row b is bitwise ``jacobian(F, X[b])``.
     """
     X = np.asarray(X, dtype=float)
     B, w = X.shape
-    seeds = [BatchJet(X[:, i].copy(), np.broadcast_to(np.eye(w)[i], (B, w))) for i in range(w)]
-    zeros = np.zeros((B, w))
-    rows = [c.partials if isinstance(c, BatchJet) else zeros for c in F(seeds)]
-    return np.stack(rows, axis=1) if rows else np.zeros((B, 0, w))
+    rows = jacobian_generic(F, list(X.T.copy()))
+    J = np.empty((B, len(rows), w))
+    for r, row in enumerate(rows):
+        for c, p in enumerate(row):  # a float partial is the same at every point
+            J[:, r, c] = p
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +423,9 @@ def solve_linear(a_rows, b):
 
     ``b`` may be a vector (list) or a matrix (list of rows); the result has
     the same shape. Pivoting compares the float cores so the routine works
-    unchanged on nested duals. With BatchJet entries each element pivots on
-    its own values (``_pivot_batch``); the elimination order is the same.
+    unchanged on nested duals. When the matrix has array cores each element
+    pivots on its own values (``_pivot_batch``); the elimination order is the
+    same.
     """
     n = len(a_rows)
     a = [list(row) for row in a_rows]
@@ -507,19 +434,15 @@ def solve_linear(a_rows, b):
         rhs = [[v] for v in b]
     else:
         rhs = [list(row) for row in b]
-    # jets in b alone leave one pivot order for the whole batch: the scalar path
-    jet = next((e for row in a for e in row if isinstance(e, BatchJet)), None)
-    if jet is None:
-        scale = max((abs(float_core(e)) for row in a for e in row), default=0.0)
-        zero = scale == 0.0
-    else:
-        scale = _first_max([np.abs(_values(e)) for row in a for e in row])
-        zero = np.any(scale == 0.0)
-    if zero:
+    mags = [abs(float_core(e)) for row in a for e in row]
+    # array cores in b alone leave one pivot order for the whole batch
+    batched = np.ndarray in set(map(type, mags))
+    scale = _first_max(mags) if batched else max(mags, default=0.0)
+    if _anywhere(scale == 0.0):
         raise SingularMatrixError("zero matrix")
     for col in range(n):
-        if jet is not None:
-            _pivot_batch(a, rhs, col, scale, jet)
+        if batched:
+            _pivot_batch(a, rhs, col, scale)
         else:
             piv, best = col, abs(float_core(a[col][col]))
             for r in range(col + 1, n):
@@ -534,7 +457,7 @@ def solve_linear(a_rows, b):
         pv = a[col][col]
         for r in range(col + 1, n):
             f = divide(a[r][col], pv)
-            if not isinstance(f, (DualScalar, BatchJet)) and f == 0.0:
+            if not isinstance(f, (DualScalar, np.ndarray)) and f == 0.0:
                 continue
             for c in range(col + 1, n):
                 a[r][c] = a[r][c] - f * a[col][c]
@@ -553,10 +476,6 @@ def solve_linear(a_rows, b):
     return rhs
 
 
-def _values(e):
-    return e.value if isinstance(e, BatchJet) else float(e)
-
-
 def _first_max(mags):
     """Elementwise ``max(mags)``: the first strict maximum wins, NaN never."""
     out = np.asarray(mags[0], dtype=float)
@@ -565,22 +484,34 @@ def _first_max(mags):
     return out
 
 
-def _select(mask, u, v, like):
-    """Entry u where mask, else v; numbers become jets with zero partials."""
-    zeros = np.zeros_like(like.partials)
-    up, vp = (e.partials if isinstance(e, BatchJet) else zeros for e in (u, v))
-    return BatchJet(np.where(mask, _values(u), _values(v)), np.where(mask[:, None], up, vp))
+def _select(mask, u, v):
+    """Entry u where mask, else v, value and partials through every level;
+    an entry below the top level is constant there (zero partials)."""
+    top = max((e for e in (u, v) if isinstance(e, DualScalar)), key=_level, default=None)
+    if top is None:
+        return np.where(mask, u, v)
+    zeros = (0.0,) * len(top.partials)
+    (uv, up), (vv, vp) = (
+        (e.value, e.partials) if _level(e) == top.level else (e, zeros) for e in (u, v)
+    )
+    return DualScalar(
+        _select(mask, uv, vv), [_select(mask, a, b) for a, b in zip(up, vp)], top.level
+    )
 
 
-def _pivot_batch(a, rhs, col, scale, like):
+def _level(e):
+    return e.level if isinstance(e, DualScalar) else 0
+
+
+def _pivot_batch(a, rhs, col, scale):
     """Pivot column ``col`` by the scalar rule, one pivot row per element.
 
     A non-finite pivot raises DomainError (the scalar path carries it on).
     Rows swap as lists when every element picks the same pivot row, else
     entry by entry under a mask.
     """
-    shape = like.value.shape
-    mags = np.stack([np.broadcast_to(np.abs(_values(row[col])), shape) for row in a[col:]])
+    shape = scale.shape
+    mags = np.stack([np.broadcast_to(abs(float_core(row[col])), shape) for row in a[col:]])
     best = _first_max(mags)
     piv = col + np.argmax(mags == best, axis=0)  # the first row reaching it
     if not np.all(np.isfinite(best)):
@@ -597,8 +528,8 @@ def _pivot_batch(a, rhs, col, scale, like):
                 rows[col], rows[r] = rows[r], rows[col]
             else:
                 top, low = rows[col], rows[r]
-                rows[col] = [_select(mask, v, u, like) for u, v in zip(top, low)]
-                rows[r] = [_select(mask, u, v, like) for u, v in zip(top, low)]
+                rows[col] = [_select(mask, v, u) for u, v in zip(top, low)]
+                rows[r] = [_select(mask, u, v) for u, v in zip(top, low)]
 
 
 def mat_vec(m, v):

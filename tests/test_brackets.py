@@ -520,6 +520,7 @@ def test_extension_independence():
         for f, g in [("x", "p_x"), ("p_x", "p_z")]:
             gf, gg = brackets.raw_rows(xm, [obs(SYS_B, f), obs(SYS_B, g)]) @ xm.dgamma
             base_nh, base_nh2 = brackets.nh_values_from_grads(xm, gf, gg)
+            pairs = [(gf, gg)]
             for c in (1.0, -1.0, 10.0):
                 pert = gf + c * w_grads[0]
                 v_nh, v_nh2 = brackets.nh_values_from_grads(xm, pert, gg)
@@ -529,6 +530,18 @@ def test_extension_independence():
                 v_nh, v_nh2 = brackets.nh_values_from_grads(xm, gf, pert_g)
                 assert abs(v_nh - base_nh) <= 1e-9
                 assert abs(v_nh2 - base_nh2) <= 1e-9
+                pairs += [(pert, gg), (gf, pert_g)]
+            # stacked on two leading axes, each entry is its own pair's value,
+            # and both are the matrix-vector formula written out
+            F, G = (np.stack([p[k] for p in pairs]).reshape(7, 1, -1) for k in (0, 1))
+            nh, nh2 = brackets.nh_values_from_grads(xm, F, G)
+            assert nh.shape == nh2.shape == (7, 1)
+            P, n = xm.splitting[0], SYS_B.n
+            for (pf, pg), v_nh, v_nh2 in zip(pairs, nh[:, 0], nh2[:, 0]):
+                xf = np.concatenate([pf[n:], -pf[:n]])
+                xg = P @ np.concatenate([pg[n:], -pg[:n]])
+                want = float(brackets._pair(P @ xf, xg, n)), float(brackets._pair(xf, xg, n))
+                assert (v_nh, v_nh2) == brackets.nh_values_from_grads(xm, pf, pg) == want
 
 
 def test_skew_and_leibniz():

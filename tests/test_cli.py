@@ -304,7 +304,7 @@ def test_csv_output_format(tmp_path):
     assert lines[-1].startswith("overall")
 
 
-def test_run_config_validation_exit_codes():
+def test_run_config_validation_exit_codes(capsys):
     base = [
         "simulate", "--system", "catalog:holonomic_control",
         "--q0", "0,0", "--p0", "1,0",
@@ -315,6 +315,24 @@ def test_run_config_validation_exit_codes():
     run_cli("verify", "--system", "catalog:holonomic_control", "--count", "0", expect=2)
     run_cli(*base[:3], "--q0", "0,0,0", "--p0", "1,0", expect=2)  # arity
     run_cli(*base, "--v0", "1,0", expect=2)  # both p0 and v0
+    # real options: finite, and tolerances and --dt positive; one error line
+    point = ["--f", "x", "--g", "p_x", "--point", "0,0,1,0"]
+    for argv in (
+        [*base, "--t1", "nan"],
+        [*base, "--dt", "nan"],
+        [*base, "--t1", "inf"],
+        [*base, "--t0=-inf"],
+        [*base, "--tol", "nan"],
+        [*base, "--dt", "0"],
+        ["verify", "--system", "catalog:holonomic_control", "--tol-compare", "nan"],
+        ["verify", "--system", "catalog:holonomic_control", "--tol-compare", "0"],
+        ["brackets", "--system", "catalog:holonomic_control", "--tol", "0", *point],
+        ["jacobiator", "--system", "catalog:holonomic_control", "--tol", "inf",
+         *point, "--h", "y"],
+    ):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: --"), err
 
 
 def test_file_system_input(tmp_path):

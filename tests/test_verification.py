@@ -1,5 +1,6 @@
 """Per-point work of the verify sweep: one validation, one call per kind."""
 
+import numpy as np
 import pytest
 
 from nonholo import brackets, catalog, geometry, numdiff, verification
@@ -83,12 +84,58 @@ def test_chunk_metrics_do_not_depend_on_the_batch(ent):
 
 
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
-def test_chunk_points_past_the_jacobiator_cap_take_no_scalar_lift(count_calls, ent):
+def test_chunk_points_past_the_jacobiator_cap_take_no_scalar_lift(monkeypatch, count_calls, ent):
+    # jacobian_batch seeds its lift over array cores; no lift in the chunk
+    # runs over float cores, and no per-point jacobian or gradient runs
     cap = verification.JACOBIATOR_CAP
     payload = _payload(ent, cap + 4, list(range(cap, cap + 4)))
-    counts = count_calls(numdiff, ["lift", "jacobian", "gradient"])
+    counts = count_calls(numdiff, ["jacobian", "gradient"])
+    cores = []
+    lift = numdiff.lift
+
+    def recorded(values):
+        values = list(values)
+        cores.extend(type(numdiff.float_core(v)) for v in values)
+        return lift(values)
+
+    monkeypatch.setattr(numdiff, "lift", recorded)
     verification._chunk_worker(payload)
-    assert counts == {"lift": 0, "jacobian": 0, "gradient": 0}
+    assert counts == {"jacobian": 0, "gradient": 0}
+    assert cores and set(cores) == {np.ndarray}
+
+
+def test_verify_workers_are_bounded_by_the_host(monkeypatch):
+    # a serial stand-in for the pool records how many processes were asked for
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", SerialPool)
+    ent = catalog.get_entry("nonholonomic_particle")
+
+    def run(workers):
+        return verification.run_verify(verification.VerifyConfig(
+            system_source=ent.definition, system_label="particle", seed=3, count=5,
+            workers=workers, region=ent.sample_region, momentum_scale=ent.momentum_scale,
+        ))
+
+    serial = run(1)
+    for cpus, workers, expected in ((2, 5, 2), (None, 5, 1), (8, 3, 3)):
+        monkeypatch.setattr(verification.os, "cpu_count", lambda cpus=cpus: cpus)
+        asked.clear()
+        assert run(workers) == serial
+        assert asked == [expected]
 
 
 def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
