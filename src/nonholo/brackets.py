@@ -22,7 +22,8 @@ values from it or from the rows.
 
 Each route also has one formula over generic scalars, ``_route_rows``, which
 evaluates the route's extension map once per lift for all observables; the
-Jacobiator nests it, and the standalone functions (``canonical_bracket``,
+Jacobiator nests it, at one point or at a batch of points whose scalars are
+stacked into array cores (``jacobiator_batch``), and the standalone functions (``canonical_bracket``,
 ``eden_bracket``, ``nonholonomic_bracket``, ``dstar_bracket``) are the
 validation they run plus that formula on floats. They serve as the oracles
 the test suite checks the route-table path against; ``dstar_bracket`` keeps
@@ -225,13 +226,20 @@ def dstar_bracket(
     return _pair_value(sys, "dstar", f, g, y.scalars(), free)
 
 
-def pushforward_observable(sys: SystemDefinition, f: Observable) -> DStarObservable:
-    """Transport a phase-space observable to the dual bundle."""
+def pushforward_observable(
+    sys: SystemDefinition, f: Observable, free_cols=None
+) -> DStarObservable:
+    """Transport a phase-space observable to the dual bundle.
+
+    The frame plan ``free_cols`` is read off each evaluation point unless
+    given; a point with array cores (a batch) needs it given.
+    """
     n = sys.n
 
     def fn(s):
         q_s = list(s[:n])
-        cols = geometry.frame_apply(sys, q_s, _free_cols_at(sys, q_s))
+        free = _free_cols_at(sys, q_s) if free_cols is None else free_cols
+        cols = geometry.frame_apply(sys, q_s, free)
         return f.fn(q_s + geometry.from_dstar_apply(sys, q_s, list(s[n:]), cols))
 
     return DStarObservable(label=f"push({f.label})", fn=fn)
@@ -364,25 +372,70 @@ def jacobiator(
 
     Outer derivatives come from evaluating the inner brackets at dual-number
     perturbed points, so every kind reuses its own defining formula without
-    symbolic composition. The extension map of a route (the momentum
-    projection, the splitting rows, the frame pullback) depends on the point
-    and not on the observable, so each nesting level lifts once and
-    evaluates it once for every triple: the inner level returns each
-    distinct inner bracket ({g,h}, {h,f}, {f,g} of every triple) together,
-    and the outer level reads the rows of every distinct observable and
-    inner bracket off one lift. Each value is bitwise the value of its
-    triple alone. For the dual-bundle kind the observables are dual-bundle
-    expressions and the evaluation point is the image of x.
+    symbolic composition (``_jacobi_cores``). For the dual-bundle kind the
+    observables are dual-bundle expressions and the evaluation point is the
+    image of x.
     """
-    if kind not in BRACKET_KINDS:
-        raise ValueError(f"unknown bracket kind {kind!r}")
+    _check_kind(kind)
     single = not isinstance(f, (list, tuple))
     triples = list(zip([f], [g], [h]) if single else zip(f, g, h, strict=True))
     x = geometry.on_m_point(sys, x, on_m_tol)
-    n, free, base = sys.n, None, x.scalars()
+    free, base = None, x.scalars()
     if kind == "dstar":
         free = x.frame.free_cols
         base = DStarPoint(q=x.q, pi=x.frame.E.T @ x.p).scalars()
+    out = [float(v) for v in _jacobi_cores(sys, kind, triples, base, free)]
+    return out[0] if single else out
+
+
+def jacobiator_batch(sys, kind, f, g, h, points, free_cols=None) -> list[np.ndarray]:
+    """The Jacobiator of every triple at many validated OnMPoints at once.
+
+    ``f``, ``g`` and ``h`` are equal-length sequences of observables; the
+    result holds one ``(B,)`` array per triple, element b bitwise
+    ``jacobiator(sys, kind, f, g, h, points[b])``. The base scalars of the B
+    points are stacked into array cores, so one nested lift serves them all.
+    For ``dstar`` every point must have the frame plan ``free_cols`` (group
+    them by ``x.frame.free_cols``), and the observables are dual-bundle ones
+    that do not read the plan off their point (``pushforward_observable``
+    with the plan given).
+    """
+    _check_kind(kind)
+    triples = list(zip(f, g, h, strict=True))
+    if kind == "dstar":
+        if any(x.frame.free_cols != free_cols for x in points):
+            raise ValueError("dstar batch points must share the frame plan free_cols")
+        z = [x.dstar_scalars() for x in points]
+    else:
+        z = [x.scalars() for x in points]
+    base = list(np.asarray(z, dtype=float).T.copy())
+    out = []
+    for core in _jacobi_cores(sys, kind, triples, base, free_cols):
+        vals = np.empty(len(points))
+        vals[:] = core  # a core with no batch dependence is a float
+        out.append(vals)
+    return out
+
+
+def _check_kind(kind):
+    if kind not in BRACKET_KINDS:
+        raise ValueError(f"unknown bracket kind {kind!r}")
+
+
+def _jacobi_cores(sys, kind, triples, base, free):
+    """Float cores of the Jacobiator of each triple at the base scalars.
+
+    The base scalars are floats (one point) or ``(B,)`` arrays (a batch of
+    points, each element its point's value). The extension map of a route
+    (the momentum projection, the splitting rows, the frame pullback)
+    depends on the point and not on the observable, so each nesting level
+    lifts once and evaluates it once for every triple: the inner level
+    returns each distinct inner bracket ({g,h}, {h,f}, {f,g} of every
+    triple) together, and the outer level reads the rows of every distinct
+    observable and inner bracket off one lift. Each value is bitwise the
+    value of its triple alone.
+    """
+    n = sys.n
     # slots of the distinct observables (by identity) and of the distinct
     # ordered inner pairs; {a,b} and {b,a} differ in rounding, so both stay
     obs = list({id(o): o for t in triples for o in t}.values())
@@ -404,5 +457,5 @@ def jacobiator(
         total = _pair(rows[a], bracket_row[b, c], n)
         total = total + _pair(rows[b], bracket_row[c, a], n)
         total = total + _pair(rows[c], bracket_row[a, b], n)
-        out.append(float(numdiff.float_core(total)))
-    return out[0] if single else out
+        out.append(numdiff.float_core(total))
+    return out

@@ -11,15 +11,18 @@ witness otherwise).
 
 Each point is validated once into a ``geometry.OnMPoint``, and every suite
 at that point reads the metric, constraint rows, splitting, projection
-Jacobian, frame and algebroid it carries. Overflow in a suite is not
+Jacobian, frame and algebroid it carries. The Jacobiator runs at every
+point, batched: one nested lift per kind over all the points of a chunk
+(per frame plan for the dual-bundle kind). Overflow in a suite is not
 reported as a numpy warning: the non-finite value reaches the report and
 fails its suite.
 
-Points are distributed across worker chunks by index, run on at most one
-process per CPU; per-point results are merged in index order, so reports
-are byte-identical for any worker count. The informational ``strong_projection_gap`` row reports how far the
-projection Jacobian is from the symplectic projector off the admissible
-sub-bundle without asserting anything about it.
+Points are distributed by index across at most one worker chunk per
+process, and at most one process per CPU; per-point results are merged in
+index order, so reports are byte-identical for any worker count. The
+informational ``strong_projection_gap`` row reports how far the projection
+Jacobian is from the symplectic projector off the admissible sub-bundle
+without asserting anything about it.
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ from . import brackets, catalog, dsl, dynamics, geometry, numdiff
 from .system import Observable, hamiltonian_scalar
 
 WITNESS_FLOOR = 1e-3
-# defect-scan points; at 12/100 the jacobiator calls take 10-22% of a
-# verify run by system, about 18% over the four catalog systems
-JACOBIATOR_CAP = 12
 
 
 @dataclass
@@ -76,25 +76,48 @@ def _system_is_integrable(sysd, region, seed) -> bool:
     rng_points = catalog.sample_m_points(
         sysd, 12, derive_seed(seed, "integrability-probe"), region=region
     )
+    qs = [list(x.q) for x in rng_points]
+    plans = {}
+    for i, q in enumerate(qs):
+        plans.setdefault(geometry.frame_at(sysd, q).free_cols, []).append(i)
+    at = {}
+    for free, group in plans.items():
+        at.update(zip(group, _frame_brackets(sysd, free, [qs[i] for i in group])))
     worst = 0.0
-    for x in rng_points:
-        q = list(x.q)
-        fr = geometry.frame_at(sysd, q)
-        free = fr.free_cols
+    for i, q in enumerate(qs):  # in sample order: a NaN sticks only if first
         mu = np.asarray(sysd.mu_values(q), dtype=float)
-        pairs = [(a, b) for a in range(sysd.k) for b in range(a + 1, sysd.k)]
-        if pairs:
-            for a, b in pairs:
-                X = lambda s, a=a: geometry.frame_apply(sysd, s, free)[a]
-                Y = lambda s, b=b: geometry.frame_apply(sysd, s, free)[b]
-                w = brackets.lie_bracket_raw(sysd, X, Y, q)
-                worst = max(worst, float(np.max(np.abs(mu @ w))))
-        else:
-            X = lambda s: geometry.frame_apply(sysd, s, free)[0]
-            Y = lambda s: [s[0] * v for v in geometry.frame_apply(sysd, s, free)[0]]
-            w = brackets.lie_bracket_raw(sysd, X, Y, q)
+        for w in at[i]:
             worst = max(worst, float(np.max(np.abs(mu @ w))))
     return worst <= 1e-10
+
+
+def _frame_brackets(sysd, free, qs):
+    """Lie brackets of the frame fields at configurations of one frame plan.
+
+    Per point: [X_a, X_b] for every a < b, or [X, q_0 X] when the frame has
+    one field. One batched lift gives the Jacobian DX of every field, and
+    [X, Y] = DY X - DX Y; each bracket is bitwise ``brackets.lie_bracket_raw``
+    of its two fields.
+    """
+    n, k = sysd.n, sysd.k
+
+    def fields(s):
+        cols = geometry.frame_apply(sysd, s, free)
+        if k == 1:
+            cols = cols + [[s[0] * v for v in cols[0]]]
+        return sum(cols, [])
+
+    try:
+        jac = numdiff.jacobian_batch(fields, qs)
+    except geometry.BATCH_FAILURES:
+        jac = [numdiff.jacobian(fields, q) for q in qs]
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)] or [(0, 1)]
+    out = []
+    for q, jq in zip(qs, jac):
+        d = jq.reshape(-1, n, n)
+        v = np.array([numdiff.float_core(c) for c in fields(q)]).reshape(-1, n)
+        out.append([d[b] @ v[a] - d[a] @ v[b] for a, b in pairs])
+    return out
 
 
 def _max_abs(*parts) -> float:
@@ -109,7 +132,7 @@ def _table_observables(observables, n):
     return observables + prods
 
 
-def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator, batched=None):
+def _point_metrics(sysd, x, observables, cfg_dict, batched=None):
     """Every suite at one point; what ``batched`` lacks is lifted here."""
     batched = batched or {}
     n = sysd.n
@@ -196,20 +219,6 @@ def _point_metrics(sysd, x, observables, cfg_dict, do_jacobiator, batched=None):
         "strong_projection_gap": strong_gap,
     }
 
-    if do_jacobiator:
-        # one call per kind for all triples
-        f, g, h = ([observables[t[c]] for t in _jacobiator_triples(n_obs, n)] for c in range(3))
-
-        def jac(kind, f, g, h):
-            return brackets.jacobiator(sysd, kind, f, g, h, x, on_m_tol=tol)
-
-        out["jacobiator_canonical"] = _max_abs(jac("canonical", f, g, h))
-        defects = jac("eden", f, g, h)
-        if cfg_dict["integrable"]:
-            push = {id(o): brackets.pushforward_observable(sysd, o) for o in f + g + h}
-            fd, gd, hd = ([push[id(o)] for o in col] for col in (f, g, h))
-            defects += jac("nh", f, g, h) + jac("dstar", fd, gd, hd)
-        out["jacobiator_defect"] = _max_abs(defects)
     return out
 
 
@@ -237,6 +246,7 @@ def _chunk_worker(payload):
                 break
             valid.append(x)
         batched = _batched_lifts(sysd, valid, observables)
+        jacobi = _jacobi_metrics(sysd, valid, observables, payload)
         for pos, idx in enumerate(indices):
             on = pos < len(valid)
             metrics = _point_metrics(
@@ -244,10 +254,10 @@ def _chunk_worker(payload):
                 valid[pos] if on else points[idx],
                 observables,
                 payload,
-                do_jacobiator=idx < JACOBIATOR_CAP,
                 batched=batched[pos] if on else None,
             )
             if on:  # a point's cached linear data is not needed again
+                metrics.update(jacobi[pos])
                 valid[pos] = batched[pos] = None
             out.append((idx, metrics))
     return out
@@ -277,6 +287,45 @@ def _batched_lifts(sysd, points, observables):
     return [{name: rows[b] for name, rows in lifted.items()} for b in range(len(points))]
 
 
+def _jacobi_metrics(sysd, points, observables, cfg_dict):
+    """Both Jacobi suites at every point, on verify's triples.
+
+    One batched call per kind over all the points, and per frame plan for
+    ``dstar``; the defect collects eden, plus nh and dstar when the
+    distribution is integrable. A kind whose batched call raises runs the
+    scalar ``jacobiator`` point by point, in index order, so a point raises
+    where it would alone.
+    """
+    if not points:
+        return []
+    n_obs = len(observables)
+    f, g, h = ([observables[t[c]] for t in _jacobiator_triples(n_obs, sysd.n)] for c in range(3))
+    calls = [
+        ("jacobiator_canonical", "canonical", (f, g, h), None, points),
+        ("jacobiator_defect", "eden", (f, g, h), None, points),
+    ]
+    if cfg_dict["integrable"]:
+        calls.append(("jacobiator_defect", "nh", (f, g, h), None, points))
+        plans = {}
+        for x in points:
+            plans.setdefault(x.frame.free_cols, []).append(x)
+        for free, group in plans.items():
+            push = {id(o): brackets.pushforward_observable(sysd, o, free) for o in f + g + h}
+            fgh = tuple([push[id(o)] for o in col] for col in (f, g, h))
+            calls.append(("jacobiator_defect", "dstar", fgh, free, group))
+    pos = {id(x): i for i, x in enumerate(points)}
+    values = [{} for _ in points]
+    for suite, kind, fgh, free, group in calls:
+        try:
+            per_point = np.stack(brackets.jacobiator_batch(sysd, kind, *fgh, group, free), 1)
+        except geometry.BATCH_FAILURES:
+            tol = cfg_dict["on_m_tol"]
+            per_point = [brackets.jacobiator(sysd, kind, *fgh, x, on_m_tol=tol) for x in group]
+        for x, v in zip(group, per_point):
+            values[pos[id(x)]].setdefault(suite, []).extend(v)
+    return [{suite: _max_abs(v) for suite, v in d.items()} for d in values]
+
+
 def run_verify(cfg: VerifyConfig) -> dict:
     """Run every suite and assemble the deterministic report object."""
     sysd = dsl.parse_system(cfg.system_source)
@@ -293,12 +342,10 @@ def run_verify(cfg: VerifyConfig) -> dict:
     }
     indices = list(range(cfg.count))
     if cfg.workers > 1:
-        chunks = [
-            {**payload_base, "indices": indices[i :: cfg.workers]}
-            for i in range(cfg.workers)
-        ]
-        chunks = [c for c in chunks if c["indices"]]
-        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+        # every chunk samples all the points again, so one chunk per process
+        procs = min(cfg.workers, os.cpu_count() or 1, cfg.count)
+        chunks = [{**payload_base, "indices": indices[i::procs]} for i in range(procs)]
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             results = []
             for part in pool.map(_chunk_worker, chunks):
                 results.extend(part)

@@ -494,6 +494,50 @@ def test_multi_triple_jacobiator_equals_per_triple_calls(kind):
             assert tuple(many) == tuple(brackets.jacobiator(sysd, kind, tuple(f), g, h, x))
 
 
+# the particle with y past its catalog region: the default frame's pivot
+# switches at |y| = 1, so the sample holds two frame plans
+TWO_PLAN_REGION = ((-1.0, 1.0), (-2.0, 2.0), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", brackets.BRACKET_KINDS)
+def test_jacobiator_batch_is_bitwise_the_per_point_jacobiator(kind):
+    from nonholo.verification import _jacobiator_triples
+
+    cases = [(ent.system(), catalog.sample_entry_points(ent, 20, 101))
+             for ent in catalog.catalog_systems()]
+    cases.append((SYS_B, catalog.sample_m_points(SYS_B, 20, 101, region=TWO_PLAN_REGION)))
+    for case, (sysd, sample) in enumerate(cases):
+        observables = catalog.observable_test_set(sysd)
+        index_triples = _jacobiator_triples(len(observables), sysd.n)
+        points = [geometry.on_m_point(sysd, x) for x in sample]
+        plans = {}
+        for x in points:
+            plans.setdefault(x.frame.free_cols if kind == "dstar" else None, []).append(x)
+        if case == len(cases) - 1 and kind == "dstar":
+            assert len(plans) == 2
+        for free, group in plans.items():
+            if kind == "dstar":
+                per_point = [brackets.pushforward_observable(sysd, o) for o in observables]
+                batch = [brackets.pushforward_observable(sysd, o, free) for o in observables]
+            else:
+                per_point = batch = observables
+            f, g, h = ([batch[t[c]] for t in index_triples] for c in range(3))
+            got = brackets.jacobiator_batch(sysd, kind, f, g, h, group, free)
+            assert [v.shape for v in got] == [(len(group),)] * len(index_triples)
+            f, g, h = ([per_point[t[c]] for t in index_triples] for c in range(3))
+            alone = np.array([brackets.jacobiator(sysd, kind, f, g, h, x) for x in group])
+            for t, values in enumerate(got):
+                assert values.tobytes() == alone[:, t].tobytes()
+
+
+def test_dstar_jacobiator_batch_rejects_points_of_another_plan():
+    points = [geometry.on_m_point(SYS_B, x)
+              for x in catalog.sample_m_points(SYS_B, 20, 101, region=TWO_PLAN_REGION)]
+    f = brackets.pushforward_observable(SYS_B, obs(SYS_B, "x"), (0, 1))
+    with pytest.raises(ValueError, match="frame plan"):
+        brackets.jacobiator_batch(SYS_B, "dstar", [f], [f], [f], points, (0, 1))
+
+
 def test_dstar_jacobiator_reads_the_frame_of_its_point(count_calls):
     # at a validated point whose frame is built, the dual-bundle kind
     # evaluates nothing again, and gives the value it gives at the PhasePoint

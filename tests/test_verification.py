@@ -1,4 +1,4 @@
-"""Per-point work of the verify sweep: one validation, one call per kind."""
+"""Per-point work of the verify sweep: one validation, one batched call per kind."""
 
 import numpy as np
 import pytest
@@ -18,31 +18,68 @@ def test_point_metrics_validate_each_point_once(count_calls, ent):
     cfg = {"on_m_tol": geometry.ON_M_TOL, "integrable": True}
     for x in points:
         counts.update(dict.fromkeys(VALIDATION, 0))
-        verification._point_metrics(sysd, x, observables, cfg, do_jacobiator=False)
+        verification._point_metrics(sysd, x, observables, cfg)
         assert counts["tangent_splitting"] == 1
         assert counts["metric_at"] <= 1 and counts["constraints_at"] <= 1
 
 
+# the particle with y past its catalog region: two default frame plans
+TWO_PLAN_REGION = ((-1.0, 1.0), (-2.0, 2.0), (-1.0, 1.0))
+
+
+def _chunk_points(sysd, sample):
+    """The sample validated, frames built, as ``_chunk_worker`` holds it."""
+    points = [geometry.on_m_point(sysd, x) for x in sample]
+    for x in points:
+        x.frame
+    return points
+
+
+def _scalar_jacobi(sysd, x, observables, cfg):
+    """Both Jacobi suites at one point from the per-point ``jacobiator``."""
+    triples = verification._jacobiator_triples(len(observables), sysd.n)
+    f, g, h = ([observables[t[c]] for t in triples] for c in range(3))
+
+    def jac(kind, f, g, h):
+        return brackets.jacobiator(sysd, kind, f, g, h, x, on_m_tol=cfg["on_m_tol"])
+
+    defects = jac("eden", f, g, h)
+    if cfg["integrable"]:
+        push = {id(o): brackets.pushforward_observable(sysd, o) for o in f + g + h}
+        fd, gd, hd = ([push[id(o)] for o in col] for col in (f, g, h))
+        defects += jac("nh", f, g, h) + jac("dstar", fd, gd, hd)
+    return {
+        "jacobiator_canonical": verification._max_abs(jac("canonical", f, g, h)),
+        "jacobiator_defect": verification._max_abs(defects),
+    }
+
+
 @pytest.mark.parametrize("integrable", [True, False])
 def test_point_metrics_call_the_jacobiator_once_per_kind(monkeypatch, integrable):
-    ent = catalog.get_entry("nonholonomic_particle")
-    sysd = ent.system()
-    x = catalog.sample_entry_points(ent, 1, 5)[0]
-    kinds = []
-    original = brackets.jacobiator
+    sysd = catalog.get_system("nonholonomic_particle")
+    points = _chunk_points(sysd, catalog.sample_m_points(sysd, 10, 5, region=TWO_PLAN_REGION))
+    plans = {x.frame.free_cols for x in points}
+    assert len(plans) == 2
+    calls = []
+    original = brackets.jacobiator_batch
 
-    def counted(sys, kind, f, g, h, x, **kwargs):
-        kinds.append(kind)
-        return original(sys, kind, f, g, h, x, **kwargs)
+    def counted(sys, kind, f, g, h, group, free_cols=None):
+        calls.append((kind, free_cols, len(group)))
+        return original(sys, kind, f, g, h, group, free_cols)
 
-    monkeypatch.setattr(brackets, "jacobiator", counted)
+    monkeypatch.setattr(brackets, "jacobiator_batch", counted)
+    monkeypatch.setattr(brackets, "jacobiator", None)  # the scalar path stays unused
     cfg = {"on_m_tol": geometry.ON_M_TOL, "integrable": integrable}
-    out = verification._point_metrics(
-        sysd, x, catalog.observable_test_set(sysd), cfg, do_jacobiator=True
-    )
-    expected = ["canonical", "eden"] + (["nh", "dstar"] if integrable else [])
-    assert sorted(kinds) == sorted(expected)
-    assert out["jacobiator_defect"] > verification.WITNESS_FLOOR
+    out = verification._jacobi_metrics(sysd, points, catalog.observable_test_set(sysd), cfg)
+    expected = [("canonical", None, 10), ("eden", None, 10)]
+    if integrable:
+        expected.append(("nh", None, 10))
+        expected += [
+            ("dstar", free, sum(x.frame.free_cols == free for x in points)) for free in plans
+        ]
+    assert sorted(calls) == sorted(expected)
+    assert len(out) == len(points)
+    assert max(m["jacobiator_defect"] for m in out) > verification.WITNESS_FLOOR
 
 
 def _payload(ent, count, indices):
@@ -77,18 +114,19 @@ def test_chunk_metrics_do_not_depend_on_the_batch(ent):
     observables = catalog.observable_test_set(sysd)
     cfg = _payload(ent, count, [])
     for idx in (0, count - 1):
-        alone = verification._point_metrics(
-            sysd, points[idx], observables, cfg, idx < verification.JACOBIATOR_CAP
-        )
+        alone = verification._point_metrics(sysd, points[idx], observables, cfg)
+        alone.update(_scalar_jacobi(sysd, geometry.on_m_point(sysd, points[idx]), observables, cfg))
         assert alone == full[idx]
 
 
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
-def test_chunk_points_past_the_jacobiator_cap_take_no_scalar_lift(monkeypatch, count_calls, ent):
-    # jacobian_batch seeds its lift over array cores; no lift in the chunk
-    # runs over float cores, and no per-point jacobian or gradient runs
-    cap = verification.JACOBIATOR_CAP
-    payload = _payload(ent, cap + 4, list(range(cap, cap + 4)))
+def test_every_chunk_point_gets_both_jacobi_suites(
+    monkeypatch, count_calls, ent
+):
+    # jacobian_batch and jacobiator_batch seed their lifts over array cores;
+    # no lift in the chunk runs over float cores, and no per-point jacobian
+    # or gradient runs
+    payload = _payload(ent, 6, list(range(6)))
     counts = count_calls(numdiff, ["jacobian", "gradient"])
     cores = []
     lift = numdiff.lift
@@ -99,9 +137,12 @@ def test_chunk_points_past_the_jacobiator_cap_take_no_scalar_lift(monkeypatch, c
         return lift(values)
 
     monkeypatch.setattr(numdiff, "lift", recorded)
-    verification._chunk_worker(payload)
+    out = verification._chunk_worker(payload)
     assert counts == {"jacobian": 0, "gradient": 0}
     assert cores and set(cores) == {np.ndarray}
+    assert [idx for idx, _ in out] == list(range(6))
+    for _, metrics in out:
+        assert {"jacobiator_canonical", "jacobiator_defect"} <= set(metrics)
 
 
 def test_verify_workers_are_bounded_by_the_host(monkeypatch):
@@ -122,6 +163,15 @@ def test_verify_workers_are_bounded_by_the_host(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(verification, "ProcessPoolExecutor", SerialPool)
+    # every chunk samples all the points again: one chunk per process
+    chunks = []
+    worker = verification._chunk_worker
+
+    def counted(payload):
+        chunks.append(payload["indices"])
+        return worker(payload)
+
+    monkeypatch.setattr(verification, "_chunk_worker", counted)
     ent = catalog.get_entry("nonholonomic_particle")
 
     def run(workers):
@@ -134,8 +184,11 @@ def test_verify_workers_are_bounded_by_the_host(monkeypatch):
     for cpus, workers, expected in ((2, 5, 2), (None, 5, 1), (8, 3, 3)):
         monkeypatch.setattr(verification.os, "cpu_count", lambda cpus=cpus: cpus)
         asked.clear()
+        chunks.clear()
         assert run(workers) == serial
         assert asked == [expected]
+        assert len(chunks) == expected
+        assert sorted(i for c in chunks for i in c) == list(range(5))
 
 
 def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
@@ -148,3 +201,51 @@ def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
 
     monkeypatch.setattr(numdiff, "jacobian_batch", refuse)
     assert verification._chunk_worker(payload) == batched
+
+
+@pytest.mark.parametrize("name", ["holonomic_control", "chaplygin_sleigh"])
+def test_a_failed_batched_jacobiator_falls_back_to_the_scalar_path(monkeypatch, name):
+    payload = _payload(catalog.get_entry(name), 6, list(range(6)))
+    batched = verification._chunk_worker(payload)
+    kinds = []
+    scalar = brackets.jacobiator
+
+    def refuse(sys, kind, *args):
+        raise DomainError("solve_linear", "non-finite pivot")
+
+    def counted(sys, kind, *args, **kwargs):
+        kinds.append(kind)
+        return scalar(sys, kind, *args, **kwargs)
+
+    monkeypatch.setattr(brackets, "jacobiator_batch", refuse)
+    monkeypatch.setattr(brackets, "jacobiator", counted)
+    assert verification._chunk_worker(payload) == batched
+    per_point = ["canonical", "eden"] + (["nh", "dstar"] if payload["integrable"] else [])
+    assert sorted(kinds) == sorted(per_point * 6)
+
+
+PROBE_CASES = [(ent.id, ent.sample_region, 1) for ent in catalog.catalog_systems()]
+PROBE_CASES.append(("nonholonomic_particle", TWO_PLAN_REGION, 2))
+
+
+@pytest.mark.parametrize("name, region, n_plans", PROBE_CASES)
+def test_integrability_probe_brackets_are_the_scalar_lie_brackets(name, region, n_plans):
+    sysd = catalog.get_system(name)
+    plans = {}
+    for x in catalog.sample_m_points(sysd, 12, 17, region=region):
+        q = list(x.q)
+        plans.setdefault(geometry.frame_at(sysd, q).free_cols, []).append(q)
+    assert len(plans) == n_plans
+    # the probe's fields: the frame columns, or X and q_0 X with one column
+    pairs = [(a, b) for a in range(sysd.k) for b in range(a + 1, sysd.k)] or [(0, 1)]
+    for free, qs in plans.items():
+        def field(a):
+            if sysd.k == 1 and a == 1:
+                return lambda s: [s[0] * v for v in geometry.frame_apply(sysd, s, free)[0]]
+            return lambda s: geometry.frame_apply(sysd, s, free)[a]
+
+        for q, got in zip(qs, verification._frame_brackets(sysd, free, qs)):
+            expected = [brackets.lie_bracket_raw(sysd, field(a), field(b), q) for a, b in pairs]
+            assert len(got) == len(expected)
+            for w, ref in zip(got, expected):
+                assert (w == ref).all()
