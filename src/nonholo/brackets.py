@@ -376,7 +376,6 @@ def jacobiator(
     observables are dual-bundle expressions and the evaluation point is the
     image of x.
     """
-    _check_kind(kind)
     single = not isinstance(f, (list, tuple))
     triples = list(zip([f], [g], [h]) if single else zip(f, g, h, strict=True))
     x = geometry.on_m_point(sys, x, on_m_tol)
@@ -400,7 +399,6 @@ def jacobiator_batch(sys, kind, f, g, h, points, free_cols=None) -> list[np.ndar
     that do not read the plan off their point (``pushforward_observable``
     with the plan given).
     """
-    _check_kind(kind)
     triples = list(zip(f, g, h, strict=True))
     if kind == "dstar":
         if any(x.frame.free_cols != free_cols for x in points):
@@ -417,11 +415,6 @@ def jacobiator_batch(sys, kind, f, g, h, points, free_cols=None) -> list[np.ndar
     return out
 
 
-def _check_kind(kind):
-    if kind not in BRACKET_KINDS:
-        raise ValueError(f"unknown bracket kind {kind!r}")
-
-
 def _jacobi_cores(sys, kind, triples, base, free):
     """Float cores of the Jacobiator of each triple at the base scalars.
 
@@ -435,6 +428,8 @@ def _jacobi_cores(sys, kind, triples, base, free):
     observable and inner bracket off one lift. Each value is bitwise the
     value of its triple alone.
     """
+    if kind not in BRACKET_KINDS:
+        raise ValueError(f"unknown bracket kind {kind!r}")
     n = sys.n
     # slots of the distinct observables (by identity) and of the distinct
     # ordered inner pairs; {a,b} and {b,a} differ in rounding, so both stay

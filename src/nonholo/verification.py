@@ -76,19 +76,16 @@ def _system_is_integrable(sysd, region, seed) -> bool:
     rng_points = catalog.sample_m_points(
         sysd, 12, derive_seed(seed, "integrability-probe"), region=region
     )
-    qs = [list(x.q) for x in rng_points]
     plans = {}
-    for i, q in enumerate(qs):
-        plans.setdefault(geometry.frame_at(sysd, q).free_cols, []).append(i)
-    at = {}
-    for free, group in plans.items():
-        at.update(zip(group, _frame_brackets(sysd, free, [qs[i] for i in group])))
-    worst = 0.0
-    for i, q in enumerate(qs):  # in sample order: a NaN sticks only if first
-        mu = np.asarray(sysd.mu_values(q), dtype=float)
-        for w in at[i]:
-            worst = max(worst, float(np.max(np.abs(mu @ w))))
-    return worst <= 1e-10
+    for x in rng_points:
+        q = list(x.q)
+        plans.setdefault(geometry.frame_at(sysd, q).free_cols, []).append(q)
+    residuals = []  # the brackets' parts outside the distribution
+    for free, qs in plans.items():
+        for q, ws in zip(qs, _frame_brackets(sysd, free, qs)):
+            mu = np.asarray(sysd.mu_values(q), dtype=float)
+            residuals += [mu @ w for w in ws]
+    return _max_abs(*residuals) <= 1e-10  # a NaN residual is not integrable
 
 
 def _frame_brackets(sysd, free, qs):
