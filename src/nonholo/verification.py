@@ -112,7 +112,7 @@ def _frame_brackets(sysd, free, qs):
     out = []
     for q, jq in zip(qs, jac):
         d = jq.reshape(-1, n, n)
-        v = np.array([numdiff.float_core(c) for c in fields(q)]).reshape(-1, n)
+        v = np.array(fields(q), dtype=float).reshape(-1, n)
         out.append([d[b] @ v[a] - d[a] @ v[b] for a, b in pairs])
     return out
 

@@ -60,6 +60,9 @@ def test_point_metrics_call_the_jacobiator_once_per_kind(monkeypatch, integrable
     points = _chunk_points(sysd, catalog.sample_m_points(sysd, 10, 5, region=TWO_PLAN_REGION))
     plans = {x.frame.free_cols for x in points}
     assert len(plans) == 2
+    observables = catalog.observable_test_set(sysd)
+    cfg = {"on_m_tol": geometry.ON_M_TOL, "integrable": integrable}
+    alone = [_scalar_jacobi(sysd, x, observables, cfg) for x in points]
     calls = []
     original = brackets.jacobiator_batch
 
@@ -69,8 +72,7 @@ def test_point_metrics_call_the_jacobiator_once_per_kind(monkeypatch, integrable
 
     monkeypatch.setattr(brackets, "jacobiator_batch", counted)
     monkeypatch.setattr(brackets, "jacobiator", None)  # the scalar path stays unused
-    cfg = {"on_m_tol": geometry.ON_M_TOL, "integrable": integrable}
-    out = verification._jacobi_metrics(sysd, points, catalog.observable_test_set(sysd), cfg)
+    out = verification._jacobi_metrics(sysd, points, observables, cfg)
     expected = [("canonical", None, 10), ("eden", None, 10)]
     if integrable:
         expected.append(("nh", None, 10))
@@ -78,7 +80,7 @@ def test_point_metrics_call_the_jacobiator_once_per_kind(monkeypatch, integrable
             ("dstar", free, sum(x.frame.free_cols == free for x in points)) for free in plans
         ]
     assert sorted(calls) == sorted(expected)
-    assert len(out) == len(points)
+    assert out == alone
     assert max(m["jacobiator_defect"] for m in out) > verification.WITNESS_FLOOR
 
 
