@@ -23,11 +23,12 @@ values from it or from the rows.
 Each route also has one formula over generic scalars, ``_route_rows``, which
 evaluates the route's extension map once per lift for all observables; the
 Jacobiator nests it, at one point or at a batch of points whose scalars are
-stacked into array cores (``jacobiator_batch``), and the standalone functions (``canonical_bracket``,
-``eden_bracket``, ``nonholonomic_bracket``, ``dstar_bracket``) are the
-validation they run plus that formula on floats. They serve as the oracles
-the test suite checks the route-table path against; ``dstar_bracket`` keeps
-the pullback formula, so it checks the algebroid bracket.
+stacked into array cores (``jacobiator_batch``), and the standalone
+functions (``canonical_bracket``, ``eden_bracket``, ``nonholonomic_bracket``,
+``dstar_bracket``) are the validation they run plus that formula on floats.
+They serve as the oracles the test suite checks the route-table path
+against; ``dstar_bracket`` keeps the pullback formula, so it checks the
+algebroid bracket.
 """
 
 from __future__ import annotations
