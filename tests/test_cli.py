@@ -293,6 +293,31 @@ def test_verify_determinism_across_runs_and_workers(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+PINNED_SYSTEMS = (
+    "holonomic_control",
+    "nonholonomic_particle",
+    "chaplygin_sleigh",
+    "vertical_rolling_disk",
+)
+
+
+@pytest.mark.parametrize("seed", (1, 7))
+@pytest.mark.parametrize("name", PINNED_SYSTEMS)
+def test_verify_reports_match_the_pinned_bytes(capsys, name, seed):
+    """``verify --count 100`` reproduces its pinned JSON report byte for byte.
+
+    The files under tests/data/verify were written by the CLI before the
+    suites were stacked per chunk; a change that moves any report bit shows
+    here. The bytes are pinned on numpy 2.4.6 and one host's BLAS: another
+    BLAS may round a stacked product differently.
+    """
+    argv = ["verify", "--system", f"catalog:{name}", "--count", "100", "--seed", str(seed)]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (DATA / "verify" / f"{name}_seed{seed}.json").read_text()
+
+
 def test_csv_output_format(tmp_path):
     path = tmp_path / "report.csv"
     run_cli(
