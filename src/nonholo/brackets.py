@@ -94,17 +94,20 @@ def raw_rows(x: geometry.OnMPoint, observables) -> np.ndarray:
     return numdiff.jacobian(lambda s: [f.fn(s) for f in observables], x.scalars())
 
 
-def nh_values_from_grads(x: geometry.OnMPoint, gf_ext, gg_ext):
+def nh_values_from_grads(x, gf_ext, gg_ext):
     """(nh, nh2) at the point x from caller-supplied extension gradients.
 
     Gradients stacked on leading axes give arrays over those axes, each entry
-    bitwise its own pair's value; 1-D gradients give floats.
+    bitwise its own pair's value; 1-D gradients give floats. ``x`` may be a
+    sequence of B points, whose gradients then lead with the batch axis.
     """
-    P, n = x.splitting[0], x.sys.n
+    P = geometry.stacked(x, "splitting")[0]
+    n = P.shape[-1] // 2
     xf, xg = (  # the Hamiltonian fields (dF/dp, -dF/dq)
         np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
         for g in (np.asarray(gf_ext, dtype=float), np.asarray(gg_ext, dtype=float))
     )
+    P = P.reshape(P.shape[:-2] + (1,) * (xf.ndim - P.ndim + 1) + P.shape[-2:])
     pxf, pxg = ((P @ v[..., None])[..., 0] for v in (xf, xg))
     a, b, c = (np.moveaxis(v, -1, 0) for v in (pxf, xf, pxg))
     nh, nh2 = _pair(a, c, n), _pair(b, c, n)
@@ -113,35 +116,38 @@ def nh_values_from_grads(x: geometry.OnMPoint, gf_ext, gg_ext):
     return nh, nh2
 
 
-def residual_gradients(x: geometry.OnMPoint) -> np.ndarray:
-    """Gradients of the membership residuals (extensions vanishing on M)."""
-    return x.splitting[2][: x.sys.n_constraints]
+def residual_gradients(x) -> np.ndarray:
+    """Gradients of the membership residuals (extensions vanishing on M);
+    stacked over a sequence of points."""
+    C = geometry.stacked(x, "splitting")[2]
+    return C[..., : C.shape[-2] // 2, :]
 
 
-def bracket_route_tables(x: geometry.OnMPoint, raw: np.ndarray) -> dict[str, np.ndarray]:
+def bracket_route_tables(x, raw: np.ndarray) -> dict[str, np.ndarray]:
     """All four bracket routes over every ordered observable pair at a point.
 
     ``raw`` holds the observables' raw gradient rows at the point x
     (``raw_rows``), one lift that serves every route. Returns route-name
     -> (n_obs, n_obs) matrix; entry (i, j) is the bracket of observable i
     with observable j. The pair contraction is a handful of matrix products,
-    so full-pair sweeps stay cheap.
+    so full-pair sweeps stay cheap. ``x`` may be a sequence of B points with
+    ``raw`` stacked (B, n_obs, 2n); every table then leads with that axis.
     """
-    n = x.sys.n
-    gext = raw @ x.dgamma
-    gq, gp = gext[:, :n], gext[:, n:]
+    n = raw.shape[-1] // 2
+    gext = raw @ geometry.stacked(x, "dgamma")
+    gq, gp = gext[..., :n], gext[..., n:]
 
     def pair_table(aq, ap, bq, bp):
-        return aq @ bp.T - ap @ bq.T
+        return aq @ bp.swapaxes(-1, -2) - ap @ bq.swapaxes(-1, -2)
 
     eden = pair_table(gq, gp, gq, gp)
-    X = np.hstack([gp, -gq])  # rows are the extension Hamiltonian fields
-    PX = X @ x.splitting[0].T
-    nh = pair_table(PX[:, :n], PX[:, n:], PX[:, :n], PX[:, n:])
-    nh2 = pair_table(X[:, :n], X[:, n:], PX[:, :n], PX[:, n:])
-    theta, lam, _ = x.algebroid
+    X = np.concatenate([gp, -gq], -1)  # rows are the extension Hamiltonian fields
+    PX = X @ geometry.stacked(x, "splitting")[0].swapaxes(-1, -2)
+    nh = pair_table(PX[..., :n], PX[..., n:], PX[..., :n], PX[..., n:])
+    nh2 = pair_table(X[..., :n], X[..., n:], PX[..., :n], PX[..., n:])
+    theta, lam, _ = geometry.stacked(x, "algebroid")
     A = raw @ theta  # rows of the pushed observables on D*
-    return {"nh": nh, "nh2": nh2, "eden": eden, "dstar": A @ lam @ A.T}
+    return {"nh": nh, "nh2": nh2, "eden": eden, "dstar": A @ lam @ A.swapaxes(-1, -2)}
 
 
 @dataclass(frozen=True)

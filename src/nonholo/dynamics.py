@@ -16,8 +16,12 @@ validated input: a point checked once by ``geometry.require_on_m`` (a
 produced. The multiplier route reads the constraint rows and their Gram
 matrix; the projection route reads the point's symplectic splitting. Neither
 reads the other's free field, residual rates, multipliers or projected field.
-Either route takes the gradient of H from its caller when that caller lifted
-it for many points at once (``verify``, one batched lift per route).
+
+Either route also takes a list of points as one batch stacked on a leading
+axis, by the same code: one width-1 dual pass over (B,) array cores and one
+stacked solve (multiplier), one stacked product (projection). Each lifts its
+own gradient of H, or takes one lifted for that route alone (``verify``), so
+the routes of a batch share nothing but its validated points.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class PhaseVelocity:
     dp: np.ndarray
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.dq, self.dp])
+        return np.concatenate([self.dq, self.dp], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,14 @@ class Trajectory:
 
 
 def hamiltonian_field(sys: SystemDefinition, x: PhasePoint, dH=None) -> PhaseVelocity:
-    """Free field: dq = dH/dp, dp = -dH/dq from the dual-number gradient dH."""
+    """Free field: dq = dH/dp, dp = -dH/dq from the dual-number gradient dH;
+    over a list of points, dH (lifted point by point) and the field stack."""
     n = sys.n
     if dH is None:
-        _, dH = numdiff.gradient(lambda s: hamiltonian_scalar(sys, s), x.scalars())
-    return PhaseVelocity(dq=dH[n:], dp=-dH[:n])
+        pts = x if isinstance(x, list) else [x]
+        grads = [numdiff.gradient(lambda s: hamiltonian_scalar(sys, s), p.scalars())[1] for p in pts]
+        dH = np.array(grads) if isinstance(x, list) else grads[0]
+    return PhaseVelocity(dq=dH[..., n:], dp=-dH[..., :n])
 
 
 def multipliers(
@@ -85,18 +92,23 @@ def multipliers(
 
 
 def _free_field_and_multipliers(sys, x, dH=None):
-    """Free field and multipliers at a validated point (an OnMPoint)."""
+    """Free field and multipliers at a validated point, or stacked over a
+    list of them: the (B,) array cores of one dual pass carry every point."""
     free = hamiltonian_field(sys, x, dH)
     n = sys.n
-    duals = [
-        numdiff.DualScalar(float(v), (float(d),))
-        for v, d in zip(x.scalars(), free.as_vector())
-    ]
+
+    def cores(a):  # one float per coordinate, or one (B,) array
+        return a.tolist() if a.ndim == 1 else list(a.T.copy())
+
+    z = np.concatenate([geometry.stacked(x, "q"), geometry.stacked(x, "p")], -1)
+    duals = [numdiff.DualScalar(v, (d,)) for v, d in zip(cores(z), cores(free.as_vector()))]
     rates = geometry.residual_apply(sys, duals[:n], duals[n:])
-    cdot = np.array(
-        [r.partials[0] if isinstance(r, numdiff.DualScalar) else 0.0 for r in rates]
+    cdot = np.stack(
+        [np.broadcast_to(r.partials[0] if isinstance(r, numdiff.DualScalar) else 0.0, z.shape[:-1])
+         for r in rates],
+        axis=-1,
     )
-    return free, np.linalg.solve(x.cons.gram, cdot)
+    return free, np.linalg.solve(geometry.stacked(x, "cons.gram"), cdot[..., None])[..., 0]
 
 
 def nonholonomic_field_multiplier(
@@ -105,7 +117,8 @@ def nonholonomic_field_multiplier(
     """Constrained field via reaction forces in the annihilator."""
     x = geometry.on_m_point(sys, x, on_m_tol)
     free, lam = _free_field_and_multipliers(sys, x, dH)
-    return PhaseVelocity(dq=free.dq, dp=free.dp - x.cons.mu.T @ lam)
+    mu_t = geometry.stacked(x, "cons.mu").swapaxes(-1, -2)
+    return PhaseVelocity(dq=free.dq, dp=free.dp - (mu_t @ lam[..., None])[..., 0])
 
 
 def nonholonomic_field_projection(
@@ -114,8 +127,9 @@ def nonholonomic_field_projection(
     """Constrained field as the symplectic projection of the free field."""
     n = sys.n
     x = geometry.on_m_point(sys, x, on_m_tol)
-    v = x.splitting[0] @ hamiltonian_field(sys, x, dH).as_vector()
-    return PhaseVelocity(dq=v[:n], dp=v[n:])
+    P = geometry.stacked(x, "splitting")[0]
+    v = (P @ hamiltonian_field(sys, x, dH).as_vector()[..., None])[..., 0]
+    return PhaseVelocity(dq=v[..., :n], dp=v[..., n:])
 
 
 class FieldEvaluator:

@@ -16,11 +16,14 @@ operations that need a point on M accept it in place of a PhasePoint and read
 that data instead of validating again. It is the one per-point object: the
 bracket routes and the verify suites also read the linear data it builds
 once, on demand (splitting, projection Jacobian, frame, algebroid).
+The float formulas of that data are written over leading axes, so the same
+code takes one point or a list of points (``stacked``).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -189,19 +192,38 @@ class OnMPoint:
 
     @cached_property
     def algebroid(self):
-        """(Theta, Lambda, C) of the almost Lie algebroid on D* at this point.
+        """(Theta, Lambda, C) of almost_lie_algebroid at this point."""
+        return almost_lie_algebroid(self)
 
-        Theta = d(q, p)/d(q, pi) at pi = E^T p; the structure functions are
-        [e_a, e_b]_D = C[c, a, b] e_c; Lambda = [[0, E], [-E^T, -pi.C]] is
-        the bivector of the linear almost-Poisson bracket in (q, pi).
-        """
-        n, k, fr, J = self.sys.n, self.sys.k, self.frame, self.chart_jacobian
-        pi = fr.E.T @ self.p
-        # de[i, a, b] = (De_a e_b)^i and [e_a, e_b] = De_b e_a - De_a e_b
-        de = np.einsum("aij,jb->iab", J[2 * n :, :n].reshape(k, n, n), fr.E)
-        C = frame_components(self.met.G, fr.E, de.transpose(0, 2, 1) - de)
-        piC = np.einsum("c,cab->ab", pi, C)
-        return J[: 2 * n], np.block([[np.zeros((n, n)), fr.E], [-fr.E.T, -piC]]), C
+
+def stacked(x, name):
+    """Attribute ``name`` (dotted) of one OnMPoint, or of each point of a
+    sequence stacked on a new leading axis; a tuple stacks entrywise."""
+    get = operator.attrgetter(name)
+    if isinstance(x, OnMPoint):
+        return get(x)
+    values = [get(p) for p in x]
+    return tuple(map(np.stack, zip(*values))) if type(values[0]) is tuple else np.stack(values)
+
+
+def almost_lie_algebroid(x):
+    """(Theta, Lambda, C) of the almost Lie algebroid on D* at an OnMPoint,
+    or stacked over a sequence of them (see ``stacked``).
+
+    Theta = d(q, p)/d(q, pi) at pi = E^T p; the structure functions are
+    [e_a, e_b]_D = C[c, a, b] e_c; Lambda = [[0, E], [-E^T, -pi.C]] is
+    the bivector of the linear almost-Poisson bracket in (q, pi).
+    """
+    J, E, G, p = (stacked(x, a) for a in ("chart_jacobian", "frame.E", "met.G", "p"))
+    lead, (n, k) = E.shape[:-2], E.shape[-2:]
+    Et = E.swapaxes(-1, -2)
+    pi = (Et @ p[..., None])[..., 0]
+    # de[i, a, b] = (De_a e_b)^i and [e_a, e_b] = De_b e_a - De_a e_b
+    de = np.einsum("...aij,...jb->...iab", J[..., 2 * n :, :n].reshape(lead + (k, n, n)), E)
+    C = frame_components(G, E, de.swapaxes(-1, -2) - de)
+    piC = np.einsum("...c,...cab->...ab", pi, C)
+    top = np.concatenate([np.zeros(lead + (n, n)), E], -1)
+    return J[..., : 2 * n, :], np.concatenate([top, np.concatenate([-Et, -piC], -1)], -2), C
 
 
 def dstar_chart(sys, free_cols, s):
@@ -219,25 +241,29 @@ BATCH_FAILURES = (NonholoError, ArithmeticError, ValueError)
 def lift_batch(points) -> None:
     """Seed the lifted data of many OnMPoints of one system, frames built:
     one ``numdiff.jacobian_batch`` per object (and frame plan), bitwise the
-    per-point lifts. A build that raises is left to those lifts instead."""
-    sys, z = points[0].sys, [x.scalars() for x in points]
+    per-point lifts, then the splitting and the algebroid of the stacked
+    points. A build that raises is left to the per-point builds instead."""
+    sys, z, jac = points[0].sys, [x.scalars() for x in points], numdiff.jacobian_batch
     builds = [
-        (points, "residual_rows", functools.partial(residual_phase, sys), z),
-        (points, "dgamma", functools.partial(gamma_hat_apply, sys), z),
+        (points, "residual_rows", lambda: jac(functools.partial(residual_phase, sys), z)),
+        (points, "dgamma", lambda: jac(functools.partial(gamma_hat_apply, sys), z)),
     ]
     plans = {}
     for x in points:
         plans.setdefault(x.frame.free_cols, []).append(x)
     for free, group in plans.items():
         chart = functools.partial(dstar_chart, sys, free)
-        builds.append((group, "chart_jacobian", chart, [x.dstar_scalars() for x in group]))
-    for group, name, fn, args in builds:
+        args = [x.dstar_scalars() for x in group]
+        builds.append((group, "chart_jacobian", lambda c=chart, a=args: jac(c, a)))
+    builds.append((points, "splitting", lambda: zip(*tangent_splitting(sys, points, np.inf))))
+    builds.append((points, "algebroid", lambda: zip(*almost_lie_algebroid(points))))
+    for group, name, build in builds:
         try:
-            rows = numdiff.jacobian_batch(fn, args)
+            values = list(build())
         except BATCH_FAILURES:
             continue
-        for x, r in zip(group, rows):
-            x.__dict__[name] = r  # the cached_property's slot
+        for x, v in zip(group, values):
+            x.__dict__[name] = v  # the cached_property's slot
 
 
 def require_on_m(sys, q, p, on_m_tol: float | None = None) -> OnMPoint:
@@ -258,7 +284,10 @@ def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
 
     A PhasePoint goes through ``require_on_m``. An OnMPoint is checked
     against on_m_tol by its recorded residual; nothing is evaluated again.
+    A list or tuple of points is validated point by point, in index order.
     """
+    if isinstance(x, (list, tuple)):
+        return [on_m_point(sys, p, on_m_tol) for p in x]
     if not isinstance(x, OnMPoint):
         return require_on_m(sys, x.q, x.p, on_m_tol)
     tol = ON_M_TOL if on_m_tol is None else on_m_tol
@@ -347,12 +376,15 @@ def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
 def frame_components(G, E, w) -> np.ndarray:
     """xi = (E^T G E)^-1 E^T G w, so E xi is the G-orthogonal projection of w.
 
-    Trailing axes of w form one matrix right-hand side; xi has shape
-    (k,) + w.shape[1:].
+    Leading axes of G (..., n, n) and E (..., n, k) are batch axes, and w
+    leads with them too; the axes of w after n form one matrix right-hand
+    side, and xi has shape (..., k) + those axes.
     """
+    lead, (n, k) = E.shape[:-2], E.shape[-2:]
     ge = G @ E
-    xi = np.linalg.solve(E.T @ ge, ge.T @ w.reshape(len(w), -1))
-    return xi.reshape(E.shape[1:] + w.shape[1:])
+    rhs = w.reshape(lead + (n, -1))
+    xi = np.linalg.solve(E.swapaxes(-1, -2) @ ge, ge.swapaxes(-1, -2) @ rhs)
+    return xi.reshape(lead + (k,) + w.shape[len(lead) + 1 :])
 
 
 # --- symplectic splitting along the constraint manifold -----------------------
@@ -367,36 +399,40 @@ def omega_matrix(n: int) -> np.ndarray:
 
 
 def omega_inv_apply(cols: np.ndarray) -> np.ndarray:
-    """Apply Omega^-1 = [[0, -I], [I, 0]] columnwise."""
-    n = cols.shape[0] // 2
-    return np.vstack([-cols[n:], cols[:n]])
+    """Apply Omega^-1 = [[0, -I], [I, 0]] columnwise (to the last two axes)."""
+    n = cols.shape[-2] // 2
+    return np.concatenate([-cols[..., n:, :], cols[..., :n, :]], -2)
 
 
 def tangent_splitting(sys, x, on_m_tol: float | None = None):
     """Projectors of the symplectic splitting along the constraint manifold.
 
     Rows of C are the differentials of (i) the membership residuals
-    c_a(q, p) = mu_a G^-1 p and (ii) the base conditions mu_a(q) dq. Then
-    ker C is the admissible tangent sub-bundle, and
+    c_a(q, p) = mu_a G^-1 p (``OnMPoint.residual_rows``) and (ii) the base
+    conditions (mu_a, 0). Then ker C is the admissible tangent sub-bundle,
+    and
 
         Q = Omega^-1 C^T (C Omega^-1 C^T)^-1 C,    P = I - Q
 
     project onto it along its symplectic orthogonal complement. ``x`` is a
-    PhasePoint or an OnMPoint (see on_m_point). Returns (P, Q, C).
+    PhasePoint or an OnMPoint (see on_m_point), or a list of them: the
+    arrays then lead with the batch axis, and the first degenerate point
+    raises. Returns (P, Q, C).
     """
     x = on_m_point(sys, x, on_m_tol)
-    n = sys.n
-    C = np.asarray(splitting_rows(sys, x.scalars(), x.residual_rows), dtype=float)
-    M1 = omega_inv_apply(C.T)
+    mu = stacked(x, "cons.mu")
+    base = np.concatenate([mu, np.zeros_like(mu)], -1)
+    C = np.concatenate([stacked(x, "residual_rows"), base], -2)
+    M1 = omega_inv_apply(C.swapaxes(-1, -2))
     K = C @ M1
-    s = np.linalg.svd(K, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-        raise SplittingDegenerateError(
-            "the admissible tangent sub-bundle fails to be symplectic here "
-            f"(splitting matrix singular values {s})"
-        )
+    for s in np.linalg.svd(K, compute_uv=False).reshape(-1, K.shape[-1]):
+        if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
+            raise SplittingDegenerateError(
+                "the admissible tangent sub-bundle fails to be symplectic here "
+                f"(splitting matrix singular values {s})"
+            )
     Q = M1 @ np.linalg.solve(K, C)
-    P = np.eye(2 * n) - Q
+    P = np.eye(2 * sys.n) - Q
     return P, Q, C
 
 
@@ -420,16 +456,14 @@ def residual_phase(sys, scalars):
     return residual_apply(sys, scalars[: sys.n], scalars[sys.n :])
 
 
-def splitting_rows(sys, scalars, residual_rows=None):
+def splitting_rows(sys, scalars):
     """Rows of the splitting matrix C over generic scalars.
 
     The differentials of the residuals c_a (taken one lift level above the
-    inputs, unless the caller has them, as floats), then the base conditions
-    (mu_a, 0).
+    inputs), then the base conditions (mu_a, 0).
     """
     n = sys.n
-    if residual_rows is None:
-        residual_rows = numdiff.jacobian_generic(functools.partial(residual_phase, sys), scalars)
+    residual_rows = numdiff.jacobian_generic(functools.partial(residual_phase, sys), scalars)
     mu = sys.mu_values(list(scalars[:n]))
     return [list(row) for row in residual_rows] + [list(row) + [0.0] * n for row in mu]
 

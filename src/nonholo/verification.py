@@ -10,12 +10,13 @@ distribution membership of extension fields, and the Jacobiator policy
 witness otherwise).
 
 Each point is validated once into a ``geometry.OnMPoint``, and every suite
-at that point reads the metric, constraint rows, splitting, projection
-Jacobian, frame and algebroid it carries. The Jacobiator runs at every
-point, batched: one nested lift per kind over all the points of a chunk
-(per frame plan for the dual-bundle kind). Overflow in a suite is not
-reported as a numpy warning: the non-finite value reaches the report and
-fails its suite.
+reads the metric, constraint rows, splitting, projection Jacobian, frame and
+algebroid it carries. The suites run stacked per chunk: one batched lift per
+object, then the float algebra as (B, ...) arrays over fixed slices of the
+chunk's points, reduced per point. The Jacobiator runs at every point, one
+nested lift per kind over the chunk (per frame plan for the dual-bundle
+kind). Overflow in a suite is not reported as a numpy warning: the
+non-finite value reaches the report and fails its suite.
 
 Points are distributed by index across at most one worker chunk per
 process, and at most one process per CPU; per-point results are merged in
@@ -38,6 +39,7 @@ from . import brackets, catalog, dsl, dynamics, geometry, numdiff
 from .system import Observable, hamiltonian_scalar
 
 WITNESS_FLOOR = 1e-3
+_SLICE = 25  # points per stacked pass of the suites
 
 
 @dataclass
@@ -129,15 +131,18 @@ def _table_observables(observables, n):
     return observables + prods
 
 
-def _point_metrics(sysd, x, observables, cfg_dict, batched=None):
-    """Every suite at one point; what ``batched`` lacks is lifted here."""
+def _point_max(parts):
+    """``_max_abs`` per point (the leading axis), each part reduced in turn."""
+    return np.max([np.abs(p).reshape(len(p), -1).max(axis=1) for p in parts], axis=0)
+
+
+def _chunk_metrics(sysd, points, observables, batched):
+    """Every suite but the Jacobi pair at validated points, as one stacked
+    (B, ...) pass; one metric dict per point. ``batched`` holds the points'
+    stacked lifts (``_batched_lifts``), or is None to lift them point by point.
+    """
     batched = batched or {}
-    n = sysd.n
-    tol = cfg_dict["on_m_tol"]
-    # the one validated state of this point: every step below reads its
-    # metric, constraint rows, splitting, frame and algebroid instead of
-    # validating again
-    x = geometry.on_m_point(sysd, x, tol)
+    n, k, B = sysd.n, sysd.k, len(points)
     n_obs = len(observables)
     routes = ("nh", "nh2", "eden", "dstar")
     triples = _leibniz_triples(n_obs, n)
@@ -145,61 +150,68 @@ def _point_metrics(sysd, x, observables, cfg_dict, batched=None):
     # the n_obs x n_obs block of the observables themselves
     raw = batched.get("raw")
     if raw is None:
-        raw = brackets.raw_rows(x, _table_observables(observables, n))
-    tables = brackets.bracket_route_tables(x, raw)
-    vals = {r: tables[r][:n_obs, :n_obs] for r in routes}
-    stacked = np.stack([vals[r] for r in routes])
-    coincidence = float(np.max(np.abs(stacked[:, None] - stacked[None, :])))
-    forms_gap = float(np.max(np.abs(vals["nh"] - vals["nh2"])))
-    skew = _max_abs(*(vals[r] + vals[r].T for r in routes))
+        table = _table_observables(observables, n)
+        raw = np.stack([brackets.raw_rows(x, table) for x in points])
+    tables = brackets.bracket_route_tables(points, raw)
+    vals = {r: tables[r][:, :n_obs, :n_obs] for r in routes}
+    # every ordered route pair, a route with itself too (inf - inf is NaN)
+    coincidence = _point_max(
+        vals[r] - vals[s] for i, r in enumerate(routes) for s in routes[i:]
+    )
+    forms_gap = _point_max([vals["nh"] - vals["nh2"]])
+    skew = _point_max(vals[r] + vals[r].swapaxes(-1, -2) for r in routes)
 
     resids = []
     for t, (i, j, g_idx) in enumerate(triples):
-        fv, f2v = observables[i].at(x), observables[j].at(x)
+        fv, f2v = (np.array([observables[o].at(x) for x in points]) for o in (i, j))
         for r in routes:
             tab = tables[r]
-            resids.append(tab[n_obs + t, g_idx] - fv * tab[j, g_idx] - f2v * tab[i, g_idx])
-    leibniz = _max_abs(resids)
+            resids.append(tab[:, n_obs + t, g_idx] - fv * tab[:, j, g_idx] - f2v * tab[:, i, g_idx])
+    leibniz = _point_max(resids)
+    del tables, vals
 
-    ext = raw[:n_obs] @ x.dgamma
+    dgam = geometry.stacked(points, "dgamma")
+    ext = raw[:, :n_obs] @ dgam
     # two pairs as they are, then with either gradient moved off M along the
-    # residual gradient by 1, -1 and 10: one stacked call for all 14
-    gf, gg = ext[[0, n]], ext[[n, min(2 * n, n_obs - 1)]]
-    shifts = [c * brackets.residual_gradients(x)[0] for c in (1.0, -1.0, 10.0)]
+    # residual gradient by 1, -1 and 10: one stacked call for all 14 per point
+    gf, gg = ext[:, [0, n]], ext[:, [n, min(2 * n, n_obs - 1)]]
+    shifts = [c * brackets.residual_gradients(points)[:, :1] for c in (1.0, -1.0, 10.0)]
     nh, nh2 = brackets.nh_values_from_grads(
-        x,
-        np.stack([gf] + [gf + s for s in shifts] + [gf] * 3),
-        np.stack([gg] + [gg] * 3 + [gg + s for s in shifts]),
+        points,
+        np.stack([gf] + [gf + s for s in shifts] + [gf] * 3, 1),
+        np.stack([gg] + [gg] * 3 + [gg + s for s in shifts], 1),
     )
-    ext_ind = _max_abs(nh[1:] - nh[0], nh2[1:] - nh2[0])
+    ext_ind = _point_max([nh[:, 1:] - nh[:, :1], nh2[:, 1:] - nh2[:, :1]])
 
-    a = dynamics.nonholonomic_field_multiplier(sysd, x, tol, batched.get("dH_multiplier"))
-    b = dynamics.nonholonomic_field_projection(sysd, x, tol, batched.get("dH_projection"))
-    two_route = float(np.max(np.abs(a.as_vector() - b.as_vector())))
-    P, Q, C = x.splitting
-    tangency = float(np.max(np.abs(brackets.residual_gradients(x) @ a.as_vector())))
-    projector_laws = _max_abs(P @ P - P, C @ P)
-    dgam = x.dgamma
+    # the points are validated; each route lifts its own gradient of H
+    a = dynamics.nonholonomic_field_multiplier(sysd, points, np.inf, batched.get("dH_multiplier"))
+    b = dynamics.nonholonomic_field_projection(sysd, points, np.inf, batched.get("dH_projection"))
+    a, b = a.as_vector(), b.as_vector()
+    two_route = _point_max([a - b])
+    P, Q, C = geometry.stacked(points, "splitting")
+    tangency = _point_max([brackets.residual_gradients(points) @ a[..., None]])
+    projector_laws = _point_max([P @ P - P, C @ P])
     u, s, _ = np.linalg.svd(P)
-    rank = int(np.sum(s > 1e-8 * s[0]))
-    basis = u[:, :rank]
-    proj_identity = float(np.max(np.abs(dgam @ (P @ basis) - P @ basis)))
-    if rank != 2 * sysd.k:
-        proj_identity = float("inf")
+    proj_identity = []
+    for pb, ub, sb, db in zip(P, u, s, dgam):  # each basis has its own rank
+        pu = pb @ ub[:, : np.sum(sb > 1e-8 * sb[0])]
+        gap = float(np.max(np.abs(db @ pu - pu)))
+        proj_identity.append(gap if pu.shape[1] == 2 * k else float("inf"))
 
-    mu = x.cons.mu
-    fields = np.hstack([ext[:, n:], -ext[:, :n]])  # extension fields, by row
-    base_in_d = float(np.max(np.abs(fields[:, :n] @ mu.T)))
-    qx = fields @ Q.T  # must be vertical, with dp in span(mu^T)
-    lam, *_ = np.linalg.lstsq(mu.T, qx[:, n:].T, rcond=None)
-    off_span = mu.T @ lam - qx[:, n:].T
-    vertical = _max_abs(qx[:, :n], off_span)
+    mu = geometry.stacked(points, "cons.mu")
+    fields = np.concatenate([ext[..., n:], -ext[..., :n]], -1)  # extension fields, by row
+    base_in_d = _point_max([fields[..., :n] @ mu.swapaxes(-1, -2)])
+    qx = fields @ Q.swapaxes(-1, -2)  # must be vertical, with dp in span(mu^T)
+    vertical = []
+    for mb, qb in zip(mu, qx):  # lstsq takes one matrix at a time
+        lam, *_ = np.linalg.lstsq(mb.T, qb[:, n:].T, rcond=None)
+        vertical.append(_max_abs(qb[:, :n], mb.T @ lam - qb[:, n:].T))
 
     # informational: projection Jacobian vs projector on base-admissible
     # vectors that leave the manifold tangent space
-    E = x.frame.E
-    zvecs = np.vstack([E, np.ones((n, E.shape[1]))])
-    strong_gap = float(np.max(np.abs((dgam - P) @ zvecs)))
+    E = geometry.stacked(points, "frame.E")
+    zvecs = np.concatenate([E, np.ones(E.shape)], -2)
+    strong_gap = _point_max([(dgam - P) @ zvecs])
 
     out = {
         "bracket_coincidence": coincidence,
@@ -215,8 +227,7 @@ def _point_metrics(sysd, x, observables, cfg_dict, batched=None):
         "extension_field_complement_vertical": vertical,
         "strong_projection_gap": strong_gap,
     }
-
-    return out
+    return [{name: float(v[b]) for name, v in out.items()} for b in range(B)]
 
 
 def _chunk_worker(payload):
@@ -230,42 +241,46 @@ def _chunk_worker(payload):
         momentum_scale=payload["momentum_scale"],
     )
     indices = payload["indices"]
-    out = []
+    tol = payload["on_m_tol"]
     with np.errstate(over="ignore", invalid="ignore"):
         # validate in index order up to the first failure; the pass below
         # meets that point unvalidated and raises there, as it would alone
         valid = []
         for idx in indices:
             try:
-                x = geometry.on_m_point(sysd, points[idx], payload["on_m_tol"])
+                x = geometry.on_m_point(sysd, points[idx], tol)
                 x.frame  # built and checked here, before the batched lifts
             except geometry.BATCH_FAILURES:
                 break
             valid.append(x)
         batched = _batched_lifts(sysd, valid, observables)
         jacobi = _jacobi_metrics(sysd, valid, observables, payload)
-        for pos, idx in enumerate(indices):
-            on = pos < len(valid)
-            metrics = _point_metrics(
-                sysd,
-                valid[pos] if on else points[idx],
-                observables,
-                payload,
-                batched=batched[pos] if on else None,
-            )
-            if on:  # a point's cached linear data is not needed again
-                metrics.update(jacobi[pos])
-                valid[pos] = batched[pos] = None
-            out.append((idx, metrics))
-    return out
+        # stacked slices bound the tables' memory; from a slice whose stacked
+        # pass raises on, each point runs alone, in index order
+        metrics = []
+        for lo in range(0, len(valid), _SLICE):
+            part = slice(lo, lo + _SLICE)
+            try:
+                lifted = {name: rows[part] for name, rows in batched.items()}
+                metrics += _chunk_metrics(sysd, valid[part], observables, lifted)
+            except geometry.BATCH_FAILURES:
+                break
+            valid[part] = [None] * len(valid[part])  # their linear data is not needed again
+        for idx in indices[len(metrics) :]:
+            x = geometry.on_m_point(sysd, points[idx], tol)
+            metrics += _chunk_metrics(sysd, [x], observables, None)
+        for m, j in zip(metrics, jacobi):
+            m.update(j)
+    return list(zip(indices, metrics))
 
 
 def _batched_lifts(sysd, points, observables):
-    """Seed the points' lifted data; return, per point, its table rows and
-    each dynamics route's gradient of H (one lift per route: the routes share
-    only the point). An object whose batched build raises is left out."""
+    """Seed the points' lifted data; return their table rows and each
+    dynamics route's gradient of H, stacked (one lift per route: the routes
+    share only the points). An object whose batched build raises is left
+    out."""
     if not points:
-        return []
+        return {}
     geometry.lift_batch(points)
     table = _table_observables(observables, sysd.n)
     z = [x.scalars() for x in points]
@@ -281,7 +296,7 @@ def _batched_lifts(sysd, points, observables):
         except geometry.BATCH_FAILURES:
             continue
         lifted[name] = rows if name == "raw" else rows[:, 0]
-    return [{name: rows[b] for name, rows in lifted.items()} for b in range(len(points))]
+    return lifted
 
 
 def _jacobi_metrics(sysd, points, observables, cfg_dict):

@@ -1,10 +1,11 @@
-"""Per-point work of the verify sweep: one validation, one batched call per kind."""
+"""Per-point work of the verify sweep: one validation, one stacked pass per
+slice, one batched call per kind."""
 
 import numpy as np
 import pytest
 
-from nonholo import brackets, catalog, geometry, numdiff, verification
-from nonholo.errors import DomainError
+from nonholo import brackets, catalog, dsl, dynamics, geometry, numdiff, verification
+from nonholo.errors import DomainError, SplittingDegenerateError
 
 VALIDATION = ("tangent_splitting", "metric_at", "constraints_at")
 
@@ -15,10 +16,9 @@ def test_point_metrics_validate_each_point_once(count_calls, ent):
     observables = catalog.observable_test_set(sysd)
     points = catalog.sample_entry_points(ent, 3, 5)
     counts = count_calls(geometry, VALIDATION)
-    cfg = {"on_m_tol": geometry.ON_M_TOL, "integrable": True}
     for x in points:
         counts.update(dict.fromkeys(VALIDATION, 0))
-        verification._point_metrics(sysd, x, observables, cfg)
+        verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, x)], observables, None)
         assert counts["tangent_splitting"] == 1
         assert counts["metric_at"] <= 1 and counts["constraints_at"] <= 1
 
@@ -100,9 +100,9 @@ def _payload(ent, count, indices):
 
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
 def test_chunk_metrics_do_not_depend_on_the_batch(ent):
-    # the batched lifts cover whatever points a chunk holds; every metric at
-    # an index is exactly its value in any other chunk, and exactly the
-    # metric of the point taken alone on the per-point path
+    # the batched lifts and the stacked suites cover whatever points a chunk
+    # holds; every metric at an index is exactly its value in any other
+    # chunk, and exactly the metric of the point taken alone at B = 1
     count = 14
     full = dict(verification._chunk_worker(_payload(ent, count, list(range(count)))))
     indices = list(range(count))
@@ -116,7 +116,8 @@ def test_chunk_metrics_do_not_depend_on_the_batch(ent):
     observables = catalog.observable_test_set(sysd)
     cfg = _payload(ent, count, [])
     for idx in (0, count - 1):
-        alone = verification._point_metrics(sysd, points[idx], observables, cfg)
+        x = geometry.on_m_point(sysd, points[idx])
+        [alone] = verification._chunk_metrics(sysd, [x], observables, None)
         alone.update(_scalar_jacobi(sysd, geometry.on_m_point(sysd, points[idx]), observables, cfg))
         assert alone == full[idx]
 
@@ -203,6 +204,114 @@ def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
 
     monkeypatch.setattr(numdiff, "jacobian_batch", refuse)
     assert verification._chunk_worker(payload) == batched
+
+
+def test_a_failed_stacked_pass_falls_back_to_the_per_point_pass(monkeypatch):
+    # two slices; the first stacked pass raises, and from it on each point
+    # runs alone at B = 1
+    count = verification._SLICE + 5
+    payload = _payload(catalog.get_entry("vertical_rolling_disk"), count, list(range(count)))
+    stacked = verification._chunk_worker(payload)
+    sizes = []
+    chunk_metrics = verification._chunk_metrics
+
+    def refuse(sysd, points, observables, batched):
+        sizes.append(len(points))
+        if len(points) > 1:
+            raise DomainError("solve_linear", "non-finite pivot")
+        return chunk_metrics(sysd, points, observables, batched)
+
+    monkeypatch.setattr(verification, "_chunk_metrics", refuse)
+    assert verification._chunk_worker(payload) == stacked
+    assert sizes == [verification._SLICE] + [1] * count
+
+
+def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone():
+    # V = 1e308*x^3 overflows into NaN at points 8, 11, 12, 21, 23 and 24 of
+    # this sample; the finite points around them keep their values
+    src = catalog.get_entry("nonholonomic_particle").definition.replace("V = 0", "V = 1e308*x^3")
+    sysd = dsl.parse_system(src)
+    count = 30
+    payload = {
+        "source": src, "count": count, "seed": 1, "region": None, "momentum_scale": 1.0,
+        "on_m_tol": geometry.ON_M_TOL, "integrable": False, "indices": list(range(count)),
+    }
+    chunk = verification._chunk_worker(payload)
+    points = catalog.sample_m_points(sysd, count, 1)
+    observables = catalog.observable_test_set(sysd)
+    nan_points = set()
+    for idx, metrics in chunk:
+        x = geometry.on_m_point(sysd, points[idx])
+        with np.errstate(over="ignore", invalid="ignore"):
+            [alone] = verification._chunk_metrics(sysd, [x], observables, None)
+        for name, value in alone.items():
+            assert repr(metrics[name]) == repr(value), (idx, name)
+        if np.isnan(alone["extension_field_base_in_distribution"]):
+            nan_points.add(idx)
+    assert nan_points == {8, 11, 12, 21, 23, 24}
+    report = verification.run_verify(verification.VerifyConfig(
+        system_source=src, system_label="overflow", seed=1, count=count,
+    ))
+    suite = next(
+        s for s in report["suites"] if s["name"] == "extension_field_base_in_distribution"
+    )
+    assert np.isnan(suite["value"]) and suite["worst_point_index"] == 8
+
+
+def test_a_degenerate_point_in_a_stacked_pass_raises_as_it_would_alone(monkeypatch):
+    # the residual rows vanish at the middle point of the chunk, so its
+    # splitting matrix is singular there and nowhere else
+    ent = catalog.get_entry("chaplygin_sleigh")
+    payload = _payload(ent, 9, list(range(9)))
+    assert not payload["integrable"]  # no nh or dstar Jacobiator reads the rows
+    sysd = ent.system()
+    sample = catalog.sample_entry_points(ent, 9, 3)
+    bad = sample[4]
+    residual_phase = geometry.residual_phase
+
+    def vanishing_at_bad(sys, s):
+        keep = (numdiff.float_core(s[0]) != bad.q[0]) * 1.0  # a float, or one per point
+        return [r * keep for r in residual_phase(sys, s)]
+
+    monkeypatch.setattr(geometry, "residual_phase", vanishing_at_bad)
+    with pytest.raises(SplittingDegenerateError) as chunk:
+        verification._chunk_worker(payload)
+    observables = catalog.observable_test_set(sysd)
+    with pytest.raises(SplittingDegenerateError) as alone:
+        verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, bad)], observables, None)
+    assert str(chunk.value) == str(alone.value)
+    with pytest.raises(SplittingDegenerateError) as trio:
+        geometry.tangent_splitting(sysd, sample[3:6])
+    assert str(trio.value) == str(alone.value)
+    for x in (sample[3], sample[5]):  # the points beside it are regular
+        verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, x)], observables, None)
+
+
+@pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
+def test_stacked_linear_data_is_bitwise_the_per_point_data(ent):
+    # the one formula of each object over leading axes: a stack of points
+    # gives, entry by entry, the arrays of each point taken alone
+    sysd = ent.system()
+    sample = catalog.sample_entry_points(ent, 10, 21)
+    observables = catalog.observable_test_set(sysd)
+
+    def data(x, raw):
+        splitting = geometry.tangent_splitting(sysd, x)
+        algebroid = geometry.almost_lie_algebroid(x)
+        tables = brackets.bracket_route_tables(x, raw)
+        fields = [
+            route(sysd, x).as_vector()
+            for route in (dynamics.nonholonomic_field_multiplier, dynamics.nonholonomic_field_projection)
+        ]
+        return [*splitting, *algebroid, *tables.values(), *fields]
+
+    points = geometry.on_m_point(sysd, sample)
+    geometry.lift_batch(points)  # the cached splitting and algebroid, stacked
+    stacked = data(points, np.stack([brackets.raw_rows(x, observables) for x in points]))
+    for b, x in enumerate(sample):
+        x = geometry.on_m_point(sysd, x)
+        for got, want in zip(stacked, data(x, brackets.raw_rows(x, observables))):
+            assert got[b].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["holonomic_control", "chaplygin_sleigh"])
