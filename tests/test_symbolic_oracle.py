@@ -8,7 +8,9 @@ per-point objects are checked against them on every catalog system:
 the projection Jacobian, the splitting rows, the raw observable rows, the
 almost Lie algebroid, the four bracket route tables and the multiplier-route
 field. The bracket tables are contracted here from their textbook
-definitions, not from the package's formulas.
+definitions, not from the package's formulas. The same objects are checked
+once more over each system's seeded points as one stacked batch, the way
+``verify`` builds them.
 """
 
 import functools
@@ -18,7 +20,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from nonholo import brackets, catalog, dsl, dynamics, geometry  # noqa: E402
+from nonholo import brackets, catalog, dsl, dynamics, geometry, numdiff  # noqa: E402
 
 REL = 1e-12
 SEEDS = (3, 11)
@@ -195,18 +197,14 @@ def test_linear_data_matches_closed_forms(entry_id, x):
     close(C, orc["C_alg"](q))
 
 
-@pytest.mark.parametrize("entry_id,x", points())
-def test_route_tables_match_closed_forms(entry_id, x):
-    sysd, xm, orc = _setup(entry_id, x)
-    n, q, p = sysd.n, xm.q, xm.p
-    obs = catalog.observable_test_set(sysd)
-    tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, obs))
+def expected_tables(orc, q, p):
+    """The four route tables of the observable test set, from closed forms."""
+    n = len(q)
     raw = orc["raw"](q, p)
 
     # eden: canonical bracket of the momentum-projection extensions; on M
     # the projection fixes the point, so the extension rows are raw @ dgamma
     ext = raw @ orc["dgamma"](q, p)
-    close(tables["eden"], _pair(ext, ext, n))
 
     # nh and nh2: Hamiltonian fields of the extensions, projected along the
     # symplectic complement of ker C
@@ -217,9 +215,6 @@ def test_route_tables_match_closed_forms(entry_id, x):
     P = np.eye(2 * n) - M1 @ np.linalg.solve(C @ M1, C)
     PX = fields @ P.T
 
-    close(tables["nh"], _pair(PX, PX, n))
-    close(tables["nh2"], _pair(fields, PX, n))
-
     # dstar: the linear almost-Poisson bracket of the algebroid,
     # {F, G} = dqF E dpiG - dpiF E^T dqG - pi_c C^c_ab dpiF_a dpiG_b
     E = orc["E"](q)
@@ -227,7 +222,55 @@ def test_route_tables_match_closed_forms(entry_id, x):
     A = raw @ orc["theta"](q, pi)
     dq, dpi = A[:, :n], A[:, n:]
     piC = np.einsum("c,cab->ab", pi, orc["C_alg"](q))
-    close(tables["dstar"], dq @ E @ dpi.T - dpi @ E.T @ dq.T - dpi @ piC @ dpi.T)
+    return {
+        "eden": _pair(ext, ext, n),
+        "nh": _pair(PX, PX, n),
+        "nh2": _pair(fields, PX, n),
+        "dstar": dq @ E @ dpi.T - dpi @ E.T @ dq.T - dpi @ piC @ dpi.T,
+    }, P
+
+
+@pytest.mark.parametrize("entry_id,x", points())
+def test_route_tables_match_closed_forms(entry_id, x):
+    sysd, xm, orc = _setup(entry_id, x)
+    obs = catalog.observable_test_set(sysd)
+    tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, obs))
+    want, _ = expected_tables(orc, xm.q, xm.p)
+    for route, table in want.items():
+        close(tables[route], table)
+
+
+@pytest.mark.parametrize("ent", ENTRIES, ids=lambda e: e.id)
+def test_stacked_batch_matches_closed_forms(ent):
+    # every seeded point of the system in one batch: the stacked splitting,
+    # algebroid, route tables and both field routes, point by point
+    sysd = ent.system()
+    sample = [x for seed in SEEDS for x in catalog.sample_entry_points(ent, POINTS_PER_SEED, seed)]
+    xs = geometry.on_m_point(sysd, sample)
+    obs = catalog.observable_test_set(sysd)
+    raw = numdiff.jacobian_batch(lambda s: [f.fn(s) for f in obs], [x.scalars() for x in xs])
+    P, _, C = geometry.tangent_splitting(sysd, xs)
+    theta, lam, C_alg = geometry.almost_lie_algebroid(xs)
+    tables = brackets.bracket_route_tables(xs, raw)
+    fields = [
+        route(sysd, xs).as_vector()
+        for route in (dynamics.nonholonomic_field_multiplier, dynamics.nonholonomic_field_projection)
+    ]
+    assert raw.shape[0] == len(sample) == 2 * POINTS_PER_SEED
+    for b, x in enumerate(xs):
+        orc = oracle(ent.id, x.frame.free_cols)
+        q, p = x.q, x.p
+        pi = orc["E"](q).T @ p
+        want, want_P = expected_tables(orc, q, p)
+        close(C[b], orc["C_split"](q, p))
+        close(P[b], want_P)
+        close(theta[b], orc["theta"](q, pi))
+        close(lam[b], orc["lam"](q, pi))
+        close(C_alg[b], orc["C_alg"](q))
+        for route, table in want.items():
+            close(tables[route][b], table)
+        for field in fields:
+            close(field[b], orc["field"](q, p)[:, 0])
 
 
 @pytest.mark.parametrize("entry_id,x", points())
