@@ -183,13 +183,13 @@ def _chunk_metrics(sysd, points, observables, batched):
     )
     ext_ind = _point_max([nh[:, 1:] - nh[:, :1], nh2[:, 1:] - nh2[:, :1]])
 
-    # the points are validated; each route lifts its own gradient of H
+    # the points are validated already; each route reads its own lift of H
     a = dynamics.nonholonomic_field_multiplier(sysd, points, np.inf, batched.get("dH_multiplier"))
     b = dynamics.nonholonomic_field_projection(sysd, points, np.inf, batched.get("dH_projection"))
-    a, b = a.as_vector(), b.as_vector()
-    two_route = _point_max([a - b])
+    mult, proj = a.as_vector(), b.as_vector()
+    two_route = _point_max([mult - proj])
     P, Q, C = geometry.stacked(points, "splitting")
-    tangency = _point_max([brackets.residual_gradients(points) @ a[..., None]])
+    tangency = _point_max([brackets.residual_gradients(points) @ mult[..., None]])
     projector_laws = _point_max([P @ P - P, C @ P])
     u, s, _ = np.linalg.svd(P)
     proj_identity = []
