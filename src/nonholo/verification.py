@@ -253,8 +253,8 @@ def _chunk_worker(payload):
             except geometry.BATCH_FAILURES:
                 break
             valid.append(x)
-        batched = _batched_lifts(sysd, valid, observables)
         jacobi = _jacobi_metrics(sysd, valid, observables, payload)
+        batched = _batched_lifts(sysd, valid, observables)
         # stacked slices bound the tables' memory; from a slice whose stacked
         # pass raises on, each point runs alone, in index order
         metrics = []
