@@ -226,9 +226,10 @@ def test_a_failed_stacked_pass_falls_back_to_the_per_point_pass(monkeypatch):
     assert sizes == [verification._SLICE] + [1] * count
 
 
-def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone():
+def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone(monkeypatch):
     # V = 1e308*x^3 overflows into NaN at points 8, 11, 12, 21, 23 and 24 of
-    # this sample; the finite points around them keep their values
+    # this sample; the stacked passes carry them, and every point keeps the
+    # values it has alone
     src = catalog.get_entry("nonholonomic_particle").definition.replace("V = 0", "V = 1e308*x^3")
     sysd = dsl.parse_system(src)
     count = 30
@@ -236,7 +237,16 @@ def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone():
         "source": src, "count": count, "seed": 1, "region": None, "momentum_scale": 1.0,
         "on_m_tol": geometry.ON_M_TOL, "integrable": False, "indices": list(range(count)),
     }
+    sizes = []
+    chunk_metrics = verification._chunk_metrics
+
+    def recorded(sysd, points, observables, batched):
+        sizes.append(len(points))
+        return chunk_metrics(sysd, points, observables, batched)
+
+    monkeypatch.setattr(verification, "_chunk_metrics", recorded)
     chunk = verification._chunk_worker(payload)
+    assert sizes == [verification._SLICE, count - verification._SLICE]
     points = catalog.sample_m_points(sysd, count, 1)
     observables = catalog.observable_test_set(sysd)
     nan_points = set()
