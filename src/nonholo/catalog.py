@@ -4,7 +4,9 @@ The entries are input data, not claims: their correctness targets are
 internal consistency (SPD metric, full-rank constraints, valid frames over
 the sample region) plus the bracket/dynamics verification suites. Sample
 regions deliberately avoid angles where the default frame construction
-switches pivots.
+switches pivots. Seeded sampling projects its candidates in stacked blocks
+(``sample_m_points``) and gives bitwise the points, errors and attempt cap
+of drawing and projecting one candidate at a time.
 """
 
 from __future__ import annotations
@@ -205,6 +207,11 @@ def sample_m_points(
     and the result is projected onto M; the residual after projection is at
     machine precision. The stream is the documented splitmix generator, so a
     fixed seed reproduces points bit-for-bit.
+
+    Candidates are drawn in blocks of as many as are still missing, q then
+    p each, and projected by one ``eden_project_batch``. A candidate that
+    fails a stacked check goes through ``eden_project`` itself, in order,
+    and is skipped on RankDeficientError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -213,22 +220,30 @@ def sample_m_points(
         region = tuple((-1.0, 1.0) for _ in range(n))
     rng = SplitMix64(seed)
     out = []
-    attempts = 0
+    budget = 64 * count + 1  # candidates drawn before giving up
     while len(out) < count:
-        if attempts > 64 * count:
+        if budget == 0:
             raise RankDeficientError(
                 "sampling kept hitting degenerate configurations; check the region"
             )
-        attempts += 1
-        q = np.array([rng.uniform(lo, hi) for lo, hi in region])
-        p_raw = np.array(
-            [rng.uniform(-momentum_scale, momentum_scale) for _ in range(n)]
-        )
-        try:
-            p = geometry.eden_project(sys, q, p_raw)
-        except RankDeficientError:
-            continue
-        out.append(PhasePoint(q=q, p=p))
+        size = min(count - len(out), budget)
+        budget -= size
+        z = np.array([
+            [rng.uniform(lo, hi) for lo, hi in region]
+            + [rng.uniform(-momentum_scale, momentum_scale) for _ in range(n)]
+            for _ in range(size)
+        ])
+        q, p_raw = z[:, :n], z[:, n:]
+        p, ok = geometry.eden_project_batch(sys, q, p_raw)
+        for b in range(size):
+            if ok[b]:
+                out.append(PhasePoint(q=q[b], p=p[b]))
+                continue
+            try:
+                projected = geometry.eden_project(sys, q[b], p_raw[b])
+            except RankDeficientError:
+                continue
+            out.append(PhasePoint(q=q[b], p=projected))
     return out
 
 

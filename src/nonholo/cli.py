@@ -9,6 +9,7 @@ payloads; floats are rendered by shortest round-trip (repr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -261,6 +262,7 @@ def _add_shared(p):
     p.add_argument("--output", default=None, help="write payload to a file")
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nonholo",

@@ -8,6 +8,15 @@ membership) plus that formula on floats. The exception is ``eden_project``,
 which keeps its own numpy arithmetic because sampling seeds every point
 through it; ``gamma_apply`` is its differentiable counterpart.
 
+The checks of each validated object have one body over a leading batch
+axis (``metric_checks``, ``row_checks``, ``gram_checks``, ``frame_checks``).
+A single point runs it at B = 1 and raises on the first failed check; a
+list of points runs it once over all of them, with one closure call per
+entry over (B,) array cores (``on_m_point`` of a list,
+``eden_project_batch``, ``frame_batch``). A point that fails a stacked check
+runs alone, in index order, so it raises as it would alone; every array the
+stacked pass keeps is bitwise the per-point one.
+
 The on-manifold tolerance ON_M_TOL is the single default used by every
 operation that requires its phase point to satisfy the momentum constraints;
 callers may override it per call. ``require_on_m`` validates a point once and
@@ -44,6 +53,10 @@ from .errors import (
 
 ON_M_TOL = 1e-8
 
+# raised by validation or a batched lift; the per-point pass then redoes that
+# work, and raises or carries a non-finite value as a lone point would
+BATCH_FAILURES = (NonholoError, ArithmeticError, ValueError)
+
 
 @dataclass(frozen=True)
 class MetricAtPoint:
@@ -64,24 +77,51 @@ class FrameAtPoint:
     pivot_tie: bool  # a pivot tie was broken deterministically here
 
 
+_eye = functools.cache(np.eye)  # shared, never written
+
+
+def _rejected(fn, A):
+    """The mask of the matrices of A (B, m, m) that fn rejects: none, or
+    every one when the stacked call raises, as it cannot tell which."""
+    try:
+        fn(A)
+    except np.linalg.LinAlgError:
+        return np.ones(len(A), bool)
+    return np.zeros(len(A), bool)
+
+
+def metric_checks(G):
+    """The checks of ``metric_at`` over the leading axis of G (B, n, n): the
+    symmetrized G, its inverse and the failure masks in check order. A point
+    fails at the first mask that holds there; the later ones mean nothing."""
+    finite = np.isfinite(G).all((1, 2))
+    if not finite.all():  # NaN, unlike inf, passes the arithmetic below silently
+        G = np.where(finite[:, None, None], G, np.nan)
+    Gt, eye = G.swapaxes(1, 2), _eye(G.shape[-1])
+    scale = np.fmax(1.0, np.abs(G).max((1, 2)))
+    Gs = 0.5 * (G + Gt)
+    not_pd = _rejected(np.linalg.cholesky, Gs)
+    try:
+        Ginv = np.linalg.inv(Gs)
+    except np.linalg.LinAlgError:  # then not_pd holds at every point
+        Ginv = np.full_like(Gs, np.nan)
+    near_eye = np.abs(Gs @ Ginv - eye).max((1, 2)) > 1e-10 * scale
+    return Gs, Ginv, (~finite, np.abs(G - Gt).max((1, 2)) > 1e-9 * scale, not_pd, near_eye)
+
+
 def metric_at(sys, q) -> MetricAtPoint:
     """Evaluate G(q) and its inverse; fail if not symmetric positive definite."""
     q_list = [float(v) for v in q]
     G = np.asarray(sys.metric_values(q_list), dtype=float)
-    if not np.all(np.isfinite(G)):
-        raise NotSPDError(f"metric has non-finite entries at q={q_list}")
-    scale = max(1.0, float(np.max(np.abs(G))))
-    if float(np.max(np.abs(G - G.T))) > 1e-9 * scale:
-        raise NotSPDError(f"metric is not symmetric at q={q_list}")
-    Gs = 0.5 * (G + G.T)
-    try:
-        np.linalg.cholesky(Gs)
-    except np.linalg.LinAlgError:
-        raise NotSPDError(f"metric is not positive definite at q={q_list}") from None
-    Ginv = np.linalg.inv(Gs)
-    if float(np.max(np.abs(Gs @ Ginv - np.eye(len(q_list))))) > 1e-10 * scale:
-        raise NotSPDError(f"metric is too ill-conditioned at q={q_list}")
-    return MetricAtPoint(G=Gs, Ginv=Ginv)
+    Gs, Ginv, fails = metric_checks(G[None])
+    for failed, what in zip(fails, _METRIC_FAILURES):
+        if failed[0]:
+            raise NotSPDError(f"metric {what} at q={q_list}")
+    return MetricAtPoint(G=Gs[0], Ginv=Ginv[0])
+
+
+_METRIC_FAILURES = ("has non-finite entries", "is not symmetric",
+                    "is not positive definite", "is too ill-conditioned")
 
 
 def flat(sys, q, v) -> np.ndarray:
@@ -94,33 +134,61 @@ def sharp(sys, q, p) -> np.ndarray:
     return metric_at(sys, q).Ginv @ np.asarray(p, dtype=float)
 
 
+def row_checks(mu):
+    """The checks of ``constraints_at`` on the rows mu (B, m, n), stacked:
+    the singular values and the masks of non-finite and of dependent rows
+    (s is sorted and nonnegative, so vanishing rows are dependent too)."""
+    finite = np.isfinite(mu).all((1, 2))
+    try:
+        s = np.linalg.svd(mu, compute_uv=False)
+    except np.linalg.LinAlgError:  # non-finite rows, which fail first
+        s = np.linalg.svd(np.where(finite[:, None, None], mu, 0.0), compute_uv=False)
+    return s, (~finite, s[:, -1] <= 1e-10 * s[:, 0])
+
+
+def gram_checks(mu, Ginv):
+    """The Gram matrices mu Ginv mu^T (B, m, m) and the mask of those that
+    are not positive definite, the last check of ``constraints_at``."""
+    gram = mu @ Ginv @ mu.swapaxes(1, 2)
+    return gram, _rejected(np.linalg.cholesky, 0.5 * (gram + gram.swapaxes(1, 2)))
+
+
 def constraints_at(sys, q, met: MetricAtPoint | None = None) -> ConstraintsAtPoint:
     """Assemble the constraint rows and their cometric Gram matrix at q."""
     q_list = [float(v) for v in q]
     mu = np.asarray(sys.mu_values(q_list), dtype=float)
-    if not np.all(np.isfinite(mu)):
+    s, (non_finite, dependent) = row_checks(mu[None])
+    if non_finite[0]:
         raise RankDeficientError(f"constraint rows non-finite at q={q_list}")
-    s = np.linalg.svd(mu, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
+    if dependent[0]:
         raise RankDeficientError(
-            f"constraint rows are dependent at q={q_list} (singular values {s})"
+            f"constraint rows are dependent at q={q_list} (singular values {s[0]})"
         )
     met = met or metric_at(sys, q_list)
-    gram = mu @ met.Ginv @ mu.T
-    try:
-        np.linalg.cholesky(0.5 * (gram + gram.T))
-    except np.linalg.LinAlgError:
+    gram, not_pd = gram_checks(mu[None], met.Ginv[None])
+    if not_pd[0]:
         raise RankDeficientError(
             f"constraint Gram matrix is not positive definite at q={q_list}"
-        ) from None
-    return ConstraintsAtPoint(mu=mu, gram=gram)
+        )
+    return ConstraintsAtPoint(mu=mu, gram=gram[0])
+
+
+def residual_values(mu, Ginv, p) -> np.ndarray:
+    """c = mu G^-1 p over leading axes: p (..., n) gives c (..., m)."""
+    return (mu @ (Ginv @ p[..., None]))[..., 0]
 
 
 def velocity_constraint(sys, q, p) -> np.ndarray:
     """Residual c with c_a = mu_a . G^-1 p; p lies on M iff this vanishes."""
     met = metric_at(sys, q)
     cons = constraints_at(sys, q, met)
-    return cons.mu @ (met.Ginv @ np.asarray(p, dtype=float))
+    return residual_values(cons.mu, met.Ginv, np.asarray(p, dtype=float))
+
+
+def _eden_formula(mu, Ginv, gram, p):
+    """gamma(p) = p - mu^T gram^-1 mu G^-1 p over leading axes."""
+    lam = np.linalg.solve(gram, mu @ (Ginv @ p[..., None]))
+    return p - (mu.swapaxes(-1, -2) @ lam)[..., 0]
 
 
 def eden_project(sys, q, p) -> np.ndarray:
@@ -130,9 +198,47 @@ def eden_project(sys, q, p) -> np.ndarray:
     """
     met = metric_at(sys, q)
     cons = constraints_at(sys, q, met)
-    p = np.asarray(p, dtype=float)
-    c = cons.mu @ (met.Ginv @ p)
-    return p - cons.mu.T @ np.linalg.solve(cons.gram, c)
+    return _eden_formula(cons.mu, met.Ginv, cons.gram, np.asarray(p, dtype=float))
+
+
+def _validate_batch(sys, q):
+    """``metric_at`` and ``constraints_at`` at the configurations q (B, n) in
+    one stacked pass: one closure call per entry over (B,) cores, then their
+    checks. Returns G, Ginv, mu, gram and the mask of the passing points."""
+    cores, B = list(q.T.copy()), len(q)
+    G, Ginv, fails = metric_checks(_entries(sys.metric_values(cores), B))
+    mu = _entries(sys.mu_values(cores), B)
+    _, row_fails = row_checks(mu)
+    ok = ~np.any([*fails, *row_fails], axis=0)
+    # the Gram check sees passing points only, so one failure flags no other
+    keep = ok[:, None, None]
+    gram, not_pd = gram_checks(
+        np.where(keep, mu, _eye(*mu.shape[1:])), np.where(keep, Ginv, _eye(sys.n))
+    )
+    return G, Ginv, mu, gram, ok & ~not_pd
+
+
+def _entries(rows, B):
+    """The (B, r, c) array of a table of closure values, floats or (B,) arrays."""
+    out = np.empty((B, len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            out[:, i, j] = v
+    return out
+
+
+def eden_project_batch(sys, q, p):
+    """``eden_project`` at the rows of q and p (B, n) in one stacked pass: the
+    projections, and the mask of the rows where every check passed and the
+    result is finite. Any other row must go through ``eden_project`` itself,
+    which raises there as it would alone."""
+    try:
+        with np.errstate(all="ignore"):
+            _, Ginv, mu, gram, ok = _validate_batch(sys, q)
+            out = _eden_formula(mu, Ginv, np.where(ok[:, None, None], gram, _eye(len(gram[0]))), p)
+    except BATCH_FAILURES:
+        return p, np.zeros(len(p), bool)
+    return out, ok & np.isfinite(out).all(-1)
 
 
 def residual_norm(sys, q, p) -> float:
@@ -233,11 +339,6 @@ def dstar_chart(sys, free_cols, s):
     return q_s + from_dstar_apply(sys, q_s, s[sys.n :], cols) + sum(cols, [])
 
 
-# raised by validation or a batched lift; the per-point pass then redoes that
-# work, and raises or carries a non-finite value as a lone point would
-BATCH_FAILURES = (NonholoError, ArithmeticError, ValueError)
-
-
 def lift_batch(points) -> None:
     """Seed the lifted data of many OnMPoints of one system, frames built:
     one ``numdiff.jacobian_batch`` per object (and frame plan), bitwise the
@@ -273,7 +374,7 @@ def require_on_m(sys, q, p, on_m_tol: float | None = None) -> OnMPoint:
     p = np.asarray(p, dtype=float)
     met = metric_at(sys, q)
     cons = constraints_at(sys, q, met)
-    r = float(np.max(np.abs(cons.mu @ (met.Ginv @ p))))
+    r = float(np.max(np.abs(residual_values(cons.mu, met.Ginv, p))))
     if not r <= tol:  # a NaN residual fails too
         raise NotOnMError(r, tol)
     return OnMPoint(sys=sys, q=q, p=p, met=met, cons=cons, residual=r)
@@ -284,16 +385,39 @@ def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
 
     A PhasePoint goes through ``require_on_m``. An OnMPoint is checked
     against on_m_tol by its recorded residual; nothing is evaluated again.
-    A list or tuple of points is validated point by point, in index order.
+    A list or tuple gives its points' OnMPoints in index order; a list of
+    PhasePoints is validated in one stacked pass (``_on_m_prefix``), and
+    from the first point that fails it each point runs alone, so the first
+    invalid point raises as it would alone.
     """
+    tol = ON_M_TOL if on_m_tol is None else on_m_tol
     if isinstance(x, (list, tuple)):
-        return [on_m_point(sys, p, on_m_tol) for p in x]
+        fresh = x and not any(isinstance(y, OnMPoint) for y in x)
+        done = _on_m_prefix(sys, x, tol) if fresh else []
+        return done + [on_m_point(sys, y, on_m_tol) for y in x[len(done) :]]
     if not isinstance(x, OnMPoint):
         return require_on_m(sys, x.q, x.p, on_m_tol)
-    tol = ON_M_TOL if on_m_tol is None else on_m_tol
     if not x.residual <= tol:
         raise NotOnMError(x.residual, tol)
     return x
+
+
+def _on_m_prefix(sys, xs, tol):
+    """The OnMPoints of the PhasePoints xs up to the first that fails the
+    stacked checks of ``require_on_m``, bitwise what it builds."""
+    q, p = (np.array([getattr(x, a) for x in xs], dtype=float) for a in "qp")
+    try:
+        with np.errstate(all="ignore"):
+            G, Ginv, mu, gram, ok = _validate_batch(sys, q)
+            r = np.abs(residual_values(mu, Ginv, p)).max(-1)
+    except BATCH_FAILURES:
+        return []
+    ok &= r <= tol  # a NaN residual fails too
+    return [
+        OnMPoint(sys, q[b], p[b], MetricAtPoint(G[b], Ginv[b]),
+                 ConstraintsAtPoint(mu[b], gram[b]), float(r[b]))
+        for b in range(len(xs) if ok.all() else int(np.argmin(ok)))
+    ]
 
 
 # --- frames for the distribution ---------------------------------------------
@@ -337,6 +461,19 @@ def default_frame_plan(mu: np.ndarray, strict_ties: bool = False):
     return free, tie
 
 
+def frame_checks(mu, E):
+    """The checks of ``frame_at`` over the leading axis: the masks of the
+    frames E (B, n, k) that leave ker mu (mu (B, m, n)), then of those with
+    dependent columns. The second check runs where the first passes; a
+    non-finite frame there raises LinAlgError, as it does alone."""
+    scale = np.fmax(1.0, np.abs(mu).max((1, 2)) * np.abs(E).max((1, 2)))
+    leaves = np.abs(mu @ E).max((1, 2)) > 1e-10 * scale
+    s = np.linalg.svd(E[~leaves], compute_uv=False)
+    dependent = np.zeros_like(leaves)
+    dependent[~leaves] = s[:, -1] <= 1e-10 * np.fmax(1.0, s[:, 0])  # zero columns too
+    return leaves, dependent
+
+
 def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
     """Evaluate (or construct) a frame spanning the distribution fiber at q.
 
@@ -364,13 +501,40 @@ def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
             raise FrameDegenerateError(
                 f"default frame column collapsed at q={q_list}"
             ) from None
-    scale = max(1.0, float(np.max(np.abs(mu))) * float(np.max(np.abs(E))))
-    if float(np.max(np.abs(mu @ E))) > 1e-10 * scale:
+    leaves, dependent = frame_checks(mu[None], E[None])
+    if leaves[0]:
         raise invalid(f"{label} frame leaves the distribution at q={q_list}")
-    s = np.linalg.svd(E, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= 1e-10 * max(1.0, s[0]):
+    if dependent[0]:
         raise invalid(f"{label} frame columns are dependent at q={q_list}")
     return FrameAtPoint(E=E, free_cols=free, pivot_tie=tie)
+
+
+def frame_batch(points) -> None:
+    """Build the frames of OnMPoints of one system, bitwise their
+    ``frame_at``: per frame plan, one ``frame_apply`` over (B,) cores and the
+    checks stacked. A point whose plan, columns or checks fail builds its own
+    frame after, in index order, so the first failure raises as it would alone."""
+    plans = {}
+    for x in points:
+        try:
+            user = x.sys.frame_exprs is not None
+            free, tie = (None, False) if user else default_frame_plan(x.cons.mu)
+        except BATCH_FAILURES:
+            continue
+        plans.setdefault(free, []).append((x, tie))
+    for free, group in plans.items():
+        xs = [x for x, _ in group]
+        try:
+            cols = frame_apply(xs[0].sys, list(stacked(xs, "q").T.copy()), free)
+            E = _entries(cols, len(xs)).swapaxes(1, 2)  # each (n, k) laid out as frame_at's
+            failed = np.any(frame_checks(stacked(xs, "cons.mu"), E), axis=0)
+        except BATCH_FAILURES:
+            continue
+        for (x, tie), e, bad in zip(group, E, failed):
+            if not bad:
+                x.__dict__["frame"] = FrameAtPoint(E=e, free_cols=free, pivot_tie=tie)
+    for x in points:
+        x.frame
 
 
 def frame_components(G, E, w) -> np.ndarray:

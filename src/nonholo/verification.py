@@ -11,9 +11,11 @@ witness otherwise).
 
 Each point is validated once into a ``geometry.OnMPoint``, and every suite
 reads the metric, constraint rows, splitting, projection Jacobian, frame and
-algebroid it carries. The suites run stacked per chunk: one batched lift per
-object, then the float algebra as (B, ...) arrays over fixed slices of the
-chunk's points, reduced per point. The Jacobiator runs at every point, one
+algebroid it carries. A chunk's points are sampled, validated and framed in
+stacked passes (``catalog.sample_m_points``, ``geometry.on_m_point`` of a
+list, ``geometry.frame_batch``). The suites run stacked per chunk: one batched
+lift per object, then the float algebra as (B, ...) arrays over fixed slices
+of the chunk's points, reduced per point, the Leibniz factors included. The Jacobiator runs at every point, one
 nested lift per kind over the chunk (per frame plan for the dual-bundle
 kind). Overflow in a suite is not reported as a numpy warning: the
 non-finite value reaches the report and fails its suite.
@@ -75,13 +77,14 @@ def _system_is_integrable(sysd, region, seed) -> bool:
     """Probe the distribution: do projected frame fields close under brackets?"""
     from .rng import derive_seed
 
-    rng_points = catalog.sample_m_points(
+    sample = catalog.sample_m_points(
         sysd, 12, derive_seed(seed, "integrability-probe"), region=region
     )
+    points = geometry.on_m_point(sysd, sample, np.inf)
+    geometry.frame_batch(points)
     plans = {}
-    for x in rng_points:
-        q = list(x.q)
-        plans.setdefault(geometry.frame_at(sysd, q).free_cols, []).append(q)
+    for x in points:
+        plans.setdefault(x.frame.free_cols, []).append(list(x.q))
     residuals = []  # the brackets' parts outside the distribution
     for free, qs in plans.items():
         for q, ws in zip(qs, _frame_brackets(sysd, free, qs)):
@@ -161,9 +164,12 @@ def _chunk_metrics(sysd, points, observables, batched):
     forms_gap = _point_max([vals["nh"] - vals["nh2"]])
     skew = _point_max(vals[r] + vals[r].swapaxes(-1, -2) for r in routes)
 
+    # the factors' values: one closure call per observable over (B,) cores
+    cores = list(np.concatenate([geometry.stacked(points, a) for a in "qp"], -1).T.copy())
+    value = {o: observables[o].fn(cores) for i, j, _ in triples for o in (i, j)}
     resids = []
     for t, (i, j, g_idx) in enumerate(triples):
-        fv, f2v = (np.array([observables[o].at(x) for x in points]) for o in (i, j))
+        fv, f2v = value[i], value[j]
         for r in routes:
             tab = tables[r]
             resids.append(tab[:, n_obs + t, g_idx] - fv * tab[:, j, g_idx] - f2v * tab[:, i, g_idx])
@@ -243,16 +249,13 @@ def _chunk_worker(payload):
     indices = payload["indices"]
     tol = payload["on_m_tol"]
     with np.errstate(over="ignore", invalid="ignore"):
-        # validate in index order up to the first failure; the pass below
-        # meets that point unvalidated and raises there, as it would alone
-        valid = []
-        for idx in indices:
-            try:
-                x = geometry.on_m_point(sysd, points[idx], tol)
-                x.frame  # built and checked here, before the batched lifts
-            except geometry.BATCH_FAILURES:
-                break
-            valid.append(x)
+        # validated and framed in stacked passes, before the batched lifts;
+        # if a point fails, the per-point pass below raises there, as alone
+        try:
+            valid = geometry.on_m_point(sysd, [points[idx] for idx in indices], tol)
+            geometry.frame_batch(valid)
+        except geometry.BATCH_FAILURES:
+            valid = []
         jacobi = _jacobi_metrics(sysd, valid, observables, payload)
         batched = _batched_lifts(sysd, valid, observables)
         # stacked slices bound the tables' memory; from a slice whose stacked

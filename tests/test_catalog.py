@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nonholo import brackets, catalog, geometry
+from nonholo.errors import NotSPDError, RankDeficientError, StructuralError
 from nonholo.rng import SplitMix64
 
 
@@ -123,3 +124,117 @@ def test_integrability_witness_split():
             assert worst <= 1e-10
         else:
             assert worst > 1e-6
+
+
+def reference_sample(sys, count, seed, region=None, momentum_scale=1.0):
+    """The oracle of ``sample_m_points``: one candidate at a time, q then p
+    drawn, projected by ``eden_project`` and skipped on RankDeficientError,
+    with the cap checked before each draw."""
+    n = sys.n
+    region = region or tuple((-1.0, 1.0) for _ in range(n))
+    rng = catalog.SplitMix64(seed)
+    out = []
+    attempts = 0
+    while len(out) < count:
+        if attempts > 64 * count:
+            raise RankDeficientError(
+                "sampling kept hitting degenerate configurations; check the region"
+            )
+        attempts += 1
+        q = np.array([rng.uniform(lo, hi) for lo, hi in region])
+        p_raw = np.array([rng.uniform(-momentum_scale, momentum_scale) for _ in range(n)])
+        try:
+            p = geometry.eden_project(sys, q, p_raw)
+        except RankDeficientError:
+            continue
+        out.append(catalog.PhasePoint(q=q, p=p))
+    return out
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Count the numbers the samplers draw from their stream."""
+    count = [0]
+
+    class Counted(SplitMix64):
+        def next_u64(self):
+            count[0] += 1
+            return super().next_u64()
+
+    monkeypatch.setattr(catalog, "SplitMix64", Counted)
+    return count
+
+
+def _both_samplers(draws, sys, count, seed, region=None, momentum_scale=1.0):
+    """(outcome, draws) of the stacked sampler, then of the reference; an
+    outcome is the points' bytes or the exception's type and message."""
+    runs = []
+    for sampler in (catalog.sample_m_points, reference_sample):
+        draws[0] = 0
+        try:
+            with np.errstate(all="ignore"):
+                points = sampler(sys, count, seed, region, momentum_scale)
+            outcome = [(x.q.tobytes(), x.p.tobytes()) for x in points]
+        except Exception as exc:  # compared, not swallowed
+            outcome = (type(exc), str(exc))
+        runs.append((outcome, draws[0]))
+    return runs
+
+
+@pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
+def test_stacked_sampler_is_bitwise_the_per_candidate_loop(draws, ent):
+    for seed in (1, 2, 7, 1234):
+        for count in (1, 7, 100, 101):
+            (got, _), (want, _) = _both_samplers(
+                draws, ent.system(), count, seed, ent.sample_region, ent.momentum_scale
+            )
+            assert len(got) == count and got == want, (seed, count)
+
+
+def test_stacked_sampler_skips_the_rank_deficient_candidates(draws, fading_rows):
+    for lo, seed, count in ((0.0, 3, 100), (0.0, 4, 101), (0.6, 3, 7), (0.6, 5, 1)):
+        region = ((lo, 1.0), (-1.0, 1.0), (-1.0, 1.0))
+        (got, used), (want, _) = _both_samplers(draws, fading_rows, count, seed, region)
+        assert len(got) == count and got == want
+        assert used > 6 * count  # some candidates were skipped
+
+
+def test_stacked_sampler_gives_up_at_the_same_attempt(draws, fading_rows):
+    region = ((0.65, 1.0), (-1.0, 1.0), (-1.0, 1.0))  # every candidate is skipped
+    for count in (1, 7, 100):
+        got, want = _both_samplers(draws, fading_rows, count, 9, region)
+        assert got == want
+        (error, message), used = got
+        assert error is RankDeficientError and "kept hitting degenerate" in message
+        assert used == (64 * count + 1) * 6  # q then p of every candidate tried
+
+
+def test_stacked_sampler_raises_at_the_same_non_spd_candidate(draws, sign_changing_metric):
+    # seeds 2 and 22 first draw x <= 0 at candidates 5 and 4 of the first block
+    region = ((-0.2, 1.0), (-1.0, 1.0))
+    for seed, count in ((2, 7), (22, 7), (2, 100)):
+        (got, _), (want, _) = _both_samplers(draws, sign_changing_metric, count, seed, region)
+        assert got == want
+        assert got[0] is NotSPDError and "not positive definite" in got[1]
+
+
+def test_stacked_sampler_raises_at_the_same_overflowing_projection(monkeypatch, draws):
+    # momenta near the largest double, y past the catalog region: the
+    # projection of some candidates overflows and PhasePoint refuses them
+    sysd = catalog.get_system("nonholonomic_particle")
+    built = []
+
+    class Recorded(catalog.PhasePoint):
+        def __post_init__(self):
+            built.append(np.asarray(self.q).tobytes())
+            super().__post_init__()
+
+    monkeypatch.setattr(catalog, "PhasePoint", Recorded)
+    region = ((-1.0, 1.0), (-2.0, 2.0), (-1.0, 1.0))
+    for seed, fails in ((4, True), (9, True), (1, False)):
+        built.clear()
+        (got, _), (want, _) = _both_samplers(draws, sysd, 7, seed, region, 8.9e307)
+        assert got == want
+        assert (got == (StructuralError, "phase point has non-finite entries")) == fails
+        half = len(built) // 2  # the candidates each sampler built, in order
+        assert built[:half] == built[half:] and half > 1

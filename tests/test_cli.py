@@ -301,6 +301,16 @@ PINNED_SYSTEMS = (
 )
 
 
+def test_verify_workers_reproduce_the_pinned_bytes(tmp_path):
+    # the chunks of two processes merge into the one-process report
+    path = tmp_path / "disk.json"
+    run_cli(
+        "verify", "--system", "catalog:vertical_rolling_disk", "--count", "100",
+        "--seed", "1", "--workers", "2", "--output", str(path),
+    )
+    assert path.read_text() == (DATA / "verify" / "vertical_rolling_disk_seed1.json").read_text()
+
+
 @pytest.mark.parametrize("seed", (1, 7))
 @pytest.mark.parametrize("name", PINNED_SYSTEMS)
 def test_verify_reports_match_the_pinned_bytes(capsys, name, seed):
@@ -371,3 +381,36 @@ def test_file_system_input(tmp_path):
     assert json.loads(proc.stdout)["max_pairwise_gap"] <= 1e-9
     run_cli("brackets", "--system", str(tmp_path / "missing.system"),
             "--f", "x", "--g", "y", "--point", "0,0,0,0,0,0", expect=2)
+
+
+# simulate, verify and jacobiator, with argparse usage errors between them
+PARSER_SEQUENCE = [
+    ["simulate", "--system", "catalog:nonholonomic_particle", "--q0", "0,0.5,0",
+     "--p0", "1,0,0.5", "--t1", "0.01", "--format", "csv"],
+    ["verify", "--system", "catalog:chaplygin_sleigh", "--count", "3", "--seed", "2"],
+    ["jacobiator", "--system", "catalog:nonholonomic_particle", "--bogus"],
+    ["jacobiator", *POINT, "--kind", "eden", "--f", "z", "--g", "p_x", "--h", "p_y"],
+    ["simulate", "--system", "catalog:nonholonomic_particle"],
+    ["verify", "--system", "catalog:holonomic_control", "--count", "2", "--format", "csv"],
+]
+
+
+def _outcomes(capsys, argvs):
+    out = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
+        out.append((code, *capsys.readouterr()))
+    return out
+
+
+def test_the_parser_is_built_once_and_parses_as_a_fresh_one(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    kept = _outcomes(capsys, PARSER_SEQUENCE)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = _outcomes(capsys, PARSER_SEQUENCE)
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 0, 2, 0, 2, 0]
+    assert "usage: nonholo jacobiator" in kept[2][2] and "--q0" in kept[4][2]

@@ -7,6 +7,7 @@ from nonholo import catalog, dsl, geometry, numdiff
 from nonholo.errors import (
     FrameDegenerateError,
     FrameInvalidError,
+    NonholoError,
     NotOnMError,
     NotSPDError,
     RankDeficientError,
@@ -291,3 +292,87 @@ def test_point_frame_reads_the_validated_constraint_rows(monkeypatch, ent):
     assert len(calls) == per_frame_apply
     assert fr.E.tobytes() == ref.E.tobytes()
     assert (fr.free_cols, fr.pivot_tie) == (ref.free_cols, ref.pivot_tie)
+
+
+# the particle with y past its catalog region: two default frame plans
+TWO_PLAN_REGION = ((-1.0, 1.0), (-2.0, 2.0), (-1.0, 1.0))
+STACK_CASES = [(ent.id, ent.sample_region, 1) for ent in catalog.catalog_systems()]
+STACK_CASES.append(("nonholonomic_particle", TWO_PLAN_REGION, 2))
+
+
+def _point_bytes(x):
+    """Every array and flag an OnMPoint's validation and frame hold."""
+    fr = x.frame
+    arrays = (x.q, x.p, x.met.G, x.met.Ginv, x.cons.mu, x.cons.gram, fr.E)
+    return [a.tobytes() for a in arrays] + [repr(x.residual), fr.E.strides, fr.free_cols, fr.pivot_tie]
+
+
+@pytest.mark.parametrize("name, region, n_plans", STACK_CASES)
+def test_stacked_validation_and_frames_are_bitwise_the_per_point_ones(
+    count_calls, name, region, n_plans
+):
+    sysd = catalog.get_system(name)
+    sample = catalog.sample_m_points(sysd, 40, 5, region=region)
+    counts = count_calls(geometry, ("metric_at", "constraints_at", "frame_at"))
+    points = geometry.on_m_point(sysd, sample)
+    geometry.frame_batch(points)
+    assert counts == {"metric_at": 0, "constraints_at": 0, "frame_at": 0}  # all stacked
+    assert len({x.frame.free_cols for x in points}) == n_plans
+    for x, y in zip(points, sample):
+        assert _point_bytes(x) == _point_bytes(geometry.require_on_m(sysd, y.q, y.p))
+
+
+def _first_error(fn, items):
+    with pytest.raises(NonholoError) as info:
+        fn(items)
+    return type(info.value), str(info.value)
+
+
+def _validated_one_by_one(sysd):
+    return lambda xs: [geometry.require_on_m(sysd, x.q, x.p) for x in xs]
+
+
+def test_a_bad_point_in_a_stacked_validation_raises_as_it_would_alone(
+    sign_changing_metric, fading_rows
+):
+    sleigh = catalog.get_system("chaplygin_sleigh")
+    cases = [  # a point off M, a non-SPD metric, dependent constraint rows
+        (sleigh, None, lambda x: PhasePoint(q=x.q, p=x.p + 0.1), NotOnMError),
+        (sign_changing_metric, ((0.1, 1.0), (-1.0, 1.0)),
+         lambda x: PhasePoint(q=[-0.5, x.q[1]], p=x.p), NotSPDError),
+        (fading_rows, ((0.0, 0.5), (-1.0, 1.0), (-1.0, 1.0)),
+         lambda x: PhasePoint(q=[0.95, *x.q[1:]], p=x.p), RankDeficientError),
+    ]
+    for sysd, region, spoil, error in cases:
+        sample = catalog.sample_m_points(sysd, 9, 3, region=region)
+        sample[4] = spoil(sample[4])
+        alone = _first_error(_validated_one_by_one(sysd), sample)
+        assert alone[0] is error
+        assert _first_error(lambda xs: geometry.on_m_point(sysd, xs), sample) == alone
+        # the points before it validate as they would alone
+        for x, y in zip(geometry.on_m_point(sysd, sample[:4]), sample):
+            assert _point_bytes(x) == _point_bytes(geometry.require_on_m(sysd, y.q, y.p))
+
+
+def test_a_collapsed_default_frame_in_a_stacked_build_raises_as_it_would_alone(monkeypatch):
+    # the norm of the first frame column vanishes at the middle point only
+    sysd = catalog.get_system("vertical_rolling_disk")
+    sample = catalog.sample_m_points(sysd, 9, 3, region=catalog.get_entry(sysd.name).sample_region)
+    bad = sample[4].q[0]
+    frame_apply, sqrt, keep = geometry.frame_apply, numdiff.sqrt, [1.0]
+
+    def marked(sys, q_s, free_cols):
+        keep[0] = (numdiff.float_core(q_s[0]) != bad) * 1.0  # a float, or one per point
+        return frame_apply(sys, q_s, free_cols)
+
+    monkeypatch.setattr(geometry, "frame_apply", marked)
+    monkeypatch.setattr(numdiff, "sqrt", lambda v: sqrt(v) * keep[0])
+    alone = _first_error(
+        lambda xs: [geometry.frame_at(sysd, x.q, mu=x.cons.mu) for x in xs],
+        geometry.on_m_point(sysd, sample),
+    )
+    assert alone[0] is FrameDegenerateError and "collapsed" in alone[1]
+    points = geometry.on_m_point(sysd, sample)
+    assert _first_error(geometry.frame_batch, points) == alone
+    for x in points[:4]:  # built before it, and bitwise as alone
+        assert x.frame.E.tobytes() == geometry.frame_at(sysd, x.q, mu=x.cons.mu).E.tobytes()
