@@ -8,14 +8,14 @@ membership) plus that formula on floats. The exception is ``eden_project``,
 which keeps its own numpy arithmetic because sampling seeds every point
 through it; ``gamma_apply`` is its differentiable counterpart.
 
-The checks of each validated object have one body over a leading batch
-axis (``metric_checks``, ``row_checks``, ``gram_checks``, ``frame_checks``).
-A single point runs it at B = 1 and raises on the first failed check; a
-list of points runs it once over all of them, with one closure call per
-entry over (B,) array cores (``on_m_point`` of a list,
-``eden_project_batch``, ``frame_batch``). A point that fails a stacked check
-runs alone, in index order, so it raises as it would alone; every array the
-stacked pass keeps is bitwise the per-point one.
+The checks of each validated object have one body over a leading batch axis
+(``_metric_checks``, ``_row_checks``, ``_gram_checks``, ``_frame_checks``). A
+single point runs it at B = 1 and raises on the first failed check; a list of
+points runs it once over all of them, after one closure call per entry over
+(B,) array cores (``on_m_point`` of a list, ``eden_project_batch``,
+``frame_batch``). A point that fails a stacked check runs alone, in index
+order, so it raises as it would alone; every array the stacked pass keeps is
+bitwise the per-point one.
 
 The on-manifold tolerance ON_M_TOL is the single default used by every
 operation that requires its phase point to satisfy the momentum constraints;
@@ -90,7 +90,7 @@ def _rejected(fn, A):
     return np.zeros(len(A), bool)
 
 
-def metric_checks(G):
+def _metric_checks(G):
     """The checks of ``metric_at`` over the leading axis of G (B, n, n): the
     symmetrized G, its inverse and the failure masks in check order. A point
     fails at the first mask that holds there; the later ones mean nothing."""
@@ -113,7 +113,7 @@ def metric_at(sys, q) -> MetricAtPoint:
     """Evaluate G(q) and its inverse; fail if not symmetric positive definite."""
     q_list = [float(v) for v in q]
     G = np.asarray(sys.metric_values(q_list), dtype=float)
-    Gs, Ginv, fails = metric_checks(G[None])
+    Gs, Ginv, fails = _metric_checks(G[None])
     for failed, what in zip(fails, _METRIC_FAILURES):
         if failed[0]:
             raise NotSPDError(f"metric {what} at q={q_list}")
@@ -134,7 +134,7 @@ def sharp(sys, q, p) -> np.ndarray:
     return metric_at(sys, q).Ginv @ np.asarray(p, dtype=float)
 
 
-def row_checks(mu):
+def _row_checks(mu):
     """The checks of ``constraints_at`` on the rows mu (B, m, n), stacked:
     the singular values and the masks of non-finite and of dependent rows
     (s is sorted and nonnegative, so vanishing rows are dependent too)."""
@@ -146,7 +146,7 @@ def row_checks(mu):
     return s, (~finite, s[:, -1] <= 1e-10 * s[:, 0])
 
 
-def gram_checks(mu, Ginv):
+def _gram_checks(mu, Ginv):
     """The Gram matrices mu Ginv mu^T (B, m, m) and the mask of those that
     are not positive definite, the last check of ``constraints_at``."""
     gram = mu @ Ginv @ mu.swapaxes(1, 2)
@@ -157,7 +157,7 @@ def constraints_at(sys, q, met: MetricAtPoint | None = None) -> ConstraintsAtPoi
     """Assemble the constraint rows and their cometric Gram matrix at q."""
     q_list = [float(v) for v in q]
     mu = np.asarray(sys.mu_values(q_list), dtype=float)
-    s, (non_finite, dependent) = row_checks(mu[None])
+    s, (non_finite, dependent) = _row_checks(mu[None])
     if non_finite[0]:
         raise RankDeficientError(f"constraint rows non-finite at q={q_list}")
     if dependent[0]:
@@ -165,7 +165,7 @@ def constraints_at(sys, q, met: MetricAtPoint | None = None) -> ConstraintsAtPoi
             f"constraint rows are dependent at q={q_list} (singular values {s[0]})"
         )
     met = met or metric_at(sys, q_list)
-    gram, not_pd = gram_checks(mu[None], met.Ginv[None])
+    gram, not_pd = _gram_checks(mu[None], met.Ginv[None])
     if not_pd[0]:
         raise RankDeficientError(
             f"constraint Gram matrix is not positive definite at q={q_list}"
@@ -206,13 +206,13 @@ def _validate_batch(sys, q):
     one stacked pass: one closure call per entry over (B,) cores, then their
     checks. Returns G, Ginv, mu, gram and the mask of the passing points."""
     cores, B = list(q.T.copy()), len(q)
-    G, Ginv, fails = metric_checks(_entries(sys.metric_values(cores), B))
+    G, Ginv, fails = _metric_checks(_entries(sys.metric_values(cores), B))
     mu = _entries(sys.mu_values(cores), B)
-    _, row_fails = row_checks(mu)
+    _, row_fails = _row_checks(mu)
     ok = ~np.any([*fails, *row_fails], axis=0)
     # the Gram check sees passing points only, so one failure flags no other
     keep = ok[:, None, None]
-    gram, not_pd = gram_checks(
+    gram, not_pd = _gram_checks(
         np.where(keep, mu, _eye(*mu.shape[1:])), np.where(keep, Ginv, _eye(sys.n))
     )
     return G, Ginv, mu, gram, ok & ~not_pd
@@ -235,7 +235,8 @@ def eden_project_batch(sys, q, p):
     try:
         with np.errstate(all="ignore"):
             _, Ginv, mu, gram, ok = _validate_batch(sys, q)
-            out = _eden_formula(mu, Ginv, np.where(ok[:, None, None], gram, _eye(len(gram[0]))), p)
+            gram = np.where(ok[:, None, None], gram, _eye(len(gram[0])))  # solvable
+            out = _eden_formula(mu, Ginv, gram, p)
     except BATCH_FAILURES:
         return p, np.zeros(len(p), bool)
     return out, ok & np.isfinite(out).all(-1)
@@ -405,8 +406,8 @@ def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
 def _on_m_prefix(sys, xs, tol):
     """The OnMPoints of the PhasePoints xs up to the first that fails the
     stacked checks of ``require_on_m``, bitwise what it builds."""
-    q, p = (np.array([getattr(x, a) for x in xs], dtype=float) for a in "qp")
     try:
+        q, p = (np.array([getattr(x, a) for x in xs], dtype=float) for a in "qp")
         with np.errstate(all="ignore"):
             G, Ginv, mu, gram, ok = _validate_batch(sys, q)
             r = np.abs(residual_values(mu, Ginv, p)).max(-1)
@@ -461,7 +462,7 @@ def default_frame_plan(mu: np.ndarray, strict_ties: bool = False):
     return free, tie
 
 
-def frame_checks(mu, E):
+def _frame_checks(mu, E):
     """The checks of ``frame_at`` over the leading axis: the masks of the
     frames E (B, n, k) that leave ker mu (mu (B, m, n)), then of those with
     dependent columns. The second check runs where the first passes; a
@@ -501,7 +502,7 @@ def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
             raise FrameDegenerateError(
                 f"default frame column collapsed at q={q_list}"
             ) from None
-    leaves, dependent = frame_checks(mu[None], E[None])
+    leaves, dependent = _frame_checks(mu[None], E[None])
     if leaves[0]:
         raise invalid(f"{label} frame leaves the distribution at q={q_list}")
     if dependent[0]:
@@ -527,7 +528,7 @@ def frame_batch(points) -> None:
         try:
             cols = frame_apply(xs[0].sys, list(stacked(xs, "q").T.copy()), free)
             E = _entries(cols, len(xs)).swapaxes(1, 2)  # each (n, k) laid out as frame_at's
-            failed = np.any(frame_checks(stacked(xs, "cons.mu"), E), axis=0)
+            failed = np.any(_frame_checks(stacked(xs, "cons.mu"), E), axis=0)
         except BATCH_FAILURES:
             continue
         for (x, tie), e, bad in zip(group, E, failed):

@@ -15,9 +15,9 @@ algebroid it carries. A chunk's points are sampled, validated and framed in
 stacked passes (``catalog.sample_m_points``, ``geometry.on_m_point`` of a
 list, ``geometry.frame_batch``). The suites run stacked per chunk: one batched
 lift per object, then the float algebra as (B, ...) arrays over fixed slices
-of the chunk's points, reduced per point, the Leibniz factors included. The Jacobiator runs at every point, one
-nested lift per kind over the chunk (per frame plan for the dual-bundle
-kind). Overflow in a suite is not reported as a numpy warning: the
+of the chunk's points, reduced per point, the Leibniz factors included. The
+Jacobiator runs at every point, one nested lift per kind over the chunk (per
+frame plan for the dual-bundle kind). Overflow in a suite is not reported as a numpy warning: the
 non-finite value reaches the report and fails its suite.
 
 Points are distributed by index across at most one worker chunk per
@@ -164,7 +164,7 @@ def _chunk_metrics(sysd, points, observables, batched):
     forms_gap = _point_max([vals["nh"] - vals["nh2"]])
     skew = _point_max(vals[r] + vals[r].swapaxes(-1, -2) for r in routes)
 
-    # the factors' values: one closure call per observable over (B,) cores
+    # the factors' values, one closure call per observable
     cores = list(np.concatenate([geometry.stacked(points, a) for a in "qp"], -1).T.copy())
     value = {o: observables[o].fn(cores) for i, j, _ in triples for o in (i, j)}
     resids = []

@@ -308,7 +308,8 @@ def test_verify_workers_reproduce_the_pinned_bytes(tmp_path):
         "verify", "--system", "catalog:vertical_rolling_disk", "--count", "100",
         "--seed", "1", "--workers", "2", "--output", str(path),
     )
-    assert path.read_text() == (DATA / "verify" / "vertical_rolling_disk_seed1.json").read_text()
+    pinned = DATA / "verify" / "vertical_rolling_disk_seed1.json"
+    assert path.read_text() == pinned.read_text()
 
 
 @pytest.mark.parametrize("seed", (1, 7))

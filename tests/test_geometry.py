@@ -304,7 +304,8 @@ def _point_bytes(x):
     """Every array and flag an OnMPoint's validation and frame hold."""
     fr = x.frame
     arrays = (x.q, x.p, x.met.G, x.met.Ginv, x.cons.mu, x.cons.gram, fr.E)
-    return [a.tobytes() for a in arrays] + [repr(x.residual), fr.E.strides, fr.free_cols, fr.pivot_tie]
+    flags = [repr(x.residual), fr.E.strides, fr.free_cols, fr.pivot_tie]
+    return [a.tobytes() for a in arrays] + flags
 
 
 @pytest.mark.parametrize("name, region, n_plans", STACK_CASES)
@@ -336,28 +337,51 @@ def test_a_bad_point_in_a_stacked_validation_raises_as_it_would_alone(
     sign_changing_metric, fading_rows
 ):
     sleigh = catalog.get_system("chaplygin_sleigh")
-    cases = [  # a point off M, a non-SPD metric, dependent constraint rows
-        (sleigh, None, lambda x: PhasePoint(q=x.q, p=x.p + 0.1), NotOnMError),
+    fading = ((0.0, 0.5), (-1.0, 1.0), (-1.0, 1.0))
+    cases = [  # off M, a non-SPD metric, dependent rows, rows with a singular Gram matrix
+        (sleigh, None, lambda x: PhasePoint(q=x.q, p=x.p + 0.1), NotOnMError, "off"),
         (sign_changing_metric, ((0.1, 1.0), (-1.0, 1.0)),
-         lambda x: PhasePoint(q=[-0.5, x.q[1]], p=x.p), NotSPDError),
-        (fading_rows, ((0.0, 0.5), (-1.0, 1.0), (-1.0, 1.0)),
-         lambda x: PhasePoint(q=[0.95, *x.q[1:]], p=x.p), RankDeficientError),
+         lambda x: PhasePoint(q=[-0.5, x.q[1]], p=x.p), NotSPDError, "positive definite"),
+        (fading_rows, fading, lambda x: PhasePoint(q=[0.95, *x.q[1:]], p=x.p),
+         RankDeficientError, "rows are dependent"),
+        (fading_rows, fading, lambda x: PhasePoint(q=[0.7, *x.q[1:]], p=x.p),
+         RankDeficientError, "Gram matrix"),
     ]
-    for sysd, region, spoil, error in cases:
+    for sysd, region, spoil, error, what in cases:
         sample = catalog.sample_m_points(sysd, 9, 3, region=region)
         sample[4] = spoil(sample[4])
         alone = _first_error(_validated_one_by_one(sysd), sample)
-        assert alone[0] is error
+        assert alone[0] is error and what in alone[1]
         assert _first_error(lambda xs: geometry.on_m_point(sysd, xs), sample) == alone
         # the points before it validate as they would alone
         for x, y in zip(geometry.on_m_point(sysd, sample[:4]), sample):
             assert _point_bytes(x) == _point_bytes(geometry.require_on_m(sysd, y.q, y.p))
 
 
+def _framed_one_by_one(sysd):
+    return lambda xs: [geometry.frame_at(sysd, x.q, mu=x.cons.mu) for x in xs]
+
+
+def test_a_bad_user_frame_in_a_stacked_build_raises_as_it_would_alone():
+    # the first column leaves the distribution where x is near 0.5 only
+    col = "col1 = 1, 0, y + exp(-1000*(x - 0.5)^2)\ncol2 = 0, 1, 0\n"
+    sysd = dsl.parse_system(catalog.NONHOLONOMIC_PARTICLE + "\n[frame]\n" + col)
+    sample = catalog.sample_m_points(sysd, 9, 3, region=((-1.0, 0.0), (-0.5, 0.5), (-1.0, 1.0)))
+    good = geometry.on_m_point(sysd, sample)
+    geometry.frame_batch(good)
+    for x in good:
+        assert _point_bytes(x) == _point_bytes(geometry.require_on_m(sysd, x.q, x.p))
+    sample[4] = PhasePoint(q=[0.5, *sample[4].q[1:]], p=sample[4].p)
+    alone = _first_error(_framed_one_by_one(sysd), geometry.on_m_point(sysd, sample))
+    assert alone[0] is FrameInvalidError and "leaves the distribution" in alone[1]
+    assert _first_error(geometry.frame_batch, geometry.on_m_point(sysd, sample)) == alone
+
+
 def test_a_collapsed_default_frame_in_a_stacked_build_raises_as_it_would_alone(monkeypatch):
     # the norm of the first frame column vanishes at the middle point only
-    sysd = catalog.get_system("vertical_rolling_disk")
-    sample = catalog.sample_m_points(sysd, 9, 3, region=catalog.get_entry(sysd.name).sample_region)
+    ent = catalog.get_entry("vertical_rolling_disk")
+    sysd = ent.system()
+    sample = catalog.sample_entry_points(ent, 9, 3)
     bad = sample[4].q[0]
     frame_apply, sqrt, keep = geometry.frame_apply, numdiff.sqrt, [1.0]
 
@@ -367,10 +391,7 @@ def test_a_collapsed_default_frame_in_a_stacked_build_raises_as_it_would_alone(m
 
     monkeypatch.setattr(geometry, "frame_apply", marked)
     monkeypatch.setattr(numdiff, "sqrt", lambda v: sqrt(v) * keep[0])
-    alone = _first_error(
-        lambda xs: [geometry.frame_at(sysd, x.q, mu=x.cons.mu) for x in xs],
-        geometry.on_m_point(sysd, sample),
-    )
+    alone = _first_error(_framed_one_by_one(sysd), geometry.on_m_point(sysd, sample))
     assert alone[0] is FrameDegenerateError and "collapsed" in alone[1]
     points = geometry.on_m_point(sysd, sample)
     assert _first_error(geometry.frame_batch, points) == alone
