@@ -17,8 +17,8 @@ list, ``geometry.frame_batch``). The suites run stacked per chunk: one batched
 lift per object, then the float algebra as (B, ...) arrays over fixed slices
 of the chunk's points, reduced per point, the Leibniz factors included. The
 Jacobiator runs at every point, one nested lift per kind over the chunk (per
-frame plan for the dual-bundle kind). Overflow in a suite is not reported as a numpy warning: the
-non-finite value reaches the report and fails its suite.
+frame plan for the dual-bundle kind). Overflow in a suite is not reported as
+a numpy warning: the non-finite value reaches the report and fails its suite.
 
 Points are distributed by index across at most one worker chunk per
 process, and at most one process per CPU; per-point results are merged in
