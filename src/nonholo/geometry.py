@@ -90,6 +90,10 @@ def _rejected(fn, A):
     return np.zeros(len(A), bool)
 
 
+_METRIC_FAILURES = ("has non-finite entries", "is not symmetric",
+                    "is not positive definite", "is too ill-conditioned")
+
+
 def _metric_checks(G):
     """The checks of ``metric_at`` over the leading axis of G (B, n, n): the
     symmetrized G, its inverse and the failure masks in check order. A point
@@ -105,8 +109,9 @@ def _metric_checks(G):
         Ginv = np.linalg.inv(Gs)
     except np.linalg.LinAlgError:  # then not_pd holds at every point
         Ginv = np.full_like(Gs, np.nan)
-    near_eye = np.abs(Gs @ Ginv - eye).max((1, 2)) > 1e-10 * scale
-    return Gs, Ginv, (~finite, np.abs(G - Gt).max((1, 2)) > 1e-9 * scale, not_pd, near_eye)
+    asymmetric = np.abs(G - Gt).max((1, 2)) > 1e-9 * scale
+    ill_conditioned = np.abs(Gs @ Ginv - eye).max((1, 2)) > 1e-10 * scale
+    return Gs, Ginv, (~finite, asymmetric, not_pd, ill_conditioned)
 
 
 def metric_at(sys, q) -> MetricAtPoint:
@@ -118,10 +123,6 @@ def metric_at(sys, q) -> MetricAtPoint:
         if failed[0]:
             raise NotSPDError(f"metric {what} at q={q_list}")
     return MetricAtPoint(G=Gs[0], Ginv=Ginv[0])
-
-
-_METRIC_FAILURES = ("has non-finite entries", "is not symmetric",
-                    "is not positive definite", "is too ill-conditioned")
 
 
 def flat(sys, q, v) -> np.ndarray:
