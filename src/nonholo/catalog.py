@@ -233,7 +233,7 @@ def sample_m_points(
             + [rng.uniform(-momentum_scale, momentum_scale) for _ in range(n)]
             for _ in range(size)
         ])
-        q, p_raw = z[:, :n], z[:, n:]
+        q, p_raw = z[:, : len(region)], z[:, len(region) :]
         p, ok = geometry.eden_project_batch(sys, q, p_raw)
         for b in range(size):
             if ok[b]:
