@@ -98,11 +98,12 @@ def _metric_checks(G):
     """The checks of ``metric_at`` over the leading axis of G (B, n, n): the
     symmetrized G, its inverse and the failure masks in check order. A point
     fails at the first mask that holds there; the later ones mean nothing."""
-    finite = np.isfinite(G).all((1, 2))
+    largest = np.abs(G).max((1, 2))  # inf or NaN where an entry is
+    finite = np.isfinite(largest)
     if not finite.all():  # NaN, unlike inf, passes the arithmetic below silently
         G = np.where(finite[:, None, None], G, np.nan)
     Gt, eye = G.swapaxes(1, 2), _eye(G.shape[-1])
-    scale = np.fmax(1.0, np.abs(G).max((1, 2)))
+    scale = np.fmax(1.0, largest)
     Gs = 0.5 * (G + Gt)
     not_pd = _rejected(np.linalg.cholesky, Gs)
     try:
