@@ -81,11 +81,7 @@ def _trajectory_payload(traj, sysd, fmt: str) -> str:
         + [f"c{i + 1}" for i in range(m)]
         + [f"lambda{i + 1}" for i in range(m)]
     )
-    rows = []
-    for pt in traj:
-        rows.append(
-            [pt.t, *pt.x.q.tolist(), *pt.x.p.tolist(), pt.H, *pt.c.tolist(), *pt.lam.tolist()]
-        )
+    rows = traj.rows.tolist()  # (t, q, p, H, c, lam), in the header's order
     if fmt == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt_float(v) for v in row) for row in rows]

@@ -22,6 +22,11 @@ axis, by the same code: one width-1 dual pass over (B,) array cores and one
 stacked solve (multiplier), one stacked product (projection). Each lifts its
 own gradient of H, or takes one lifted for that route alone (``verify``), so
 the routes of a batch share nothing but its validated points.
+
+``integrate`` runs the multiplier route through ``FieldEvaluator``, one dual
+pass per RK4 stage. At an accepted state that pass also feeds the validated
+Eden projection (``FieldEvaluator.project``): the state is evaluated once,
+with every check of ``geometry.eden_project``, and recorded as one array row.
 """
 
 from __future__ import annotations
@@ -56,16 +61,29 @@ class TrajectoryPoint:
 
 @dataclass
 class Trajectory:
-    points: list
+    """Recorded states; each TrajectoryPoint is built on demand from its row."""
+
+    rows: np.ndarray  # (t, q, p, H, c, lam) per state, in the CSV header's order
+    n: int
 
     def __len__(self):
-        return len(self.points)
+        return len(self.rows)
 
     def __iter__(self):
-        return iter(self.points)
+        return map(self._point, self.rows)
+
+    @property
+    def points(self) -> list:
+        return list(self)
 
     def final(self) -> TrajectoryPoint:
-        return self.points[-1]
+        return self._point(self.rows[-1])
+
+    def _point(self, row) -> TrajectoryPoint:
+        n = self.n
+        c, lam = np.split(row[2 * n + 2 :].copy(), 2)
+        x = PhasePoint(q=row[1 : n + 1].copy(), p=row[n + 1 : 2 * n + 1].copy())
+        return TrajectoryPoint(t=float(row[0]), x=x, H=float(row[2 * n + 1]), c=c, lam=lam)
 
 
 def hamiltonian_field(sys: SystemDefinition, x: PhasePoint, dH=None) -> PhaseVelocity:
@@ -132,70 +150,75 @@ def nonholonomic_field_projection(
     return PhaseVelocity(dq=v[..., :n], dp=v[..., n:])
 
 
-class FieldEvaluator:
-    """Batched per-point assembly of the constrained field for integration.
+def _values_and_grads(table, n):
+    """The values (r, c) and configuration gradients (r, c, n) of a table of
+    closure results over one width-n lift: floats or duals."""
+    vals = np.empty((len(table), len(table[0])))
+    grads = np.zeros(vals.shape + (n,))
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if type(v) is numdiff.DualScalar:
+                vals[i, j], grads[i, j] = v.value, v.partials
+            else:
+                vals[i, j] = v
+    return vals, grads
 
-    Evaluates all metric / potential / constraint entries (and their
-    configuration gradients, via one width-n dual pass) per field call and
-    assembles the same multiplier-route field as the public functions with
-    plain matrix algebra. Constant entries are detected once and folded.
+
+class FieldEvaluator:
+    """Per-point assembly of the constrained field for integration.
+
+    One width-n dual pass over q gives the metric, potential and constraint
+    entries and their configuration gradients; plain matrix algebra then
+    assembles the multiplier-route field. A dual's value is its float
+    closure's, bit for bit, so ``project`` validates and projects from that
+    pass and holds it for the ``evaluate`` that follows at the same q. A
+    constant metric is validated once, by ``geometry.metric_at``, and reused.
     """
 
     def __init__(self, sys: SystemDefinition):
         self.sys = sys
         self.n = sys.n
-        self._const_metric = None
-        self._const_metric_inv = None
+        self._met = None  # the validated constant metric
+        self._held = None  # (q bytes, entries) of the last projection
+
+    def _entries(self, q_list):
+        """(G, dG, V, dV, mu, dmu) at q from one lift, dG[i] = dG/dq_i and
+        dmu[a, j, i] = d mu_aj / d q_i; G and dG are None for a constant metric."""
+        sys, n = self.sys, self.n
+        duals = numdiff.lift(q_list)
+        G = dG = None
         if sys.metric_is_constant:
-            G = np.asarray(sys.metric_values([0.0] * sys.n), dtype=float)
-            self._const_metric = 0.5 * (G + G.T)
-            self._const_metric_inv = np.linalg.inv(self._const_metric)
+            self._met = self._met or geometry.metric_at(sys, q_list)
+        else:
+            G, dG = _values_and_grads(sys.metric_values(duals), n)
+            dG = np.ascontiguousarray(dG.transpose(2, 0, 1))
+            dG = 0.5 * (dG + dG.transpose(0, 2, 1))
+        V = sys.potential_value(duals)
+        dual = type(V) is numdiff.DualScalar
+        V, dV = (V.value, np.array(V.partials)) if dual else (V, np.zeros(n))
+        mu, dmu = _values_and_grads(sys.mu_values(duals), n)
+        return G, dG, float(V), dV, mu, dmu
 
-    def _metric_and_grad(self, q):
-        n = self.n
-        if self._const_metric is not None:
-            return self._const_metric, self._const_metric_inv, None
-        duals = numdiff.lift([float(v) for v in q])
-        G = np.empty((n, n))
-        dG = np.zeros((n, n, n))  # dG[i] = dG/dq_i
-        for r, row in enumerate(self.sys._metric_fns):
-            for c, fn in enumerate(row):
-                val = fn(duals)
-                if isinstance(val, numdiff.DualScalar):
-                    G[r, c] = val.value
-                    dG[:, r, c] = val.partials
-                else:
-                    G[r, c] = val
-        G = 0.5 * (G + G.T)
-        dG = 0.5 * (dG + np.transpose(dG, (0, 2, 1)))
-        return G, np.linalg.inv(G), dG
-
-    def _mu_and_grad(self, q):
-        n, m = self.n, self.sys.n_constraints
-        duals = numdiff.lift([float(v) for v in q])
-        mu = np.empty((m, n))
-        dmu = np.zeros((m, n, n))  # dmu[a, j, i] = d mu_aj / d q_i
-        for a, row in enumerate(self.sys._mu_fns):
-            for j, fn in enumerate(row):
-                val = fn(duals)
-                if isinstance(val, numdiff.DualScalar):
-                    mu[a, j] = val.value
-                    dmu[a, j, :] = val.partials
-                else:
-                    mu[a, j] = val
-        return mu, dmu
-
-    def _potential_grad(self, q):
-        if self.sys.potential_is_constant:
-            return float(self.sys.potential_value(list(q))), np.zeros(self.n)
-        v, g = numdiff.gradient(self.sys._potential_fn, q)
-        return v, g
+    def project(self, q, p):
+        """``geometry.eden_project(sys, q, p)``, bitwise, with its checks and
+        errors, from the entries that ``evaluate`` at q then reuses."""
+        q_list = [float(v) for v in q]
+        G, dG, V, dV, mu, dmu = self._entries(q_list)
+        met = self._met or geometry.metric_from_entries(G, q_list)
+        cons = geometry.constraints_from_rows(self.sys, q_list, mu, met)
+        p = geometry.eden_formula(mu, met.Ginv, cons.gram, np.asarray(p, dtype=float))
+        self._held = (np.array(q_list).tobytes(), (met.Ginv, dG, V, dV, mu, dmu))
+        return p
 
     def evaluate(self, q, p):
         """Return (xdot 2n-vector, lam, residual c, H) at (q, p)."""
-        G, Ginv, dG = self._metric_and_grad(q)
-        Vval, dV = self._potential_grad(q)
-        mu, dmu = self._mu_and_grad(q)
+        held, self._held = self._held, None
+        q = np.asarray(q, dtype=float)
+        if held is not None and held[0] == q.tobytes():
+            Ginv, dG, Vval, dV, mu, dmu = held[1]
+        else:
+            G, dG, Vval, dV, mu, dmu = self._entries(q.tolist())
+            Ginv = self._met.Ginv if G is None else np.linalg.inv(0.5 * (G + G.T))
         v = Ginv @ p
         if dG is None:
             dHq = dV
@@ -227,14 +250,15 @@ def integrate(
     """Classical fixed-step RK4 on the multiplier-route constrained field.
 
     With ``project_each_step`` the momentum is re-projected onto the
-    constraint manifold after every step by ``geometry.eden_project``, which
-    validates the metric and the constraint rows there; without it the raw
-    drift is observable, the metric is still validated at each accepted
-    state and the on-manifold tolerance is enforced at step boundaries. The
-    evaluation at an accepted state is both its recorded row and the next
-    step's first stage. A state that fails validation or records a
-    non-finite H, residual or multiplier raises StepFailureError carrying
-    the trajectory up to the last good state.
+    constraint manifold after every step by ``FieldEvaluator.project``, with
+    the checks of ``geometry.eden_project``; where that shared pass raises,
+    ``eden_project`` and a fresh evaluation run instead, and raise as they
+    would. Without it the raw drift is observable, the metric is still
+    validated at each accepted state (once, if constant) and the on-manifold
+    tolerance is enforced at step boundaries. The evaluation at an accepted
+    state is both its recorded row and the next step's first stage. A state
+    that fails validation or records a non-finite H, residual or multiplier
+    raises StepFailureError carrying the trajectory up to the last good state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -243,31 +267,31 @@ def integrate(
     tol = geometry.ON_M_TOL if on_m_tol is None else on_m_tol
     geometry.require_on_m(sys, x0.q, x0.p, tol)
     ev = FieldEvaluator(sys)
-    n = sys.n
+    n, m = sys.n, sys.n_constraints
     n_steps = max(1, int(round((t1 - t0) / dt)))
     z = np.concatenate([x0.q, x0.p])
-    points: list[TrajectoryPoint] = []
+    rows = np.empty((n_steps + 1, 2 * n + 2 * m + 2))  # (t, q, p, H, c, lam)
+    done = 0
 
     def accept(t, z):
         """Evaluate at an accepted state, check it, record it; return k1."""
+        nonlocal done
         k1, lam, c, H = ev.evaluate(z[:n], z[n:])
         finite = np.all(np.isfinite(c)) and np.all(np.isfinite(lam))
         if not (math.isfinite(H) and finite):
             raise StepFailureError(
                 f"non-finite energy, residual or multiplier at t={t:.6g}",
-                trajectory=Trajectory(points=points),
+                trajectory=Trajectory(rows[:done], n),
             )
         if not project_each_step and float(np.max(np.abs(c))) > tol:
             raise StepFailureError(
                 f"constraint residual {float(np.max(np.abs(c))):.3e} exceeded "
                 f"{tol:.3e} at t={t:.6g} with projection off",
-                trajectory=Trajectory(points=points),
+                trajectory=Trajectory(rows[:done], n),
             )
-        points.append(
-            TrajectoryPoint(
-                t=t, x=PhasePoint(q=z[:n].copy(), p=z[n:].copy()), H=H, c=c, lam=lam
-            )
-        )
+        row = rows[done]
+        row[0], row[1 : 2 * n + 1], row[2 * n + 1], row[2 * n + 2 :] = t, z, H, (*c, *lam)
+        done += 1
         return k1
 
     # overflow reaches accept()'s finiteness checks as inf/NaN, not as warnings
@@ -283,8 +307,11 @@ def integrate(
                 k4, _, _, _ = ev.evaluate(z4[:n], z4[n:])
                 z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if project_each_step:
-                    z[n:] = geometry.eden_project(sys, z[:n], z[n:])
-                else:
+                    try:
+                        z[n:] = ev.project(z[:n], z[n:])
+                    except geometry.BATCH_FAILURES:
+                        z[n:] = geometry.eden_project(sys, z[:n], z[n:])
+                elif not sys.metric_is_constant:
                     geometry.metric_at(sys, z[:n])
                 k1 = accept(t0 + (i + 1) * dt, z)
         except StepFailureError:
@@ -292,9 +319,9 @@ def integrate(
         except NonholoError as exc:
             raise StepFailureError(
                 f"integration stopped: {exc}",
-                trajectory=Trajectory(points=points),
+                trajectory=Trajectory(rows[:done], n),
             ) from exc
-    return Trajectory(points=points)
+    return Trajectory(rows[:done], n)
 
 
 def observable_evolution_check(sys: SystemDefinition, traj: Trajectory, f) -> float:

@@ -10,9 +10,10 @@ through it; ``gamma_apply`` is its differentiable counterpart.
 
 The checks of each validated object have one body over a leading batch axis
 (``_metric_checks``, ``_row_checks``, ``_gram_checks``, ``_frame_checks``). A
-single point runs it at B = 1 and raises on the first failed check; a list of
-points runs it once over all of them, after one closure call per entry over
-(B,) array cores (``on_m_point`` of a list, ``eden_project_batch``,
+single point runs it at B = 1 and raises on the first failed check, on entries
+it evaluates or the caller's (``metric_from_entries``, ``constraints_from_rows``);
+a list of points runs it once over all of them, after one closure call per
+entry over (B,) array cores (``on_m_point`` of a list, ``eden_project_batch``,
 ``frame_batch``). A point that fails a stacked check runs alone, in index
 order, so it raises as it would alone; every array the stacked pass keeps is
 bitwise the per-point one.
@@ -118,7 +119,11 @@ def _metric_checks(G):
 def metric_at(sys, q) -> MetricAtPoint:
     """Evaluate G(q) and its inverse; fail if not symmetric positive definite."""
     q_list = [float(v) for v in q]
-    G = np.asarray(sys.metric_values(q_list), dtype=float)
+    return metric_from_entries(np.asarray(sys.metric_values(q_list), dtype=float), q_list)
+
+
+def metric_from_entries(G, q_list) -> MetricAtPoint:
+    """``metric_at``'s checks on the entries G (n, n) evaluated at q_list."""
     Gs, Ginv, fails = _metric_checks(G[None])
     for failed, what in zip(fails, _METRIC_FAILURES):
         if failed[0]:
@@ -158,7 +163,12 @@ def _gram_checks(mu, Ginv):
 def constraints_at(sys, q, met: MetricAtPoint | None = None) -> ConstraintsAtPoint:
     """Assemble the constraint rows and their cometric Gram matrix at q."""
     q_list = [float(v) for v in q]
-    mu = np.asarray(sys.mu_values(q_list), dtype=float)
+    return constraints_from_rows(sys, q_list, np.asarray(sys.mu_values(q_list), dtype=float), met)
+
+
+def constraints_from_rows(sys, q_list, mu, met=None) -> ConstraintsAtPoint:
+    """``constraints_at``'s checks on the rows mu (m, n) evaluated at q_list:
+    the rows', the metric's (when met is None), then the Gram matrix's."""
     s, (non_finite, dependent) = _row_checks(mu[None])
     if non_finite[0]:
         raise RankDeficientError(f"constraint rows non-finite at q={q_list}")
@@ -187,9 +197,12 @@ def velocity_constraint(sys, q, p) -> np.ndarray:
     return residual_values(cons.mu, met.Ginv, np.asarray(p, dtype=float))
 
 
-def _eden_formula(mu, Ginv, gram, p):
+def eden_formula(mu, Ginv, gram, p):
     """gamma(p) = p - mu^T gram^-1 mu G^-1 p over leading axes."""
-    lam = np.linalg.solve(gram, mu @ (Ginv @ p[..., None]))
+    try:
+        lam = np.linalg.solve(gram, mu @ (Ginv @ p[..., None]))
+    except np.linalg.LinAlgError:  # an exactly zero pivot, past the Cholesky check
+        raise RankDeficientError("constraint Gram matrix is singular") from None
     return p - (mu.swapaxes(-1, -2) @ lam)[..., 0]
 
 
@@ -200,7 +213,7 @@ def eden_project(sys, q, p) -> np.ndarray:
     """
     met = metric_at(sys, q)
     cons = constraints_at(sys, q, met)
-    return _eden_formula(cons.mu, met.Ginv, cons.gram, np.asarray(p, dtype=float))
+    return eden_formula(cons.mu, met.Ginv, cons.gram, np.asarray(p, dtype=float))
 
 
 def _validate_batch(sys, q):
@@ -238,7 +251,7 @@ def eden_project_batch(sys, q, p):
         with np.errstate(all="ignore"):
             _, Ginv, mu, gram, ok = _validate_batch(sys, q)
             gram = np.where(ok[:, None, None], gram, _eye(len(gram[0])))  # solvable
-            out = _eden_formula(mu, Ginv, gram, p)
+            out = eden_formula(mu, Ginv, gram, p)
     except BATCH_FAILURES:
         return p, np.zeros(len(p), bool)
     return out, ok & np.isfinite(out).all(-1)

@@ -240,14 +240,20 @@ def power(base, exponent):
     """base ** exponent.
 
     Plain-number exponents use the monomial rule (integer exponents permit
-    negative bases); dual exponents go through exp(exponent * log(base)) and
-    therefore require a positive base.
+    negative bases); dual exponents take the partials of
+    exp(exponent * log(base)) and therefore require a positive base. The
+    value is always the float rule's, at every level.
     """
     if isinstance(exponent, DualScalar):
-        return exp(exponent * log(base))
-    e = float(exponent)
+        d = exp(exponent * log(base))
+        below = [x.value if _level(x) == d.level else x for x in (base, exponent)]
+        return DualScalar(power(*below), d.partials, d.level)
     if not isinstance(base, DualScalar):
-        return _map(lambda b: _float_pow(b, e), base)
+        if isinstance(exponent, np.ndarray):  # an array core: one exponent per element
+            b = np.broadcast_to(base, exponent.shape).tolist()
+            return np.fromiter(map(_float_pow, b, exponent.tolist()), float, len(b))
+        return _map(lambda b: _float_pow(b, exponent), base)
+    e = float(exponent)
     core = float_core(base.value)
     if _anywhere(core < 0.0) and not e.is_integer():
         raise DomainError("power", "negative base with non-integer exponent")
@@ -268,7 +274,7 @@ def power(base, exponent):
 
 
 def _float_pow(b, e):
-    b = float(b)
+    b, e = float(b), float(e)
     if b < 0.0 and not e.is_integer():
         raise DomainError("power", "negative base with non-integer exponent")
     if b == 0.0 and e < 0.0:

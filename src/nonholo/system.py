@@ -81,10 +81,6 @@ class SystemDefinition:
                 names |= dsl.expression_names(e)
         return not (names & set(self.coords))
 
-    @cached_property
-    def potential_is_constant(self) -> bool:
-        return not (dsl.expression_names(self.potential_expr) & set(self.coords))
-
     # -- pointwise evaluation over any scalar type --
 
     def metric_values(self, q_scalars):

@@ -329,16 +329,17 @@ def _jacobi_metrics(sysd, points, observables, cfg_dict):
             fgh = tuple([push[id(o)] for o in col] for col in (f, g, h))
             calls.append(("jacobiator_defect", "dstar", fgh, free, group))
     pos = {id(x): i for i, x in enumerate(points)}
-    values = [{} for _ in points]
+    worst = {}  # suite -> (B,) largest |J| per point; np.maximum keeps a NaN
     for suite, kind, fgh, free, group in calls:
         try:
             per_point = np.stack(brackets.jacobiator_batch(sysd, kind, *fgh, group, free), 1)
         except geometry.BATCH_FAILURES:
             tol = cfg_dict["on_m_tol"]
             per_point = [brackets.jacobiator(sysd, kind, *fgh, x, on_m_tol=tol) for x in group]
-        for x, v in zip(group, per_point):
-            values[pos[id(x)]].setdefault(suite, []).extend(v)
-    return [{suite: _max_abs(v) for suite, v in d.items()} for d in values]
+        at = [pos[id(x)] for x in group]
+        acc = worst.setdefault(suite, np.full(len(points), -np.inf))
+        acc[at] = np.maximum(acc[at], np.abs(np.asarray(per_point)).max(1))
+    return [{suite: float(acc[i]) for suite, acc in worst.items()} for i in range(len(points))]
 
 
 def run_verify(cfg: VerifyConfig) -> dict:

@@ -329,6 +329,39 @@ def test_verify_reports_match_the_pinned_bytes(capsys, name, seed):
     assert out == (DATA / "verify" / f"{name}_seed{seed}.json").read_text()
 
 
+SIMULATE_CASES = json.loads((DATA / "simulate" / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
+def test_simulate_payloads_match_the_pinned_bytes(tmp_path, name):
+    """``simulate`` reproduces its pinned payload byte for byte.
+
+    tests/data/simulate/cases.json maps each payload file to the argv that
+    wrote it: 300 RK4 steps at dt 0.002 from seeded admissible starts on the
+    three non-integrable catalog systems (CSV), plus one run with
+    ``--no-project`` and one JSON run. A change that moves any recorded bit
+    of the trajectory shows here.
+    """
+    path = tmp_path / name
+    assert cli.main([*SIMULATE_CASES[name], "--output", str(path)]) == 0
+    assert path.read_bytes() == (DATA / "simulate" / name).read_bytes()
+
+
+def test_verify_survives_a_singular_gram_solve(tmp_path, capsys):
+    # a second constraint row that fades into the first: some candidates pass
+    # the Gram matrix's Cholesky check and then meet a zero pivot in the solve
+    path = tmp_path / "fading.system"
+    path.write_text(
+        (DATA / "nonholonomic_particle.system").read_text()
+        + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n"
+    )
+    argv = ["verify", "--system", str(path), "--count", "100", "--seed", "3"]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc in (cli.EXIT_OK, cli.EXIT_SUITE_FAILURE, cli.EXIT_VALIDATION)
+    assert rc != cli.EXIT_VALIDATION or err.startswith("error: ")
+
+
 def test_csv_output_format(tmp_path):
     path = tmp_path / "report.csv"
     run_cli(

@@ -1,8 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
-from nonholo import catalog, dynamics, geometry
-from nonholo.errors import NotOnMError, StepFailureError
+from nonholo import catalog, dsl, dynamics, geometry
+from nonholo.errors import (
+    DomainError,
+    NonholoError,
+    NotOnMError,
+    RankDeficientError,
+    StepFailureError,
+)
 from nonholo.system import Observable, PhasePoint, hamiltonian_observable
 
 SYS_A = catalog.get_system("holonomic_control")
@@ -209,3 +217,113 @@ def test_field_routes_require_on_m():
         with pytest.raises(NotOnMError):
             route(SYS_B, loose)
         route(SYS_B, loose, on_m_tol=10.0)
+
+
+def _system(metric, constraint, potential="0"):
+    rows = "".join(f"row{i + 1} = {r}\n" for i, r in enumerate(metric))
+    return dsl.parse_system(
+        f"[system]\nname = t\ndim = {len(metric)}\ncoords = {', '.join('xyzw'[: len(metric)])}\n"
+        f"[metric]\n{rows}[potential]\nV = {potential}\n[constraint]\nform = {constraint}\n"
+    )
+
+
+def _bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
+def test_field_evaluator_project_is_bitwise_eden_project(ent):
+    """``project`` is ``eden_project`` bit for bit at 50 sampled points, off
+    M by a seeded kick, and the evaluation that reuses its entries is bitwise
+    a fresh evaluator's."""
+    sysd = ent.system()
+    ev = dynamics.FieldEvaluator(sysd)
+    rng = np.random.default_rng(15)
+    for x in catalog.sample_entry_points(ent, 50, 15):
+        p = x.p + rng.normal(scale=0.5, size=sysd.n)
+        projected = ev.project(x.q, p)
+        assert _bits(projected) == _bits(geometry.eden_project(sysd, x.q, p))
+        got = ev.evaluate(x.q, projected)
+        assert _bits(*got) == _bits(*dynamics.FieldEvaluator(sysd).evaluate(x.q, projected))
+
+
+SINGULAR_GRAM_Q = [0.5785034702341596, 0.21720312487545024, -0.8406728309160272]
+
+
+@pytest.mark.parametrize(
+    "metric, constraint, q",
+    [
+        (("1 - x, 0", "0, 1"), "0, 1", [1.5, 0.0]),  # not positive definite past x = 1
+        (("1, 2", "2, 1"), "0, 1", [0.2, 0.0]),  # a constant metric that is not SPD
+        (("1, 0", "0, 1"), "0, 1e308*10*x", [0.5, 0.0]),  # non-finite constraint rows
+        (("1, 0", "0, 1"), "x - x, 0", [0.5, 0.0]),  # a vanishing constraint row
+    ],
+    ids=["singular-metric", "constant-not-spd", "non-finite-rows", "dependent-rows"],
+)
+def test_field_evaluator_project_raises_as_eden_project(metric, constraint, q):
+    sysd = _system(metric, constraint)
+    with pytest.raises(NonholoError) as want, np.errstate(all="ignore"):
+        geometry.eden_project(sysd, q, [1.0, 1.0])
+    with pytest.raises(type(want.value)) as got, np.errstate(all="ignore"):
+        dynamics.FieldEvaluator(sysd).project(q, [1.0, 1.0])
+    assert str(got.value) == str(want.value)
+
+
+def test_a_singular_gram_solve_is_a_rank_error():
+    # passes the Gram matrix's Cholesky check, then meets a zero pivot
+    source = catalog.get_entry("nonholonomic_particle").definition
+    sysd = dsl.parse_system(source + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n")
+    p = [-0.3818144525703697, 0.3337808175111099, -0.3091458786446881]
+    for project in (functools.partial(geometry.eden_project, sysd),
+                    dynamics.FieldEvaluator(sysd).project):
+        with pytest.raises(RankDeficientError, match="Gram matrix is singular"):
+            project(SINGULAR_GRAM_Q, p)
+
+
+def test_a_failed_shared_projection_falls_back_to_eden_project(monkeypatch):
+    """A state whose shared pass raises goes through ``eden_project`` and a
+    fresh evaluation: the trajectory is bitwise the one the shared pass gives."""
+    x0 = catalog.sample_entry_points(catalog.get_entry("chaplygin_sleigh"), 1, 4)[0]
+    shared = dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
+
+    def fails(self, q, p):
+        raise DomainError("sqrt", "derivative unbounded at 0")
+
+    monkeypatch.setattr(dynamics.FieldEvaluator, "project", fails)
+    alone = dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
+    assert len(alone) == 101
+    assert alone.rows.tobytes() == shared.rows.tobytes()
+
+
+def test_a_dual_domain_error_in_the_shared_pass_is_left_to_eden_project():
+    # sqrt(x*x) is 0 at x = 0 as a float, but its dual derivative is unbounded
+    sysd = _system(("1 + sqrt(x*x), 0", "0, 1"), "0, 1")
+    with pytest.raises(DomainError):
+        dynamics.FieldEvaluator(sysd).project([0.0, 0.0], [0.0, 1.0])
+    assert geometry.eden_project(sysd, [0.0, 0.0], [0.0, 1.0]).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("project", (True, False))
+def test_a_constant_metric_is_validated_once_per_trajectory(count_calls, project):
+    q0 = [0.0, 0.2, 0.0]
+    x0 = PhasePoint(q=q0, p=geometry.eden_project(SYS_B, q0, [1.0, 1.0, 1.0]))
+    counts = count_calls(geometry, ["metric_at"])
+    for t1 in (0.01, 0.05):
+        counts["metric_at"] = 0
+        dynamics.integrate(SYS_B, x0, 0.0, t1, 1e-3, project_each_step=project)
+        assert counts["metric_at"] == 2  # the start's validation and the evaluator's
+
+
+def test_trajectory_points_are_built_from_the_rows():
+    q0 = [0.0, 0.2, 0.0]
+    x0 = PhasePoint(q=q0, p=geometry.eden_project(SYS_B, q0, [1.0, 1.0, 1.0]))
+    traj = dynamics.integrate(SYS_B, x0, 0.0, 0.01, 1e-3)
+    assert traj.rows.shape == (11, 2 + 2 * 3 + 2 * 1) and len(traj) == 11
+    points = traj.points
+    assert [pt.t for pt in traj] == [pt.t for pt in points] == traj.rows[:, 0].tolist()
+    for pt, row in zip(points, traj.rows):
+        flat = [pt.t, *pt.x.q, *pt.x.p, pt.H, *pt.c, *pt.lam]
+        assert np.array(flat).tobytes() == row.tobytes()
+    assert traj.final().x.q.tobytes() == points[-1].x.q.tobytes()
+    points[-1].c[0] = 7.0  # a point owns its arrays
+    assert traj.rows[-1, -2] != 7.0

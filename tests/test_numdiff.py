@@ -434,3 +434,49 @@ def test_level_two_lift_over_array_cores_is_the_scalar_nesting():
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert _same(element(g, b), w)
+
+
+# every primitive, on u in [-2, 2] and a positive v; the float rule is the
+# primitive on plain floats
+PRIMITIVES = {
+    "neg": lambda u, v: -u,
+    "add": lambda u, v: u + v,
+    "sub": lambda u, v: u - v,
+    "rsub": lambda u, v: 0.3 - u,
+    "mul": lambda u, v: u * v,
+    "div": lambda u, v: u / v,
+    "rdiv": lambda u, v: 1.7 / v,
+    "power_int": lambda u, v: numdiff.power(u, 3),
+    "power_real": lambda u, v: numdiff.power(v, 2.7),
+    "power_half": lambda u, v: numdiff.power(v, 0.5),
+    "power_dual_exponent": lambda u, v: numdiff.power(v, u),
+    "power_constant_base": lambda u, v: numdiff.power(1.3, u),
+    "sin": lambda u, v: numdiff.sin(u),
+    "cos": lambda u, v: numdiff.cos(u),
+    "tan": lambda u, v: numdiff.tan(u),
+    "exp": lambda u, v: numdiff.exp(u),
+    "log": lambda u, v: numdiff.log(v),
+    "sqrt": lambda u, v: numdiff.sqrt(v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_every_primitive_value_is_its_float_rule_bitwise(name):
+    """A dual's value is the float evaluation, bit for bit, at levels 1 and
+    2, with the operands at one level or at two, and over array cores."""
+    op = PRIMITIVES[name]
+    rng = np.random.default_rng(15)
+    us, vs = rng.uniform(-2.0, 2.0, 50), rng.uniform(0.1, 3.0, 50)
+    want = np.array([op(u, v) for u, v in zip(us.tolist(), vs.tolist())])
+
+    def values(u, v):
+        one = numdiff.lift([u, v])
+        two = numdiff.lift(one)
+        mixed = (one[0], numdiff.lift([one[1]])[0])  # u at level 1, v at level 2
+        return [numdiff.float_core(op(a, b)) for a, b in (one, two, mixed)]
+
+    for got in values(us, vs):  # array cores
+        assert np.broadcast_to(got, us.shape).tobytes() == want.tobytes()
+    for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+        for got in values(u, v):
+            assert np.float64(got).tobytes() == want[k].tobytes()
