@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from nonholo import catalog, dsl, geometry, numdiff
 from nonholo.errors import (
+    DomainError,
     FrameDegenerateError,
     FrameInvalidError,
     NonholoError,
     NotOnMError,
     NotSPDError,
     RankDeficientError,
+    SingularMatrixError,
 )
 from nonholo.rng import SplitMix64
 from nonholo.system import PhasePoint
@@ -308,6 +310,81 @@ def _point_bytes(x):
     return [a.tobytes() for a in arrays] + flags
 
 
+# --- the per-point reference: one point, float closures, plain numpy ----------
+
+
+def reference_on_m(sysd, q, p, tol=geometry.ON_M_TOL):
+    """``require_on_m`` at one point, check by check: (q, p, G, Ginv, mu,
+    gram, residual), or the error of the first check that fails."""
+    q_list = [float(v) for v in q]
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    G = np.asarray(sysd.metric_values(q_list), dtype=float)
+    largest = np.abs(G).max()
+    if not np.isfinite(largest):
+        raise NotSPDError(f"metric has non-finite entries at q={q_list}")
+    scale, Gs = max(1.0, largest), 0.5 * (G + G.T)
+    if np.abs(G - G.T).max() > 1e-9 * scale:
+        raise NotSPDError(f"metric is not symmetric at q={q_list}")
+    try:
+        np.linalg.cholesky(Gs)
+    except np.linalg.LinAlgError:
+        raise NotSPDError(f"metric is not positive definite at q={q_list}") from None
+    Ginv = np.linalg.inv(Gs)
+    if np.abs(Gs @ Ginv - np.eye(len(G))).max() > 1e-10 * scale:
+        raise NotSPDError(f"metric is too ill-conditioned at q={q_list}")
+    mu = np.asarray(sysd.mu_values(q_list), dtype=float)
+    if not np.isfinite(mu).all():
+        raise RankDeficientError(f"constraint rows non-finite at q={q_list}")
+    s = np.linalg.svd(mu, compute_uv=False)
+    if s[-1] <= 1e-10 * s[0]:
+        raise RankDeficientError(
+            f"constraint rows are dependent at q={q_list} (singular values {s})"
+        )
+    gram = mu @ Ginv @ mu.T
+    try:
+        np.linalg.cholesky(0.5 * (gram + gram.T))
+    except np.linalg.LinAlgError:
+        raise RankDeficientError(
+            f"constraint Gram matrix is not positive definite at q={q_list}"
+        ) from None
+    r = float(np.max(np.abs((mu @ (Ginv @ p[:, None]))[:, 0])))
+    if not r <= tol:
+        raise NotOnMError(r, tol)
+    return q, p, Gs, Ginv, mu, gram, r
+
+
+def reference_frame(sysd, q, mu):
+    """``frame_at`` at one point with its validated rows mu: (E, free_cols,
+    pivot_tie), or the error of the first check that fails."""
+    q_list = [float(v) for v in q]
+    if sysd.frame_exprs is not None:
+        free, tie, label, invalid = None, False, "user", FrameInvalidError
+        E = np.asarray(geometry.frame_apply(sysd, q_list, free), dtype=float).T
+    else:
+        free, tie = geometry.default_frame_plan(mu)
+        label, invalid = "default", FrameDegenerateError
+        try:
+            E = np.asarray(geometry.frame_apply(sysd, q_list, free), dtype=float).T
+        except SingularMatrixError:
+            raise RankDeficientError("constraint rows are dependent here") from None
+        except DomainError:
+            raise FrameDegenerateError(f"default frame column collapsed at q={q_list}") from None
+    scale = max(1.0, np.abs(mu).max() * np.abs(E).max())
+    if np.abs(mu @ E).max() > 1e-10 * scale:
+        raise invalid(f"{label} frame leaves the distribution at q={q_list}")
+    s = np.linalg.svd(E, compute_uv=False)
+    if s[-1] <= 1e-10 * max(1.0, s[0]):
+        raise invalid(f"{label} frame columns are dependent at q={q_list}")
+    return E, free, tie
+
+
+def _reference_bytes(sysd, x):
+    """``_point_bytes`` of the phase point x from the per-point reference."""
+    *arrays, r = reference_on_m(sysd, x.q, x.p)
+    E, free, tie = reference_frame(sysd, x.q, arrays[4])
+    return [a.tobytes() for a in (*arrays, E)] + [repr(r), E.strides, free, tie]
+
+
 @pytest.mark.parametrize("name, region, n_plans", STACK_CASES)
 def test_stacked_validation_and_frames_are_bitwise_the_per_point_ones(
     count_calls, name, region, n_plans
@@ -320,7 +397,7 @@ def test_stacked_validation_and_frames_are_bitwise_the_per_point_ones(
     assert counts == {"metric_at": 0, "constraints_at": 0, "frame_at": 0}  # all stacked
     assert len({x.frame.free_cols for x in points}) == n_plans
     for x, y in zip(points, sample):
-        assert _point_bytes(x) == _point_bytes(geometry.require_on_m(sysd, y.q, y.p))
+        assert _point_bytes(x) == _reference_bytes(sysd, y)
 
 
 def _first_error(fn, items):
@@ -330,7 +407,7 @@ def _first_error(fn, items):
 
 
 def _validated_one_by_one(sysd):
-    return lambda xs: [geometry.require_on_m(sysd, x.q, x.p) for x in xs]
+    return lambda xs: [reference_on_m(sysd, x.q, x.p) for x in xs]
 
 
 def test_a_bad_point_in_a_stacked_validation_raises_as_it_would_alone(
@@ -355,11 +432,11 @@ def test_a_bad_point_in_a_stacked_validation_raises_as_it_would_alone(
         assert _first_error(lambda xs: geometry.on_m_point(sysd, xs), sample) == alone
         # the points before it validate as they would alone
         for x, y in zip(geometry.on_m_point(sysd, sample[:4]), sample):
-            assert _point_bytes(x) == _point_bytes(geometry.require_on_m(sysd, y.q, y.p))
+            assert _point_bytes(x) == _reference_bytes(sysd, y)
 
 
 def _framed_one_by_one(sysd):
-    return lambda xs: [geometry.frame_at(sysd, x.q, mu=x.cons.mu) for x in xs]
+    return lambda xs: [reference_frame(sysd, x.q, x.cons.mu) for x in xs]
 
 
 def test_a_bad_user_frame_in_a_stacked_build_raises_as_it_would_alone():
@@ -370,7 +447,7 @@ def test_a_bad_user_frame_in_a_stacked_build_raises_as_it_would_alone():
     good = geometry.on_m_point(sysd, sample)
     geometry.frame_batch(good)
     for x in good:
-        assert _point_bytes(x) == _point_bytes(geometry.require_on_m(sysd, x.q, x.p))
+        assert _point_bytes(x) == _reference_bytes(sysd, x)
     sample[4] = PhasePoint(q=[0.5, *sample[4].q[1:]], p=sample[4].p)
     alone = _first_error(_framed_one_by_one(sysd), geometry.on_m_point(sysd, sample))
     assert alone[0] is FrameInvalidError and "leaves the distribution" in alone[1]
@@ -396,4 +473,38 @@ def test_a_collapsed_default_frame_in_a_stacked_build_raises_as_it_would_alone(m
     points = geometry.on_m_point(sysd, sample)
     assert _first_error(geometry.frame_batch, points) == alone
     for x in points[:4]:  # built before it, and bitwise as alone
-        assert x.frame.E.tobytes() == geometry.frame_at(sysd, x.q, mu=x.cons.mu).E.tobytes()
+        assert x.frame.E.tobytes() == reference_frame(sysd, x.q, x.cons.mu)[0].tobytes()
+
+
+@pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
+def test_lone_points_evaluate_closures_and_lifts_on_float_cores(monkeypatch, ent):
+    # one point never runs through (1,) array cores: every closure input and
+    # every lifted value of the single-point entry points has a float core
+    from nonholo import brackets, dynamics
+
+    sysd = ent.system()
+    x = catalog.sample_entry_points(ent, 1, 7)[0]
+    cores = []
+
+    def record(values):
+        values = list(values)
+        cores.extend(type(numdiff.float_core(v)) for v in values)
+        return values
+
+    for name in ("metric_values", "mu_values", "frame_values", "potential_value"):
+        original = getattr(sysd, name)
+        monkeypatch.setattr(sysd, name, lambda q_s, _f=original: _f(record(q_s)))
+    lift = numdiff.lift
+    monkeypatch.setattr(numdiff, "lift", lambda values: lift(record(values)))
+    kick = x.p + 0.25
+    geometry.require_on_m(sysd, x.q, x.p)
+    geometry.eden_project(sysd, x.q, kick)
+    geometry.frame_at(sysd, x.q)
+    dynamics.FieldEvaluator(sysd).project(x.q, kick)
+    observables = catalog.observable_test_set(sysd)
+    fgh = [observables[i] for i in (0, sysd.n, 1)]
+    for kind in brackets.BRACKET_KINDS:
+        if kind == "dstar":
+            fgh = [brackets.pushforward_observable(sysd, o) for o in fgh]
+        brackets.jacobiator(sysd, kind, *fgh, x)
+    assert cores and set(cores) == {float}
