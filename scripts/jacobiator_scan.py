@@ -34,9 +34,9 @@ def main():
     points = catalog.sample_entry_points(entry, args.count, args.seed)
 
     rows = []
-    for idx, x in enumerate(points):
-        # every triple at this point in one call
-        values = brackets.jacobiator(sysd, args.kind, f, g, h, x)
+    # every triple at every point in one call (the dual-bundle observables
+    # read their frame plan off each point, so those points run one by one)
+    for idx, values in enumerate(brackets.jacobiator(sysd, args.kind, f, g, h, points)):
         for (i, j, k), val in zip(triples, values):
             rows.append((abs(val), val, idx, (obs[i].label, obs[j].label, obs[k].label)))
     rows.sort(key=lambda r: (-r[0], r[2], r[3]))

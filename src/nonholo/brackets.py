@@ -22,8 +22,8 @@ values from it or from the rows.
 
 Each route also has one formula over generic scalars, ``_route_rows``, which
 evaluates the route's extension map once per lift for all observables; the
-Jacobiator nests it, at one point or at a batch of points whose scalars are
-stacked into array cores (``jacobiator_batch``), and the standalone
+Jacobiator nests it (``jacobi_rows``), at one point on float cores or at a
+list of points whose scalars are stacked into array cores, and the standalone
 functions (``canonical_bracket``, ``eden_bracket``, ``nonholonomic_bracket``,
 ``dstar_bracket``) are the validation they run plus that formula on floats.
 They serve as the oracles the test suite checks the route-table path
@@ -375,7 +375,10 @@ def jacobiator(
 
     ``f``, ``g`` and ``h`` are observables, giving one float, or
     equal-length sequences of them, giving one float per triple
-    ``(f[t], g[t], h[t])``. ``x`` is a PhasePoint or an OnMPoint.
+    ``(f[t], g[t], h[t])``. ``x`` is a PhasePoint or an OnMPoint, or a list
+    of them, giving that result per point: the list runs as one stack of
+    array cores (``jacobi_rows``), and for ``dstar`` its points must share
+    one frame plan.
 
     Outer derivatives come from evaluating the inner brackets at dual-number
     perturbed points, so every kind reuses its own defining formula without
@@ -385,40 +388,31 @@ def jacobiator(
     """
     single = not isinstance(f, (list, tuple))
     triples = list(zip([f], [g], [h]) if single else zip(f, g, h, strict=True))
-    x = geometry.on_m_point(sys, x, on_m_tol)
-    free, base = None, x.scalars()
+    many = isinstance(x, (list, tuple))
+    points = geometry.on_m_point(sys, x, on_m_tol)
+    points = points if many else [points]
     if kind == "dstar":
-        free = x.frame.free_cols
-        base = DStarPoint(q=x.q, pi=x.frame.E.T @ x.p).scalars()
-    out = [float(v) for v in _jacobi_cores(sys, kind, triples, base, free)]
-    return out[0] if single else out
+        if len({y.frame.free_cols for y in points}) > 1:
+            raise ValueError("dstar points must share one frame plan")
+        for y in points:  # the image in D* must be a finite dual-bundle point
+            DStarPoint(q=y.q, pi=y.frame.E.T @ y.p)
+    body = functools.partial(jacobi_rows, sys, kind, triples)
+    rows = geometry.raise_first(geometry.per_point(body, points))
+    out = [float(r[0]) if single else r.tolist() for r in rows]
+    return out if many else out[0]
 
 
-def jacobiator_batch(sys, kind, f, g, h, points, free_cols=None) -> list[np.ndarray]:
-    """The Jacobiator of every triple at many validated OnMPoints at once.
-
-    ``f``, ``g`` and ``h`` are equal-length sequences of observables; the
-    result holds one ``(B,)`` array per triple, element b bitwise
-    ``jacobiator(sys, kind, f, g, h, points[b])``. The base scalars of the B
-    points are stacked into array cores, so one nested lift serves them all.
-    For ``dstar`` every point must have the frame plan ``free_cols`` (group
-    them by ``x.frame.free_cols``), and the observables are dual-bundle ones
-    that do not read the plan off their point (``pushforward_observable``
-    with the plan given).
-    """
-    triples = list(zip(f, g, h, strict=True))
-    if kind == "dstar":
-        if any(x.frame.free_cols != free_cols for x in points):
-            raise ValueError("dstar batch points must share the frame plan free_cols")
-        z = [x.dstar_scalars() for x in points]
-    else:
-        z = [x.scalars() for x in points]
-    base = list(np.asarray(z, dtype=float).T.copy())
-    out = []
-    for core in _jacobi_cores(sys, kind, triples, base, free_cols):
-        vals = np.empty(len(points))
-        vals[:] = core  # a core with no batch dependence is a float
-        out.append(vals)
+def jacobi_rows(sys, kind, triples, points) -> np.ndarray:
+    """The Jacobiator of each triple at validated OnMPoints, (B, T), bitwise
+    per point: one nested lift over the floats of a lone point or (B,) array
+    cores. For ``dstar`` the points share the first one's frame plan, and a
+    stack needs observables that do not read it off their point."""
+    dstar = kind == "dstar"
+    free = points[0].frame.free_cols if dstar else None
+    z = [x.dstar_scalars() if dstar else x.scalars() for x in points]
+    out = np.empty((len(points), len(triples)))
+    for t, core in enumerate(_jacobi_cores(sys, kind, triples, geometry.cores(z), free)):
+        out[:, t] = core  # a core with no batch dependence is a float
     return out
 
 

@@ -11,6 +11,7 @@ of drawing and projecting one candidate at a time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,9 +210,9 @@ def sample_m_points(
     fixed seed reproduces points bit-for-bit.
 
     Candidates are drawn in blocks of as many as are still missing, q then
-    p each, and projected by one ``eden_project_batch``. A candidate that
-    fails a stacked check goes through ``eden_project`` itself, in order,
-    and is skipped on RankDeficientError.
+    p each, and projected in one stacked pass (``geometry.eden_projections``),
+    each as ``eden_project`` would alone. A candidate is skipped on
+    RankDeficientError; any other error raises, in candidate order.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -234,16 +235,12 @@ def sample_m_points(
             for _ in range(size)
         ])
         q, p_raw = z[:, : len(region)], z[:, len(region) :]
-        p, ok = geometry.eden_project_batch(sys, q, p_raw)
-        for b in range(size):
-            if ok[b]:
-                out.append(PhasePoint(q=q[b], p=p[b]))
-                continue
-            try:
-                projected = geometry.eden_project(sys, q[b], p_raw[b])
-            except RankDeficientError:
-                continue
-            out.append(PhasePoint(q=q[b], p=projected))
+        body = functools.partial(geometry.eden_projections, sys)
+        with np.errstate(all="ignore"):
+            projected = geometry.per_point(body, q, p_raw)
+        for qb, p in zip(q, projected):
+            if not isinstance(p, RankDeficientError):  # else the candidate is skipped
+                out.append(PhasePoint(q=qb, p=geometry.raise_first([p])[0]))
     return out
 
 

@@ -25,8 +25,9 @@ the routes of a batch share nothing but its validated points.
 
 ``integrate`` runs the multiplier route through ``FieldEvaluator``, one dual
 pass per RK4 stage. At an accepted state that pass also feeds the validated
-Eden projection (``FieldEvaluator.project``): the state is evaluated once,
-with every check of ``geometry.eden_project``, and recorded as one array row.
+Eden projection (``FieldEvaluator.project``), projecting or not: the state is
+evaluated once, with every check of ``geometry.eden_project``, and recorded
+as one array row.
 """
 
 from __future__ import annotations
@@ -88,12 +89,12 @@ class Trajectory:
 
 def hamiltonian_field(sys: SystemDefinition, x: PhasePoint, dH=None) -> PhaseVelocity:
     """Free field: dq = dH/dp, dp = -dH/dq from the dual-number gradient dH;
-    over a list of points, dH (lifted point by point) and the field stack."""
+    over a list of points, dH and the field stacked."""
     n = sys.n
-    if dH is None:
-        pts = x if isinstance(x, list) else [x]
-        grads = [numdiff.gradient(lambda s: hamiltonian_scalar(sys, s), p.scalars())[1] for p in pts]
-        dH = np.array(grads) if isinstance(x, list) else grads[0]
+    if dH is None:  # one lift over the points' scalars
+        z = [p.scalars() for p in (x if isinstance(x, list) else [x])]
+        dH = numdiff.jacobian_batch(lambda s: [hamiltonian_scalar(sys, s)], z)[:, 0]
+        dH = dH if isinstance(x, list) else dH[0]
     return PhaseVelocity(dq=dH[..., n:], dp=-dH[..., :n])
 
 
@@ -114,12 +115,9 @@ def _free_field_and_multipliers(sys, x, dH=None):
     list of them: the (B,) array cores of one dual pass carry every point."""
     free = hamiltonian_field(sys, x, dH)
     n = sys.n
-
-    def cores(a):  # one float per coordinate, or one (B,) array
-        return a.tolist() if a.ndim == 1 else list(a.T.copy())
-
     z = np.concatenate([geometry.stacked(x, "q"), geometry.stacked(x, "p")], -1)
-    duals = [numdiff.DualScalar(v, (d,)) for v, d in zip(cores(z), cores(free.as_vector()))]
+    rows = (np.atleast_2d(a) for a in (z, free.as_vector()))
+    duals = [numdiff.DualScalar(v, (d,)) for v, d in zip(*map(geometry.cores, rows))]
     rates = geometry.residual_apply(sys, duals[:n], duals[n:])
     cdot = np.stack(
         [np.broadcast_to(r.partials[0] if isinstance(r, numdiff.DualScalar) else 0.0, z.shape[:-1])
@@ -201,14 +199,16 @@ class FieldEvaluator:
 
     def project(self, q, p):
         """``geometry.eden_project(sys, q, p)``, bitwise, with its checks and
-        errors, from the entries that ``evaluate`` at q then reuses."""
-        q_list = [float(v) for v in q]
-        G, dG, V, dV, mu, dmu = self._entries(q_list)
-        met = self._met or geometry.metric_from_entries(G, q_list)
-        cons = geometry.constraints_from_rows(self.sys, q_list, mu, met)
-        p = geometry.eden_formula(mu, met.Ginv, cons.gram, np.asarray(p, dtype=float))
-        self._held = (np.array(q_list).tobytes(), (met.Ginv, dG, V, dV, mu, dmu))
-        return p
+        errors (``geometry.validated`` on the dual pass's values), from the
+        entries that ``evaluate`` at q then reuses."""
+        q = np.array([[float(v) for v in q]])
+        G, dG, V, dV, mu, dmu = self._entries(q[0].tolist())
+        _, Ginv, _, _, p, errors = geometry.validated(
+            self.sys, q, None if G is None else G[None], self._met, mu[None], np.asarray(p, dtype=float)[None]
+        )
+        geometry.raise_first(errors)
+        self._held = (q.tobytes(), (Ginv[0], dG, V, dV, mu, dmu))
+        return p[0]
 
     def evaluate(self, q, p):
         """Return (xdot 2n-vector, lam, residual c, H) at (q, p)."""
@@ -249,16 +249,16 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 on the multiplier-route constrained field.
 
-    With ``project_each_step`` the momentum is re-projected onto the
-    constraint manifold after every step by ``FieldEvaluator.project``, with
-    the checks of ``geometry.eden_project``; where that shared pass raises,
-    ``eden_project`` and a fresh evaluation run instead, and raise as they
-    would. Without it the raw drift is observable, the metric is still
-    validated at each accepted state (once, if constant) and the on-manifold
-    tolerance is enforced at step boundaries. The evaluation at an accepted
-    state is both its recorded row and the next step's first stage. A state
-    that fails validation or records a non-finite H, residual or multiplier
-    raises StepFailureError carrying the trajectory up to the last good state.
+    Each accepted state is validated by ``FieldEvaluator.project``, with the
+    checks of ``geometry.eden_project``, from the dual pass that evaluates
+    it; where that shared pass raises, ``eden_project`` and a fresh
+    evaluation run instead, and raise as they would. With
+    ``project_each_step`` the projection replaces the momentum; without it
+    the raw drift is observable and the on-manifold tolerance is enforced at
+    step boundaries. The evaluation at an accepted state is both its recorded
+    row and the next step's first stage. A state that fails validation or
+    records a non-finite H, residual or multiplier raises StepFailureError
+    carrying the trajectory up to the last good state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -306,13 +306,12 @@ def integrate(
                 z4 = z + dt * k3
                 k4, _, _, _ = ev.evaluate(z4[:n], z4[n:])
                 z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                try:  # validates the state from the pass that evaluates it
+                    p = ev.project(z[:n], z[n:])
+                except geometry.BATCH_FAILURES:
+                    p = geometry.eden_project(sys, z[:n], z[n:])
                 if project_each_step:
-                    try:
-                        z[n:] = ev.project(z[:n], z[n:])
-                    except geometry.BATCH_FAILURES:
-                        z[n:] = geometry.eden_project(sys, z[:n], z[n:])
-                elif not sys.metric_is_constant:
-                    geometry.metric_at(sys, z[:n])
+                    z[n:] = p
                 k1 = accept(t0 + (i + 1) * dt, z)
         except StepFailureError:
             raise

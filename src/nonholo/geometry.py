@@ -4,30 +4,28 @@ Each geometric object has one formula, written over generic scalars (floats
 or duals) in the ``*_apply`` functions and ``splitting_rows`` so that the
 forward-mode engine can differentiate it. The float entry points are
 validation (symmetry and positive definiteness, rank, conditioning, frame
-membership) plus that formula on floats. The exception is ``eden_project``,
-which keeps its own numpy arithmetic because sampling seeds every point
-through it; ``gamma_apply`` is its differentiable counterpart.
+membership) plus that formula on floats. The exception is the Eden
+projection, which keeps its own numpy arithmetic because sampling seeds
+every point through it; ``gamma_apply`` is its differentiable counterpart.
 
-The checks of each validated object have one body over a leading batch axis
-(``_metric_checks``, ``_row_checks``, ``_gram_checks``, ``_frame_checks``). A
-single point runs it at B = 1 and raises on the first failed check, on entries
-it evaluates or the caller's (``metric_from_entries``, ``constraints_from_rows``);
-a list of points runs it once over all of them, after one closure call per
-entry over (B,) array cores (``on_m_point`` of a list, ``eden_project_batch``,
-``frame_batch``). A point that fails a stacked check runs alone, in index
-order, so it raises as it would alone; every array the stacked pass keeps is
-bitwise the per-point one.
+Each validated object has one body over a leading batch axis: ``validated``
+(metric, constraint rows, Gram matrix, then the residual bound or the Eden
+projection), ``_frames`` and ``_lift``. A lone point runs it on float cores
+(``cores``) through the single-point entry points; a list runs it once over
+(B,) array cores (``on_m_point`` of a list, ``frame_batch``, ``lift_batch``,
+the sampler). A body gives per point its result or the error that point
+raises alone, read off the check masks. Only a failure a stack cannot pin on
+one point (a dual DomainError on array cores, a LinAlgError over the whole
+stack) reruns its points one by one (``per_point``). Every array a stacked
+pass keeps is bitwise the per-point one.
 
-The on-manifold tolerance ON_M_TOL is the single default used by every
-operation that requires its phase point to satisfy the momentum constraints;
-callers may override it per call. ``require_on_m`` validates a point once and
-returns an ``OnMPoint`` holding the validated metric and constraint rows;
-operations that need a point on M accept it in place of a PhasePoint and read
-that data instead of validating again. It is the one per-point object: the
-bracket routes and the verify suites also read the linear data it builds
-once, on demand (splitting, projection Jacobian, frame, algebroid).
-The float formulas of that data are written over leading axes, so the same
-code takes one point or a list of points (``stacked``).
+The on-manifold tolerance ON_M_TOL is the default of every operation that
+requires its phase point on M; callers may override it per call.
+``require_on_m`` validates a point once into an ``OnMPoint``, the one
+per-point object: operations that need a point on M accept it in place of a
+PhasePoint, and it builds its linear data once, on demand (splitting,
+projection Jacobian, frame, algebroid), by float formulas written over
+leading axes, so the same code takes one point or a list (``stacked``).
 """
 
 from __future__ import annotations
@@ -54,8 +52,7 @@ from .errors import (
 
 ON_M_TOL = 1e-8
 
-# raised by validation or a batched lift; the per-point pass then redoes that
-# work, and raises or carries a non-finite value as a lone point would
+# raised by a stacked pass that cannot tell which point failed (per_point)
 BATCH_FAILURES = (NonholoError, ArithmeticError, ValueError)
 
 
@@ -81,14 +78,63 @@ class FrameAtPoint:
 _eye = functools.cache(np.eye)  # shared, never written
 
 
-def _rejected(fn, A):
-    """The mask of the matrices of A (B, m, m) that fn rejects: none, or
-    every one when the stacked call raises, as it cannot tell which."""
+def per_point(body, *stacks):
+    """``body(*stacks)``: per element of their leading axis, its result or the
+    error it raises alone. Where the stacked pass raises BATCH_FAILURES, each
+    element runs alone, in index order, and an error it raises is its result."""
     try:
-        fn(A)
+        return body(*stacks)
+    except BATCH_FAILURES:
+        pass
+    out = []
+    for b in range(len(stacks[0])):
+        try:
+            out.extend(body(*(s[b : b + 1] for s in stacks)))
+        except BATCH_FAILURES as exc:
+            out.append(exc)
+    return out
+
+
+def raise_first(results):
+    """The per-point results, unless one is an error: then the first raises."""
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
+
+
+def cores(z):
+    """The closure inputs at the rows of z (B, w): the floats of a lone row,
+    or one (B,) array per column, so one point never runs on array cores."""
+    z = np.asarray(z, dtype=float)
+    return z[0].tolist() if len(z) == 1 else list(z.T.copy())
+
+
+def _entries(rows, B):
+    """The (B, r, c) array of a table of closure values, floats or (B,) arrays."""
+    if B == 1:
+        return np.asarray(rows, dtype=float)[None]
+    out = np.empty((B, len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            out[:, i, j] = v
+    return out
+
+
+def _one(v):
+    """One point's vector as a stack of one row."""
+    return np.asarray(v, dtype=float)[None]
+
+
+def _attempt(fn, *args):
+    """fn(*args) over stacked matrices and the mask of those it rejects: a
+    lone one gives NaN and [True]; a stack raises LinAlgError (which one?)."""
+    try:
+        return fn(*args), np.zeros(len(args[0]), bool)
     except np.linalg.LinAlgError:
-        return np.ones(len(A), bool)
-    return np.zeros(len(A), bool)
+        if len(args[0]) > 1:
+            raise
+        return np.full_like(args[-1], np.nan), np.ones(1, bool)
 
 
 _METRIC_FAILURES = ("has non-finite entries", "is not symmetric",
@@ -96,7 +142,7 @@ _METRIC_FAILURES = ("has non-finite entries", "is not symmetric",
 
 
 def _metric_checks(G):
-    """The checks of ``metric_at`` over the leading axis of G (B, n, n): the
+    """The checks of the metric over the leading axis of G (B, n, n): the
     symmetrized G, its inverse and the failure masks in check order. A point
     fails at the first mask that holds there; the later ones mean nothing."""
     largest = np.abs(G).max((1, 2))  # inf or NaN where an entry is
@@ -106,29 +152,94 @@ def _metric_checks(G):
     Gt, eye = G.swapaxes(1, 2), _eye(G.shape[-1])
     scale = np.fmax(1.0, largest)
     Gs = 0.5 * (G + Gt)
-    not_pd = _rejected(np.linalg.cholesky, Gs)
-    try:
-        Ginv = np.linalg.inv(Gs)
-    except np.linalg.LinAlgError:  # then not_pd holds at every point
-        Ginv = np.full_like(Gs, np.nan)
+    _, not_pd = _attempt(np.linalg.cholesky, Gs)
+    Ginv, _ = _attempt(np.linalg.inv, Gs)  # NaN where inv rejects Gs, as not_pd does
     asymmetric = np.abs(G - Gt).max((1, 2)) > 1e-9 * scale
     ill_conditioned = np.abs(Gs @ Ginv - eye).max((1, 2)) > 1e-10 * scale
     return Gs, Ginv, (~finite, asymmetric, not_pd, ill_conditioned)
 
 
+def _row_checks(mu):
+    """The checks of the constraint rows mu (B, m, n), stacked: the singular
+    values and the masks of non-finite and of dependent rows (s is sorted and
+    nonnegative, so vanishing rows are dependent too)."""
+    finite = np.isfinite(mu).all((1, 2))
+    try:
+        s = np.linalg.svd(mu, compute_uv=False)
+    except np.linalg.LinAlgError:  # non-finite rows, which fail first
+        s = np.linalg.svd(np.where(finite[:, None, None], mu, 0.0), compute_uv=False)
+    return s, (~finite, s[:, -1] <= 1e-10 * s[:, 0])
+
+
+def _first_errors(checks, B):
+    """Per point, the error of the first check it fails, or None; checks
+    holds (mask, error at point b) in the order one point runs them."""
+    if B == 1:  # a lone point, without stacking its masks
+        for mask, error in checks:
+            if mask[0]:
+                return [error(0)]
+        return [None]
+    fails = np.array([m for m, _ in checks])
+    errors = [None] * B
+    for b in np.flatnonzero(fails.any(0)):
+        errors[b] = checks[int(fails[:, b].argmax())][1](b)
+    return errors
+
+
+def validated(sys, q, G=None, met=None, mu=None, p=None, tol=None, rows=True):
+    """The one check body, over the configurations q (B, n): the metric's
+    checks on G (B, n, n), unless ``met`` is the validated constant metric;
+    with ``rows``, those of the constraint rows mu (B, m, n) and their Gram
+    matrix; then, with momenta p (B, n), the residual bound ``tol``, or the
+    Eden projection p - mu^T gram^-1 mu G^-1 p. G and mu are the closures'
+    values at q unless given (a dual pass's). A lone point stops at its first
+    failed check. Returns G, Ginv, mu, gram and the residual norms or the
+    projections, stacked, and per point the error it raises alone, or None.
+    """
+    B, checks = len(q), []
+
+    def solvable():  # a stack's Gram check and solve see its passing points only
+        if B == 1:
+            return gram
+        return np.where(~np.any([m for m, _ in checks], 0)[:, None, None], gram, _eye(len(gram[0])))
+
+    if met is None:
+        G, Ginv, fails = _metric_checks(_entries(sys.metric_values(cores(q)), B) if G is None else G)
+        checks += [(f, lambda b, w=w: NotSPDError(f"metric {w} at q={q[b].tolist()}"))
+                   for f, w in zip(fails, _METRIC_FAILURES)]
+    else:
+        G, Ginv = met.G[None], met.Ginv[None]
+    gram = value = None
+    if rows and not (B == 1 and _first_errors(checks, 1)[0]):
+        mu = _entries(sys.mu_values(cores(q)), B) if mu is None else mu
+        s, (non_finite, dependent) = _row_checks(mu)
+        checks += [
+            (non_finite, lambda b: RankDeficientError(
+                f"constraint rows non-finite at q={q[b].tolist()}")),
+            (dependent, lambda b: RankDeficientError(
+                f"constraint rows are dependent at q={q[b].tolist()} (singular values {s[b]})")),
+        ]
+        gram = mu @ Ginv @ mu.swapaxes(1, 2)
+        checked = solvable()
+        _, not_pd = _attempt(np.linalg.cholesky, 0.5 * (checked + checked.swapaxes(1, 2)))
+        checks.append((not_pd, lambda b: RankDeficientError(
+            f"constraint Gram matrix is not positive definite at q={q[b].tolist()}")))
+        if p is not None and tol is not None:
+            value = np.abs(residual_values(mu, Ginv, p)).max(-1)
+            checks.append((~(value <= tol), lambda b: NotOnMError(float(value[b]), tol)))
+        elif p is not None:
+            lam, singular = _attempt(np.linalg.solve, solvable(), mu @ (Ginv @ p[..., None]))
+            value = p - (mu.swapaxes(1, 2) @ lam)[..., 0]
+            checks.append((singular, lambda b: RankDeficientError(
+                "constraint Gram matrix is singular")))
+    return G, Ginv, mu, gram, value, _first_errors(checks, B)
+
+
 def metric_at(sys, q) -> MetricAtPoint:
     """Evaluate G(q) and its inverse; fail if not symmetric positive definite."""
-    q_list = [float(v) for v in q]
-    return metric_from_entries(np.asarray(sys.metric_values(q_list), dtype=float), q_list)
-
-
-def metric_from_entries(G, q_list) -> MetricAtPoint:
-    """``metric_at``'s checks on the entries G (n, n) evaluated at q_list."""
-    Gs, Ginv, fails = _metric_checks(G[None])
-    for failed, what in zip(fails, _METRIC_FAILURES):
-        if failed[0]:
-            raise NotSPDError(f"metric {what} at q={q_list}")
-    return MetricAtPoint(G=Gs[0], Ginv=Ginv[0])
+    G, Ginv, *_, errors = validated(sys, _one(q), rows=False)
+    raise_first(errors)
+    return MetricAtPoint(G=G[0], Ginv=Ginv[0])
 
 
 def flat(sys, q, v) -> np.ndarray:
@@ -141,48 +252,12 @@ def sharp(sys, q, p) -> np.ndarray:
     return metric_at(sys, q).Ginv @ np.asarray(p, dtype=float)
 
 
-def _row_checks(mu):
-    """The checks of ``constraints_at`` on the rows mu (B, m, n), stacked:
-    the singular values and the masks of non-finite and of dependent rows
-    (s is sorted and nonnegative, so vanishing rows are dependent too)."""
-    finite = np.isfinite(mu).all((1, 2))
-    try:
-        s = np.linalg.svd(mu, compute_uv=False)
-    except np.linalg.LinAlgError:  # non-finite rows, which fail first
-        s = np.linalg.svd(np.where(finite[:, None, None], mu, 0.0), compute_uv=False)
-    return s, (~finite, s[:, -1] <= 1e-10 * s[:, 0])
-
-
-def _gram_checks(mu, Ginv):
-    """The Gram matrices mu Ginv mu^T (B, m, m) and the mask of those that
-    are not positive definite, the last check of ``constraints_at``."""
-    gram = mu @ Ginv @ mu.swapaxes(1, 2)
-    return gram, _rejected(np.linalg.cholesky, 0.5 * (gram + gram.swapaxes(1, 2)))
-
-
 def constraints_at(sys, q, met: MetricAtPoint | None = None) -> ConstraintsAtPoint:
-    """Assemble the constraint rows and their cometric Gram matrix at q."""
-    q_list = [float(v) for v in q]
-    return constraints_from_rows(sys, q_list, np.asarray(sys.mu_values(q_list), dtype=float), met)
-
-
-def constraints_from_rows(sys, q_list, mu, met=None) -> ConstraintsAtPoint:
-    """``constraints_at``'s checks on the rows mu (m, n) evaluated at q_list:
-    the rows', the metric's (when met is None), then the Gram matrix's."""
-    s, (non_finite, dependent) = _row_checks(mu[None])
-    if non_finite[0]:
-        raise RankDeficientError(f"constraint rows non-finite at q={q_list}")
-    if dependent[0]:
-        raise RankDeficientError(
-            f"constraint rows are dependent at q={q_list} (singular values {s[0]})"
-        )
-    met = met or metric_at(sys, q_list)
-    gram, not_pd = _gram_checks(mu[None], met.Ginv[None])
-    if not_pd[0]:
-        raise RankDeficientError(
-            f"constraint Gram matrix is not positive definite at q={q_list}"
-        )
-    return ConstraintsAtPoint(mu=mu, gram=gram[0])
+    """Assemble the constraint rows and their cometric Gram matrix at q,
+    checked after the metric's checks unless ``met`` is validated already."""
+    *_, mu, gram, _, errors = validated(sys, _one(q), met=met)
+    raise_first(errors)
+    return ConstraintsAtPoint(mu=mu[0], gram=gram[0])
 
 
 def residual_values(mu, Ginv, p) -> np.ndarray:
@@ -197,64 +272,19 @@ def velocity_constraint(sys, q, p) -> np.ndarray:
     return residual_values(cons.mu, met.Ginv, np.asarray(p, dtype=float))
 
 
-def eden_formula(mu, Ginv, gram, p):
-    """gamma(p) = p - mu^T gram^-1 mu G^-1 p over leading axes."""
-    try:
-        lam = np.linalg.solve(gram, mu @ (Ginv @ p[..., None]))
-    except np.linalg.LinAlgError:  # an exactly zero pivot, past the Cholesky check
-        raise RankDeficientError("constraint Gram matrix is singular") from None
-    return p - (mu.swapaxes(-1, -2) @ lam)[..., 0]
-
-
 def eden_project(sys, q, p) -> np.ndarray:
     """Project a covector onto the constraint manifold along the annihilator.
 
     gamma(p) = p - mu^T gram^-1 mu G^-1 p; orthogonal for the cometric.
     """
-    met = metric_at(sys, q)
-    cons = constraints_at(sys, q, met)
-    return eden_formula(cons.mu, met.Ginv, cons.gram, np.asarray(p, dtype=float))
+    return raise_first(eden_projections(sys, _one(q), _one(p)))[0]
 
 
-def _validate_batch(sys, q):
-    """``metric_at`` and ``constraints_at`` at the configurations q (B, n) in
-    one stacked pass: one closure call per entry over (B,) cores, then their
-    checks. Returns G, Ginv, mu, gram and the mask of the passing points."""
-    cores, B = list(q.T.copy()), len(q)
-    G, Ginv, fails = _metric_checks(_entries(sys.metric_values(cores), B))
-    mu = _entries(sys.mu_values(cores), B)
-    _, row_fails = _row_checks(mu)
-    ok = ~np.any([*fails, *row_fails], axis=0)
-    # the Gram check sees passing points only, so one failure flags no other
-    keep = ok[:, None, None]
-    gram, not_pd = _gram_checks(
-        np.where(keep, mu, _eye(*mu.shape[1:])), np.where(keep, Ginv, _eye(sys.n))
-    )
-    return G, Ginv, mu, gram, ok & ~not_pd
-
-
-def _entries(rows, B):
-    """The (B, r, c) array of a table of closure values, floats or (B,) arrays."""
-    out = np.empty((B, len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            out[:, i, j] = v
-    return out
-
-
-def eden_project_batch(sys, q, p):
-    """``eden_project`` at the rows of q and p (B, n) in one stacked pass: the
-    projections, and the mask of the rows where every check passed and the
-    result is finite. Any other row must go through ``eden_project`` itself,
-    which raises there as it would alone."""
-    try:
-        with np.errstate(all="ignore"):
-            _, Ginv, mu, gram, ok = _validate_batch(sys, q)
-            gram = np.where(ok[:, None, None], gram, _eye(len(gram[0])))  # solvable
-            out = eden_formula(mu, Ginv, gram, p)
-    except BATCH_FAILURES:
-        return p, np.zeros(len(p), bool)
-    return out, ok & np.isfinite(out).all(-1)
+def eden_projections(sys, q, p) -> list:
+    """Per row of q and p (B, n): its Eden projection, or the error
+    ``eden_project`` raises there (``validated`` with p)."""
+    *_, value, errors = validated(sys, q, p=p)
+    return [e or value[b] for b, e in enumerate(errors)]
 
 
 def residual_norm(sys, q, p) -> float:
@@ -265,12 +295,12 @@ def residual_norm(sys, q, p) -> float:
 class OnMPoint:
     """A phase point on M with the data its validation produced.
 
-    Built by ``require_on_m`` only: the metric passed ``metric_at``, the
-    constraint rows passed ``constraints_at`` and the residual was within
-    the caller's tolerance. It has the ``q``, ``p`` and ``scalars()`` of a
-    PhasePoint, and builds the per-point linear data lazily, once: the
-    symplectic splitting, the projection Jacobian, the distribution frame
-    and the almost Lie algebroid.
+    Built by ``require_on_m`` or ``on_m_point`` only: its metric, constraint
+    rows and Gram matrix passed ``validated`` and its residual the caller's
+    tolerance. It has the ``q``, ``p`` and ``scalars()`` of a PhasePoint, and
+    builds the per-point linear data lazily, once: the symplectic splitting,
+    the projection Jacobian, the distribution frame and the almost Lie
+    algebroid.
     """
 
     sys: object = field(repr=False)
@@ -288,15 +318,9 @@ class OnMPoint:
         """(P, Q, C) of tangent_splitting; the point is validated already."""
         return tangent_splitting(self.sys, self, on_m_tol=np.inf)
 
-    @cached_property  # lifted, like dgamma and chart_jacobian (see lift_batch)
-    def residual_rows(self) -> np.ndarray:
-        """Differentials of the residuals c_a (the first splitting rows)."""
-        return numdiff.jacobian(functools.partial(residual_phase, self.sys), self.scalars())
-
-    @cached_property
-    def dgamma(self) -> np.ndarray:
-        """Jacobian of the phase-space momentum projection at this point."""
-        return numdiff.jacobian(functools.partial(gamma_hat_apply, self.sys), self.scalars())
+    # the lifted Jacobians, one _lift each, as lift_batch builds them
+    residual_rows = cached_property(lambda self: _lift([self], "residual_rows")[0])  # of c_a
+    dgamma = cached_property(lambda self: _lift([self], "dgamma")[0])  # of (q, gamma_q p)
 
     @cached_property
     def frame(self) -> FrameAtPoint:
@@ -306,11 +330,7 @@ class OnMPoint:
         """(q, pi) with pi = E^T p, the image of this point in D*."""
         return [*self.q.tolist(), *(self.frame.E.T @ self.p).tolist()]
 
-    @cached_property
-    def chart_jacobian(self) -> np.ndarray:
-        """Jacobian of ``dstar_chart`` at (q, pi): rows (q, p, frame columns)."""
-        chart = functools.partial(dstar_chart, self.sys, self.frame.free_cols)
-        return numdiff.jacobian(chart, self.dstar_scalars())
+    chart_jacobian = cached_property(lambda self: _lift([self], "chart_jacobian")[0])
 
     @cached_property
     def algebroid(self):
@@ -355,45 +375,42 @@ def dstar_chart(sys, free_cols, s):
     return q_s + from_dstar_apply(sys, q_s, s[sys.n :], cols) + sum(cols, [])
 
 
+def _lift(points, name):
+    """The data ``name`` of OnMPoints of one system, per point. A lifted
+    Jacobian (residual_rows, dgamma, chart_jacobian at the first point's
+    frame plan) is one ``numdiff.jacobian_batch``, float cores for a lone
+    point; the splitting and the algebroid are those of the stacked points."""
+    sys = points[0].sys
+    if name == "splitting":
+        return list(zip(*tangent_splitting(sys, points, np.inf)))
+    if name == "algebroid":
+        return list(zip(*almost_lie_algebroid(points)))
+    if name == "chart_jacobian":
+        chart = functools.partial(dstar_chart, sys, points[0].frame.free_cols)
+        return numdiff.jacobian_batch(chart, [x.dstar_scalars() for x in points])
+    F = residual_phase if name == "residual_rows" else gamma_hat_apply
+    return numdiff.jacobian_batch(functools.partial(F, sys), [x.scalars() for x in points])
+
+
 def lift_batch(points) -> None:
     """Seed the lifted data of many OnMPoints of one system, frames built:
-    one ``numdiff.jacobian_batch`` per object (and frame plan), bitwise the
-    per-point lifts, then the splitting and the algebroid of the stacked
-    points. A build that raises is left to the per-point builds instead."""
-    sys, z, jac = points[0].sys, [x.scalars() for x in points], numdiff.jacobian_batch
-    builds = [
-        (points, "residual_rows", lambda: jac(functools.partial(residual_phase, sys), z)),
-        (points, "dgamma", lambda: jac(functools.partial(gamma_hat_apply, sys), z)),
-    ]
+    one ``_lift`` per object (and per frame plan for the chart), each bitwise
+    the per-point build. A point whose build fails keeps its lazy one, which
+    raises as it would alone."""
     plans = {}
     for x in points:
         plans.setdefault(x.frame.free_cols, []).append(x)
-    for free, group in plans.items():
-        chart = functools.partial(dstar_chart, sys, free)
-        args = [x.dstar_scalars() for x in group]
-        builds.append((group, "chart_jacobian", lambda c=chart, a=args: jac(c, a)))
-    builds.append((points, "splitting", lambda: zip(*tangent_splitting(sys, points, np.inf))))
-    builds.append((points, "algebroid", lambda: zip(*almost_lie_algebroid(points))))
-    for group, name, build in builds:
-        try:
-            values = list(build())
-        except BATCH_FAILURES:
-            continue
-        for x, v in zip(group, values):
-            x.__dict__[name] = v  # the cached_property's slot
+    for name in ("residual_rows", "dgamma", "chart_jacobian", "splitting", "algebroid"):
+        for group in plans.values() if name == "chart_jacobian" else [points]:
+            for x, value in zip(group, per_point(functools.partial(_lift, name=name), group)):
+                if not isinstance(value, Exception):
+                    x.__dict__[name] = value  # the cached_property's slot
 
 
 def require_on_m(sys, q, p, on_m_tol: float | None = None) -> OnMPoint:
     """Validate (q, p) on M: metric, constraint rows, then the residual bound."""
     tol = ON_M_TOL if on_m_tol is None else on_m_tol
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    met = metric_at(sys, q)
-    cons = constraints_at(sys, q, met)
-    r = float(np.max(np.abs(residual_values(cons.mu, met.Ginv, p))))
-    if not r <= tol:  # a NaN residual fails too
-        raise NotOnMError(r, tol)
-    return OnMPoint(sys=sys, q=q, p=p, met=met, cons=cons, residual=r)
+    return raise_first(_on_m_points(sys, _one(q), _one(p), tol))[0]
 
 
 def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
@@ -401,16 +418,16 @@ def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
 
     A PhasePoint goes through ``require_on_m``. An OnMPoint is checked
     against on_m_tol by its recorded residual; nothing is evaluated again.
-    A list or tuple gives its points' OnMPoints in index order; a list of
-    PhasePoints is validated in one stacked pass (``_on_m_prefix``), and
-    from the first point that fails it each point runs alone, so the first
-    invalid point raises as it would alone.
+    A list or tuple gives its points' OnMPoints in index order, PhasePoints
+    in one stacked pass whose first invalid point raises as it would alone.
     """
     tol = ON_M_TOL if on_m_tol is None else on_m_tol
     if isinstance(x, (list, tuple)):
-        fresh = x and not any(isinstance(y, OnMPoint) for y in x)
-        done = _on_m_prefix(sys, x, tol) if fresh else []
-        return done + [on_m_point(sys, y, on_m_tol) for y in x[len(done) :]]
+        if not x or any(isinstance(y, OnMPoint) for y in x):
+            return [on_m_point(sys, y, on_m_tol) for y in x]
+        q, p = (np.array([getattr(y, a) for y in x], dtype=float) for a in "qp")
+        with np.errstate(all="ignore"):
+            return raise_first(per_point(functools.partial(_on_m_points, sys, tol=tol), q, p))
     if not isinstance(x, OnMPoint):
         return require_on_m(sys, x.q, x.p, on_m_tol)
     if not x.residual <= tol:
@@ -418,21 +435,14 @@ def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
     return x
 
 
-def _on_m_prefix(sys, xs, tol):
-    """The OnMPoints of the PhasePoints xs up to the first that fails the
-    stacked checks of ``require_on_m``, bitwise what it builds."""
-    try:
-        q, p = (np.array([getattr(x, a) for x in xs], dtype=float) for a in "qp")
-        with np.errstate(all="ignore"):
-            G, Ginv, mu, gram, ok = _validate_batch(sys, q)
-            r = np.abs(residual_values(mu, Ginv, p)).max(-1)
-    except BATCH_FAILURES:
-        return []
-    ok &= r <= tol  # a NaN residual fails too
+def _on_m_points(sys, q, p, tol):
+    """Per row of q and p (B, n): its OnMPoint, or the error ``require_on_m``
+    raises there (``validated`` with the residual bound tol)."""
+    G, Ginv, mu, gram, r, errors = validated(sys, q, p=p, tol=tol)
     return [
-        OnMPoint(sys, q[b], p[b], MetricAtPoint(G[b], Ginv[b]),
-                 ConstraintsAtPoint(mu[b], gram[b]), float(r[b]))
-        for b in range(len(xs) if ok.all() else int(np.argmin(ok)))
+        e or OnMPoint(sys, q[b], p[b], MetricAtPoint(G[b], Ginv[b]),
+                      ConstraintsAtPoint(mu[b], gram[b]), float(r[b]))
+        for b, e in enumerate(errors)
     ]
 
 
@@ -490,6 +500,40 @@ def _frame_checks(mu, E):
     return leaves, dependent
 
 
+def _frames(sys, q, mu, strict_ties=False):
+    """The one frame body: per configuration of q (B, n), with its rows
+    mu (B, m, n), its FrameAtPoint or the error ``frame_at`` raises there;
+    per frame plan, one ``frame_apply`` and the checks, stacked."""
+    user = sys.frame_exprs is not None
+    label, invalid = ("user", FrameInvalidError) if user else ("default", FrameDegenerateError)
+    out, plans = [None] * len(q), {}
+    for b in range(len(q)):
+        try:
+            free, tie = (None, False) if user else default_frame_plan(mu[b], strict_ties)
+            plans.setdefault(free, []).append((b, tie))
+        except (RankDeficientError, FrameDegenerateError) as exc:
+            out[b] = exc
+    for free, group in plans.items():
+        idx = [b for b, _ in group]
+        qs, mus = (q, mu) if len(idx) == len(q) else (q[idx], mu[idx])
+        try:
+            E = _entries(frame_apply(sys, cores(qs), free), len(idx)).swapaxes(1, 2)
+        except (SingularMatrixError, DomainError) as exc:
+            if user or len(idx) > 1:
+                raise  # a stack cannot tell which point
+            out[idx[0]] = (  # dependent rows, or a column of zero norm
+                RankDeficientError("constraint rows are dependent here")
+                if isinstance(exc, SingularMatrixError)
+                else FrameDegenerateError(f"default frame column collapsed at q={qs[0].tolist()}")
+            )
+            continue
+        for (b, tie), e, leaves, dependent in zip(group, E, *_frame_checks(mus, E)):
+            what = "leaves the distribution" if leaves else "columns are dependent"
+            out[b] = (invalid(f"{label} frame {what} at q={q[b].tolist()}") if leaves or dependent
+                      else FrameAtPoint(E=e, free_cols=free, pivot_tie=tie))
+    return out
+
+
 def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
     """Evaluate (or construct) a frame spanning the distribution fiber at q.
 
@@ -500,57 +544,23 @@ def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
     FrameInvalidError, a default frame FrameDegenerateError. ``mu`` takes
     the constraint rows at q when the caller has them validated already.
     """
-    q_list = [float(v) for v in q]
-    if mu is None:
-        mu = np.asarray(sys.mu_values(q_list), dtype=float)
-    if sys.frame_exprs is not None:
-        free, tie, label, invalid = None, False, "user", FrameInvalidError
-        E = np.asarray(frame_apply(sys, q_list, free), dtype=float).T
-    else:
-        free, tie = default_frame_plan(mu, strict_ties)
-        label, invalid = "default", FrameDegenerateError
-        try:
-            E = np.asarray(frame_apply(sys, q_list, free), dtype=float).T
-        except SingularMatrixError:
-            raise RankDeficientError("constraint rows are dependent here") from None
-        except DomainError:  # a column of zero norm
-            raise FrameDegenerateError(
-                f"default frame column collapsed at q={q_list}"
-            ) from None
-    leaves, dependent = _frame_checks(mu[None], E[None])
-    if leaves[0]:
-        raise invalid(f"{label} frame leaves the distribution at q={q_list}")
-    if dependent[0]:
-        raise invalid(f"{label} frame columns are dependent at q={q_list}")
-    return FrameAtPoint(E=E, free_cols=free, pivot_tie=tie)
+    q = _one(q)
+    mu = _entries(sys.mu_values(cores(q)), 1) if mu is None else mu[None]
+    return raise_first(_frames(sys, q, mu, strict_ties))[0]
 
 
 def frame_batch(points) -> None:
-    """Build the frames of OnMPoints of one system, bitwise their
-    ``frame_at``: per frame plan, one ``frame_apply`` over (B,) cores and the
-    checks stacked. A point whose plan, columns or checks fail builds its own
-    frame after, in index order, so the first failure raises as it would alone."""
-    plans = {}
-    for x in points:
-        try:
-            user = x.sys.frame_exprs is not None
-            free, tie = (None, False) if user else default_frame_plan(x.cons.mu)
-        except BATCH_FAILURES:
-            continue
-        plans.setdefault(free, []).append((x, tie))
-    for free, group in plans.items():
-        xs = [x for x, _ in group]
-        try:
-            cols = frame_apply(xs[0].sys, list(stacked(xs, "q").T.copy()), free)
-            E = _entries(cols, len(xs)).swapaxes(1, 2)  # each (n, k) laid out as frame_at's
-            failed = np.any(_frame_checks(stacked(xs, "cons.mu"), E), axis=0)
-        except BATCH_FAILURES:
-            continue
-        for (x, tie), e, bad in zip(group, E, failed):
-            if not bad:
-                x.__dict__["frame"] = FrameAtPoint(E=e, free_cols=free, pivot_tie=tie)
-    for x in points:
-        x.frame
+    """Build the frames of OnMPoints of one system in one ``_frames`` pass,
+    bitwise their ``frame_at``; the first point whose frame fails raises as
+    it would alone."""
+    if not points:
+        return
+    body = functools.partial(_frames, points[0].sys)
+    frames = per_point(body, stacked(points, "q"), stacked(points, "cons.mu"))
+    for x, fr in zip(points, frames):
+        if isinstance(fr, FrameAtPoint):
+            x.__dict__["frame"] = fr
+    raise_first(frames)
 
 
 def frame_components(G, E, w) -> np.ndarray:

@@ -404,11 +404,14 @@ def jacobian_generic(F, scalars):
 def jacobian_batch(F, X):
     """Jacobians of F at the B points X: (B, w) -> (B, rows, w).
 
-    F runs once, on one lift whose cores are the columns of X; constant
-    components get zero rows. Row b is bitwise ``jacobian(F, X[b])``.
+    F runs once, on one lift whose cores are the columns of X, or the floats
+    of a lone point; constant components get zero rows. Row b is bitwise
+    ``jacobian(F, X[b])``.
     """
     X = np.asarray(X, dtype=float)
     B, w = X.shape
+    if B == 1:
+        return jacobian(F, X[0])[None]
     rows = jacobian_generic(F, list(X.T.copy()))
     J = np.empty((B, len(rows), w))
     for r, row in enumerate(rows):

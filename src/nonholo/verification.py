@@ -13,12 +13,15 @@ Each point is validated once into a ``geometry.OnMPoint``, and every suite
 reads the metric, constraint rows, splitting, projection Jacobian, frame and
 algebroid it carries. A chunk's points are sampled, validated and framed in
 stacked passes (``catalog.sample_m_points``, ``geometry.on_m_point`` of a
-list, ``geometry.frame_batch``). The suites run stacked per chunk: one batched
-lift per object, then the float algebra as (B, ...) arrays over fixed slices
-of the chunk's points, reduced per point, the Leibniz factors included. The
-Jacobiator runs at every point, one nested lift per kind over the chunk (per
-frame plan for the dual-bundle kind). Overflow in a suite is not reported as
-a numpy warning: the non-finite value reaches the report and fails its suite.
+list, ``geometry.frame_batch``), whose first invalid point raises its own
+error. The suites run stacked per chunk: one batched lift per object, then
+the float algebra as (B, ...) arrays over fixed slices of the chunk's points,
+reduced per point, the Leibniz factors included. The Jacobiator runs at
+every point, one nested lift per kind over the chunk (per frame plan for the
+dual-bundle kind). A stacked pass that fails where it cannot tell which point
+failed runs its points one by one (``geometry.per_point``), so a point raises
+as it would alone. Overflow in a suite is not reported as a numpy warning:
+the non-finite value reaches the report and fails its suite.
 
 Points are distributed by index across at most one worker chunk per
 process, and at most one process per CPU; per-point results are merged in
@@ -30,6 +33,7 @@ without asserting anything about it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -109,10 +113,7 @@ def _frame_brackets(sysd, free, qs):
             cols = cols + [[s[0] * v for v in cols[0]]]
         return sum(cols, [])
 
-    try:
-        jac = numdiff.jacobian_batch(fields, qs)
-    except geometry.BATCH_FAILURES:
-        jac = [numdiff.jacobian(fields, q) for q in qs]
+    jac = geometry.raise_first(geometry.per_point(functools.partial(numdiff.jacobian_batch, fields), qs))
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)] or [(0, 1)]
     out = []
     for q, jq in zip(qs, jac):
@@ -165,7 +166,7 @@ def _chunk_metrics(sysd, points, observables, batched):
     skew = _point_max(vals[r] + vals[r].swapaxes(-1, -2) for r in routes)
 
     # the factors' values, one closure call per observable
-    cores = list(np.concatenate([geometry.stacked(points, a) for a in "qp"], -1).T.copy())
+    cores = geometry.cores(np.concatenate([geometry.stacked(points, a) for a in "qp"], -1))
     value = {o: observables[o].fn(cores) for i, j, _ in triples for o in (i, j)}
     resids = []
     for t, (i, j, g_idx) in enumerate(triples):
@@ -250,28 +251,24 @@ def _chunk_worker(payload):
     tol = payload["on_m_tol"]
     with np.errstate(over="ignore", invalid="ignore"):
         # validated and framed in stacked passes, before the batched lifts;
-        # if a point fails, the per-point pass below raises there, as alone
-        try:
-            valid = geometry.on_m_point(sysd, [points[idx] for idx in indices], tol)
-            geometry.frame_batch(valid)
-        except geometry.BATCH_FAILURES:
-            valid = []
+        # the first point that fails raises, as it would alone
+        valid = geometry.on_m_point(sysd, [points[idx] for idx in indices], tol)
+        geometry.frame_batch(valid)
         jacobi = _jacobi_metrics(sysd, valid, observables, payload)
         batched = _batched_lifts(sysd, valid, observables)
-        # stacked slices bound the tables' memory; from a slice whose stacked
-        # pass raises on, each point runs alone, in index order
+        names = list(batched)
+
+        def slice_metrics(xs, *rows):
+            return _chunk_metrics(sysd, xs, observables, dict(zip(names, rows)))
+
+        # stacked slices bound the tables' memory; a slice whose stacked pass
+        # raises runs its points alone, in index order
         metrics = []
         for lo in range(0, len(valid), _SLICE):
             part = slice(lo, lo + _SLICE)
-            try:
-                lifted = {name: rows[part] for name, rows in batched.items()}
-                metrics += _chunk_metrics(sysd, valid[part], observables, lifted)
-            except geometry.BATCH_FAILURES:
-                break
+            lifted = [rows[part] for rows in batched.values()]
+            metrics += geometry.raise_first(geometry.per_point(slice_metrics, valid[part], *lifted))
             valid[part] = [None] * len(valid[part])  # their linear data is not needed again
-        for idx in indices[len(metrics) :]:
-            x = geometry.on_m_point(sysd, points[idx], tol)
-            metrics += _chunk_metrics(sysd, [x], observables, None)
         for m, j in zip(metrics, jacobi):
             m.update(j)
     return list(zip(indices, metrics))
@@ -294,51 +291,45 @@ def _batched_lifts(sysd, points, observables):
         ("dH_multiplier", lambda s: [hamiltonian_scalar(sysd, s)]),
         ("dH_projection", lambda s: [hamiltonian_scalar(sysd, s)]),
     ):
-        try:
-            rows = numdiff.jacobian_batch(fn, z)
-        except geometry.BATCH_FAILURES:
-            continue
-        lifted[name] = rows if name == "raw" else rows[:, 0]
+        rows = geometry.per_point(functools.partial(numdiff.jacobian_batch, fn), z)
+        if not any(isinstance(r, Exception) for r in rows):  # else lifted per slice
+            rows = np.asarray(rows)
+            lifted[name] = rows if name == "raw" else rows[:, 0]
     return lifted
 
 
 def _jacobi_metrics(sysd, points, observables, cfg_dict):
     """Both Jacobi suites at every point, on verify's triples.
 
-    One batched call per kind over all the points, and per frame plan for
-    ``dstar``; the defect collects eden, plus nh and dstar when the
-    distribution is integrable. A kind whose batched call raises runs the
-    scalar ``jacobiator`` point by point, in index order, so a point raises
-    where it would alone.
+    One stacked ``brackets.jacobi_rows`` per kind over all the points, and
+    per frame plan for ``dstar``; the defect collects eden, plus nh and dstar
+    when the distribution is integrable.
     """
     if not points:
         return []
     n_obs = len(observables)
     f, g, h = ([observables[t[c]] for t in _jacobiator_triples(n_obs, sysd.n)] for c in range(3))
     calls = [
-        ("jacobiator_canonical", "canonical", (f, g, h), None, points),
-        ("jacobiator_defect", "eden", (f, g, h), None, points),
+        ("jacobiator_canonical", "canonical", (f, g, h), points),
+        ("jacobiator_defect", "eden", (f, g, h), points),
     ]
     if cfg_dict["integrable"]:
-        calls.append(("jacobiator_defect", "nh", (f, g, h), None, points))
+        calls.append(("jacobiator_defect", "nh", (f, g, h), points))
         plans = {}
         for x in points:
             plans.setdefault(x.frame.free_cols, []).append(x)
         for free, group in plans.items():
             push = {id(o): brackets.pushforward_observable(sysd, o, free) for o in f + g + h}
             fgh = tuple([push[id(o)] for o in col] for col in (f, g, h))
-            calls.append(("jacobiator_defect", "dstar", fgh, free, group))
+            calls.append(("jacobiator_defect", "dstar", fgh, group))
     pos = {id(x): i for i, x in enumerate(points)}
     worst = {}  # suite -> (B,) largest |J| per point; np.maximum keeps a NaN
-    for suite, kind, fgh, free, group in calls:
-        try:
-            per_point = np.stack(brackets.jacobiator_batch(sysd, kind, *fgh, group, free), 1)
-        except geometry.BATCH_FAILURES:
-            tol = cfg_dict["on_m_tol"]
-            per_point = [brackets.jacobiator(sysd, kind, *fgh, x, on_m_tol=tol) for x in group]
+    for suite, kind, fgh, group in calls:
+        body = functools.partial(brackets.jacobi_rows, sysd, kind, list(zip(*fgh)))
+        rows = np.asarray(geometry.raise_first(geometry.per_point(body, group)))
         at = [pos[id(x)] for x in group]
         acc = worst.setdefault(suite, np.full(len(points), -np.inf))
-        acc[at] = np.maximum(acc[at], np.abs(np.asarray(per_point)).max(1))
+        acc[at] = np.maximum(acc[at], np.abs(rows).max(1))
     return [{suite: float(acc[i]) for suite, acc in worst.items()} for i in range(len(points))]
 
 

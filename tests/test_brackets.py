@@ -522,12 +522,12 @@ def test_jacobiator_batch_is_bitwise_the_per_point_jacobiator(kind):
             else:
                 per_point = batch = observables
             f, g, h = ([batch[t[c]] for t in index_triples] for c in range(3))
-            got = brackets.jacobiator_batch(sysd, kind, f, g, h, group, free)
-            assert [v.shape for v in got] == [(len(group),)] * len(index_triples)
+            got = np.array(brackets.jacobiator(sysd, kind, f, g, h, group))
+            assert got.shape == (len(group), len(index_triples))
             f, g, h = ([per_point[t[c]] for t in index_triples] for c in range(3))
             alone = np.array([brackets.jacobiator(sysd, kind, f, g, h, x) for x in group])
-            for t, values in enumerate(got):
-                assert values.tobytes() == alone[:, t].tobytes()
+            for t in range(len(index_triples)):
+                assert got[:, t].tobytes() == alone[:, t].tobytes()
 
 
 def test_dstar_jacobiator_batch_rejects_points_of_another_plan():
@@ -535,7 +535,7 @@ def test_dstar_jacobiator_batch_rejects_points_of_another_plan():
               for x in catalog.sample_m_points(SYS_B, 20, 101, region=TWO_PLAN_REGION)]
     f = brackets.pushforward_observable(SYS_B, obs(SYS_B, "x"), (0, 1))
     with pytest.raises(ValueError, match="frame plan"):
-        brackets.jacobiator_batch(SYS_B, "dstar", [f], [f], [f], points, (0, 1))
+        brackets.jacobiator(SYS_B, "dstar", [f], [f], [f], points)
 
 
 def test_dstar_jacobiator_reads_the_frame_of_its_point(count_calls):

@@ -228,10 +228,10 @@ POINT = ["--system", "catalog:nonholonomic_particle", "--point", "0,1,0,1,1,1"]
     (["jacobiator", "--kind", "dstar", *POINT, "--f", "pi_1", "--g", "pi_2", "--h", "x"], 1),
 ], ids=["brackets", "canonical", "eden", "nh", "dstar"])
 def test_point_commands_validate_their_point_once(count_calls, capsys, argv, frames):
-    counts = count_calls(geometry, ("metric_at", "constraints_at", "frame_at"))
+    counts = count_calls(geometry, ("_metric_checks", "_row_checks", "frame_at"))
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["command"] == argv[0]
-    assert counts == {"metric_at": 1, "constraints_at": 1, "frame_at": frames}
+    assert counts == {"_metric_checks": 1, "_row_checks": 1, "frame_at": frames}
 
 
 def test_verify_exit_codes_and_failure_path():

@@ -307,11 +307,23 @@ def test_a_dual_domain_error_in_the_shared_pass_is_left_to_eden_project():
 def test_a_constant_metric_is_validated_once_per_trajectory(count_calls, project):
     q0 = [0.0, 0.2, 0.0]
     x0 = PhasePoint(q=q0, p=geometry.eden_project(SYS_B, q0, [1.0, 1.0, 1.0]))
-    counts = count_calls(geometry, ["metric_at"])
+    counts = count_calls(geometry, ["_metric_checks"])
     for t1 in (0.01, 0.05):
-        counts["metric_at"] = 0
+        counts["_metric_checks"] = 0
         dynamics.integrate(SYS_B, x0, 0.0, t1, 1e-3, project_each_step=project)
-        assert counts["metric_at"] == 2  # the start's validation and the evaluator's
+        assert counts["_metric_checks"] == 2  # the start's validation and the evaluator's
+
+
+def test_a_no_project_run_validates_each_state_from_its_evaluation(count_calls):
+    # the sleigh's metric depends on q; each accepted state is validated from
+    # the dual pass that evaluates it, not by metric_at on the float closures
+    x0 = catalog.sample_entry_points(catalog.get_entry("chaplygin_sleigh"), 1, 4)[0]
+    counts = count_calls(geometry, ["metric_at", "_metric_checks"])
+    for t1 in (0.01, 0.05):
+        counts.update(metric_at=0, _metric_checks=0)
+        traj = dynamics.integrate(SYS_C, x0, 0.0, t1, 1e-3, project_each_step=False)
+        steps = len(traj) - 1
+        assert counts == {"metric_at": 0, "_metric_checks": steps + 1}  # the start and each step
 
 
 def test_trajectory_points_are_built_from_the_rows():

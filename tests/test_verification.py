@@ -64,13 +64,13 @@ def test_point_metrics_call_the_jacobiator_once_per_kind(monkeypatch, integrable
     cfg = {"on_m_tol": geometry.ON_M_TOL, "integrable": integrable}
     alone = [_scalar_jacobi(sysd, x, observables, cfg) for x in points]
     calls = []
-    original = brackets.jacobiator_batch
+    original = brackets.jacobi_rows
 
-    def counted(sys, kind, f, g, h, group, free_cols=None):
-        calls.append((kind, free_cols, len(group)))
-        return original(sys, kind, f, g, h, group, free_cols)
+    def counted(sys, kind, triples, group):
+        calls.append((kind, group[0].frame.free_cols if kind == "dstar" else None, len(group)))
+        return original(sys, kind, triples, group)
 
-    monkeypatch.setattr(brackets, "jacobiator_batch", counted)
+    monkeypatch.setattr(brackets, "jacobi_rows", counted)
     monkeypatch.setattr(brackets, "jacobiator", None)  # the scalar path stays unused
     out = verification._jacobi_metrics(sysd, points, observables, cfg)
     expected = [("canonical", None, 10), ("eden", None, 10)]
@@ -126,7 +126,7 @@ def test_chunk_metrics_do_not_depend_on_the_batch(ent):
 def test_every_chunk_point_gets_both_jacobi_suites(
     monkeypatch, count_calls, ent
 ):
-    # jacobian_batch and jacobiator_batch seed their lifts over array cores;
+    # jacobian_batch and jacobi_rows seed their lifts over array cores;
     # no lift in the chunk runs over float cores, and no per-point jacobian
     # or gradient runs
     payload = _payload(ent, 6, list(range(6)))
@@ -198,17 +198,20 @@ def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
     ent = catalog.get_entry("chaplygin_sleigh")
     payload = _payload(ent, 6, list(range(6)))
     batched = verification._chunk_worker(payload)
+    jacobian_batch = numdiff.jacobian_batch
 
-    def refuse(F, X):
-        raise DomainError("solve_linear", "non-finite pivot")
+    def refuse(F, X):  # a stack; one point lifts on float cores
+        if len(X) > 1:
+            raise DomainError("solve_linear", "non-finite pivot")
+        return jacobian_batch(F, X)
 
     monkeypatch.setattr(numdiff, "jacobian_batch", refuse)
     assert verification._chunk_worker(payload) == batched
 
 
 def test_a_failed_stacked_pass_falls_back_to_the_per_point_pass(monkeypatch):
-    # two slices; the first stacked pass raises, and from it on each point
-    # runs alone at B = 1
+    # two slices; each stacked pass raises, and then each of its points runs
+    # alone at B = 1
     count = verification._SLICE + 5
     payload = _payload(catalog.get_entry("vertical_rolling_disk"), count, list(range(count)))
     stacked = verification._chunk_worker(payload)
@@ -223,7 +226,8 @@ def test_a_failed_stacked_pass_falls_back_to_the_per_point_pass(monkeypatch):
 
     monkeypatch.setattr(verification, "_chunk_metrics", refuse)
     assert verification._chunk_worker(payload) == stacked
-    assert sizes == [verification._SLICE] + [1] * count
+    rest = count - verification._SLICE
+    assert sizes == [verification._SLICE] + [1] * verification._SLICE + [rest] + [1] * rest
 
 
 def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone(monkeypatch):
@@ -329,17 +333,15 @@ def test_a_failed_batched_jacobiator_falls_back_to_the_scalar_path(monkeypatch, 
     payload = _payload(catalog.get_entry(name), 6, list(range(6)))
     batched = verification._chunk_worker(payload)
     kinds = []
-    scalar = brackets.jacobiator
+    rows = brackets.jacobi_rows
 
-    def refuse(sys, kind, *args):
-        raise DomainError("solve_linear", "non-finite pivot")
-
-    def counted(sys, kind, *args, **kwargs):
+    def refuse_stacks(sys, kind, triples, points):
+        if len(points) > 1:
+            raise DomainError("solve_linear", "non-finite pivot")
         kinds.append(kind)
-        return scalar(sys, kind, *args, **kwargs)
+        return rows(sys, kind, triples, points)
 
-    monkeypatch.setattr(brackets, "jacobiator_batch", refuse)
-    monkeypatch.setattr(brackets, "jacobiator", counted)
+    monkeypatch.setattr(brackets, "jacobi_rows", refuse_stacks)
     assert verification._chunk_worker(payload) == batched
     per_point = ["canonical", "eden"] + (["nh", "dstar"] if payload["integrable"] else [])
     assert sorted(kinds) == sorted(per_point * 6)
