@@ -11,7 +11,6 @@ of drawing and projecting one candidate at a time.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,9 +234,8 @@ def sample_m_points(
             for _ in range(size)
         ])
         q, p_raw = z[:, : len(region)], z[:, len(region) :]
-        body = functools.partial(geometry.eden_projections, sys)
         with np.errstate(all="ignore"):
-            projected = geometry.per_point(body, q, p_raw)
+            projected = geometry.per_point(lambda q, p: geometry.eden_projections(sys, q, p), q, p_raw)
         for qb, p in zip(q, projected):
             if not isinstance(p, RankDeficientError):  # else the candidate is skipped
                 out.append(PhasePoint(q=qb, p=geometry.raise_first([p])[0]))

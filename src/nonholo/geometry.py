@@ -153,7 +153,7 @@ def _metric_checks(G):
     scale = np.fmax(1.0, largest)
     Gs = 0.5 * (G + Gt)
     _, not_pd = _attempt(np.linalg.cholesky, Gs)
-    Ginv, _ = _attempt(np.linalg.inv, Gs)  # NaN where inv rejects Gs, as not_pd does
+    Ginv, _ = _attempt(np.linalg.inv, Gs)  # NaN where inv rejects a lone Gs
     asymmetric = np.abs(G - Gt).max((1, 2)) > 1e-9 * scale
     ill_conditioned = np.abs(Gs @ Ginv - eye).max((1, 2)) > 1e-10 * scale
     return Gs, Ginv, (~finite, asymmetric, not_pd, ill_conditioned)
@@ -318,9 +318,15 @@ class OnMPoint:
         """(P, Q, C) of tangent_splitting; the point is validated already."""
         return tangent_splitting(self.sys, self, on_m_tol=np.inf)
 
-    # the lifted Jacobians, one _lift each, as lift_batch builds them
-    residual_rows = cached_property(lambda self: _lift([self], "residual_rows")[0])  # of c_a
-    dgamma = cached_property(lambda self: _lift([self], "dgamma")[0])  # of (q, gamma_q p)
+    @cached_property  # one _lift each, as lift_batch builds them
+    def residual_rows(self) -> np.ndarray:
+        """Differentials of the residuals c_a (the first splitting rows)."""
+        return _lift([self], "residual_rows")[0]
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        """Jacobian of the phase-space momentum projection at this point."""
+        return _lift([self], "dgamma")[0]
 
     @cached_property
     def frame(self) -> FrameAtPoint:
@@ -330,7 +336,10 @@ class OnMPoint:
         """(q, pi) with pi = E^T p, the image of this point in D*."""
         return [*self.q.tolist(), *(self.frame.E.T @ self.p).tolist()]
 
-    chart_jacobian = cached_property(lambda self: _lift([self], "chart_jacobian")[0])
+    @cached_property
+    def chart_jacobian(self) -> np.ndarray:
+        """Jacobian of ``dstar_chart`` at (q, pi): rows (q, p, frame columns)."""
+        return _lift([self], "chart_jacobian")[0]
 
     @cached_property
     def algebroid(self):

@@ -256,18 +256,15 @@ def _chunk_worker(payload):
         geometry.frame_batch(valid)
         jacobi = _jacobi_metrics(sysd, valid, observables, payload)
         batched = _batched_lifts(sysd, valid, observables)
-        names = list(batched)
-
-        def slice_metrics(xs, *rows):
-            return _chunk_metrics(sysd, xs, observables, dict(zip(names, rows)))
-
         # stacked slices bound the tables' memory; a slice whose stacked pass
         # raises runs its points alone, in index order
         metrics = []
         for lo in range(0, len(valid), _SLICE):
             part = slice(lo, lo + _SLICE)
             lifted = [rows[part] for rows in batched.values()]
-            metrics += geometry.raise_first(geometry.per_point(slice_metrics, valid[part], *lifted))
+            metrics += geometry.raise_first(geometry.per_point(
+                lambda xs, *rows: _chunk_metrics(sysd, xs, observables, dict(zip(batched, rows))),
+                valid[part], *lifted))
             valid[part] = [None] * len(valid[part])  # their linear data is not needed again
         for m, j in zip(metrics, jacobi):
             m.update(j)
