@@ -390,8 +390,11 @@ def jacobiator(
     triples = list(zip([f], [g], [h]) if single else zip(f, g, h, strict=True))
     many = isinstance(x, (list, tuple))
     points = geometry.on_m_point(sys, x if many else [x], on_m_tol)
-    if kind == "dstar" and len({y.frame.free_cols for y in points}) > 1:
-        raise ValueError("dstar points must share one frame plan")
+    if kind == "dstar":
+        if len({y.frame.free_cols for y in points}) > 1:
+            raise ValueError("dstar points must share one frame plan")
+        for y in points:  # each image in D* must be a finite dual-bundle point
+            DStarPoint(q=y.q, pi=y.frame.E.T @ y.p)
     body = functools.partial(jacobi_rows, sys, kind, triples)
     rows = geometry.raise_first(geometry.per_point(body, points))
     out = [float(r[0]) if single else r.tolist() for r in rows]
@@ -403,9 +406,9 @@ def jacobi_rows(sys, kind, triples, points) -> np.ndarray:
     per point: one nested lift over the floats of a lone point or (B,) array
     cores. For ``dstar`` the points share the first one's frame plan, and a
     stack needs observables that do not read it off their point."""
-    dstar = kind == "dstar"  # its image in D* must be a finite dual-bundle point
+    dstar = kind == "dstar"
     free = points[0].frame.free_cols if dstar else None
-    z = [DStarPoint(q=x.q, pi=x.frame.E.T @ x.p).scalars() if dstar else x.scalars() for x in points]
+    z = [x.dstar_scalars() if dstar else x.scalars() for x in points]
     out = np.empty((len(points), len(triples)))
     for t, core in enumerate(_jacobi_cores(sys, kind, triples, geometry.cores(z), free)):
         out[:, t] = core  # a core with no batch dependence is a float

@@ -201,7 +201,7 @@ class FieldEvaluator:
         """``geometry.eden_project(sys, q, p)``, bitwise, with its checks and
         errors (``geometry.validated`` on the dual pass's values), from the
         entries that ``evaluate`` at q then reuses."""
-        q = np.array([[float(v) for v in q]])
+        q = np.asarray(q, dtype=float)[None]
         G, dG, V, dV, mu, dmu = self._entries(q[0].tolist())
         _, Ginv, _, _, p, errors = geometry.validated(
             self.sys, q, None if G is None else G[None], self._met, mu[None], np.asarray(p, dtype=float)[None]
