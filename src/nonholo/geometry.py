@@ -192,8 +192,8 @@ def validated(sys, q, G=None, met=None, mu=None, p=None, tol=None, rows=True):
     with ``rows``, those of the constraint rows mu (B, m, n) and their Gram
     matrix; then, with momenta p (B, n), the residual bound ``tol``, or the
     Eden projection p - mu^T gram^-1 mu G^-1 p. G and mu are the closures'
-    values at q unless given (a dual pass's). A lone point stops at its first
-    failed check. Returns G, Ginv, mu, gram and the residual norms or the
+    values at q unless given (a dual pass's); a lone point whose metric fails
+    evaluates no rows. Returns G, Ginv, mu, gram and the residual norms or the
     projections, stacked, and per point the error it raises alone, or None.
     """
     B, checks = len(q), []
