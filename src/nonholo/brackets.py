@@ -391,12 +391,12 @@ def jacobiator(
     many = isinstance(x, (list, tuple))
     points = geometry.on_m_point(sys, x if many else [x], on_m_tol)
     if kind == "dstar":
-        if len({y.frame.free_cols for y in points}) > 1:
+        if len(geometry.frame_plans(points)) > 1:
             raise ValueError("dstar points must share one frame plan")
         for y in points:  # each image in D* must be a finite dual-bundle point
             DStarPoint(q=y.q, pi=y.frame.E.T @ y.p)
     body = functools.partial(jacobi_rows, sys, kind, triples)
-    rows = geometry.raise_first(geometry.per_point(body, points))
+    rows = geometry.per_point(body, points)
     out = [float(r[0]) if single else r.tolist() for r in rows]
     return out if many else out[0]
 

@@ -11,6 +11,7 @@ of drawing and projecting one candidate at a time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,9 +210,10 @@ def sample_m_points(
     fixed seed reproduces points bit-for-bit.
 
     Candidates are drawn in blocks of as many as are still missing, q then
-    p each, and projected in one stacked pass (``geometry.eden_projections``),
-    each as ``eden_project`` would alone. A candidate is skipped on
-    RankDeficientError; any other error raises, in candidate order.
+    p each, and projected in one stacked pass (``geometry.validated`` with p,
+    through ``geometry.per_point``), each as ``eden_project`` would alone. A
+    candidate is skipped on RankDeficientError; any other error raises, in
+    candidate order.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -235,11 +237,20 @@ def sample_m_points(
         ])
         q, p_raw = z[:, : len(region)], z[:, len(region) :]
         with np.errstate(all="ignore"):
-            projected = geometry.per_point(lambda q, p: geometry.eden_projections(sys, q, p), q, p_raw)
-        for qb, p in zip(q, projected):
-            if not isinstance(p, RankDeficientError):  # else the candidate is skipped
-                out.append(PhasePoint(q=qb, p=geometry.raise_first([p])[0]))
+            projected = geometry.per_point(functools.partial(_projected, sys), q, p_raw)
+        out += [PhasePoint(q=qb, p=p) for qb, p in zip(q, projected) if p is not None]
     return out
+
+
+def _projected(sys, q, p):
+    """The Eden projections of candidates (B, n), or None for a lone
+    candidate whose configuration is rank deficient (it is skipped)."""
+    try:
+        return list(geometry.validated(sys, q, p=p)[4])
+    except RankDeficientError:
+        if len(q) > 1:
+            raise
+        return [None]
 
 
 def sample_entry_points(entry: CatalogEntry, count: int, seed: int) -> list[PhasePoint]:

@@ -27,7 +27,8 @@ the routes of a batch share nothing but its validated points.
 pass per RK4 stage. At an accepted state that pass also feeds the validated
 Eden projection (``FieldEvaluator.project``), projecting or not: the state is
 evaluated once, with every check of ``geometry.eden_project``, and recorded
-as one array row.
+as one array row. A stage point whose metric is not positive definite stops
+the run with ``geometry.metric_at``'s error there, as a state would.
 """
 
 from __future__ import annotations
@@ -170,7 +171,9 @@ class FieldEvaluator:
     assembles the multiplier-route field. A dual's value is its float
     closure's, bit for bit, so ``project`` validates and projects from that
     pass and holds it for the ``evaluate`` that follows at the same q. A
-    constant metric is validated once, by ``geometry.metric_at``, and reused.
+    constant metric is validated once, by ``geometry.metric_at``, and reused;
+    any other metric at a point ``project`` did not see (an RK4 stage) must
+    have a Cholesky factor before it is inverted.
     """
 
     def __init__(self, sys: SystemDefinition):
@@ -203,12 +206,21 @@ class FieldEvaluator:
         entries that ``evaluate`` at q then reuses."""
         q = np.asarray(q, dtype=float)[None]
         G, dG, V, dV, mu, dmu = self._entries(q[0].tolist())
-        _, Ginv, _, _, p, errors = geometry.validated(
+        _, Ginv, _, _, p = geometry.validated(
             self.sys, q, None if G is None else G[None], self._met, mu[None], np.asarray(p, dtype=float)[None]
         )
-        geometry.raise_first(errors)
         self._held = (q.tobytes(), (Ginv[0], dG, V, dV, mu, dmu))
         return p[0]
+
+    def _inverse(self, q, Gs):
+        """Gs^-1 at a point ``project`` did not validate (an RK4 stage): one
+        Cholesky factorization keeps a stage from jumping the metric's
+        singularity; where it fails, ``geometry.metric_at`` raises its error."""
+        try:
+            np.linalg.cholesky(Gs)
+        except np.linalg.LinAlgError:
+            geometry.metric_at(self.sys, q)
+        return np.linalg.inv(Gs)
 
     def evaluate(self, q, p):
         """Return (xdot 2n-vector, lam, residual c, H) at (q, p)."""
@@ -218,7 +230,7 @@ class FieldEvaluator:
             Ginv, dG, Vval, dV, mu, dmu = held[1]
         else:
             G, dG, Vval, dV, mu, dmu = self._entries(q.tolist())
-            Ginv = self._met.Ginv if G is None else np.linalg.inv(0.5 * (G + G.T))
+            Ginv = self._met.Ginv if G is None else self._inverse(q, 0.5 * (G + G.T))
         v = Ginv @ p
         if dG is None:
             dHq = dV

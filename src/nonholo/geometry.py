@@ -13,11 +13,12 @@ Each validated object has one body over a leading batch axis: ``validated``
 projection), ``_frames`` and ``_lift``. A lone point runs it on float cores
 (``cores``) through the single-point entry points; a list runs it once over
 (B,) array cores (``on_m_point`` of a list, ``frame_batch``, ``lift_batch``,
-the sampler). A body gives per point its result or the error that point
-raises alone, read off the check masks. Only a failure a stack cannot pin on
-one point (a dual DomainError on array cores, a LinAlgError over the whole
-stack) reruns its points one by one (``per_point``). Every array a stacked
-pass keeps is bitwise the per-point one.
+the sampler). A body passes or raises: a lone point its own first failed
+check's error, a stack the error of any one of its failing points. So a
+stacked caller goes through ``per_point``, which reruns a stack that raises
+one point at a time, in index order; it is the only code that finds the
+first failing point. Every array a stacked pass keeps is bitwise the
+per-point one.
 
 The on-manifold tolerance ON_M_TOL is the default of every operation that
 requires its phase point on M; callers may override it per call.
@@ -52,7 +53,7 @@ from .errors import (
 
 ON_M_TOL = 1e-8
 
-# raised by a stacked pass that cannot tell which point failed (per_point)
+# raised by a stacked pass, which does not tell which point failed (per_point)
 BATCH_FAILURES = (NonholoError, ArithmeticError, ValueError)
 
 
@@ -79,28 +80,19 @@ _eye = functools.cache(np.eye)  # shared, never written
 
 
 def per_point(body, *stacks):
-    """``body(*stacks)``: per element of their leading axis, its result or the
-    error it raises alone. Where the stacked pass raises BATCH_FAILURES, each
-    element runs alone, in index order, and an error it raises is its result."""
+    """``body(*stacks)``: the results of one stacked pass over the leading
+    axis of the stacks. An error raised over a stack may name any of its
+    points, from any check, since every stacked caller goes through here:
+    where the stacked pass raises BATCH_FAILURES, each element runs alone,
+    in index order, and the first that fails raises its own error."""
     try:
         return body(*stacks)
     except BATCH_FAILURES:
         pass
     out = []
     for b in range(len(stacks[0])):
-        try:
-            out.extend(body(*(s[b : b + 1] for s in stacks)))
-        except BATCH_FAILURES as exc:
-            out.append(exc)
+        out.extend(body(*(s[b : b + 1] for s in stacks)))
     return out
-
-
-def raise_first(results):
-    """The per-point results, unless one is an error: then the first raises."""
-    for r in results:
-        if isinstance(r, Exception):
-            raise r
-    return results
 
 
 def cores(z):
@@ -126,64 +118,53 @@ def _one(v):
     return np.asarray(v, dtype=float)[None]
 
 
-def _attempt(fn, *args):
-    """fn(*args) over stacked matrices and the mask of those it rejects: a
-    lone one gives NaN and [True]; a stack raises LinAlgError (which one?)."""
+def _check(fails, error):
+    """Raise ``error(b)`` at the first point b where the mask ``fails`` holds
+    (a list test: ``ndarray.any`` costs more than the check at B = 1)."""
+    fails = fails.tolist()
+    if True in fails:
+        raise error(fails.index(True))
+
+
+def _not_factored(A):
+    """The mask of the matrices of A (B, n, n) without a Cholesky factor: a
+    stack is rejected as a whole, so its mask holds everywhere."""
     try:
-        return fn(*args), np.zeros(len(args[0]), bool)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
-        if len(args[0]) > 1:
-            raise
-        return np.full_like(args[-1], np.nan), np.ones(1, bool)
+        return np.ones(len(A), bool)
+    return np.zeros(len(A), bool)
 
 
-_METRIC_FAILURES = ("has non-finite entries", "is not symmetric",
-                    "is not positive definite", "is too ill-conditioned")
+def _metric_checks(q, G):
+    """The checks of the metric G (B, n, n) at q (B, n), in order: finite,
+    symmetric, positive definite, well conditioned. Returns the symmetrized
+    G and its inverse."""
 
+    def failed(what):
+        return lambda b: NotSPDError(f"metric {what} at q={q[b].tolist()}")
 
-def _metric_checks(G):
-    """The checks of the metric over the leading axis of G (B, n, n): the
-    symmetrized G, its inverse and the failure masks in check order. A point
-    fails at the first mask that holds there; the later ones mean nothing."""
     largest = np.abs(G).max((1, 2))  # inf or NaN where an entry is
-    finite = np.isfinite(largest)
-    if not finite.all():  # NaN, unlike inf, passes the arithmetic below silently
-        G = np.where(finite[:, None, None], G, np.nan)
-    Gt, eye = G.swapaxes(1, 2), _eye(G.shape[-1])
-    scale = np.fmax(1.0, largest)
+    _check(~np.isfinite(largest), failed("has non-finite entries"))
+    Gt, scale = G.swapaxes(1, 2), np.fmax(1.0, largest)
+    _check(np.abs(G - Gt).max((1, 2)) > 1e-9 * scale, failed("is not symmetric"))
     Gs = 0.5 * (G + Gt)
-    _, not_pd = _attempt(np.linalg.cholesky, Gs)
-    Ginv, _ = _attempt(np.linalg.inv, Gs)  # NaN where inv rejects a lone Gs
-    asymmetric = np.abs(G - Gt).max((1, 2)) > 1e-9 * scale
-    ill_conditioned = np.abs(Gs @ Ginv - eye).max((1, 2)) > 1e-10 * scale
-    return Gs, Ginv, (~finite, asymmetric, not_pd, ill_conditioned)
+    _check(_not_factored(Gs), failed("is not positive definite"))
+    Ginv = np.linalg.inv(Gs)
+    _check(np.abs(Gs @ Ginv - _eye(G.shape[-1])).max((1, 2)) > 1e-10 * scale,
+           failed("is too ill-conditioned"))
+    return Gs, Ginv
 
 
-def _row_checks(mu):
-    """The checks of the constraint rows mu (B, m, n), stacked: the singular
-    values and the masks of non-finite and of dependent rows (s is sorted and
-    nonnegative, so vanishing rows are dependent too)."""
-    finite = np.isfinite(mu).all((1, 2))
-    try:
-        s = np.linalg.svd(mu, compute_uv=False)
-    except np.linalg.LinAlgError:  # non-finite rows, which fail first
-        s = np.linalg.svd(np.where(finite[:, None, None], mu, 0.0), compute_uv=False)
-    return s, (~finite, s[:, -1] <= 1e-10 * s[:, 0])
-
-
-def _first_errors(checks, B):
-    """Per point, the error of the first check it fails, or None; checks
-    holds (mask, error at point b) in the order one point runs them."""
-    if B == 1:  # a lone point, without stacking its masks
-        for mask, error in checks:
-            if mask[0]:
-                return [error(0)]
-        return [None]
-    fails = np.array([m for m, _ in checks])
-    errors = [None] * B
-    for b in np.flatnonzero(fails.any(0)):
-        errors[b] = checks[int(fails[:, b].argmax())][1](b)
-    return errors
+def _row_checks(q, mu):
+    """The checks of the constraint rows mu (B, m, n) at q (B, n): finite,
+    then independent (s is sorted and nonnegative, so vanishing rows are
+    dependent too)."""
+    _check(~np.isfinite(mu).all((1, 2)), lambda b: RankDeficientError(
+        f"constraint rows non-finite at q={q[b].tolist()}"))
+    s = np.linalg.svd(mu, compute_uv=False)
+    _check(s[:, -1] <= 1e-10 * s[:, 0], lambda b: RankDeficientError(
+        f"constraint rows are dependent at q={q[b].tolist()} (singular values {s[b]})"))
 
 
 def validated(sys, q, G=None, met=None, mu=None, p=None, tol=None, rows=True):
@@ -192,53 +173,38 @@ def validated(sys, q, G=None, met=None, mu=None, p=None, tol=None, rows=True):
     with ``rows``, those of the constraint rows mu (B, m, n) and their Gram
     matrix; then, with momenta p (B, n), the residual bound ``tol``, or the
     Eden projection p - mu^T gram^-1 mu G^-1 p. G and mu are the closures'
-    values at q unless given (a dual pass's); a lone point whose metric fails
-    evaluates no rows. Returns G, Ginv, mu, gram and the residual norms or the
-    projections, stacked, and per point the error it raises alone, or None.
+    values at q unless given (a dual pass's). Returns G, Ginv, mu, gram and
+    the residual norms or the projections, stacked. A failed check raises:
+    a lone point its first failed check's error (so a lone point whose
+    metric fails evaluates no rows), a stack one of its points' errors.
     """
-    B, checks = len(q), []
-
-    def solvable():  # a stack's Gram check and solve see its passing points only
-        if B == 1:
-            return gram
-        return np.where(~np.any([m for m, _ in checks], 0)[:, None, None], gram, _eye(len(gram[0])))
-
+    B = len(q)
     if met is None:
-        G, Ginv, fails = _metric_checks(_entries(sys.metric_values(cores(q)), B) if G is None else G)
-        checks += [(f, lambda b, w=w: NotSPDError(f"metric {w} at q={q[b].tolist()}"))
-                   for f, w in zip(fails, _METRIC_FAILURES)]
+        G, Ginv = _metric_checks(q, _entries(sys.metric_values(cores(q)), B) if G is None else G)
     else:
         G, Ginv = met.G[None], met.Ginv[None]
     gram = value = None
-    if rows and not (B == 1 and _first_errors(checks, 1)[0]):
+    if rows:
         mu = _entries(sys.mu_values(cores(q)), B) if mu is None else mu
-        s, (non_finite, dependent) = _row_checks(mu)
-        checks += [
-            (non_finite, lambda b: RankDeficientError(
-                f"constraint rows non-finite at q={q[b].tolist()}")),
-            (dependent, lambda b: RankDeficientError(
-                f"constraint rows are dependent at q={q[b].tolist()} (singular values {s[b]})")),
-        ]
+        _row_checks(q, mu)
         gram = mu @ Ginv @ mu.swapaxes(1, 2)
-        checked = solvable()
-        _, not_pd = _attempt(np.linalg.cholesky, 0.5 * (checked + checked.swapaxes(1, 2)))
-        checks.append((not_pd, lambda b: RankDeficientError(
-            f"constraint Gram matrix is not positive definite at q={q[b].tolist()}")))
+        _check(_not_factored(0.5 * (gram + gram.swapaxes(1, 2))), lambda b: RankDeficientError(
+            f"constraint Gram matrix is not positive definite at q={q[b].tolist()}"))
         if p is not None and tol is not None:
             value = np.abs(residual_values(mu, Ginv, p)).max(-1)
-            checks.append((~(value <= tol), lambda b: NotOnMError(float(value[b]), tol)))
+            _check(~(value <= tol), lambda b: NotOnMError(float(value[b]), tol))
         elif p is not None:
-            lam, singular = _attempt(np.linalg.solve, solvable(), mu @ (Ginv @ p[..., None]))
+            try:
+                lam = np.linalg.solve(gram, mu @ (Ginv @ p[..., None]))
+            except np.linalg.LinAlgError:
+                raise RankDeficientError("constraint Gram matrix is singular") from None
             value = p - (mu.swapaxes(1, 2) @ lam)[..., 0]
-            checks.append((singular, lambda b: RankDeficientError(
-                "constraint Gram matrix is singular")))
-    return G, Ginv, mu, gram, value, _first_errors(checks, B)
+    return G, Ginv, mu, gram, value
 
 
 def metric_at(sys, q) -> MetricAtPoint:
     """Evaluate G(q) and its inverse; fail if not symmetric positive definite."""
-    G, Ginv, *_, errors = validated(sys, _one(q), rows=False)
-    raise_first(errors)
+    G, Ginv, *_ = validated(sys, _one(q), rows=False)
     return MetricAtPoint(G=G[0], Ginv=Ginv[0])
 
 
@@ -255,8 +221,7 @@ def sharp(sys, q, p) -> np.ndarray:
 def constraints_at(sys, q, met: MetricAtPoint | None = None) -> ConstraintsAtPoint:
     """Assemble the constraint rows and their cometric Gram matrix at q,
     checked after the metric's checks unless ``met`` is validated already."""
-    *_, mu, gram, _, errors = validated(sys, _one(q), met=met)
-    raise_first(errors)
+    *_, mu, gram, _ = validated(sys, _one(q), met=met)
     return ConstraintsAtPoint(mu=mu[0], gram=gram[0])
 
 
@@ -277,14 +242,7 @@ def eden_project(sys, q, p) -> np.ndarray:
 
     gamma(p) = p - mu^T gram^-1 mu G^-1 p; orthogonal for the cometric.
     """
-    return raise_first(eden_projections(sys, _one(q), _one(p)))[0]
-
-
-def eden_projections(sys, q, p) -> list:
-    """Per row of q and p (B, n): its Eden projection, or the error
-    ``eden_project`` raises there (``validated`` with p)."""
-    *_, value, errors = validated(sys, q, p=p)
-    return [e or value[b] for b, e in enumerate(errors)]
+    return validated(sys, _one(q), p=_one(p))[4][0]
 
 
 def residual_norm(sys, q, p) -> float:
@@ -404,22 +362,18 @@ def _lift(points, name):
 def lift_batch(points) -> None:
     """Seed the lifted data of many OnMPoints of one system, frames built:
     one ``_lift`` per object (and per frame plan for the chart), each bitwise
-    the per-point build. A point whose build fails keeps its lazy one, which
-    raises as it would alone."""
-    plans = {}
-    for x in points:
-        plans.setdefault(x.frame.free_cols, []).append(x)
+    the per-point build. Where one raises, the points keep the lazy builds
+    it did not seed."""
     for name in ("residual_rows", "dgamma", "chart_jacobian", "splitting", "algebroid"):
-        for group in plans.values() if name == "chart_jacobian" else [points]:
-            for x, value in zip(group, per_point(functools.partial(_lift, name=name), group)):
-                if not isinstance(value, Exception):
-                    x.__dict__[name] = value  # the cached_property's slot
+        for group in frame_plans(points).values() if name == "chart_jacobian" else [points]:
+            for x, value in zip(group, _lift(group, name)):
+                x.__dict__[name] = value  # the cached_property's slot
 
 
 def require_on_m(sys, q, p, on_m_tol: float | None = None) -> OnMPoint:
     """Validate (q, p) on M: metric, constraint rows, then the residual bound."""
     tol = ON_M_TOL if on_m_tol is None else on_m_tol
-    return raise_first(_on_m_points(sys, _one(q), _one(p), tol))[0]
+    return _on_m_points(sys, _one(q), _one(p), tol)[0]
 
 
 def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
@@ -428,7 +382,8 @@ def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
     A PhasePoint goes through ``require_on_m``. An OnMPoint is checked
     against on_m_tol by its recorded residual; nothing is evaluated again.
     A list or tuple gives its points' OnMPoints in index order, PhasePoints
-    in one stacked pass whose first invalid point raises as it would alone.
+    in one stacked pass (``per_point``): the first invalid point raises as it
+    would alone.
     """
     tol = ON_M_TOL if on_m_tol is None else on_m_tol
     if isinstance(x, (list, tuple)):
@@ -436,7 +391,7 @@ def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
             return [on_m_point(sys, y, on_m_tol) for y in x]
         q, p = (np.array([getattr(y, a) for y in x], dtype=float) for a in "qp")
         with np.errstate(all="ignore"):
-            return raise_first(per_point(functools.partial(_on_m_points, sys, tol=tol), q, p))
+            return per_point(functools.partial(_on_m_points, sys, tol=tol), q, p)
     if not isinstance(x, OnMPoint):
         return require_on_m(sys, x.q, x.p, on_m_tol)
     if not x.residual <= tol:
@@ -445,14 +400,11 @@ def on_m_point(sys, x, on_m_tol: float | None = None) -> OnMPoint:
 
 
 def _on_m_points(sys, q, p, tol):
-    """Per row of q and p (B, n): its OnMPoint, or the error ``require_on_m``
-    raises there (``validated`` with the residual bound tol)."""
-    G, Ginv, mu, gram, r, errors = validated(sys, q, p=p, tol=tol)
-    return [
-        e or OnMPoint(sys, q[b], p[b], MetricAtPoint(G[b], Ginv[b]),
-                      ConstraintsAtPoint(mu[b], gram[b]), float(r[b]))
-        for b, e in enumerate(errors)
-    ]
+    """The OnMPoints of the rows of q and p (B, n): ``validated`` with the
+    residual bound tol."""
+    G, Ginv, mu, gram, r = validated(sys, q, p=p, tol=tol)
+    return [OnMPoint(sys, q[b], p[b], MetricAtPoint(G[b], Ginv[b]),
+                     ConstraintsAtPoint(mu[b], gram[b]), float(r[b])) for b in range(len(q))]
 
 
 # --- frames for the distribution ---------------------------------------------
@@ -496,50 +448,37 @@ def default_frame_plan(mu: np.ndarray, strict_ties: bool = False):
     return free, tie
 
 
-def _frame_checks(mu, E):
-    """The checks of ``frame_at`` over the leading axis: the masks of the
-    frames E (B, n, k) that leave ker mu (mu (B, m, n)), then of those with
-    dependent columns. The second check runs where the first passes; a
-    non-finite frame there raises LinAlgError, as it does alone."""
-    scale = np.fmax(1.0, np.abs(mu).max((1, 2)) * np.abs(E).max((1, 2)))
-    leaves = np.abs(mu @ E).max((1, 2)) > 1e-10 * scale
-    s = np.linalg.svd(E[~leaves], compute_uv=False)
-    dependent = np.zeros_like(leaves)
-    dependent[~leaves] = s[:, -1] <= 1e-10 * np.fmax(1.0, s[:, 0])  # zero columns too
-    return leaves, dependent
-
-
 def _frames(sys, q, mu, strict_ties=False):
-    """The one frame body: per configuration of q (B, n), with its rows
-    mu (B, m, n), its FrameAtPoint or the error ``frame_at`` raises there;
-    per frame plan, one ``frame_apply`` and the checks, stacked."""
+    """The one frame body: the FrameAtPoints of the configurations q (B, n)
+    with their rows mu (B, m, n); per frame plan, one ``frame_apply`` and
+    its checks, stacked: the frame stays in ker mu, then its columns are
+    independent. A failed check raises, as ``validated``'s do."""
     user = sys.frame_exprs is not None
     label, invalid = ("user", FrameInvalidError) if user else ("default", FrameDegenerateError)
-    out, plans = [None] * len(q), {}
-    for b in range(len(q)):
-        try:
-            free, tie = (None, False) if user else default_frame_plan(mu[b], strict_ties)
-            plans.setdefault(free, []).append((b, tie))
-        except (RankDeficientError, FrameDegenerateError) as exc:
-            out[b] = exc
-    for free, group in plans.items():
-        idx = [b for b, _ in group]
+    plans = [(None, False)] * len(q) if user else [default_frame_plan(m, strict_ties) for m in mu]
+    groups, out = {}, [None] * len(q)
+    for b, (free, _) in enumerate(plans):
+        groups.setdefault(free, []).append(b)
+    for free, idx in groups.items():
         qs, mus = (q, mu) if len(idx) == len(q) else (q[idx], mu[idx])
         try:
             E = _entries(frame_apply(sys, cores(qs), free), len(idx)).swapaxes(1, 2)
         except (SingularMatrixError, DomainError) as exc:
-            if user or len(idx) > 1:
-                raise  # a stack cannot tell which point
-            out[idx[0]] = (  # dependent rows, or a column of zero norm
+            if user:
+                raise
+            raise (  # dependent rows, or a column of zero norm
                 RankDeficientError("constraint rows are dependent here")
                 if isinstance(exc, SingularMatrixError)
                 else FrameDegenerateError(f"default frame column collapsed at q={qs[0].tolist()}")
-            )
-            continue
-        for (b, tie), e, leaves, dependent in zip(group, E, *_frame_checks(mus, E)):
-            what = "leaves the distribution" if leaves else "columns are dependent"
-            out[b] = (invalid(f"{label} frame {what} at q={q[b].tolist()}") if leaves or dependent
-                      else FrameAtPoint(E=e, free_cols=free, pivot_tie=tie))
+            ) from None
+        scale = np.fmax(1.0, np.abs(mus).max((1, 2)) * np.abs(E).max((1, 2)))
+        _check(np.abs(mus @ E).max((1, 2)) > 1e-10 * scale, lambda i: invalid(
+            f"{label} frame leaves the distribution at q={qs[i].tolist()}"))
+        s = np.linalg.svd(E, compute_uv=False)  # a non-finite frame raises LinAlgError
+        _check(s[:, -1] <= 1e-10 * np.fmax(1.0, s[:, 0]), lambda i: invalid(  # zero columns too
+            f"{label} frame columns are dependent at q={qs[i].tolist()}"))
+        for b, e in zip(idx, E):
+            out[b] = FrameAtPoint(E=e, free_cols=free, pivot_tie=plans[b][1])
     return out
 
 
@@ -555,21 +494,27 @@ def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
     """
     q = _one(q)
     mu = _entries(sys.mu_values(cores(q)), 1) if mu is None else mu[None]
-    return raise_first(_frames(sys, q, mu, strict_ties))[0]
+    return _frames(sys, q, mu, strict_ties)[0]
 
 
 def frame_batch(points) -> None:
-    """Build the frames of OnMPoints of one system in one ``_frames`` pass,
-    bitwise their ``frame_at``; the first point whose frame fails raises as
-    it would alone."""
+    """Build the frames of OnMPoints of one system in one ``_frames`` pass
+    (``per_point``), bitwise their ``frame_at``; the first point whose frame
+    fails raises as it would alone."""
     if not points:
         return
     body = functools.partial(_frames, points[0].sys)
-    frames = per_point(body, stacked(points, "q"), stacked(points, "cons.mu"))
-    for x, fr in zip(points, frames):
-        if isinstance(fr, FrameAtPoint):
-            x.__dict__["frame"] = fr
-    raise_first(frames)
+    for x, fr in zip(points, per_point(body, stacked(points, "q"), stacked(points, "cons.mu"))):
+        x.__dict__["frame"] = fr
+
+
+def frame_plans(points) -> dict:
+    """The OnMPoints of one system grouped by frame plan (``free_cols``), in
+    index order within each plan."""
+    plans = {}
+    for x in points:
+        plans.setdefault(x.frame.free_cols, []).append(x)
+    return plans
 
 
 def frame_components(G, E, w) -> np.ndarray:

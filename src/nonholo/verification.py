@@ -13,15 +13,16 @@ Each point is validated once into a ``geometry.OnMPoint``, and every suite
 reads the metric, constraint rows, splitting, projection Jacobian, frame and
 algebroid it carries. A chunk's points are sampled, validated and framed in
 stacked passes (``catalog.sample_m_points``, ``geometry.on_m_point`` of a
-list, ``geometry.frame_batch``), whose first invalid point raises its own
-error. The suites run stacked per chunk: one batched lift per object, then
-the float algebra as (B, ...) arrays over fixed slices of the chunk's points,
-reduced per point, the Leibniz factors included. The Jacobiator runs at
-every point, one nested lift per kind over the chunk (per frame plan for the
-dual-bundle kind). A stacked pass that fails where it cannot tell which point
-failed runs its points one by one (``geometry.per_point``), so a point raises
-as it would alone. Overflow in a suite is not reported as a numpy warning:
-the non-finite value reaches the report and fails its suite.
+list, ``geometry.frame_batch``). The suites run stacked per chunk: one
+batched lift per object, then the float algebra as (B, ...) arrays over
+fixed slices of the chunk's points, reduced per point, the Leibniz factors
+included. The Jacobiator runs at every point, one nested lift per kind over
+the chunk (per frame plan for the dual-bundle kind). A stacked pass passes
+or raises; one that raises reruns its points one by one
+(``geometry.per_point``), so the first failing point raises as it would
+alone. Where the chunk-wide lifts raise, each slice lifts its own points.
+Overflow in a suite is not reported as a numpy warning: the non-finite
+value reaches the report and fails its suite.
 
 Points are distributed by index across at most one worker chunk per
 process, and at most one process per CPU; per-point results are merged in
@@ -86,11 +87,9 @@ def _system_is_integrable(sysd, region, seed) -> bool:
     )
     points = geometry.on_m_point(sysd, sample, np.inf)
     geometry.frame_batch(points)
-    plans = {}
-    for x in points:
-        plans.setdefault(x.frame.free_cols, []).append(list(x.q))
     residuals = []  # the brackets' parts outside the distribution
-    for free, qs in plans.items():
+    for free, group in geometry.frame_plans(points).items():
+        qs = [list(x.q) for x in group]
         for q, ws in zip(qs, _frame_brackets(sysd, free, qs)):
             mu = np.asarray(sysd.mu_values(q), dtype=float)
             residuals += [mu @ w for w in ws]
@@ -113,7 +112,7 @@ def _frame_brackets(sysd, free, qs):
             cols = cols + [[s[0] * v for v in cols[0]]]
         return sum(cols, [])
 
-    jac = geometry.raise_first(geometry.per_point(functools.partial(numdiff.jacobian_batch, fields), qs))
+    jac = geometry.per_point(functools.partial(numdiff.jacobian_batch, fields), qs)
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)] or [(0, 1)]
     out = []
     for q, jq in zip(qs, jac):
@@ -255,16 +254,19 @@ def _chunk_worker(payload):
         valid = geometry.on_m_point(sysd, [points[idx] for idx in indices], tol)
         geometry.frame_batch(valid)
         jacobi = _jacobi_metrics(sysd, valid, observables, payload)
-        batched = _batched_lifts(sysd, valid, observables)
+        try:
+            batched = _batched_lifts(sysd, valid, observables)
+        except geometry.BATCH_FAILURES:  # each slice lifts its own points
+            batched = {}
         # stacked slices bound the tables' memory; a slice whose stacked pass
         # raises runs its points alone, in index order
         metrics = []
         for lo in range(0, len(valid), _SLICE):
             part = slice(lo, lo + _SLICE)
             lifted = [rows[part] for rows in batched.values()]
-            metrics += geometry.raise_first(geometry.per_point(
+            metrics += geometry.per_point(
                 lambda xs, *rows: _chunk_metrics(sysd, xs, observables, dict(zip(batched, rows))),
-                valid[part], *lifted))
+                valid[part], *lifted)
             valid[part] = [None] * len(valid[part])  # their linear data is not needed again
         for m, j in zip(metrics, jacobi):
             m.update(j)
@@ -274,25 +276,17 @@ def _chunk_worker(payload):
 def _batched_lifts(sysd, points, observables):
     """Seed the points' lifted data; return their table rows and each
     dynamics route's gradient of H, stacked (one lift per route: the routes
-    share only the points). An object whose batched build raises is left
-    out."""
+    share only the points)."""
     if not points:
         return {}
     geometry.lift_batch(points)
     table = _table_observables(observables, sysd.n)
     z = [x.scalars() for x in points]
-
-    lifted = {}
-    for name, fn in (
-        ("raw", lambda s: [f.fn(s) for f in table]),
-        ("dH_multiplier", lambda s: [hamiltonian_scalar(sysd, s)]),
-        ("dH_projection", lambda s: [hamiltonian_scalar(sysd, s)]),
-    ):
-        rows = geometry.per_point(functools.partial(numdiff.jacobian_batch, fn), z)
-        if not any(isinstance(r, Exception) for r in rows):  # else lifted per slice
-            rows = np.asarray(rows)
-            lifted[name] = rows if name == "raw" else rows[:, 0]
-    return lifted
+    return {
+        "raw": numdiff.jacobian_batch(lambda s: [f.fn(s) for f in table], z),
+        "dH_multiplier": numdiff.jacobian_batch(lambda s: [hamiltonian_scalar(sysd, s)], z)[:, 0],
+        "dH_projection": numdiff.jacobian_batch(lambda s: [hamiltonian_scalar(sysd, s)], z)[:, 0],
+    }
 
 
 def _jacobi_metrics(sysd, points, observables, cfg_dict):
@@ -312,10 +306,7 @@ def _jacobi_metrics(sysd, points, observables, cfg_dict):
     ]
     if cfg_dict["integrable"]:
         calls.append(("jacobiator_defect", "nh", (f, g, h), points))
-        plans = {}
-        for x in points:
-            plans.setdefault(x.frame.free_cols, []).append(x)
-        for free, group in plans.items():
+        for free, group in geometry.frame_plans(points).items():
             push = {id(o): brackets.pushforward_observable(sysd, o, free) for o in f + g + h}
             fgh = tuple([push[id(o)] for o in col] for col in (f, g, h))
             calls.append(("jacobiator_defect", "dstar", fgh, group))
@@ -323,7 +314,7 @@ def _jacobi_metrics(sysd, points, observables, cfg_dict):
     worst = {}  # suite -> (B,) largest |J| per point; np.maximum keeps a NaN
     for suite, kind, fgh, group in calls:
         body = functools.partial(brackets.jacobi_rows, sysd, kind, list(zip(*fgh)))
-        rows = np.asarray(geometry.raise_first(geometry.per_point(body, group)))
+        rows = np.asarray(geometry.per_point(body, group))
         at = [pos[id(x)] for x in group]
         acc = worst.setdefault(suite, np.full(len(points), -np.inf))
         acc[at] = np.maximum(acc[at], np.abs(rows).max(1))

@@ -368,6 +368,22 @@ def test_jacobiator_witness_on_particle():
     assert j_seeded == pytest.approx(-0.7872402607160313, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["eden", "nh"])
+def test_jacobi_witness_through_the_list_form(monkeypatch, kind):
+    # the recorded witness point (seed 11) and one other seeded point run as
+    # one stack of (2,) array cores; the witness entry is its lone value
+    f, g, h = (obs(SYS_B, s) for s in ("z", "p_x", "p_y"))
+    witness = catalog.sample_entry_points(B_ENTRY, 1, 11)[0]
+    other = catalog.sample_entry_points(B_ENTRY, 1, 12)[0]
+    alone = brackets.jacobiator(SYS_B, kind, f, g, h, witness)
+    sizes, jacobi_rows = [], brackets.jacobi_rows
+    monkeypatch.setattr(brackets, "jacobi_rows", lambda *a: sizes.append(len(a[-1])) or jacobi_rows(*a))
+    got = brackets.jacobiator(SYS_B, kind, f, g, h, [witness, other])
+    assert sizes == [2]
+    assert np.float64(got[0]).tobytes() == np.float64(alone).tobytes()
+    assert got[0] == pytest.approx(-0.7872402607160313, abs=1e-6)
+
+
 def test_jacobiator_documented_example_triple_vanishes():
     # the (x, z, p_x) triple pairs configuration-only functions in every
     # outer bracket, so its defect is identically zero; confirmed by the

@@ -106,6 +106,23 @@ def test_simulate_stops_at_singular_metric(tmp_path, extra):
     assert np.max(np.abs(rows[:, 5] - 0.5)) < 1e-2
 
 
+@pytest.mark.parametrize("extra", [(), ("--no-project",)], ids=["project", "no-project"])
+def test_simulate_stage_points_do_not_jump_the_singular_metric(tmp_path, extra):
+    # at dt = 0.005 an RK4 stage point passes x = 1 between two accepted
+    # states below it; the stage's metric stops the run, as a state's would
+    path = tmp_path / "singular.system"
+    path.write_text(SINGULAR_METRIC)
+    proc = run_cli(
+        "simulate", "--system", str(path), "--q0", "0,0", "--p0", "1,0",
+        "--t1", "3", "--dt", "0.005", "--format", "csv", *extra, expect=3,
+    )
+    assert "not positive definite" in proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert 1 <= len(rows) < 601
+    assert np.all(rows[:, 1] < 1.0)
+
+
 def test_simulate_overflow_is_step_failure():
     proc = run_cli(
         "simulate", "--system", "catalog:nonholonomic_particle",

@@ -435,6 +435,28 @@ def test_a_bad_point_in_a_stacked_validation_raises_as_it_would_alone(
             assert _point_bytes(x) == _reference_bytes(sysd, y)
 
 
+def test_a_stack_raises_its_first_failing_point_not_its_first_failed_check(
+    sign_changing_metric,
+):
+    # one point off M (the last check), another with a metric that is not
+    # positive definite (the metric's checks run first): point 2 raises
+    sysd = sign_changing_metric
+    sample = catalog.sample_m_points(sysd, 9, 3, region=((0.1, 1.0), (-1.0, 1.0)))
+
+    def off(x):
+        return PhasePoint(q=x.q, p=x.p + 0.1)
+
+    def not_spd(x):
+        return PhasePoint(q=[-0.5, x.q[1]], p=x.p)
+
+    for spoil2, spoil5, error in ((off, not_spd, NotOnMError), (not_spd, off, NotSPDError)):
+        spoiled = list(sample)
+        spoiled[2], spoiled[5] = spoil2(sample[2]), spoil5(sample[5])
+        alone = _first_error(_validated_one_by_one(sysd), spoiled)
+        assert alone[0] is error
+        assert _first_error(lambda xs: geometry.on_m_point(sysd, xs), spoiled) == alone
+
+
 def _framed_one_by_one(sysd):
     return lambda xs: [reference_frame(sysd, x.q, x.cons.mu) for x in xs]
 
