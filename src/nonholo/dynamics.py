@@ -20,8 +20,8 @@ reads the other's free field, residual rates, multipliers or projected field.
 Either route also takes a list of points as one batch stacked on a leading
 axis, by the same code: one width-1 dual pass over (B,) array cores and one
 stacked solve (multiplier), one stacked product (projection). Each lifts its
-own gradient of H, or takes one lifted for that route alone (``verify``), so
-the routes of a batch share nothing but its validated points.
+own gradient of H, so the routes of a batch share nothing but its validated
+points.
 
 ``integrate`` runs the multiplier route through ``FieldEvaluator``, one dual
 pass per RK4 stage. At an accepted state that pass also feeds the validated
@@ -88,14 +88,13 @@ class Trajectory:
         return TrajectoryPoint(t=float(row[0]), x=x, H=float(row[2 * n + 1]), c=c, lam=lam)
 
 
-def hamiltonian_field(sys: SystemDefinition, x: PhasePoint, dH=None) -> PhaseVelocity:
-    """Free field: dq = dH/dp, dp = -dH/dq from the dual-number gradient dH;
-    over a list of points, dH and the field stacked."""
+def hamiltonian_field(sys: SystemDefinition, x: PhasePoint) -> PhaseVelocity:
+    """Free field: dq = dH/dp, dp = -dH/dq from the dual-number gradient dH,
+    one lift over the points' scalars; over a list of points, stacked."""
     n = sys.n
-    if dH is None:  # one lift over the points' scalars
-        z = [p.scalars() for p in (x if isinstance(x, list) else [x])]
-        dH = numdiff.jacobian_batch(lambda s: [hamiltonian_scalar(sys, s)], z)[:, 0]
-        dH = dH if isinstance(x, list) else dH[0]
+    z = [p.scalars() for p in (x if isinstance(x, list) else [x])]
+    dH = numdiff.jacobian_batch(lambda s: [hamiltonian_scalar(sys, s)], z)[:, 0]
+    dH = dH if isinstance(x, list) else dH[0]
     return PhaseVelocity(dq=dH[..., n:], dp=-dH[..., :n])
 
 
@@ -111,10 +110,10 @@ def multipliers(
     return _free_field_and_multipliers(sys, geometry.on_m_point(sys, x, on_m_tol))[1]
 
 
-def _free_field_and_multipliers(sys, x, dH=None):
+def _free_field_and_multipliers(sys, x):
     """Free field and multipliers at a validated point, or stacked over a
     list of them: the (B,) array cores of one dual pass carry every point."""
-    free = hamiltonian_field(sys, x, dH)
+    free = hamiltonian_field(sys, x)
     n = sys.n
     z = np.concatenate([geometry.stacked(x, "q"), geometry.stacked(x, "p")], -1)
     rows = (np.atleast_2d(a) for a in (z, free.as_vector()))
@@ -129,23 +128,23 @@ def _free_field_and_multipliers(sys, x, dH=None):
 
 
 def nonholonomic_field_multiplier(
-    sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None, dH=None
+    sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None
 ) -> PhaseVelocity:
     """Constrained field via reaction forces in the annihilator."""
     x = geometry.on_m_point(sys, x, on_m_tol)
-    free, lam = _free_field_and_multipliers(sys, x, dH)
+    free, lam = _free_field_and_multipliers(sys, x)
     mu_t = geometry.stacked(x, "cons.mu").swapaxes(-1, -2)
     return PhaseVelocity(dq=free.dq, dp=free.dp - (mu_t @ lam[..., None])[..., 0])
 
 
 def nonholonomic_field_projection(
-    sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None, dH=None
+    sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None
 ) -> PhaseVelocity:
     """Constrained field as the symplectic projection of the free field."""
     n = sys.n
     x = geometry.on_m_point(sys, x, on_m_tol)
     P = geometry.stacked(x, "splitting")[0]
-    v = (P @ hamiltonian_field(sys, x, dH).as_vector()[..., None])[..., 0]
+    v = (P @ hamiltonian_field(sys, x).as_vector()[..., None])[..., 0]
     return PhaseVelocity(dq=v[..., :n], dp=v[..., n:])
 
 
@@ -280,9 +279,15 @@ def integrate(
     geometry.require_on_m(sys, x0.q, x0.p, tol)
     ev = FieldEvaluator(sys)
     n, m = sys.n, sys.n_constraints
-    n_steps = max(1, int(round((t1 - t0) / dt)))
+    span = (t1 - t0) / dt
+    if not math.isfinite(span):
+        raise NonholoError(f"step count (t1 - t0)/dt = {span!r} is not finite")
+    n_steps = max(1, int(round(span)))
     z = np.concatenate([x0.q, x0.p])
-    rows = np.empty((n_steps + 1, 2 * n + 2 * m + 2))  # (t, q, p, H, c, lam)
+    try:
+        rows = np.empty((n_steps + 1, 2 * n + 2 * m + 2))  # (t, q, p, H, c, lam)
+    except MemoryError:
+        raise NonholoError(f"cannot hold a trajectory of {n_steps} steps in memory") from None
     done = 0
 
     def accept(t, z):

@@ -5,9 +5,16 @@ callers (and the CLI) can distinguish expected validation/domain failures
 from genuine bugs.
 """
 
+import copyreg
+
 
 class NonholoError(Exception):
     """Base class for all structured errors raised by this package."""
+
+    def __reduce__(self):
+        # rebuilt from its message and attributes, not through a subclass's
+        # __init__, so an error raised in a worker process unpickles intact
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DomainError(NonholoError):

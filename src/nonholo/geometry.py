@@ -410,7 +410,7 @@ def _on_m_points(sys, q, p, tol):
 # --- frames for the distribution ---------------------------------------------
 
 
-def default_frame_plan(mu: np.ndarray, strict_ties: bool = False):
+def default_frame_plan(mu: np.ndarray):
     """Choose pivot columns by rank-revealing elimination with a fixed order.
 
     Each constraint row pivots on its largest remaining column (ties broken
@@ -435,11 +435,6 @@ def default_frame_plan(mu: np.ndarray, strict_ties: bool = False):
         second = float(np.max(mags)) if n > len(pivots) + 1 else -1.0
         if second >= best * (1.0 - 1e-9):
             tie = True
-            if strict_ties:
-                raise FrameDegenerateError(
-                    f"pivot tie in constraint row {row}: the default frame "
-                    "is discontinuous at this configuration"
-                )
         pivots.append(best_col)
         for rr in range(m):
             if rr != row and r[rr, best_col] != 0.0:
@@ -448,14 +443,14 @@ def default_frame_plan(mu: np.ndarray, strict_ties: bool = False):
     return free, tie
 
 
-def _frames(sys, q, mu, strict_ties=False):
+def _frames(sys, q, mu):
     """The one frame body: the FrameAtPoints of the configurations q (B, n)
     with their rows mu (B, m, n); per frame plan, one ``frame_apply`` and
     its checks, stacked: the frame stays in ker mu, then its columns are
     independent. A failed check raises, as ``validated``'s do."""
     user = sys.frame_exprs is not None
     label, invalid = ("user", FrameInvalidError) if user else ("default", FrameDegenerateError)
-    plans = [(None, False)] * len(q) if user else [default_frame_plan(m, strict_ties) for m in mu]
+    plans = [(None, False)] * len(q) if user else [default_frame_plan(m) for m in mu]
     groups, out = {}, [None] * len(q)
     for b, (free, _) in enumerate(plans):
         groups.setdefault(free, []).append(b)
@@ -482,7 +477,7 @@ def _frames(sys, q, mu, strict_ties=False):
     return out
 
 
-def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
+def frame_at(sys, q, mu=None) -> FrameAtPoint:
     """Evaluate (or construct) a frame spanning the distribution fiber at q.
 
     The columns come from frame_apply on floats. The default frame projects
@@ -494,7 +489,7 @@ def frame_at(sys, q, strict_ties: bool = False, mu=None) -> FrameAtPoint:
     """
     q = _one(q)
     mu = _entries(sys.mu_values(cores(q)), 1) if mu is None else mu[None]
-    return _frames(sys, q, mu, strict_ties)[0]
+    return _frames(sys, q, mu)[0]
 
 
 def frame_batch(points) -> None:

@@ -13,16 +13,17 @@ Each point is validated once into a ``geometry.OnMPoint``, and every suite
 reads the metric, constraint rows, splitting, projection Jacobian, frame and
 algebroid it carries. A chunk's points are sampled, validated and framed in
 stacked passes (``catalog.sample_m_points``, ``geometry.on_m_point`` of a
-list, ``geometry.frame_batch``). The suites run stacked per chunk: one
-batched lift per object, then the float algebra as (B, ...) arrays over
-fixed slices of the chunk's points, reduced per point, the Leibniz factors
-included. The Jacobiator runs at every point, one nested lift per kind over
-the chunk (per frame plan for the dual-bundle kind). A stacked pass passes
-or raises; one that raises reruns its points one by one
+list, ``geometry.frame_batch``). The Jacobiator runs first, at every point:
+one nested lift per kind over the chunk (per frame plan for the dual-bundle
+kind). The other suites run in one stacked pass over the chunk: one batched
+lift per object (the table observables, and H per dynamics route), then the
+float algebra as (B, ...) arrays reduced per point, the Leibniz factors
+included; only the route tables, which grow with the square of the number
+of observables, are built over fixed slices of the points. A stacked pass
+passes or raises; one that raises reruns its points one by one
 (``geometry.per_point``), so the first failing point raises as it would
-alone. Where the chunk-wide lifts raise, each slice lifts its own points.
-Overflow in a suite is not reported as a numpy warning: the non-finite
-value reaches the report and fails its suite.
+alone. Overflow in a suite is not reported as a numpy warning: the
+non-finite value reaches the report and fails its suite.
 
 Points are distributed by index across at most one worker chunk per
 process, and at most one process per CPU; per-point results are merged in
@@ -43,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brackets, catalog, dsl, dynamics, geometry, numdiff
-from .system import Observable, hamiltonian_scalar
+from .system import Observable
 
 WITNESS_FLOOR = 1e-3
-_SLICE = 25  # points per stacked pass of the suites
+_SLICE = 25  # points per slice of the route tables
 
 
 @dataclass
@@ -139,42 +140,49 @@ def _point_max(parts):
     return np.max([np.abs(p).reshape(len(p), -1).max(axis=1) for p in parts], axis=0)
 
 
-def _chunk_metrics(sysd, points, observables, batched):
-    """Every suite but the Jacobi pair at validated points, as one stacked
-    (B, ...) pass; one metric dict per point. ``batched`` holds the points'
-    stacked lifts (``_batched_lifts``), or is None to lift them point by point.
-    """
-    batched = batched or {}
-    n, k, B = sysd.n, sysd.k, len(points)
+def _table_suites(points, raw, observables, n):
+    """The coincidence, forms, skew and Leibniz suites per point, from the
+    table rows ``raw``; the route tables are built ``_SLICE`` points at a
+    time, since they grow with the square of the number of observables."""
     n_obs = len(observables)
     routes = ("nh", "nh2", "eden", "dstar")
     triples = _leibniz_triples(n_obs, n)
+    out = []
+    for lo in range(0, len(points), _SLICE):
+        part = points[lo : lo + _SLICE]
+        tables = brackets.bracket_route_tables(part, raw[lo : lo + _SLICE])
+        vals = {r: tables[r][:, :n_obs, :n_obs] for r in routes}
+        # every ordered route pair, a route with itself too (inf - inf is NaN)
+        coincidence = _point_max(
+            vals[r] - vals[s] for i, r in enumerate(routes) for s in routes[i:]
+        )
+        forms_gap = _point_max([vals["nh"] - vals["nh2"]])
+        skew = _point_max(vals[r] + vals[r].swapaxes(-1, -2) for r in routes)
+
+        # the factors' values, one closure call per observable
+        cores = geometry.cores(np.concatenate([geometry.stacked(part, a) for a in "qp"], -1))
+        value = {o: observables[o].fn(cores) for i, j, _ in triples for o in (i, j)}
+        resids = []
+        for t, (i, j, g_idx) in enumerate(triples):
+            fv, f2v = value[i], value[j]
+            for r in routes:
+                tab = tables[r]
+                resids.append(tab[:, n_obs + t, g_idx] - fv * tab[:, j, g_idx] - f2v * tab[:, i, g_idx])
+        out.append((coincidence, forms_gap, skew, _point_max(resids)))
+    return [np.concatenate(v) for v in zip(*out)]
+
+
+def _chunk_metrics(sysd, points, observables):
+    """Every suite but the Jacobi pair at validated points, as one stacked
+    (B, ...) pass over the points' own lifts; one metric dict per point."""
+    n, k, B = sysd.n, sysd.k, len(points)
+    n_obs = len(observables)
+    geometry.lift_batch(points)
     # the Leibniz products join the one table call; the other suites read
     # the n_obs x n_obs block of the observables themselves
-    raw = batched.get("raw")
-    if raw is None:
-        table = _table_observables(observables, n)
-        raw = np.stack([brackets.raw_rows(x, table) for x in points])
-    tables = brackets.bracket_route_tables(points, raw)
-    vals = {r: tables[r][:, :n_obs, :n_obs] for r in routes}
-    # every ordered route pair, a route with itself too (inf - inf is NaN)
-    coincidence = _point_max(
-        vals[r] - vals[s] for i, r in enumerate(routes) for s in routes[i:]
-    )
-    forms_gap = _point_max([vals["nh"] - vals["nh2"]])
-    skew = _point_max(vals[r] + vals[r].swapaxes(-1, -2) for r in routes)
-
-    # the factors' values, one closure call per observable
-    cores = geometry.cores(np.concatenate([geometry.stacked(points, a) for a in "qp"], -1))
-    value = {o: observables[o].fn(cores) for i, j, _ in triples for o in (i, j)}
-    resids = []
-    for t, (i, j, g_idx) in enumerate(triples):
-        fv, f2v = value[i], value[j]
-        for r in routes:
-            tab = tables[r]
-            resids.append(tab[:, n_obs + t, g_idx] - fv * tab[:, j, g_idx] - f2v * tab[:, i, g_idx])
-    leibniz = _point_max(resids)
-    del tables, vals
+    table = _table_observables(observables, n)
+    raw = numdiff.jacobian_batch(lambda s: [f.fn(s) for f in table], [x.scalars() for x in points])
+    coincidence, forms_gap, skew, leibniz = _table_suites(points, raw, observables, n)
 
     dgam = geometry.stacked(points, "dgamma")
     ext = raw[:, :n_obs] @ dgam
@@ -190,8 +198,8 @@ def _chunk_metrics(sysd, points, observables, batched):
     ext_ind = _point_max([nh[:, 1:] - nh[:, :1], nh2[:, 1:] - nh2[:, :1]])
 
     # the points are validated already; each route reads its own lift of H
-    a = dynamics.nonholonomic_field_multiplier(sysd, points, np.inf, batched.get("dH_multiplier"))
-    b = dynamics.nonholonomic_field_projection(sysd, points, np.inf, batched.get("dH_projection"))
+    a = dynamics.nonholonomic_field_multiplier(sysd, points, np.inf)
+    b = dynamics.nonholonomic_field_projection(sysd, points, np.inf)
     mult, proj = a.as_vector(), b.as_vector()
     two_route = _point_max([mult - proj])
     P, Q, C = geometry.stacked(points, "splitting")
@@ -249,44 +257,15 @@ def _chunk_worker(payload):
     indices = payload["indices"]
     tol = payload["on_m_tol"]
     with np.errstate(over="ignore", invalid="ignore"):
-        # validated and framed in stacked passes, before the batched lifts;
-        # the first point that fails raises, as it would alone
+        # validated and framed in stacked passes; the first point that fails
+        # raises, as it would alone
         valid = geometry.on_m_point(sysd, [points[idx] for idx in indices], tol)
         geometry.frame_batch(valid)
-        jacobi = _jacobi_metrics(sysd, valid, observables, payload)
-        try:
-            batched = _batched_lifts(sysd, valid, observables)
-        except geometry.BATCH_FAILURES:  # each slice lifts its own points
-            batched = {}
-        # stacked slices bound the tables' memory; a slice whose stacked pass
-        # raises runs its points alone, in index order
-        metrics = []
-        for lo in range(0, len(valid), _SLICE):
-            part = slice(lo, lo + _SLICE)
-            lifted = [rows[part] for rows in batched.values()]
-            metrics += geometry.per_point(
-                lambda xs, *rows: _chunk_metrics(sysd, xs, observables, dict(zip(batched, rows))),
-                valid[part], *lifted)
-            valid[part] = [None] * len(valid[part])  # their linear data is not needed again
+        jacobi = _jacobi_metrics(sysd, valid, observables, payload)  # before the lifts
+        metrics = geometry.per_point(lambda xs: _chunk_metrics(sysd, xs, observables), valid)
         for m, j in zip(metrics, jacobi):
             m.update(j)
     return list(zip(indices, metrics))
-
-
-def _batched_lifts(sysd, points, observables):
-    """Seed the points' lifted data; return their table rows and each
-    dynamics route's gradient of H, stacked (one lift per route: the routes
-    share only the points)."""
-    if not points:
-        return {}
-    geometry.lift_batch(points)
-    table = _table_observables(observables, sysd.n)
-    z = [x.scalars() for x in points]
-    return {
-        "raw": numdiff.jacobian_batch(lambda s: [f.fn(s) for f in table], z),
-        "dH_multiplier": numdiff.jacobian_batch(lambda s: [hamiltonian_scalar(sysd, s)], z)[:, 0],
-        "dH_projection": numdiff.jacobian_batch(lambda s: [hamiltonian_scalar(sysd, s)], z)[:, 0],
-    }
 
 
 def _jacobi_metrics(sysd, points, observables, cfg_dict):

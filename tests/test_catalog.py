@@ -29,7 +29,8 @@ def test_entries_validate_over_sample_region():
             q = [rng.uniform(*iv) for iv in entry.sample_region]
             met = geometry.metric_at(sysd, q)  # SPD or raises
             geometry.constraints_at(sysd, q, met)  # full rank or raises
-            fr = geometry.frame_at(sysd, q, strict_ties=True)  # no pivot ties
+            fr = geometry.frame_at(sysd, q)
+            assert not fr.pivot_tie
             assert np.max(np.abs(met.G @ met.Ginv - np.eye(sysd.n))) < 1e-10
             mu = np.asarray(sysd.mu_values(q), dtype=float)
             assert np.max(np.abs(mu @ fr.E)) < 1e-10

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonholo import cli, geometry
+from nonholo import cli, geometry, verification
 
 DATA = Path(__file__).parent / "data"
 
@@ -220,6 +220,19 @@ def test_simulate_rejects_a_non_finite_start_residual():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("span, message", [
+    (["--t1", "1e300", "--dt", "1e-300"], "step count (t1 - t0)/dt = inf is not finite"),
+    (["--t1", "1e12", "--dt", "1e-3"],
+     "cannot hold a trajectory of 1000000000000000 steps in memory"),
+], ids=["non-finite", "unallocatable"])
+def test_simulate_refuses_a_step_count_it_cannot_hold(capsys, span, message):
+    # both trajectories exceed the address space, so the allocation is
+    # refused at once, before the first step
+    argv = ["simulate", "--system", "catalog:holonomic_control", "--q0", "0,0", "--p0", "1,0"]
+    assert cli.main([*argv, *span]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command, extra", [
     ("simulate", ["--q0", "0,0,0", "--p0", "1,0,0"]),
     ("brackets", ["--f", "x", "--g", "p_x", "--point", "0,0,0,1,0,0"]),
@@ -327,6 +340,28 @@ def test_verify_workers_reproduce_the_pinned_bytes(tmp_path):
     )
     pinned = DATA / "verify" / "vertical_rolling_disk_seed1.json"
     assert path.read_text() == pinned.read_text()
+
+
+@pytest.mark.parametrize("case", ["off_manifold", "domain"])
+def test_a_worker_error_reports_as_in_one_process(monkeypatch, capsys, tmp_path, case):
+    # a worker's error is pickled back to the parent process; it arrives with
+    # its own type and text, so two processes exit as one does
+    if case == "domain":
+        path = tmp_path / "log.system"
+        src = (DATA / "nonholonomic_particle.system").read_text()
+        path.write_text(src.replace("V = 0", "V = log(x+0.5)"))
+        argv = ["verify", "--system", str(path), "--count", "60"]
+    else:
+        argv = ["verify", "--system", "catalog:chaplygin_sleigh", "--count", "20",
+                "--seed", "1", "--tol", "1e-300"]
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
+    outcomes = []
+    for workers in ("1", "2"):
+        code = cli.main([*argv, "--workers", workers])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0][:2] == (cli.EXIT_VALIDATION, "")
+    assert outcomes[0][2].startswith("error: ") and outcomes[0][2].count("\n") == 1
+    assert outcomes[1] == outcomes[0]
 
 
 @pytest.mark.parametrize("seed", (1, 7))

@@ -7,10 +7,12 @@ The texts are pinned literally, so a change to any check, to its order or to
 how a stack reports its first failing point shows here.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
-from nonholo import catalog, cli, dsl, geometry, numdiff
+from nonholo import catalog, cli, dsl, dynamics, errors, geometry, numdiff
 from nonholo.errors import (
     FrameDegenerateError,
     FrameInvalidError,
@@ -271,3 +273,26 @@ def test_a_default_frame_over_vanishing_rows():
     sysd = _system("vanishing_rows")
     want = (RankDeficientError, "constraint rows vanish identically here")
     assert _raised(geometry.frame_at, sysd, [0.25, 0.75]) == want
+
+
+# the arguments of the error classes whose __init__ takes more than a message
+ERROR_ARGS = {
+    errors.DomainError: ("log", "argument must be positive"),
+    errors.ExpressionSyntaxError: (7, ["number", "'('"], "*"),
+    errors.UnknownFunctionError: ("sinh", 3),
+    errors.UnknownIdentifierError: ("w",),
+    errors.NotOnMError: (5.551e-17, 1e-300),
+    errors.StepFailureError: ("stopped", dynamics.Trajectory(np.arange(6.0).reshape(2, 3), 1)),
+}
+
+
+@pytest.mark.parametrize("cls", [
+    c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.NonholoError)
+], ids=lambda c: c.__name__)
+def test_every_error_survives_a_pickle_round_trip(cls):
+    # a worker process's error reaches the parent pickled
+    exc = cls(*ERROR_ARGS.get(cls, (f"{cls.__name__} text",)))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert repr(vars(back)) == repr(vars(exc))

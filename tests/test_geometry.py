@@ -164,9 +164,7 @@ def test_frame_default_cases():
 
 
 def test_frame_tie_is_reported_and_deterministic():
-    # |mu_1| == |mu_3| at y = 1: strict mode refuses, default breaks the tie
-    with pytest.raises(FrameDegenerateError):
-        geometry.frame_at(SYS_B, [0.0, 1.0, 0.0], strict_ties=True)
+    # |mu_1| == |mu_3| at y = 1: the tie is broken toward the lowest index
     fr = geometry.frame_at(SYS_B, [0.0, 1.0, 0.0])
     assert fr.pivot_tie
     expect = np.array([[0.0, 1.0, 0.0], [1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)]]).T
@@ -530,3 +528,20 @@ def test_lone_points_evaluate_closures_and_lifts_on_float_cores(monkeypatch, ent
             fgh = [brackets.pushforward_observable(sysd, o) for o in fgh]
         brackets.jacobiator(sysd, kind, *fgh, x)
     assert cores and set(cores) == {float}
+
+
+def test_only_per_point_and_integrate_catch_a_stacked_failure():
+    # a stacked pass that raises is rerun point by point in per_point, and
+    # integrate's shared validating pass falls back to eden_project; no other
+    # code catches BATCH_FAILURES to find a failing point of its own
+    import ast
+    from pathlib import Path
+
+    sites = []
+    for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    if "BATCH_FAILURES" in ast.unparse(node.type):
+                        sites.append(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert sites == ["dynamics.integrate", "geometry.per_point"]

@@ -1,5 +1,5 @@
 """Per-point work of the verify sweep: one validation, one stacked pass per
-slice, one batched call per kind."""
+chunk, one batched call per kind."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ def test_point_metrics_validate_each_point_once(count_calls, ent):
     counts = count_calls(geometry, VALIDATION)
     for x in points:
         counts.update(dict.fromkeys(VALIDATION, 0))
-        verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, x)], observables, None)
+        verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, x)], observables)
         assert counts["tangent_splitting"] == 1
         assert counts["metric_at"] <= 1 and counts["constraints_at"] <= 1
 
@@ -117,7 +117,7 @@ def test_chunk_metrics_do_not_depend_on_the_batch(ent):
     cfg = _payload(ent, count, [])
     for idx in (0, count - 1):
         x = geometry.on_m_point(sysd, points[idx])
-        [alone] = verification._chunk_metrics(sysd, [x], observables, None)
+        [alone] = verification._chunk_metrics(sysd, [x], observables)
         alone.update(_scalar_jacobi(sysd, geometry.on_m_point(sysd, points[idx]), observables, cfg))
         assert alone == full[idx]
 
@@ -210,24 +210,23 @@ def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
 
 
 def test_a_failed_stacked_pass_falls_back_to_the_per_point_pass(monkeypatch):
-    # two slices; each stacked pass raises, and then each of its points runs
-    # alone at B = 1
+    # the chunk's stacked pass raises, and then each of its points runs alone
+    # at B = 1
     count = verification._SLICE + 5
     payload = _payload(catalog.get_entry("vertical_rolling_disk"), count, list(range(count)))
     stacked = verification._chunk_worker(payload)
     sizes = []
     chunk_metrics = verification._chunk_metrics
 
-    def refuse(sysd, points, observables, batched):
+    def refuse(sysd, points, observables):
         sizes.append(len(points))
         if len(points) > 1:
             raise DomainError("solve_linear", "non-finite pivot")
-        return chunk_metrics(sysd, points, observables, batched)
+        return chunk_metrics(sysd, points, observables)
 
     monkeypatch.setattr(verification, "_chunk_metrics", refuse)
     assert verification._chunk_worker(payload) == stacked
-    rest = count - verification._SLICE
-    assert sizes == [verification._SLICE] + [1] * verification._SLICE + [rest] + [1] * rest
+    assert sizes == [count] + [1] * count
 
 
 def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone(monkeypatch):
@@ -241,23 +240,31 @@ def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone(monkeypatch):
         "source": src, "count": count, "seed": 1, "region": None, "momentum_scale": 1.0,
         "on_m_tol": geometry.ON_M_TOL, "integrable": False, "indices": list(range(count)),
     }
-    sizes = []
+    sizes, slices = [], []
     chunk_metrics = verification._chunk_metrics
+    route_tables = brackets.bracket_route_tables
 
-    def recorded(sysd, points, observables, batched):
+    def recorded(sysd, points, observables):
         sizes.append(len(points))
-        return chunk_metrics(sysd, points, observables, batched)
+        return chunk_metrics(sysd, points, observables)
+
+    def sliced(x, raw):
+        slices.append(len(x))
+        return route_tables(x, raw)
 
     monkeypatch.setattr(verification, "_chunk_metrics", recorded)
+    monkeypatch.setattr(brackets, "bracket_route_tables", sliced)
     chunk = verification._chunk_worker(payload)
-    assert sizes == [verification._SLICE, count - verification._SLICE]
+    assert sizes == [count]
+    # the route tables, which grow with n_obs^2, stay in bounded slices
+    assert slices == [verification._SLICE, count - verification._SLICE]
     points = catalog.sample_m_points(sysd, count, 1)
     observables = catalog.observable_test_set(sysd)
     nan_points = set()
     for idx, metrics in chunk:
         x = geometry.on_m_point(sysd, points[idx])
         with np.errstate(over="ignore", invalid="ignore"):
-            [alone] = verification._chunk_metrics(sysd, [x], observables, None)
+            [alone] = verification._chunk_metrics(sysd, [x], observables)
         for name, value in alone.items():
             assert repr(metrics[name]) == repr(value), (idx, name)
         if np.isnan(alone["extension_field_base_in_distribution"]):
@@ -292,13 +299,13 @@ def test_a_degenerate_point_in_a_stacked_pass_raises_as_it_would_alone(monkeypat
         verification._chunk_worker(payload)
     observables = catalog.observable_test_set(sysd)
     with pytest.raises(SplittingDegenerateError) as alone:
-        verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, bad)], observables, None)
+        verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, bad)], observables)
     assert str(chunk.value) == str(alone.value)
     with pytest.raises(SplittingDegenerateError) as trio:
         geometry.tangent_splitting(sysd, sample[3:6])
     assert str(trio.value) == str(alone.value)
     for x in (sample[3], sample[5]):  # the points beside it are regular
-        verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, x)], observables, None)
+        verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, x)], observables)
 
 
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
