@@ -255,11 +255,8 @@ def pushforward_observable(
 def _free_cols_at(sys, q_s):
     if sys.frame_exprs is not None:
         return None
-    mu = np.asarray(
-        [[numdiff.float_core(v) for v in row] for row in sys.mu_values(q_s)],
-        dtype=float,
-    )
-    return geometry.default_frame_plan(mu)[0]
+    mu = [[numdiff.float_core(v) for v in row] for row in sys.mu_values(q_s)]
+    return geometry.default_frame_plans(numdiff.from_cores(mu, 1))[0][0]
 
 
 # --- sections of the distribution and the projected Lie bracket ---------------
@@ -408,11 +405,8 @@ def jacobi_rows(sys, kind, triples, points) -> np.ndarray:
     stack needs observables that do not read it off their point."""
     dstar = kind == "dstar"
     free = points[0].frame.free_cols if dstar else None
-    z = [x.dstar_scalars() if dstar else x.scalars() for x in points]
-    out = np.empty((len(points), len(triples)))
-    for t, core in enumerate(_jacobi_cores(sys, kind, triples, geometry.cores(z), free)):
-        out[:, t] = core  # a core with no batch dependence is a float
-    return out
+    z = numdiff.cores([x.dstar_scalars() if dstar else x.scalars() for x in points])
+    return numdiff.from_cores([_jacobi_cores(sys, kind, triples, z, free)], len(points))[:, 0]
 
 
 def _jacobi_cores(sys, kind, triples, base, free):

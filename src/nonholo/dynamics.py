@@ -27,8 +27,9 @@ points.
 pass per RK4 stage. At an accepted state that pass also feeds the validated
 Eden projection (``FieldEvaluator.project``), projecting or not: the state is
 evaluated once, with every check of ``geometry.eden_project``, and recorded
-as one array row. A stage point whose metric is not positive definite stops
-the run with ``geometry.metric_at``'s error there, as a state would.
+as one array row; a state whose pass raises stops the run with that error.
+A stage point whose metric is not positive definite stops the run with
+``geometry.metric_at``'s error there, as a state would.
 """
 
 from __future__ import annotations
@@ -112,19 +113,18 @@ def multipliers(
 
 def _free_field_and_multipliers(sys, x):
     """Free field and multipliers at a validated point, or stacked over a
-    list of them: the (B,) array cores of one dual pass carry every point."""
+    list of them: the cores (``numdiff.cores``) of one dual pass carry every
+    point, floats for a lone point."""
     free = hamiltonian_field(sys, x)
     n = sys.n
     z = np.concatenate([geometry.stacked(x, "q"), geometry.stacked(x, "p")], -1)
-    rows = (np.atleast_2d(a) for a in (z, free.as_vector()))
-    duals = [numdiff.DualScalar(v, (d,)) for v, d in zip(*map(geometry.cores, rows))]
+    rows = [np.atleast_2d(a) for a in (z, free.as_vector())]
+    duals = [numdiff.DualScalar(v, (d,)) for v, d in zip(*map(numdiff.cores, rows))]
     rates = geometry.residual_apply(sys, duals[:n], duals[n:])
-    cdot = np.stack(
-        [np.broadcast_to(r.partials[0] if isinstance(r, numdiff.DualScalar) else 0.0, z.shape[:-1])
-         for r in rates],
-        axis=-1,
-    )
-    return free, np.linalg.solve(geometry.stacked(x, "cons.gram"), cdot[..., None])[..., 0]
+    cdot = [r.partials[0] if isinstance(r, numdiff.DualScalar) else 0.0 for r in rates]
+    gram = geometry.stacked(x, "cons.gram")
+    cdot = numdiff.from_cores([cdot], len(rows[0])).reshape(gram.shape[:-1])
+    return free, np.linalg.solve(gram, cdot[..., None])[..., 0]
 
 
 def nonholonomic_field_multiplier(
@@ -262,8 +262,7 @@ def integrate(
 
     Each accepted state is validated by ``FieldEvaluator.project``, with the
     checks of ``geometry.eden_project``, from the dual pass that evaluates
-    it; where that shared pass raises, ``eden_project`` and a fresh
-    evaluation run instead, and raise as they would. With
+    it; where that pass raises, the run stops with its error. With
     ``project_each_step`` the projection replaces the momentum; without it
     the raw drift is observable and the on-manifold tolerance is enforced at
     step boundaries. The evaluation at an accepted state is both its recorded
@@ -323,10 +322,7 @@ def integrate(
                 z4 = z + dt * k3
                 k4, _, _, _ = ev.evaluate(z4[:n], z4[n:])
                 z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                try:  # validates the state from the pass that evaluates it
-                    p = ev.project(z[:n], z[n:])
-                except geometry.BATCH_FAILURES:
-                    p = geometry.eden_project(sys, z[:n], z[n:])
+                p = ev.project(z[:n], z[n:])  # validated from the pass that evaluates it
                 if project_each_step:
                     z[n:] = p
                 k1 = accept(t0 + (i + 1) * dt, z)

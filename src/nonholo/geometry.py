@@ -10,15 +10,16 @@ every point through it; ``gamma_apply`` is its differentiable counterpart.
 
 Each validated object has one body over a leading batch axis: ``validated``
 (metric, constraint rows, Gram matrix, then the residual bound or the Eden
-projection), ``_frames`` and ``_lift``. A lone point runs it on float cores
-(``cores``) through the single-point entry points; a list runs it once over
-(B,) array cores (``on_m_point`` of a list, ``frame_batch``, ``lift_batch``,
-the sampler). A body passes or raises: a lone point its own first failed
-check's error, a stack the error of any one of its failing points. So a
-stacked caller goes through ``per_point``, which reruns a stack that raises
-one point at a time, in index order; it is the only code that finds the
-first failing point. Every array a stacked pass keeps is bitwise the
-per-point one.
+projection), ``_frames`` (with ``default_frame_plans``, one pivot elimination
+over the stack) and ``_lift``. A lone point runs it on float cores
+(``numdiff.cores``) through the single-point entry points; a list runs it
+once over (B,) array cores (``on_m_point`` of a list, ``frame_batch``,
+``lift_batch``, the sampler). A body passes or raises: a lone point its own
+first failed check's error, a stack the error of any one of its failing
+points. So a stacked caller goes through ``per_point``, which reruns a stack
+that raises one point at a time, in index order; it is the only code that
+finds the first failing point. Every array a stacked pass keeps is bitwise
+the per-point one.
 
 The on-manifold tolerance ON_M_TOL is the default of every operation that
 requires its phase point on M; callers may override it per call.
@@ -95,22 +96,10 @@ def per_point(body, *stacks):
     return out
 
 
-def cores(z):
-    """The closure inputs at the rows of z (B, w): the floats of a lone row,
-    or one (B,) array per column, so one point never runs on array cores."""
-    z = np.asarray(z, dtype=float)
-    return z[0].tolist() if len(z) == 1 else list(z.T.copy())
-
-
-def _entries(rows, B):
-    """The (B, r, c) array of a table of closure values, floats or (B,) arrays."""
-    if B == 1:
-        return np.asarray(rows, dtype=float)[None]
-    out = np.empty((B, len(rows), len(rows[0])))
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            out[:, i, j] = v
-    return out
+def _at(table, q):
+    """The (B, r, c) values of the closure table ``table`` (a function of the
+    closure inputs) at the configurations q (B, n)."""
+    return numdiff.from_cores(table(numdiff.cores(q)), len(q))
 
 
 def _one(v):
@@ -178,14 +167,13 @@ def validated(sys, q, G=None, met=None, mu=None, p=None, tol=None, rows=True):
     a lone point its first failed check's error (so a lone point whose
     metric fails evaluates no rows), a stack one of its points' errors.
     """
-    B = len(q)
     if met is None:
-        G, Ginv = _metric_checks(q, _entries(sys.metric_values(cores(q)), B) if G is None else G)
+        G, Ginv = _metric_checks(q, _at(sys.metric_values, q) if G is None else G)
     else:
         G, Ginv = met.G[None], met.Ginv[None]
     gram = value = None
     if rows:
-        mu = _entries(sys.mu_values(cores(q)), B) if mu is None else mu
+        mu = _at(sys.mu_values, q) if mu is None else mu
         _row_checks(q, mu)
         gram = mu @ Ginv @ mu.swapaxes(1, 2)
         _check(_not_factored(0.5 * (gram + gram.swapaxes(1, 2))), lambda b: RankDeficientError(
@@ -410,37 +398,39 @@ def _on_m_points(sys, q, p, tol):
 # --- frames for the distribution ---------------------------------------------
 
 
-def default_frame_plan(mu: np.ndarray):
-    """Choose pivot columns by rank-revealing elimination with a fixed order.
+def default_frame_plans(mu: np.ndarray):
+    """Choose each point's pivot columns by one rank-revealing elimination
+    with a fixed order over the constraint rows mu (B, m, n).
 
     Each constraint row pivots on its largest remaining column (ties broken
     toward the lowest index); the complementary columns index the default
-    frame. Returns (free_cols, tie_seen).
+    frame. Returns one (free_cols, tie_seen) per point; a failed check
+    raises, a lone point its own first one.
     """
-    m, n = mu.shape
-    r = np.array(mu, dtype=float)
-    scale = float(np.max(np.abs(r)))
-    if scale == 0.0:
-        raise RankDeficientError("constraint rows vanish identically here")
-    pivots: list[int] = []
-    tie = False
-    for row in range(m):
-        mags = np.abs(r[row]).copy()
-        mags[pivots] = -1.0
-        best_col = int(np.argmax(mags))
-        best = mags[best_col]
-        if best <= 1e-10 * scale:
-            raise RankDeficientError("constraint rows are dependent here")
-        mags[best_col] = -1.0
-        second = float(np.max(mags)) if n > len(pivots) + 1 else -1.0
-        if second >= best * (1.0 - 1e-9):
-            tie = True
-        pivots.append(best_col)
-        for rr in range(m):
-            if rr != row and r[rr, best_col] != 0.0:
-                r[rr] = r[rr] - (r[rr, best_col] / r[row, best_col]) * r[row]
-    free = tuple(j for j in range(n) if j not in pivots)
-    return free, tie
+    r = np.asarray(mu, dtype=float)
+    B, m, n = r.shape
+    at = np.arange(B)
+    scale = np.abs(r).max((1, 2))
+    _check(scale == 0.0, lambda b: RankDeficientError("constraint rows vanish identically here"))
+    taken, tie = np.zeros((B, n), bool), np.zeros(B, bool)
+    with np.errstate(all="ignore"):  # the masked-out divisions may be 0/0
+        for row in range(m):
+            mags = np.abs(r[:, row])
+            mags[taken] = -1.0
+            col = mags.argmax(1)
+            best = mags[at, col]
+            _check(best <= 1e-10 * scale,
+                   lambda b: RankDeficientError("constraint rows are dependent here"))
+            mags[at, col] = -1.0
+            tie |= (mags.max(1) if n > row + 1 else -1.0) >= best * (1.0 - 1e-9)
+            taken[at, col] = True
+            c = r[at, :, col]  # eliminated from each other row whose entry is not 0
+            update = c != 0.0
+            update[:, row] = False
+            step = r - (c / c[:, row : row + 1])[..., None] * r[:, row : row + 1]
+            r = np.where(update[..., None], step, r)
+    return [(tuple(j for j, t in enumerate(cols) if not t), tied)
+            for cols, tied in zip(taken.tolist(), tie.tolist())]
 
 
 def _frames(sys, q, mu):
@@ -450,14 +440,14 @@ def _frames(sys, q, mu):
     independent. A failed check raises, as ``validated``'s do."""
     user = sys.frame_exprs is not None
     label, invalid = ("user", FrameInvalidError) if user else ("default", FrameDegenerateError)
-    plans = [(None, False)] * len(q) if user else [default_frame_plan(m) for m in mu]
+    plans = [(None, False)] * len(q) if user else default_frame_plans(mu)
     groups, out = {}, [None] * len(q)
     for b, (free, _) in enumerate(plans):
         groups.setdefault(free, []).append(b)
     for free, idx in groups.items():
         qs, mus = (q, mu) if len(idx) == len(q) else (q[idx], mu[idx])
         try:
-            E = _entries(frame_apply(sys, cores(qs), free), len(idx)).swapaxes(1, 2)
+            E = _at(functools.partial(frame_apply, sys, free_cols=free), qs).swapaxes(1, 2)
         except (SingularMatrixError, DomainError) as exc:
             if user:
                 raise
@@ -488,7 +478,7 @@ def frame_at(sys, q, mu=None) -> FrameAtPoint:
     the constraint rows at q when the caller has them validated already.
     """
     q = _one(q)
-    mu = _entries(sys.mu_values(cores(q)), 1) if mu is None else mu[None]
+    mu = _at(sys.mu_values, q) if mu is None else mu[None]
     return _frames(sys, q, mu)[0]
 
 

@@ -13,13 +13,14 @@ forward mode; Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 13):
 the arithmetic is elementwise, every libm call and domain check is the float
 one applied to each element, and ``solve_linear`` pivots each element by the
 scalar rule, so each element is bitwise the float result. A plain ndarray
-operand is a constant, as a number is. ``jacobian_batch`` seeds one lift over
-B points; a batch nests with other lifts like any level.
+operand is a constant, as a number is. ``cores`` and its inverse
+``from_cores`` are the one conversion between B points and their cores;
+``jacobian_batch`` seeds one lift over them, and nests like any level.
 
 Everything here is pure and first order. Supported primitives: +, -, *, /,
 power, sin, cos, tan, exp, log, sqrt and unary minus. Evaluating a primitive
-outside its domain (at any element of an array core) raises DomainError
-naming the primitive.
+outside its domain (at any element of an array core), an infinite argument
+of sin, cos or tan included, raises DomainError naming the primitive.
 """
 
 from __future__ import annotations
@@ -287,16 +288,22 @@ def _float_pow(b, e):
 
 def sin(x):
     if isinstance(x, DualScalar):
-        c = cos(x.value)
-        return DualScalar(sin(x.value), tuple([c * p for p in x.partials]), x.level)
-    return math.sin(x) if type(x) is float else _map(math.sin, x)
+        v, c = sin(x.value), cos(x.value)
+        return DualScalar(v, tuple([c * p for p in x.partials]), x.level)
+    try:
+        return math.sin(x) if type(x) is float else _map(math.sin, x)
+    except ValueError:  # an infinite argument
+        raise DomainError("sin", "argument must be finite") from None
 
 
 def cos(x):
     if isinstance(x, DualScalar):
-        s = sin(x.value)
-        return DualScalar(cos(x.value), tuple([-(s * p) for p in x.partials]), x.level)
-    return math.cos(x) if type(x) is float else _map(math.cos, x)
+        v, s = cos(x.value), sin(x.value)
+        return DualScalar(v, tuple([-(s * p) for p in x.partials]), x.level)
+    try:
+        return math.cos(x) if type(x) is float else _map(math.cos, x)
+    except ValueError:  # an infinite argument
+        raise DomainError("cos", "argument must be finite") from None
 
 
 def tan(x):
@@ -304,7 +311,10 @@ def tan(x):
         t = tan(x.value)
         sec2 = 1.0 + t * t
         return DualScalar(t, tuple([sec2 * p for p in x.partials]), x.level)
-    return math.tan(x) if type(x) is float else _map(math.tan, x)
+    try:
+        return math.tan(x) if type(x) is float else _map(math.tan, x)
+    except ValueError:  # an infinite argument
+        raise DomainError("tan", "argument must be finite") from None
 
 
 def exp(x):
@@ -381,8 +391,7 @@ def gradient(f, x):
 
 def jacobian(F, x):
     """Row i is the gradient of the i-th component of F at x."""
-    xs = [float(v) for v in x]
-    return np.asarray(jacobian_generic(F, xs), dtype=float).reshape(-1, len(xs))
+    return jacobian_batch(F, [x])[0]
 
 
 def jacobian_generic(F, scalars):
@@ -402,22 +411,28 @@ def jacobian_generic(F, scalars):
 
 
 def jacobian_batch(F, X):
-    """Jacobians of F at the B points X: (B, w) -> (B, rows, w).
+    """Jacobians of F at the B points X: (B, w) -> (B, rows, w), from one
+    lift over ``cores(X)``; row b is bitwise the Jacobian at X[b] alone."""
+    return from_cores(jacobian_generic(F, cores(X)), len(X))
 
-    F runs once, on one lift whose cores are the columns of X, or the floats
-    of a lone point; constant components get zero rows. Row b is bitwise
-    ``jacobian(F, X[b])``.
-    """
+
+def cores(X):
+    """The float cores of the points X (B, w): the floats of a lone point, or
+    one (B,) array per coordinate, so one point never runs on array cores."""
     X = np.asarray(X, dtype=float)
-    B, w = X.shape
+    return X[0].tolist() if len(X) == 1 else list(X.T.copy())
+
+
+def from_cores(table, B):
+    """The (B, r, c) array of a table of float cores over B points; a float
+    core is the same at every point. The inverse of ``cores``."""
     if B == 1:
-        return jacobian(F, X[0])[None]
-    rows = jacobian_generic(F, list(X.T.copy()))
-    J = np.empty((B, len(rows), w))
-    for r, row in enumerate(rows):
-        for c, p in enumerate(row):  # a float partial is the same at every point
-            J[:, r, c] = p
-    return J
+        return np.asarray(table, dtype=float)[None]
+    out = np.empty((B, len(table), len(table[0])))
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[:, i, j] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

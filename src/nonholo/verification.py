@@ -160,7 +160,7 @@ def _table_suites(points, raw, observables, n):
         skew = _point_max(vals[r] + vals[r].swapaxes(-1, -2) for r in routes)
 
         # the factors' values, one closure call per observable
-        cores = geometry.cores(np.concatenate([geometry.stacked(part, a) for a in "qp"], -1))
+        cores = numdiff.cores(np.concatenate([geometry.stacked(part, a) for a in "qp"], -1))
         value = {o: observables[o].fn(cores) for i, j, _ in triples for o in (i, j)}
         resids = []
         for t, (i, j, g_idx) in enumerate(triples):
@@ -185,11 +185,13 @@ def _chunk_metrics(sysd, points, observables):
     coincidence, forms_gap, skew, leibniz = _table_suites(points, raw, observables, n)
 
     dgam = geometry.stacked(points, "dgamma")
+    P, Q, C = geometry.stacked(points, "splitting")
+    resid = geometry.stacked(points, "residual_rows")  # the residual gradients, C[:, :m]
     ext = raw[:, :n_obs] @ dgam
     # two pairs as they are, then with either gradient moved off M along the
     # residual gradient by 1, -1 and 10: one stacked call for all 14 per point
     gf, gg = ext[:, [0, n]], ext[:, [n, min(2 * n, n_obs - 1)]]
-    shifts = [c * brackets.residual_gradients(points)[:, :1] for c in (1.0, -1.0, 10.0)]
+    shifts = [c * resid[:, :1] for c in (1.0, -1.0, 10.0)]
     nh, nh2 = brackets.nh_values_from_grads(
         points,
         np.stack([gf] + [gf + s for s in shifts] + [gf] * 3, 1),
@@ -202,8 +204,7 @@ def _chunk_metrics(sysd, points, observables):
     b = dynamics.nonholonomic_field_projection(sysd, points, np.inf)
     mult, proj = a.as_vector(), b.as_vector()
     two_route = _point_max([mult - proj])
-    P, Q, C = geometry.stacked(points, "splitting")
-    tangency = _point_max([brackets.residual_gradients(points) @ mult[..., None]])
+    tangency = _point_max([resid @ mult[..., None]])
     projector_laws = _point_max([P @ P - P, C @ P])
     u, s, _ = np.linalg.svd(P)
     proj_identity = []

@@ -280,19 +280,40 @@ def test_a_singular_gram_solve_is_a_rank_error():
             project(SINGULAR_GRAM_Q, p)
 
 
-def test_a_failed_shared_projection_falls_back_to_eden_project(monkeypatch):
-    """A state whose shared pass raises goes through ``eden_project`` and a
-    fresh evaluation: the trajectory is bitwise the one the shared pass gives."""
+def test_a_failed_shared_projection_stops_the_run_with_its_error(monkeypatch, capsys):
+    """A state whose shared pass raises stops the run with that pass's error
+    (exit 3 at the command line); the rows before it are bitwise the run's."""
+    from nonholo import cli
+
     x0 = catalog.sample_entry_points(catalog.get_entry("chaplygin_sleigh"), 1, 4)[0]
     shared = dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
+    project, calls = dynamics.FieldEvaluator.project, [0]
 
-    def fails(self, q, p):
-        raise DomainError("sqrt", "derivative unbounded at 0")
+    def fails_at_state_40(self, q, p):
+        calls[0] += 1
+        if calls[0] == 40:
+            raise DomainError("sqrt", "derivative unbounded at 0")
+        return project(self, q, p)
 
-    monkeypatch.setattr(dynamics.FieldEvaluator, "project", fails)
-    alone = dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
-    assert len(alone) == 101
-    assert alone.rows.tobytes() == shared.rows.tobytes()
+    monkeypatch.setattr(dynamics.FieldEvaluator, "project", fails_at_state_40)
+    message = "integration stopped: domain error in 'sqrt': derivative unbounded at 0"
+    with pytest.raises(StepFailureError) as info:
+        dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
+    assert str(info.value) == message
+    assert type(info.value.__cause__) is DomainError
+    assert info.value.trajectory.rows.tobytes() == shared.rows[:40].tobytes()
+    # at the command line: exit 3, that error, and the rows before it
+    calls[0] = 0
+    capsys.readouterr()
+    argv = ["simulate", "--system", "catalog:chaplygin_sleigh", "--t1", "0.1", "--dt", "1e-3",
+            "--format", "csv", "--q0=" + ",".join(map(repr, x0.q.tolist())),
+            "--p0=" + ",".join(map(repr, x0.p.tolist()))]
+    assert cli.main(argv) == cli.EXIT_STEP_FAILURE
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    monkeypatch.setattr(dynamics.FieldEvaluator, "project", project)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert out.splitlines() == capsys.readouterr().out.splitlines()[:41]  # header and 40 rows
 
 
 def test_a_dual_domain_error_in_the_shared_pass_is_left_to_eden_project():

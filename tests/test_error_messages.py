@@ -44,6 +44,7 @@ SOURCES = {
     "singular_gram": PARTICLE + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n",
     "user_frame": PARTICLE + "\n[frame]\ncol1 = 1, 0, y + exp(-1000*(x - 0.5)^2)\ncol2 = 0, 1, 0\n",
     "particle": PARTICLE,
+    "infinite_sin_metric": PARTICLE.replace("row1 = 1, 0, 0", "row1 = 2 + sin(1e300*1e300*x), 0, 0"),
     "disk": catalog.get_entry("vertical_rolling_disk").definition,
 }
 LEFT = ((-1.0, 0.0), (-1.0, 1.0), (-1.0, 1.0))  # x < 0, away from every bad point
@@ -273,6 +274,31 @@ def test_a_default_frame_over_vanishing_rows():
     sysd = _system("vanishing_rows")
     want = (RankDeficientError, "constraint rows vanish identically here")
     assert _raised(geometry.frame_at, sysd, [0.25, 0.75]) == want
+
+
+def _trig_argv(tmp_path, case):
+    if case == "brackets":
+        return ["brackets", "--system", "catalog:nonholonomic_particle",
+                "--f", "sin(1e300*1e300*x)", "--g", "p_x", "--point", "1,0,0,0,0,0"]
+    if case == "jacobiator":
+        x = catalog.sample_entry_points(catalog.get_entry("chaplygin_sleigh"), 1, 3)[0]
+        return ["jacobiator", "--system", "catalog:chaplygin_sleigh", "--kind", "dstar",
+                "--f", "tan(1e300*1e300*x)", "--g", "pi_1", "--h", "y",
+                f"--point={_csv([*x.q, *x.p])}"]
+    system = _system_arg(tmp_path, "infinite_sin_metric")
+    if case == "verify":
+        return ["verify", "--system", system, "--count", "10"]
+    return ["simulate", "--system", system, "--q0", "0.5,0,0", "--p0", "0,0,0"]
+
+
+@pytest.mark.parametrize("case", ["brackets", "jacobiator", "verify", "simulate"])
+def test_an_infinite_trig_argument_is_a_domain_error_at_the_cli(tmp_path, capsys, case):
+    # sin(inf) and tan(inf): one error line and exit 2, not a traceback
+    name = "tan" if case == "jacobiator" else "sin"
+    argv = _trig_argv(tmp_path, case)
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: domain error in '{name}': argument must be finite\n")
 
 
 # the arguments of the error classes whose __init__ takes more than a message

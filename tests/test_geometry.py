@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -351,6 +353,37 @@ def reference_on_m(sysd, q, p, tol=geometry.ON_M_TOL):
     return q, p, Gs, Ginv, mu, gram, r
 
 
+def reference_frame_plan(mu):
+    """The default frame plan at one point, row by row: (free_cols,
+    pivot_tie), or the error of the first check that fails. Each constraint
+    row pivots on its largest remaining column (ties toward the lowest
+    index), and every other row with a nonzero entry there is eliminated."""
+    m, n = mu.shape
+    r = np.array(mu, dtype=float)
+    scale = float(np.max(np.abs(r)))
+    if scale == 0.0:
+        raise RankDeficientError("constraint rows vanish identically here")
+    pivots: list[int] = []
+    tie = False
+    for row in range(m):
+        mags = np.abs(r[row]).copy()
+        mags[pivots] = -1.0
+        best_col = int(np.argmax(mags))
+        best = mags[best_col]
+        if best <= 1e-10 * scale:
+            raise RankDeficientError("constraint rows are dependent here")
+        mags[best_col] = -1.0
+        second = float(np.max(mags)) if n > len(pivots) + 1 else -1.0
+        if second >= best * (1.0 - 1e-9):
+            tie = True
+        pivots.append(best_col)
+        for rr in range(m):
+            if rr != row and r[rr, best_col] != 0.0:
+                r[rr] = r[rr] - (r[rr, best_col] / r[row, best_col]) * r[row]
+    free = tuple(j for j in range(n) if j not in pivots)
+    return free, tie
+
+
 def reference_frame(sysd, q, mu):
     """``frame_at`` at one point with its validated rows mu: (E, free_cols,
     pivot_tie), or the error of the first check that fails."""
@@ -359,7 +392,7 @@ def reference_frame(sysd, q, mu):
         free, tie, label, invalid = None, False, "user", FrameInvalidError
         E = np.asarray(geometry.frame_apply(sysd, q_list, free), dtype=float).T
     else:
-        free, tie = geometry.default_frame_plan(mu)
+        free, tie = reference_frame_plan(mu)
         label, invalid = "default", FrameDegenerateError
         try:
             E = np.asarray(geometry.frame_apply(sysd, q_list, free), dtype=float).T
@@ -496,6 +529,77 @@ def test_a_collapsed_default_frame_in_a_stacked_build_raises_as_it_would_alone(m
         assert x.frame.E.tobytes() == reference_frame(sysd, x.q, x.cons.mu)[0].tobytes()
 
 
+def _plan_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except RankDeficientError as exc:
+        return type(exc), str(exc)
+
+
+def _random_rows(rng, m, n):
+    """Constraint rows (m, n) of small integers, so ties and zeros occur,
+    with an entry replaced by inf, -inf or NaN now and then."""
+    mu = rng.integers(-2, 3, (m, n)).astype(float)
+    special = rng.random((m, n)) < 0.05
+    mu[special] = rng.choice([np.inf, -np.inf, np.nan], int(special.sum()))
+    return mu
+
+
+def _reference_plan(mu):
+    with np.errstate(all="ignore"):
+        return _plan_or_error(reference_frame_plan, mu)
+
+
+def test_stacked_frame_plans_equal_the_reference_plan():
+    # m = 1-3 rows over n = 1-5 columns, finite or not
+    rng = np.random.default_rng(19)
+    seen = {"tie": 0, "vanish": 0, "dependent": 0, "non-finite": 0}
+    for _ in range(3000):  # single points
+        mu = _random_rows(rng, *rng.integers(1, (4, 6)))
+        want = _reference_plan(mu)
+        got = _plan_or_error(geometry.default_frame_plans, mu[None])
+        assert got == (want if isinstance(want[0], type) else [want])
+        seen["tie"] += want[1] is True
+        seen["vanish"] += "vanish" in str(want[1])
+        seen["dependent"] += "dependent" in str(want[1])
+        seen["non-finite"] += not np.isfinite(mu).all()
+    assert min(seen.values()) >= 50
+    for _ in range(400):  # stacks of 7 points of one shape
+        m, n = rng.integers(1, (4, 6))
+        stack = np.stack([_random_rows(rng, m, n) for _ in range(7)])
+        want = [_reference_plan(mu) for mu in stack]
+        errors = [w for w in want if isinstance(w[0], type)]
+        if not errors:
+            assert geometry.default_frame_plans(stack) == want
+        else:  # a stack raises one of its points' errors, per_point the first
+            assert _plan_or_error(geometry.default_frame_plans, stack) in errors
+        assert _plan_or_error(geometry.per_point, geometry.default_frame_plans, stack) == (
+            errors[0] if errors else want
+        )
+
+
+def test_a_bad_frame_plan_in_a_stacked_build_raises_as_it_would_alone():
+    # point 4 has dependent rows, point 5 rows that vanish: the stacked plan
+    # meets point 5's error first, and the build reports point 4's
+    ent = catalog.get_entry("vertical_rolling_disk")  # two rows over four columns
+    sysd = ent.system()
+    points = geometry.on_m_point(sysd, catalog.sample_entry_points(ent, 7, 3))
+    bad = {4: [[1.0, 2.0, 0.0, 0.0], [2.0, 4.0, 0.0, 0.0]], 5: np.zeros((2, 4))}
+    for b, mu in bad.items():
+        mu = np.array(mu)
+        points[b] = dataclasses.replace(
+            points[b], cons=geometry.ConstraintsAtPoint(mu=mu, gram=mu @ mu.T)
+        )
+    want = (RankDeficientError, "constraint rows are dependent here")
+    assert _first_error(_framed_one_by_one(sysd), points) == want
+    assert _first_error(geometry.frame_batch, points) == want
+    assert _first_error(geometry.frame_batch, points[5:]) == (
+        RankDeficientError, "constraint rows vanish identically here"
+    )
+    for x in points[:4]:  # built before it, and bitwise as alone
+        assert _point_bytes(x) == _reference_bytes(sysd, x)
+
+
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
 def test_lone_points_evaluate_closures_and_lifts_on_float_cores(monkeypatch, ent):
     # one point never runs through (1,) array cores: every closure input and
@@ -527,13 +631,18 @@ def test_lone_points_evaluate_closures_and_lifts_on_float_cores(monkeypatch, ent
         if kind == "dstar":
             fgh = [brackets.pushforward_observable(sysd, o) for o in fgh]
         brackets.jacobiator(sysd, kind, *fgh, x)
+    xm = geometry.on_m_point(sysd, x)
+    brackets.raw_rows(xm, observables)
+    brackets.compare_brackets(sysd, observables[0], observables[sysd.n], x)
+    dynamics.multipliers(sysd, x)
+    dynamics.hamiltonian_field(sysd, x)
+    brackets.pushforward_observable(sysd, observables[1]).fn(xm.dstar_scalars())
     assert cores and set(cores) == {float}
 
 
-def test_only_per_point_and_integrate_catch_a_stacked_failure():
-    # a stacked pass that raises is rerun point by point in per_point, and
-    # integrate's shared validating pass falls back to eden_project; no other
-    # code catches BATCH_FAILURES to find a failing point of its own
+def test_only_per_point_catches_a_stacked_failure():
+    # a stacked pass that raises is rerun point by point in per_point; no
+    # other code catches BATCH_FAILURES to find a failing point of its own
     import ast
     from pathlib import Path
 
@@ -544,4 +653,4 @@ def test_only_per_point_and_integrate_catch_a_stacked_failure():
                 if isinstance(node, ast.ExceptHandler) and node.type is not None:
                     if "BATCH_FAILURES" in ast.unparse(node.type):
                         sites.append(f"{path.stem}.{getattr(top, 'name', '')}")
-    assert sites == ["dynamics.integrate", "geometry.per_point"]
+    assert sites == ["geometry.per_point"]

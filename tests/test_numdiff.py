@@ -126,6 +126,31 @@ def test_domain_errors_on_duals_too():
         numdiff.power(d, 0.5)
 
 
+@pytest.mark.parametrize("name", ["sin", "cos", "tan"])
+def test_trig_of_an_infinite_core_is_a_domain_error(name):
+    # on a float core, on a dual's core and at one element of an array core
+    fn, inf = numdiff.FUNCTIONS[name], math.inf
+    (d,) = numdiff.lift([-inf])
+    for arg in (inf, -inf, d, np.array([0.5, inf]), DualScalar(np.array([-inf, 0.5]), (1.0,))):
+        with pytest.raises(DomainError) as exc:
+            fn(arg)
+        assert str(exc.value) == f"domain error in '{name}': argument must be finite"
+
+
+def test_cores_of_one_point_are_floats_and_from_cores_inverts_them():
+    X = RNG.uniform(-1.0, 1.0, size=(4, 3))
+    one = numdiff.cores(X[:1])
+    assert [type(v) for v in one] == [float] * 3
+    many = numdiff.cores(X)
+    assert [v.shape for v in many] == [(4,)] * 3
+    for z, B in ((one, 1), (many, 4)):
+        table = [z, [2.0, z[0], z[2]]]  # a float core is the same at every point
+        got = numdiff.from_cores(table, B)
+        assert got.shape == (B, 2, 3)
+        assert got[:, 0].tobytes() == X[:B].tobytes()
+        assert got[:, 1].tolist() == [[2.0, x[0], x[2]] for x in X[:B].tolist()]
+
+
 def test_integer_powers_of_negative_base():
     (d,) = numdiff.lift([-2.0])
     out = numdiff.power(d, 3)
