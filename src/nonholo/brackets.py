@@ -28,7 +28,9 @@ functions (``canonical_bracket``, ``eden_bracket``, ``nonholonomic_bracket``,
 ``dstar_bracket``) are the validation they run plus that formula on floats.
 They serve as the oracles the test suite checks the route-table path
 against; ``dstar_bracket`` keeps the pullback formula, so it checks the
-algebroid bracket.
+algebroid bracket. ``field_brackets`` is the one Lie bracket of vector
+fields, stacked over configurations: ``lie_bracket_raw`` is its one-point
+case, and verify's integrability probe its stacked one.
 """
 
 from __future__ import annotations
@@ -244,10 +246,8 @@ def pushforward_observable(
     n = sys.n
 
     def fn(s):
-        q_s = list(s[:n])
-        free = _free_cols_at(sys, q_s) if free_cols is None else free_cols
-        cols = geometry.frame_apply(sys, q_s, free)
-        return f.fn(q_s + geometry.from_dstar_apply(sys, q_s, list(s[n:]), cols))
+        free = _free_cols_at(sys, list(s[:n])) if free_cols is None else free_cols
+        return f.fn(geometry.dstar_chart(sys, free, s)[: 2 * n])
 
     return DStarObservable(label=f"push({f.label})", fn=fn)
 
@@ -276,14 +276,22 @@ def section_from_expressions(sys: SystemDefinition, texts):
     return lambda q_s: [fn(q_s) for fn in fns]
 
 
+def field_brackets(F, pairs, qs) -> np.ndarray:
+    """[X_a, X_b] = (DX_b) X_a - (DX_a) X_b, unprojected, for each pair (a, b)
+    of the fields X_0, X_1, ... whose components F lists (n each, over generic
+    scalars), at the configurations qs (B, n): (B, pairs, n), each row bitwise
+    its point alone. DX is one ``numdiff.jacobian_batch``, X one evaluation
+    of F on the same cores."""
+    qs = np.asarray(qs, dtype=float)
+    B, n = qs.shape
+    D = numdiff.jacobian_batch(F, qs).reshape(B, -1, n, n)
+    V = numdiff.from_cores([F(numdiff.cores(qs))], B).reshape(B, -1, n, 1)
+    return np.stack([(D[:, b] @ V[:, a] - D[:, a] @ V[:, b])[..., 0] for a, b in pairs], 1)
+
+
 def lie_bracket_raw(sys: SystemDefinition, X, Y, q) -> np.ndarray:
-    """[X, Y] = (DY) X - (DX) Y by dual-number Jacobians; no projection."""
-    q_list = [float(v) for v in q]
-    jx = numdiff.jacobian(X, q_list)
-    jy = numdiff.jacobian(Y, q_list)
-    xv = np.array([numdiff.float_core(v) for v in X(q_list)])
-    yv = np.array([numdiff.float_core(v) for v in Y(q_list)])
-    return jy @ xv - jx @ yv
+    """[X, Y] = (DY) X - (DX) Y at q, unprojected: ``field_brackets`` at one point."""
+    return field_brackets(lambda s: [*X(s), *Y(s)], [(0, 1)], [q])[0, 0]
 
 
 def almost_lie_bracket(sys: SystemDefinition, X, Y, q) -> np.ndarray:
@@ -323,9 +331,7 @@ def _route_rows(sys, kind, obs_fn, scalars, free_cols=None):
         return numdiff.jacobian_generic(obs_fn, scalars)
     n = sys.n
     if kind == "dstar":
-        q_s = list(scalars[:n])
-        cols = geometry.frame_apply(sys, q_s, free_cols)
-        scalars = q_s + geometry.from_dstar_apply(sys, q_s, list(scalars[n:]), cols)
+        scalars = geometry.dstar_chart(sys, free_cols, scalars)[: 2 * n]
 
         def ext(s):
             return list(s[:n]) + geometry.to_dstar_apply(sys, s[:n], s[n:], free_cols)

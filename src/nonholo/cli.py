@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0", default=None, help="initial velocity (mapped through the fiber derivative)")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=1e-3, help="RK4 step: the last row is at "
+                   "t0 + round((t1 - t0)/dt)*dt, within dt/2 of t1")
     p.add_argument("--no-project", action="store_true",
                    help="disable the per-step momentum projection")
     p.set_defaults(fn=cmd_simulate)

@@ -260,6 +260,9 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 on the multiplier-route constrained field.
 
+    The run takes round((t1 - t0)/dt) steps of dt, so its last row is at
+    t0 + round((t1 - t0)/dt) dt, within dt/2 of t1; a step count below one
+    is refused before the first step, as one that is not finite is.
     Each accepted state is validated by ``FieldEvaluator.project``, with the
     checks of ``geometry.eden_project``, from the dual pass that evaluates
     it; where that pass raises, the run stops with its error. With
@@ -281,7 +284,9 @@ def integrate(
     span = (t1 - t0) / dt
     if not math.isfinite(span):
         raise NonholoError(f"step count (t1 - t0)/dt = {span!r} is not finite")
-    n_steps = max(1, int(round(span)))
+    n_steps = int(round(span))
+    if n_steps < 1:
+        raise NonholoError(f"step count (t1 - t0)/dt = {span!r} rounds to {n_steps} steps")
     z = np.concatenate([x0.q, x0.p])
     try:
         rows = np.empty((n_steps + 1, 2 * n + 2 * m + 2))  # (t, q, p, H, c, lam)

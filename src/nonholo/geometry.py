@@ -1,12 +1,13 @@
 """Pointwise metric algebra and the two projectors.
 
 Each geometric object has one formula, written over generic scalars (floats
-or duals) in the ``*_apply`` functions and ``splitting_rows`` so that the
+or duals) in the ``*_apply`` functions, ``splitting_rows`` (the splitting
+matrix C) and ``dstar_chart`` (the one chart D* -> M) so that the
 forward-mode engine can differentiate it. The float entry points are
 validation (symmetry and positive definiteness, rank, conditioning, frame
-membership) plus that formula on floats. The exception is the Eden
-projection, which keeps its own numpy arithmetic because sampling seeds
-every point through it; ``gamma_apply`` is its differentiable counterpart.
+membership) plus that formula on floats or one lift of it (C). The exception
+is the Eden projection, which keeps its own numpy arithmetic because sampling
+seeds every point through it; ``gamma_apply`` is its differentiable counterpart.
 
 Each validated object has one body over a leading batch axis: ``validated``
 (metric, constraint rows, Gram matrix, then the residual bound or the Eden
@@ -265,11 +266,6 @@ class OnMPoint:
         return tangent_splitting(self.sys, self, on_m_tol=np.inf)
 
     @cached_property  # one _lift each, as lift_batch builds them
-    def residual_rows(self) -> np.ndarray:
-        """Differentials of the residuals c_a (the first splitting rows)."""
-        return _lift([self], "residual_rows")[0]
-
-    @cached_property
     def dgamma(self) -> np.ndarray:
         """Jacobian of the phase-space momentum projection at this point."""
         return _lift([self], "dgamma")[0]
@@ -324,7 +320,8 @@ def almost_lie_algebroid(x):
 
 
 def dstar_chart(sys, free_cols, s):
-    """(q, pi) -> (q, p, frame columns) over generic scalars."""
+    """(q, pi) -> (q, p, frame columns) over generic scalars, the one D* -> M
+    chart: callers read (q, p) as ``[:2n]``, p as ``[n:2n]``."""
     q_s = list(s[: sys.n])
     cols = frame_apply(sys, q_s, free_cols)
     return q_s + from_dstar_apply(sys, q_s, s[sys.n :], cols) + sum(cols, [])
@@ -332,9 +329,9 @@ def dstar_chart(sys, free_cols, s):
 
 def _lift(points, name):
     """The data ``name`` of OnMPoints of one system, per point. A lifted
-    Jacobian (residual_rows, dgamma, chart_jacobian at the first point's
-    frame plan) is one ``numdiff.jacobian_batch``, float cores for a lone
-    point; the splitting and the algebroid are those of the stacked points."""
+    Jacobian (dgamma, chart_jacobian at the first point's frame plan) is one
+    ``numdiff.jacobian_batch``, float cores for a lone point; the splitting
+    and the algebroid are those of the stacked points."""
     sys = points[0].sys
     if name == "splitting":
         return list(zip(*tangent_splitting(sys, points, np.inf)))
@@ -343,8 +340,8 @@ def _lift(points, name):
     if name == "chart_jacobian":
         chart = functools.partial(dstar_chart, sys, points[0].frame.free_cols)
         return numdiff.jacobian_batch(chart, [x.dstar_scalars() for x in points])
-    F = residual_phase if name == "residual_rows" else gamma_hat_apply
-    return numdiff.jacobian_batch(functools.partial(F, sys), [x.scalars() for x in points])
+    F = functools.partial(gamma_hat_apply, sys)
+    return numdiff.jacobian_batch(F, [x.scalars() for x in points])
 
 
 def lift_batch(points) -> None:
@@ -352,7 +349,7 @@ def lift_batch(points) -> None:
     one ``_lift`` per object (and per frame plan for the chart), each bitwise
     the per-point build. Where one raises, the points keep the lazy builds
     it did not seed."""
-    for name in ("residual_rows", "dgamma", "chart_jacobian", "splitting", "algebroid"):
+    for name in ("dgamma", "chart_jacobian", "splitting", "algebroid"):
         for group in frame_plans(points).values() if name == "chart_jacobian" else [points]:
             for x, value in zip(group, _lift(group, name)):
                 x.__dict__[name] = value  # the cached_property's slot
@@ -536,10 +533,10 @@ def omega_inv_apply(cols: np.ndarray) -> np.ndarray:
 def tangent_splitting(sys, x, on_m_tol: float | None = None):
     """Projectors of the symplectic splitting along the constraint manifold.
 
-    Rows of C are the differentials of (i) the membership residuals
-    c_a(q, p) = mu_a G^-1 p (``OnMPoint.residual_rows``) and (ii) the base
-    conditions (mu_a, 0). Then ker C is the admissible tangent sub-bundle,
-    and
+    C is one lift of ``splitting_rows`` over the points' (q, p): the
+    differentials of (i) the membership residuals c_a(q, p) = mu_a G^-1 p
+    and (ii) the base conditions (mu_a, 0). Then ker C is the admissible
+    tangent sub-bundle, and
 
         Q = Omega^-1 C^T (C Omega^-1 C^T)^-1 C,    P = I - Q
 
@@ -549,9 +546,9 @@ def tangent_splitting(sys, x, on_m_tol: float | None = None):
     raises. Returns (P, Q, C).
     """
     x = on_m_point(sys, x, on_m_tol)
-    mu = stacked(x, "cons.mu")
-    base = np.concatenate([mu, np.zeros_like(mu)], -1)
-    C = np.concatenate([stacked(x, "residual_rows"), base], -2)
+    z = np.concatenate([stacked(x, "q"), stacked(x, "p")], -1)
+    C = _at(functools.partial(splitting_rows, sys), z.reshape(-1, 2 * sys.n))
+    C = C.reshape(z.shape[:-1] + C.shape[1:])
     M1 = omega_inv_apply(C.swapaxes(-1, -2))
     K = C @ M1
     for s in np.linalg.svd(K, compute_uv=False).reshape(-1, K.shape[-1]):

@@ -251,9 +251,8 @@ def from_dstar(sys: SystemDefinition, y: DStarPoint) -> PhasePoint:
     The image always satisfies the momentum constraints since mu.E = 0.
     """
     geometry.metric_at(sys, y.q)  # validation: the metric must be SPD
-    cols = geometry.frame_at(sys, y.q).E.T.tolist()
-    p = geometry.from_dstar_apply(sys, y.q.tolist(), y.pi.tolist(), cols)
-    return PhasePoint(q=y.q, p=p)
+    free = geometry.frame_at(sys, y.q).free_cols
+    return PhasePoint(q=y.q, p=geometry.dstar_chart(sys, free, y.scalars())[sys.n : 2 * sys.n])
 
 
 def constrained_hamiltonian(sys: SystemDefinition, y: DStarPoint) -> float:

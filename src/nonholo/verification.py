@@ -7,7 +7,8 @@ projected-bracket forms, the two dynamics routes, field tangency, projector
 laws, the projection-Jacobian identity on admissible tangents, the
 distribution membership of extension fields, and the Jacobiator policy
 (zero everywhere for an integrable distribution, a reproducible nonzero
-witness otherwise).
+witness otherwise). The policy is probed first: do the frame fields' Lie
+brackets (``brackets.field_brackets``, stacked per frame plan) stay in D?
 
 Each point is validated once into a ``geometry.OnMPoint``, and every suite
 reads the metric, constraint rows, splitting, projection Jacobian, frame and
@@ -90,37 +91,24 @@ def _system_is_integrable(sysd, region, seed) -> bool:
     geometry.frame_batch(points)
     residuals = []  # the brackets' parts outside the distribution
     for free, group in geometry.frame_plans(points).items():
-        qs = [list(x.q) for x in group]
-        for q, ws in zip(qs, _frame_brackets(sysd, free, qs)):
-            mu = np.asarray(sysd.mu_values(q), dtype=float)
-            residuals += [mu @ w for w in ws]
+        ws = _frame_brackets(sysd, free, geometry.stacked(group, "q"))
+        residuals.append(ws @ geometry.stacked(group, "cons.mu").swapaxes(1, 2))
     return _max_abs(*residuals) <= 1e-10  # a NaN residual is not integrable
 
 
 def _frame_brackets(sysd, free, qs):
-    """Lie brackets of the frame fields at configurations of one frame plan.
-
-    Per point: [X_a, X_b] for every a < b, or [X, q_0 X] when the frame has
-    one field. One batched lift gives the Jacobian DX of every field, and
-    [X, Y] = DY X - DX Y; each bracket is bitwise ``brackets.lie_bracket_raw``
-    of its two fields.
-    """
-    n, k = sysd.n, sysd.k
+    """The frame fields' Lie brackets at configurations qs (B, n) of one frame
+    plan, (B, pairs, n): [X_a, X_b] for a < b, or [X, q_0 X] with one field;
+    one ``brackets.field_brackets`` (``per_point``), bitwise ``lie_bracket_raw``."""
+    k = sysd.k
 
     def fields(s):
         cols = geometry.frame_apply(sysd, s, free)
-        if k == 1:
-            cols = cols + [[s[0] * v for v in cols[0]]]
-        return sum(cols, [])
+        return sum(cols, []) + ([s[0] * v for v in cols[0]] if k == 1 else [])
 
-    jac = geometry.per_point(functools.partial(numdiff.jacobian_batch, fields), qs)
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)] or [(0, 1)]
-    out = []
-    for q, jq in zip(qs, jac):
-        d = jq.reshape(-1, n, n)
-        v = np.array(fields(q), dtype=float).reshape(-1, n)
-        out.append([d[b] @ v[a] - d[a] @ v[b] for a, b in pairs])
-    return out
+    body = functools.partial(brackets.field_brackets, fields, pairs)
+    return np.asarray(geometry.per_point(body, qs))
 
 
 def _max_abs(*parts) -> float:
@@ -186,7 +174,7 @@ def _chunk_metrics(sysd, points, observables):
 
     dgam = geometry.stacked(points, "dgamma")
     P, Q, C = geometry.stacked(points, "splitting")
-    resid = geometry.stacked(points, "residual_rows")  # the residual gradients, C[:, :m]
+    resid = C[:, : n - k]  # the residual gradients
     ext = raw[:, :n_obs] @ dgam
     # two pairs as they are, then with either gradient moved off M along the
     # residual gradient by 1, -1 and 10: one stacked call for all 14 per point

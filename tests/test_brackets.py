@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nonholo import brackets, catalog, dsl, geometry, numdiff
+from nonholo import brackets, catalog, dsl, geometry, numdiff, verification
 from nonholo.errors import NotOnMError, SectionNotInDError, SplittingDegenerateError
 from nonholo.rng import SplitMix64
 from nonholo.system import (
@@ -198,9 +200,10 @@ def test_dstar_bracket_canonical_pair_and_skew():
         )
 
 
-PARTICLE_USER_FRAME = dsl.parse_system(
-    B_ENTRY.definition + "\n[frame]\ncol1 = 1, 0, y\ncol2 = 0, 1, 0\n"
-)
+# the particle with the user frame e1 = (1, 0, y), e2 = (0, 1, 0): its
+# structure functions C are nonzero, where the default frame's vanish
+USER_FRAME_SOURCE = (Path(__file__).parent / "data" / "particle_user_frame.system").read_text()
+PARTICLE_USER_FRAME = dsl.parse_system(USER_FRAME_SOURCE)
 
 
 def dstar_table(sysd, x, observables):
@@ -256,6 +259,52 @@ def test_structure_functions_closed_form():
                     w = brackets.almost_lie_bracket(sysd, secs[a], secs[b], x.q)
                     gap = np.max(np.abs(w - xm.frame.E @ C[:, a, b]))
                     assert gap <= 1e-12, (ent.id, a, b)
+
+
+def _verify_report(source, entry):
+    """``verify --count 100 --seed 1`` on ``source``, sampled as the catalog
+    system ``entry`` is."""
+    return verification.run_verify(verification.VerifyConfig(
+        system_source=source, system_label=entry.id, count=100, seed=1,
+        region=entry.sample_region, momentum_scale=entry.momentum_scale,
+    ))
+
+
+def _suite(report, name):
+    return next(s for s in report["suites"] if s["name"] == name)
+
+
+def test_verify_passes_on_the_user_frame_particle():
+    assert USER_FRAME_SOURCE == B_ENTRY.definition + "\n[frame]\ncol1 = 1, 0, y\ncol2 = 0, 1, 0\n"
+    report = _verify_report(USER_FRAME_SOURCE, B_ENTRY)
+    assert report["pass"]
+    assert _suite(report, "bracket_coincidence")["value"] <= 1e-15
+
+
+def test_a_halved_algebroid_pi_block_fails_bracket_coincidence(monkeypatch):
+    # the (pi, pi) block of Lambda is -pi.C, so only the systems whose
+    # structure functions do not vanish can see it: the sleigh and the
+    # user-frame particle, not the other three catalog systems
+    algebroid = geometry.almost_lie_algebroid
+
+    def halved(x):
+        theta, lam, C = algebroid(x)
+        n = theta.shape[-2] // 2
+        lam = lam.copy()
+        lam[..., n:, n:] *= 0.5
+        return theta, lam, C
+
+    monkeypatch.setattr(geometry, "almost_lie_algebroid", halved)
+    cases = {"user_frame": (USER_FRAME_SOURCE, B_ENTRY)}
+    cases.update((e.id, (e.definition, e)) for e in catalog.catalog_systems())
+    failed, coincidence = {}, {}
+    for name, (source, entry) in cases.items():
+        report = _verify_report(source, entry)
+        failed[name] = [s["name"] for s in report["suites"] if not s["pass"]]
+        coincidence[name] = _suite(report, "bracket_coincidence")["value"]
+    caught = {"user_frame", "chaplygin_sleigh"}
+    assert failed == {name: ["bracket_coincidence"] if name in caught else [] for name in cases}
+    assert all(coincidence[name] > 0.1 for name in caught)  # 0.27 and 0.12
 
 
 def test_almost_lie_bracket_cases():

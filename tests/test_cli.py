@@ -233,6 +233,15 @@ def test_simulate_refuses_a_step_count_it_cannot_hold(capsys, span, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_simulate_refuses_a_step_count_below_one():
+    # t1 = 0.04 is nearer no step of dt = 0.1 than one: exit 2, no payload
+    proc = run_cli(
+        "simulate", "--system", "catalog:nonholonomic_particle", "--q0", "0,0,0",
+        "--v0", "1,0,0", "--t1", "0.04", "--dt", "0.1", expect=2,
+    )
+    assert_one_error_line(proc, "rounds to 0 steps")
+
+
 @pytest.mark.parametrize("command, extra", [
     ("simulate", ["--q0", "0,0,0", "--p0", "1,0,0"]),
     ("brackets", ["--f", "x", "--g", "p_x", "--point", "0,0,0,1,0,0"]),

@@ -301,6 +301,18 @@ def test_an_infinite_trig_argument_is_a_domain_error_at_the_cli(tmp_path, capsys
     assert capsys.readouterr() == ("", f"error: domain error in '{name}': argument must be finite\n")
 
 
+def test_a_step_count_below_one_is_refused_before_the_first_step(capsys):
+    # (t1 - t0)/dt = 0.4 rounds to no step: a clamp to one step would record
+    # a last row at t = 0.1, past t1
+    message = "step count (t1 - t0)/dt = 0.39999999999999997 rounds to 0 steps"
+    sysd = _system("particle")
+    x0 = PhasePoint(q=[0.0, 0.0, 0.0], p=[1.0, 0.0, 0.0])
+    assert _raised(dynamics.integrate, sysd, x0, 0.0, 0.04, 0.1) == (errors.NonholoError, message)
+    argv = ["simulate", "--system", "catalog:nonholonomic_particle", "--q0", "0,0,0",
+            "--v0", "1,0,0", "--t1", "0.04", "--dt", "0.1"]
+    assert _cli_error(capsys, argv) == (cli.EXIT_VALIDATION, f"error: {message}")
+
+
 # the arguments of the error classes whose __init__ takes more than a message
 ERROR_ARGS = {
     errors.DomainError: ("log", "argument must be positive"),

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,17 +642,36 @@ def test_lone_points_evaluate_closures_and_lifts_on_float_cores(monkeypatch, ent
     assert cores and set(cores) == {float}
 
 
-def test_only_per_point_catches_a_stacked_failure():
-    # a stacked pass that raises is rerun point by point in per_point; no
-    # other code catches BATCH_FAILURES to find a failing point of its own
-    import ast
-    from pathlib import Path
-
+def _source_sites(found):
+    """``module.top_level_name`` of every top-level definition in the package
+    source holding a node for which ``found(node)`` holds, once per node."""
     sites = []
     for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.ExceptHandler) and node.type is not None:
-                    if "BATCH_FAILURES" in ast.unparse(node.type):
-                        sites.append(f"{path.stem}.{getattr(top, 'name', '')}")
-    assert sites == ["geometry.per_point"]
+                if found(node):
+                    sites.append(f"{path.stem}.{getattr(top, 'name', '')}")
+    return sites
+
+
+def test_only_per_point_catches_a_stacked_failure():
+    # a stacked pass that raises is rerun point by point in per_point; no
+    # other code catches BATCH_FAILURES to find a failing point of its own
+    def catches(node):
+        return (isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "BATCH_FAILURES" in ast.unparse(node.type))
+
+    assert _source_sites(catches) == ["geometry.per_point"]
+
+
+@pytest.mark.parametrize("name, owner", [
+    ("from_dstar_apply", "geometry.dstar_chart"),  # the one D* -> M chart
+    ("residual_phase", "geometry.splitting_rows"),  # the one splitting matrix C
+])
+def test_one_body_reads_each_formula(name, owner):
+    # every other caller goes through the owner, so the object has one body
+    def reads(node):
+        return (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name)
+
+    assert _source_sites(reads) == [owner]
