@@ -113,17 +113,19 @@ def multipliers(
 
 def _free_field_and_multipliers(sys, x):
     """Free field and multipliers at a validated point, or stacked over a
-    list of them: the cores (``numdiff.cores``) of one dual pass carry every
-    point, floats for a lone point."""
+    list of them: one dual pass along the free field
+    (``numdiff.directional_batch``) carries every point, on float cores for a
+    lone point."""
     free = hamiltonian_field(sys, x)
     n = sys.n
     z = np.concatenate([geometry.stacked(x, "q"), geometry.stacked(x, "p")], -1)
-    rows = [np.atleast_2d(a) for a in (z, free.as_vector())]
-    duals = [numdiff.DualScalar(v, (d,)) for v, d in zip(*map(numdiff.cores, rows))]
-    rates = geometry.residual_apply(sys, duals[:n], duals[n:])
-    cdot = [r.partials[0] if isinstance(r, numdiff.DualScalar) else 0.0 for r in rates]
+    cdot = numdiff.directional_batch(
+        lambda s: geometry.residual_apply(sys, s[:n], s[n:]),
+        np.atleast_2d(z),
+        np.atleast_2d(free.as_vector()),
+    )
     gram = geometry.stacked(x, "cons.gram")
-    cdot = numdiff.from_cores([cdot], len(rows[0])).reshape(gram.shape[:-1])
+    cdot = cdot.reshape(gram.shape[:-1])
     return free, np.linalg.solve(gram, cdot[..., None])[..., 0]
 
 
@@ -150,7 +152,9 @@ def nonholonomic_field_projection(
 
 def _values_and_grads(table, n):
     """The values (r, c) and configuration gradients (r, c, n) of a table of
-    closure results over one width-n lift: floats or duals."""
+    closure results over one width-n lift: floats or duals. The lift is of a
+    lone point's floats, so a dual here has float cores and tuple partials,
+    never the packed partials of array cores."""
     vals = np.empty((len(table), len(table[0])))
     grads = np.zeros(vals.shape + (n,))
     for i, row in enumerate(table):
@@ -243,7 +247,11 @@ class FieldEvaluator:
             dc_q -= np.einsum("aj,ijk,k->ai", muGinv, dG, v)
         rhs = dc_q @ v + muGinv @ (-dHq)
         gram = muGinv @ mu.T
-        lam = np.linalg.solve(gram, rhs)
+        try:
+            lam = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:  # dependent rows at an RK4 stage
+            geometry.constraints_at(self.sys, q, self._met)
+            raise
         dp = -dHq - mu.T @ lam
         H = 0.5 * float(p @ v) + Vval
         return np.concatenate([v, dp]), lam, c, H

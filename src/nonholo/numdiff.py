@@ -15,7 +15,15 @@ one applied to each element, and ``solve_linear`` pivots each element by the
 scalar rule, so each element is bitwise the float result. A plain ndarray
 operand is a constant, as a number is. ``cores`` and its inverse
 ``from_cores`` are the one conversion between B points and their cores;
-``jacobian_batch`` seeds one lift over them, and nests like any level.
+``jacobian_batch`` seeds one lift over them, and nests like any level, and
+``directional_batch`` one width-1 lift along given directions.
+
+Partials are a tuple, one entry per variable, except at the first level over
+array cores: there ``lift`` packs them into one (w, B) array (a private
+subclass of DualScalar), so each term of a formula is one ufunc over all w
+partials and B elements instead of w. Float cores (a lone point: integrate
+and every single-point command) keep tuples of floats, and a nested level
+keeps a tuple of lower-level duals, which over array cores are packed.
 
 Everything here is pure and first order. Supported primitives: +, -, *, /,
 power, sin, cos, tan, exp, log, sqrt and unary minus. Evaluating a primitive
@@ -50,9 +58,9 @@ class DualScalar:
     """Value plus one level of partial derivatives.
 
     ``partials`` has one slot per independent variable of the lift that
-    created this level; entries (and ``value``) may themselves be duals of a
-    lower level when lifts are nested. The float cores below every level are
-    floats or ``(B,)`` arrays.
+    created this level (a tuple; a packed dual's rows of one array); entries
+    (and ``value``) may themselves be duals of a lower level when lifts are
+    nested. The float cores below every level are floats or ``(B,)`` arrays.
     """
 
     __slots__ = ("value", "partials", "level")
@@ -76,10 +84,14 @@ class DualScalar:
     def __repr__(self):
         return f"DualScalar({self.value!r}, {self.partials!r}, level={self.level})"
 
-    # The arithmetic below is the hot loop of the package. Partials are built
-    # from list comprehensions or map (cheaper than tuple(<generator>)), a
-    # plain float operand takes the first branch, and _check runs only when
-    # the widths differ. The values are those of the plain formulas.
+    # The arithmetic below is the hot loop of the package on float cores
+    # (packed duals override it, see _Packed). Partials are built from list
+    # comprehensions or map (cheaper than tuple(<generator>)), a plain float
+    # operand takes the first branch, and _check runs only when the widths
+    # differ. The values are those of the plain formulas. A type test on the
+    # partials here would cost the float cores; packed arithmetic therefore
+    # lives in the subclass, and the primitives take one ``type(x) is
+    # _Packed`` branch each.
 
     def __neg__(self):
         return DualScalar(-self.value, tuple(map(_neg, self.partials)), self.level)
@@ -178,6 +190,63 @@ class DualScalar:
         return power(other, self)
 
 
+class _Packed(DualScalar):
+    """A level-1 dual over (B,) array cores whose w partials are the rows of
+    one (w, B) array, so each term of a formula is one ufunc over every
+    partial and element. Each element sees the operations of the tuple
+    formulas in the same order. An operand that is neither packed nor a
+    constant takes the DualScalar method, which zips over the array's rows;
+    a reflected call there only swaps the operands of + and *, which commute
+    bitwise. The arrays are shared between duals and never written."""
+
+    __slots__ = ()
+
+    def __init__(self, value, partials):
+        self.value = value
+        self.partials = partials
+        self.level = 1
+
+    def __neg__(self):
+        return _Packed(-self.value, -self.partials)
+
+    def __add__(self, other):
+        if type(other) is _Packed:
+            if len(self.partials) != len(other.partials):
+                self._check(other)
+            return _Packed(self.value + other.value, self.partials + other.partials)
+        if isinstance(other, _CONST):
+            return _Packed(self.value + other, self.partials)
+        return DualScalar.__add__(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is _Packed:
+            if len(self.partials) != len(other.partials):
+                self._check(other)
+            return _Packed(self.value - other.value, self.partials - other.partials)
+        if isinstance(other, _CONST):
+            return _Packed(self.value - other, self.partials)
+        return DualScalar.__sub__(self, other)
+
+    def __rsub__(self, other):
+        if isinstance(other, _CONST):
+            return _Packed(other - self.value, -self.partials)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if type(other) is _Packed:
+            if len(self.partials) != len(other.partials):
+                self._check(other)
+            sv, ov = self.value, other.value
+            return _Packed(sv * ov, self.partials * ov + sv * other.partials)
+        if isinstance(other, _CONST):
+            return _Packed(self.value * other, self.partials * other)
+        return DualScalar.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
 def _anywhere(cond):
     """A domain test on a float core, or on any element of an array core."""
     return cond if type(cond) is bool else cond.any()
@@ -202,6 +271,15 @@ def divide(num, den):
         zero = float_core(dv) == 0.0  # _anywhere inlined: divide is the hot path
         if zero if type(zero) is bool else zero.any():
             raise DomainError("division", "division by zero")
+        if type(den) is _Packed:
+            if type(num) is _Packed:
+                if len(num.partials) != len(den.partials):
+                    num._check(den)
+                q = num.value / dv
+                return _Packed(q, (num.partials - q * den.partials) / dv)
+            if isinstance(num, _CONST):
+                q = divide(num, dv)
+                return _Packed(q, -(q * den.partials) / dv)
         div = divide if isinstance(dv, DualScalar) else _truediv
         if isinstance(num, DualScalar):
             if num.level == den.level:
@@ -229,6 +307,8 @@ def divide(num, den):
     if zero if type(zero) is bool else zero.any():
         raise DomainError("division", "division by zero")
     if isinstance(num, DualScalar):
+        if type(num) is _Packed:
+            return _Packed(num.value / den, num.partials / den)
         return DualScalar(
             divide(num.value, den),
             tuple([p / den for p in num.partials]),
@@ -248,6 +328,8 @@ def power(base, exponent):
     if isinstance(exponent, DualScalar):
         d = exp(exponent * log(base))
         below = [x.value if _level(x) == d.level else x for x in (base, exponent)]
+        if type(d) is _Packed:
+            return _Packed(power(*below), d.partials)
         return DualScalar(power(*below), d.partials, d.level)
     if not isinstance(base, DualScalar):
         if isinstance(exponent, np.ndarray):  # an array core: one exponent per element
@@ -269,6 +351,8 @@ def power(base, exponent):
             raise DomainError("power", "derivative of x^e unbounded at 0 for e < 1")
     val = power(base.value, e)
     slope = power(base.value, e - 1.0) * e
+    if type(base) is _Packed:
+        return _Packed(val, slope * base.partials)
     return DualScalar(
         val, tuple([slope * p for p in base.partials]), base.level
     )
@@ -289,6 +373,8 @@ def _float_pow(b, e):
 def sin(x):
     if isinstance(x, DualScalar):
         v, c = sin(x.value), cos(x.value)
+        if type(x) is _Packed:
+            return _Packed(v, c * x.partials)
         return DualScalar(v, tuple([c * p for p in x.partials]), x.level)
     try:
         return math.sin(x) if type(x) is float else _map(math.sin, x)
@@ -299,6 +385,8 @@ def sin(x):
 def cos(x):
     if isinstance(x, DualScalar):
         v, s = cos(x.value), sin(x.value)
+        if type(x) is _Packed:
+            return _Packed(v, -(s * x.partials))
         return DualScalar(v, tuple([-(s * p) for p in x.partials]), x.level)
     try:
         return math.cos(x) if type(x) is float else _map(math.cos, x)
@@ -310,6 +398,8 @@ def tan(x):
     if isinstance(x, DualScalar):
         t = tan(x.value)
         sec2 = 1.0 + t * t
+        if type(x) is _Packed:
+            return _Packed(t, sec2 * x.partials)
         return DualScalar(t, tuple([sec2 * p for p in x.partials]), x.level)
     try:
         return math.tan(x) if type(x) is float else _map(math.tan, x)
@@ -320,6 +410,8 @@ def tan(x):
 def exp(x):
     if isinstance(x, DualScalar):
         v = exp(x.value)
+        if type(x) is _Packed:
+            return _Packed(v, v * x.partials)
         return DualScalar(v, tuple([v * p for p in x.partials]), x.level)
     try:
         return math.exp(x) if type(x) is float else _map(math.exp, x)
@@ -331,6 +423,8 @@ def log(x):
     if _anywhere(float_core(x) <= 0.0):
         raise DomainError("log", "argument must be positive")
     if isinstance(x, DualScalar):
+        if type(x) is _Packed:
+            return _Packed(log(x.value), x.partials / x.value)
         return DualScalar(
             log(x.value), tuple([divide(p, x.value) for p in x.partials]), x.level
         )
@@ -346,6 +440,8 @@ def sqrt(x):
             raise DomainError("sqrt", "derivative unbounded at 0")
         v = sqrt(x.value)
         half = divide(0.5, v)
+        if type(x) is _Packed:
+            return _Packed(v, half * x.partials)
         return DualScalar(v, tuple([half * p for p in x.partials]), x.level)
     return math.sqrt(x) if type(x) is float else _map(math.sqrt, x)
 
@@ -365,12 +461,17 @@ def lift(values):
 
     The lift opens a fresh perturbation level one above the deepest level
     present in ``values``; constants keep zero partials implicitly by never
-    being lifted.
+    being lifted. Over (B,) array cores the first level is packed: the
+    partials of value i are one (w, B) array whose row i is 1.0.
     """
     vals = list(values)
     level = 1 + max(
         (v.level for v in vals if isinstance(v, DualScalar)), default=0
     )
+    if level == 1:
+        B = next((len(v) for v in vals if type(v) is np.ndarray), 0)
+        if B:
+            return _seed(vals, np.eye(len(vals))[:, :, None].repeat(B, 2))
     zeros = (0.0,) * len(vals)
     out = []
     for i, v in enumerate(vals):
@@ -378,6 +479,15 @@ def lift(values):
             v = float(v)
         out.append(DualScalar(v, zeros[:i] + (1.0,) + zeros[i + 1 :], level))
     return out
+
+
+def _seed(vals, partials):
+    """Packed level-1 duals: value i with the (w, B) partials ``partials[i]``,
+    made read-only, as every packed array is shared."""
+    partials.flags.writeable = False
+    return [
+        _Packed(v if type(v) is np.ndarray else float(v), p) for v, p in zip(vals, partials)
+    ]
 
 
 def gradient(f, x):
@@ -403,7 +513,7 @@ def jacobian_generic(F, scalars):
     duals = lift(scalars)
     level = duals[0].level
     return [
-        list(c.partials)
+        (c.partials if type(c) is _Packed else list(c.partials))
         if isinstance(c, DualScalar) and c.level == level
         else [0.0] * len(duals)
         for c in F(duals)
@@ -414,6 +524,20 @@ def jacobian_batch(F, X):
     """Jacobians of F at the B points X: (B, w) -> (B, rows, w), from one
     lift over ``cores(X)``; row b is bitwise the Jacobian at X[b] alone."""
     return from_cores(jacobian_generic(F, cores(X)), len(X))
+
+
+def directional_batch(F, X, V):
+    """Derivatives of F at the B points X (B, w) along the directions V
+    (B, w): (B, rows), from one width-1 lift over ``cores(X)`` seeded with
+    ``cores(V)`` (packed over array cores); row b is bitwise the derivative
+    at X[b] alone."""
+    x, v = cores(X), cores(V)
+    if len(X) == 1:
+        duals = [DualScalar(a, (d,)) for a, d in zip(x, v)]
+    else:
+        duals = _seed(x, np.asarray(v)[:, None])
+    rows = [c.partials[0] if isinstance(c, DualScalar) else 0.0 for c in F(duals)]
+    return from_cores([rows], len(X))[:, 0]
 
 
 def cores(X):
@@ -430,6 +554,9 @@ def from_cores(table, B):
         return np.asarray(table, dtype=float)[None]
     out = np.empty((B, len(table), len(table[0])))
     for i, row in enumerate(table):
+        if type(row) is np.ndarray:  # a packed row (w, B) of jacobian_generic
+            out[:, i] = row.T
+            continue
         for j, v in enumerate(row):
             out[:, i, j] = v
     return out
@@ -514,6 +641,11 @@ def _select(mask, u, v):
     top = max((e for e in (u, v) if isinstance(e, DualScalar)), key=_level, default=None)
     if top is None:
         return np.where(mask, u, v)
+    if type(top) is _Packed and DualScalar not in (type(u), type(v)):
+        (uv, up), (vv, vp) = (
+            (e.value, e.partials) if type(e) is _Packed else (e, 0.0) for e in (u, v)
+        )
+        return _Packed(np.where(mask, uv, vv), np.where(mask, up, vp))
     zeros = (0.0,) * len(top.partials)
     (uv, up), (vv, vp) = (
         (e.value, e.partials) if _level(e) == top.level else (e, zeros) for e in (u, v)

@@ -123,6 +123,32 @@ def test_simulate_stage_points_do_not_jump_the_singular_metric(tmp_path, extra):
     assert np.all(rows[:, 1] < 1.0)
 
 
+STAGE_GRAM = (
+    "[system]\nname = stage_gram\ndim = 3\ncoords = x, y, z\n"
+    "[metric]\nrow1 = 1, 0, 0\nrow2 = 0, 1, 0\nrow3 = 0, 0, 1\n[potential]\nV = 0\n"
+    "[constraint]\nform = y, 0, 1\n[constraint]\nform = 1, 0, y\n"
+)
+
+
+def test_simulate_stops_at_dependent_rows_at_a_stage_point(tmp_path):
+    # the first step's second stage point lands on y = 1, where the two rows
+    # are dependent: the rows' own error stops the run after the t = 0 row
+    path = tmp_path / "stage_gram.system"
+    path.write_text(STAGE_GRAM)
+    proc = run_cli(
+        "simulate", "--system", str(path), "--q0", "0,0.95,0", "--v0", "0,1,0",
+        "--t1", "0.2", "--dt", "0.1", "--format", "csv", expect=3,
+    )
+    assert proc.stderr.splitlines() == [
+        "error: integration stopped: constraint rows are dependent at q=[0.0, 1.0, 0.0] "
+        "(singular values [2.00000000e+00 1.43493693e-17])"
+    ]
+    assert proc.stdout.splitlines() == [
+        "t,q1,q2,q3,p1,p2,p3,H,c1,c2,lambda1,lambda2",
+        "0.0,0.0,0.95,0.0,0.0,1.0,0.0,0.5,0.0,0.0,0.0,0.0",
+    ]
+
+
 def test_simulate_overflow_is_step_failure():
     proc = run_cli(
         "simulate", "--system", "catalog:nonholonomic_particle",

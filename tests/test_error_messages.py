@@ -42,6 +42,9 @@ SOURCES = {
     ),
     "sleigh": catalog.get_entry("chaplygin_sleigh").definition,
     "singular_gram": PARTICLE + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n",
+    "stage_gram": PARTICLE.replace(
+        "form = y, 0, -1", "form = y, 0, 1\n\n[constraint]\nform = 1, 0, y"
+    ),
     "user_frame": PARTICLE + "\n[frame]\ncol1 = 1, 0, y + exp(-1000*(x - 0.5)^2)\ncol2 = 0, 1, 0\n",
     "particle": PARTICLE,
     "infinite_sin_metric": PARTICLE.replace("row1 = 1, 0, 0", "row1 = 2 + sin(1e300*1e300*x), 0, 0"),
@@ -311,6 +314,21 @@ def test_a_step_count_below_one_is_refused_before_the_first_step(capsys):
     argv = ["simulate", "--system", "catalog:nonholonomic_particle", "--q0", "0,0,0",
             "--v0", "1,0,0", "--t1", "0.04", "--dt", "0.1"]
     assert _cli_error(capsys, argv) == (cli.EXIT_VALIDATION, f"error: {message}")
+
+
+def test_dependent_rows_at_an_rk4_stage_stop_the_run(tmp_path, capsys):
+    # the rows (y, 0, 1) and (1, 0, y) are dependent at y = 1, which the
+    # first step's second stage point reaches exactly from y = 0.95
+    message = (
+        "integration stopped: constraint rows are dependent at q=[0.0, 1.0, 0.0] "
+        "(singular values [2.00000000e+00 1.43493693e-17])"
+    )
+    sysd = _system("stage_gram")
+    x0 = PhasePoint(q=[0.0, 0.95, 0.0], p=[0.0, 1.0, 0.0])
+    assert _raised(dynamics.integrate, sysd, x0, 0.0, 0.2, 0.1) == (errors.StepFailureError, message)
+    argv = ["simulate", "--system", _system_arg(tmp_path, "stage_gram"), "--q0", "0,0.95,0",
+            "--v0", "0,1,0", "--t1", "0.2", "--dt", "0.1"]
+    assert _cli_error(capsys, argv) == (cli.EXIT_STEP_FAILURE, f"error: {message}")
 
 
 # the arguments of the error classes whose __init__ takes more than a message

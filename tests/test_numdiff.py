@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,7 +133,8 @@ def test_trig_of_an_infinite_core_is_a_domain_error(name):
     # on a float core, on a dual's core and at one element of an array core
     fn, inf = numdiff.FUNCTIONS[name], math.inf
     (d,) = numdiff.lift([-inf])
-    for arg in (inf, -inf, d, np.array([0.5, inf]), DualScalar(np.array([-inf, 0.5]), (1.0,))):
+    packed = numdiff.lift([np.array([0.5, -inf])])[0]
+    for arg in (inf, -inf, d, np.array([0.5, inf]), DualScalar(np.array([-inf, 0.5]), (1.0,)), packed):
         with pytest.raises(DomainError) as exc:
             fn(arg)
         assert str(exc.value) == f"domain error in '{name}': argument must be finite"
@@ -282,9 +285,23 @@ B, W = 6, 3
 
 
 def jet(values):
-    """A level-1 dual whose value and partials are array cores."""
+    """A level-1 dual whose value and partials are array cores, its partials
+    a tuple of (B,) arrays."""
     values = np.asarray(values, dtype=float)
     return DualScalar(values, tuple(RNG.normal(size=(W, len(values)))))
+
+
+def packed_jet(values):
+    """A level-1 dual made by ``lift`` over array cores, so its partials are
+    one (W, B) array: random rows on top of the lift's unit seeds."""
+    out = np.asarray(values, dtype=float)
+    for x, r in zip(numdiff.lift([np.zeros(len(out))] * W), RNG.normal(size=(W, len(out)))):
+        out = x * r + out
+    assert isinstance(out.partials, np.ndarray) and out.partials.shape == (W, len(values))
+    return out
+
+
+JETS = (jet, packed_jet)
 
 
 def element(x, b):
@@ -304,10 +321,18 @@ def bitwise(got, want):
     return all(_same(element(got, b), w) for b, w in enumerate(want))
 
 
+def _partials_bytes(*xs):
+    """The bytes of every partial of the (nested) duals xs, to show that no
+    operation wrote into an input's (shared) partials."""
+    out = []
+    for x in xs:
+        if isinstance(x, DualScalar):
+            out.append(_partials_bytes(x.value))
+            out += [np.asarray(p).tobytes() + _partials_bytes(p) for p in x.partials]
+    return b"".join(out)
+
+
 def test_batch_jet_replays_every_dual_formula_bitwise():
-    a = jet(RNG.uniform(-3.0, 3.0, B))
-    b = jet(RNG.uniform(0.5, 2.0, B) * np.sign(RNG.normal(size=B)))
-    pos = jet(RNG.uniform(0.1, 4.0, B))
     c = 0.37
     cases = [
         lambda u, v, w: -u,
@@ -344,10 +369,18 @@ def test_batch_jet_replays_every_dual_formula_bitwise():
         lambda u, v, w: u**2.0,
         lambda u, v, w: numdiff.sum_prod([u, v, 1.5], [w, c, u]),
     ]
-    for k, op in enumerate(cases):
-        got = op(a, b, pos)
-        want = [op(da, db, dp) for da, db, dp in zip(duals(a), duals(b), duals(pos))]
-        assert bitwise(got, want), k
+    # over tuple and over packed partials, and with operands of both kinds
+    for make_a, make_b in [(jet, jet), (packed_jet, packed_jet), (packed_jet, jet), (jet, packed_jet)]:
+        a = make_a(RNG.uniform(-3.0, 3.0, B))
+        b = make_b(RNG.uniform(0.5, 2.0, B) * np.sign(RNG.normal(size=B)))
+        pos = make_b(RNG.uniform(0.1, 4.0, B))
+        before = _partials_bytes(a, b, pos)
+        for k, op in enumerate(cases):
+            for u, v in ((a, b), (b, a)):
+                got = op(u, v, pos)
+                want = [op(du, dv, dp) for du, dv, dp in zip(duals(u), duals(v), duals(pos))]
+                assert bitwise(got, want), (make_a.__name__, make_b.__name__, k)
+        assert _partials_bytes(a, b, pos) == before  # no operation wrote into an input
     # a plain array operand is a constant, element by element a number
     arr = RNG.uniform(0.5, 2.0, B)
     constant_cases = [
@@ -360,34 +393,39 @@ def test_batch_jet_replays_every_dual_formula_bitwise():
         lambda u, k: k / u,
         lambda u, k: k**u,
     ]
-    for k, op in enumerate(constant_cases):
-        got = op(b, arr)
-        want = [op(db, float(e)) for db, e in zip(duals(b), arr)]
-        assert bitwise(got, want), k
+    for make in JETS:
+        b = make(RNG.uniform(0.5, 2.0, B) * np.sign(RNG.normal(size=B)))
+        before = _partials_bytes(b)
+        for k, op in enumerate(constant_cases):
+            got = op(b, arr)
+            want = [op(db, float(e)) for db, e in zip(duals(b), arr)]
+            assert bitwise(got, want), (make.__name__, k)
+        assert _partials_bytes(b) == before
 
 
 def test_batch_jet_domain_edges_name_the_primitive():
-    z = jet([1.0, 0.0, 2.0])
-    neg = jet([1.0, -0.5, 2.0])
-    cases = [
-        (lambda: numdiff.divide(1.0, z), "division"),
-        (lambda: numdiff.divide(neg, z), "division"),
-        (lambda: numdiff.divide(neg, 0.0), "division"),
-        (lambda: numdiff.divide(neg, np.array([1.0, 0.0, 2.0])), "division"),
-        (lambda: numdiff.log(z), "log"),
-        (lambda: numdiff.log(neg), "log"),
-        (lambda: numdiff.sqrt(z), "sqrt"),
-        (lambda: numdiff.sqrt(neg), "sqrt"),
-        (lambda: numdiff.power(neg, 0.5), "power"),
-        (lambda: numdiff.power(z, -1.0), "power"),
-        (lambda: numdiff.power(z, 0.5), "power"),
-        (lambda: numdiff.exp(jet([1.0, 800.0, 0.0])), "exp"),
-        (lambda: numdiff.power(jet([1.0, 1e200, 2.0]), 3.0), "power"),
-    ]
-    for fn, name in cases:
-        with pytest.raises(DomainError) as exc:
-            fn()
-        assert exc.value.primitive == name
+    for make in JETS:
+        z = make([1.0, 0.0, 2.0])
+        neg = make([1.0, -0.5, 2.0])
+        cases = [
+            (lambda: numdiff.divide(1.0, z), "division"),
+            (lambda: numdiff.divide(neg, z), "division"),
+            (lambda: numdiff.divide(neg, 0.0), "division"),
+            (lambda: numdiff.divide(neg, np.array([1.0, 0.0, 2.0])), "division"),
+            (lambda: numdiff.log(z), "log"),
+            (lambda: numdiff.log(neg), "log"),
+            (lambda: numdiff.sqrt(z), "sqrt"),
+            (lambda: numdiff.sqrt(neg), "sqrt"),
+            (lambda: numdiff.power(neg, 0.5), "power"),
+            (lambda: numdiff.power(z, -1.0), "power"),
+            (lambda: numdiff.power(z, 0.5), "power"),
+            (lambda: numdiff.exp(make([1.0, 800.0, 0.0])), "exp"),
+            (lambda: numdiff.power(make([1.0, 1e200, 2.0]), 3.0), "power"),
+        ]
+        for fn, name in cases:
+            with pytest.raises(DomainError) as exc:
+                fn()
+            assert exc.value.primitive == name
 
 
 def test_jacobian_batch_is_the_per_point_jacobian():
@@ -416,18 +454,20 @@ def _scalar_solve(a, rhs, b):
 
 
 def test_batched_solve_linear_pivots_per_element():
-    # column 0 pivots on row 0, 1 and 2 in the three elements
-    s, t = jet([3.0, 0.1, 0.2]), jet([0.5, 0.4, 2.0])
-    u = jet([1.3, -0.7, 0.9])
-    a = [[s, 1.0, 2.0], [1.0, u, 0.5], [t, 2.0, -1.0]]
-    for rhs in ([u, 1.0, s], [[u, 1.0], [2.0, s], [t, -0.5]]):
-        got = numdiff.solve_linear(a, rhs)
-        for b in range(3):
-            want = _scalar_solve(a, rhs, b)
-            flat_got = got if not isinstance(rhs[0], list) else sum(got, [])
-            flat_want = want if not isinstance(rhs[0], list) else sum(want, [])
-            for g, w in zip(flat_got, flat_want):
-                assert _same(element(g, b), w)
+    # column 0 pivots on row 0, 1 and 2 in the three elements; the row swaps
+    # select packed, tuple and mixed entries
+    for make_st, make_u in [(jet, jet), (packed_jet, packed_jet), (packed_jet, jet)]:
+        s, t = make_st([3.0, 0.1, 0.2]), make_st([0.5, 0.4, 2.0])
+        u = make_u([1.3, -0.7, 0.9])
+        a = [[s, 1.0, 2.0], [1.0, u, 0.5], [t, 2.0, -1.0]]
+        for rhs in ([u, 1.0, s], [[u, 1.0], [2.0, s], [t, -0.5]]):
+            got = numdiff.solve_linear(a, rhs)
+            for b in range(3):
+                want = _scalar_solve(a, rhs, b)
+                flat_got = got if not isinstance(rhs[0], list) else sum(got, [])
+                flat_want = want if not isinstance(rhs[0], list) else sum(want, [])
+                for g, w in zip(flat_got, flat_want):
+                    assert _same(element(g, b), w)
 
 
 def test_batched_solve_linear_raises_for_one_bad_member():
@@ -451,14 +491,85 @@ def test_level_two_lift_over_array_cores_is_the_scalar_nesting():
             numdiff.power(w, 2.5), u**v, *numdiff.solve_linear(a, [w, p, u]),
         ]
 
-    p, q = numdiff.lift([np.array([4.0, 0.2, 0.4]), np.array([0.5, 0.4, 2.0])])
-    got = nested(p, q)
-    assert got[0].level == 2
-    for b in range(3):
-        want = nested(element(p, b), element(q, b))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert _same(element(g, b), w)
+    ps, qs = [4.0, 0.2, 0.4], [0.5, 0.4, 2.0]
+    lifted = numdiff.lift([np.array(ps), np.array(qs)])
+    assert all(isinstance(x.partials, np.ndarray) for x in lifted)  # packed
+    # packed, tuple and mixed level-1 inputs
+    for p, q in (lifted, (jet(ps), jet(qs)), (packed_jet(ps), jet(qs))):
+        before = _partials_bytes(p, q)
+        got = nested(p, q)
+        assert got[0].level == 2
+        for b in range(3):
+            want = nested(element(p, b), element(q, b))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert _same(element(g, b), w)
+        assert _partials_bytes(p, q) == before
+
+
+def test_lift_packs_the_partials_of_array_cores_only():
+    # floats keep tuple partials; (B,) array cores get one (w, B) array, and
+    # level-1 arithmetic on it stays packed, so no formula falls back to
+    # zipping over its rows
+    assert all(type(d.partials) is tuple for d in numdiff.lift([0.3, -1.2]))
+    u, v = numdiff.lift([np.array([0.3, 1.5, -0.4]), np.array([1.2, 2.5, 0.7])])
+    for i, d in enumerate((u, v)):
+        assert type(d.partials) is np.ndarray and d.partials.shape == (2, 3)
+        assert d.partials.tolist() == [[float(r == i)] * 3 for r in range(2)]
+    pos = v * v + 1.0
+    results = [
+        -u, u + v, u + 1.0, 1.0 + u, u - v, u - 1.0, 1.0 - u, u * v, u * 2.0, 2.0 * u,
+        u * np.ones(3), u / v, 1.0 / v, u / 2.0, numdiff.sin(u), numdiff.cos(u), numdiff.tan(u),
+        numdiff.exp(u), numdiff.log(pos), numdiff.sqrt(pos), numdiff.power(u, 3.0),
+        numdiff.power(pos, u), numdiff.power(2.0, u),
+        *numdiff.solve_linear([[u, 1.0], [1.0, v]], [u, v]),  # pivots differ by element
+    ]
+    assert all(type(r.partials) is np.ndarray and r.partials.shape == (2, 3) for r in results)
+    # a second level keeps a tuple of packed duals; jacobian rows of a
+    # packed level stay one array
+    (w,) = numdiff.lift([u])
+    assert type(w.partials) is tuple and type(w.value.partials) is np.ndarray
+    rows = numdiff.jacobian_generic(lambda s: [s[0] * s[1], 4.0], [u.value, v.value])
+    assert type(rows[0]) is np.ndarray and rows[0].shape == (2, 3) and rows[1] == [0.0, 0.0]
+
+
+def test_directional_batch_is_the_per_point_directional_derivative():
+    def F(s):
+        return [s[0] * s[1], numdiff.sin(s[2]) / (1.0 + s[0] * s[0]), 4.0]
+
+    X = RNG.uniform(-1.0, 1.0, size=(5, 3))
+    V = RNG.normal(size=(5, 3))
+    got = numdiff.directional_batch(F, X, V)
+    assert got.shape == (5, 3)
+    for b in range(5):
+        lone = numdiff.directional_batch(F, X[b : b + 1], V[b : b + 1])[0]
+        assert got[b].tobytes() == lone.tobytes()
+        assert np.allclose(lone, numdiff.jacobian(F, X[b]) @ V[b], rtol=1e-14, atol=1e-15)
+
+
+def _src_modules(found):
+    """The modules of ``src/nonholo`` holding a node for which ``found(node)``
+    holds, once per node."""
+    return [
+        path.stem
+        for path in sorted(Path(numdiff.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if found(node)
+    ]
+
+
+def _named(node, name):
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_duals_are_built_only_in_numdiff():
+    # the packed class is private to numdiff, and every other module gets
+    # its duals from numdiff's entry points (lift, directional_batch, the
+    # primitives), so each core keeps the representation its lift chose
+    assert set(_src_modules(lambda node: _named(node, "_Packed"))) == {"numdiff"}
+    builds = _src_modules(lambda node: isinstance(node, ast.Call) and _named(node.func, "DualScalar"))
+    assert builds and set(builds) == {"numdiff"}
 
 
 # every primitive, on u in [-2, 2] and a positive v; the float rule is the
@@ -488,20 +599,23 @@ PRIMITIVES = {
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_every_primitive_value_is_its_float_rule_bitwise(name):
     """A dual's value is the float evaluation, bit for bit, at levels 1 and
-    2, with the operands at one level or at two, and over array cores."""
+    2, with the operands at one level or at two, and over array cores, where
+    the (packed) duals are also elementwise the float-core ones."""
     op = PRIMITIVES[name]
     rng = np.random.default_rng(15)
     us, vs = rng.uniform(-2.0, 2.0, 50), rng.uniform(0.1, 3.0, 50)
     want = np.array([op(u, v) for u, v in zip(us.tolist(), vs.tolist())])
 
-    def values(u, v):
+    def results(u, v):
         one = numdiff.lift([u, v])
         two = numdiff.lift(one)
         mixed = (one[0], numdiff.lift([one[1]])[0])  # u at level 1, v at level 2
-        return [numdiff.float_core(op(a, b)) for a, b in (one, two, mixed)]
+        return [op(a, b) for a, b in (one, two, mixed)]
 
-    for got in values(us, vs):  # array cores
-        assert np.broadcast_to(got, us.shape).tobytes() == want.tobytes()
+    batch = results(us, vs)  # array cores
+    for got in batch:
+        assert np.broadcast_to(numdiff.float_core(got), us.shape).tobytes() == want.tobytes()
     for k, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-        for got in values(u, v):
-            assert np.float64(got).tobytes() == want[k].tobytes()
+        for got, lone in zip(batch, results(u, v)):
+            assert np.float64(numdiff.float_core(lone)).tobytes() == want[k].tobytes()
+            assert _same(element(got, k), lone)
