@@ -176,7 +176,8 @@ class FieldEvaluator:
     pass and holds it for the ``evaluate`` that follows at the same q. A
     constant metric is validated once, by ``geometry.metric_at``, and reused;
     any other metric at a point ``project`` did not see (an RK4 stage) must
-    have a Cholesky factor before it is inverted.
+    have a Cholesky factor before it is inverted, and a Gram matrix that
+    cannot be solved there raises the constraint rows' own error.
     """
 
     def __init__(self, sys: SystemDefinition):

@@ -461,17 +461,16 @@ def lift(values):
 
     The lift opens a fresh perturbation level one above the deepest level
     present in ``values``; constants keep zero partials implicitly by never
-    being lifted. Over (B,) array cores the first level is packed: the
-    partials of value i are one (w, B) array whose row i is 1.0.
+    being lifted. Over (B,) array cores (``cores``: the first value is
+    an array) the first level is packed: the partials of value i are one
+    (w, B) array whose row i is 1.0.
     """
     vals = list(values)
     level = 1 + max(
         (v.level for v in vals if isinstance(v, DualScalar)), default=0
     )
-    if level == 1:
-        B = next((len(v) for v in vals if type(v) is np.ndarray), 0)
-        if B:
-            return _seed(vals, np.eye(len(vals))[:, :, None].repeat(B, 2))
+    if level == 1 and vals and type(vals[0]) is np.ndarray:  # array cores
+        return _seed(vals, np.eye(len(vals))[:, :, None].repeat(len(vals[0]), 2))
     zeros = (0.0,) * len(vals)
     out = []
     for i, v in enumerate(vals):
@@ -508,14 +507,13 @@ def jacobian_generic(F, scalars):
     """Jacobian rows of F over generic scalars, one lift above the inputs.
 
     Components that do not depend on the new level get zero rows, so this
-    also differentiates functions evaluated at dual points.
+    also differentiates functions evaluated at dual points. A row is its
+    component's partials as they are: a tuple, or a packed (w, B) array.
     """
     duals = lift(scalars)
     level = duals[0].level
     return [
-        (c.partials if type(c) is _Packed else list(c.partials))
-        if isinstance(c, DualScalar) and c.level == level
-        else [0.0] * len(duals)
+        c.partials if isinstance(c, DualScalar) and c.level == level else [0.0] * len(duals)
         for c in F(duals)
     ]
 
