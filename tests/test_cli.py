@@ -434,6 +434,27 @@ def test_simulate_payloads_match_the_pinned_bytes(tmp_path, name):
     assert path.read_bytes() == (DATA / "simulate" / name).read_bytes()
 
 
+JACOBIATOR_CASES = json.loads((DATA / "jacobiator" / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIATOR_CASES))
+def test_jacobiator_payloads_match_the_pinned_bytes(capsys, name):
+    """``jacobiator`` reproduces its pinned JSON payload byte for byte.
+
+    tests/data/jacobiator/cases.json maps each payload file to the argv that
+    wrote it: one seeded point on M per catalog system, verify's three
+    triples (as expressions; dual-bundle ones for ``dstar``) and all four
+    kinds. The values include the exact zeros of every canonical command and
+    of the holonomic system, and the eden witnesses of the others, so a
+    change that moves any bit of the nested Jacobiator, or the sign of a
+    zero, shows here.
+    """
+    assert cli.main(JACOBIATOR_CASES[name]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (DATA / "jacobiator" / name).read_text()
+
+
 def test_verify_survives_a_singular_gram_solve(tmp_path, capsys):
     # a second constraint row that fades into the first: some candidates pass
     # the Gram matrix's Cholesky check and then meet a zero pivot in the solve
