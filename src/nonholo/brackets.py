@@ -397,7 +397,7 @@ def jacobiator(
         if len(geometry.frame_plans(points)) > 1:
             raise ValueError("dstar points must share one frame plan")
         for y in points:  # each image in D* must be a finite dual-bundle point
-            DStarPoint(q=y.q, pi=y.frame.E.T @ y.p)
+            DStarPoint(q=y.q, pi=y.dstar_scalars()[sys.n :])
     body = functools.partial(jacobi_rows, sys, kind, triples)
     rows = geometry.per_point(body, points)
     out = [float(r[0]) if single else r.tolist() for r in rows]

@@ -276,7 +276,11 @@ class OnMPoint:
 
     def dstar_scalars(self) -> list[float]:
         """(q, pi) with pi = E^T p, the image of this point in D*."""
-        return [*self.q.tolist(), *(self.frame.E.T @ self.p).tolist()]
+        return list(self._dstar_scalars)
+
+    @cached_property
+    def _dstar_scalars(self) -> tuple[float, ...]:
+        return (*self.q.tolist(), *(self.frame.E.T @ self.p).tolist())
 
     @cached_property
     def chart_jacobian(self) -> np.ndarray:

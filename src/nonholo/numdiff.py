@@ -1,7 +1,7 @@
 """Forward-mode automatic differentiation on scalars.
 
-A DualScalar carries a value plus a tuple of partial derivatives with respect
-to the independent variables introduced by one ``lift`` call. Lifts nest:
+A DualScalar carries a value plus the partial derivatives with respect to the
+independent variables introduced by one ``lift`` call. Lifts nest:
 every lift opens a fresh perturbation level, and arithmetic between scalars
 from different levels treats the lower level as a constant, so derivatives of
 functions that internally take derivatives come out right without any special
@@ -18,12 +18,18 @@ operand is a constant, as a number is. ``cores`` and its inverse
 ``jacobian_batch`` seeds one lift over them, and nests like any level, and
 ``directional_batch`` one width-1 lift along given directions.
 
-Partials are a tuple, one entry per variable, except at the first level over
-array cores: there ``lift`` packs them into one (w, B) array (a private
-subclass of DualScalar), so each term of a formula is one ufunc over all w
-partials and B elements instead of w. Float cores (a lone point: integrate
-and every single-point command) keep tuples of floats, and a nested level
-keeps a tuple of lower-level duals, which over array cores are packed.
+How ``lift`` keeps the partials (packed ones in a private subclass of
+DualScalar, see _Packed):
+- level 1 over float cores (a lone point: integrate and every single-point
+  command): a tuple of floats;
+- level 1 over array cores: one (w, B) array, so each term of a formula is
+  one ufunc over all w partials and B elements instead of w;
+- level 2 over either: one packed level-1 dual over the cores with one more
+  leading axis (value (w2,) + core, partials (w1, w2) + core), so a level-2
+  term is a handful of ufuncs instead of w2 level-1 operations. Its
+  jacobian rows are unpacked once, into the level-1 duals a tuple would
+  hold (``jacobian_generic``);
+- level 3 and above: a tuple of lower-level duals.
 
 Everything here is pure and first order. Supported primitives: +, -, *, /,
 power, sin, cos, tan, exp, log, sqrt and unary minus. Evaluating a primitive
@@ -58,9 +64,10 @@ class DualScalar:
     """Value plus one level of partial derivatives.
 
     ``partials`` has one slot per independent variable of the lift that
-    created this level (a tuple; a packed dual's rows of one array); entries
-    (and ``value``) may themselves be duals of a lower level when lifts are
-    nested. The float cores below every level are floats or ``(B,)`` arrays.
+    created this level (a tuple; a packed dual's rows of one array, or the
+    entries of one packed level-1 dual at level 2); entries (and ``value``)
+    may themselves be duals of a lower level when lifts are nested. The
+    float cores below every level are floats or ``(B,)`` arrays.
     """
 
     __slots__ = ("value", "partials", "level")
@@ -84,14 +91,15 @@ class DualScalar:
     def __repr__(self):
         return f"DualScalar({self.value!r}, {self.partials!r}, level={self.level})"
 
-    # The arithmetic below is the hot loop of the package on float cores
-    # (packed duals override it, see _Packed). Partials are built from list
-    # comprehensions or map (cheaper than tuple(<generator>)), a plain float
-    # operand takes the first branch, and _check runs only when the widths
-    # differ. The values are those of the plain formulas. A type test on the
-    # partials here would cost the float cores; packed arithmetic therefore
-    # lives in the subclass, and the primitives take one ``type(x) is
-    # _Packed`` branch each.
+    # The arithmetic below is the hot loop of the package on level-1 float
+    # cores (packed duals, at level 1 over arrays and at level 2, override
+    # it, see _Packed). Partials are built from list comprehensions or map
+    # (cheaper than tuple(<generator>)), a plain float operand takes the
+    # first branch, and _check runs only when the widths differ. The values
+    # are those of the plain formulas. A type test on the partials here would
+    # cost the float cores; packed arithmetic therefore lives in the
+    # subclass, whose reflected methods Python tries first, and the
+    # primitives take one ``type(x) is _Packed`` branch each.
 
     def __neg__(self):
         return DualScalar(-self.value, tuple(map(_neg, self.partials)), self.level)
@@ -191,60 +199,117 @@ class DualScalar:
 
 
 class _Packed(DualScalar):
-    """A level-1 dual over (B,) array cores whose w partials are the rows of
-    one (w, B) array, so each term of a formula is one ufunc over every
-    partial and element. Each element sees the operations of the tuple
-    formulas in the same order. An operand that is neither packed nor a
-    constant takes the DualScalar method, which zips over the array's rows;
-    a reflected call there only swaps the operands of + and *, which commute
-    bitwise. The arrays are shared between duals and never written."""
+    """A dual whose partials are packed into arrays, at level 1 or 2.
+
+    At level 1 (over (B,) array cores, or over a level-2 dual's cores with
+    one more leading axis) the w partials are the rows of one (w,) + core
+    array, so each term of a formula is one ufunc over every partial and
+    element. At level 2 the value is a level-1 dual over the cores (a tuple
+    dual over floats, a packed one over (B,) arrays), and the w2 partials are
+    one packed level-1 dual whose value has shape (w2,) + core and whose
+    partials have shape (w1, w2) + core; while every partial is still a
+    constant at level 1 (the seeds, and what constants make of them), they
+    are one plain (w2,) + core array, as the tuple nesting kept them plain
+    floats, so no ``0 * x`` term or ``0.0 + -0.0`` enters. A level-1 operand
+    meets level-2 partials through ``_up``, which inserts the w2 axis into
+    its partials; the formulas are the level-1 ones at both levels.
+
+    Each element sees the operations of the tuple formulas in the same order.
+    An operand of the same level that is not packed takes the DualScalar
+    method, which zips over the array's rows; a reflected call there only
+    swaps the operands of + and *, which commute bitwise. The arrays are
+    shared between duals and never written."""
 
     __slots__ = ()
 
-    def __init__(self, value, partials):
+    def __init__(self, value, partials, level=1):
         self.value = value
         self.partials = partials
-        self.level = 1
+        self.level = level
+
+    @property
+    def width(self) -> int:
+        return _width(self.partials)
+
+    def _check(self, other: "DualScalar"):
+        a, b = _width(self.partials), _width(other.partials)
+        if a != b:
+            raise WidthMismatchError(f"partials widths differ: {a} vs {b}")
 
     def __neg__(self):
-        return _Packed(-self.value, -self.partials)
+        return _Packed(-self.value, -self.partials, self.level)
 
     def __add__(self, other):
-        if type(other) is _Packed:
-            if len(self.partials) != len(other.partials):
+        if type(other) is _Packed and other.level == self.level:
+            sp, op = self.partials, other.partials
+            if _width(sp) != _width(op):
                 self._check(other)
-            return _Packed(self.value + other.value, self.partials + other.partials)
-        if isinstance(other, _CONST):
-            return _Packed(self.value + other, self.partials)
+            return _Packed(self.value + other.value, sp + op, self.level)
+        if _below(other, self.level):
+            return _Packed(self.value + other, self.partials, self.level)
+        if type(other) is _Packed:  # a higher level
+            return other.__radd__(self)
         return DualScalar.__add__(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is _Packed:
-            if len(self.partials) != len(other.partials):
+        if type(other) is _Packed and other.level == self.level:
+            sp, op = self.partials, other.partials
+            if _width(sp) != _width(op):
                 self._check(other)
-            return _Packed(self.value - other.value, self.partials - other.partials)
-        if isinstance(other, _CONST):
-            return _Packed(self.value - other, self.partials)
+            return _Packed(self.value - other.value, sp - op, self.level)
+        if _below(other, self.level):
+            return _Packed(self.value - other, self.partials, self.level)
+        if type(other) is _Packed:
+            return other.__rsub__(self)
         return DualScalar.__sub__(self, other)
 
     def __rsub__(self, other):
-        if isinstance(other, _CONST):
-            return _Packed(other - self.value, -self.partials)
+        if _below(other, self.level):
+            return _Packed(other - self.value, -self.partials, self.level)
         return NotImplemented
 
     def __mul__(self, other):
-        if type(other) is _Packed:
-            if len(self.partials) != len(other.partials):
+        if type(other) is _Packed and other.level == self.level:
+            sp, op = self.partials, other.partials
+            if _width(sp) != _width(op):
                 self._check(other)
             sv, ov = self.value, other.value
-            return _Packed(sv * ov, self.partials * ov + sv * other.partials)
-        if isinstance(other, _CONST):
-            return _Packed(self.value * other, self.partials * other)
+            if self.level == 1:  # array values, which broadcast as they are
+                return _Packed(sv * ov, sp * ov + sv * op)
+            return _Packed(sv * ov, sp * _up(ov) + _up(sv) * op, 2)
+        if _below(other, self.level):
+            if self.level == 1:
+                return _Packed(self.value * other, self.partials * other)
+            return _Packed(self.value * other, self.partials * _up(other), 2)
+        if type(other) is _Packed:
+            return other.__rmul__(self)
         return DualScalar.__mul__(self, other)
 
     __rmul__ = __mul__
+
+
+def _width(partials) -> int:
+    """The number of partials of a packed dual: the rows of its array, or the
+    entries of its level-2 partials."""
+    return len(partials) if type(partials) is np.ndarray else len(partials.value)
+
+
+def _below(x, level) -> bool:
+    """Whether x is a constant at ``level``: a number, an array or a dual of a
+    lower level."""
+    return isinstance(x, _CONST) or (isinstance(x, DualScalar) and x.level < level)
+
+
+def _up(x):
+    """A level-1 factor of level-2 partials, with the w2 axis inserted into its
+    partials; a constant as it is (it broadcasts already)."""
+    if type(x) is _Packed:
+        return _Packed(x.value, x.partials[:, None])
+    if isinstance(x, DualScalar):
+        return _Packed(x.value, np.array(x.partials)[:, None])
+    return x
 
 
 def _anywhere(cond):
@@ -271,15 +336,17 @@ def divide(num, den):
         zero = float_core(dv) == 0.0  # _anywhere inlined: divide is the hot path
         if zero if type(zero) is bool else zero.any():
             raise DomainError("division", "division by zero")
-        if type(den) is _Packed:
-            if type(num) is _Packed:
-                if len(num.partials) != len(den.partials):
+        if type(den) is _Packed and _below(num, den.level):
+            q = divide(num, dv)
+            return _Packed(q, -(_up(q) * den.partials) / _up(dv), den.level)
+        if type(num) is _Packed:
+            if num.level > den.level:
+                return _Packed(divide(num.value, den), num.partials / _up(den), num.level)
+            if type(den) is _Packed:
+                if _width(num.partials) != _width(den.partials):
                     num._check(den)
                 q = num.value / dv
-                return _Packed(q, (num.partials - q * den.partials) / dv)
-            if isinstance(num, _CONST):
-                q = divide(num, dv)
-                return _Packed(q, -(q * den.partials) / dv)
+                return _Packed(q, (num.partials - _up(q) * den.partials) / _up(dv), num.level)
         div = divide if isinstance(dv, DualScalar) else _truediv
         if isinstance(num, DualScalar):
             if num.level == den.level:
@@ -308,7 +375,7 @@ def divide(num, den):
         raise DomainError("division", "division by zero")
     if isinstance(num, DualScalar):
         if type(num) is _Packed:
-            return _Packed(num.value / den, num.partials / den)
+            return _Packed(num.value / den, num.partials / den, num.level)
         return DualScalar(
             divide(num.value, den),
             tuple([p / den for p in num.partials]),
@@ -329,7 +396,7 @@ def power(base, exponent):
         d = exp(exponent * log(base))
         below = [x.value if _level(x) == d.level else x for x in (base, exponent)]
         if type(d) is _Packed:
-            return _Packed(power(*below), d.partials)
+            return _Packed(power(*below), d.partials, d.level)
         return DualScalar(power(*below), d.partials, d.level)
     if not isinstance(base, DualScalar):
         if isinstance(exponent, np.ndarray):  # an array core: one exponent per element
@@ -352,7 +419,7 @@ def power(base, exponent):
     val = power(base.value, e)
     slope = power(base.value, e - 1.0) * e
     if type(base) is _Packed:
-        return _Packed(val, slope * base.partials)
+        return _Packed(val, _up(slope) * base.partials, base.level)
     return DualScalar(
         val, tuple([slope * p for p in base.partials]), base.level
     )
@@ -374,7 +441,7 @@ def sin(x):
     if isinstance(x, DualScalar):
         v, c = sin(x.value), cos(x.value)
         if type(x) is _Packed:
-            return _Packed(v, c * x.partials)
+            return _Packed(v, _up(c) * x.partials, x.level)
         return DualScalar(v, tuple([c * p for p in x.partials]), x.level)
     try:
         return math.sin(x) if type(x) is float else _map(math.sin, x)
@@ -386,7 +453,7 @@ def cos(x):
     if isinstance(x, DualScalar):
         v, s = cos(x.value), sin(x.value)
         if type(x) is _Packed:
-            return _Packed(v, -(s * x.partials))
+            return _Packed(v, -(_up(s) * x.partials), x.level)
         return DualScalar(v, tuple([-(s * p) for p in x.partials]), x.level)
     try:
         return math.cos(x) if type(x) is float else _map(math.cos, x)
@@ -399,7 +466,7 @@ def tan(x):
         t = tan(x.value)
         sec2 = 1.0 + t * t
         if type(x) is _Packed:
-            return _Packed(t, sec2 * x.partials)
+            return _Packed(t, _up(sec2) * x.partials, x.level)
         return DualScalar(t, tuple([sec2 * p for p in x.partials]), x.level)
     try:
         return math.tan(x) if type(x) is float else _map(math.tan, x)
@@ -411,7 +478,7 @@ def exp(x):
     if isinstance(x, DualScalar):
         v = exp(x.value)
         if type(x) is _Packed:
-            return _Packed(v, v * x.partials)
+            return _Packed(v, _up(v) * x.partials, x.level)
         return DualScalar(v, tuple([v * p for p in x.partials]), x.level)
     try:
         return math.exp(x) if type(x) is float else _map(math.exp, x)
@@ -424,7 +491,7 @@ def log(x):
         raise DomainError("log", "argument must be positive")
     if isinstance(x, DualScalar):
         if type(x) is _Packed:
-            return _Packed(log(x.value), x.partials / x.value)
+            return _Packed(log(x.value), x.partials / _up(x.value), x.level)
         return DualScalar(
             log(x.value), tuple([divide(p, x.value) for p in x.partials]), x.level
         )
@@ -441,7 +508,7 @@ def sqrt(x):
         v = sqrt(x.value)
         half = divide(0.5, v)
         if type(x) is _Packed:
-            return _Packed(v, half * x.partials)
+            return _Packed(v, _up(half) * x.partials, x.level)
         return DualScalar(v, tuple([half * p for p in x.partials]), x.level)
     return math.sqrt(x) if type(x) is float else _map(math.sqrt, x)
 
@@ -463,7 +530,9 @@ def lift(values):
     present in ``values``; constants keep zero partials implicitly by never
     being lifted. Over (B,) array cores (``cores``: the first value is
     an array) the first level is packed: the partials of value i are one
-    (w, B) array whose row i is 1.0.
+    (w, B) array whose row i is 1.0. The second level is packed over any
+    cores: the partials of value i are one constant (w, w) + core array whose
+    row i is 1.0 (see _Packed).
     """
     vals = list(values)
     level = 1 + max(
@@ -471,6 +540,10 @@ def lift(values):
     )
     if level == 1 and vals and type(vals[0]) is np.ndarray:  # array cores
         return _seed(vals, np.eye(len(vals))[:, :, None].repeat(len(vals[0]), 2))
+    if level == 2:
+        core = max((np.shape(float_core(v)) for v in vals), key=len)
+        seeds = np.eye(len(vals))
+        return _seed(vals, seeds[:, :, None].repeat(core[0], 2) if core else seeds, 2)
     zeros = (0.0,) * len(vals)
     out = []
     for i, v in enumerate(vals):
@@ -480,12 +553,12 @@ def lift(values):
     return out
 
 
-def _seed(vals, partials):
-    """Packed level-1 duals: value i with the (w, B) partials ``partials[i]``,
+def _seed(vals, partials, level=1):
+    """Packed duals of ``level``: value i with the partials ``partials[i]``,
     made read-only, as every packed array is shared."""
     partials.flags.writeable = False
     return [
-        _Packed(v if type(v) is np.ndarray else float(v), p) for v, p in zip(vals, partials)
+        _Packed(float(v) if isinstance(v, _NUM) else v, p, level) for v, p in zip(vals, partials)
     ]
 
 
@@ -507,15 +580,29 @@ def jacobian_generic(F, scalars):
     """Jacobian rows of F over generic scalars, one lift above the inputs.
 
     Components that do not depend on the new level get zero rows, so this
-    also differentiates functions evaluated at dual points. A row is its
-    component's partials as they are: a tuple, or a packed (w, B) array.
+    also differentiates functions evaluated at dual points. A level-1 row is
+    its component's partials as they are: a tuple, or a packed (w, B) array;
+    a level-2 row is the list of its packed partials' entries (``_entries``).
     """
     duals = lift(scalars)
     level = duals[0].level
     return [
-        c.partials if isinstance(c, DualScalar) and c.level == level else [0.0] * len(duals)
+        (_entries(c.partials) if level == 2 else c.partials)
+        if isinstance(c, DualScalar) and c.level == level
+        else [0.0] * len(duals)
         for c in F(duals)
     ]
+
+
+def _entries(partials):
+    """The w2 level-1 entries of a level-2 dual's packed partials: tuple duals
+    over float cores, packed ones over (B,) array cores, and constant
+    partials as floats or (B,) arrays, as the tuple nesting held them."""
+    if type(partials) is np.ndarray:
+        return partials.tolist() if partials.ndim == 1 else list(partials)
+    if partials.value.ndim == 1:  # float cores
+        return list(map(DualScalar, partials.value.tolist(), partials.partials.T.tolist()))
+    return list(map(_Packed, partials.value, partials.partials.swapaxes(0, 1)))
 
 
 def jacobian_batch(F, X):
@@ -639,11 +726,11 @@ def _select(mask, u, v):
     top = max((e for e in (u, v) if isinstance(e, DualScalar)), key=_level, default=None)
     if top is None:
         return np.where(mask, u, v)
-    if type(top) is _Packed and DualScalar not in (type(u), type(v)):
+    if type(top) is _Packed and (top.level == 2 or DualScalar not in (type(u), type(v))):
         (uv, up), (vv, vp) = (
-            (e.value, e.partials) if type(e) is _Packed else (e, 0.0) for e in (u, v)
+            (e.value, e.partials) if _level(e) == top.level else (e, 0.0) for e in (u, v)
         )
-        return _Packed(np.where(mask, uv, vv), np.where(mask, up, vp))
+        return _Packed(_select(mask, uv, vv), _select(mask, up, vp), top.level)
     zeros = (0.0,) * len(top.partials)
     (uv, up), (vv, vp) = (
         (e.value, e.partials) if _level(e) == top.level else (e, zeros) for e in (u, v)

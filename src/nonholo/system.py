@@ -242,7 +242,7 @@ def hamiltonian_observable(sys: SystemDefinition) -> Observable:
 def to_dstar(sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None) -> DStarPoint:
     """Pair the momentum covector with the frame: pi_a = E(q)^T p restricted."""
     xm = geometry.require_on_m(sys, x.q, x.p, on_m_tol)
-    return DStarPoint(q=x.q, pi=xm.frame.E.T @ x.p)
+    return DStarPoint(q=x.q, pi=xm.dstar_scalars()[sys.n :])
 
 
 def from_dstar(sys: SystemDefinition, y: DStarPoint) -> PhasePoint:

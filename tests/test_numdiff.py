@@ -88,9 +88,7 @@ def test_gradient_linearity(a, b, x0, x1):
 def test_nested_lift_gives_second_order_structure():
     # d/dx of (d/dy at y=x of x*y^2) = d/dx (x * 2x) = 4x
     def dfdy(s):
-        (y,) = numdiff.lift([s[0]])
-        out = s[0] * y * y
-        return out.partials[0]
+        return numdiff.jacobian_generic(lambda y: [s[0] * y[0] * y[0]], [s[0]])[0][0]
 
     val, grad = numdiff.gradient(dfdy, [1.5])
     assert val == pytest.approx(2 * 1.5 * 1.5, abs=1e-14)
@@ -187,16 +185,41 @@ def test_solve_linear_matches_numpy_and_differentiates():
     assert abs(grad[0] - ref[0]) < 1e-7
 
 
+def parts(x):
+    """The partials of a dual as a list, whatever their representation: a
+    tuple's items, a packed level-1 dual's rows, or the entries of a packed
+    level-2 dual: level-1 duals, or constants where its partials are one
+    plain array."""
+    p = x.partials
+    if isinstance(p, DualScalar):  # packed level-2 partials, (w1, w2) + core
+        return [DualScalar(p.value[j], tuple(p.partials[:, j])) for j in range(len(p.value))]
+    return list(p)
+
+
 def _same(u, v):
-    """Bitwise equality of (nested) duals: level, value and every partial."""
+    """Bitwise equality of (nested) duals: level, value and every partial,
+    whether each is a dual or a constant; floats compare by repr, so the
+    sign of a zero and a NaN count."""
     if isinstance(u, DualScalar) or isinstance(v, DualScalar):
+        if not (isinstance(u, DualScalar) and isinstance(v, DualScalar)):
+            return False
+        pu, pv = parts(u), parts(v)
         return (
-            isinstance(u, DualScalar) and isinstance(v, DualScalar)
-            and u.level == v.level and len(u.partials) == len(v.partials)
-            and _same(u.value, v.value)
-            and all(_same(a, b) for a, b in zip(u.partials, v.partials))
+            u.level == v.level and len(pu) == len(pv) and _same(u.value, v.value)
+            and all(_same(a, b) for a, b in zip(pu, pv))
         )
     return repr(float(u)) == repr(float(v))
+
+
+def tuple_lift(values):
+    """The level-2 lift of the tuple nesting, kept as the reference for the
+    packed one: each value's partials a tuple of plain float seeds. From
+    there DualScalar's own methods and the tuple branches of the primitives
+    carry the tuple arithmetic, whose formulas
+    test_fast_paths_match_plain_formulas_bitwise writes out."""
+    assert max(v.level for v in values if isinstance(v, DualScalar)) == 1
+    w = len(values)
+    return [DualScalar(v, [float(i == j) for j in range(w)], 2) for i, v in enumerate(values)]
 
 
 def test_fast_paths_match_plain_formulas_bitwise():
@@ -236,43 +259,57 @@ def test_fast_paths_match_plain_formulas_bitwise():
 
     # level 2 over level-1 values, mixed with floats and level-1 scalars;
     # the formulas are written with the (checked) level-1 arithmetic
+    # (packed: the seeds u, v, w keep constant partials; the sine of u and
+    # the products with it carry level-1 ones)
     u1, v1 = numdiff.lift([0.3, -1.2])
-    u, v, w = numdiff.lift([u1 * 0.5, v1, 1.7])
-    qv = u.value / v.value
-    qw = u.value / 1.7
-    q1 = u1 / u.value
-    level2 = [
-        (-u, DualScalar(-u.value, [-p for p in u.partials], 2)),
-        (u + v, DualScalar(u.value + v.value, [x + y for x, y in zip(u.partials, v.partials)], 2)),
-        (u - v, DualScalar(u.value - v.value, [x - y for x, y in zip(u.partials, v.partials)], 2)),
-        (u * v, DualScalar(
-            u.value * v.value,
-            [x * v.value + u.value * y for x, y in zip(u.partials, v.partials)], 2)),
-        (u * c, DualScalar(u.value * c, [p * c for p in u.partials], 2)),
-        (u1 * u, DualScalar(u1 * u.value, [u1 * p for p in u.partials], 2)),
-        (u * v1, DualScalar(u.value * v1, [p * v1 for p in u.partials], 2)),
-        (u1 - u, DualScalar(u1 - u.value, [-p for p in u.partials], 2)),
-        (u / v, DualScalar(qv, [(x - qv * y) / v.value for x, y in zip(u.partials, v.partials)], 2)),
-        (u / w, DualScalar(qw, [(x - qw * y) / 1.7 for x, y in zip(u.partials, w.partials)], 2)),
-        (u / u1, DualScalar(u.value / u1, [p / u1 for p in u.partials], 2)),
-        (u1 / u, DualScalar(q1, [-(q1 * p) / u.value for p in u.partials], 2)),
-        (numdiff.sin(u), DualScalar(
-            numdiff.sin(u.value), [numdiff.cos(u.value) * p for p in u.partials], 2)),
-    ]
-    for got, want in level2:
-        assert _same(got, want), (got, want)
+    for u, v, w in (numdiff.lift([u1 * 0.5, v1, 1.7]), tuple_lift([u1 * 0.5, v1, 1.7])):
+        pu, pv, pw = parts(u), parts(v), parts(w)
+        s = numdiff.sin(u)
+        ps = [numdiff.cos(u.value) * p for p in pu]
+        qv = u.value / v.value
+        qw = u.value / 1.7
+        q1 = u1 / u.value
+        qs = s.value / v.value
+        level2 = [
+            (-u, DualScalar(-u.value, [-p for p in pu], 2)),
+            (u + v, DualScalar(u.value + v.value, [x + y for x, y in zip(pu, pv)], 2)),
+            (u - v, DualScalar(u.value - v.value, [x - y for x, y in zip(pu, pv)], 2)),
+            (u * v, DualScalar(
+                u.value * v.value, [x * v.value + u.value * y for x, y in zip(pu, pv)], 2)),
+            (u * c, DualScalar(u.value * c, [p * c for p in pu], 2)),
+            (u1 * u, DualScalar(u1 * u.value, [u1 * p for p in pu], 2)),
+            (u * v1, DualScalar(u.value * v1, [p * v1 for p in pu], 2)),
+            (u1 - u, DualScalar(u1 - u.value, [-p for p in pu], 2)),
+            (u / v, DualScalar(qv, [(x - qv * y) / v.value for x, y in zip(pu, pv)], 2)),
+            (u / w, DualScalar(qw, [(x - qw * y) / 1.7 for x, y in zip(pu, pw)], 2)),
+            (u / u1, DualScalar(u.value / u1, [p / u1 for p in pu], 2)),
+            (u1 / u, DualScalar(q1, [-(q1 * p) / u.value for p in pu], 2)),
+            (s, DualScalar(numdiff.sin(u.value), ps, 2)),
+            (s + v, DualScalar(s.value + v.value, [x + y for x, y in zip(ps, pv)], 2)),
+            (s * v, DualScalar(
+                s.value * v.value, [x * v.value + s.value * y for x, y in zip(ps, pv)], 2)),
+            (s * v1, DualScalar(s.value * v1, [p * v1 for p in ps], 2)),
+            (s / v, DualScalar(qs, [(x - qs * y) / v.value for x, y in zip(ps, pv)], 2)),
+        ]
+        for got, want in level2:
+            assert _same(got, want), (got, want)
 
     # the shortcuts keep the width and division checks
     narrow = DualScalar(1.0, (1.0,))
+    u, v, w = numdiff.lift([u1 * 0.5, v1, 1.7])
+    (narrow2,) = numdiff.lift([u1])
     for op in (
         lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t, lambda s, t: s / t,
     ):
         with pytest.raises(WidthMismatchError):
             op(a, narrow)
         with pytest.raises(WidthMismatchError):
-            op(u, DualScalar(u.value, (1.0,), 2))
+            op(u, narrow2)
+        with pytest.raises(WidthMismatchError):
+            op(numdiff.sin(u), narrow2)
     zero = DualScalar(0.0, (1.0, 0.0))
-    for num, den in ((a, zero), (c, zero), (a, 0.0), (u, DualScalar(u1 - 0.3, (1.0, 0.0, 0.0), 2))):
+    zero2 = numdiff.lift([u1 - 0.3, v1, 1.7])[0]
+    for num, den in ((a, zero), (c, zero), (a, 0.0), (u, zero2), (u1, zero2), (numdiff.sin(u), zero2)):
         with pytest.raises(DomainError) as exc:
             numdiff.divide(num, den)
         assert exc.value.primitive == "division"
@@ -307,7 +344,7 @@ JETS = (jet, packed_jet)
 def element(x, b):
     """Batch element b of a (nested) dual or core: every array core at b."""
     if isinstance(x, DualScalar):
-        return DualScalar(element(x.value, b), tuple(element(p, b) for p in x.partials), x.level)
+        return DualScalar(element(x.value, b), tuple(element(p, b) for p in parts(x)), x.level)
     return float(x[b]) if isinstance(x, np.ndarray) else x
 
 
@@ -328,7 +365,10 @@ def _partials_bytes(*xs):
     for x in xs:
         if isinstance(x, DualScalar):
             out.append(_partials_bytes(x.value))
-            out += [np.asarray(p).tobytes() + _partials_bytes(p) for p in x.partials]
+            if isinstance(x.partials, DualScalar):  # packed level-2 partials
+                out += [np.asarray(x.partials.value).tobytes(), _partials_bytes(x.partials)]
+            else:
+                out += [np.asarray(p).tobytes() + _partials_bytes(p) for p in x.partials]
     return b"".join(out)
 
 
@@ -483,8 +523,8 @@ def test_batched_solve_linear_raises_for_one_bad_member():
 def test_level_two_lift_over_array_cores_is_the_scalar_nesting():
     # a level-2 lift over level-1 duals with array cores; the solve's
     # column 0 pivots on row 0, 1 and 2 in the three elements
-    def nested(p, q):
-        u, v, w = numdiff.lift([p * 0.5, q, 1.7])
+    def nested(p, q, lift=numdiff.lift):
+        u, v, w = lift([p * 0.5, q, 1.7])
         a = [[u, 1.0, 2.0], [1.0, w, 0.5], [v, 2.0, -1.0]]
         return [
             u * v, p - u, u / v, q / u, numdiff.sin(u) * w, numdiff.sqrt(v * v + p),
@@ -504,6 +544,14 @@ def test_level_two_lift_over_array_cores_is_the_scalar_nesting():
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert _same(element(g, b), w)
+        assert _partials_bytes(p, q) == before
+    # on float cores (a lone point) the packed level 2 is the tuple nesting
+    for b in range(3):
+        p, q = numdiff.lift([ps[b], qs[b]])
+        before = _partials_bytes(p, q)
+        got, want = nested(p, q), nested(p, q, tuple_lift)
+        assert isinstance(got[0].partials, DualScalar) and type(want[0].partials) is tuple
+        assert len(got) == len(want) and all(_same(g, w) for g, w in zip(got, want))
         assert _partials_bytes(p, q) == before
 
 
@@ -525,12 +573,26 @@ def test_lift_packs_the_partials_of_array_cores_only():
         *numdiff.solve_linear([[u, 1.0], [1.0, v]], [u, v]),  # pivots differ by element
     ]
     assert all(type(r.partials) is np.ndarray and r.partials.shape == (2, 3) for r in results)
-    # a second level keeps a tuple of packed duals; jacobian rows of a
-    # packed level stay one array
-    (w,) = numdiff.lift([u])
-    assert type(w.partials) is tuple and type(w.value.partials) is np.ndarray
+    # jacobian rows of a packed level-1 stay one array
     rows = numdiff.jacobian_generic(lambda s: [s[0] * s[1], 4.0], [u.value, v.value])
     assert type(rows[0]) is np.ndarray and rows[0].shape == (2, 3) and rows[1] == [0.0, 0.0]
+    # a second level is packed over floats and over arrays: the seeds' partials
+    # are one constant (w2,) + core array, and after a level-1 factor one
+    # packed level-1 dual with value (w2,) + core and partials (w1, w2) + core;
+    # its jacobian rows are level-1 duals again, tuples over floats
+    x, y = numdiff.lift([0.3, -1.2])
+    for (a, b), one, core in ((numdiff.lift([x, y]), x, ()), (numdiff.lift([u, v]), u, (3,))):
+        for seed in (a, b, -a, a + b, a * 2.0, a - 1.0):
+            assert type(seed.partials) is np.ndarray and seed.partials.shape == (2,) + core
+        for r in (a * b, numdiff.sin(a), a * one, one / a, a / b, numdiff.sqrt(a * a + 1.0)):
+            assert r.level == 2 and isinstance(r.partials, DualScalar)
+            assert r.partials.level == 1 and type(r.partials.partials) is np.ndarray
+            assert r.partials.value.shape == (2,) + core
+            assert r.partials.partials.shape == (2, 2) + core
+    rows = numdiff.jacobian_generic(lambda s: [s[0] * s[1], s[0] + 1.0, x], [x, y])
+    assert [type(e) for e in rows[0]] == [DualScalar] * 2
+    assert all(type(e.partials) is tuple for e in rows[0])
+    assert rows[1] == [1.0, 0.0] and rows[2] == [0.0, 0.0]
 
 
 def test_directional_batch_is_the_per_point_directional_derivative():
@@ -545,6 +607,121 @@ def test_directional_batch_is_the_per_point_directional_derivative():
         lone = numdiff.directional_batch(F, X[b : b + 1], V[b : b + 1])[0]
         assert got[b].tobytes() == lone.tobytes()
         assert np.allclose(lone, numdiff.jacobian(F, X[b]) @ V[b], rtol=1e-14, atol=1e-15)
+
+
+def _level_two_operands(base, lift_two):
+    """Operands over the level-1 duals of ``base`` (floats, or (B,) arrays),
+    built by the same operations whichever lift makes level 2: a seed and
+    its negation (constant partials, the latter with -0.0 entries), general
+    duals with level-1 partials (one near overflow, and its square, whose
+    products with zero partials are NaNs), a positive one, a level-1 dual, a
+    number and a constant of the cores' shape."""
+    s = numdiff.lift(base)
+    a1 = s[0] * s[2]  # base[0]'s cores where base[2] is 1, with level-1 partials
+    x, y, z = lift_two([a1, s[1] * s[2], s[2] * s[2] + 0.3])
+    u = x * y + numdiff.cos(z) * s[1]
+    big = (x - 0.25) * 1e300
+    pos = z * z + x * x + 0.2
+    const = np.full(np.shape(base[0]), 1.25) if np.ndim(base[0]) else 1.25
+    operands = {
+        "x": x, "-x": -x, "u": u, "big": big, "inf": big * big, "a1": a1, "0.37": 0.37,
+        "const": const,
+    }
+    return s, x, y, z, pos, operands
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the primitive named by the DomainError it raises."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return exc.primitive
+
+
+def test_packed_level_two_replays_the_tuple_nesting_bitwise():
+    # every primitive, solve_linear and _select over packed level-2 operands,
+    # against the tuple nesting (tuple_lift), at float and (B,) array cores:
+    # level-2 operands with constant and level-1 partials, mixed with a
+    # level-1 dual and constants, in both orders; bits include the sign of a
+    # zero and where NaNs are, and no operation writes into an input
+    B0, B1, B2 = [3.0, 0.1, 0.2], [0.5, 0.4, 2.0], [1.0, 1.0, 1.0]
+    mask = np.array([True, False, True])
+    cases = [(np.array(B0), np.array(B1), np.array(B2))] + list(zip(B0, B1, B2))
+
+    def run(base, s, x, y, z, pos, ops):
+        two = [k for k, v in ops.items() if isinstance(v, DualScalar) and v.level == 2]
+        out = dict(ops)
+        for k in two:
+            for name, fn in (
+                ("neg", lambda t: -t), ("sin", numdiff.sin), ("cos", numdiff.cos),
+                ("tan", numdiff.tan), ("exp", numdiff.exp), ("log", numdiff.log),
+                ("sqrt", numdiff.sqrt), ("cube", lambda t: numdiff.power(t, 3)),
+                ("square", lambda t: t**2.0), ("one", lambda t: numdiff.power(t, 1.0)),
+                ("zero", lambda t: numdiff.power(t, 0.0)), ("real", lambda t: numdiff.power(t, 2.7)),
+                ("half", lambda t: numdiff.power(t, 0.5)), ("rdiv", lambda t: 1.7 / t),
+            ):
+                out[name, k] = _outcome(fn, ops[k])
+        for (name, fn), dens in (
+            (("add", lambda a, b: a + b), ops), (("sub", lambda a, b: a - b), ops),
+            (("mul", lambda a, b: a * b), ops), (("div", numdiff.divide), ("x", "u", "a1", "0.37")),
+        ):
+            for k in ops:
+                for d in dens:
+                    if k in two or d in two:
+                        out[name, k, d] = _outcome(fn, ops[k], ops[d])
+        for k in [*two, "a1"]:  # a dual exponent on positive bases of every level
+            for base_ in (pos, s[2] + 1.0, 1.3):
+                out["pow", k, repr(base_)[:12]] = _outcome(numdiff.power, base_, ops[k])
+        a = [[x, 1.0, 2.0], [s[2], z, ops["u"]], [y, 2.0, -1.0]]
+        out["solve"] = numdiff.solve_linear(a, [ops["u"], ops["a1"], ops["-x"]])
+        out["solve_m"] = sum(numdiff.solve_linear(a, [[ops["u"], 1.0], [x, ops["big"]], [0.5, z]]), [])
+        if np.ndim(base[0]):  # select per element: entries of every level
+            for k in ops:
+                for d in ops:
+                    if k in two or d in two:
+                        out["select", k, d] = numdiff._select(mask, ops[k], ops[d])
+        return out
+
+    with np.errstate(all="ignore"):
+        for base in cases:
+            packed, tuples = (_level_two_operands(base, lf) for lf in (numdiff.lift, tuple_lift))
+            assert isinstance(packed[5]["u"].partials, DualScalar)
+            assert type(packed[5]["-x"].partials) is np.ndarray
+            before = [_partials_bytes(*o[:5], *o[5].values()) for o in (packed, tuples)]
+            got, want = run(base, *packed), run(base, *tuples)
+            assert got.keys() == want.keys()
+            nan = 0
+            for key, g in got.items():
+                w = want[key]
+                for ge, we in zip(*(v if isinstance(v, list) else [v] for v in (g, w))):
+                    if isinstance(ge, str) or isinstance(we, str):  # a domain error
+                        assert ge == we, key
+                    elif np.ndim(base[0]):
+                        for b in range(3):
+                            assert _same(element(ge, b), element(we, b)), (key, b)
+                    else:
+                        assert _same(ge, we), key
+                nan += "nan" in repr(element(g, 0) if np.ndim(base[0]) else g)
+            assert nan  # the overflowed operand reaches NaN partials
+            assert before == [_partials_bytes(*o[:5], *o[5].values()) for o in (packed, tuples)]
+
+            # jacobian rows at level 2: the entries of the tuple nesting
+            def F(t):
+                return [t[0] * t[1], numdiff.sin(t[1]) / t[2], t[0] - 1.0, 4.0, t[0].value]
+
+            s = numdiff.lift(base)
+            scalars = [s[0] * s[2], s[1] * s[0], s[2] * s[2] + 0.3]
+            got = numdiff.jacobian_generic(F, scalars)
+            want = [
+                list(c.partials) if isinstance(c, DualScalar) and c.level == 2 else [0.0] * 3
+                for c in F(tuple_lift(scalars))
+            ]
+            assert len(got) == len(want) == 5 and got[3:] == [[0.0] * 3] * 2
+            for g, w in zip(sum(got, []), sum(want, [])):
+                if np.ndim(base[0]):
+                    assert all(_same(element(g, b), element(w, b)) for b in range(3))
+                else:
+                    assert _same(g, w)
 
 
 def _src_modules(found):
@@ -570,6 +747,26 @@ def test_duals_are_built_only_in_numdiff():
     assert set(_src_modules(lambda node: _named(node, "_Packed"))) == {"numdiff"}
     builds = _src_modules(lambda node: isinstance(node, ast.Call) and _named(node.func, "DualScalar"))
     assert builds and set(builds) == {"numdiff"}
+    # outside numdiff, partials are read (not as jacobian rows) only by the
+    # float-core table passes of dynamics, whose lifts are of a lone point
+    readers = set()
+    for path in sorted(Path(numdiff.__file__).parent.glob("*.py")):
+        if path.stem == "numdiff":
+            continue
+        _partials_readers(ast.parse(path.read_text()), path.stem, readers)
+    assert readers == {"dynamics._values_and_grads", "dynamics.FieldEvaluator._entries"}
+
+
+def _partials_readers(node, scope, found):
+    """Add to ``found`` the scope (module, class and function names) of every
+    ``.partials`` read below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            _partials_readers(child, f"{scope}.{child.name}", found)
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == "partials":
+            found.add(scope)
+        _partials_readers(child, scope, found)
 
 
 # every primitive, on u in [-2, 2] and a positive v; the float rule is the
