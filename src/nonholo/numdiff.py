@@ -78,10 +78,6 @@ class DualScalar:
         self.partials = partials if type(partials) is tuple else tuple(partials)
         self.level = level
 
-    @property
-    def width(self) -> int:
-        return len(self.partials)
-
     def _check(self, other: "DualScalar"):
         if len(self.partials) != len(other.partials):
             raise WidthMismatchError(
@@ -226,10 +222,6 @@ class _Packed(DualScalar):
         self.value = value
         self.partials = partials
         self.level = level
-
-    @property
-    def width(self) -> int:
-        return _width(self.partials)
 
     def _check(self, other: "DualScalar"):
         a, b = _width(self.partials), _width(other.partials)
