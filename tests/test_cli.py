@@ -420,15 +420,20 @@ SIMULATE_CASES = json.loads((DATA / "simulate" / "cases.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATE_CASES))
-def test_simulate_payloads_match_the_pinned_bytes(tmp_path, name):
+def test_simulate_payloads_match_the_pinned_bytes(monkeypatch, tmp_path, name):
     """``simulate`` reproduces its pinned payload byte for byte.
 
     tests/data/simulate/cases.json maps each payload file to the argv that
     wrote it: 300 RK4 steps at dt 0.002 from seeded admissible starts on the
     three non-integrable catalog systems (CSV), plus one run with
-    ``--no-project`` and one JSON run. A change that moves any recorded bit
-    of the trajectory shows here.
+    ``--no-project`` and one JSON run. The last case runs a system file
+    (resolved in tests/data) from a fixed admissible start: the disk with a
+    non-constant metric and a potential, so its stages factor and invert the
+    metric, its field carries the potential's gradient and its multipliers
+    solve a 2 x 2 Gram system. A change that moves any recorded bit of the
+    trajectory shows here.
     """
+    monkeypatch.chdir(DATA)
     path = tmp_path / name
     assert cli.main([*SIMULATE_CASES[name], "--output", str(path)]) == 0
     assert path.read_bytes() == (DATA / "simulate" / name).read_bytes()
