@@ -30,6 +30,10 @@ evaluated once, with every check of ``geometry.eden_project``, and recorded
 as one array row; a state whose pass raises stops the run with that error.
 A stage point whose metric is not positive definite stops the run with
 ``geometry.metric_at``'s error there, as a state would.
+
+The dense solves, inverses and Cholesky factors here go through ``_lapack``,
+numpy's LAPACK gufuncs without the public wrappers: the same bits and
+errors, without a fixed cost that every RK4 stage would pay.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, numdiff
+from . import _lapack, geometry, numdiff
 from .errors import NonholoError, StepFailureError
 from .system import PhasePoint, SystemDefinition, hamiltonian_scalar
 
@@ -126,7 +130,7 @@ def _free_field_and_multipliers(sys, x):
     )
     gram = geometry.stacked(x, "cons.gram")
     cdot = cdot.reshape(gram.shape[:-1])
-    return free, np.linalg.solve(gram, cdot[..., None])[..., 0]
+    return free, _lapack.solve(gram, cdot[..., None])[..., 0]
 
 
 def nonholonomic_field_multiplier(
@@ -177,7 +181,8 @@ class FieldEvaluator:
     constant metric is validated once, by ``geometry.metric_at``, and reused;
     any other metric at a point ``project`` did not see (an RK4 stage) must
     have a Cholesky factor before it is inverted, and a Gram matrix that
-    cannot be solved there raises the constraint rows' own error.
+    cannot be solved there raises the constraint rows' own error. The
+    factorization, the inverse and the multipliers' solve call ``_lapack``.
     """
 
     def __init__(self, sys: SystemDefinition):
@@ -221,10 +226,10 @@ class FieldEvaluator:
         Cholesky factorization keeps a stage from jumping the metric's
         singularity; where it fails, ``geometry.metric_at`` raises its error."""
         try:
-            np.linalg.cholesky(Gs)
+            _lapack.cholesky(Gs)
         except np.linalg.LinAlgError:
             geometry.metric_at(self.sys, q)
-        return np.linalg.inv(Gs)
+        return _lapack.inv(Gs)
 
     def evaluate(self, q, p):
         """Return (xdot 2n-vector, lam, residual c, H) at (q, p)."""
@@ -249,7 +254,7 @@ class FieldEvaluator:
         rhs = dc_q @ v + muGinv @ (-dHq)
         gram = muGinv @ mu.T
         try:
-            lam = np.linalg.solve(gram, rhs)
+            lam = _lapack.solve(gram, rhs)
         except np.linalg.LinAlgError:  # dependent rows at an RK4 stage
             geometry.constraints_at(self.sys, q, self._met)
             raise

@@ -22,6 +22,12 @@ that raises one point at a time, in index order; it is the only code that
 finds the first failing point. Every array a stacked pass keeps is bitwise
 the per-point one.
 
+Every dense solve, inverse, Cholesky factor and set of singular values here
+(the metric's and the rows' checks, the Eden projection, frame checks and
+components, the splitting) goes through ``_lapack``: numpy's LAPACK gufuncs
+with the public wrappers' error state and without their cost, bitwise the
+``np.linalg`` calls.
+
 The on-manifold tolerance ON_M_TOL is the default of every operation that
 requires its phase point on M; callers may override it per call.
 ``require_on_m`` validates a point once into an ``OnMPoint``, the one
@@ -40,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import numdiff
+from . import _lapack, numdiff
 from .errors import (
     DomainError,
     FrameDegenerateError,
@@ -120,7 +126,7 @@ def _not_factored(A):
     """The mask of the matrices of A (B, n, n) without a Cholesky factor: a
     stack is rejected as a whole, so its mask holds everywhere."""
     try:
-        np.linalg.cholesky(A)
+        _lapack.cholesky(A)
     except np.linalg.LinAlgError:
         return np.ones(len(A), bool)
     return np.zeros(len(A), bool)
@@ -140,7 +146,7 @@ def _metric_checks(q, G):
     _check(np.abs(G - Gt).max((1, 2)) > 1e-9 * scale, failed("is not symmetric"))
     Gs = 0.5 * (G + Gt)
     _check(_not_factored(Gs), failed("is not positive definite"))
-    Ginv = np.linalg.inv(Gs)
+    Ginv = _lapack.inv(Gs)
     _check(np.abs(Gs @ Ginv - _eye(G.shape[-1])).max((1, 2)) > 1e-10 * scale,
            failed("is too ill-conditioned"))
     return Gs, Ginv
@@ -152,7 +158,7 @@ def _row_checks(q, mu):
     dependent too)."""
     _check(~np.isfinite(mu).all((1, 2)), lambda b: RankDeficientError(
         f"constraint rows non-finite at q={q[b].tolist()}"))
-    s = np.linalg.svd(mu, compute_uv=False)
+    s = _lapack.singular_values(mu)
     _check(s[:, -1] <= 1e-10 * s[:, 0], lambda b: RankDeficientError(
         f"constraint rows are dependent at q={q[b].tolist()} (singular values {s[b]})"))
 
@@ -184,7 +190,7 @@ def validated(sys, q, G=None, met=None, mu=None, p=None, tol=None, rows=True):
             _check(~(value <= tol), lambda b: NotOnMError(float(value[b]), tol))
         elif p is not None:
             try:
-                lam = np.linalg.solve(gram, mu @ (Ginv @ p[..., None]))
+                lam = _lapack.solve(gram, mu @ (Ginv @ p[..., None]))
             except np.linalg.LinAlgError:
                 raise RankDeficientError("constraint Gram matrix is singular") from None
             value = p - (mu.swapaxes(1, 2) @ lam)[..., 0]
@@ -460,7 +466,7 @@ def _frames(sys, q, mu):
         scale = np.fmax(1.0, np.abs(mus).max((1, 2)) * np.abs(E).max((1, 2)))
         _check(np.abs(mus @ E).max((1, 2)) > 1e-10 * scale, lambda i: invalid(
             f"{label} frame leaves the distribution at q={qs[i].tolist()}"))
-        s = np.linalg.svd(E, compute_uv=False)  # a non-finite frame raises LinAlgError
+        s = _lapack.singular_values(E)  # a non-finite frame raises LinAlgError
         _check(s[:, -1] <= 1e-10 * np.fmax(1.0, s[:, 0]), lambda i: invalid(  # zero columns too
             f"{label} frame columns are dependent at q={qs[i].tolist()}"))
         for b, e in zip(idx, E):
@@ -513,7 +519,7 @@ def frame_components(G, E, w) -> np.ndarray:
     lead, (n, k) = E.shape[:-2], E.shape[-2:]
     ge = G @ E
     rhs = w.reshape(lead + (n, -1))
-    xi = np.linalg.solve(E.swapaxes(-1, -2) @ ge, ge.swapaxes(-1, -2) @ rhs)
+    xi = _lapack.solve(E.swapaxes(-1, -2) @ ge, ge.swapaxes(-1, -2) @ rhs)
     return xi.reshape(lead + (k,) + w.shape[len(lead) + 1 :])
 
 
@@ -555,13 +561,13 @@ def tangent_splitting(sys, x, on_m_tol: float | None = None):
     C = C.reshape(z.shape[:-1] + C.shape[1:])
     M1 = omega_inv_apply(C.swapaxes(-1, -2))
     K = C @ M1
-    for s in np.linalg.svd(K, compute_uv=False).reshape(-1, K.shape[-1]):
+    for s in _lapack.singular_values(K).reshape(-1, K.shape[-1]):
         if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
             raise SplittingDegenerateError(
                 "the admissible tangent sub-bundle fails to be symplectic here "
                 f"(splitting matrix singular values {s})"
             )
-    Q = M1 @ np.linalg.solve(K, C)
+    Q = M1 @ _lapack.solve(K, C)
     P = np.eye(2 * sys.n) - Q
     return P, Q, C
 

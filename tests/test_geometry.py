@@ -664,6 +664,25 @@ def test_only_per_point_catches_a_stacked_failure():
     assert _source_sites(catches) == ["geometry.per_point"]
 
 
+def test_dense_linear_algebra_goes_through_the_lapack_seam():
+    # solves, inverses, Cholesky factors and singular values call numpy's
+    # gufuncs in _lapack; outside it, the one such np.linalg name in the
+    # package is verify's full SVD (the tests keep np.linalg as the oracle)
+    def names(*attrs):
+        return lambda node: (isinstance(node, ast.Attribute) and node.attr in attrs
+                             and ast.unparse(node.value) in ("np.linalg", "numpy.linalg"))
+
+    def outside(sites):
+        return [s for s in sites if not s.startswith("_lapack.")]
+
+    assert outside(_source_sites(names("solve", "inv", "cholesky"))) == []
+    assert outside(_source_sites(names("svd"))) == ["verification._chunk_metrics"]
+    source = Path(geometry.__file__).with_name("verification.py").read_text()
+    calls = [ast.unparse(node) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and names("svd")(node.func)]
+    assert calls == ["np.linalg.svd(P)"]  # the full SVD, with its vectors
+
+
 @pytest.mark.parametrize("name, owner", [
     ("from_dstar_apply", "geometry.dstar_chart"),  # the one D* -> M chart
     ("residual_phase", "geometry.splitting_rows"),  # the one splitting matrix C
