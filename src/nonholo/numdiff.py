@@ -380,7 +380,8 @@ def power(base, exponent):
     """base ** exponent.
 
     Plain-number exponents use the monomial rule (integer exponents permit
-    negative bases); dual exponents take the partials of
+    negative bases), and a plain array exponent gives each element of array
+    cores its own; dual exponents take the partials of
     exp(exponent * log(base)) and therefore require a positive base. The
     value is always the float rule's, at every level.
     """
@@ -395,6 +396,8 @@ def power(base, exponent):
             b = np.broadcast_to(base, exponent.shape).tolist()
             return np.fromiter(map(_float_pow, b, exponent.tolist()), float, len(b))
         return _map(lambda b: _float_pow(b, exponent), base)
+    if isinstance(exponent, np.ndarray) and exponent.ndim:
+        return _power_each(base, exponent)
     e = float(exponent)
     core = float_core(base.value)
     if _anywhere(core < 0.0) and not e.is_integer():
@@ -415,6 +418,32 @@ def power(base, exponent):
     return DualScalar(
         val, tuple([slope * p for p in base.partials]), base.level
     )
+
+
+def _power_each(base, e):
+    """power(base, e) for a dual base over array cores and one plain exponent
+    per element: each element takes the rule of its own float exponent (1.0
+    with zero partials at 0, the base itself at 1, the monomial rule
+    otherwise), and a DomainError is raised wherever an element's own call
+    would raise one. The elements are merged by ``_select``, so at level 2 a
+    partial that is constant at some elements holds zero partials there."""
+    core = float_core(base.value)
+    if _anywhere((core < 0.0) & ((np.trunc(e) != e) | np.isinf(e))):
+        raise DomainError("power", "negative base with non-integer exponent")
+    zero, one = e == 0.0, e == 1.0
+    at_zero = (core == 0.0) & ~zero & ~one
+    if _anywhere(at_zero & (e < 0.0)):
+        raise DomainError("power", "zero base with negative exponent")
+    if _anywhere(at_zero & (e < 1.0)):
+        raise DomainError("power", "derivative of x^e unbounded at 0 for e < 1")
+    e = np.where(zero | one, 1.0, e)  # the monomial rule at 1 is safe everywhere
+    val = power(base.value, e)
+    slope = power(base.value, e - 1.0) * e
+    if type(base) is _Packed:
+        mono = _Packed(val, _up(slope) * base.partials, base.level)
+    else:
+        mono = DualScalar(val, tuple([slope * p for p in base.partials]), base.level)
+    return _select(zero, 1.0, _select(one, base, mono))
 
 
 def _float_pow(b, e):

@@ -468,6 +468,46 @@ def test_batch_jet_domain_edges_name_the_primitive():
             assert exc.value.primitive == name
 
 
+POWER_BASES = (1.5, 0.0, -2.0, 0.7, -0.5, 3.0)
+POWER_EXPONENTS = (0.0, 1.0, 2.0, -1.0, 0.5, 1.5)
+
+
+def _power_outcome(base, e):
+    """power(base, e) of a level-1 dual, with a constant result as a dual
+    with zero partials, or the message of the DomainError it raises."""
+    try:
+        out = numdiff.power(base, e)
+    except DomainError as exc:
+        return str(exc)
+    return out if isinstance(out, DualScalar) else DualScalar(out, (0.0,) * len(parts(base)))
+
+
+def test_power_takes_one_plain_exponent_per_array_core_element():
+    # each element is its lone float-core call, bit for bit: 1 with zero
+    # partials at exponent 0, the base itself at 1, the monomial rule else;
+    # the call raises wherever an element's own call raises, with its message
+    mixed = (1.5, 0.0, 2.0, 0.5, -1.0, 1.0)  # no element raises
+    cases = [np.array(mixed)]
+    for b in range(len(POWER_BASES)):  # every base with every exponent
+        for e in POWER_EXPONENTS:
+            exps = np.full(len(POWER_BASES), 2.0)
+            exps[b] = e
+            cases.append(exps)
+    raised = 0
+    for make in JETS:
+        for exps in cases:
+            base = make(POWER_BASES)
+            lone = [_power_outcome(element(base, b), e) for b, e in enumerate(exps.tolist())]
+            got = _power_outcome(base, exps)
+            errors = [x for x in lone if isinstance(x, str)]
+            if errors:
+                raised += 1
+                assert got in errors, (make.__name__, exps)
+                continue
+            assert all(_same(element(got, b), x) for b, x in enumerate(lone)), (make.__name__, exps)
+    assert raised == len(JETS) * 6  # -2 and -0.5 at 0.5 and 1.5, 0 at -1 and 0.5
+
+
 def test_jacobian_batch_is_the_per_point_jacobian():
     def F(s):
         return [s[0] * s[1], numdiff.sin(s[2]) / (1.0 + s[0] * s[0]), 4.0, s[1]]
