@@ -84,7 +84,7 @@ def _trajectory_payload(traj, sysd, fmt: str) -> str:
     rows = traj.rows.tolist()  # (t, q, p, H, c, lam), in the header's order
     if fmt == "csv":
         lines = [",".join(header)]
-        lines += [",".join(_fmt_float(v) for v in row) for row in rows]
+        lines += [",".join(map(repr, row)) for row in rows]  # tolist() made them floats
         return "\n".join(lines) + "\n"
     return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
