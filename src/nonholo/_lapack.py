@@ -27,15 +27,13 @@ import functools
 
 import numpy as np
 
-LinAlgError = np.linalg.LinAlgError
-
 
 def _raising(message):
     """The public wrappers' error state: LAPACK's failure flag (invalid)
     raises LinAlgError(message), every other floating-point flag is ignored."""
 
     def fail(err, flag):
-        raise LinAlgError(message)
+        raise np.linalg.LinAlgError(message)
 
     return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 

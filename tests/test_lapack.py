@@ -54,6 +54,9 @@ def _cases():
         yield "solve", (a, RNG.normal(size=(n, 3)))
         yield "solve", (stack, RNG.normal(size=(B, n, 1)))
         yield "solve", (general, RNG.normal(size=(B, n, 2 * n)))
+        # numpy's rule: b is a vector only when b.ndim == 1, even when b has
+        # one dimension less than a stack of n matrices
+        yield "solve", (_spd(n, n, n), RNG.normal(size=(n, n)))
         for f in ("inv", "cholesky"):
             yield f, (a,)
             yield f, (stack,)
