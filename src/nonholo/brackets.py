@@ -17,8 +17,9 @@ validated point, ``geometry.OnMPoint``. ``raw_rows`` reads the gradient rows
 of a whole list of observables off one lift at that point, and
 ``bracket_route_tables`` contracts them into all four routes over every
 ordered pair; it is the only bracket formula of the route-table path, and
-``verify``, ``compare_brackets`` and the dynamics evolution check read their
-values from it or from the rows.
+``verify`` and ``compare_brackets`` read their values from it or from the
+rows. Its Hamiltonian fields are ``geometry.hamiltonian_vectors``, the numpy
+twin of the generic ``_symp``.
 
 Each route also has one formula over generic scalars, ``_route_rows``, which
 evaluates the route's extension map once per lift for all observables; the
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, numdiff
-from .errors import InternalConsistencyError, SectionNotInDError
+from .errors import InternalConsistencyError
 from .system import (
     DStarObservable,
     DStarPoint,
@@ -77,16 +78,6 @@ def _pair_value(sys, kind, f, g, scalars, free_cols=None) -> float:
     return float(_pair(rf, rg, len(rf) // 2))
 
 
-def gamma_extension(sys: SystemDefinition, f: Observable) -> Observable:
-    """Extend an observable off M by precomposing with the momentum projection.
-
-    The result is defined on all of phase space, differentiable through the
-    configuration dependence of the projection, and restricts to f on M.
-    """
-    label = f"gamma({f.label})"
-    return Observable(label=label, fn=lambda s: f.fn(geometry.gamma_hat_apply(sys, s)))
-
-
 def raw_rows(x: geometry.OnMPoint, observables) -> np.ndarray:
     """Raw gradient rows of every observable at the point x, off one lift.
 
@@ -105,10 +96,7 @@ def nh_values_from_grads(x, gf_ext, gg_ext):
     """
     P = geometry.stacked(x, "splitting")[0]
     n = P.shape[-1] // 2
-    xf, xg = (  # the Hamiltonian fields (dF/dp, -dF/dq)
-        np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
-        for g in (np.asarray(gf_ext, dtype=float), np.asarray(gg_ext, dtype=float))
-    )
+    xf, xg = (geometry.hamiltonian_vectors(np.asarray(g, dtype=float)) for g in (gf_ext, gg_ext))
     P = P.reshape(P.shape[:-2] + (1,) * (xf.ndim - P.ndim + 1) + P.shape[-2:])
     pxf, pxg = ((P @ v[..., None])[..., 0] for v in (xf, xg))
     a, b, c = (np.moveaxis(v, -1, 0) for v in (pxf, xf, pxg))
@@ -143,7 +131,7 @@ def bracket_route_tables(x, raw: np.ndarray) -> dict[str, np.ndarray]:
         return aq @ bp.swapaxes(-1, -2) - ap @ bq.swapaxes(-1, -2)
 
     eden = pair_table(gq, gp, gq, gp)
-    X = np.concatenate([gp, -gq], -1)  # rows are the extension Hamiltonian fields
+    X = geometry.hamiltonian_vectors(gext)  # rows are the extension Hamiltonian fields
     PX = X @ geometry.stacked(x, "splitting")[0].swapaxes(-1, -2)
     nh = pair_table(PX[..., :n], PX[..., n:], PX[..., :n], PX[..., n:])
     nh2 = pair_table(X[..., :n], X[..., n:], PX[..., :n], PX[..., n:])
@@ -165,7 +153,7 @@ class BracketReport:
     @property
     def max_pairwise_gap(self) -> float:
         vals = (self.value_nh, self.value_nh2, self.value_eden, self.value_dstar)
-        return max(abs(a - b) for a in vals for b in vals)
+        return float(np.max([abs(a - b) for a in vals for b in vals]))  # keeps a NaN
 
 
 def compare_brackets(
@@ -231,7 +219,7 @@ def dstar_bracket(
 ) -> float:
     """Bracket on the dual bundle via canonical pullbacks through the frame."""
     free = geometry.frame_at(sys, y.q).free_cols
-    geometry.metric_at(sys, y.q)  # the cometric behind from_dstar must be SPD
+    geometry.metric_at(sys, y.q)  # the cometric behind dstar_chart must be SPD
     return _pair_value(sys, "dstar", f, g, y.scalars(), free)
 
 
@@ -259,21 +247,7 @@ def _free_cols_at(sys, q_s):
     return geometry.default_frame_plans(numdiff.from_cores(mu, 1))[0][0]
 
 
-# --- sections of the distribution and the projected Lie bracket ---------------
-
-
-def section_from_expressions(sys: SystemDefinition, texts):
-    """Compile an n-component vector field on configurations."""
-    from . import dsl
-
-    fns = []
-    for t in texts:
-        e = dsl.parse_expression(t)
-        dsl.validate_identifiers(e, set(sys.coords) | set(sys.params))
-        fns.append(dsl.compile_expression(e, sys.coords, sys.params))
-    if len(fns) != sys.n:
-        raise ValueError(f"section needs {sys.n} components, got {len(fns)}")
-    return lambda q_s: [fn(q_s) for fn in fns]
+# --- the Lie bracket of vector fields -----------------------------------------
 
 
 def field_brackets(F, pairs, qs) -> np.ndarray:
@@ -292,28 +266,6 @@ def field_brackets(F, pairs, qs) -> np.ndarray:
 def lie_bracket_raw(sys: SystemDefinition, X, Y, q) -> np.ndarray:
     """[X, Y] = (DY) X - (DX) Y at q, unprojected: ``field_brackets`` at one point."""
     return field_brackets(lambda s: [*X(s), *Y(s)], [(0, 1)], [q])[0, 0]
-
-
-def almost_lie_bracket(sys: SystemDefinition, X, Y, q) -> np.ndarray:
-    """Projected Lie bracket of two distribution sections at q.
-
-    Validates that both sections lie in the distribution at q, then returns
-    the metric-orthogonal projection of [X, Y] back onto it.
-    """
-    q_list = [float(v) for v in q]
-    mu = np.asarray(sys.mu_values(q_list), dtype=float)
-    xv = np.array([numdiff.float_core(v) for v in X(q_list)])
-    yv = np.array([numdiff.float_core(v) for v in Y(q_list)])
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    for nm, vec in (("X", xv), ("Y", yv)):
-        r = float(np.max(np.abs(mu @ vec)))
-        if r > 1e-9 * scale * max(1.0, float(np.max(np.abs(vec)))):
-            raise SectionNotInDError(
-                f"section {nm} leaves the distribution at q={q_list} (residual {r:.3e})"
-            )
-    w = lie_bracket_raw(sys, X, Y, q_list)
-    E = geometry.frame_at(sys, q_list).E
-    return E @ geometry.frame_components(geometry.metric_at(sys, q_list).G, E, w)
 
 
 # --- shared-lift route rows and the Jacobiator --------------------------------
@@ -397,7 +349,7 @@ def jacobiator(
         if len(geometry.frame_plans(points)) > 1:
             raise ValueError("dstar points must share one frame plan")
         for y in points:  # each image in D* must be a finite dual-bundle point
-            DStarPoint(q=y.q, pi=y.dstar_scalars()[sys.n :])
+            DStarPoint(q=y.q, pi=y.pi)
     body = functools.partial(jacobi_rows, sys, kind, triples)
     rows = geometry.per_point(body, points)
     out = [float(r[0]) if single else r.tolist() for r in rows]

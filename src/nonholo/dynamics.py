@@ -83,9 +83,6 @@ class Trajectory:
     def points(self) -> list:
         return list(self)
 
-    def final(self) -> TrajectoryPoint:
-        return self._point(self.rows[-1])
-
     def _point(self, row) -> TrajectoryPoint:
         n = self.n
         c, lam = np.split(row[2 * n + 2 :].copy(), 2)
@@ -99,20 +96,8 @@ def hamiltonian_field(sys: SystemDefinition, x: PhasePoint) -> PhaseVelocity:
     n = sys.n
     z = [p.scalars() for p in (x if isinstance(x, list) else [x])]
     dH = numdiff.jacobian_batch(lambda s: [hamiltonian_scalar(sys, s)], z)[:, 0]
-    dH = dH if isinstance(x, list) else dH[0]
-    return PhaseVelocity(dq=dH[..., n:], dp=-dH[..., :n])
-
-
-def multipliers(
-    sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None
-) -> np.ndarray:
-    """Multipliers making the constrained field preserve the residuals.
-
-    Solves gram . lam = dc(X_H): the derivative of each residual along the
-    free field is a single-direction dual pass, so the configuration
-    dependence of mu and the cometric is included exactly.
-    """
-    return _free_field_and_multipliers(sys, geometry.on_m_point(sys, x, on_m_tol))[1]
+    v = geometry.hamiltonian_vectors(dH if isinstance(x, list) else dH[0])
+    return PhaseVelocity(dq=v[..., :n], dp=v[..., n:])
 
 
 def _free_field_and_multipliers(sys, x):
@@ -353,37 +338,3 @@ def integrate(
                 trajectory=Trajectory(rows[:done], n),
             ) from exc
     return Trajectory(rows[:done], n)
-
-
-def observable_evolution_check(sys: SystemDefinition, traj: Trajectory, f) -> float:
-    """Max gap between the finite-difference observable rate and the bracket.
-
-    At each interior sample the centered difference of f along the
-    trajectory is compared against the momentum-projection bracket of f with
-    the energy. The same call cross-checks the one-side-projected form built
-    on the raw energy; the two must agree to 1e-9.
-    """
-    from . import brackets
-    from .errors import InternalConsistencyError
-    from .system import hamiltonian_observable
-
-    pts = traj.points
-    if len(pts) < 3:
-        raise ValueError("trajectory too short for centered differences")
-    h_obs = hamiltonian_observable(sys)
-    worst = 0.0
-    for i in range(1, len(pts) - 1):
-        xm, x0, xp = pts[i - 1].x, pts[i].x, pts[i + 1].x
-        dt2 = pts[i + 1].t - pts[i - 1].t
-        fd = (f.at(xp) - f.at(xm)) / dt2
-        x0 = geometry.on_m_point(sys, x0)
-        rows = brackets.raw_rows(x0, [f, h_obs])
-        ext_f, ext_h = rows @ x0.dgamma
-        br = float(brackets._pair(ext_f, ext_h, sys.n))
-        raw = brackets.nh_values_from_grads(x0, ext_f, rows[1])[1]
-        if abs(br - raw) > 1e-9:
-            raise InternalConsistencyError(
-                f"evolution bracket forms disagree: {br!r} vs {raw!r}"
-            )
-        worst = max(worst, abs(fd - br))
-    return worst

@@ -105,10 +105,6 @@ class SplittingDegenerateError(NonholoError):
     """The constrained tangent sub-bundle fails to be symplectic here."""
 
 
-class SectionNotInDError(NonholoError):
-    """A vector field handed to the projected Lie bracket leaves the distribution."""
-
-
 class InternalConsistencyError(NonholoError):
     """Two formulas that must agree to tolerance did not."""
 

@@ -8,6 +8,9 @@ validation (symmetry and positive definiteness, rank, conditioning, frame
 membership) plus that formula on floats or one lift of it (C). The exception
 is the Eden projection, which keeps its own numpy arithmetic because sampling
 seeds every point through it; ``gamma_apply`` is its differentiable counterpart.
+Two numpy maps have one body each: ``OnMPoint.pi``, the map M -> D*
+pi = E^T p, and ``hamiltonian_vectors``, X_F = -Omega^-1 dF, which the
+splitting and every numpy Hamiltonian field read.
 
 Each validated object has one body over a leading batch axis: ``validated``
 (metric, constraint rows, Gram matrix, then the residual bound or the Eden
@@ -33,7 +36,7 @@ requires its phase point on M; callers may override it per call.
 ``require_on_m`` validates a point once into an ``OnMPoint``, the one
 per-point object: operations that need a point on M accept it in place of a
 PhasePoint, and it builds its linear data once, on demand (splitting,
-projection Jacobian, frame, algebroid), by float formulas written over
+projection Jacobian, frame, pi, algebroid), by float formulas written over
 leading axes, so the same code takes one point or a list (``stacked``).
 """
 
@@ -208,11 +211,6 @@ def flat(sys, q, v) -> np.ndarray:
     return metric_at(sys, q).G @ np.asarray(v, dtype=float)
 
 
-def sharp(sys, q, p) -> np.ndarray:
-    """Raise the index: v = G(q)^-1 p."""
-    return metric_at(sys, q).Ginv @ np.asarray(p, dtype=float)
-
-
 def constraints_at(sys, q, met: MetricAtPoint | None = None) -> ConstraintsAtPoint:
     """Assemble the constraint rows and their cometric Gram matrix at q,
     checked after the metric's checks unless ``met`` is validated already."""
@@ -227,9 +225,8 @@ def residual_values(mu, Ginv, p) -> np.ndarray:
 
 def velocity_constraint(sys, q, p) -> np.ndarray:
     """Residual c with c_a = mu_a . G^-1 p; p lies on M iff this vanishes."""
-    met = metric_at(sys, q)
-    cons = constraints_at(sys, q, met)
-    return residual_values(cons.mu, met.Ginv, np.asarray(p, dtype=float))
+    _, Ginv, mu, _, _ = validated(sys, _one(q))
+    return residual_values(mu[0], Ginv[0], np.asarray(p, dtype=float))
 
 
 def eden_project(sys, q, p) -> np.ndarray:
@@ -252,8 +249,8 @@ class OnMPoint:
     rows and Gram matrix passed ``validated`` and its residual the caller's
     tolerance. It has the ``q``, ``p`` and ``scalars()`` of a PhasePoint, and
     builds the per-point linear data lazily, once: the symplectic splitting,
-    the projection Jacobian, the distribution frame and the almost Lie
-    algebroid.
+    the projection Jacobian, the distribution frame, its image pi in D* and
+    the almost Lie algebroid.
     """
 
     sys: object = field(repr=False)
@@ -280,13 +277,16 @@ class OnMPoint:
     def frame(self) -> FrameAtPoint:
         return frame_at(self.sys, self.q, mu=self.cons.mu)
 
-    def dstar_scalars(self) -> list[float]:
-        """(q, pi) with pi = E^T p, the image of this point in D*."""
-        return list(self._dstar_scalars)
-
     @cached_property
-    def _dstar_scalars(self) -> tuple[float, ...]:
-        return (*self.q.tolist(), *(self.frame.E.T @ self.p).tolist())
+    def pi(self) -> np.ndarray:
+        """pi = E^T p, the fiber coordinates of this point's image in D*: the
+        one M -> D* map, read stacked by the algebroid. E is taken as
+        ``_frames`` lays it out; a contiguous copy can round differently."""
+        return self.frame.E.T @ self.p
+
+    def dstar_scalars(self) -> list[float]:
+        """(q, pi), the image of this point in D*."""
+        return [*self.q.tolist(), *self.pi.tolist()]
 
     @cached_property
     def chart_jacobian(self) -> np.ndarray:
@@ -317,16 +317,15 @@ def almost_lie_algebroid(x):
     [e_a, e_b]_D = C[c, a, b] e_c; Lambda = [[0, E], [-E^T, -pi.C]] is
     the bivector of the linear almost-Poisson bracket in (q, pi).
     """
-    J, E, G, p = (stacked(x, a) for a in ("chart_jacobian", "frame.E", "met.G", "p"))
+    J, E, G, pi = (stacked(x, a) for a in ("chart_jacobian", "frame.E", "met.G", "pi"))
     lead, (n, k) = E.shape[:-2], E.shape[-2:]
-    Et = E.swapaxes(-1, -2)
-    pi = (Et @ p[..., None])[..., 0]
     # de[i, a, b] = (De_a e_b)^i and [e_a, e_b] = De_b e_a - De_a e_b
     de = np.einsum("...aij,...jb->...iab", J[..., 2 * n :, :n].reshape(lead + (k, n, n)), E)
     C = frame_components(G, E, de.swapaxes(-1, -2) - de)
     piC = np.einsum("...c,...cab->...ab", pi, C)
     top = np.concatenate([np.zeros(lead + (n, n)), E], -1)
-    return J[..., : 2 * n, :], np.concatenate([top, np.concatenate([-Et, -piC], -1)], -2), C
+    bottom = np.concatenate([-E.swapaxes(-1, -2), -piC], -1)
+    return J[..., : 2 * n, :], np.concatenate([top, bottom], -2), C
 
 
 def dstar_chart(sys, free_cols, s):
@@ -526,18 +525,12 @@ def frame_components(G, E, w) -> np.ndarray:
 # --- symplectic splitting along the constraint manifold -----------------------
 
 
-def omega_matrix(n: int) -> np.ndarray:
-    """Matrix of the canonical two-form in (dq, dp) block coordinates."""
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    return J
-
-
-def omega_inv_apply(cols: np.ndarray) -> np.ndarray:
-    """Apply Omega^-1 = [[0, -I], [I, 0]] columnwise (to the last two axes)."""
-    n = cols.shape[-2] // 2
-    return np.concatenate([-cols[..., n:, :], cols[..., :n, :]], -2)
+def hamiltonian_vectors(grads: np.ndarray) -> np.ndarray:
+    """X_F = (dF/dp, -dF/dq) = -Omega^-1 dF for the gradients dF on the last
+    axis, with Omega^-1 = [[0, -I], [I, 0]]: the numpy twin of
+    ``brackets._symp``."""
+    n = grads.shape[-1] // 2
+    return np.concatenate([grads[..., n:], -grads[..., :n]], -1)
 
 
 def tangent_splitting(sys, x, on_m_tol: float | None = None):
@@ -559,7 +552,7 @@ def tangent_splitting(sys, x, on_m_tol: float | None = None):
     z = np.concatenate([stacked(x, "q"), stacked(x, "p")], -1)
     C = _at(functools.partial(splitting_rows, sys), z.reshape(-1, 2 * sys.n))
     C = C.reshape(z.shape[:-1] + C.shape[1:])
-    M1 = omega_inv_apply(C.swapaxes(-1, -2))
+    M1 = hamiltonian_vectors(-C).swapaxes(-1, -2)  # Omega^-1 C^T
     K = C @ M1
     for s in _lapack.singular_values(K).reshape(-1, K.shape[-1]):
         if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:

@@ -193,35 +193,9 @@ class DStarObservable:
 # --- energies and the fiber-derivative maps ----------------------------------
 
 
-def lagrangian(sys: SystemDefinition, q, v) -> float:
-    """L = (1/2) v.G(q).v - V(q) for velocities v."""
-    met = geometry.metric_at(sys, q)
-    v = np.asarray(v, dtype=float)
-    return 0.5 * float(v @ met.G @ v) - float(sys.potential_value(list(map(float, q))))
-
-
-def energy(sys: SystemDefinition, q, v) -> float:
-    """E = (1/2) v.G(q).v + V(q)."""
-    met = geometry.metric_at(sys, q)
-    v = np.asarray(v, dtype=float)
-    return 0.5 * float(v @ met.G @ v) + float(sys.potential_value(list(map(float, q))))
-
-
 def legendre(sys: SystemDefinition, q, v) -> PhasePoint:
     """Fiber derivative of L: for mechanical systems, p = G(q) v."""
     return PhasePoint(q=np.asarray(q, dtype=float), p=geometry.flat(sys, q, v))
-
-
-def legendre_inverse(sys: SystemDefinition, q, p) -> np.ndarray:
-    """Inverse fiber derivative: v = G(q)^-1 p."""
-    return geometry.sharp(sys, q, p)
-
-
-def hamiltonian(sys: SystemDefinition, q, p) -> float:
-    """H = (1/2) p.G^-1(q).p + V(q)."""
-    met = geometry.metric_at(sys, q)
-    p = np.asarray(p, dtype=float)
-    return 0.5 * float(p @ met.Ginv @ p) + float(sys.potential_value(list(map(float, q))))
 
 
 def hamiltonian_scalar(sys: SystemDefinition, scalars):
@@ -234,27 +208,3 @@ def hamiltonian_scalar(sys: SystemDefinition, scalars):
 
 def hamiltonian_observable(sys: SystemDefinition) -> Observable:
     return Observable(label="H", fn=lambda s: hamiltonian_scalar(sys, s))
-
-
-# --- correspondence between the constraint manifold and the dual bundle ------
-
-
-def to_dstar(sys: SystemDefinition, x: PhasePoint, on_m_tol: float | None = None) -> DStarPoint:
-    """Pair the momentum covector with the frame: pi_a = E(q)^T p restricted."""
-    xm = geometry.require_on_m(sys, x.q, x.p, on_m_tol)
-    return DStarPoint(q=x.q, pi=xm.dstar_scalars()[sys.n :])
-
-
-def from_dstar(sys: SystemDefinition, y: DStarPoint) -> PhasePoint:
-    """Adjoint of the orthogonal projector onto D: p = G E (E^T G E)^-1 pi.
-
-    The image always satisfies the momentum constraints since mu.E = 0.
-    """
-    geometry.metric_at(sys, y.q)  # validation: the metric must be SPD
-    free = geometry.frame_at(sys, y.q).free_cols
-    return PhasePoint(q=y.q, p=geometry.dstar_chart(sys, free, y.scalars())[sys.n : 2 * sys.n])
-
-
-def constrained_hamiltonian(sys: SystemDefinition, y: DStarPoint) -> float:
-    """Energy of the unique admissible velocity represented by y."""
-    return hamiltonian(sys, y.q, from_dstar(sys, y).p)

@@ -174,7 +174,7 @@ def _chunk_metrics(sysd, points, observables):
 
     dgam = geometry.stacked(points, "dgamma")
     P, Q, C = geometry.stacked(points, "splitting")
-    resid = C[:, : n - k]  # the residual gradients
+    resid = brackets.residual_gradients(points)
     ext = raw[:, :n_obs] @ dgam
     # two pairs as they are, then with either gradient moved off M along the
     # residual gradient by 1, -1 and 10: one stacked call for all 14 per point
@@ -202,7 +202,7 @@ def _chunk_metrics(sysd, points, observables):
         proj_identity.append(gap if pu.shape[1] == 2 * k else float("inf"))
 
     mu = geometry.stacked(points, "cons.mu")
-    fields = np.concatenate([ext[..., n:], -ext[..., :n]], -1)  # extension fields, by row
+    fields = geometry.hamiltonian_vectors(ext)  # extension fields, by row
     base_in_d = _point_max([fields[..., :n] @ mu.swapaxes(-1, -2)])
     qx = fields @ Q.swapaxes(-1, -2)  # must be vertical, with dp in span(mu^T)
     vertical = []

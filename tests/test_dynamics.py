@@ -6,12 +6,14 @@ import pytest
 from nonholo import catalog, dsl, dynamics, geometry
 from nonholo.errors import (
     DomainError,
+    InternalConsistencyError,
     NonholoError,
     NotOnMError,
     RankDeficientError,
     StepFailureError,
 )
 from nonholo.system import Observable, PhasePoint, hamiltonian_observable
+from reference import observable_evolution_check
 
 SYS_A = catalog.get_system("holonomic_control")
 SYS_B = catalog.get_system("nonholonomic_particle")
@@ -47,10 +49,11 @@ def test_multipliers_closed_form_and_fd():
         PhasePoint(q=[0.0, 1.0, 0.0], p=[1.0, 0.0, 1.0]),
         PhasePoint(q=[0.0, 1.0, 0.0], p=[1.0, 1.0, 1.0]),
     ]
-    assert np.allclose(dynamics.multipliers(SYS_B, cases[0]), [0.0], atol=1e-14)
-    assert np.allclose(dynamics.multipliers(SYS_B, cases[1]), [0.5], atol=1e-14)
+    lams = [dynamics._free_field_and_multipliers(SYS_B, geometry.on_m_point(SYS_B, x))[1] for x in cases]
+    assert np.allclose(lams[0], [0.0], atol=1e-14)
+    assert np.allclose(lams[1], [0.5], atol=1e-14)
     for x in catalog.sample_entry_points(catalog.get_entry("nonholonomic_particle"), 20, 3):
-        lam = dynamics.multipliers(SYS_B, x)
+        lam = dynamics._free_field_and_multipliers(SYS_B, geometry.on_m_point(SYS_B, x))[1]
         assert lam[0] == pytest.approx(closed_form_multiplier(x), abs=1e-10)
         # finite differences of the residual along the free flow
         h = 1e-6
@@ -68,7 +71,7 @@ def test_multipliers_closed_form_and_fd():
 
 def test_multipliers_require_on_m():
     with pytest.raises(NotOnMError):
-        dynamics.multipliers(SYS_B, PhasePoint(q=[0.0, 1.0, 0.0], p=[0.0, 0.0, 1.0]))
+        geometry.on_m_point(SYS_B, PhasePoint(q=[0.0, 1.0, 0.0], p=[0.0, 0.0, 1.0]))
 
 
 def test_nonholonomic_field_examples():
@@ -114,7 +117,8 @@ def test_field_evaluator_matches_public_field():
             fast, lam, c, H = ev.evaluate(x.q, x.p)
             ref = dynamics.nonholonomic_field_multiplier(sysd, x).as_vector()
             assert np.max(np.abs(fast - ref)) < 1e-11
-            assert np.max(np.abs(lam - dynamics.multipliers(sysd, x))) < 1e-11
+            _, ref_lam = dynamics._free_field_and_multipliers(sysd, geometry.on_m_point(sysd, x))
+            assert np.max(np.abs(lam - ref_lam)) < 1e-11
 
 
 def test_integrate_straight_line():
@@ -122,8 +126,8 @@ def test_integrate_straight_line():
         SYS_A, PhasePoint(q=[0.0, 0.0], p=[1.0, 0.0]), 0.0, 1.0, 1e-3
     )
     assert len(traj) == 1001
-    assert np.max(np.abs(traj.final().x.q - [1.0, 0.0])) < 1e-10
-    assert traj.final().t == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(traj.points[-1].x.q - [1.0, 0.0])) < 1e-10
+    assert traj.points[-1].t == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integrate_evaluates_once_per_accepted_state(monkeypatch):
@@ -175,9 +179,9 @@ def test_reversibility_via_momentum_reflection():
     q0 = [0.0, 0.2, 0.0]
     p0 = geometry.eden_project(SYS_B, q0, [1.0, 1.0, 1.0])
     fwd = dynamics.integrate(SYS_B, PhasePoint(q=q0, p=p0), 0.0, 1.0, 1e-3)
-    x1 = fwd.final().x
+    x1 = fwd.points[-1].x
     back = dynamics.integrate(SYS_B, PhasePoint(q=x1.q, p=-x1.p), 0.0, 1.0, 1e-3)
-    x2 = back.final().x
+    x2 = back.points[-1].x
     assert np.max(np.abs(x2.q - q0)) < 1e-7
     assert np.max(np.abs(-x2.p - p0)) < 1e-7
 
@@ -199,11 +203,24 @@ def test_observable_evolution_check():
     p0 = geometry.eden_project(SYS_B, q0, [1.0, 1.0, 1.0])
     traj = dynamics.integrate(SYS_B, PhasePoint(q=q0, p=p0), 0.0, 0.25, 1e-3)
     const = Observable(label="1", fn=lambda s: 1.0)
-    assert dynamics.observable_evolution_check(SYS_B, traj, const) < 1e-12
+    assert observable_evolution_check(SYS_B, traj, const) < 1e-12
     h_obs = hamiltonian_observable(SYS_B)
-    assert dynamics.observable_evolution_check(SYS_B, traj, h_obs) < 1e-6
+    assert observable_evolution_check(SYS_B, traj, h_obs) < 1e-6
     fx = Observable.from_expression(SYS_B, "x")
-    assert dynamics.observable_evolution_check(SYS_B, traj, fx) < 1e-5
+    assert observable_evolution_check(SYS_B, traj, fx) < 1e-5
+
+
+def test_observable_evolution_check_keeps_a_nan():
+    q0 = [0.0, 0.2, 0.0]
+    p0 = geometry.eden_project(SYS_B, q0, [1.0, 1.0, 1.0])
+    traj = dynamics.integrate(SYS_B, PhasePoint(q=q0, p=p0), 0.0, 0.01, 1e-3)
+    # NaN on floats only: every finite-difference rate is NaN, the brackets are not
+    rate_nan = Observable(label="x", fn=lambda s: s[0] if type(s[0]) is not float else float("nan"))
+    assert np.isnan(observable_evolution_check(SYS_B, traj, rate_nan))
+    # NaN brackets fail the cross-check of the two forms
+    nan = Observable(label="nan", fn=lambda s: s[0] * float("nan"))
+    with pytest.raises(InternalConsistencyError):
+        observable_evolution_check(SYS_B, traj, nan)
 
 
 def test_field_routes_require_on_m():
@@ -357,6 +374,6 @@ def test_trajectory_points_are_built_from_the_rows():
     for pt, row in zip(points, traj.rows):
         flat = [pt.t, *pt.x.q, *pt.x.p, pt.H, *pt.c, *pt.lam]
         assert np.array(flat).tobytes() == row.tobytes()
-    assert traj.final().x.q.tobytes() == points[-1].x.q.tobytes()
+    assert traj._point(traj.rows[-1]).x.q.tobytes() == points[-1].x.q.tobytes()
     points[-1].c[0] = 7.0  # a point owns its arrays
     assert traj.rows[-1, -2] != 7.0

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from nonholo.errors import (
 )
 from nonholo.rng import SplitMix64
 from nonholo.system import PhasePoint
+from reference import omega_matrix
 
 SYS_A = catalog.get_system("holonomic_control")
 SYS_B = catalog.get_system("nonholonomic_particle")
@@ -66,7 +68,7 @@ def test_flat_sharp_inverse_pair():
     for _ in range(100):
         q = [rng.uniform(-1, 1) for _ in range(3)]
         v = np.array([rng.uniform(-2, 2) for _ in range(3)])
-        w = geometry.sharp(SYS_C, q, geometry.flat(SYS_C, q, v))
+        w = geometry.metric_at(SYS_C, q).Ginv @ geometry.flat(SYS_C, q, v)
         assert np.max(np.abs(w - v)) < 1e-12
 
 
@@ -202,7 +204,7 @@ def test_tangent_projector_laws():
     for ent in catalog.catalog_systems():
         sysd = ent.system()
         n = sysd.n
-        J = geometry.omega_matrix(n)
+        J = omega_matrix(n)
         rng = SplitMix64(123)
         for x in catalog.sample_entry_points(ent, 25, 8):
             P, Q, C = geometry.tangent_splitting(sysd, x)
@@ -217,7 +219,7 @@ def test_tangent_projector_laws():
             ns = _nullspace(C)
             for v in ns.T:
                 assert np.max(np.abs(P @ v - v)) < 1e-9
-            comp = geometry.omega_inv_apply(C.T)
+            comp = geometry.hamiltonian_vectors(-C).T  # Omega^-1 C^T
             for v in comp.T:
                 assert np.max(np.abs(P @ v)) < 1e-9
 
@@ -636,7 +638,7 @@ def test_lone_points_evaluate_closures_and_lifts_on_float_cores(monkeypatch, ent
     xm = geometry.on_m_point(sysd, x)
     brackets.raw_rows(xm, observables)
     brackets.compare_brackets(sysd, observables[0], observables[sysd.n], x)
-    dynamics.multipliers(sysd, x)
+    dynamics._free_field_and_multipliers(sysd, xm)
     dynamics.hamiltonian_field(sysd, x)
     brackets.pushforward_observable(sysd, observables[1]).fn(xm.dstar_scalars())
     assert cores and set(cores) == {float}
@@ -683,9 +685,25 @@ def test_dense_linear_algebra_goes_through_the_lapack_seam():
     assert calls == ["np.linalg.svd(P)"]  # the full SVD, with its vectors
 
 
+# the bodies of formulas that no one name reads: pi = E^T p, a frame on the
+# left of the momenta; X_F = (dF/dp, -dF/dq), the negated half of a gradient
+# (Omega^-1 negates the other half)
+COMPUTES = {
+    "pi": lambda node: (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        and re.search(r"\bE", ast.unparse(node.left)) is not None
+        and re.match(r"(self\.)?p\b", ast.unparse(node.right)) is not None),
+    "X_F": lambda node: (
+        isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+        and re.search(r"\[\.\.\., (:n|n:)[],]", ast.unparse(node.operand)) is not None),
+}
+
+
 @pytest.mark.parametrize("name, owner", [
     ("from_dstar_apply", "geometry.dstar_chart"),  # the one D* -> M chart
     ("residual_phase", "geometry.splitting_rows"),  # the one splitting matrix C
+    ("pi", "geometry.OnMPoint"),  # the one M -> D* map
+    ("X_F", "geometry.hamiltonian_vectors"),  # the one numpy Hamiltonian field
 ])
 def test_one_body_reads_each_formula(name, owner):
     # every other caller goes through the owner, so the object has one body
@@ -693,4 +711,85 @@ def test_one_body_reads_each_formula(name, owner):
         return (isinstance(node, ast.Name) and node.id == name) or (
             isinstance(node, ast.Attribute) and node.attr == name)
 
-    assert _source_sites(reads) == [owner]
+    assert _source_sites(COMPUTES.get(name, reads)) == [owner]
+
+
+DATA = Path(__file__).parent / "data"
+
+# the particle with y in [-3, 3]: two default frame plans
+PI_CASES = [(ent.id, ent.definition, ent.sample_region, 1) for ent in catalog.catalog_systems()]
+PI_CASES += [
+    ("particle_user_frame", (DATA / "particle_user_frame.system").read_text(),
+     catalog.get_entry("nonholonomic_particle").sample_region, 1),
+    ("two_plan_particle", catalog.NONHOLONOMIC_PARTICLE, ((-1.0, 1.0), (-3.0, 3.0), (-1.0, 1.0)), 2),
+]
+
+
+@pytest.mark.parametrize("name, source, region, n_plans", PI_CASES, ids=[c[0] for c in PI_CASES])
+def test_a_lone_points_pi_is_bitwise_its_row_of_the_stacked_pi(name, source, region, n_plans):
+    # the algebroid stacks the points' own pi, which is the stacked formula
+    sysd = dsl.parse_system(source)
+    sample = catalog.sample_m_points(sysd, 100, 3, region=region)
+    points = geometry.on_m_point(sysd, sample)
+    geometry.frame_batch(points)
+    assert len(geometry.frame_plans(points)) == n_plans
+    E, p = geometry.stacked(points, "frame.E"), geometry.stacked(points, "p")
+    pi = (E.swapaxes(-1, -2) @ p[..., None])[..., 0]
+    for x, row in zip(sample, pi):
+        lone = geometry.require_on_m(sysd, x.q, x.p).dstar_scalars()[sysd.n :]
+        assert np.array(lone).tobytes() == row.tobytes()
+
+
+# kept though only the tests call them: the standalone bracket oracles the
+# route tables are checked against
+ORACLES = {"canonical_bracket", "eden_bracket", "nonholonomic_bracket", "dstar_bracket"}
+
+
+def _names(node):
+    """The names a node gives: a name, an attribute, or each part of a string
+    that is a dotted name (perfbench's traced spans, ``stacked``'s fields)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.split(".") if re.fullmatch(r"[\w.]+", node.value) else []
+    return []
+
+
+def test_every_definition_in_the_package_has_a_caller_outside_the_tests():
+    # a top-level function, class or method of src/nonholo is named by code
+    # in src/, scripts/ or perfbench/ outside its own body and outside every
+    # definition that is itself unused, or it is an oracle or exported
+    import nonholo
+
+    root = Path(geometry.__file__).parents[2]
+    trees = {path: ast.parse(path.read_text()) for part in ("src/nonholo", "scripts", "perfbench")
+             for path in sorted((root / part).glob("*.py"))}
+    defs = {}  # id(node) -> (module.label, name) of each definition of the package
+    for path, tree in trees.items():
+        for top in tree.body if path.parent.name == "nonholo" else []:
+            for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+                    label = node.name if node is top else f"{top.name}.{node.name}"
+                    defs[id(node)] = (f"{path.stem}.{label}", node.name)
+    uses = {}  # name -> the definitions enclosing each node that names it
+
+    def walk(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            inner = enclosing | {id(child)} if id(child) in defs else enclosing
+            for name in _names(child):
+                uses.setdefault(name, []).append(inner)
+            walk(child, inner)
+
+    for tree in trees.values():
+        walk(tree, frozenset())
+    kept = ORACLES | set(nonholo.__all__)
+    unused = set()
+    while True:
+        found = {key for key, (_, name) in defs.items() if key not in unused and name not in kept
+                 and all(inner & (unused | {key}) for inner in uses.get(name, []))}
+        if not found:
+            break
+        unused |= found
+    assert not unused, "only tests call " + ", ".join(sorted(defs[key][0] for key in unused))
