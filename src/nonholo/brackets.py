@@ -11,12 +11,12 @@ Routes computed here, all of which must coincide on M:
 * ``dstar`` - the linear almost-Poisson bracket of the almost Lie
   algebroid on the dual bundle D* (anchor E, projected frame brackets).
 
-The per-point linear data (projectors, the projection Jacobian, the
-algebroid bivector and the Jacobian of the map D* -> M) live on the
-validated point, ``geometry.OnMPoint``. ``raw_rows`` reads the gradient rows
-of a whole list of observables off one lift at that point, and
-``bracket_route_tables`` contracts them into all four routes over every
-ordered pair; it is the only bracket formula of the route-table path, and
+``raw_rows`` reads the gradient rows of a whole list of observables off one
+lift at a validated point, ``geometry.OnMPoint``, and
+``bracket_route_tables`` contracts them with the point's linear data (the
+projection Jacobian, the splitting projector, the algebroid), arrays that its
+caller builds, into all four routes over every ordered pair; it is the only
+bracket formula of the route-table path, and
 ``verify`` and ``compare_brackets`` read their values from it or from the
 rows. Its Hamiltonian fields are ``geometry.hamiltonian_vectors``, the numpy
 twin of the generic ``_symp``.
@@ -82,19 +82,19 @@ def raw_rows(x: geometry.OnMPoint, observables) -> np.ndarray:
     """Raw gradient rows of every observable at the point x, off one lift.
 
     Their extension rows (gradients of the momentum-projection extensions)
-    are these rows ``@ x.dgamma``.
+    are these rows ``@ geometry.dgamma(x)``.
     """
     return numdiff.jacobian(lambda s: [f.fn(s) for f in observables], x.scalars())
 
 
-def nh_values_from_grads(x, gf_ext, gg_ext):
-    """(nh, nh2) at the point x from caller-supplied extension gradients.
+def nh_values_from_grads(P, gf_ext, gg_ext):
+    """(nh, nh2) from caller-supplied extension gradients, with P the
+    splitting projector at their point (``geometry.tangent_splitting``).
 
     Gradients stacked on leading axes give arrays over those axes, each entry
-    bitwise its own pair's value; 1-D gradients give floats. ``x`` may be a
-    sequence of B points, whose gradients then lead with the batch axis.
+    bitwise its own pair's value; 1-D gradients give floats. P may be a stack
+    of B projectors, whose gradients then lead with the batch axis.
     """
-    P = geometry.stacked(x, "splitting")[0]
     n = P.shape[-1] // 2
     xf, xg = (geometry.hamiltonian_vectors(np.asarray(g, dtype=float)) for g in (gf_ext, gg_ext))
     P = P.reshape(P.shape[:-2] + (1,) * (xf.ndim - P.ndim + 1) + P.shape[-2:])
@@ -106,25 +106,21 @@ def nh_values_from_grads(x, gf_ext, gg_ext):
     return nh, nh2
 
 
-def residual_gradients(x) -> np.ndarray:
-    """Gradients of the membership residuals (extensions vanishing on M);
-    stacked over a sequence of points."""
-    C = geometry.stacked(x, "splitting")[2]
-    return C[..., : C.shape[-2] // 2, :]
-
-
-def bracket_route_tables(x, raw: np.ndarray) -> dict[str, np.ndarray]:
+def bracket_route_tables(raw, dgamma, P, theta, lam) -> dict[str, np.ndarray]:
     """All four bracket routes over every ordered observable pair at a point.
 
-    ``raw`` holds the observables' raw gradient rows at the point x
-    (``raw_rows``), one lift that serves every route. Returns route-name
+    ``raw`` holds the observables' raw gradient rows at the point
+    (``raw_rows``), one lift that serves every route; ``dgamma`` is the
+    projection Jacobian there (``geometry.dgamma``), P the splitting
+    projector (``geometry.tangent_splitting``), and theta and lam the
+    algebroid's (``geometry.almost_lie_algebroid``). Returns route-name
     -> (n_obs, n_obs) matrix; entry (i, j) is the bracket of observable i
     with observable j. The pair contraction is a handful of matrix products,
-    so full-pair sweeps stay cheap. ``x`` may be a sequence of B points with
-    ``raw`` stacked (B, n_obs, 2n); every table then leads with that axis.
+    so full-pair sweeps stay cheap. Every argument may lead with a batch axis
+    of B points, ``raw`` as (B, n_obs, 2n); every table then leads with it.
     """
     n = raw.shape[-1] // 2
-    gext = raw @ geometry.stacked(x, "dgamma")
+    gext = raw @ dgamma
     gq, gp = gext[..., :n], gext[..., n:]
 
     def pair_table(aq, ap, bq, bp):
@@ -132,10 +128,9 @@ def bracket_route_tables(x, raw: np.ndarray) -> dict[str, np.ndarray]:
 
     eden = pair_table(gq, gp, gq, gp)
     X = geometry.hamiltonian_vectors(gext)  # rows are the extension Hamiltonian fields
-    PX = X @ geometry.stacked(x, "splitting")[0].swapaxes(-1, -2)
+    PX = X @ P.swapaxes(-1, -2)
     nh = pair_table(PX[..., :n], PX[..., n:], PX[..., :n], PX[..., n:])
     nh2 = pair_table(X[..., :n], X[..., n:], PX[..., :n], PX[..., n:])
-    theta, lam, _ = geometry.stacked(x, "algebroid")
     A = raw @ theta  # rows of the pushed observables on D*
     return {"nh": nh, "nh2": nh2, "eden": eden, "dstar": A @ lam @ A.swapaxes(-1, -2)}
 
@@ -165,7 +160,9 @@ def compare_brackets(
 ) -> BracketReport:
     """Evaluate all four bracket routes at one point and report the spread."""
     xm = geometry.on_m_point(sys, x, on_m_tol)
-    tables = bracket_route_tables(xm, raw_rows(xm, [f, g]))
+    raw, dgam, (P, _, _) = raw_rows(xm, [f, g]), geometry.dgamma(xm), xm.splitting
+    theta, lam, _ = geometry.almost_lie_algebroid(xm)
+    tables = bracket_route_tables(raw, dgam, P, theta, lam)
     return BracketReport(
         point=x,
         f=f.label,

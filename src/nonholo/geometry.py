@@ -12,18 +12,18 @@ Two numpy maps have one body each: ``OnMPoint.pi``, the map M -> D*
 pi = E^T p, and ``hamiltonian_vectors``, X_F = -Omega^-1 dF, which the
 splitting and every numpy Hamiltonian field read.
 
-Each validated object has one body over a leading batch axis: ``validated``
-(metric, constraint rows, Gram matrix, then the residual bound or the Eden
-projection), ``_frames`` (with ``default_frame_plans``, one pivot elimination
-over the stack) and ``_lift``. A lone point runs it on float cores
-(``numdiff.cores``) through the single-point entry points; a list runs it
-once over (B,) array cores (``on_m_point`` of a list, ``frame_batch``,
-``lift_batch``, the sampler). A body passes or raises: a lone point its own
-first failed check's error, a stack the error of any one of its failing
-points. So a stacked caller goes through ``per_point``, which reruns a stack
-that raises one point at a time, in index order; it is the only code that
-finds the first failing point. Every array a stacked pass keeps is bitwise
-the per-point one.
+Each validated or lifted object has one body over a leading batch axis:
+``validated`` (metric, constraint rows, Gram matrix, then the residual bound
+or the Eden projection), ``_frames`` (with ``default_frame_plans``, one pivot
+elimination over the stack), ``dgamma``, ``tangent_splitting`` and
+``almost_lie_algebroid``. A lone point runs it on float cores
+(``numdiff.cores``); a list runs it once over (B,) array cores
+(``on_m_point`` of a list, ``frame_batch``, the lifted data, the sampler).
+A body passes or raises: a lone point its own first failed check's error, a
+stack the error of any one of its failing points. So a stacked caller goes
+through ``per_point``, which reruns a stack that raises one point at a time,
+in index order; it is the only code that finds the first failing point.
+Every array a stacked pass keeps is bitwise the per-point one.
 
 Every dense solve, inverse, Cholesky factor and set of singular values here
 (the metric's and the rows' checks, the Eden projection, frame checks and
@@ -35,9 +35,10 @@ The on-manifold tolerance ON_M_TOL is the default of every operation that
 requires its phase point on M; callers may override it per call.
 ``require_on_m`` validates a point once into an ``OnMPoint``, the one
 per-point object: operations that need a point on M accept it in place of a
-PhasePoint, and it builds its linear data once, on demand (splitting,
-projection Jacobian, frame, pi, algebroid), by float formulas written over
-leading axes, so the same code takes one point or a list (``stacked``).
+PhasePoint. It caches the data its readers share (frame, pi, splitting),
+which a stacked ``frame_batch`` or ``tangent_splitting`` fills in; the other
+lifted data (``dgamma``, ``almost_lie_algebroid``) is returned to the caller,
+for one point or stacked over a list (``stacked``), by the same code.
 """
 
 from __future__ import annotations
@@ -248,9 +249,8 @@ class OnMPoint:
     Built by ``require_on_m`` or ``on_m_point`` only: its metric, constraint
     rows and Gram matrix passed ``validated`` and its residual the caller's
     tolerance. It has the ``q``, ``p`` and ``scalars()`` of a PhasePoint, and
-    builds the per-point linear data lazily, once: the symplectic splitting,
-    the projection Jacobian, the distribution frame, its image pi in D* and
-    the almost Lie algebroid.
+    caches the symplectic splitting, the distribution frame and its image pi
+    in D*: built lazily, once, unless a stacked build filled them in.
     """
 
     sys: object = field(repr=False)
@@ -268,11 +268,6 @@ class OnMPoint:
         """(P, Q, C) of tangent_splitting; the point is validated already."""
         return tangent_splitting(self.sys, self, on_m_tol=np.inf)
 
-    @cached_property  # one _lift each, as lift_batch builds them
-    def dgamma(self) -> np.ndarray:
-        """Jacobian of the phase-space momentum projection at this point."""
-        return _lift([self], "dgamma")[0]
-
     @cached_property
     def frame(self) -> FrameAtPoint:
         return frame_at(self.sys, self.q, mu=self.cons.mu)
@@ -288,16 +283,6 @@ class OnMPoint:
         """(q, pi), the image of this point in D*."""
         return [*self.q.tolist(), *self.pi.tolist()]
 
-    @cached_property
-    def chart_jacobian(self) -> np.ndarray:
-        """Jacobian of ``dstar_chart`` at (q, pi): rows (q, p, frame columns)."""
-        return _lift([self], "chart_jacobian")[0]
-
-    @cached_property
-    def algebroid(self):
-        """(Theta, Lambda, C) of almost_lie_algebroid at this point."""
-        return almost_lie_algebroid(self)
-
 
 def stacked(x, name):
     """Attribute ``name`` (dotted) of one OnMPoint, or of each point of a
@@ -309,15 +294,35 @@ def stacked(x, name):
     return tuple(map(np.stack, zip(*values))) if type(values[0]) is tuple else np.stack(values)
 
 
+def dgamma(x) -> np.ndarray:
+    """Jacobian of the phase-space momentum projection ``gamma_hat_apply`` at
+    an OnMPoint, or stacked over a sequence of them: one
+    ``numdiff.jacobian_batch``, on float cores for a lone point."""
+    points = [x] if isinstance(x, OnMPoint) else x
+    F = functools.partial(gamma_hat_apply, points[0].sys)
+    J = numdiff.jacobian_batch(F, [y.scalars() for y in points])
+    return J[0] if isinstance(x, OnMPoint) else J
+
+
 def almost_lie_algebroid(x):
     """(Theta, Lambda, C) of the almost Lie algebroid on D* at an OnMPoint,
     or stacked over a sequence of them (see ``stacked``).
 
-    Theta = d(q, p)/d(q, pi) at pi = E^T p; the structure functions are
+    Theta = d(q, p)/d(q, pi) at pi = E^T p, the Jacobian J of ``dstar_chart``
+    (rows q, p, frame columns): one ``numdiff.jacobian_batch`` per frame
+    plan, written into the points' order. The structure functions are
     [e_a, e_b]_D = C[c, a, b] e_c; Lambda = [[0, E], [-E^T, -pi.C]] is
     the bivector of the linear almost-Poisson bracket in (q, pi).
     """
-    J, E, G, pi = (stacked(x, a) for a in ("chart_jacobian", "frame.E", "met.G", "pi"))
+    points = [x] if isinstance(x, OnMPoint) else x
+    sys, at = points[0].sys, {id(y): b for b, y in enumerate(points)}
+    J = np.empty((len(points), sys.n * (2 + sys.k), sys.n + sys.k))
+    for free, group in frame_plans(points).items():
+        chart = functools.partial(dstar_chart, sys, free)
+        rows = [at[id(y)] for y in group]
+        J[rows] = numdiff.jacobian_batch(chart, [y.dstar_scalars() for y in group])
+    J = J[0] if isinstance(x, OnMPoint) else J
+    E, G, pi = (stacked(x, a) for a in ("frame.E", "met.G", "pi"))
     lead, (n, k) = E.shape[:-2], E.shape[-2:]
     # de[i, a, b] = (De_a e_b)^i and [e_a, e_b] = De_b e_a - De_a e_b
     de = np.einsum("...aij,...jb->...iab", J[..., 2 * n :, :n].reshape(lead + (k, n, n)), E)
@@ -334,34 +339,6 @@ def dstar_chart(sys, free_cols, s):
     q_s = list(s[: sys.n])
     cols = frame_apply(sys, q_s, free_cols)
     return q_s + from_dstar_apply(sys, q_s, s[sys.n :], cols) + sum(cols, [])
-
-
-def _lift(points, name):
-    """The data ``name`` of OnMPoints of one system, per point. A lifted
-    Jacobian (dgamma, chart_jacobian at the first point's frame plan) is one
-    ``numdiff.jacobian_batch``, float cores for a lone point; the splitting
-    and the algebroid are those of the stacked points."""
-    sys = points[0].sys
-    if name == "splitting":
-        return list(zip(*tangent_splitting(sys, points, np.inf)))
-    if name == "algebroid":
-        return list(zip(*almost_lie_algebroid(points)))
-    if name == "chart_jacobian":
-        chart = functools.partial(dstar_chart, sys, points[0].frame.free_cols)
-        return numdiff.jacobian_batch(chart, [x.dstar_scalars() for x in points])
-    F = functools.partial(gamma_hat_apply, sys)
-    return numdiff.jacobian_batch(F, [x.scalars() for x in points])
-
-
-def lift_batch(points) -> None:
-    """Seed the lifted data of many OnMPoints of one system, frames built:
-    one ``_lift`` per object (and per frame plan for the chart), each bitwise
-    the per-point build. Where one raises, the points keep the lazy builds
-    it did not seed."""
-    for name in ("dgamma", "chart_jacobian", "splitting", "algebroid"):
-        for group in frame_plans(points).values() if name == "chart_jacobian" else [points]:
-            for x, value in zip(group, _lift(group, name)):
-                x.__dict__[name] = value  # the cached_property's slot
 
 
 def require_on_m(sys, q, p, on_m_tol: float | None = None) -> OnMPoint:
@@ -562,6 +539,9 @@ def tangent_splitting(sys, x, on_m_tol: float | None = None):
             )
     Q = M1 @ _lapack.solve(K, C)
     P = np.eye(2 * sys.n) - Q
+    if not isinstance(x, OnMPoint):
+        for y, row in zip(x, zip(P, Q, C)):
+            y.__dict__["splitting"] = row  # the cached_property's slot
     return P, Q, C
 
 

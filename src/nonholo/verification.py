@@ -10,17 +10,18 @@ distribution membership of extension fields, and the Jacobiator policy
 witness otherwise). The policy is probed first: do the frame fields' Lie
 brackets (``brackets.field_brackets``, stacked per frame plan) stay in D?
 
-Each point is validated once into a ``geometry.OnMPoint``, and every suite
-reads the metric, constraint rows, splitting, projection Jacobian, frame and
-algebroid it carries. A chunk's points are sampled, validated and framed in
-stacked passes (``catalog.sample_m_points``, ``geometry.on_m_point`` of a
-list, ``geometry.frame_batch``). The Jacobiator runs first, at every point:
-one nested lift per kind over the chunk (per frame plan for the dual-bundle
-kind). The other suites run in one stacked pass over the chunk: one batched
-lift per object (the table observables, and H per dynamics route), then the
-float algebra as (B, ...) arrays reduced per point, the Leibniz factors
-included; only the route tables, which grow with the square of the number
-of observables, are built over fixed slices of the points. A stacked pass
+Each point is validated once into a ``geometry.OnMPoint``, which carries its
+metric, constraint rows and frame. A chunk's points are sampled, validated
+and framed in stacked passes (``catalog.sample_m_points``,
+``geometry.on_m_point`` of a list, ``geometry.frame_batch``). The Jacobiator
+runs first, at every point: one nested lift per kind over the chunk (per
+frame plan for the dual-bundle kind). The other suites run in one stacked
+pass over the chunk: one batched lift per object (the projection Jacobian,
+the splitting, the algebroid's chart per frame plan, the table observables,
+and H per dynamics route), each built once as an array, then the float
+algebra as (B, ...) arrays reduced per point, the Leibniz factors included;
+only the route tables, which grow with the square of the number of
+observables, are built over fixed slices of those arrays. A stacked pass
 passes or raises; one that raises reruns its points one by one
 (``geometry.per_point``), so the first failing point raises as it would
 alone. Overflow in a suite is not reported as a numpy warning: the
@@ -128,17 +129,19 @@ def _point_max(parts):
     return np.max([np.abs(p).reshape(len(p), -1).max(axis=1) for p in parts], axis=0)
 
 
-def _table_suites(points, raw, observables, n):
+def _table_suites(z, raw, linear, observables, n):
     """The coincidence, forms, skew and Leibniz suites per point, from the
-    table rows ``raw``; the route tables are built ``_SLICE`` points at a
-    time, since they grow with the square of the number of observables."""
+    points' stacked (q, p) ``z``, their table rows ``raw`` and their linear
+    data (dgamma, P, theta, lam); the route tables are built ``_SLICE``
+    points at a time, since they grow with the square of the number of
+    observables."""
     n_obs = len(observables)
     routes = ("nh", "nh2", "eden", "dstar")
     triples = _leibniz_triples(n_obs, n)
     out = []
-    for lo in range(0, len(points), _SLICE):
-        part = points[lo : lo + _SLICE]
-        tables = brackets.bracket_route_tables(part, raw[lo : lo + _SLICE])
+    for lo in range(0, len(z), _SLICE):
+        part = slice(lo, lo + _SLICE)
+        tables = brackets.bracket_route_tables(*(a[part] for a in (raw, *linear)))
         vals = {r: tables[r][:, :n_obs, :n_obs] for r in routes}
         # every ordered route pair, a route with itself too (inf - inf is NaN)
         coincidence = _point_max(
@@ -148,7 +151,7 @@ def _table_suites(points, raw, observables, n):
         skew = _point_max(vals[r] + vals[r].swapaxes(-1, -2) for r in routes)
 
         # the factors' values, one closure call per observable
-        cores = numdiff.cores(np.concatenate([geometry.stacked(part, a) for a in "qp"], -1))
+        cores = numdiff.cores(z[part])
         value = {o: observables[o].fn(cores) for i, j, _ in triples for o in (i, j)}
         resids = []
         for t, (i, j, g_idx) in enumerate(triples):
@@ -162,26 +165,31 @@ def _table_suites(points, raw, observables, n):
 
 def _chunk_metrics(sysd, points, observables):
     """Every suite but the Jacobi pair at validated points, as one stacked
-    (B, ...) pass over the points' own lifts; one metric dict per point."""
+    (B, ...) pass over the points' own lifts; one metric dict per point.
+    Each lifted object is built once; the splitting also fills each point's
+    own, which the projection route reads."""
     n, k, B = sysd.n, sysd.k, len(points)
     n_obs = len(observables)
-    geometry.lift_batch(points)
+    dgam = geometry.dgamma(points)
+    theta, lam, _ = geometry.almost_lie_algebroid(points)
+    P, Q, C = geometry.tangent_splitting(sysd, points, np.inf)
+    z = np.concatenate([geometry.stacked(points, a) for a in "qp"], -1)
     # the Leibniz products join the one table call; the other suites read
     # the n_obs x n_obs block of the observables themselves
     table = _table_observables(observables, n)
-    raw = numdiff.jacobian_batch(lambda s: [f.fn(s) for f in table], [x.scalars() for x in points])
-    coincidence, forms_gap, skew, leibniz = _table_suites(points, raw, observables, n)
+    raw = numdiff.jacobian_batch(lambda s: [f.fn(s) for f in table], z)
+    coincidence, forms_gap, skew, leibniz = _table_suites(
+        z, raw, (dgam, P, theta, lam), observables, n
+    )
 
-    dgam = geometry.stacked(points, "dgamma")
-    P, Q, C = geometry.stacked(points, "splitting")
-    resid = brackets.residual_gradients(points)
+    resid = C[:, : sysd.n_constraints]  # the gradients of the membership residuals
     ext = raw[:, :n_obs] @ dgam
     # two pairs as they are, then with either gradient moved off M along the
     # residual gradient by 1, -1 and 10: one stacked call for all 14 per point
     gf, gg = ext[:, [0, n]], ext[:, [n, min(2 * n, n_obs - 1)]]
     shifts = [c * resid[:, :1] for c in (1.0, -1.0, 10.0)]
     nh, nh2 = brackets.nh_values_from_grads(
-        points,
+        P,
         np.stack([gf] + [gf + s for s in shifts] + [gf] * 3, 1),
         np.stack([gg] + [gg] * 3 + [gg + s for s in shifts], 1),
     )
@@ -194,12 +202,11 @@ def _chunk_metrics(sysd, points, observables):
     two_route = _point_max([mult - proj])
     tangency = _point_max([resid @ mult[..., None]])
     projector_laws = _point_max([P @ P - P, C @ P])
+    # each basis has its own rank: the columns past it are masked out
     u, s, _ = np.linalg.svd(P)
-    proj_identity = []
-    for pb, ub, sb, db in zip(P, u, s, dgam):  # each basis has its own rank
-        pu = pb @ ub[:, : np.sum(sb > 1e-8 * sb[0])]
-        gap = float(np.max(np.abs(db @ pu - pu)))
-        proj_identity.append(gap if pu.shape[1] == 2 * k else float("inf"))
+    keep = s > 1e-8 * s[:, :1]
+    pu = (P @ u) * keep[:, None, :]
+    proj_identity = np.where(keep.sum(1) == 2 * k, _point_max([dgam @ pu - pu]), np.inf)
 
     mu = geometry.stacked(points, "cons.mu")
     fields = geometry.hamiltonian_vectors(ext)  # extension fields, by row
@@ -207,8 +214,8 @@ def _chunk_metrics(sysd, points, observables):
     qx = fields @ Q.swapaxes(-1, -2)  # must be vertical, with dp in span(mu^T)
     vertical = []
     for mb, qb in zip(mu, qx):  # lstsq takes one matrix at a time
-        lam, *_ = np.linalg.lstsq(mb.T, qb[:, n:].T, rcond=None)
-        vertical.append(_max_abs(qb[:, :n], mb.T @ lam - qb[:, n:].T))
+        coef, *_ = np.linalg.lstsq(mb.T, qb[:, n:].T, rcond=None)
+        vertical.append(_max_abs(qb[:, :n], mb.T @ coef - qb[:, n:].T))
 
     # informational: projection Jacobian vs projector on base-admissible
     # vectors that leave the manifold tangent space

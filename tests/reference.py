@@ -3,7 +3,8 @@
 Only tests call these, so they live here rather than in ``src/nonholo``:
 float formulas of the energies and the D* -> M map, the momentum-projection
 extension of one observable, the projected Lie bracket of two sections, the
-matrix of the canonical two-form and the finite-difference evolution check.
+matrix of the canonical two-form, the route tables at a point from its own
+linear data and the finite-difference evolution check.
 """
 
 import numpy as np
@@ -100,6 +101,15 @@ def almost_lie_bracket(sys: SystemDefinition, X, Y, q) -> np.ndarray:
     return E @ geometry.frame_components(geometry.metric_at(sys, q_list).G, E, w)
 
 
+def route_tables(sys: SystemDefinition, x, raw) -> dict:
+    """``brackets.bracket_route_tables`` of the rows ``raw`` at an OnMPoint,
+    or stacked over a list of them, from the point's own projection
+    Jacobian, splitting and algebroid."""
+    P = geometry.tangent_splitting(sys, x, np.inf)[0]
+    theta, lam, _ = geometry.almost_lie_algebroid(x)
+    return brackets.bracket_route_tables(raw, geometry.dgamma(x), P, theta, lam)
+
+
 def observable_evolution_check(sys: SystemDefinition, traj, f) -> float:
     """Max gap between the finite-difference observable rate and the bracket.
 
@@ -120,9 +130,9 @@ def observable_evolution_check(sys: SystemDefinition, traj, f) -> float:
         fd = (f.at(xp) - f.at(xm)) / dt2
         x0 = geometry.on_m_point(sys, x0)
         rows = brackets.raw_rows(x0, [f, h_obs])
-        ext_f, ext_h = rows @ x0.dgamma
+        ext_f, ext_h = rows @ geometry.dgamma(x0)
         br = float(brackets._pair(ext_f, ext_h, sys.n))
-        raw = brackets.nh_values_from_grads(x0, ext_f, rows[1])[1]
+        raw = brackets.nh_values_from_grads(x0.splitting[0], ext_f, rows[1])[1]
         if not abs(br - raw) <= 1e-9:
             raise InternalConsistencyError(
                 f"evolution bracket forms disagree: {br!r} vs {raw!r}"

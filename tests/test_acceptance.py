@@ -26,7 +26,7 @@ from nonholo import brackets, catalog, dsl, dynamics, geometry, numdiff
 from nonholo.errors import ExpressionSyntaxError, UnknownFunctionError
 from nonholo.rng import SplitMix64
 from nonholo.system import Observable, PhasePoint, hamiltonian_observable
-from reference import observable_evolution_check
+from reference import observable_evolution_check, route_tables
 
 DATA = Path(__file__).parent / "data"
 ENTRIES = catalog.catalog_systems()
@@ -49,18 +49,33 @@ def seeded_points(entry, count, seed):
     return catalog.sample_entry_points(entry, count, seed)
 
 
+def worst_of(values) -> float:
+    """The largest of the statistics; a NaN among them is the result (the
+    builtin ``max`` keeps its first argument when a comparison is false, so
+    it drops a NaN that follows a number)."""
+    return float(np.max(values))
+
+
+def test_a_nan_statistic_fails_the_criteria_fold():
+    values = [0.0, float("nan"), 1e-12]
+    assert max(max(values[0], values[1]), values[2]) <= 1e-9  # the builtin drops it
+    worst = worst_of(values)
+    assert np.isnan(worst) and not worst <= 1e-9
+    assert np.isnan(worst_of(values[::-1]))  # wherever the NaN stands
+
+
 def test_criterion_01_three_bracket_coincidence():
     t0 = time.time()
-    worst = 0.0
+    gaps = []
     for entry in ENTRIES:
         sysd = entry.system()
         obs = catalog.observable_test_set(sysd)
         for x in seeded_points(entry, 100, SEED_POINTS):
             xm = geometry.on_m_point(sysd, x)
-            tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, obs))
+            tables = route_tables(sysd, xm, brackets.raw_rows(xm, obs))
             stacked = np.stack([tables[r] for r in ("nh", "nh2", "eden", "dstar")])
-            gap = float(np.max(np.abs(stacked[:, None] - stacked[None, :])))
-            worst = max(worst, gap)
+            gaps.append(np.max(np.abs(stacked[:, None] - stacked[None, :])))
+    worst = worst_of(gaps)
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 60.0
     report(1, f"three-bracket coincidence (all pairs, {elapsed:.1f}s)", worst, 1e-9, ok)
@@ -69,21 +84,21 @@ def test_criterion_01_three_bracket_coincidence():
 
 
 def test_criterion_02_two_route_dynamics():
-    worst = 0.0
+    gaps = []
     for entry in ENTRIES:
         sysd = entry.system()
         for x in seeded_points(entry, 200, SEED_POINTS + 1):
             a = dynamics.nonholonomic_field_multiplier(sysd, x).as_vector()
             b = dynamics.nonholonomic_field_projection(sysd, x).as_vector()
-            worst = max(worst, float(np.max(np.abs(a - b))))
+            gaps.append(np.max(np.abs(a - b)))
+    worst = worst_of(gaps)
     ok = worst <= 1e-9
     report(2, "two-route constrained dynamics", worst, 1e-9, ok)
     assert ok
 
 
 def test_criterion_03_almost_poisson_axioms():
-    worst_skew = 0.0
-    worst_leibniz = 0.0
+    skews, leibniz = [], []
     for entry in ENTRIES:
         sysd = entry.system()
         obs = catalog.observable_test_set(sysd)
@@ -93,16 +108,17 @@ def test_criterion_03_almost_poisson_axioms():
             xm = geometry.on_m_point(sysd, x)
             # the products f*f2 of the triples join the table as extra rows
             prods = [Observable.product(obs[i], obs[j]) for i, j, _ in trip]
-            tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, obs + prods))
+            tables = route_tables(sysd, xm, brackets.raw_rows(xm, obs + prods))
             m = len(obs)
             for r, tab in tables.items():
                 sq = tab[:m, :m]
-                worst_skew = max(worst_skew, float(np.max(np.abs(sq + sq.T))))
+                skews.append(np.max(np.abs(sq + sq.T)))
             for t, (i, j, g_idx) in enumerate(trip):
                 fv, f2v = obs[i].at(x), obs[j].at(x)
                 for r, tab in tables.items():
                     resid = tab[m + t, g_idx] - fv * tab[j, g_idx] - f2v * tab[i, g_idx]
-                    worst_leibniz = max(worst_leibniz, abs(resid))
+                    leibniz.append(abs(resid))
+    worst_skew, worst_leibniz = worst_of(skews), worst_of(leibniz)
     ok = worst_skew <= 1e-12 and worst_leibniz <= 1e-10
     report(3, "skew-symmetry", worst_skew, 1e-12, worst_skew <= 1e-12)
     report(3, "Leibniz rule", worst_leibniz, 1e-10, worst_leibniz <= 1e-10)
@@ -110,7 +126,7 @@ def test_criterion_03_almost_poisson_axioms():
 
 
 def test_criterion_04_jacobi_dichotomy():
-    worst_canonical = 0.0
+    canonical = []
     for entry in ENTRIES:
         sysd = entry.system()
         obs = catalog.observable_test_set(sysd)
@@ -119,25 +135,23 @@ def test_criterion_04_jacobi_dichotomy():
         for x in seeded_points(entry, 20, SEED_POINTS + 3):
             for i, j, k in triples:
                 val = brackets.jacobiator(sysd, "canonical", obs[i], obs[j], obs[k], x)
-                worst_canonical = max(worst_canonical, abs(val))
+                canonical.append(abs(val))
+    worst_canonical = worst_of(canonical)
     report(4, "canonical Jacobi identity", worst_canonical, 1e-8, worst_canonical <= 1e-8)
 
     entry_a = catalog.get_entry("holonomic_control")
     sys_a = entry_a.system()
     obs_a = catalog.observable_test_set(sys_a)
     n = sys_a.n
-    worst_integrable = 0.0
+    integrable = []
     for x in seeded_points(entry_a, 20, SEED_POINTS + 4):
         for i, j, k in [(n - 1, n, n + 1), (0, n, 2 * n), (1, n, 2 * n)]:
             f, g, h = obs_a[i], obs_a[j], obs_a[k]
             for kind in ("eden", "nh"):
-                worst_integrable = max(
-                    worst_integrable, abs(brackets.jacobiator(sys_a, kind, f, g, h, x))
-                )
+                integrable.append(abs(brackets.jacobiator(sys_a, kind, f, g, h, x)))
             fd, gd, hd = (brackets.pushforward_observable(sys_a, o) for o in (f, g, h))
-            worst_integrable = max(
-                worst_integrable, abs(brackets.jacobiator(sys_a, "dstar", fd, gd, hd, x))
-            )
+            integrable.append(abs(brackets.jacobiator(sys_a, "dstar", fd, gd, hd, x)))
+    worst_integrable = worst_of(integrable)
     report(4, "integrable-case Jacobi identity", worst_integrable, 1e-8,
            worst_integrable <= 1e-8)
 
@@ -155,30 +169,26 @@ def test_criterion_04_jacobi_dichotomy():
 
 
 def test_criterion_05_projection_identity_and_field_membership():
-    worst_identity = 0.0
-    worst_complement = 0.0
-    complement_witness = ""
+    identity, complement, labels = [], [], []
     for entry in ENTRIES:
         sysd = entry.system()
         obs = catalog.observable_test_set(sysd)
         for x in seeded_points(entry, 100, SEED_POINTS + 5):
             xm = geometry.on_m_point(sysd, x)
             P, Q = xm.splitting[0], xm.splitting[1]
-            dgam = xm.dgamma
+            dgam = geometry.dgamma(xm)
             u, s, _ = np.linalg.svd(P)
             rank = int(np.sum(s > 1e-8 * s[0]))
             assert rank == 2 * sysd.k
             basis = P @ u[:, :rank]
-            worst_identity = max(
-                worst_identity, float(np.max(np.abs(dgam @ basis - basis)))
-            )
+            identity.append(np.max(np.abs(dgam @ basis - basis)))
             ext = brackets.raw_rows(xm, obs) @ dgam
             for f, g_ext in zip(obs, ext):
                 qx = Q @ brackets._symp(g_ext, sysd.n)
-                mag = float(np.max(np.abs(qx)))
-                if mag > worst_complement:
-                    worst_complement = mag
-                    complement_witness = f"{entry.id}:{f.label}"
+                complement.append(np.max(np.abs(qx)))
+                labels.append(f"{entry.id}:{f.label}")
+    worst_identity, worst_complement = worst_of(identity), worst_of(complement)
+    complement_witness = labels[int(np.argmax(complement))]  # the first largest, or NaN
     report(5, "projection Jacobian equals projector on admissible tangents",
            worst_identity, 1e-9, worst_identity <= 1e-9)
     ok_complement = worst_complement <= 1e-9
@@ -208,7 +218,7 @@ def test_criterion_06_conservation_and_order():
         traj = dynamics.integrate(sysd, x0, 0.0, 10.0, 1e-3, project_each_step=True)
         hs = np.array([pt.H for pt in traj])
         drift = float(np.max(np.abs(hs - hs[0])))
-        resid = max(float(np.max(np.abs(pt.c))) for pt in traj)
+        resid = worst_of([np.max(np.abs(pt.c)) for pt in traj])
         ok = drift <= 1e-8 and resid <= 1e-8
         report(6, f"{name} energy drift (projected, dt=1e-3)", drift, 1e-8, drift <= 1e-8)
         report(6, f"{name} constraint residual", resid, 1e-8, resid <= 1e-8)
@@ -234,20 +244,16 @@ def test_criterion_07_evolution_identity():
     q0 = [0.0, 0.2, 0.0]
     x0 = PhasePoint(q=q0, p=geometry.eden_project(sysd, q0, [1.0, 1.0, 1.0]))
     traj = dynamics.integrate(sysd, x0, 0.0, 0.5, 1e-3, project_each_step=True)
-    worst = 0.0
     observables = [Observable.from_expression(sysd, c) for c in sysd.coords]
     observables.append(hamiltonian_observable(sysd))
-    for f in observables:
-        dev = observable_evolution_check(sysd, traj, f)
-        worst = max(worst, dev)
+    worst = worst_of([observable_evolution_check(sysd, traj, f) for f in observables])
     ok = worst <= 1e-5
     report(7, "observable evolution vs bracket with the energy", worst, 1e-5, ok)
     assert ok
 
 
 def test_criterion_08_extension_independence_and_forms():
-    worst_ext = 0.0
-    worst_forms = 0.0
+    ext_gaps, forms = [], []
     for entry in ENTRIES:
         sysd = entry.system()
         obs = catalog.observable_test_set(sysd)
@@ -255,23 +261,21 @@ def test_criterion_08_extension_independence_and_forms():
         for x in seeded_points(entry, 100, SEED_POINTS + 6):
             xm = geometry.on_m_point(sysd, x)
             raw = brackets.raw_rows(xm, obs)
-            tables = brackets.bracket_route_tables(xm, raw)
-            worst_forms = max(
-                worst_forms, float(np.max(np.abs(tables["nh"] - tables["nh2"])))
-            )
-            w_grad = brackets.residual_gradients(xm)[0]
-            ext = raw @ xm.dgamma
+            tables = route_tables(sysd, xm, raw)
+            forms.append(np.max(np.abs(tables["nh"] - tables["nh2"])))
+            P, _, C = xm.splitting
+            w_grad = C[0]  # the first membership residual's gradient
+            ext = raw @ geometry.dgamma(xm)
             for i, j in ((0, n), (n, 2 * n)):
                 gf, gg = ext[i], ext[j]
-                base = brackets.nh_values_from_grads(xm, gf, gg)
+                base = brackets.nh_values_from_grads(P, gf, gg)
                 for c in (1.0, -1.0, 10.0):
                     for pert in (
-                        brackets.nh_values_from_grads(xm, gf + c * w_grad, gg),
-                        brackets.nh_values_from_grads(xm, gf, gg + c * w_grad),
+                        brackets.nh_values_from_grads(P, gf + c * w_grad, gg),
+                        brackets.nh_values_from_grads(P, gf, gg + c * w_grad),
                     ):
-                        worst_ext = max(
-                            worst_ext, abs(pert[0] - base[0]), abs(pert[1] - base[1])
-                        )
+                        ext_gaps += [abs(pert[0] - base[0]), abs(pert[1] - base[1])]
+    worst_ext, worst_forms = worst_of(ext_gaps), worst_of(forms)
     ok = worst_ext <= 1e-9 and worst_forms <= 1e-9
     report(8, "extension independence", worst_ext, 1e-9, worst_ext <= 1e-9)
     report(8, "projected-form agreement", worst_forms, 1e-9, worst_forms <= 1e-9)
@@ -292,7 +296,7 @@ def _corpus_expressions(sysd):
 
 
 def test_criterion_09_differentiation_engine():
-    worst_rel = 0.0
+    rel = []
     for entry in ENTRIES:
         sysd = entry.system()
         rng = SplitMix64(SEED_POINTS + 7)
@@ -313,8 +317,8 @@ def test_criterion_09_differentiation_engine():
                     zp[i] += h
                     zm[i] -= h
                     fd = (fn(zp) - fn(zm)) / (2 * h)
-                    err = abs(grad[i] - fd) / max(1.0, abs(grad[i]))
-                    worst_rel = max(worst_rel, err)
+                    rel.append(abs(grad[i] - fd) / max(1.0, abs(grad[i])))
+    worst_rel = worst_of(rel)
     report(9, "dual gradients vs finite differences", worst_rel, 1e-6,
            worst_rel <= 1e-6)
 
@@ -324,14 +328,15 @@ def test_criterion_09_differentiation_engine():
     def F(s):
         return [s[0] * s[0] + s[1] * s[2], numdiff.divide(s[2], 1.0 + s[0] * s[0])]
 
-    worst_chain = 0.0
+    chain = []
     for pt in ([0.3, -0.8], [1.1, 0.2], [-0.5, 0.9]):
         JG = numdiff.jacobian(G, pt)
         mid = [numdiff.float_core(v.value if isinstance(v, numdiff.DualScalar) else v)
                for v in G(pt)]
         JF = numdiff.jacobian(F, mid)
         JFG = numdiff.jacobian(lambda s: F(G(s)), pt)
-        worst_chain = max(worst_chain, float(np.max(np.abs(JFG - JF @ JG))))
+        chain.append(np.max(np.abs(JFG - JF @ JG)))
+    worst_chain = worst_of(chain)
     report(9, "chain-rule composition", worst_chain, 1e-12, worst_chain <= 1e-12)
     assert worst_rel <= 1e-6 and worst_chain <= 1e-12
 

@@ -13,7 +13,13 @@ from nonholo.system import (
     PhasePoint,
     hamiltonian_observable,
 )
-from reference import SectionNotInDError, almost_lie_bracket, gamma_extension, section_from_expressions
+from reference import (
+    SectionNotInDError,
+    almost_lie_bracket,
+    gamma_extension,
+    route_tables,
+    section_from_expressions,
+)
 
 SYS_A = catalog.get_system("holonomic_control")
 SYS_B = catalog.get_system("nonholonomic_particle")
@@ -67,7 +73,7 @@ def test_direct_routes_match_context_routes():
         xm = geometry.on_m_point(SYS_B, x)
         for f, g in [("x", "p_x"), ("y*p_x", "p_z"), ("z", "x*p_z"), ("p_x", "p_y")]:
             fo, go = obs(SYS_B, f), obs(SYS_B, g)
-            tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, [fo, go]))
+            tables = route_tables(SYS_B, xm, brackets.raw_rows(xm, [fo, go]))
             direct = brackets.eden_bracket(SYS_B, fo, go, x)
             assert direct == pytest.approx(tables["eden"][0, 1], abs=1e-11)
             nh = brackets.nonholonomic_bracket(SYS_B, fo, go, x)
@@ -87,7 +93,7 @@ def test_direct_routes_match_context_routes():
         pairs = [(0, n), (n - 1, 2 * n - 1), (1, 2 * n), (n, n + 1), (n, 2 * n)]
         for x in catalog.sample_entry_points(ent, 3, 33):
             xm = geometry.on_m_point(sysd, x)
-            tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, observables))
+            tables = route_tables(sysd, xm, brackets.raw_rows(xm, observables))
             y = DStarPoint(q=x.q, pi=xm.pi)
             for i, j in pairs:
                 fo, go = observables[i], observables[j]
@@ -125,9 +131,7 @@ def test_nh_forms_agree_and_match_eden():
     for x in catalog.sample_entry_points(B_ENTRY, 50, 37):
         xm = geometry.on_m_point(SYS_B, x)
         for f, g in [("x", "p_x"), ("p_x", "p_z"), ("y", "y*p_y")]:
-            tables = brackets.bracket_route_tables(
-                xm, brackets.raw_rows(xm, [obs(SYS_B, f), obs(SYS_B, g)])
-            )
+            tables = route_tables(SYS_B, xm, brackets.raw_rows(xm, [obs(SYS_B, f), obs(SYS_B, g)]))
             nh = tables["nh"][0, 1]
             assert abs(nh - tables["nh2"][0, 1]) <= 1e-9
             assert abs(nh - tables["eden"][0, 1]) <= 1e-9
@@ -163,10 +167,11 @@ def test_route_tables_lift_once_per_evaluation_point(monkeypatch):
         observables = catalog.observable_test_set(sysd)
         x = catalog.sample_entry_points(ent, 1, 5)[0]
         xm = geometry.on_m_point(sysd, x)
-        xm.splitting, xm.dgamma, xm.algebroid
+        dgam, (P, _, _) = geometry.dgamma(xm), xm.splitting
+        theta, lam, _ = geometry.almost_lie_algebroid(xm)
         calls.clear()
         monkeypatch.setattr(numdiff, "lift", counted)
-        brackets.bracket_route_tables(xm, brackets.raw_rows(xm, observables))
+        brackets.bracket_route_tables(brackets.raw_rows(xm, observables), dgam, P, theta, lam)
         monkeypatch.setattr(numdiff, "lift", original)
         assert calls == [2 * sysd.n], ent.id
 
@@ -215,7 +220,7 @@ PARTICLE_USER_FRAME = dsl.parse_system(USER_FRAME_SOURCE)
 
 def dstar_table(sysd, x, observables):
     xm = geometry.on_m_point(sysd, x)
-    return brackets.bracket_route_tables(xm, brackets.raw_rows(xm, observables))["dstar"]
+    return route_tables(sysd, xm, brackets.raw_rows(xm, observables))["dstar"]
 
 
 def test_dstar_value_frame_independent():
@@ -240,7 +245,7 @@ def test_structure_functions_closed_form():
     alt = PARTICLE_USER_FRAME
     for x in catalog.sample_entry_points(B_ENTRY, 10, 53):
         xm = geometry.on_m_point(alt, x)
-        _, lam, C = xm.algebroid
+        _, lam, C = geometry.almost_lie_algebroid(xm)
         c12 = -x.q[1] / (1.0 + x.q[1] ** 2)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 1], expected[0, 1, 0] = c12, -c12
@@ -258,7 +263,7 @@ def test_structure_functions_closed_form():
         sysd = ent.system()
         for x in catalog.sample_entry_points(ent, 3, 53):
             xm = geometry.on_m_point(sysd, x)
-            C = xm.algebroid[2]
+            C = geometry.almost_lie_algebroid(xm)[2]
             assert np.max(np.abs(C + C.transpose(0, 2, 1))) <= 1e-15, ent.id
             secs = frame_sections(sysd, x.q)
             for a in range(sysd.k):
@@ -632,32 +637,33 @@ def test_dstar_jacobiator_reads_the_frame_of_its_point(count_calls):
 def test_extension_independence():
     for x in catalog.sample_entry_points(B_ENTRY, 25, 67):
         xm = geometry.on_m_point(SYS_B, x)
-        w_grads = brackets.residual_gradients(xm)
+        P, _, C = xm.splitting
+        w_grads = C[: SYS_B.n_constraints]  # the membership residuals' gradients
         for f, g in [("x", "p_x"), ("p_x", "p_z")]:
-            gf, gg = brackets.raw_rows(xm, [obs(SYS_B, f), obs(SYS_B, g)]) @ xm.dgamma
-            base_nh, base_nh2 = brackets.nh_values_from_grads(xm, gf, gg)
+            gf, gg = brackets.raw_rows(xm, [obs(SYS_B, f), obs(SYS_B, g)]) @ geometry.dgamma(xm)
+            base_nh, base_nh2 = brackets.nh_values_from_grads(P, gf, gg)
             pairs = [(gf, gg)]
             for c in (1.0, -1.0, 10.0):
                 pert = gf + c * w_grads[0]
-                v_nh, v_nh2 = brackets.nh_values_from_grads(xm, pert, gg)
+                v_nh, v_nh2 = brackets.nh_values_from_grads(P, pert, gg)
                 assert abs(v_nh - base_nh) <= 1e-9
                 assert abs(v_nh2 - base_nh2) <= 1e-9
                 pert_g = gg + c * w_grads[0]
-                v_nh, v_nh2 = brackets.nh_values_from_grads(xm, gf, pert_g)
+                v_nh, v_nh2 = brackets.nh_values_from_grads(P, gf, pert_g)
                 assert abs(v_nh - base_nh) <= 1e-9
                 assert abs(v_nh2 - base_nh2) <= 1e-9
                 pairs += [(pert, gg), (gf, pert_g)]
             # stacked on two leading axes, each entry is its own pair's value,
             # and both are the matrix-vector formula written out
             F, G = (np.stack([p[k] for p in pairs]).reshape(7, 1, -1) for k in (0, 1))
-            nh, nh2 = brackets.nh_values_from_grads(xm, F, G)
+            nh, nh2 = brackets.nh_values_from_grads(P, F, G)
             assert nh.shape == nh2.shape == (7, 1)
-            P, n = xm.splitting[0], SYS_B.n
+            n = SYS_B.n
             for (pf, pg), v_nh, v_nh2 in zip(pairs, nh[:, 0], nh2[:, 0]):
                 xf = np.concatenate([pf[n:], -pf[:n]])
                 xg = P @ np.concatenate([pg[n:], -pg[:n]])
                 want = float(brackets._pair(P @ xf, xg, n)), float(brackets._pair(xf, xg, n))
-                assert (v_nh, v_nh2) == brackets.nh_values_from_grads(xm, pf, pg) == want
+                assert (v_nh, v_nh2) == brackets.nh_values_from_grads(P, pf, pg) == want
 
 
 def test_skew_and_leibniz():
@@ -667,7 +673,7 @@ def test_skew_and_leibniz():
         prod = Observable.product(f, f2)
         # rows: f, g, f2, f*f2
         xm = geometry.on_m_point(SYS_C, x)
-        tables = brackets.bracket_route_tables(xm, brackets.raw_rows(xm, [f, g, f2, prod]))
+        tables = route_tables(SYS_C, xm, brackets.raw_rows(xm, [f, g, f2, prod]))
         for name, tab in tables.items():
             assert abs(tab[0, 1] + tab[1, 0]) <= 1e-12
             resid = tab[3, 1] - f.at(x) * tab[2, 1] - f2.at(x) * tab[0, 1]
@@ -680,7 +686,7 @@ def test_projection_jacobian_is_identity_on_admissible_tangents():
         for x in catalog.sample_entry_points(ent, 10, 73):
             xm = geometry.on_m_point(sysd, x)
             P = xm.splitting[0]
-            dgam = xm.dgamma
+            dgam = geometry.dgamma(xm)
             u, s, _ = np.linalg.svd(P)
             rank = int(np.sum(s > 1e-8 * s[0]))
             assert rank == 2 * sysd.k
@@ -704,7 +710,7 @@ def test_extension_fields_base_in_distribution():
             Q = xm.splitting[1]
             mu = np.asarray(sysd.mu_values(list(x.q)), dtype=float)
             obs_set = catalog.observable_test_set(sysd)[: 2 * n + 1]
-            ext = brackets.raw_rows(xm, obs_set) @ xm.dgamma
+            ext = brackets.raw_rows(xm, obs_set) @ geometry.dgamma(xm)
             for g_ext in ext:
                 xf = brackets._symp(g_ext, n)
                 assert np.max(np.abs(mu @ xf[:n])) <= 1e-9

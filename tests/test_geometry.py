@@ -666,6 +666,27 @@ def test_only_per_point_catches_a_stacked_failure():
     assert _source_sites(catches) == ["geometry.per_point"]
 
 
+def test_only_the_frame_and_splitting_builds_fill_a_points_cache():
+    # every other stacked build returns its arrays to the caller; these two
+    # also write each point's row into its cached slot, which the per-point
+    # readers (the projection route, compare_brackets, the frame plans) read
+    def fills(node):
+        return isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+            and t.value.attr == "__dict__" for t in node.targets)
+
+    assert sorted(_source_sites(fills)) == ["geometry.frame_batch", "geometry.tangent_splitting"]
+
+
+def test_the_bracket_formulas_never_restack_a_points_data():
+    # the route tables and the nh values take arrays; their callers build them
+    def restacks(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "stacked"
+                and ast.unparse(node.value) == "geometry")
+
+    assert [site for site in _source_sites(restacks) if site.startswith("brackets.")] == []
+
+
 def test_dense_linear_algebra_goes_through_the_lapack_seam():
     # solves, inverses, Cholesky factors and singular values call numpy's
     # gufuncs in _lapack; outside it, the one such np.linalg name in the

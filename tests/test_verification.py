@@ -1,6 +1,9 @@
 """Per-point work of the verify sweep: one validation, one stacked pass per
 chunk, one batched call per kind."""
 
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,38 @@ def _chunk_points(sysd, sample):
     for x in points:
         x.frame
     return points
+
+
+def test_a_chunk_builds_each_lifted_object_once(monkeypatch, count_calls):
+    # one stacked build per object over the chunk, the chart Jacobian one per
+    # frame plan; only the projection route restacks the splitting
+    sysd = catalog.get_system("nonholonomic_particle")
+    points = _chunk_points(sysd, catalog.sample_m_points(sysd, 10, 5, region=TWO_PLAN_REGION))
+    plans = {x.frame.free_cols for x in points}
+    assert len(plans) == 2
+    observables = catalog.observable_test_set(sysd)
+    counts = count_calls(geometry, ("dgamma", "tangent_splitting", "almost_lie_algebroid"))
+    lifts, reads = [], []
+    jacobian_batch, stacked = numdiff.jacobian_batch, geometry.stacked
+
+    def lifted(F, X):
+        if isinstance(F, functools.partial):  # a builder's, not an observable table's
+            lifts.append((F.func.__name__, F.args[1:], len(X)))
+        return jacobian_batch(F, X)
+
+    def restacked(x, name):
+        reads.append(name)
+        return stacked(x, name)
+
+    monkeypatch.setattr(numdiff, "jacobian_batch", lifted)
+    monkeypatch.setattr(geometry, "stacked", restacked)
+    verification._chunk_metrics(sysd, points, observables)
+    assert counts == {"dgamma": 1, "tangent_splitting": 1, "almost_lie_algebroid": 1}
+    per_plan = [
+        ("dstar_chart", (free,), sum(x.frame.free_cols == free for x in points)) for free in plans
+    ]
+    assert sorted(lifts) == sorted([("gamma_hat_apply", (), 10)] + per_plan)
+    assert reads.count("splitting") <= 1
 
 
 def _scalar_jacobi(sysd, x, observables, cfg):
@@ -195,18 +230,25 @@ def test_verify_workers_are_bounded_by_the_host(monkeypatch):
 
 
 def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
+    # the stacked build of the projection Jacobian, then of the algebroid's
+    # chart Jacobian, then every stacked lift raises: the chunk's points
+    # rerun alone, on float cores
     ent = catalog.get_entry("chaplygin_sleigh")
     payload = _payload(ent, 6, list(range(6)))
     batched = verification._chunk_worker(payload)
     jacobian_batch = numdiff.jacobian_batch
+    for builder in (geometry.gamma_hat_apply, geometry.dstar_chart, None):
+        refused = []
 
-    def refuse(F, X):  # a stack; one point lifts on float cores
-        if len(X) > 1:
-            raise DomainError("solve_linear", "non-finite pivot")
-        return jacobian_batch(F, X)
+        def refuse(F, X, builder=builder):  # a stack; one point lifts on float cores
+            if len(X) > 1 and builder in (None, getattr(F, "func", None)):
+                refused.append(len(X))
+                raise DomainError("solve_linear", "non-finite pivot")
+            return jacobian_batch(F, X)
 
-    monkeypatch.setattr(numdiff, "jacobian_batch", refuse)
-    assert verification._chunk_worker(payload) == batched
+        monkeypatch.setattr(numdiff, "jacobian_batch", refuse)
+        assert verification._chunk_worker(payload) == batched
+        assert refused == [6]
 
 
 def test_a_failed_stacked_pass_falls_back_to_the_per_point_pass(monkeypatch):
@@ -248,9 +290,9 @@ def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone(monkeypatch):
         sizes.append(len(points))
         return chunk_metrics(sysd, points, observables)
 
-    def sliced(x, raw):
-        slices.append(len(x))
-        return route_tables(x, raw)
+    def sliced(raw, *linear_data):
+        slices.append(len(raw))
+        return route_tables(raw, *linear_data)
 
     monkeypatch.setattr(verification, "_chunk_metrics", recorded)
     monkeypatch.setattr(brackets, "bracket_route_tables", sliced)
@@ -308,28 +350,47 @@ def test_a_degenerate_point_in_a_stacked_pass_raises_as_it_would_alone(monkeypat
         verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, x)], observables)
 
 
-@pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
-def test_stacked_linear_data_is_bitwise_the_per_point_data(ent):
-    # the one formula of each object over leading axes: a stack of points
-    # gives, entry by entry, the arrays of each point taken alone
-    sysd = ent.system()
-    sample = catalog.sample_entry_points(ent, 10, 21)
+PARTICLE = catalog.get_entry("nonholonomic_particle")
+USER_FRAME_SOURCE = (Path(__file__).parent / "data" / "particle_user_frame.system").read_text()
+# (source, region, momentum scale): the catalog systems, the particle with a
+# user frame, and the particle with y in [-3, 3], whose sample holds two
+# default frame plans
+LINEAR_DATA_CASES = {
+    **{e.id: (e.definition, e.sample_region, e.momentum_scale) for e in catalog.catalog_systems()},
+    "particle_user_frame": (USER_FRAME_SOURCE, PARTICLE.sample_region, PARTICLE.momentum_scale),
+    "particle_wide_y": (
+        PARTICLE.definition, ((-1.0, 1.0), (-3.0, 3.0), (-1.0, 1.0)), PARTICLE.momentum_scale
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LINEAR_DATA_CASES)
+def test_stacked_linear_data_is_bitwise_the_per_point_data(name):
+    # each stacked build (the projection Jacobian, the splitting, the
+    # algebroid) gives, row by row, the arrays of each point taken alone, and
+    # so do the route tables and both field routes read from them
+    source, region, scale = LINEAR_DATA_CASES[name]
+    sysd = dsl.parse_system(source)
+    sample = catalog.sample_m_points(sysd, 10, 21, region=region, momentum_scale=scale)
     observables = catalog.observable_test_set(sysd)
 
     def data(x, raw):
+        dgam = geometry.dgamma(x)
         splitting = geometry.tangent_splitting(sysd, x)
         algebroid = geometry.almost_lie_algebroid(x)
-        tables = brackets.bracket_route_tables(x, raw)
+        tables = brackets.bracket_route_tables(raw, dgam, splitting[0], *algebroid[:2])
         fields = [
             route(sysd, x).as_vector()
             for route in (dynamics.nonholonomic_field_multiplier, dynamics.nonholonomic_field_projection)
         ]
-        return [*splitting, *algebroid, *tables.values(), *fields]
+        return [dgam, *splitting, *algebroid, *tables.values(), *fields]
 
     points = geometry.on_m_point(sysd, sample)
-    geometry.lift_batch(points)  # the cached splitting and algebroid, stacked
+    assert len(geometry.frame_plans(points)) == (2 if name == "particle_wide_y" else 1)
     stacked = data(points, np.stack([brackets.raw_rows(x, observables) for x in points]))
     for b, x in enumerate(sample):
+        for got, want in zip(points[b].splitting, stacked[1:4]):  # filled by the stack
+            assert got.tobytes() == want[b].tobytes()
         x = geometry.on_m_point(sysd, x)
         for got, want in zip(stacked, data(x, brackets.raw_rows(x, observables))):
             assert got[b].tobytes() == want.tobytes()
