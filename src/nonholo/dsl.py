@@ -12,13 +12,21 @@ Power binds tighter than unary minus, so ``-q1^2`` is -(q1^2). The function
 set is closed and matches the differentiation engine exactly. Numbers are
 doubles; implicit multiplication is rejected.
 
-A parsed tree is evaluated only through ``compile_expression``: one
-positional closure per tree, the same over floats and dual scalars. Constant
-folding and the metric-symmetry probe call these closures too.
+A parsed tree is evaluated only through the straight-line programs that one
+emitter makes from a table of trees (``_Emitter``), each distinct subtree
+once: ``compile_expression``, a list of generic operations over any scalar
+type, for the tables, observables and symmetry probe, and
+``compile_forward``, Python source of numdiff's float forward mode, for
+``dynamics.FieldEvaluator``. That source is built only from slot indices,
+temporaries, float reprs and the names in ``HELPERS``: never from the text
+of a system file.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 
 from . import numdiff
@@ -265,61 +273,184 @@ def validate_identifiers(expr: Expr, allowed):
             raise UnknownIdentifierError(name)
 
 
-def compile_expression(expr: Expr, names, constants=None):
-    """Compile to a positional closure over a scalar sequence.
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": numdiff.divide,
+         "^": numdiff.power, "neg": operator.neg, **numdiff.FUNCTIONS}
+# each operation's value in the emitted source: the generic call, which on
+# floats is numdiff's float rule
+_GENERIC = {"+": "{x} + {y}", "-": "{x} - {y}", "*": "{x} * {y}", "/": "divide({x}, {y})",
+            "^": "power({x}, {y})", "neg": "-{x}", "slot": "s[{x}]",
+            **{fn: fn + "({x})" for fn in numdiff.FUNCTIONS}}
+# numdiff's level-1 float-core partials by operation and by which operands are
+# duals (d) or floats (c), from the operand values x, y, their partials a, b,
+# the value v and an auxiliary u (_AUX, written after v); an operation missing
+# here shares its dual operand's partials
+_PARTIAL = {
+    "neg d": "-{a}", "+ dd": "{a} + {b}", "- dd": "{a} - {b}", "- cd": "-{b}",
+    "* dd": "{a} * {y} + {x} * {b}", "* dc": "{a} * {y}", "* cd": "{b} * {x}",
+    "/ dd": "({a} - {v} * {b}) / {y}", "/ dc": "{a} / {y}", "/ cd": "-({v} * {b}) / {y}",
+    "^ dc": "{u} * {a}", "sin d": "{u} * {a}", "cos d": "-({u} * {a})", "tan d": "{u} * {a}",
+    "exp d": "{v} * {a}", "log d": "{a} / {x}", "sqrt d": "{u} * {a}",
+}
+_AUX = {"^": "power({x}, {y} - 1.0) * {y}", "sin": "cos({x})", "cos": "sin({x})",
+        "tan": "1.0 + {v} * {v}", "sqrt": "0.5 / {v}"}
+# the free names of an emitted source besides its argument s, its temporaries
+# t<i> and d<i>, and the names k<i> of folded constants with no literal
+HELPERS = {"divide": numdiff.divide, "power": numdiff.power, "lift": numdiff.lift}
+HELPERS.update(numdiff.FUNCTIONS)
 
-    ``names[i]`` binds to slot i of the argument; ``constants`` are baked in.
-    Constant subtrees are folded at compile time when safe. One pass over
-    the tree: each node is built once and reports whether it is constant.
-    """
-    constants = constants or {}
-    index = {nm: i for i, nm in enumerate(names)}
 
-    def build(e):
-        """(closure, constant): constant when every name below is baked in."""
-        f, const = build_node(e)
-        if const:
-            try:
-                v = f([])
-                return (lambda s, v=v: v), True
-            except DomainError:
-                pass  # leave dynamic so the error surfaces at evaluation
-        return f, const
+class _Emitter:
+    """One walk over frozen expression trees that makes a straight-line
+    program of a scalar sequence s. Each distinct subtree is one operation,
+    placed where a recursive evaluation (left operand first) first reaches
+    it, so the first error raised is the same. A subtree over constants
+    alone is folded with the float primitives; one whose fold raises
+    DomainError stays an operation that raises there, and nothing follows
+    it. With a ``width`` the program is Python source: statements of
+    numdiff's level-1 float-core formulas for each value and its partials
+    over the width inputs (source transformation: Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., 2008, ch. 6). Otherwise it is a list
+    of generic operations, over any scalar type, that ``_run`` performs."""
 
-    def build_node(e):
-        if isinstance(e, Num):
-            v = e.value
-            return (lambda s, v=v: v), True
-        if isinstance(e, Var):
-            if e.name in index:
-                i = index[e.name]
-                return (lambda s, i=i: s[i]), False
-            if e.name in constants:
-                v = float(constants[e.name])
-                return (lambda s, v=v: v), True
-            raise UnknownIdentifierError(e.name)
-        if isinstance(e, Neg):
-            f, const = build(e.arg)
-            return (lambda s, f=f: -f(s)), const
+    def __init__(self, names, constants, width=0):
+        self.index = {nm: i for i, nm in enumerate(names)}
+        self.constants, self.width = constants or {}, width
+        self.env = dict(HELPERS) if width else {}  # the source's global names
+        self.bound, self.folded, self.memo, self.grads = {}, {}, {}, {}
+        self.nodes, self.lines, self.dead = {}, [], False
+
+    def walk(self, e):
+        """The reference of e's value: a temporary or a folded constant."""
         if isinstance(e, Bin):
-            (lf, lconst), (rf, rconst) = build(e.left), build(e.right)
-            op, const = e.op, lconst and rconst
-            if op == "+":
-                return (lambda s, lf=lf, rf=rf: lf(s) + rf(s)), const
-            if op == "-":
-                return (lambda s, lf=lf, rf=rf: lf(s) - rf(s)), const
-            if op == "*":
-                return (lambda s, lf=lf, rf=rf: lf(s) * rf(s)), const
-            if op == "/":
-                dv = numdiff.divide
-                return (lambda s, lf=lf, rf=rf, dv=dv: dv(lf(s), rf(s))), const
-            pw = numdiff.power
-            return (lambda s, lf=lf, rf=rf, pw=pw: pw(lf(s), rf(s))), const
-        fn = numdiff.FUNCTIONS[e.fn]
-        af, const = build(e.arg)
-        return (lambda s, fn=fn, af=af: fn(af(s))), const
+            op, args = e.op, (self.walk(e.left), self.walk(e.right))
+        elif isinstance(e, (Neg, Call)):
+            op, args = "neg" if isinstance(e, Neg) else e.fn, (self.walk(e.arg),)
+        elif isinstance(e, Num):
+            return self.const(e.value)
+        elif e.name in self.index:
+            return self.step("slot", self.index[e.name])
+        elif e.name in self.constants:
+            return self.const(float(self.constants[e.name]))
+        else:
+            raise UnknownIdentifierError(e.name)
+        if args[0] in self.folded and args[-1] in self.folded:
+            try:
+                return self.const(_OPS[op](*map(self.folded.get, args)))
+            except DomainError:  # it raises there at evaluation
+                ref, self.dead = self.step(op, *args), True
+                return ref
+        return self.step(op, *args)
 
-    return build(expr)[0]
+    def const(self, v):
+        """A folded constant's source: its repr, or a name bound to inf or nan."""
+        ref = repr(v)
+        if not math.isfinite(v):
+            ref = self.bound.setdefault((ref, math.copysign(1.0, v)), f"k{len(self.bound)}")
+            self.env.setdefault(ref, v)
+        self.folded.setdefault(ref, v)
+        return ref
+
+    def step(self, op, *args):
+        """The value of op(args), made once (none once dead): a temporary of
+        the source, or a node of the program."""
+        key = (op, *args)
+        if key not in self.memo and not self.dead:
+            if self.width:
+                self.memo[key] = self.forward(op, *args)
+            else:
+                self.memo[key] = ref = f"t{len(self.nodes)}"
+                self.nodes[ref] = (op, args)
+        return self.memo.get(key, "")
+
+    def new(self, src, prefix="t"):
+        name = f"{prefix}{len(self.lines)}"
+        self.lines.append(f"{name} = {src}")
+        return name
+
+    def forward(self, op, x, y=None):
+        """One operation on float and level-1 dual operands as numdiff
+        computes it: the value, every domain check, then each partial."""
+        a, b = self.grads.get(x), self.grads.get(y)
+        kind = ("d" if a else "c") + ("" if y is None else "d" if b else "c")
+        if "d" not in kind:  # floats, or an input and its seeds
+            v = self.new(_GENERIC[op].format(x=x, y=y))
+            if op == "slot":
+                self.grads[v] = ["1.0" if i == x else "0.0" for i in range(self.width)]
+            return v
+        if op == "^" and b:  # exp(y log x), valued by the float power
+            d = self.step("exp", self.step("*", y, self.step("log", x)))
+            self.grads[v := self.new(f"power({x}, {y})")] = self.grads[d]
+            return v
+        e = float(self.folded[y]) if op == "^" else None
+        if e in (0.0, 1.0):  # numdiff gives the constant 1.0, or the base
+            return self.const(1.0) if e == 0.0 else x
+        swap = kind == "cd" and op in "+*"  # the dual operand's own method
+        v = self.new(_GENERIC[op].format(x=y, y=x) if swap else _GENERIC[op].format(x=x, y=y))
+        if op == "sqrt" or e is not None and 0.0 < e < 1.0:  # the dual's own check at 0
+            self.lines.append(f"if {x} == 0.0: " + _GENERIC[op].format(x=f"lift([{x}])[0]", y=y))
+        u = self.new(_AUX[op].format(x=x, y=y, v=v)) if op in _AUX else None
+        partial = _PARTIAL.get(f"{op} {kind}")
+        self.grads[v] = a or b
+        if partial is not None:
+            pairs = zip(a or b, b or a)
+            self.grads[v] = [self.new(partial.format(a=p, b=r, x=x, y=y, v=v, u=u), "d") for p, r in pairs]
+        return v
+
+
+def compile_expression(table, names, constants=None):
+    """A table's straight-line program, as one function of a scalar sequence
+    s over any scalar type (floats, duals, array cores): ``names[i]`` binds
+    to s[i], ``constants`` fold in. ``table`` is one tree, whose value the
+    function returns, or nested tuples of trees, whose values it returns as
+    nested lists."""
+    em = _Emitter(names, constants)
+
+    def walk(t):
+        return [walk(u) for u in t] if isinstance(t, (tuple, list)) else em.walk(t)
+
+    refs = walk(table)
+    reg = {ref: i for i, ref in enumerate([*em.folded, *em.nodes])}  # constants, then nodes
+    code = [(_OPS.get(op), reg.get(args[0], args[0]), reg[args[1]] if len(args) > 1 else None)
+            for op, args in em.nodes.values()]  # a slot's operand is its index in s
+
+    def index(r):
+        return [index(u) for u in r] if isinstance(r, list) else reg.get(r, -1)
+
+    return functools.partial(_run, code, list(em.folded.values()), index(refs))
+
+
+def _run(code, consts, out, s):
+    """Run a program over the scalars s: each instruction appends its value,
+    a slot of s or an operation on earlier values, to the constants."""
+    r = consts.copy()
+    for fn, a, b in code:
+        if fn is None:
+            r.append(s[a])
+        elif b is None:
+            r.append(fn(r[a]))
+        else:
+            r.append(fn(r[a], r[b]))
+    return r[out] if type(out) is int else _gather(r, out)
+
+
+def _gather(r, out):
+    """The values at the registers in the nested list ``out``, nested as it is."""
+    return [r[o] if type(o) is int else _gather(r, o) for o in out]
+
+
+def compile_forward(exprs, names, constants=None):
+    """numdiff's level-1 forward mode over a lift of the float scalars s as
+    one straight-line function, returning one flat tuple: the values of the
+    trees ``exprs``, then their partials entry by entry (0.0 for a constant),
+    bitwise those of the generic function over ``numdiff.lift(s)``."""
+    em = _Emitter(names, constants, len(names))
+    refs = [em.walk(e) for e in exprs]
+    flat = refs + [p for r in refs for p in em.grads.get(r, ["0.0"] * len(names))]
+    body = em.lines + ([] if em.dead else ["return (" + "".join(f"{p}, " for p in flat) + ")"])
+    src = "def table(s):\n" + "".join(f"    {line}\n" for line in body)  # no return after a raise
+    exec(compile(src, "<dsl>", "exec"), em.env)
+    em.env["table"].source = src
+    return em.env["table"]
 
 
 # --- pretty printer ----------------------------------------------------------
@@ -597,12 +728,13 @@ def _validate_metric_symmetry(sysdef):
     probes = []
     for _ in range(8):
         probes.append([rng.uniform(-1.0, 1.0) for _ in range(n)])
-    fns = sysdef._metric_fns
+    pairs = [(exprs[i][j], exprs[j][i]) for i, j in pending]
+    fns = [compile_expression(pair, sysdef.coords, sysdef.params) for pair in pairs]
     checked = 0
     for q in probes:
         try:
-            for i, j in pending:
-                va, vb = fns[i][j](q), fns[j][i](q)
+            for (i, j), fn in zip(pending, fns):
+                va, vb = fn(q)
                 if abs(va - vb) > 1e-10 * max(1.0, abs(va), abs(vb)):
                     raise StructuralError(
                         f"[metric] entry ({i + 1},{j + 1}) differs from ({j + 1},{i + 1}) "

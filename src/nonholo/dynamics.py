@@ -23,11 +23,12 @@ stacked solve (multiplier), one stacked product (projection). Each lifts its
 own gradient of H, so the routes of a batch share nothing but its validated
 points.
 
-``integrate`` runs the multiplier route through ``FieldEvaluator``, one dual
-pass per RK4 stage. At an accepted state that pass also feeds the validated
-Eden projection (``FieldEvaluator.project``), projecting or not: the state is
-evaluated once, with every check of ``geometry.eden_project``, and recorded
-as one array row; a state whose pass raises stops the run with that error.
+``integrate`` runs the multiplier route through ``FieldEvaluator``, one
+forward pass over the system's tables per RK4 stage. At an accepted state
+that pass also feeds the validated Eden projection
+(``FieldEvaluator.project``), projecting or not: the state is evaluated
+once, with every check of ``geometry.eden_project``, and recorded as one
+array row; a state whose pass raises stops the run with that error.
 A stage point whose metric is not positive definite stops the run with
 ``geometry.metric_at``'s error there, as a state would.
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lapack, geometry, numdiff
+from . import _lapack, dsl, geometry, numdiff
 from .errors import NonholoError, StepFailureError
 from .system import PhasePoint, SystemDefinition, hamiltonian_scalar
 
@@ -134,36 +135,21 @@ def nonholonomic_field_projection(
     """Constrained field as the symplectic projection of the free field."""
     n = sys.n
     x = geometry.on_m_point(sys, x, on_m_tol)
-    P = geometry.stacked(x, "splitting")[0]
+    P = x.splitting[0] if isinstance(x, geometry.OnMPoint) else np.stack([y.splitting[0] for y in x])
     v = (P @ hamiltonian_field(sys, x).as_vector()[..., None])[..., 0]
     return PhaseVelocity(dq=v[..., :n], dp=v[..., n:])
-
-
-def _values_and_grads(table, n):
-    """The values (r, c) and configuration gradients (r, c, n) of a table of
-    closure results over one width-n lift: floats or duals. The lift is of a
-    lone point's floats, so a dual here has float cores and tuple partials,
-    never the packed partials of array cores."""
-    vals = np.empty((len(table), len(table[0])))
-    grads = np.zeros(vals.shape + (n,))
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            if type(v) is numdiff.DualScalar:
-                vals[i, j], grads[i, j] = v.value, v.partials
-            else:
-                vals[i, j] = v
-    return vals, grads
 
 
 class FieldEvaluator:
     """Per-point assembly of the constrained field for integration.
 
-    One width-n dual pass over q gives the metric, potential and constraint
+    One forward pass over q (``dsl.compile_forward``, bitwise a width-n lift
+    of the system's tables) gives the metric, potential and constraint
     entries and their configuration gradients; plain matrix algebra then
-    assembles the multiplier-route field. A dual's value is its float
-    closure's, bit for bit, so ``project`` validates and projects from that
-    pass and holds it for the ``evaluate`` that follows at the same q. A
-    constant metric is validated once, by ``geometry.metric_at``, and reused;
+    assembles the multiplier-route field. Its values are the tables' float
+    values, bit for bit, so ``project`` validates and projects from that pass
+    and holds it for the ``evaluate`` that follows at the same q. A constant
+    metric is validated once, by ``geometry.metric_at``, and reused;
     any other metric at a point ``project`` did not see (an RK4 stage) must
     have a Cholesky factor before it is inverted, and a Gram matrix that
     cannot be solved there raises the constraint rows' own error. The
@@ -175,28 +161,33 @@ class FieldEvaluator:
         self.n = sys.n
         self._met = None  # the validated constant metric
         self._held = None  # (q bytes, entries) of the last projection
+        metric = () if sys.metric_is_constant else sys.metric_exprs
+        tables = (*metric, (sys.potential_expr,), *sys.constraint_exprs)
+        exprs = [e for row in tables for e in row]
+        self._forward = dsl.compile_forward(exprs, sys.coords, sys.params)
 
     def _entries(self, q_list):
-        """(G, dG, V, dV, mu, dmu) at q from one lift, dG[i] = dG/dq_i and
-        dmu[a, j, i] = d mu_aj / d q_i; G and dG are None for a constant metric."""
+        """(G, dG, V, dV, mu, dmu) at q from one forward pass, dG[i] = dG/dq_i
+        and dmu[a, j, i] = d mu_aj / d q_i; G and dG are None for a constant
+        metric."""
         sys, n = self.sys, self.n
-        duals = numdiff.lift(q_list)
-        G = dG = None
-        if sys.metric_is_constant:
+        k = 0 if sys.metric_is_constant else n * n  # the metric's entries
+        if not k:
             self._met = self._met or geometry.metric_at(sys, q_list)
-        else:
-            G, dG = _values_and_grads(sys.metric_values(duals), n)
-            dG = np.ascontiguousarray(dG.transpose(2, 0, 1))
+        flat = np.fromiter(self._forward(q_list), float)
+        e = len(flat) // (n + 1)  # values, then partials entry by entry
+        vals, grads = flat[:e], flat[e:].reshape(e, n)
+        G = dG = None
+        if k:
+            G = vals[:k].reshape(n, n)
+            dG = np.ascontiguousarray(grads[:k].reshape(n, n, n).transpose(2, 0, 1))
             dG = 0.5 * (dG + dG.transpose(0, 2, 1))
-        V = sys.potential_value(duals)
-        dual = type(V) is numdiff.DualScalar
-        V, dV = (V.value, np.array(V.partials)) if dual else (V, np.zeros(n))
-        mu, dmu = _values_and_grads(sys.mu_values(duals), n)
-        return G, dG, float(V), dV, mu, dmu
+        mu, dmu = vals[k + 1 :].reshape(-1, n), grads[k + 1 :].reshape(-1, n, n)
+        return G, dG, float(vals[k]), grads[k], mu, dmu
 
     def project(self, q, p):
         """``geometry.eden_project(sys, q, p)``, bitwise, with its checks and
-        errors (``geometry.validated`` on the dual pass's values), from the
+        errors (``geometry.validated`` on the forward pass's values), from the
         entries that ``evaluate`` at q then reuses."""
         q = np.asarray(q, dtype=float)[None]
         G, dG, V, dV, mu, dmu = self._entries(q[0].tolist())
@@ -263,7 +254,7 @@ def integrate(
     t0 + round((t1 - t0)/dt) dt, within dt/2 of t1; a step count below one
     is refused before the first step, as one that is not finite is.
     Each accepted state is validated by ``FieldEvaluator.project``, with the
-    checks of ``geometry.eden_project``, from the dual pass that evaluates
+    checks of ``geometry.eden_project``, from the forward pass that evaluates
     it; where that pass raises, the run stops with its error. With
     ``project_each_step`` the projection replaces the momentum; without it
     the raw drift is observable and the on-manifold tolerance is enforced at

@@ -108,8 +108,8 @@ def per_point(body, *stacks):
 
 
 def _at(table, q):
-    """The (B, r, c) values of the closure table ``table`` (a function of the
-    closure inputs) at the configurations q (B, n)."""
+    """The (B, r, c) values of the compiled table ``table`` (a function of
+    the q scalars) at the configurations q (B, n)."""
     return numdiff.from_cores(table(numdiff.cores(q)), len(q))
 
 
@@ -172,8 +172,8 @@ def validated(sys, q, G=None, met=None, mu=None, p=None, tol=None, rows=True):
     checks on G (B, n, n), unless ``met`` is the validated constant metric;
     with ``rows``, those of the constraint rows mu (B, m, n) and their Gram
     matrix; then, with momenta p (B, n), the residual bound ``tol``, or the
-    Eden projection p - mu^T gram^-1 mu G^-1 p. G and mu are the closures'
-    values at q unless given (a dual pass's). Returns G, Ginv, mu, gram and
+    Eden projection p - mu^T gram^-1 mu G^-1 p. G and mu are the tables'
+    values at q unless given (a forward pass's). Returns G, Ginv, mu, gram and
     the residual norms or the projections, stacked. A failed check raises:
     a lone point its first failed check's error (so a lone point whose
     metric fails evaluates no rows), a stack one of its points' errors.

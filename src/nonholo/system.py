@@ -2,9 +2,9 @@
 
 A mechanical system is (Q, g, V, D): coordinates, a kinetic-energy metric,
 a potential, and a rank-k velocity distribution cut out by n-k one-forms.
-All scalar data arrives as expression trees; this module compiles them once
-per system into positional closures that evaluate identically over plain
-floats and dual scalars.
+All scalar data arrives as expression trees; this module compiles each table
+once per system into one straight-line program of q (``dsl``) that
+evaluates identically over plain floats, dual scalars and array cores.
 """
 
 from __future__ import annotations
@@ -49,30 +49,6 @@ class SystemDefinition:
     def phase_names(self) -> tuple[str, ...]:
         return self.coords + self.momenta
 
-    # -- compiled entry closures (built once, reused by every evaluation) --
-
-    def _compile_table(self, table):
-        """Closures over q for a table of configuration expressions."""
-        return [
-            [dsl.compile_expression(e, self.coords, self.params) for e in row] for row in table
-        ]
-
-    @cached_property
-    def _metric_fns(self):
-        return self._compile_table(self.metric_exprs)
-
-    @cached_property
-    def _potential_fn(self):
-        return dsl.compile_expression(self.potential_expr, self.coords, self.params)
-
-    @cached_property
-    def _mu_fns(self):
-        return self._compile_table(self.constraint_exprs)
-
-    @cached_property
-    def _frame_fns(self):
-        return None if self.frame_exprs is None else self._compile_table(self.frame_exprs)
-
     @cached_property
     def metric_is_constant(self) -> bool:
         names = set()
@@ -81,21 +57,26 @@ class SystemDefinition:
                 names |= dsl.expression_names(e)
         return not (names & set(self.coords))
 
-    # -- pointwise evaluation over any scalar type --
+    # -- the tables over any scalar type: one program of q each (dsl) --
 
-    def metric_values(self, q_scalars):
-        return [[fn(q_scalars) for fn in row] for row in self._metric_fns]
+    @cached_property
+    def metric_values(self):
+        return dsl.compile_expression(self.metric_exprs, self.coords, self.params)
 
-    def potential_value(self, q_scalars):
-        return self._potential_fn(q_scalars)
+    @cached_property
+    def potential_value(self):
+        return dsl.compile_expression(self.potential_expr, self.coords, self.params)
 
-    def mu_values(self, q_scalars):
-        return [[fn(q_scalars) for fn in row] for row in self._mu_fns]
+    @cached_property
+    def mu_values(self):
+        return dsl.compile_expression(self.constraint_exprs, self.coords, self.params)
 
-    def frame_values(self, q_scalars):
-        if self._frame_fns is None:
-            return None
-        return [[fn(q_scalars) for fn in col] for col in self._frame_fns]
+    @cached_property
+    def frame_values(self):
+        """The user frame's columns, or None without a [frame] section."""
+        if self.frame_exprs is None:
+            return lambda q_scalars: None
+        return dsl.compile_expression(self.frame_exprs, self.coords, self.params)
 
 
 @dataclass(frozen=True)

@@ -150,7 +150,7 @@ def _table_suites(z, raw, linear, observables, n):
         forms_gap = _point_max([vals["nh"] - vals["nh2"]])
         skew = _point_max(vals[r] + vals[r].swapaxes(-1, -2) for r in routes)
 
-        # the factors' values, one closure call per observable
+        # the factors' values, one call per observable
         cores = numdiff.cores(z[part])
         value = {o: observables[o].fn(cores) for i, j, _ in triples for o in (i, j)}
         resids = []

@@ -4,13 +4,15 @@ Only tests call these, so they live here rather than in ``src/nonholo``:
 float formulas of the energies and the D* -> M map, the momentum-projection
 extension of one observable, the projected Lie bracket of two sections, the
 matrix of the canonical two-form, the route tables at a point from its own
-linear data and the finite-difference evolution check.
+linear data, the finite-difference evolution check, and the closure trees
+and the width-n dual pass through which the expression tables were
+evaluated before ``dsl`` emitted straight-line code.
 """
 
 import numpy as np
 
 from nonholo import brackets, dsl, geometry, numdiff
-from nonholo.errors import InternalConsistencyError, NonholoError
+from nonholo.errors import DomainError, InternalConsistencyError, NonholoError, UnknownIdentifierError
 from nonholo.system import DStarPoint, Observable, PhasePoint, SystemDefinition, hamiltonian_observable
 
 
@@ -139,3 +141,91 @@ def observable_evolution_check(sys: SystemDefinition, traj, f) -> float:
             )
         gaps.append(abs(fd - br))
     return float(np.max(gaps))
+
+
+def closure_expression(expr, names, constants=None):
+    """The closure tree ``dsl.compile_expression`` once built: a positional
+    closure over a scalar sequence, one closure per node, nothing shared.
+
+    ``names[i]`` binds to slot i of the argument; ``constants`` are baked in.
+    Constant subtrees are folded at compile time when safe. One pass over
+    the tree: each node is built once and reports whether it is constant.
+    """
+    constants = constants or {}
+    index = {nm: i for i, nm in enumerate(names)}
+
+    def build(e):
+        """(closure, constant): constant when every name below is baked in."""
+        f, const = build_node(e)
+        if const:
+            try:
+                v = f([])
+                return (lambda s, v=v: v), True
+            except DomainError:
+                pass  # leave dynamic so the error surfaces at evaluation
+        return f, const
+
+    def build_node(e):
+        if isinstance(e, dsl.Num):
+            v = e.value
+            return (lambda s, v=v: v), True
+        if isinstance(e, dsl.Var):
+            if e.name in index:
+                i = index[e.name]
+                return (lambda s, i=i: s[i]), False
+            if e.name in constants:
+                v = float(constants[e.name])
+                return (lambda s, v=v: v), True
+            raise UnknownIdentifierError(e.name)
+        if isinstance(e, dsl.Neg):
+            f, const = build(e.arg)
+            return (lambda s, f=f: -f(s)), const
+        if isinstance(e, dsl.Bin):
+            (lf, lconst), (rf, rconst) = build(e.left), build(e.right)
+            op, const = e.op, lconst and rconst
+            if op == "+":
+                return (lambda s, lf=lf, rf=rf: lf(s) + rf(s)), const
+            if op == "-":
+                return (lambda s, lf=lf, rf=rf: lf(s) - rf(s)), const
+            if op == "*":
+                return (lambda s, lf=lf, rf=rf: lf(s) * rf(s)), const
+            if op == "/":
+                dv = numdiff.divide
+                return (lambda s, lf=lf, rf=rf, dv=dv: dv(lf(s), rf(s))), const
+            pw = numdiff.power
+            return (lambda s, lf=lf, rf=rf, pw=pw: pw(lf(s), rf(s))), const
+        fn = numdiff.FUNCTIONS[e.fn]
+        af, const = build(e.arg)
+        return (lambda s, fn=fn, af=af: fn(af(s))), const
+
+    return build(expr)[0]
+
+
+def lifted_entries(sys: SystemDefinition, q_list):
+    """``dynamics.FieldEvaluator._entries`` as one width-n lift through the
+    generic tables: (G, dG, V, dV, mu, dmu), G and dG None for a constant
+    metric, dG symmetrized."""
+    n = sys.n
+    duals = numdiff.lift(q_list)
+
+    def values_and_grads(table):
+        vals = np.empty((len(table), len(table[0])))
+        grads = np.zeros(vals.shape + (n,))
+        for i, row in enumerate(table):
+            for j, v in enumerate(row):
+                if isinstance(v, numdiff.DualScalar):
+                    vals[i, j], grads[i, j] = v.value, v.partials
+                else:
+                    vals[i, j] = v
+        return vals, grads
+
+    G = dG = None
+    if not sys.metric_is_constant:
+        G, dG = values_and_grads(sys.metric_values(duals))
+        dG = np.ascontiguousarray(dG.transpose(2, 0, 1))
+        dG = 0.5 * (dG + dG.transpose(0, 2, 1))
+    V = sys.potential_value(duals)
+    dual = isinstance(V, numdiff.DualScalar)
+    V, dV = (V.value, np.array(V.partials)) if dual else (V, np.zeros(n))
+    mu, dmu = values_and_grads(sys.mu_values(duals))
+    return G, dG, float(V), dV, mu, dmu

@@ -787,14 +787,13 @@ def test_duals_are_built_only_in_numdiff():
     assert set(_src_modules(lambda node: _named(node, "_Packed"))) == {"numdiff"}
     builds = _src_modules(lambda node: isinstance(node, ast.Call) and _named(node.func, "DualScalar"))
     assert builds and set(builds) == {"numdiff"}
-    # outside numdiff, partials are read (not as jacobian rows) only by the
-    # float-core table passes of dynamics, whose lifts are of a lone point
+    # no module outside numdiff reads partials (jacobian rows come as rows)
     readers = set()
     for path in sorted(Path(numdiff.__file__).parent.glob("*.py")):
         if path.stem == "numdiff":
             continue
         _partials_readers(ast.parse(path.read_text()), path.stem, readers)
-    assert readers == {"dynamics._values_and_grads", "dynamics.FieldEvaluator._entries"}
+    assert readers == set()
 
 
 def _partials_readers(node, scope, found):
