@@ -401,8 +401,8 @@ def compile_expression(table, names, constants=None):
     """A table's straight-line program, as one function of a scalar sequence
     s over any scalar type (floats, duals, array cores): ``names[i]`` binds
     to s[i], ``constants`` fold in. ``table`` is one tree, whose value the
-    function returns, or nested tuples of trees, whose values it returns as
-    nested lists."""
+    function returns, or a tuple of trees or of rows of trees, whose values
+    it returns as a list or a list of lists."""
     em = _Emitter(names, constants)
 
     def walk(t):
@@ -423,19 +423,17 @@ def _run(code, consts, out, s):
     """Run a program over the scalars s: each instruction appends its value,
     a slot of s or an operation on earlier values, to the constants."""
     r = consts.copy()
+    append = r.append
     for fn, a, b in code:
         if fn is None:
-            r.append(s[a])
+            append(s[a])
         elif b is None:
-            r.append(fn(r[a]))
+            append(fn(r[a]))
         else:
-            r.append(fn(r[a], r[b]))
-    return r[out] if type(out) is int else _gather(r, out)
-
-
-def _gather(r, out):
-    """The values at the registers in the nested list ``out``, nested as it is."""
-    return [r[o] if type(o) is int else _gather(r, o) for o in out]
+            append(fn(r[a], r[b]))
+    if type(out) is int:
+        return r[out]
+    return [r[o] if type(o) is int else [r[i] for i in o] for o in out]
 
 
 def compile_forward(exprs, names, constants=None):
