@@ -1,19 +1,19 @@
 """numpy's LAPACK gufuncs, called without the public wrappers.
 
-``np.linalg.solve``, ``inv``, ``cholesky`` and ``svd(a, compute_uv=False)``
-check the shapes and dtypes of their operands, then call one gufunc of
-``numpy.linalg._umath_linalg`` with the signature 'dd->d' or 'd->d' under an
-``np.errstate`` whose ``call`` raises ``LinAlgError``. On what ``geometry``
-and ``dynamics`` pass (float arrays of square matrices, stacked or not) the
-checks change nothing, so the functions here call the same gufunc under the
-same error state: the same bits, and the same errors with the same messages,
-inside an outer ``np.errstate(invalid='ignore')`` too. What they leave out is
-the wrappers' own cost, about half of a 3 x 3 solve, which every RK4 step
-pays several times over.
+``np.linalg.solve``, ``inv``, ``cholesky``, ``svd(a, compute_uv=False)`` and
+``lstsq(a, b, rcond=None)`` check their operands, then call one gufunc of
+``numpy.linalg._umath_linalg`` under an ``np.errstate`` whose ``call`` raises
+``LinAlgError``. On what the package passes (float arrays of matrices,
+stacked or not) the checks change nothing, so the functions here call the
+same gufunc under the same error state: the same bits, and the same errors
+with the same messages, inside an outer ``np.errstate(invalid='ignore')``
+too. What they leave out is the wrappers' own cost, about half of a 3 x 3
+solve, which every RK4 step pays several times over; and ``lstsq`` takes a
+stack (LAPACK's ``dgelsd`` per matrix), where the public call takes one.
 
 Each function is bound once, at import. Where the installed numpy has no
 gufunc by the name looked up (before numpy 2.0 the values-only SVD had other
-names), the function is the public call, which runs the same kernel.
+names), it is the public call, on the same kernel (per matrix for ``lstsq``).
 
 One ``np.errstate`` per error message decorates the functions. As a
 decorator it sets the error state on each call; as a context manager one
@@ -48,7 +48,7 @@ def _lookup(name):
 
 
 def _bind(lookup):
-    """(solve, inv, cholesky, singular_values) over the gufuncs that
+    """(solve, inv, cholesky, singular_values, lstsq) over the gufuncs that
     ``lookup`` finds; where it finds none, the public np.linalg call."""
     singular = _raising("Singular matrix")
     solve1, solve_m = lookup("solve1"), lookup("solve")
@@ -85,7 +85,19 @@ def _bind(lookup):
             """np.linalg.svd(a, compute_uv=False)."""
             return svd_g(a, signature="d->d")
 
-    return solve, inv, cholesky, singular_values
+    lstsq_g = lookup("lstsq")
+    lstsq = np.vectorize(  # the public call takes one matrix at a time
+        lambda a, b: np.linalg.lstsq(a, b, rcond=None)[0],
+        otypes=[float], signature="(m,n),(m,k)->(n,k)",
+    )
+    if lstsq_g is not None:
+
+        @_raising("SVD did not converge in Linear Least Squares")
+        def lstsq(a, b):
+            """np.linalg.lstsq(a, b, rcond=None)[0] of each matrix of a stack."""
+            return lstsq_g(a, b, np.finfo(float).eps * max(a.shape[-2:]), signature="ddd->ddid")[0]
+
+    return solve, inv, cholesky, singular_values, lstsq
 
 
-solve, inv, cholesky, singular_values = _bind(_lookup)
+solve, inv, cholesky, singular_values, lstsq = _bind(_lookup)

@@ -210,8 +210,9 @@ def sample_m_points(
     fixed seed reproduces points bit-for-bit.
 
     Candidates are drawn in blocks of as many as are still missing, q then
-    p each, and projected in one stacked pass (``geometry.validated`` with p,
-    through ``geometry.per_point``), each as ``eden_project`` would alone. A
+    p each, in one ``next_floats`` call scaled as ``uniform`` scales a draw,
+    and projected in one stacked pass (``geometry.validated`` with p, through
+    ``geometry.per_point``), each as ``eden_project`` would alone. A
     candidate is skipped on RankDeficientError; any other error raises, in
     candidate order.
     """
@@ -220,6 +221,8 @@ def sample_m_points(
     n = sys.n
     if region is None:
         region = tuple((-1.0, 1.0) for _ in range(n))
+    # each column's bounds: q over the region, then p in the cube
+    lo, hi = np.array([*region, *[(-momentum_scale, momentum_scale)] * n], dtype=float).T
     rng = SplitMix64(seed)
     out = []
     budget = 64 * count + 1  # candidates drawn before giving up
@@ -230,13 +233,9 @@ def sample_m_points(
             )
         size = min(count - len(out), budget)
         budget -= size
-        z = np.array([
-            [rng.uniform(lo, hi) for lo, hi in region]
-            + [rng.uniform(-momentum_scale, momentum_scale) for _ in range(n)]
-            for _ in range(size)
-        ])
-        q, p_raw = z[:, : len(region)], z[:, len(region) :]
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # as Python floats: inf, not a warning
+            z = lo + (hi - lo) * rng.next_floats(size * len(lo)).reshape(size, -1)
+            q, p_raw = z[:, : len(region)], z[:, len(region) :]
             projected = geometry.per_point(functools.partial(_projected, sys), q, p_raw)
         out += [PhasePoint(q=qb, p=p) for qb, p in zip(q, projected) if p is not None]
     return out

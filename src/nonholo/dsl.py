@@ -40,7 +40,7 @@ from .errors import (
 
 FUNCTION_NAMES = tuple(sorted(numdiff.FUNCTIONS))
 
-_MAX_DEPTH = 400  # parser totality: structured error instead of RecursionError
+_MAX_DEPTH = 400  # of nesting and of tree height: a syntax error, not a RecursionError
 
 
 # --- expression trees -------------------------------------------------------
@@ -139,6 +139,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.height = 0  # of the tree last parsed: a chain is as tall as it is long
 
     def _peek(self):
         return self.toks[self.pos]
@@ -156,10 +157,17 @@ class _Parser:
     def _enter(self):
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            _, _, off = self._peek()
-            raise ExpressionSyntaxError(
-                off, ("shallower nesting",), found="expression nested too deeply"
-            )
+            self._too_deep()
+
+    def _too_deep(self):
+        found = "expression nested too deeply"
+        raise ExpressionSyntaxError(self._peek()[2], ("shallower nesting",), found=found)
+
+    def _over(self, left=0):
+        """The height of a node over the tree last parsed and one left of it."""
+        self.height = 1 + max(left, self.height)
+        if self.height > _MAX_DEPTH:
+            self._too_deep()
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -169,28 +177,21 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        self._enter()
-        e = self.term()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == _T_OP and text in "+-":
-                self._next()
-                e = Bin(text, e, self.term())
-            else:
-                self.depth -= 1
-                return e
+        return self._chain("+-", self.term)
 
     def term(self) -> Expr:
+        return self._chain("*/", self.factor)
+
+    def _chain(self, ops, operand):
+        """operand (op operand)* for op in ops, as a left-deep tree."""
         self._enter()
-        e = self.factor()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == _T_OP and text in "*/":
-                self._next()
-                e = Bin(text, e, self.factor())
-            else:
-                self.depth -= 1
-                return e
+        e = operand()
+        while (tok := self._peek())[0] == _T_OP and tok[1] in ops:
+            left = self.height
+            e = Bin(self._next()[1], e, operand())
+            self._over(left)
+        self.depth -= 1
+        return e
 
     def factor(self) -> Expr:
         self._enter()
@@ -198,6 +199,7 @@ class _Parser:
         if kind == _T_OP and text == "-":
             self._next()
             out = Neg(self.factor())
+            self._over()
         else:
             out = self.power()
         self.depth -= 1
@@ -209,12 +211,15 @@ class _Parser:
         kind, text, _ = self._peek()
         if kind == _T_OP and text == "^":
             self._next()
+            left = self.height
             base = Bin("^", base, self.factor())
+            self._over(left)
         self.depth -= 1
         return base
 
     def atom(self) -> Expr:
         kind, text, off = self._peek()
+        self.height = 0  # of a number or a name
         if kind == _T_NUM:
             self._next()
             return Num(float(text))
@@ -230,6 +235,7 @@ class _Parser:
                 if ckind != _T_RP:
                     self._fail(("')'",))
                 self._next()
+                self._over()
                 return Call(text, arg)
             return Var(text)
         if kind == _T_LP:
@@ -317,7 +323,7 @@ class _Emitter:
         self.constants, self.width = constants or {}, width
         self.env = dict(HELPERS) if width else {}  # the source's global names
         self.bound, self.folded, self.memo, self.grads = {}, {}, {}, {}
-        self.nodes, self.lines, self.dead = {}, [], False
+        self.nodes, self.lines, self.texts, self.dead = {}, [], {}, False
 
     def walk(self, e):
         """The reference of e's value: a temporary or a folded constant."""
@@ -363,9 +369,11 @@ class _Emitter:
         return self.memo.get(key, "")
 
     def new(self, src, prefix="t"):
-        name = f"{prefix}{len(self.lines)}"
-        self.lines.append(f"{name} = {src}")
-        return name
+        """The temporary of src, made once (sin's auxiliary is cos's value)."""
+        if src not in self.texts:
+            self.texts[src] = f"{prefix}{len(self.lines)}"
+            self.lines.append(f"{self.texts[src]} = {src}")
+        return self.texts[src]
 
     def forward(self, op, x, y=None):
         """One operation on float and level-1 dual operands as numdiff

@@ -19,9 +19,10 @@ frame plan for the dual-bundle kind). The other suites run in one stacked
 pass over the chunk: one batched lift per object (the projection Jacobian,
 the splitting, the algebroid's chart per frame plan, the table observables,
 and H per dynamics route), each built once as an array, then the float
-algebra as (B, ...) arrays reduced per point, the Leibniz factors included;
-only the route tables, which grow with the square of the number of
-observables, are built over fixed slices of those arrays. A stacked pass
+algebra as (B, ...) arrays reduced per point, the Leibniz factors and the
+least squares of the complement-vertical suite (one ``_lapack.lstsq``)
+included; only the route tables, which grow with the square of the number
+of observables, are built over fixed slices of those arrays. A stacked pass
 passes or raises; one that raises reruns its points one by one
 (``geometry.per_point``), so the first failing point raises as it would
 alone. Overflow in a suite is not reported as a numpy warning: the
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import brackets, catalog, dsl, dynamics, geometry, numdiff
+from . import _lapack, brackets, catalog, dsl, dynamics, geometry, numdiff
 from .system import Observable
 
 WITNESS_FLOOR = 1e-3
@@ -208,14 +209,13 @@ def _chunk_metrics(sysd, points, observables):
     pu = (P @ u) * keep[:, None, :]
     proj_identity = np.where(keep.sum(1) == 2 * k, _point_max([dgam @ pu - pu]), np.inf)
 
-    mu = geometry.stacked(points, "cons.mu")
+    mu_T = geometry.stacked(points, "cons.mu").swapaxes(-1, -2)
     fields = geometry.hamiltonian_vectors(ext)  # extension fields, by row
-    base_in_d = _point_max([fields[..., :n] @ mu.swapaxes(-1, -2)])
+    base_in_d = _point_max([fields[..., :n] @ mu_T])
     qx = fields @ Q.swapaxes(-1, -2)  # must be vertical, with dp in span(mu^T)
-    vertical = []
-    for mb, qb in zip(mu, qx):  # lstsq takes one matrix at a time
-        coef, *_ = np.linalg.lstsq(mb.T, qb[:, n:].T, rcond=None)
-        vertical.append(_max_abs(qb[:, :n], mb.T @ coef - qb[:, n:].T))
+    rhs = qx[..., n:].swapaxes(-1, -2)
+    coef = _lapack.lstsq(mu_T, rhs)
+    vertical = _point_max([qx[..., :n], mu_T @ coef - rhs])
 
     # informational: projection Jacobian vs projector on base-admissible
     # vectors that leave the manifold tangent space

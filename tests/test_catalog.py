@@ -162,6 +162,10 @@ def draws(monkeypatch):
             count[0] += 1
             return super().next_u64()
 
+        def next_floats(self, size):
+            count[0] += size
+            return super().next_floats(size)
+
     monkeypatch.setattr(catalog, "SplitMix64", Counted)
     return count
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +160,25 @@ def test_parser_totality_smoke():
 def test_deep_nesting_is_structured_error():
     with pytest.raises(ExpressionSyntaxError):
         dsl.parse_expression("(" * 5000 + "1" + ")" * 5000)
+
+
+def _sum(inner, terms):
+    """(inner + 1 + ... + 1): a left-deep chain, one tree level per term."""
+    return "(" + inner + "+1" * terms + ")"
+
+
+def test_a_tree_taller_than_the_nesting_bound_is_a_structured_error():
+    # the bound is on the tree's height, which a chain of sums or products
+    # reaches without any nesting, and chains inside chains add up
+    tall = ["+".join(["x"] * 402), "*".join(["x"] * 402), "x-" * 401 + "x",
+            _sum(_sum("x", 201), 200), "-" * 5 + _sum("x", 396), "sin" + _sum("x", 400)]
+    for text in tall:
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+            dsl.parse_expression(text)
+    # 400 levels, the bound, parse and compile (the compiler recurses per level)
+    for text in ["+".join(["x"] * 401), _sum(_sum("x", 200), 200), "-" * 4 + _sum("x", 396)]:
+        fn = dsl.compile_expression(dsl.parse_expression(text), ["x"])
+        assert math.isfinite(fn([0.5]))
 
 
 # --- system files -------------------------------------------------------------

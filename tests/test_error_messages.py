@@ -150,17 +150,34 @@ class _Scripted:
     """The sampler's random stream, with the fifth candidate's draws replaced."""
 
     def __init__(self, real, bad):
-        self.real, self.bad, self.calls = real, bad, 0
+        self.real, self.bad, self.calls = real, np.array(bad), 0
 
-    def uniform(self, lo, hi):
-        value = self.real.uniform(lo, hi)
-        i, self.calls = self.calls, self.calls + 1
-        return self.bad[i % len(self.bad)] if i // len(self.bad) == 4 else value
+    def next_floats(self, count):
+        u = self.real.next_floats(count)
+        at = np.arange(self.calls, self.calls + count)  # positions in the stream
+        self.calls += count
+        fifth = at // len(self.bad) == 4
+        u[fifth] = self.bad[at[fifth] % len(self.bad)]
+        return u
 
 
-def _scripted_sampler(monkeypatch, q, p):
+def _draw_for(value, lo, hi):
+    """A draw u that the sampler scales, lo + (hi - lo)*u, to value exactly."""
+    u = (value - lo) / (hi - lo)
+    for _ in range(8):
+        got = lo + (hi - lo) * u
+        if got == value:
+            return u
+        u = np.nextafter(u, np.inf if got < value else -np.inf)
+    raise AssertionError(f"no draw scales to {value!r} over ({lo!r}, {hi!r})")
+
+
+def _scripted_sampler(monkeypatch, q, p, region=None):
+    """The sampler draws the candidate (q, p) fifth, p in the unit cube."""
+    bounds = [*(region or [(-1.0, 1.0)] * len(q)), *[(-1.0, 1.0)] * len(p)]
+    bad = [_draw_for(v, lo, hi) for v, (lo, hi) in zip([*q, *p], bounds)]
     real = catalog.SplitMix64
-    monkeypatch.setattr(catalog, "SplitMix64", lambda seed: _Scripted(real(seed), [*q, *p]))
+    monkeypatch.setattr(catalog, "SplitMix64", lambda seed: _Scripted(real(seed), bad))
 
 
 SINGULAR_GRAM = ([0.5785034702341596, 0.21720312487545024, -0.8406728309160272],
@@ -192,8 +209,9 @@ def test_a_projection_error_in_the_sampler_raises_as_it_would_alone(monkeypatch,
     argv = ["simulate", "--system", _system_arg(tmp_path, "sign_metric"),
             f"--q0={_csv(q)}", f"--p0={_csv(p)}"]
     assert _cli_error(capsys, argv) == (cli.EXIT_VALIDATION, f"error: {want[1]}")
-    _scripted_sampler(monkeypatch, q, p)
-    assert _raised(catalog.sample_m_points, sysd, 9, 3, ((0.1, 1.0), (-1.0, 1.0))) == want
+    region = ((0.1, 1.0), (-1.0, 1.0))
+    _scripted_sampler(monkeypatch, q, p, region)
+    assert _raised(catalog.sample_m_points, sysd, 9, 3, region) == want
 
 
 def _spoiled_frames(monkeypatch, bad_x, spoil):
@@ -302,6 +320,33 @@ def test_an_infinite_trig_argument_is_a_domain_error_at_the_cli(tmp_path, capsys
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert capsys.readouterr() == ("", f"error: domain error in '{name}': argument must be finite\n")
+
+
+def _chain_argv(tmp_path, case, terms):
+    """simulate with a potential, or jacobiator with an f, of terms terms
+    x*0 + x*1 + ...: a left-deep chain, one tree level per term."""
+    if case == "simulate":
+        path = tmp_path / "chain.system"
+        chain = "+".join(f"x*{i}" for i in range(terms))
+        path.write_text(CONTROL.replace("V = 0", f"V = {chain}"))
+        return ["simulate", "--system", str(path), "--q0", "0.1,0", "--v0", "1,0",
+                "--t1", "0.01", "--dt", "0.01"]
+    return ["jacobiator", "--system", "catalog:nonholonomic_particle",
+            "--f", "+".join(f"y*{i}" for i in range(terms)), "--g", "p_x", "--h", "p_y",
+            "--point", "0.1,0.2,0.3,1,0.5,0.2"]
+
+
+@pytest.mark.parametrize("case", ["simulate", "jacobiator"])
+def test_a_long_sum_chain_is_too_deep_at_the_cli(tmp_path, capsys, case):
+    # the compiler recurses once per level of a tree: a chain taller than the
+    # parser's bound is one error line and exit 2, not a RecursionError
+    where = "[potential] V: " if case == "simulate" else ""
+    message = ("syntax error at offset 2295: expected shallower nesting, "
+               "found 'expression nested too deeply'")
+    capsys.readouterr()
+    assert cli.main(_chain_argv(tmp_path, case, 1500)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: {where}{message}\n")
+    assert cli.main(_chain_argv(tmp_path, case, 300)) == cli.EXIT_OK
 
 
 def test_a_step_count_below_one_is_refused_before_the_first_step(capsys):

@@ -688,9 +688,10 @@ def test_the_bracket_formulas_never_restack_a_points_data():
 
 
 def test_dense_linear_algebra_goes_through_the_lapack_seam():
-    # solves, inverses, Cholesky factors and singular values call numpy's
-    # gufuncs in _lapack; outside it, the one such np.linalg name in the
-    # package is verify's full SVD (the tests keep np.linalg as the oracle)
+    # solves, inverses, Cholesky factors, least squares and singular values
+    # call numpy's gufuncs in _lapack; outside it, the one such np.linalg name
+    # in the package is verify's full SVD (the tests keep np.linalg as the
+    # oracle)
     def names(*attrs):
         return lambda node: (isinstance(node, ast.Attribute) and node.attr in attrs
                              and ast.unparse(node.value) in ("np.linalg", "numpy.linalg"))
@@ -698,12 +699,28 @@ def test_dense_linear_algebra_goes_through_the_lapack_seam():
     def outside(sites):
         return [s for s in sites if not s.startswith("_lapack.")]
 
-    assert outside(_source_sites(names("solve", "inv", "cholesky"))) == []
+    assert outside(_source_sites(names("solve", "inv", "cholesky", "lstsq"))) == []
     assert outside(_source_sites(names("svd"))) == ["verification._chunk_metrics"]
     source = Path(geometry.__file__).with_name("verification.py").read_text()
     calls = [ast.unparse(node) for node in ast.walk(ast.parse(source))
              if isinstance(node, ast.Call) and names("svd")(node.func)]
     assert calls == ["np.linalg.svd(P)"]  # the full SVD, with its vectors
+
+
+def test_no_linalg_call_sits_in_a_loop():
+    # a stack of matrices goes to LAPACK in one call (the seam's fallback
+    # where numpy has no lstsq gufunc vectorizes the public call)
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+
+    def linalg_call(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).startswith(
+            ("np.linalg.", "numpy.linalg.", "linalg."))
+
+    def loop_over_linalg(node):
+        return isinstance(node, loops) and any(map(linalg_call, ast.walk(node)))
+
+    assert _source_sites(loop_over_linalg) == []
 
 
 # the bodies of formulas that no one name reads: pi = E^T p, a frame on the

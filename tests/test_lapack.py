@@ -29,11 +29,20 @@ BINDINGS = {
     "no svd gufunc": _without_svd,
 }
 
+def _lstsq_each(a, b):
+    """np.linalg.lstsq(a, b, rcond=None)[0], which takes one matrix at a
+    time: of a matrix, or stacked over the matrices of a stack."""
+    if a.ndim == 2:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+    return np.array([np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(a, b)])
+
+
 REFERENCE = {
     "solve": np.linalg.solve,
     "inv": np.linalg.inv,
     "cholesky": np.linalg.cholesky,
     "singular_values": lambda a: np.linalg.svd(a, compute_uv=False),
+    "lstsq": _lstsq_each,
 }
 
 
@@ -46,7 +55,9 @@ def _cases():
     stacked matrices; b as (n,) (the integrator's multipliers), (B, m, 1)
     (stacked multipliers and projections), (B, n, k) and (n, k) (frame
     components, the splitting's solve); rows (B, m, n), frames (B, n, k) and
-    square splitting matrices for the singular values."""
+    square splitting matrices for the singular values; least squares over
+    tall (n, m) matrices, m = 1, 2, as verify's transposed constraint rows
+    against several right-hand sides, a rank-deficient stack among them."""
     for n in (2, 3, 4):
         a, stack = _spd(n, n), _spd(B, n, n)
         general = RNG.normal(size=(B, n, n)) + n * np.eye(n)
@@ -65,6 +76,17 @@ def _cases():
         yield "singular_values", (RNG.normal(size=(B, n + 1, n - 1)),)
         yield "singular_values", (general,)
         yield "singular_values", (RNG.normal(size=(n, n + 2)),)
+        for m in (1, 2):
+            for k in (1, 3, 2 * n + n * n):
+                yield "lstsq", (RNG.normal(size=(n, m)), RNG.normal(size=(n, k)))
+                yield "lstsq", (RNG.normal(size=(B, n, m)), RNG.normal(size=(B, n, k)))
+        deficient = RNG.normal(size=(B, n, 2))
+        deficient[1, :, 1] = 3.0 * deficient[1, :, 0]  # parallel columns
+        deficient[3, :, 0] = 0.0
+        deficient[4] = 0.0
+        yield "lstsq", (deficient, RNG.normal(size=(B, n, 5)))
+        # the transposed views verify passes
+        yield "lstsq", (RNG.normal(size=(B, 2, n)).swapaxes(1, 2), RNG.normal(size=(B, 7, n)).swapaxes(1, 2))
 
 
 CASES = list(_cases())
@@ -91,6 +113,8 @@ def _failing_cases():
             yield "cholesky", (m,)
             yield "singular_values", (m[..., :2, :],)
             yield "singular_values", (m,)
+            yield "lstsq", (m[..., :2], np.ones(m.shape))
+            yield "lstsq", (_spd(*m.shape)[..., :2], m)  # a non-finite right-hand side
 
 
 FAILING = list(_failing_cases())
@@ -135,6 +159,7 @@ def test_the_seam_fails_as_the_public_call(binding, outer):
         ("inv", "Singular matrix"),
         ("cholesky", "Matrix is not positive definite"),
         ("singular_values", "SVD did not converge"),
+        ("lstsq", "SVD did not converge in Linear Least Squares"),
     }
 
 
@@ -146,6 +171,8 @@ def test_the_import_binds_a_public_call_only_where_a_gufunc_is_missing():
         assert (getattr(_lapack, name) is getattr(np.linalg, name)) == missing
     fallback = isinstance(_lapack.singular_values, functools.partial)
     assert fallback == (_lapack._lookup("svd") is None)
+    # the bound gufunc runs under its error state, the fallback calls np.linalg
+    assert hasattr(_lapack.lstsq, "__wrapped__") == (_lapack._lookup("lstsq") is not None)
     assert _lapack._lookup("no_such_gufunc") is None
     public = _bound("public")
     assert [public[n] for n in needs] == [np.linalg.solve, np.linalg.inv, np.linalg.cholesky]

@@ -135,6 +135,17 @@ def test_each_distinct_subtree_is_computed_once():
     assert source.count("sin(") == 1 and len(re.findall(r"= t0 \* t\d+\n", source)) == 1
 
 
+def test_the_forward_source_computes_each_value_once():
+    # sin's auxiliary is cos of the same argument and cos's is sin: the
+    # sleigh's table calls each once, and no right-hand side repeats anywhere
+    source = dynamics.FieldEvaluator(catalog.get_system("chaplygin_sleigh"))._forward.source
+    assert source.count("sin(") == 1 and source.count("cos(") == 1
+    for make in SYSTEMS.values():
+        lines = dynamics.FieldEvaluator(make())._forward.source.splitlines()
+        values = [line.split(" = ", 1)[1] for line in lines if " = " in line]
+        assert len(values) == len(set(values))
+
+
 # each raises at (x, y) = (1, 1) in the dual pass, and most on floats too
 ERRORS = {
     "x/(y - 1)": ("division", "division by zero"),
