@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsl, geometry
-from .errors import RankDeficientError
+from .errors import NonholoError, RankDeficientError
 from .rng import SplitMix64
 from .system import Observable, PhasePoint, SystemDefinition, hamiltonian_observable
 
@@ -233,8 +233,12 @@ def sample_m_points(
             )
         size = min(count - len(out), budget)
         budget -= size
+        try:
+            u = rng.next_floats(size * len(lo)).reshape(size, -1)
+        except (MemoryError, ValueError):  # numpy refuses a size past its range with ValueError
+            raise NonholoError(f"cannot hold {size} sample candidates in memory") from None
         with np.errstate(all="ignore"):  # as Python floats: inf, not a warning
-            z = lo + (hi - lo) * rng.next_floats(size * len(lo)).reshape(size, -1)
+            z = lo + (hi - lo) * u
             q, p_raw = z[:, : len(region)], z[:, len(region) :]
             projected = geometry.per_point(functools.partial(_projected, sys), q, p_raw)
         out += [PhasePoint(q=qb, p=p) for qb, p in zip(q, projected) if p is not None]

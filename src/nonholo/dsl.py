@@ -38,8 +38,6 @@ from .errors import (
     UnknownIdentifierError,
 )
 
-FUNCTION_NAMES = tuple(sorted(numdiff.FUNCTIONS))
-
 _MAX_DEPTH = 400  # of nesting and of tree height: a syntax error, not a RecursionError
 
 

@@ -280,7 +280,7 @@ def integrate(
     z = np.concatenate([x0.q, x0.p])
     try:
         rows = np.empty((n_steps + 1, 2 * n + 2 * m + 2))  # (t, q, p, H, c, lam)
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy refuses a size past its range with ValueError
         raise NonholoError(f"cannot hold a trajectory of {n_steps} steps in memory") from None
     done = 0
 

@@ -581,9 +581,10 @@ def gamma_apply(sys, q_s, p_s):
     """Momentum projection gamma(p) over generic scalars."""
     G = sys.metric_values(q_s)
     mu = sys.mu_values(q_s)
-    y = numdiff.solve_linear(G, list(p_s))
+    # one elimination of G for [p | mu^T]: y = G^-1 p, and W = G^-1 mu^T (n x m)
+    yw = numdiff.solve_linear(G, [[p_s[i], *(row[i] for row in mu)] for i in range(len(G))])
+    y, W = [r[0] for r in yw], [r[1:] for r in yw]
     c = [numdiff.sum_prod(row, y) for row in mu]
-    W = numdiff.solve_linear(G, numdiff.transpose(mu))  # G^-1 mu^T, n x m
     gram = numdiff.mat_mul(mu, W)
     lam = numdiff.solve_linear(gram, c)
     m = len(mu)
@@ -614,10 +615,10 @@ def frame_apply(sys, q_s, free_cols):
     mu = sys.mu_values(q_s)
     m, n = len(mu), sys.n
     A = numdiff.mat_mul(mu, numdiff.transpose(mu))
+    ws = numdiff.solve_linear(A, [[row[j] for j in free_cols] for row in mu])  # one elimination
     cols = []
-    for j in free_cols:
-        rhs = [mu[a][j] for a in range(m)]
-        w = numdiff.solve_linear(A, rhs)
+    for c, j in enumerate(free_cols):
+        w = [r[c] for r in ws]
         col = [
             (1.0 if i == j else 0.0)
             - numdiff.sum_prod([mu[a][i] for a in range(m)], w)

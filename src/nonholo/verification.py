@@ -10,27 +10,31 @@ distribution membership of extension fields, and the Jacobiator policy
 witness otherwise). The policy is probed first: do the frame fields' Lie
 brackets (``brackets.field_brackets``, stacked per frame plan) stay in D?
 
-Each point is validated once into a ``geometry.OnMPoint``, which carries its
-metric, constraint rows and frame. A chunk's points are sampled, validated
-and framed in stacked passes (``catalog.sample_m_points``,
-``geometry.on_m_point`` of a list, ``geometry.frame_batch``). The Jacobiator
-runs first, at every point: one nested lift per kind over the chunk (per
-frame plan for the dual-bundle kind). The other suites run in one stacked
-pass over the chunk: one batched lift per object (the projection Jacobian,
-the splitting, the algebroid's chart per frame plan, the table observables,
-and H per dynamics route), each built once as an array, then the float
-algebra as (B, ...) arrays reduced per point, the Leibniz factors and the
-least squares of the complement-vertical suite (one ``_lapack.lstsq``)
-included; only the route tables, which grow with the square of the number
-of observables, are built over fixed slices of those arrays. A stacked pass
-passes or raises; one that raises reruns its points one by one
-(``geometry.per_point``), so the first failing point raises as it would
-alone. Overflow in a suite is not reported as a numpy warning: the
+The sample is drawn once, then validated once into ``geometry.OnMPoint``s,
+which carry their metric, constraint rows and frame, in stacked passes
+(``geometry.on_m_point`` of a list, ``geometry.frame_batch``): a validation
+or frame error names the sample's first failing point, whatever the number
+of workers. The Jacobiator runs first, at every point: one nested lift per
+kind (per frame plan for the dual-bundle kind). The other suites run in one
+stacked pass over the points: one batched lift per object (the projection
+Jacobian, the splitting, the algebroid's chart per frame plan, the table
+observables, and H per dynamics route), each built once as an array, then
+the float algebra as (B, ...) arrays reduced per point, the Leibniz factors
+and the least squares of the complement-vertical suite (one
+``_lapack.lstsq``) included; only the route tables, which grow with the
+square of the number of observables, are built over fixed slices of those
+arrays. A stacked pass passes or raises; one that raises reruns its points
+one by one (``geometry.per_point``), so the first failing point raises as it
+would alone. Overflow in a suite is not reported as a numpy warning: the
 non-finite value reaches the report and fails its suite.
 
-Points are distributed by index across at most one worker chunk per
-process, and at most one process per CPU; per-point results are merged in
-index order, so reports are byte-identical for any worker count. The
+Every suite is one row of the ``SUITES`` table and one column of a (points x
+suites) float array, and each column is reduced once: to its first
+non-finite value, else its first largest, at its ``worst_point_index``.
+With workers, each process (at most one per CPU) gets one run of
+consecutive points; it parses the system and validates its run again,
+bitwise as the whole sample was validated, and the runs' rows join in index
+order, so reports are byte-identical for any worker count. The
 informational ``strong_projection_gap`` row reports how far the projection
 Jacobian is from the symplectic projector off the admissible sub-bundle
 without asserting anything about it.
@@ -51,6 +55,26 @@ from .system import Observable
 
 WITNESS_FLOOR = 1e-3
 _SLICE = 25  # points per slice of the route tables
+
+# the suites in report order, one column each, with their tolerance: a
+# number, the config's compare_tol, or None (reported only); where D is not
+# integrable, jacobiator_defect is a witness that must exceed WITNESS_FLOOR
+SUITES = (
+    ("bracket_coincidence", "compare_tol"),
+    ("projected_forms_agreement", "compare_tol"),
+    ("skew_symmetry", 1e-12),
+    ("leibniz_rule", 1e-10),
+    ("extension_independence", "compare_tol"),
+    ("dynamics_two_route", "compare_tol"),
+    ("field_tangency", 1e-9),
+    ("projector_laws", 1e-10),
+    ("projection_identity_on_admissible", 1e-9),
+    ("extension_field_base_in_distribution", 1e-9),
+    ("extension_field_complement_vertical", 1e-9),
+    ("jacobiator_canonical", 1e-8),
+    ("jacobiator_defect", 1e-8),
+    ("strong_projection_gap", None),
+)
 
 
 @dataclass
@@ -166,10 +190,10 @@ def _table_suites(z, raw, linear, observables, n):
 
 def _chunk_metrics(sysd, points, observables):
     """Every suite but the Jacobi pair at validated points, as one stacked
-    (B, ...) pass over the points' own lifts; one metric dict per point.
+    (B, ...) pass over the points' own lifts; (B, 12) in ``SUITES`` order.
     Each lifted object is built once; the splitting also fills each point's
     own, which the projection route reads."""
-    n, k, B = sysd.n, sysd.k, len(points)
+    n, k = sysd.n, sysd.k
     n_obs = len(observables)
     dgam = geometry.dgamma(points)
     theta, lam, _ = geometry.almost_lie_algebroid(points)
@@ -223,162 +247,105 @@ def _chunk_metrics(sysd, points, observables):
     zvecs = np.concatenate([E, np.ones(E.shape)], -2)
     strong_gap = _point_max([(dgam - P) @ zvecs])
 
-    out = {
-        "bracket_coincidence": coincidence,
-        "projected_forms_agreement": forms_gap,
-        "skew_symmetry": skew,
-        "leibniz_rule": leibniz,
-        "extension_independence": ext_ind,
-        "dynamics_two_route": two_route,
-        "field_tangency": tangency,
-        "projector_laws": projector_laws,
-        "projection_identity_on_admissible": proj_identity,
-        "extension_field_base_in_distribution": base_in_d,
-        "extension_field_complement_vertical": vertical,
-        "strong_projection_gap": strong_gap,
-    }
-    return [{name: float(v[b]) for name, v in out.items()} for b in range(B)]
+    return np.stack([
+        coincidence, forms_gap, skew, leibniz, ext_ind, two_route, tangency, projector_laws,
+        proj_identity, base_in_d, vertical, strong_gap,
+    ], 1)
 
 
-def _chunk_worker(payload):
-    sysd = dsl.parse_system(payload["source"])
-    observables = catalog.observable_test_set(sysd)
-    points = catalog.sample_m_points(
-        sysd,
-        payload["count"],
-        payload["seed"],
-        region=payload["region"],
-        momentum_scale=payload["momentum_scale"],
-    )
-    indices = payload["indices"]
-    tol = payload["on_m_tol"]
+def _validated(sysd, sample, on_m_tol):
+    """The sample's OnMPoints, validated and framed in stacked passes; the
+    first point that fails raises, as it would alone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        # validated and framed in stacked passes; the first point that fails
-        # raises, as it would alone
-        valid = geometry.on_m_point(sysd, [points[idx] for idx in indices], tol)
-        geometry.frame_batch(valid)
-        jacobi = _jacobi_metrics(sysd, valid, observables, payload)  # before the lifts
-        metrics = geometry.per_point(lambda xs: _chunk_metrics(sysd, xs, observables), valid)
-        for m, j in zip(metrics, jacobi):
-            m.update(j)
-    return list(zip(indices, metrics))
+        points = geometry.on_m_point(sysd, sample, on_m_tol)
+        geometry.frame_batch(points)
+    return points
 
 
-def _jacobi_metrics(sysd, points, observables, cfg_dict):
-    """Both Jacobi suites at every point, on verify's triples.
+def _chunk_values(sysd, points, integrable):
+    """Every suite at validated points, (B, len(SUITES)) in ``SUITES`` order."""
+    observables = catalog.observable_test_set(sysd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jacobi = _jacobi_metrics(sysd, points, observables, integrable)  # before the lifts
+        metrics = geometry.per_point(lambda xs: _chunk_metrics(sysd, xs, observables), points)
+    metrics = np.asarray(metrics)  # per_point's rows, when the stacked pass raised
+    # the Jacobi pair goes before the informational last column
+    return np.concatenate([metrics[:, :-1], jacobi, metrics[:, -1:]], 1)
+
+
+def _chunk_worker(source, on_m_tol, integrable, sample):
+    """``_chunk_values`` of one run of sample points in a worker process, the
+    system parsed and the run validated again, bitwise as in ``run_verify``."""
+    sysd = dsl.parse_system(source)
+    return _chunk_values(sysd, _validated(sysd, sample, on_m_tol), integrable)
+
+
+def _jacobi_metrics(sysd, points, observables, integrable):
+    """Both Jacobi suites at every point, on verify's triples, (B, 2): the
+    canonical Jacobiator, then the defect.
 
     One stacked ``brackets.jacobi_rows`` per kind over all the points, and
     per frame plan for ``dstar``; the defect collects eden, plus nh and dstar
     when the distribution is integrable.
     """
-    if not points:
-        return []
     n_obs = len(observables)
     f, g, h = ([observables[t[c]] for t in _jacobiator_triples(n_obs, sysd.n)] for c in range(3))
-    calls = [
-        ("jacobiator_canonical", "canonical", (f, g, h), points),
-        ("jacobiator_defect", "eden", (f, g, h), points),
-    ]
-    if cfg_dict["integrable"]:
-        calls.append(("jacobiator_defect", "nh", (f, g, h), points))
+    calls = [(0, "canonical", (f, g, h), points), (1, "eden", (f, g, h), points)]
+    if integrable:
+        calls.append((1, "nh", (f, g, h), points))
         for free, group in geometry.frame_plans(points).items():
             push = {id(o): brackets.pushforward_observable(sysd, o, free) for o in f + g + h}
             fgh = tuple([push[id(o)] for o in col] for col in (f, g, h))
-            calls.append(("jacobiator_defect", "dstar", fgh, group))
+            calls.append((1, "dstar", fgh, group))
     pos = {id(x): i for i, x in enumerate(points)}
-    worst = {}  # suite -> (B,) largest |J| per point; np.maximum keeps a NaN
-    for suite, kind, fgh, group in calls:
+    worst = np.full((len(points), 2), -np.inf)  # largest |J| per point; np.maximum keeps a NaN
+    for col, kind, fgh, group in calls:
         body = functools.partial(brackets.jacobi_rows, sysd, kind, list(zip(*fgh)))
         rows = np.asarray(geometry.per_point(body, group))
         at = [pos[id(x)] for x in group]
-        acc = worst.setdefault(suite, np.full(len(points), -np.inf))
-        acc[at] = np.maximum(acc[at], np.abs(rows).max(1))
-    return [{suite: float(acc[i]) for suite, acc in worst.items()} for i in range(len(points))]
+        worst[at, col] = np.maximum(worst[at, col], np.abs(rows).max(1))
+    return worst
 
 
 def run_verify(cfg: VerifyConfig) -> dict:
     """Run every suite and assemble the deterministic report object."""
     sysd = dsl.parse_system(cfg.system_source)
-    region = cfg.region
-    integrable = _system_is_integrable(sysd, region, cfg.seed)
-    payload_base = {
-        "source": cfg.system_source,
-        "count": cfg.count,
-        "seed": cfg.seed,
-        "region": region,
-        "momentum_scale": cfg.momentum_scale,
-        "on_m_tol": cfg.on_m_tol,
-        "integrable": integrable,
-    }
-    indices = list(range(cfg.count))
+    integrable = _system_is_integrable(sysd, cfg.region, cfg.seed)
+    sample = catalog.sample_m_points(
+        sysd, cfg.count, cfg.seed, region=cfg.region, momentum_scale=cfg.momentum_scale
+    )
+    points = _validated(sysd, sample, cfg.on_m_tol)
     if cfg.workers > 1:
-        # every chunk samples all the points again, so one chunk per process
+        # one run of consecutive points per process
         procs = min(cfg.workers, os.cpu_count() or 1, cfg.count)
-        chunks = [{**payload_base, "indices": indices[i::procs]} for i in range(procs)]
+        cuts = [cfg.count * i // procs for i in range(procs + 1)]
+        worker = functools.partial(_chunk_worker, cfg.system_source, cfg.on_m_tol, integrable)
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            results = []
-            for part in pool.map(_chunk_worker, chunks):
-                results.extend(part)
+            runs = pool.map(worker, [sample[a:b] for a, b in zip(cuts, cuts[1:])])
+            values = np.concatenate(list(runs))
     else:
-        results = _chunk_worker({**payload_base, "indices": indices})
-    results.sort(key=lambda item: item[0])
+        values = _chunk_values(sysd, points, integrable)
 
-    # a suite reports its largest value, or its first non-finite one: a NaN
-    # compares false with everything, so it must displace a finite value
-    merged: dict[str, float] = {}
-    argmax: dict[str, int] = {}
-    for idx, metrics in results:
-        for name, value in metrics.items():
-            if (
-                name not in merged
-                or value > merged[name]
-                or (math.isfinite(merged[name]) and not math.isfinite(value))
-            ):
-                merged[name] = value
-                argmax[name] = idx
-
+    # a suite reports its first non-finite value, else its first largest
+    bad = ~np.isfinite(values)
+    index = np.where(bad.any(0), bad.argmax(0), values.argmax(0))
     suites = []
+    for (name, tol), value, at in zip(
+        SUITES, values[index, np.arange(len(SUITES))].tolist(), index.tolist()
+    ):
+        witness = name == "jacobiator_defect" and not integrable
+        tol = WITNESS_FLOOR if witness else (getattr(cfg, tol) if isinstance(tol, str) else tol)
+        ok = math.isfinite(value) and (tol is None or (value > tol if witness else value <= tol))
+        suites.append({
+            "name": name,
+            "statistic": "max_witness" if witness else "max_abs",
+            "value": value,
+            "tolerance": tol,
+            "worst_point_index": at,
+            "pass": ok,
+        })
 
-    def add(name, tolerance, mode="max"):
-        value = merged.get(name, 0.0)
-        if not math.isfinite(value):
-            ok = False
-        elif tolerance is None:
-            ok = True
-        elif mode == "max":
-            ok = value <= tolerance
-        else:  # witness: the statistic must exceed the floor
-            ok = value > tolerance
-        suites.append(
-            {
-                "name": name,
-                "statistic": "max_abs" if mode == "max" else "max_witness",
-                "value": value,
-                "tolerance": tolerance,
-                "worst_point_index": argmax.get(name, 0),
-                "pass": bool(ok),
-            }
-        )
-
-    add("bracket_coincidence", cfg.compare_tol)
-    add("projected_forms_agreement", cfg.compare_tol)
-    add("skew_symmetry", 1e-12)
-    add("leibniz_rule", 1e-10)
-    add("extension_independence", cfg.compare_tol)
-    add("dynamics_two_route", cfg.compare_tol)
-    add("field_tangency", 1e-9)
-    add("projector_laws", 1e-10)
-    add("projection_identity_on_admissible", 1e-9)
-    add("extension_field_base_in_distribution", 1e-9)
-    add("extension_field_complement_vertical", 1e-9)
-    add("jacobiator_canonical", 1e-8)
-    if integrable:
-        add("jacobiator_defect", 1e-8)
-    else:
-        add("jacobiator_defect", WITNESS_FLOOR, mode="witness")
-    add("strong_projection_gap", None)
-
-    report = {
+    return {
         "command": "verify",
         "system": cfg.system_label,
         "seed": cfg.seed,
@@ -389,4 +356,3 @@ def run_verify(cfg: VerifyConfig) -> dict:
         "suites": suites,
         "pass": all(s["pass"] for s in suites),
     }
-    return report

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nonholo import cli, geometry, verification
+from nonholo.rng import SplitMix64
 
 DATA = Path(__file__).parent / "data"
 
@@ -250,13 +251,42 @@ def test_simulate_rejects_a_non_finite_start_residual():
     (["--t1", "1e300", "--dt", "1e-300"], "step count (t1 - t0)/dt = inf is not finite"),
     (["--t1", "1e12", "--dt", "1e-3"],
      "cannot hold a trajectory of 1000000000000000 steps in memory"),
-], ids=["non-finite", "unallocatable"])
+    (["--t1", "1", "--dt", "1e-18"],
+     f"cannot hold a trajectory of {round(1 / 1e-18)} steps in memory"),
+    (["--t1", "1", "--dt", "1e-300"],
+     f"cannot hold a trajectory of {round(1 / 1e-300)} steps in memory"),
+], ids=["non-finite", "unallocatable", "too-big", "past-dimension"])
 def test_simulate_refuses_a_step_count_it_cannot_hold(capsys, span, message):
-    # both trajectories exceed the address space, so the allocation is
-    # refused at once, before the first step
+    # the trajectories exceed the address space, so the allocation is
+    # refused at once, before the first step: with MemoryError, or with
+    # numpy's ValueError for a size past its range
     argv = ["simulate", "--system", "catalog:holonomic_control", "--q0", "0,0", "--p0", "1,0"]
     assert cli.main([*argv, *span]) == cli.EXIT_VALIDATION
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_verify_refuses_a_count_it_cannot_hold(capsys):
+    # numpy refuses a block draw of 6 * 2**62 floats by its size, before it
+    # allocates anything
+    argv = ["verify", "--system", "catalog:nonholonomic_particle", "--count", str(2**62)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    message = f"error: cannot hold {2**62} sample candidates in memory\n"
+    assert capsys.readouterr() == ("", message)
+
+
+def test_verify_reports_a_memory_error_of_the_sample_draw(monkeypatch, capsys):
+    # the 12 points of the integrability probe draw; the sample's block fails
+    next_floats = SplitMix64.next_floats
+
+    def refuse(self, count):
+        if count > 1000:
+            raise MemoryError
+        return next_floats(self, count)
+
+    monkeypatch.setattr(SplitMix64, "next_floats", refuse)
+    argv = ["verify", "--system", "catalog:nonholonomic_particle", "--count", "1000"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: cannot hold 1000 sample candidates in memory\n")
 
 
 def test_simulate_refuses_a_step_count_below_one():

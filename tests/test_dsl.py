@@ -133,7 +133,7 @@ def _tree(children):
         st.tuples(st.sampled_from("+-*/^"), children, children).map(
             lambda t: dsl.Bin(*t)
         ),
-        st.tuples(st.sampled_from(dsl.FUNCTION_NAMES), children).map(
+        st.tuples(st.sampled_from(sorted(numdiff.FUNCTIONS)), children).map(
             lambda t: dsl.Call(*t)
         ),
     )

@@ -778,55 +778,97 @@ def test_a_lone_points_pi_is_bitwise_its_row_of_the_stacked_pi(name, source, reg
         assert np.array(lone).tobytes() == row.tobytes()
 
 
+def test_one_elimination_per_matrix_in_the_generic_formulas(count_calls):
+    # gamma_apply eliminates G once for [p | mu^T], then the Gram matrix; a
+    # default frame eliminates mu mu^T once for all its free columns
+    sysd = catalog.get_system("vertical_rolling_disk")
+    [x] = catalog.sample_m_points(sysd, 1, 5)
+    q, p = list(x.q), list(x.p)
+    free = geometry.frame_at(sysd, q).free_cols
+    assert len(free) == 2 and sysd.n_constraints == 2
+    counts = count_calls(numdiff, ["solve_linear"])
+    geometry.gamma_apply(sysd, q, p)
+    assert counts["solve_linear"] == 2
+    counts["solve_linear"] = 0
+    geometry.frame_apply(sysd, q, free)
+    assert counts["solve_linear"] == 1
+
+
 # kept though only the tests call them: the standalone bracket oracles the
 # route tables are checked against
 ORACLES = {"canonical_bracket", "eden_bracket", "nonholonomic_bracket", "dstar_bracket"}
 
 
 def _names(node):
-    """The names a node gives: a name, an attribute, or each part of a string
-    that is a dotted name (perfbench's traced spans, ``stacked``'s fields)."""
+    """The (name, via an attribute) pairs a node gives: a name, an attribute,
+    or each part of a string that is a dotted name (perfbench's traced spans,
+    ``stacked``'s fields), which names attributes."""
     if isinstance(node, ast.Name):
-        return [node.id]
+        return [(node.id, False)]
     if isinstance(node, ast.Attribute):
-        return [node.attr]
+        return [(node.attr, True)]
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.split(".") if re.fullmatch(r"[\w.]+", node.value) else []
+        parts = node.value.split(".") if re.fullmatch(r"[\w.]+", node.value) else []
+        return [(part, True) for part in parts]
     return []
 
 
+def _definitions(top):
+    """(node, name, class) of each definition a top-level statement of a
+    module makes: a function, a class and the methods and classes in its
+    body (their class named), or a constant. The node encloses the
+    definition's own code; a tuple target's names are each their own node."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        yield top, top.name, None
+        for node in top.body if isinstance(top, ast.ClassDef) else []:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node, node.name, top.name
+    elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        names = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        for n in names:
+            yield (top if len(names) == 1 else n), n.id, None
+
+
 def test_every_definition_in_the_package_has_a_caller_outside_the_tests():
-    # a top-level function, class or method of src/nonholo is named by code
-    # in src/, scripts/ or perfbench/ outside its own body and outside every
-    # definition that is itself unused, or it is an oracle or exported
+    # a top-level function, class, method or constant of src/nonholo is named
+    # by code in src/, scripts/ or perfbench/ outside its own body and outside
+    # every definition that is itself unused, a method only as an attribute
+    # (x.at, not a local at); or it is an oracle or exported: the names in
+    # nonholo.__all__ and the methods of those classes
     import nonholo
 
     root = Path(geometry.__file__).parents[2]
     trees = {path: ast.parse(path.read_text()) for part in ("src/nonholo", "scripts", "perfbench")
              for path in sorted((root / part).glob("*.py"))}
-    defs = {}  # id(node) -> (module.label, name) of each definition of the package
+    defs = {}  # id(node) -> (module.label, name, class) of each definition of the package
     for path, tree in trees.items():
         for top in tree.body if path.parent.name == "nonholo" else []:
-            for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
-                    label = node.name if node is top else f"{top.name}.{node.name}"
-                    defs[id(node)] = (f"{path.stem}.{label}", node.name)
-    uses = {}  # name -> the definitions enclosing each node that names it
+            for node, name, owner in _definitions(top):
+                if not name.startswith("__"):
+                    label = name if owner is None else f"{owner}.{name}"
+                    defs[id(node)] = (f"{path.stem}.{label}", name, owner)
+    uses = {}  # (name, via an attribute) -> the definitions enclosing each node that names it
 
     def walk(node, enclosing):
         for child in ast.iter_child_nodes(node):
             inner = enclosing | {id(child)} if id(child) in defs else enclosing
-            for name in _names(child):
-                uses.setdefault(name, []).append(inner)
+            for use in _names(child):
+                uses.setdefault(use, []).append(inner)
             walk(child, inner)
 
     for tree in trees.values():
         walk(tree, frozenset())
     kept = ORACLES | set(nonholo.__all__)
+
+    def sites(name, owner):
+        return uses.get((name, True), []) + ([] if owner else uses.get((name, False), []))
+
     unused = set()
     while True:
-        found = {key for key, (_, name) in defs.items() if key not in unused and name not in kept
-                 and all(inner & (unused | {key}) for inner in uses.get(name, []))}
+        found = {key for key, (_, name, owner) in defs.items()
+                 if key not in unused and name not in kept and owner not in nonholo.__all__
+                 and all(inner & (unused | {key}) for inner in sites(name, owner))}
         if not found:
             break
         unused |= found

@@ -1,16 +1,19 @@
 """Per-point work of the verify sweep: one validation, one stacked pass per
-chunk, one batched call per kind."""
+chunk, one batched call per kind, one (points x suites) array."""
 
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonholo import brackets, catalog, dsl, dynamics, geometry, numdiff, verification
+from nonholo import brackets, catalog, cli, dsl, dynamics, geometry, numdiff, verification
 from nonholo.errors import DomainError, SplittingDegenerateError
 
 VALIDATION = ("tangent_splitting", "metric_at", "constraints_at")
+SUITE_NAMES = [name for name, _ in verification.SUITES]
+JACOBI = [SUITE_NAMES.index("jacobiator_canonical"), SUITE_NAMES.index("jacobiator_defect")]
 
 
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
@@ -31,7 +34,7 @@ TWO_PLAN_REGION = ((-1.0, 1.0), (-2.0, 2.0), (-1.0, 1.0))
 
 
 def _chunk_points(sysd, sample):
-    """The sample validated, frames built, as ``_chunk_worker`` holds it."""
+    """The sample validated, frames built, as ``_chunk_values`` gets it."""
     points = [geometry.on_m_point(sysd, x) for x in sample]
     for x in points:
         x.frame
@@ -70,23 +73,22 @@ def test_a_chunk_builds_each_lifted_object_once(monkeypatch, count_calls):
     assert reads.count("splitting") <= 1
 
 
-def _scalar_jacobi(sysd, x, observables, cfg):
-    """Both Jacobi suites at one point from the per-point ``jacobiator``."""
+def _scalar_jacobi(sysd, x, observables, integrable):
+    """Both Jacobi suites at one point from the per-point ``jacobiator``, as
+    the row (canonical, defect)."""
     triples = verification._jacobiator_triples(len(observables), sysd.n)
     f, g, h = ([observables[t[c]] for t in triples] for c in range(3))
 
     def jac(kind, f, g, h):
-        return brackets.jacobiator(sysd, kind, f, g, h, x, on_m_tol=cfg["on_m_tol"])
+        return brackets.jacobiator(sysd, kind, f, g, h, x)
 
     defects = jac("eden", f, g, h)
-    if cfg["integrable"]:
+    if integrable:
         push = {id(o): brackets.pushforward_observable(sysd, o) for o in f + g + h}
         fd, gd, hd = ([push[id(o)] for o in col] for col in (f, g, h))
         defects += jac("nh", f, g, h) + jac("dstar", fd, gd, hd)
-    return {
-        "jacobiator_canonical": verification._max_abs(jac("canonical", f, g, h)),
-        "jacobiator_defect": verification._max_abs(defects),
-    }
+    canonical = jac("canonical", f, g, h)
+    return np.array([verification._max_abs(canonical), verification._max_abs(defects)])
 
 
 @pytest.mark.parametrize("integrable", [True, False])
@@ -96,8 +98,7 @@ def test_point_metrics_call_the_jacobiator_once_per_kind(monkeypatch, integrable
     plans = {x.frame.free_cols for x in points}
     assert len(plans) == 2
     observables = catalog.observable_test_set(sysd)
-    cfg = {"on_m_tol": geometry.ON_M_TOL, "integrable": integrable}
-    alone = [_scalar_jacobi(sysd, x, observables, cfg) for x in points]
+    alone = np.stack([_scalar_jacobi(sysd, x, observables, integrable) for x in points])
     calls = []
     original = brackets.jacobi_rows
 
@@ -107,7 +108,7 @@ def test_point_metrics_call_the_jacobiator_once_per_kind(monkeypatch, integrable
 
     monkeypatch.setattr(brackets, "jacobi_rows", counted)
     monkeypatch.setattr(brackets, "jacobiator", None)  # the scalar path stays unused
-    out = verification._jacobi_metrics(sysd, points, observables, cfg)
+    out = verification._jacobi_metrics(sysd, points, observables, integrable)
     expected = [("canonical", None, 10), ("eden", None, 10)]
     if integrable:
         expected.append(("nh", None, 10))
@@ -115,22 +116,21 @@ def test_point_metrics_call_the_jacobiator_once_per_kind(monkeypatch, integrable
             ("dstar", free, sum(x.frame.free_cols == free for x in points)) for free in plans
         ]
     assert sorted(calls) == sorted(expected)
-    assert out == alone
-    assert max(m["jacobiator_defect"] for m in out) > verification.WITNESS_FLOOR
+    assert out.tobytes() == alone.tobytes()
+    assert out[:, 1].max() > verification.WITNESS_FLOOR
 
 
-def _payload(ent, count, indices):
-    sysd = ent.system()
-    return {
-        "source": ent.definition,
-        "count": count,
-        "seed": 3,
-        "region": ent.sample_region,
-        "momentum_scale": ent.momentum_scale,
-        "on_m_tol": geometry.ON_M_TOL,
-        "integrable": verification._system_is_integrable(sysd, ent.sample_region, 3),
-        "indices": indices,
-    }
+def _worker_args(ent, count, indices):
+    """``_chunk_worker``'s arguments for the points ``indices`` of the seed-3
+    sample of ``count`` points."""
+    sample = catalog.sample_entry_points(ent, count, 3)
+    integrable = verification._system_is_integrable(ent.system(), ent.sample_region, 3)
+    return ent.definition, geometry.ON_M_TOL, integrable, [sample[i] for i in indices]
+
+
+def _row(metrics, jacobi):
+    """One point's ``_chunk_metrics`` row and Jacobi pair in ``SUITES`` order."""
+    return np.insert(metrics, JACOBI[0], jacobi)
 
 
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
@@ -139,22 +139,21 @@ def test_chunk_metrics_do_not_depend_on_the_batch(ent):
     # holds; every metric at an index is exactly its value in any other
     # chunk, and exactly the metric of the point taken alone at B = 1
     count = 14
-    full = dict(verification._chunk_worker(_payload(ent, count, list(range(count)))))
     indices = list(range(count))
+    args = _worker_args(ent, count, indices)
+    full = verification._chunk_worker(*args)
+    assert full.shape == (count, len(verification.SUITES))
     for chunk in (indices[::2], indices[1::2], [count - 1], [0]):
-        part = verification._chunk_worker(_payload(ent, count, chunk))
-        assert [idx for idx, _ in part] == chunk
-        for idx, metrics in part:
-            assert metrics == full[idx]
+        part = verification._chunk_worker(*_worker_args(ent, count, chunk))
+        assert part.tobytes() == full[chunk].tobytes()
     sysd = ent.system()
     points = catalog.sample_entry_points(ent, count, 3)
     observables = catalog.observable_test_set(sysd)
-    cfg = _payload(ent, count, [])
     for idx in (0, count - 1):
         x = geometry.on_m_point(sysd, points[idx])
         [alone] = verification._chunk_metrics(sysd, [x], observables)
-        alone.update(_scalar_jacobi(sysd, geometry.on_m_point(sysd, points[idx]), observables, cfg))
-        assert alone == full[idx]
+        jacobi = _scalar_jacobi(sysd, geometry.on_m_point(sysd, points[idx]), observables, args[2])
+        assert _row(alone, jacobi).tobytes() == full[idx].tobytes()
 
 
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
@@ -164,7 +163,7 @@ def test_every_chunk_point_gets_both_jacobi_suites(
     # jacobian_batch and jacobi_rows seed their lifts over array cores;
     # no lift in the chunk runs over float cores, and no per-point jacobian
     # or gradient runs
-    payload = _payload(ent, 6, list(range(6)))
+    args = _worker_args(ent, 6, range(6))
     counts = count_calls(numdiff, ["jacobian", "gradient"])
     cores = []
     lift = numdiff.lift
@@ -175,42 +174,46 @@ def test_every_chunk_point_gets_both_jacobi_suites(
         return lift(values)
 
     monkeypatch.setattr(numdiff, "lift", recorded)
-    out = verification._chunk_worker(payload)
+    out = verification._chunk_worker(*args)
     assert counts == {"jacobian": 0, "gradient": 0}
     assert cores and set(cores) == {np.ndarray}
-    assert [idx for idx, _ in out] == list(range(6))
-    for _, metrics in out:
-        assert {"jacobiator_canonical", "jacobiator_defect"} <= set(metrics)
+    assert out.shape == (6, len(verification.SUITES))
+    assert (out[:, JACOBI] > -np.inf).all()  # no point is left at the fill value
+
+
+class SerialPool:
+    """A stand-in for the process pool that maps in this process and records
+    how many processes were asked for."""
+
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 def test_verify_workers_are_bounded_by_the_host(monkeypatch):
-    # a serial stand-in for the pool records how many processes were asked for
-    asked = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
     monkeypatch.setattr(verification, "ProcessPoolExecutor", SerialPool)
-    # every chunk samples all the points again: one chunk per process
+    monkeypatch.setattr(SerialPool, "asked", [])
+    # each process gets one run of consecutive points of the one sample
     chunks = []
     worker = verification._chunk_worker
 
-    def counted(payload):
-        chunks.append(payload["indices"])
-        return worker(payload)
+    def counted(source, on_m_tol, integrable, sample):
+        chunks.append(sample)
+        return worker(source, on_m_tol, integrable, sample)
 
     monkeypatch.setattr(verification, "_chunk_worker", counted)
     ent = catalog.get_entry("nonholonomic_particle")
+    sample = [x.q.tobytes() for x in catalog.sample_entry_points(ent, 5, 3)]
 
     def run(workers):
         return verification.run_verify(verification.VerifyConfig(
@@ -219,23 +222,73 @@ def test_verify_workers_are_bounded_by_the_host(monkeypatch):
         ))
 
     serial = run(1)
+    assert chunks == []  # one process runs its points in place
     for cpus, workers, expected in ((2, 5, 2), (None, 5, 1), (8, 3, 3)):
         monkeypatch.setattr(verification.os, "cpu_count", lambda cpus=cpus: cpus)
-        asked.clear()
+        SerialPool.asked.clear()
         chunks.clear()
         assert run(workers) == serial
-        assert asked == [expected]
-        assert len(chunks) == expected
-        assert sorted(i for c in chunks for i in c) == list(range(5))
+        assert SerialPool.asked == [expected]
+        assert [len(c) for c in chunks] == [5 * (i + 1) // expected - 5 * i // expected
+                                            for i in range(expected)]
+        assert [x.q.tobytes() for c in chunks for x in c] == sample
+
+
+@pytest.mark.parametrize("name", ["chaplygin_sleigh", "vertical_rolling_disk"])
+def test_a_validation_error_is_the_samples_first_whatever_the_workers(monkeypatch, capsys, name):
+    # at --tol 1e-16 several points of these samples are off M; the sample is
+    # validated once, so a run of two processes names the point one does
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
+    argv = ["verify", "--system", f"catalog:{name}", "--count", "40", "--seed", "1",
+            "--tol", "1e-16"]
+    outcomes = []
+    for workers in ("1", "2"):
+        code = cli.main([*argv, "--workers", workers])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0][:2] == (cli.EXIT_VALIDATION, "")
+    assert outcomes[0][2].startswith("error: ") and outcomes[0][2].count("\n") == 1
+    assert outcomes[1] == outcomes[0]
+
+
+def _merged(column):
+    """The value and index a suite reported before its column was reduced at
+    once: a loop over the points in index order."""
+    value, at = column[0], 0
+    for idx, v in enumerate(column):
+        if v > value or (math.isfinite(value) and not math.isfinite(v)):
+            value, at = v, idx
+    return value, at
+
+
+@pytest.mark.parametrize("column, value, index", [
+    ([1.0, math.inf, math.nan, 5.0], math.inf, 1),
+    ([math.nan, math.inf], math.nan, 0),
+    ([2.0, 5.0, 5.0], 5.0, 1),
+    ([0.0, 0.0], 0.0, 0),
+])
+def test_a_suite_reports_its_first_non_finite_value_else_its_first_largest(
+    monkeypatch, column, value, index
+):
+    assert repr(_merged(column)) == repr((value, index))
+    rows = np.tile(np.array(column)[:, None], len(verification.SUITES))
+    monkeypatch.setattr(verification, "_chunk_values", lambda sysd, points, integrable: rows)
+    report = verification.run_verify(verification.VerifyConfig(
+        system_source=PARTICLE.definition, system_label="particle", count=len(column),
+        region=PARTICLE.sample_region, momentum_scale=PARTICLE.momentum_scale,
+    ))
+    assert [s["name"] for s in report["suites"]] == SUITE_NAMES
+    for s in report["suites"]:
+        assert repr((s["value"], s["worst_point_index"])) == repr((value, index))
+        assert type(s["value"]) is float and type(s["worst_point_index"]) is int
 
 
 def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
     # the stacked build of the projection Jacobian, then of the algebroid's
     # chart Jacobian, then every stacked lift raises: the chunk's points
     # rerun alone, on float cores
-    ent = catalog.get_entry("chaplygin_sleigh")
-    payload = _payload(ent, 6, list(range(6)))
-    batched = verification._chunk_worker(payload)
+    args = _worker_args(catalog.get_entry("chaplygin_sleigh"), 6, range(6))
+    batched = verification._chunk_worker(*args)
     jacobian_batch = numdiff.jacobian_batch
     for builder in (geometry.gamma_hat_apply, geometry.dstar_chart, None):
         refused = []
@@ -247,7 +300,7 @@ def test_a_failed_batched_lift_falls_back_to_the_per_point_lift(monkeypatch):
             return jacobian_batch(F, X)
 
         monkeypatch.setattr(numdiff, "jacobian_batch", refuse)
-        assert verification._chunk_worker(payload) == batched
+        assert verification._chunk_worker(*args).tobytes() == batched.tobytes()
         assert refused == [6]
 
 
@@ -255,8 +308,8 @@ def test_a_failed_stacked_pass_falls_back_to_the_per_point_pass(monkeypatch):
     # the chunk's stacked pass raises, and then each of its points runs alone
     # at B = 1
     count = verification._SLICE + 5
-    payload = _payload(catalog.get_entry("vertical_rolling_disk"), count, list(range(count)))
-    stacked = verification._chunk_worker(payload)
+    args = _worker_args(catalog.get_entry("vertical_rolling_disk"), count, range(count))
+    stacked = verification._chunk_worker(*args)
     sizes = []
     chunk_metrics = verification._chunk_metrics
 
@@ -267,7 +320,7 @@ def test_a_failed_stacked_pass_falls_back_to_the_per_point_pass(monkeypatch):
         return chunk_metrics(sysd, points, observables)
 
     monkeypatch.setattr(verification, "_chunk_metrics", refuse)
-    assert verification._chunk_worker(payload) == stacked
+    assert verification._chunk_worker(*args).tobytes() == stacked.tobytes()
     assert sizes == [count] + [1] * count
 
 
@@ -278,10 +331,7 @@ def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone(monkeypatch):
     src = catalog.get_entry("nonholonomic_particle").definition.replace("V = 0", "V = 1e308*x^3")
     sysd = dsl.parse_system(src)
     count = 30
-    payload = {
-        "source": src, "count": count, "seed": 1, "region": None, "momentum_scale": 1.0,
-        "on_m_tol": geometry.ON_M_TOL, "integrable": False, "indices": list(range(count)),
-    }
+    points = catalog.sample_m_points(sysd, count, 1)
     sizes, slices = [], []
     chunk_metrics = verification._chunk_metrics
     route_tables = brackets.bracket_route_tables
@@ -296,20 +346,20 @@ def test_a_nan_point_in_a_stacked_pass_reports_as_it_would_alone(monkeypatch):
 
     monkeypatch.setattr(verification, "_chunk_metrics", recorded)
     monkeypatch.setattr(brackets, "bracket_route_tables", sliced)
-    chunk = verification._chunk_worker(payload)
+    chunk = verification._chunk_worker(src, geometry.ON_M_TOL, False, points)
     assert sizes == [count]
     # the route tables, which grow with n_obs^2, stay in bounded slices
     assert slices == [verification._SLICE, count - verification._SLICE]
-    points = catalog.sample_m_points(sysd, count, 1)
     observables = catalog.observable_test_set(sysd)
+    base_in_d = SUITE_NAMES.index("extension_field_base_in_distribution")
     nan_points = set()
-    for idx, metrics in chunk:
+    for idx, row in enumerate(chunk):
         x = geometry.on_m_point(sysd, points[idx])
         with np.errstate(over="ignore", invalid="ignore"):
             [alone] = verification._chunk_metrics(sysd, [x], observables)
-        for name, value in alone.items():
-            assert repr(metrics[name]) == repr(value), (idx, name)
-        if np.isnan(alone["extension_field_base_in_distribution"]):
+        got = np.delete(row, JACOBI)
+        assert [repr(v) for v in got.tolist()] == [repr(v) for v in alone.tolist()], idx
+        if np.isnan(alone[base_in_d]):
             nan_points.add(idx)
     assert nan_points == {8, 11, 12, 21, 23, 24}
     report = verification.run_verify(verification.VerifyConfig(
@@ -325,8 +375,8 @@ def test_a_degenerate_point_in_a_stacked_pass_raises_as_it_would_alone(monkeypat
     # the residual rows vanish at the middle point of the chunk, so its
     # splitting matrix is singular there and nowhere else
     ent = catalog.get_entry("chaplygin_sleigh")
-    payload = _payload(ent, 9, list(range(9)))
-    assert not payload["integrable"]  # no nh or dstar Jacobiator reads the rows
+    args = _worker_args(ent, 9, range(9))
+    assert not args[2]  # not integrable: no nh or dstar Jacobiator reads the rows
     sysd = ent.system()
     sample = catalog.sample_entry_points(ent, 9, 3)
     bad = sample[4]
@@ -338,7 +388,7 @@ def test_a_degenerate_point_in_a_stacked_pass_raises_as_it_would_alone(monkeypat
 
     monkeypatch.setattr(geometry, "residual_phase", vanishing_at_bad)
     with pytest.raises(SplittingDegenerateError) as chunk:
-        verification._chunk_worker(payload)
+        verification._chunk_worker(*args)
     observables = catalog.observable_test_set(sysd)
     with pytest.raises(SplittingDegenerateError) as alone:
         verification._chunk_metrics(sysd, [geometry.on_m_point(sysd, bad)], observables)
@@ -398,8 +448,8 @@ def test_stacked_linear_data_is_bitwise_the_per_point_data(name):
 
 @pytest.mark.parametrize("name", ["holonomic_control", "chaplygin_sleigh"])
 def test_a_failed_batched_jacobiator_falls_back_to_the_scalar_path(monkeypatch, name):
-    payload = _payload(catalog.get_entry(name), 6, list(range(6)))
-    batched = verification._chunk_worker(payload)
+    args = _worker_args(catalog.get_entry(name), 6, range(6))
+    batched = verification._chunk_worker(*args)
     kinds = []
     rows = brackets.jacobi_rows
 
@@ -410,8 +460,8 @@ def test_a_failed_batched_jacobiator_falls_back_to_the_scalar_path(monkeypatch, 
         return rows(sys, kind, triples, points)
 
     monkeypatch.setattr(brackets, "jacobi_rows", refuse_stacks)
-    assert verification._chunk_worker(payload) == batched
-    per_point = ["canonical", "eden"] + (["nh", "dstar"] if payload["integrable"] else [])
+    assert verification._chunk_worker(*args).tobytes() == batched.tobytes()
+    per_point = ["canonical", "eden"] + (["nh", "dstar"] if args[2] else [])
     assert sorted(kinds) == sorted(per_point * 6)
 
 
