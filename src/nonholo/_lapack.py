@@ -8,8 +8,9 @@ stacked or not) the checks change nothing, so the functions here call the
 same gufunc under the same error state: the same bits, and the same errors
 with the same messages, inside an outer ``np.errstate(invalid='ignore')``
 too. What they leave out is the wrappers' own cost, about half of a 3 x 3
-solve, which every RK4 step pays several times over; and ``lstsq`` takes a
-stack (LAPACK's ``dgelsd`` per matrix), where the public call takes one.
+solve, which every validated point pays several times over (each accepted
+state of a trajectory, each sampled candidate); and ``lstsq`` takes a stack
+(LAPACK's ``dgelsd`` per matrix), where the public call takes one.
 
 Each function is bound once, at import. Where the installed numpy has no
 gufunc by the name looked up (before numpy 2.0 the values-only SVD had other

@@ -16,10 +16,10 @@ A parsed tree is evaluated only through the straight-line programs that one
 emitter makes from a table of trees (``_Emitter``), each distinct subtree
 once: ``compile_expression``, a list of generic operations over any scalar
 type, for the tables, observables and symmetry probe, and
-``compile_forward``, Python source of numdiff's float forward mode, for
-``dynamics.FieldEvaluator``. That source is built only from slot indices,
-temporaries, float reprs and the names in ``HELPERS``: never from the text
-of a system file.
+``compile_forward``, Python source of numdiff's float forward mode, which
+``dynamics.FieldEvaluator`` runs alone and followed by its whole field.
+That source is built only from slot indices, temporaries, float reprs and
+the names in ``HELPERS``: never from the text of a system file.
 """
 
 from __future__ import annotations
@@ -442,14 +442,20 @@ def _run(code, consts, out, s):
     return [r[o] if type(o) is int else [r[i] for i in o] for o in out]
 
 
-def compile_forward(exprs, names, constants=None):
+def compile_forward(exprs, names, constants=None, then=None):
     """numdiff's level-1 forward mode over a lift of the float scalars s as
     one straight-line function, returning one flat tuple: the values of the
     trees ``exprs``, then their partials entry by entry (0.0 for a constant),
-    bitwise those of the generic function over ``numdiff.lift(s)``."""
+    bitwise those of the generic function over ``numdiff.lift(s)``. With
+    ``then(new, put, values, partials)``, it returns the references that
+    ``then`` returns after the statements it writes: ``new(src)`` is the
+    temporary of a right-hand side (made once), ``put(line)`` a statement."""
     em = _Emitter(names, constants, len(names))
     refs = [em.walk(e) for e in exprs]
-    flat = refs + [p for r in refs for p in em.grads.get(r, ["0.0"] * len(names))]
+    grads = [em.grads.get(r, ["0.0"] * len(names)) for r in refs]
+    flat = refs + [p for g in grads for p in g]
+    if then is not None and not em.dead:
+        flat = then(em.new, em.lines.append, refs, grads)
     body = em.lines + ([] if em.dead else ["return (" + "".join(f"{p}, " for p in flat) + ")"])
     src = "def table(s):\n" + "".join(f"    {line}\n" for line in body)  # no return after a raise
     exec(compile(src, "<dsl>", "exec"), em.env)

@@ -24,17 +24,16 @@ own gradient of H, so the routes of a batch share nothing but its validated
 points.
 
 ``integrate`` runs the multiplier route through ``FieldEvaluator``, one
-forward pass over the system's tables per RK4 stage. At an accepted state
-that pass also feeds the validated Eden projection
-(``FieldEvaluator.project``), projecting or not: the state is evaluated
-once, with every check of ``geometry.eden_project``, and recorded as one
-array row; a state whose pass raises stops the run with that error.
-A stage point whose metric is not positive definite stops the run with
-``geometry.metric_at``'s error there, as a state would.
+straight-line function per system (the forward pass over the tables, then
+the assembly on plain floats) at every RK4 stage and accepted state. Each
+accepted state is validated, projecting or not, by ``FieldEvaluator.project``
+with every check of ``geometry.eden_project`` (the start by the same Gram
+solve) and recorded as one array row. A state whose validation raises stops
+the run with that error, and so does a stage point whose metric or Gram
+matrix fails to factor, with the error ``geometry`` raises there.
 
-The dense solves, inverses and Cholesky factors here go through ``_lapack``,
-numpy's LAPACK gufuncs without the public wrappers: the same bits and
-errors, without a fixed cost that every RK4 stage would pay.
+The routes' dense solves go through ``_lapack``, numpy's LAPACK gufuncs
+without the public wrappers: the same bits and errors, at a lower cost.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack, dsl, geometry, numdiff
-from .errors import NonholoError, StepFailureError
+from .errors import NonholoError, NotSPDError, RankDeficientError, StepFailureError
 from .system import PhasePoint, SystemDefinition, hamiltonian_scalar
 
 
@@ -140,103 +139,155 @@ def nonholonomic_field_projection(
     return PhaseVelocity(dq=v[..., :n], dp=v[..., n:])
 
 
-class FieldEvaluator:
-    """Per-point assembly of the constrained field for integration.
+_ZERO = ("0.0", "-0.0")
 
-    One forward pass over q (``dsl.compile_forward``, bitwise a width-n lift
-    of the system's tables) gives the metric, potential and constraint
-    entries and their configuration gradients; plain matrix algebra then
-    assembles the multiplier-route field. Its values are the tables' float
-    values, bit for bit, so ``project`` validates and projects from that pass
-    and holds it for the ``evaluate`` that follows at the same q. A constant
-    metric is validated once, by ``geometry.metric_at``, and reused;
-    any other metric at a point ``project`` did not see (an RK4 stage) must
-    have a Cholesky factor before it is inverted, and a Gram matrix that
-    cannot be solved there raises the constraint rows' own error. The
-    factorization, the inverse and the multipliers' solve call ``_lapack``.
+
+def _sum(new, head, plus=(), minus=()):
+    """The reference of head + the products of the pairs ``plus`` - those
+    of ``minus``, left to right; a product with a zero literal is left out
+    (0 * x is 0, or NaN for x inf) and a factor 1.0 elided."""
+    terms = [f" {sign} " + (b if a == "1.0" else a if b == "1.0" else f"{a} * {b}")
+             for sign, pairs in (("+", plus), ("-", minus)) for a, b in pairs
+             if a not in _ZERO and b not in _ZERO]
+    src = "".join(([] if head in _ZERO else [" + " + head]) + terms)
+    src = "0.0" if not src else src[3:] if src[1] == "+" else "-" + src[3:]
+    return new(src) if " " in src else src
+
+
+def _ldl(new, put, A, fail):
+    """The solver b -> A^-1 b of the symmetric A (lower triangle read) by an
+    emitted L D L^T without pivoting: each pivot d passes ``not d > 0.0``
+    (NaN fails too) or returns ``fail`` before anything divides by it."""
+    N, e, l, d = range(len(A)), {}, {}, []
+
+    def over(a, j):
+        return "0.0" if a in _ZERO else a if d[j] == "1.0" else new(f"{a} / {d[j]}")
+
+    for j in N:
+        for i in N[j:]:
+            e[i, j] = _sum(new, A[i][j], minus=[(e[i, k], l[j, k]) for k in N[:j]])
+        d.append(e[j, j])
+        put(f"if not {d[j]} > 0.0: return {fail}")
+        l.update({(i, j): over(e[i, j], j) for i in N[j + 1 :]})
+
+    def solve(b):
+        y, x = [], {}
+        for i in N:
+            y.append(_sum(new, b[i], minus=[(l[i, k], y[k]) for k in N[:i]]))
+        for i in reversed(N):
+            x[i] = _sum(new, over(y[i], i), minus=[(l[k, i], x[k]) for k in N[i + 1 :]])
+        return [x[i] for i in N]
+
+    return solve
+
+
+def _assembly(sys, Ginv):
+    """The multiplier route after the forward pass, as ``compile_forward``'s
+    ``then``, on floats: v = G^-1 p, dH/dq with the symmetrized dG, c, the
+    rate of c along the free field, the Gram system, dp and H, returned as
+    (v, dp, lam, c, H). ``Ginv`` is the validated constant G^-1, written as
+    literals, or None: then L D L^T solves G's symmetric part. A failed
+    pivot returns 0.0 (the metric's) or 1.0 (the Gram matrix's)."""
+    n, m = sys.n, sys.n_constraints
+    R, k = range(n), 0 if Ginv is not None else n * n
+
+    def assemble(new, put, vals, grads):
+        p = [new(f"s[{n + i}]") for i in R]
+        mu = [vals[k + 1 + a * n : k + 1 + (a + 1) * n] for a in range(m)]
+        dmu = [grads[k + 1 + a * n : k + 1 + (a + 1) * n] for a in range(m)]  # [a][j][i]: d mu_aj/dq_i
+
+        def half(table, i, j, x=slice(None)):  # the symmetric part's (i, j) entry
+            a, b = table[min(i, j) * n + max(i, j)][x], table[max(i, j) * n + min(i, j)][x]
+            return a if a == b else new(f"0.5 * ({a} + {b})")
+
+        def quad(T):  # sum_ij T(i, j) v_i v_j as pairs on u = v_i v_j, i <= j
+            pairs = []
+            for i, j in ((i, j) for i in R for j in R[i:]):
+                ts = [t for t in dict.fromkeys((T(i, j), T(j, i))) if t not in _ZERO]
+                u = _sum(new, "0.0", [(v[i], v[j])]) if ts else "0.0"
+                pairs += [(t, _sum(new, u, [(u, "1.0")]) if i < j and T(i, j) == T(j, i) else u) for t in ts]
+            return pairs
+
+        if Ginv is None:
+            solve = _ldl(new, put, [[half(vals, i, j) for j in R] for i in R], "0.0")
+            v, w = solve(p), [solve(row) for row in mu]  # w_a = G^-1 mu_a
+            dHq = [_sum(new, grads[k][i], minus=[("0.5", _sum(new, "0.0", quad(
+                lambda j, l: half(grads, j, l, i))))]) for i in R]
+            rate = [_sum(new, dHq[j], quad(lambda i, l: half(grads, j, l, i))) for j in R]
+        else:
+            g = [[repr(float(x)) for x in row] for row in Ginv]
+            v = [_sum(new, "0.0", [(g[i][j], p[j]) for j in R]) for i in R]
+            w = [[_sum(new, "0.0", [(row[j], g[j][i]) for j in R]) for i in R] for row in mu]
+            dHq = rate = grads[k]
+        rhs = [_sum(new, "0.0", quad(lambda i, j: dmu[a][j][i]), [(w[a][j], rate[j]) for j in R])
+               for a in range(m)]
+        lam = _ldl(new, put, [[_sum(new, "0.0", [(w[b][j], mu[a][j]) for j in R]) for b in range(a + 1)]
+                              for a in range(m)], "1.0")(rhs)
+        c = [_sum(new, "0.0", [(mu[a][j], v[j]) for j in R]) for a in range(m)]
+        dp = [_sum(new, "0.0", minus=[(dHq[i], "1.0"), *((mu[a][i], lam[a]) for a in range(m))]) for i in R]
+        return [*v, *dp, *lam, *c, _sum(new, f"0.5 * {_sum(new, '0.0', list(zip(p, v)))}", [(vals[k], "1.0")])]
+
+    return assemble
+
+
+class FieldEvaluator:
+    """The constrained field of a system, compiled once for integration.
+
+    ``evaluate`` runs one straight-line function of (q, p): the forward pass
+    over q (``dsl.compile_forward``, bitwise a width-n lift of the tables),
+    then ``_assembly`` on floats. A constant metric is validated once, by
+    ``geometry.metric_at`` at the first point, and its G^-1 written in; any
+    other is factored at every call. ``project`` validates and projects from
+    the forward pass's values, as ``geometry.eden_project`` does.
     """
 
     def __init__(self, sys: SystemDefinition):
         self.sys = sys
         self.n = sys.n
         self._met = None  # the validated constant metric
-        self._held = None  # (q bytes, entries) of the last projection
         metric = () if sys.metric_is_constant else sys.metric_exprs
         tables = (*metric, (sys.potential_expr,), *sys.constraint_exprs)
-        exprs = [e for row in tables for e in row]
-        self._forward = dsl.compile_forward(exprs, sys.coords, sys.params)
+        self._exprs = [e for row in tables for e in row]
+        self._forward = dsl.compile_forward(self._exprs, sys.coords, sys.params)
+        self._field = self._first if sys.metric_is_constant else self._program(None)
 
-    def _entries(self, q_list):
-        """(G, dG, V, dV, mu, dmu) at q from one forward pass, dG[i] = dG/dq_i
-        and dmu[a, j, i] = d mu_aj / d q_i; G and dG are None for a constant
-        metric."""
-        sys, n = self.sys, self.n
-        k = 0 if sys.metric_is_constant else n * n  # the metric's entries
-        if not k:
-            self._met = self._met or geometry.metric_at(sys, q_list)
-        flat = np.fromiter(self._forward(q_list), float)
-        e = len(flat) // (n + 1)  # values, then partials entry by entry
-        vals, grads = flat[:e], flat[e:].reshape(e, n)
-        G = dG = None
-        if k:
-            G = vals[:k].reshape(n, n)
-            dG = np.ascontiguousarray(grads[:k].reshape(n, n, n).transpose(2, 0, 1))
-            dG = 0.5 * (dG + dG.transpose(0, 2, 1))
-        mu, dmu = vals[k + 1 :].reshape(-1, n), grads[k + 1 :].reshape(-1, n, n)
-        return G, dG, float(vals[k]), grads[k], mu, dmu
+    def _program(self, Ginv):
+        return dsl.compile_forward(self._exprs, self.sys.coords, self.sys.params, _assembly(self.sys, Ginv))
+
+    def _constant(self, q):
+        """The constant metric, validated at the first q, then written into
+        the field's program."""
+        if self._met is None:
+            self._met = geometry.metric_at(self.sys, q)
+            self._field = self._program(self._met.Ginv)
+        return self._met
+
+    def _first(self, s):
+        self._constant(s[: self.n])
+        return self._field(s)
 
     def project(self, q, p):
         """``geometry.eden_project(sys, q, p)``, bitwise, with its checks and
-        errors (``geometry.validated`` on the forward pass's values), from the
-        entries that ``evaluate`` at q then reuses."""
-        q = np.asarray(q, dtype=float)[None]
-        G, dG, V, dV, mu, dmu = self._entries(q[0].tolist())
-        _, Ginv, _, _, p = geometry.validated(
-            self.sys, q, None if G is None else G[None], self._met, mu[None], np.asarray(p, dtype=float)[None]
-        )
-        self._held = (q.tobytes(), (Ginv[0], dG, V, dV, mu, dmu))
-        return p[0]
-
-    def _inverse(self, q, Gs):
-        """Gs^-1 at a point ``project`` did not validate (an RK4 stage): one
-        Cholesky factorization keeps a stage from jumping the metric's
-        singularity; where it fails, ``geometry.metric_at`` raises its error."""
-        try:
-            _lapack.cholesky(Gs)
-        except np.linalg.LinAlgError:
-            geometry.metric_at(self.sys, q)
-        return _lapack.inv(Gs)
+        errors: ``geometry.validated`` on the forward pass's values."""
+        q, n = np.asarray(q, dtype=float), self.n
+        met = self._constant(q.tolist()) if self.sys.metric_is_constant else None
+        k = 0 if met else n * n  # the metric's entries
+        vals = np.array(self._forward(q.tolist())[: len(self._exprs)])
+        G, mu = None if met else vals[:k].reshape(1, n, n), vals[k + 1 :].reshape(1, -1, n)
+        return geometry.validated(self.sys, q[None], G, met, mu, np.asarray(p, dtype=float)[None])[4][0]
 
     def evaluate(self, q, p):
         """Return (xdot 2n-vector, lam, residual c, H) at (q, p)."""
-        held, self._held = self._held, None
         q = np.asarray(q, dtype=float)
-        if held is not None and held[0] == q.tobytes():
-            Ginv, dG, Vval, dV, mu, dmu = held[1]
-        else:
-            G, dG, Vval, dV, mu, dmu = self._entries(q.tolist())
-            Ginv = self._met.Ginv if G is None else self._inverse(q, 0.5 * (G + G.T))
-        v = Ginv @ p
-        if dG is None:
-            dHq = dV
-        else:
-            dHq = -0.5 * np.einsum("j,ijk,k->i", v, dG, v) + dV
-        c = mu @ v
-        # dc/dq[a, i] = (d_i mu_a).v - (mu_a Ginv) dG_i v
-        muGinv = mu @ Ginv
-        dc_q = np.einsum("aji,j->ai", dmu, v)
-        if dG is not None:
-            dc_q -= np.einsum("aj,ijk,k->ai", muGinv, dG, v)
-        rhs = dc_q @ v + muGinv @ (-dHq)
-        gram = muGinv @ mu.T
-        try:
-            lam = _lapack.solve(gram, rhs)
-        except np.linalg.LinAlgError:  # dependent rows at an RK4 stage
+        out = self._field(q.tolist() + np.asarray(p, dtype=float).tolist())
+        if type(out) is float:  # a failed pivot: geometry's error there, or a plain one
+            if out == 0.0:
+                geometry.metric_at(self.sys, q)
+                raise NotSPDError(f"metric is not positive definite at q={q.tolist()}")
             geometry.constraints_at(self.sys, q, self._met)
-            raise
-        dp = -dHq - mu.T @ lam
-        H = 0.5 * float(p @ v) + Vval
-        return np.concatenate([v, dp]), lam, c, H
+            raise RankDeficientError("constraint Gram matrix is singular")
+        a, n2, m = np.array(out), 2 * self.n, self.sys.n_constraints
+        return a[:n2], a[n2 : n2 + m], a[n2 + m : -1], out[-1]
 
 
 def integrate(
@@ -268,7 +319,8 @@ def integrate(
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     tol = geometry.ON_M_TOL if on_m_tol is None else on_m_tol
-    geometry.require_on_m(sys, x0.q, x0.p, tol)
+    x = geometry.require_on_m(sys, x0.q, x0.p, tol)  # then the Gram solve of each later state's checks
+    geometry.validated(sys, x.q[None], met=x.met, mu=x.cons.mu[None], p=x.p[None])
     ev = FieldEvaluator(sys)
     n, m = sys.n, sys.n_constraints
     span = (t1 - t0) / dt
@@ -281,7 +333,8 @@ def integrate(
     try:
         rows = np.empty((n_steps + 1, 2 * n + 2 * m + 2))  # (t, q, p, H, c, lam)
     except (MemoryError, ValueError):  # numpy refuses a size past its range with ValueError
-        raise NonholoError(f"cannot hold a trajectory of {n_steps} steps in memory") from None
+        count = n_steps if n_steps <= 2**53 else f"{float(n_steps):.3e}"  # exact below 2**53
+        raise NonholoError(f"cannot hold a trajectory of {count} steps in memory") from None
     done = 0
 
     def accept(t, z):

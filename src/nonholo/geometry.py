@@ -169,7 +169,7 @@ def _row_checks(q, mu):
 
 def validated(sys, q, G=None, met=None, mu=None, p=None, tol=None, rows=True):
     """The one check body, over the configurations q (B, n): the metric's
-    checks on G (B, n, n), unless ``met`` is the validated constant metric;
+    checks on G (B, n, n), unless ``met`` is a metric validated already;
     with ``rows``, those of the constraint rows mu (B, m, n) and their Gram
     matrix; then, with momenta p (B, n), the residual bound ``tol``, or the
     Eden projection p - mu^T gram^-1 mu G^-1 p. G and mu are the tables'

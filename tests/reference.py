@@ -4,9 +4,10 @@ Only tests call these, so they live here rather than in ``src/nonholo``:
 float formulas of the energies and the D* -> M map, the momentum-projection
 extension of one observable, the projected Lie bracket of two sections, the
 matrix of the canonical two-form, the route tables at a point from its own
-linear data, the finite-difference evolution check, and the closure trees
-and the width-n dual pass through which the expression tables were
-evaluated before ``dsl`` emitted straight-line code.
+linear data, the finite-difference evolution check, the closure trees and
+the width-n dual pass through which the expression tables were evaluated
+before ``dsl`` emitted straight-line code, and the numpy assembly of the
+multiplier-route field that ``dynamics.FieldEvaluator`` now emits.
 """
 
 import numpy as np
@@ -201,10 +202,27 @@ def closure_expression(expr, names, constants=None):
     return build(expr)[0]
 
 
+def forward_entries(sys: SystemDefinition, flat):
+    """(G, dG, V, dV, mu, dmu) from the flat tuple of
+    ``dynamics.FieldEvaluator._forward``: dG[i] = dG/dq_i, symmetrized, and
+    dmu[a, j, i] = d mu_aj / d q_i; G and dG None for a constant metric."""
+    n = sys.n
+    k = 0 if sys.metric_is_constant else n * n  # the metric's entries
+    flat = np.array(flat)
+    e = len(flat) // (n + 1)  # values, then partials entry by entry
+    vals, grads = flat[:e], flat[e:].reshape(e, n)
+    G = dG = None
+    if k:
+        G = vals[:k].reshape(n, n)
+        dG = grads[:k].reshape(n, n, n).transpose(2, 0, 1)
+        dG = 0.5 * (dG + dG.transpose(0, 2, 1))
+    return G, dG, float(vals[k]), grads[k], vals[k + 1 :].reshape(-1, n), grads[k + 1 :].reshape(-1, n, n)
+
+
 def lifted_entries(sys: SystemDefinition, q_list):
-    """``dynamics.FieldEvaluator._entries`` as one width-n lift through the
-    generic tables: (G, dG, V, dV, mu, dmu), G and dG None for a constant
-    metric, dG symmetrized."""
+    """``forward_entries`` as one width-n lift through the generic tables:
+    (G, dG, V, dV, mu, dmu), G and dG None for a constant metric, dG
+    symmetrized."""
     n = sys.n
     duals = numdiff.lift(q_list)
 
@@ -229,3 +247,24 @@ def lifted_entries(sys: SystemDefinition, q_list):
     V, dV = (V.value, np.array(V.partials)) if dual else (V, np.zeros(n))
     mu, dmu = values_and_grads(sys.mu_values(duals))
     return G, dG, float(V), dV, mu, dmu
+
+
+def field(sys: SystemDefinition, q, p):
+    """(xdot, lam, c, H) of the multiplier route at (q, p), assembled in
+    numpy as ``dynamics.FieldEvaluator.evaluate`` once did: the entries of
+    ``lifted_entries``, G^-1 by inversion (the validated one for a constant
+    metric), einsums over the symmetrized dG, and a dense solve of the Gram
+    system."""
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    G, dG, V, dV, mu, dmu = lifted_entries(sys, q.tolist())
+    Ginv = geometry.metric_at(sys, q).Ginv if G is None else np.linalg.inv(0.5 * (G + G.T))
+    v = Ginv @ p
+    dHq = dV if dG is None else -0.5 * np.einsum("j,ijk,k->i", v, dG, v) + dV
+    c = mu @ v
+    # dc/dq[a, i] = (d_i mu_a).v - (mu_a Ginv) dG_i v
+    muGinv = mu @ Ginv
+    dc_q = np.einsum("aji,j->ai", dmu, v)
+    if dG is not None:
+        dc_q -= np.einsum("aj,ijk,k->ai", muGinv, dG, v)
+    lam = np.linalg.solve(muGinv @ mu.T, dc_q @ v + muGinv @ (-dHq))
+    return np.concatenate([v, -dHq - mu.T @ lam]), lam, c, 0.5 * float(p @ v) + V

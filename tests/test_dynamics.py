@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nonholo.errors import (
     StepFailureError,
 )
 from nonholo.system import Observable, PhasePoint, hamiltonian_observable
+import reference
 from reference import observable_evolution_check
 
 SYS_A = catalog.get_system("holonomic_control")
@@ -119,6 +121,56 @@ def test_field_evaluator_matches_public_field():
             assert np.max(np.abs(fast - ref)) < 1e-11
             _, ref_lam = dynamics._free_field_and_multipliers(sysd, geometry.on_m_point(sysd, x))
             assert np.max(np.abs(lam - ref_lam)) < 1e-11
+
+
+DATA = Path(__file__).parent / "data"
+ORACLE_SYSTEMS = [(e.id, e.system, e) for e in catalog.catalog_systems()] + [
+    (name, lambda name=name: dsl.parse_system((DATA / f"{name}.system").read_text()), None)
+    for name in ("disk_with_potential", "all_primitives")
+]
+
+
+@pytest.mark.parametrize("name, make, ent", ORACLE_SYSTEMS, ids=[s[0] for s in ORACLE_SYSTEMS])
+def test_compiled_field_matches_the_numpy_assembly(name, make, ent):
+    """The emitted field against the numpy assembly it replaced, at 50 seeded
+    points on M and at off-M stage-like points (p kicked by a seeded normal):
+    xdot, lam, c and H within 1e-13 of the oracle, relative to the largest
+    of its entries or 1."""
+    sysd = make()
+    ev, rng = dynamics.FieldEvaluator(sysd), np.random.default_rng(31)
+    if ent is not None:
+        points = [(x.q, x.p) for x in catalog.sample_entry_points(ent, 50, 31)]
+    else:  # all_primitives is defined for positive coordinates
+        qs = rng.uniform(0.25, 1.75, (50, sysd.n))
+        points = [(q, geometry.eden_project(sysd, q, rng.normal(size=sysd.n))) for q in qs]
+    for q, p in points:
+        for p in (p, p + rng.normal(scale=0.5, size=sysd.n)):
+            for got, want in zip(ev.evaluate(q, p), reference.field(sysd, q, p)):
+                got, want = np.atleast_1d(got), np.atleast_1d(want)
+                assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+TWO_ROWS = (("1, 0, 0", "0, 1, 0", "0, 0, 1"), ("y, 0, 1", "1, 0, y"))  # dependent at y = 1
+
+
+@pytest.mark.parametrize("system, q", [
+    (TWO_ROWS, [0.0, 1.0, 0.0]),  # an exact zero pivot of the Gram matrix
+    (TWO_ROWS, [0.0, float("nan"), 0.0]),  # a NaN pivot
+    ((("1 - x, 0", "0, 1"), "0, 1"), [1.5, 0.0]),  # the metric's pivot
+], ids=["dependent-rows", "nan-rows", "singular-metric"])
+def test_a_stage_without_a_factor_raises_a_package_error(system, q):
+    sysd = _system(*system)
+    with pytest.raises(NonholoError) as info:
+        dynamics.FieldEvaluator(sysd).evaluate(np.array(q), np.ones(sysd.n))
+    assert not isinstance(info.value, (np.linalg.LinAlgError, ZeroDivisionError, ValueError))
+
+
+def test_a_gram_pivot_the_rows_checks_pass_is_a_singular_gram_error(monkeypatch):
+    # where geometry.constraints_at passes at the point, the error is the
+    # Gram solve's own
+    monkeypatch.setattr(geometry, "constraints_at", lambda *args: None)
+    with pytest.raises(RankDeficientError, match="^constraint Gram matrix is singular$"):
+        dynamics.FieldEvaluator(_system(*TWO_ROWS)).evaluate(np.array([0.0, 1.0, 0.0]), np.ones(3))
 
 
 def test_integrate_straight_line():
@@ -237,10 +289,12 @@ def test_field_routes_require_on_m():
 
 
 def _system(metric, constraint, potential="0"):
+    """A system of the metric rows and the constraint row, or rows."""
     rows = "".join(f"row{i + 1} = {r}\n" for i, r in enumerate(metric))
+    forms = "".join(f"[constraint]\nform = {c}\n" for c in ([constraint] if type(constraint) is str else constraint))
     return dsl.parse_system(
         f"[system]\nname = t\ndim = {len(metric)}\ncoords = {', '.join('xyzw'[: len(metric)])}\n"
-        f"[metric]\n{rows}[potential]\nV = {potential}\n[constraint]\nform = {constraint}\n"
+        f"[metric]\n{rows}[potential]\nV = {potential}\n{forms}"
     )
 
 
