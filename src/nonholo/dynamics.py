@@ -182,12 +182,12 @@ def _ldl(new, put, A, fail):
 
 
 def _assembly(sys, Ginv):
-    """The multiplier route after the forward pass, as ``compile_forward``'s
-    ``then``, on floats: v = G^-1 p, dH/dq with the symmetrized dG, c, the
+    """The multiplier route after the forward pass (``compile_forward``'s
+    ``then``) on floats: v = G^-1 p, dH/dq with the symmetrized dG, c, the
     rate of c along the free field, the Gram system, dp and H, returned as
     (v, dp, lam, c, H). ``Ginv`` is the validated constant G^-1, written as
-    literals, or None: then L D L^T solves G's symmetric part. A failed
-    pivot returns 0.0 (the metric's) or 1.0 (the Gram matrix's)."""
+    literals, or None: then L D L^T solves G's symmetric part, and a failed
+    pivot returns 0.0 (1.0 for the Gram matrix)."""
     n, m = sys.n, sys.n_constraints
     R, k = range(n), 0 if Ginv is not None else n * n
 
@@ -196,8 +196,8 @@ def _assembly(sys, Ginv):
         mu = [vals[k + 1 + a * n : k + 1 + (a + 1) * n] for a in range(m)]
         dmu = [grads[k + 1 + a * n : k + 1 + (a + 1) * n] for a in range(m)]  # [a][j][i]: d mu_aj/dq_i
 
-        def half(table, i, j, x=slice(None)):  # the symmetric part's (i, j) entry
-            a, b = table[min(i, j) * n + max(i, j)][x], table[max(i, j) * n + min(i, j)][x]
+        def half(table, i, j):  # the (i, j) entry of a flat n x n table's symmetric part
+            a, b = table[min(i, j) * n + max(i, j)], table[max(i, j) * n + min(i, j)]
             return a if a == b else new(f"0.5 * ({a} + {b})")
 
         def quad(T):  # sum_ij T(i, j) v_i v_j as pairs on u = v_i v_j, i <= j
@@ -209,11 +209,12 @@ def _assembly(sys, Ginv):
             return pairs
 
         if Ginv is None:
+            dG = [[g[i] for g in grads[:k]] for i in R]  # dG[i]: the metric's partials along q_i
             solve = _ldl(new, put, [[half(vals, i, j) for j in R] for i in R], "0.0")
             v, w = solve(p), [solve(row) for row in mu]  # w_a = G^-1 mu_a
             dHq = [_sum(new, grads[k][i], minus=[("0.5", _sum(new, "0.0", quad(
-                lambda j, l: half(grads, j, l, i))))]) for i in R]
-            rate = [_sum(new, dHq[j], quad(lambda i, l: half(grads, j, l, i))) for j in R]
+                lambda j, l: half(dG[i], j, l))))]) for i in R]
+            rate = [_sum(new, dHq[j], quad(lambda i, l: half(dG[i], j, l))) for j in R]
         else:
             g = [[repr(float(x)) for x in row] for row in Ginv]
             v = [_sum(new, "0.0", [(g[i][j], p[j]) for j in R]) for i in R]
@@ -242,8 +243,7 @@ class FieldEvaluator:
     """
 
     def __init__(self, sys: SystemDefinition):
-        self.sys = sys
-        self.n = sys.n
+        self.sys, self.n = sys, sys.n
         self._met = None  # the validated constant metric
         metric = () if sys.metric_is_constant else sys.metric_exprs
         tables = (*metric, (sys.potential_expr,), *sys.constraint_exprs)

@@ -143,8 +143,8 @@ def test_compiled_field_matches_the_numpy_assembly(name, make, ent):
     else:  # all_primitives is defined for positive coordinates
         qs = rng.uniform(0.25, 1.75, (50, sysd.n))
         points = [(q, geometry.eden_project(sysd, q, rng.normal(size=sysd.n))) for q in qs]
-    for q, p in points:
-        for p in (p, p + rng.normal(scale=0.5, size=sysd.n)):
+    for q, on_m in points:
+        for p in (on_m, on_m + rng.normal(scale=0.5, size=sysd.n)):
             for got, want in zip(ev.evaluate(q, p), reference.field(sysd, q, p)):
                 got, want = np.atleast_1d(got), np.atleast_1d(want)
                 assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
@@ -159,10 +159,10 @@ TWO_ROWS = (("1, 0, 0", "0, 1, 0", "0, 0, 1"), ("y, 0, 1", "1, 0, y"))  # depend
     ((("1 - x, 0", "0, 1"), "0, 1"), [1.5, 0.0]),  # the metric's pivot
 ], ids=["dependent-rows", "nan-rows", "singular-metric"])
 def test_a_stage_without_a_factor_raises_a_package_error(system, q):
+    # a LinAlgError, ZeroDivisionError or ValueError would escape pytest.raises
     sysd = _system(*system)
-    with pytest.raises(NonholoError) as info:
+    with pytest.raises(NonholoError):
         dynamics.FieldEvaluator(sysd).evaluate(np.array(q), np.ones(sysd.n))
-    assert not isinstance(info.value, (np.linalg.LinAlgError, ZeroDivisionError, ValueError))
 
 
 def test_a_gram_pivot_the_rows_checks_pass_is_a_singular_gram_error(monkeypatch):
