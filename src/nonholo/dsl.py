@@ -299,7 +299,7 @@ _AUX = {"^": "power({x}, {y} - 1.0) * {y}", "sin": "cos({x})", "cos": "sin({x})"
         "tan": "1.0 + {v} * {v}", "sqrt": "0.5 / {v}"}
 # the free names of an emitted source besides its argument s, its temporaries
 # t<i> and d<i>, and the names k<i> of folded constants with no literal
-HELPERS = {"divide": numdiff.divide, "power": numdiff.power, "lift": numdiff.lift}
+HELPERS = {"divide": numdiff.divide, "power": numdiff.power, "lift": numdiff.lift, "abs": abs, "max": max}
 HELPERS.update(numdiff.FUNCTIONS)
 
 

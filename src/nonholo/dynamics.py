@@ -23,14 +23,14 @@ stacked solve (multiplier), one stacked product (projection). Each lifts its
 own gradient of H, so the routes of a batch share nothing but its validated
 points.
 
-``integrate`` runs the multiplier route through ``FieldEvaluator``, one
+``integrate`` runs the multiplier route through ``FieldEvaluator``: one
 straight-line function per system (the forward pass over the tables, then
-the assembly on plain floats) at every RK4 stage and accepted state. Each
-accepted state is validated, projecting or not, by ``FieldEvaluator.project``
-with every check of ``geometry.eden_project`` (the start by the same Gram
-solve) and recorded as one array row. A state whose validation raises stops
-the run with that error, and so does a stage point whose metric or Gram
-matrix fails to factor, with the error ``geometry`` raises there.
+the assembly on plain floats) at every RK4 stage, and a second at each
+accepted state, which adds ``geometry.validated``'s checks (exact, or screens
+that pass only where it passes) and Eden's projection. A state they do not
+pass goes through ``geometry.validated``, whose error stops the run, as does
+a stage point whose metric or Gram matrix fails to factor, with the error
+``geometry`` raises there.
 
 The routes' dense solves go through ``_lapack``, numpy's LAPACK gufuncs
 without the public wrappers: the same bits and errors, at a lower cost.
@@ -154,10 +154,12 @@ def _sum(new, head, plus=(), minus=()):
     return new(src) if " " in src else src
 
 
-def _ldl(new, put, A, fail):
+def _ldl(new, put, A, fail, ratio=None):
     """The solver b -> A^-1 b of the symmetric A (lower triangle read) by an
     emitted L D L^T without pivoting: each pivot d passes ``not d > 0.0``
-    (NaN fails too) or returns ``fail`` before anything divides by it."""
+    (NaN fails too) or returns ``fail`` before anything divides by it. A
+    ``ratio`` adds a screen, failed where (k - 1)^(k - 1) det A / tr(A)^k, a
+    bound below lambda_min / lambda_max for A of order k (AM-GM), is below it."""
     N, e, l, d = range(len(A)), {}, {}, []
 
     def over(a, j):
@@ -169,6 +171,11 @@ def _ldl(new, put, A, fail):
         d.append(e[j, j])
         put(f"if not {d[j]} > 0.0: return {fail}")
         l.update({(i, j): over(e[i, j], j) for i in N[j + 1 :]})
+    if ratio is not None:  # tr A > 0 once the pivots pass: each A_jj >= d_j
+        tr, order = _sum(new, "0.0", [(A[j][j], "1.0") for j in N]), len(A)
+        r = [new(f"{dj} / {tr}") for dj in d]
+        floor = ratio / (order - 1) ** (order - 1)
+        put(f"if not {r[0] if order == 1 else new(' * '.join(r))} >= {floor!r}: return {fail}")
 
     def solve(b):
         y, x = [], {}
@@ -181,20 +188,36 @@ def _ldl(new, put, A, fail):
     return solve
 
 
-def _assembly(sys, Ginv):
+# The screens' ratios, with margins inside ``geometry.validated``'s checks
+# (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.): rows
+# sigma_min/sigma_max >= 1e-6 (validated: 1e-10); Gram kappa <= 1e6; G's LU inverse
+# has |G X - I| <= gamma_3n n^2 2^(n-1) kappa(G) (ch. 14): 0.5e-10 at 1/ratio.
+ROWS_RATIO, GRAM_RATIO = 1e-12, 1e-6
+
+
+def _metric_ratio(n, u=2.0**-53):
+    return 2e10 * 3 * n * u / (1.0 - 3 * n * u) * n * n * 2.0 ** (n - 1)
+
+
+def _assembly(sys, Ginv, state=None):
     """The multiplier route after the forward pass (``compile_forward``'s
     ``then``) on floats: v = G^-1 p, dH/dq with the symmetrized dG, c, the
     rate of c along the free field, the Gram system, dp and H, returned as
-    (v, dp, lam, c, H). ``Ginv`` is the validated constant G^-1, written as
+    (v, dp, H, c, lam). ``Ginv`` is the validated constant G^-1, written as
     literals, or None: then L D L^T solves G's symmetric part, and a failed
-    pivot returns 0.0 (1.0 for the Gram matrix)."""
+    pivot returns 0.0 (1.0 for the Gram matrix). With ``state`` it is an
+    accepted state's: checks, screened pivots (any failure returns 0.0), with
+    ``state`` True p := p - mu^T gram^-1 mu G^-1 p, then the field, p last."""
     n, m = sys.n, sys.n_constraints
-    R, k = range(n), 0 if Ginv is not None else n * n
+    R, M, k = range(n), range(m), 0 if Ginv is not None else n * n
 
     def assemble(new, put, vals, grads):
         p = [new(f"s[{n + i}]") for i in R]
-        mu = [vals[k + 1 + a * n : k + 1 + (a + 1) * n] for a in range(m)]
-        dmu = [grads[k + 1 + a * n : k + 1 + (a + 1) * n] for a in range(m)]  # [a][j][i]: d mu_aj/dq_i
+        mu = [vals[k + 1 + a * n : k + 1 + (a + 1) * n] for a in M]
+        dmu = [grads[k + 1 + a * n : k + 1 + (a + 1) * n] for a in M]  # [a][j][i]: d mu_aj/dq_i
+
+        def dot(x, y):
+            return _sum(new, "0.0", list(zip(x, y)))
 
         def half(table, i, j):  # the (i, j) entry of a flat n x n table's symmetric part
             a, b = table[min(i, j) * n + max(i, j)], table[max(i, j) * n + min(i, j)]
@@ -208,25 +231,43 @@ def _assembly(sys, Ginv):
                 pairs += [(t, _sum(new, u, [(u, "1.0")]) if i < j and T(i, j) == T(j, i) else u) for t in ts]
             return pairs
 
+        if state is not None:  # validated's checks without a factor, exactly
+            total = _sum(new, "0.0", [(x, "1.0") for x in [*vals[:k], *(x for row in mu for x in row)]])
+            put(f"if not {total} - {total} == 0.0: return 0.0")  # a finite sum
+            pairs = dict.fromkeys((vals[i * n + j], vals[j * n + i]) for i in (R if k else ()) for j in R[:i])
+            for a, b in pairs:
+                if a != b:  # symmetric to 1e-9 max(1, max |G|)
+                    tol = new(f"1e-9 * max(1.0, {', '.join(f'abs({x})' for x in vals[:k])})")
+                    put(f"if not -{tol} <= {new(f'{a} - {b}')} <= {tol}: return 0.0")
+            _ldl(new, put, [[dot(mu[a], mu[b]) for b in range(a + 1)] for a in M], "0.0", ROWS_RATIO)
+        if Ginv is None:
+            solve = _ldl(new, put, [[half(vals, i, j) for j in R] for i in R], "0.0",
+                         None if state is None else _metric_ratio(n))
+            w = [solve(row) for row in mu]  # w_a = G^-1 mu_a
+        else:
+            g = [[repr(float(x)) for x in row] for row in Ginv]
+            w = [[_sum(new, "0.0", [(row[j], g[j][i]) for j in R]) for i in R] for row in mu]
+
+            def solve(b):
+                return [_sum(new, "0.0", [(g[i][j], b[j]) for j in R]) for i in R]
+        gram = _ldl(new, put, [[dot(w[b], mu[a]) for b in range(a + 1)] for a in M],
+                    *(("1.0", None) if state is None else ("0.0", GRAM_RATIO)))
+        if state:
+            lam = gram([dot(row, solve(p)) for row in mu])
+            p = [_sum(new, p[i], minus=[(mu[a][i], lam[a]) for a in M]) for i in R]
+        v = solve(p)
         if Ginv is None:
             dG = [[g[i] for g in grads[:k]] for i in R]  # dG[i]: the metric's partials along q_i
-            solve = _ldl(new, put, [[half(vals, i, j) for j in R] for i in R], "0.0")
-            v, w = solve(p), [solve(row) for row in mu]  # w_a = G^-1 mu_a
             dHq = [_sum(new, grads[k][i], minus=[("0.5", _sum(new, "0.0", quad(
                 lambda j, l: half(dG[i], j, l))))]) for i in R]
             rate = [_sum(new, dHq[j], quad(lambda i, l: half(dG[i], j, l))) for j in R]
         else:
-            g = [[repr(float(x)) for x in row] for row in Ginv]
-            v = [_sum(new, "0.0", [(g[i][j], p[j]) for j in R]) for i in R]
-            w = [[_sum(new, "0.0", [(row[j], g[j][i]) for j in R]) for i in R] for row in mu]
             dHq = rate = grads[k]
-        rhs = [_sum(new, "0.0", quad(lambda i, j: dmu[a][j][i]), [(w[a][j], rate[j]) for j in R])
-               for a in range(m)]
-        lam = _ldl(new, put, [[_sum(new, "0.0", [(w[b][j], mu[a][j]) for j in R]) for b in range(a + 1)]
-                              for a in range(m)], "1.0")(rhs)
-        c = [_sum(new, "0.0", [(mu[a][j], v[j]) for j in R]) for a in range(m)]
-        dp = [_sum(new, "0.0", minus=[(dHq[i], "1.0"), *((mu[a][i], lam[a]) for a in range(m))]) for i in R]
-        return [*v, *dp, *lam, *c, _sum(new, f"0.5 * {_sum(new, '0.0', list(zip(p, v)))}", [(vals[k], "1.0")])]
+        rhs = [_sum(new, "0.0", quad(lambda i, j: dmu[a][j][i]), [(w[a][j], rate[j]) for j in R]) for a in M]
+        lam = gram(rhs)
+        dp = [_sum(new, "0.0", minus=[(dHq[i], "1.0"), *((mu[a][i], lam[a]) for a in M)]) for i in R]
+        H = _sum(new, f"0.5 * {dot(p, v)}", [(vals[k], "1.0")])
+        return [*v, *dp, H, *(dot(row, v) for row in mu), *lam, *(() if state is None else p)]
 
     return assemble
 
@@ -238,8 +279,9 @@ class FieldEvaluator:
     over q (``dsl.compile_forward``, bitwise a width-n lift of the tables),
     then ``_assembly`` on floats. A constant metric is validated once, by
     ``geometry.metric_at`` at the first point, and its G^-1 written in; any
-    other is factored at every call. ``project`` validates and projects from
-    the forward pass's values, as ``geometry.eden_project`` does.
+    other is factored at every call. ``state`` adds the accepted state's
+    checks and projection (``_assembly``); ``project`` validates and projects
+    from the forward pass's values, as ``geometry.eden_project`` does.
     """
 
     def __init__(self, sys: SystemDefinition):
@@ -250,9 +292,10 @@ class FieldEvaluator:
         self._exprs = [e for row in tables for e in row]
         self._forward = dsl.compile_forward(self._exprs, sys.coords, sys.params)
         self._field = self._first if sys.metric_is_constant else self._program(None)
+        self._states = {}  # the accepted-state programs, by ``project``
 
-    def _program(self, Ginv):
-        return dsl.compile_forward(self._exprs, self.sys.coords, self.sys.params, _assembly(self.sys, Ginv))
+    def _program(self, *args):  # Ginv, then state
+        return dsl.compile_forward(self._exprs, self.sys.coords, self.sys.params, _assembly(self.sys, *args))
 
     def _constant(self, q):
         """The constant metric, validated at the first q, then written into
@@ -287,7 +330,25 @@ class FieldEvaluator:
             geometry.constraints_at(self.sys, q, self._met)
             raise RankDeficientError("constraint Gram matrix is singular")
         a, n2, m = np.array(out), 2 * self.n, self.sys.n_constraints
-        return a[:n2], a[n2 : n2 + m], a[n2 + m : -1], out[-1]
+        return a[:n2], a[n2 + m + 1 :], a[n2 + 1 : n2 + m + 1], out[n2]
+
+    def state(self, q, p, project=True):
+        """The field at an accepted state as one flat tuple (xdot, H, c, lam,
+        p), p projected onto M with ``project``: one run of the state
+        program, whose checks and screens pass only where
+        ``geometry.validated`` passes. A state they do not pass takes
+        ``project`` (its error, or its projection), then the field program."""
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        if project not in self._states:
+            met = self._constant(q.tolist()) if self.sys.metric_is_constant else None
+            self._states[project] = self._program(None if met is None else met.Ginv, project)
+        out = self._states[project](q.tolist() + p.tolist())
+        if type(out) is float:
+            projected = self.project(q, p)
+            p = projected if project else p
+            xdot, lam, c, H = self.evaluate(q, p)
+            out = (*xdot.tolist(), H, *c.tolist(), *lam.tolist(), *p.tolist())
+        return out
 
 
 def integrate(
@@ -304,9 +365,10 @@ def integrate(
     The run takes round((t1 - t0)/dt) steps of dt, so its last row is at
     t0 + round((t1 - t0)/dt) dt, within dt/2 of t1; a step count below one
     is refused before the first step, as one that is not finite is.
-    Each accepted state is validated by ``FieldEvaluator.project``, with the
-    checks of ``geometry.eden_project``, from the forward pass that evaluates
-    it; where that pass raises, the run stops with its error. With
+    Each accepted state is validated, with the checks of
+    ``geometry.eden_project``, projected and evaluated by one
+    ``FieldEvaluator.state`` call; where its forward pass or its fallback to
+    geometry raises, the run stops with that error. With
     ``project_each_step`` the projection replaces the momentum; without it
     the raw drift is observable and the on-manifold tolerance is enforced at
     step boundaries. The evaluation at an accepted state is both its recorded
@@ -337,31 +399,30 @@ def integrate(
         raise NonholoError(f"cannot hold a trajectory of {count} steps in memory") from None
     done = 0
 
-    def accept(t, z):
-        """Evaluate at an accepted state, check it, record it; return k1."""
+    def accept(t, z, project):
+        """Evaluate, check and record an accepted state; return k1."""
         nonlocal done
-        k1, lam, c, H = ev.evaluate(z[:n], z[n:])
-        finite = np.all(np.isfinite(c)) and np.all(np.isfinite(lam))
-        if not (math.isfinite(H) and finite):
+        out = ev.state(z[:n], z[n:], project)
+        z[n:], c = out[-n:], out[2 * n + 1 : 2 * n + m + 1]  # the projection, or p itself
+        if not all(map(math.isfinite, out[2 * n : -n])):  # H, c and lam
             raise StepFailureError(
                 f"non-finite energy, residual or multiplier at t={t:.6g}",
                 trajectory=Trajectory(rows[:done], n),
             )
-        if not project_each_step and float(np.max(np.abs(c))) > tol:
+        if not project_each_step and max(map(abs, c)) > tol:
             raise StepFailureError(
-                f"constraint residual {float(np.max(np.abs(c))):.3e} exceeded "
+                f"constraint residual {max(map(abs, c)):.3e} exceeded "
                 f"{tol:.3e} at t={t:.6g} with projection off",
                 trajectory=Trajectory(rows[:done], n),
             )
-        row = rows[done]
-        row[0], row[1 : 2 * n + 1], row[2 * n + 1], row[2 * n + 2 :] = t, z, H, (*c, *lam)
+        rows[done] = (t, *z, *out[2 * n : -n])
         done += 1
-        return k1
+        return np.array(out[: 2 * n])
 
     # overflow reaches accept()'s finiteness checks as inf/NaN, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            k1 = accept(t0, z)
+            k1 = accept(t0, z, False)
             for i in range(n_steps):
                 z2 = z + 0.5 * dt * k1
                 k2, _, _, _ = ev.evaluate(z2[:n], z2[n:])
@@ -370,10 +431,7 @@ def integrate(
                 z4 = z + dt * k3
                 k4, _, _, _ = ev.evaluate(z4[:n], z4[n:])
                 z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                p = ev.project(z[:n], z[n:])  # validated from the pass that evaluates it
-                if project_each_step:
-                    z[n:] = p
-                k1 = accept(t0 + (i + 1) * dt, z)
+                k1 = accept(t0 + (i + 1) * dt, z, project_each_step)
         except StepFailureError:
             raise
         except NonholoError as exc:

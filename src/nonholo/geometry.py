@@ -8,6 +8,8 @@ validation (symmetry and positive definiteness, rank, conditioning, frame
 membership) plus that formula on floats or one lift of it (C). The exception
 is the Eden projection, which keeps its own numpy arithmetic because sampling
 seeds every point through it; ``gamma_apply`` is its differentiable counterpart.
+The integrator's accepted states are projected in its compiled field's own
+algebra (``dynamics.FieldEvaluator.state``), and fall back on ``validated``.
 Two numpy maps have one body each: ``OnMPoint.pi``, the map M -> D*
 pi = E^T p, and ``hamiltonian_vectors``, X_F = -Omega^-1 dF, which the
 splitting and every numpy Hamiltonian field read.

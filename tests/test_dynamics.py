@@ -183,17 +183,34 @@ def test_integrate_straight_line():
 
 
 def test_integrate_evaluates_once_per_accepted_state(monkeypatch):
-    calls = []
-    evaluate = dynamics.FieldEvaluator.evaluate
+    # three stage evaluations per step, and one state program per accepted state
+    calls = {"evaluate": 0, "state": 0}
+    for name in calls:
+        original = getattr(dynamics.FieldEvaluator, name)
 
-    def counted(self, q, p):
-        calls.append(1)
-        return evaluate(self, q, p)
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
 
-    monkeypatch.setattr(dynamics.FieldEvaluator, "evaluate", counted)
+        monkeypatch.setattr(dynamics.FieldEvaluator, name, counted)
     traj = dynamics.integrate(SYS_A, PhasePoint(q=[0.0, 0.0], p=[1.0, 0.0]), 0.0, 0.1, 0.01)
     assert len(traj) == 11
-    assert len(calls) == 4 * 10 + 1
+    assert calls == {"evaluate": 3 * 10, "state": 10 + 1}
+
+
+@pytest.mark.parametrize("project", (True, False))
+@pytest.mark.parametrize("name", ("nonholonomic_particle", "chaplygin_sleigh", "vertical_rolling_disk"))
+def test_accepted_states_take_the_compiled_checks(monkeypatch, name, project):
+    # a 200-step run validates through geometry only its start: every later
+    # state passes the state program's own checks and screens
+    ent = catalog.get_entry(name)
+    x0 = catalog.sample_entry_points(ent, 1, 9)[0]
+    at, validated = [], geometry.validated
+    monkeypatch.setattr(geometry, "validated", lambda sys, q, *args, **kw: (
+        at.append(q.tolist()), validated(sys, q, *args, **kw))[1])
+    traj = dynamics.integrate(ent.system(), x0, 0.0, 0.4, 0.002, project_each_step=project)
+    assert len(traj) == 201
+    assert at and all(q == [x0.q.tolist()] for q in at)
 
 
 def test_integrate_conservation_and_projection():
@@ -306,9 +323,11 @@ def _bits(*arrays):
 def test_field_evaluator_project_is_bitwise_eden_project(ent):
     """``project`` is ``eden_project`` bit for bit at 50 sampled points, off
     M by a seeded kick, and the evaluation that reuses its entries is bitwise
-    a fresh evaluator's."""
+    a fresh evaluator's. The state program's projection is within
+    1e-14 max(1, max |p|) of it, and its field is bitwise ``evaluate`` at
+    its p; without projection, p is kept and the field is bitwise too."""
     sysd = ent.system()
-    ev = dynamics.FieldEvaluator(sysd)
+    ev, n = dynamics.FieldEvaluator(sysd), sysd.n
     rng = np.random.default_rng(15)
     for x in catalog.sample_entry_points(ent, 50, 15):
         p = x.p + rng.normal(scale=0.5, size=sysd.n)
@@ -316,6 +335,17 @@ def test_field_evaluator_project_is_bitwise_eden_project(ent):
         assert _bits(projected) == _bits(geometry.eden_project(sysd, x.q, p))
         got = ev.evaluate(x.q, projected)
         assert _bits(*got) == _bits(*dynamics.FieldEvaluator(sysd).evaluate(x.q, projected))
+        out = ev.state(x.q, p)
+        assert np.max(np.abs(np.array(out[-n:]) - projected)) <= 1e-14 * max(1.0, np.max(np.abs(p)))
+        assert _bits(*_flat(ev.evaluate(x.q, out[-n:]))) == _bits(*out[:-n])
+        out = ev.state(x.q, p, project=False)
+        assert _bits(out[-n:]) == _bits(p) and _bits(*_flat(ev.evaluate(x.q, p))) == _bits(*out[:-n])
+
+
+def _flat(field):
+    """``evaluate``'s (xdot, lam, c, H) in the state program's order."""
+    xdot, lam, c, H = field
+    return [*xdot, H, *c, *lam]
 
 
 SINGULAR_GRAM_Q = [0.5785034702341596, 0.21720312487545024, -0.8406728309160272]
@@ -358,15 +388,15 @@ def test_a_failed_shared_projection_stops_the_run_with_its_error(monkeypatch, ca
 
     x0 = catalog.sample_entry_points(catalog.get_entry("chaplygin_sleigh"), 1, 4)[0]
     shared = dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
-    project, calls = dynamics.FieldEvaluator.project, [0]
+    state, calls = dynamics.FieldEvaluator.state, [0]
 
-    def fails_at_state_40(self, q, p):
-        calls[0] += 1
-        if calls[0] == 40:
+    def fails_at_state_40(self, q, p, project=True):
+        calls[0] += 1  # the start is state 0
+        if calls[0] == 41:
             raise DomainError("sqrt", "derivative unbounded at 0")
-        return project(self, q, p)
+        return state(self, q, p, project)
 
-    monkeypatch.setattr(dynamics.FieldEvaluator, "project", fails_at_state_40)
+    monkeypatch.setattr(dynamics.FieldEvaluator, "state", fails_at_state_40)
     message = "integration stopped: domain error in 'sqrt': derivative unbounded at 0"
     with pytest.raises(StepFailureError) as info:
         dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
@@ -382,9 +412,59 @@ def test_a_failed_shared_projection_stops_the_run_with_its_error(monkeypatch, ca
     assert cli.main(argv) == cli.EXIT_STEP_FAILURE
     out, err = capsys.readouterr()
     assert err == f"error: {message}\n"
-    monkeypatch.setattr(dynamics.FieldEvaluator, "project", project)
+    monkeypatch.setattr(dynamics.FieldEvaluator, "state", state)
     assert cli.main(argv) == cli.EXIT_OK
     assert out.splitlines() == capsys.readouterr().out.splitlines()[:41]  # header and 40 rows
+
+
+PARTICLE = catalog.get_entry("nonholonomic_particle").definition
+# (system, q, whether the state program's own verdict is exact): each pair
+# straddles one check of geometry.validated or one screen of the program
+STATE_CASES = {
+    # symmetric to 1e-17 where the parser probes, |q| <= 1
+    "asymmetric-0.5e-9": ((("2, 1e-9*exp(20*(x - 3))", "0, 2"), "0, 1"), [3.0, 0.0], True),
+    "asymmetric-2e-9": ((("2, 4e-9*exp(20*(x - 3))", "0, 2"), "0, 1"), [3.0, 0.0], True),
+    "inverse-residual-4.7e-11": ((("1 + x, 1 - 7e-7", "1 - 7e-7, 1"), "1, 1"), [0.0, 0.0], False),
+    "inverse-residual-1.2e-10": ((("1 + x, 1 - 6e-7", "1 - 6e-7, 1"), "1, 1"), [0.0, 0.0], False),
+    "rows-1e-9": (((*TWO_ROWS[0],), ("1 + x, 0, 0", "1, 2e-9, 0")), [0.0, 0.0, 0.0], False),
+    "rows-1e-11": (((*TWO_ROWS[0],), ("1 + x, 0, 0", "1, 2e-11, 0")), [0.0, 0.0, 0.0], False),
+    "nan-metric": ((("1 + 1e308*10*x, 0", "0, 1 + x"), "0, 1"), [0.0, 0.0], True),
+    "inf-metric": ((("1 + 1e308*10*x, 0", "0, 1 + x"), "0, 1"), [0.5, 0.0], True),
+    "nan-rows": ((("1, 0", "0, 1"), "0, 1e308*10*x"), [0.0, 0.0], True),
+    "inf-rows": ((("1, 0", "0, 1"), "0, 1e308*10*x"), [0.5, 0.0], True),
+    "singular-gram": (PARTICLE + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n", SINGULAR_GRAM_Q, False),
+    "well-posed": ((("2 + x*x, 1e-9", "1e-9, 2 + x*x"), "1 + x, 1"), [0.5, 0.0], True),
+}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NonholoError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("project", (True, False))
+@pytest.mark.parametrize("case", STATE_CASES)
+def test_the_state_program_passes_only_where_validated_passes(case, project):
+    """At each case the state path passes exactly where ``geometry.validated``
+    passes (``eden_project``), and otherwise raises its type and message. The
+    program's own checks pass only where validated passes, and its exact
+    ones fail exactly where validated fails."""
+    system, q, exact = STATE_CASES[case]
+    sysd = dsl.parse_system(system) if type(system) is str else _system(*system)
+    ev, q, p = dynamics.FieldEvaluator(sysd), np.array(q), np.ones(sysd.n) / sysd.n
+    with np.errstate(all="ignore"):
+        want = _outcome(geometry.eden_project, sysd, q, p)
+        got = _outcome(ev.state, q, p, project)
+        compiled = ev._states[project]([*q, *p]) if project in ev._states else 0.0
+    if type(want) is tuple:
+        assert got == want and type(compiled) is float
+        return
+    assert type(got) is tuple and len(got) == 2 * sysd.n + 2 * sysd.n_constraints + 1 + sysd.n
+    if type(compiled) is not float or not exact:
+        assert np.max(np.abs(np.array(got[-sysd.n :]) - (want if project else p))) <= 1e-14
+    assert type(compiled) is not float or not exact
 
 
 def test_a_dual_domain_error_in_the_shared_pass_is_left_to_eden_project():
@@ -407,15 +487,16 @@ def test_a_constant_metric_is_validated_once_per_trajectory(count_calls, project
 
 
 def test_a_no_project_run_validates_each_state_from_its_evaluation(count_calls):
-    # the sleigh's metric depends on q; each accepted state is validated from
-    # the dual pass that evaluates it, not by metric_at on the float closures
+    # the sleigh's metric depends on q; each accepted state is checked by the
+    # state program from the dual pass that evaluates it, not by metric_at on
+    # the float closures, and geometry's metric checks run for the start alone
     x0 = catalog.sample_entry_points(catalog.get_entry("chaplygin_sleigh"), 1, 4)[0]
     counts = count_calls(geometry, ["metric_at", "_metric_checks"])
     for t1 in (0.01, 0.05):
         counts.update(metric_at=0, _metric_checks=0)
         traj = dynamics.integrate(SYS_C, x0, 0.0, t1, 1e-3, project_each_step=False)
-        steps = len(traj) - 1
-        assert counts == {"metric_at": 0, "_metric_checks": steps + 1}  # the start and each step
+        assert len(traj) == round(t1 / 1e-3) + 1
+        assert counts == {"metric_at": 0, "_metric_checks": 1}
 
 
 def test_trajectory_points_are_built_from_the_rows():

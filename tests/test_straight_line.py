@@ -206,12 +206,15 @@ def test_a_system_raises_the_closure_error_from_both_outputs():
         assert str(got.value) == str(want.value) == str(generic.value)
 
 
-def _field_program(sysd):
-    """A FieldEvaluator's field program, compiled (that of a constant metric
-    at its first evaluation)."""
-    ev = dynamics.FieldEvaluator(sysd)
-    ev.evaluate(_points(sysd.n, 32)[0], np.zeros(sysd.n))
-    return ev._field
+def _programs(sysd):
+    """A FieldEvaluator's field program and its two accepted-state programs
+    (projecting, then not), compiled (those of a constant metric at its first
+    evaluation)."""
+    ev, q = dynamics.FieldEvaluator(sysd), _points(sysd.n, 32)[0]
+    ev.evaluate(q, np.zeros(sysd.n))
+    ev.state(q, np.zeros(sysd.n), True)
+    ev.state(q, np.zeros(sysd.n), False)
+    return [ev._field, ev._states[True], ev._states[False]]
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -219,7 +222,7 @@ def test_emitted_source_holds_slots_temporaries_helpers_and_numbers_only(name):
     sysd = SYSTEMS[name]()
     exprs = [e for table in _tables(sysd) for e in _flat(table)]
     fns = [dynamics.FieldEvaluator(sysd)._forward, dsl.compile_forward(exprs, sysd.coords, sysd.params),
-           _field_program(sysd)]
+           *_programs(sysd)]
     own = set(sysd.coords) | set(sysd.momenta) | set(sysd.params)
     for fn in fns:
         tree = ast.parse(fn.source)
@@ -235,23 +238,31 @@ def test_emitted_source_holds_slots_temporaries_helpers_and_numbers_only(name):
 # a pivot test of the field's factorizations, returning the code of the
 # metric's (0.0) or the Gram matrix's (1.0)
 PIVOT_GUARD = re.compile(r"if not -?([td]\d+|\d[\d.e+-]*) > 0\.0: return [01]\.0")
+# an accepted-state program's tests, each returning 0.0: a pivot, the entries'
+# finite sum, a symmetry bound and a pivots' screen
+_REF = r"-?(?:[td]\d+|\d[\d.e+-]*)"
+STATE_GUARD = re.compile(
+    rf"if not ({_REF} > 0\.0|(t\d+|\d[\d.e+-]*) - \2 == 0\.0|-(t\d+) <= t\d+ <= \3|t\d+ >= [\d.e+-]+): return 0\.0"
+)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_the_field_program_is_straight_line_code(name):
     # no loop or comprehension; besides the forward pass's own checks at 0,
-    # the only branches are the pivot guards; each right-hand side once
+    # the only branches are the pivot guards (and in an accepted-state
+    # program its checks and screens); each right-hand side once
     sysd = SYSTEMS[name]()
-    source = _field_program(sysd).source
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
-    assert not [node for node in ast.walk(ast.parse(source)) if isinstance(node, loops)]
     forward = {line.strip() for line in dynamics.FieldEvaluator(sysd)._forward.source.splitlines()}
-    lines = [line.strip() for line in source.splitlines()[1:]]
-    guards = [line for line in lines if line.startswith("if ") and line not in forward]
-    assert all(PIVOT_GUARD.fullmatch(line) for line in guards), guards
-    assert [line for line in lines if line.startswith("return ")] == lines[-1:]
-    values = [line.split(" = ", 1)[1] for line in lines if " = " in line]
-    assert len(values) == len(set(values))
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
+    for program, guard in zip(_programs(sysd), (PIVOT_GUARD, STATE_GUARD, STATE_GUARD)):
+        source = program.source
+        assert not [node for node in ast.walk(ast.parse(source)) if isinstance(node, loops)]
+        lines = [line.strip() for line in source.splitlines()[1:]]
+        guards = [line for line in lines if line.startswith("if ") and line not in forward]
+        assert all(guard.fullmatch(line) for line in guards), guards
+        assert [line for line in lines if line.startswith("return ")] == lines[-1:]
+        values = [line.split(" = ", 1)[1] for line in lines if " = " in line]
+        assert len(values) == len(set(values))
 
 
 SHADOWS = """\
@@ -293,7 +304,7 @@ def test_emitted_source_does_not_depend_on_the_identifiers():
         assert program(getattr(sysd, attr)) == program(getattr(plain, attr))
     ev, plain_ev = dynamics.FieldEvaluator(sysd), dynamics.FieldEvaluator(plain)
     assert ev._forward.source == plain_ev._forward.source
-    assert ev._field.source == plain_ev._field.source
+    assert [fn.source for fn in _programs(sysd)] == [fn.source for fn in _programs(plain)]
     q = [0.3, 0.7, 1.1]
     ref = closure_expression(sysd.potential_expr, sysd.coords, sysd.params)
     for s in _inputs(q, _points(3, 29)[:4]):
