@@ -154,12 +154,11 @@ def _sum(new, head, plus=(), minus=()):
     return new(src) if " " in src else src
 
 
-def _ldl(new, put, A, fail, ratio=None):
+def _ldl(new, put, A, fail, bound=None):
     """The solver b -> A^-1 b of the symmetric A (lower triangle read) by an
     emitted L D L^T without pivoting: each pivot d passes ``not d > 0.0``
-    (NaN fails too) or returns ``fail`` before anything divides by it. A
-    ``ratio`` adds a screen, failed where (k - 1)^(k - 1) det A / tr(A)^k, a
-    bound below lambda_min / lambda_max for A of order k (AM-GM), is below it."""
+    (NaN fails too) or returns ``fail`` before anything divides by it. A ``bound`` adds a
+    screen, failed unless s t <= bound for s = max A_ii = max |A|, t = max |A^-1|: kappa/k^2 <= s t <= kappa."""
     N, e, l, d = range(len(A)), {}, {}, []
 
     def over(a, j):
@@ -171,16 +170,20 @@ def _ldl(new, put, A, fail, ratio=None):
         d.append(e[j, j])
         put(f"if not {d[j]} > 0.0: return {fail}")
         l.update({(i, j): over(e[i, j], j) for i in N[j + 1 :]})
-    if ratio is not None:  # tr A > 0 once the pivots pass: each A_jj >= d_j
-        tr, order = _sum(new, "0.0", [(A[j][j], "1.0") for j in N]), len(A)
-        r = [new(f"{dj} / {tr}") for dj in d]
-        floor = ratio / (order - 1) ** (order - 1)
-        put(f"if not {r[0] if order == 1 else new(' * '.join(r))} >= {floor!r}: return {fail}")
 
-    def solve(b):
-        y, x = [], {}
+    def lower(b):  # L^-1 b
+        y = []
         for i in N:
             y.append(_sum(new, b[i], minus=[(l[i, k], y[k]) for k in N[:i]]))
+        return y
+
+    if bound is not None:  # (A^-1)_ii = sum_k y_k^2 / d_k for y = L^-1 e_i
+        ys = (lower([str(float(i == k)) for k in N]) for i in N)
+        t = [_sum(new, "0.0", [(y, over(y, k)) for k, y in enumerate(yi)]) for yi in ys]
+        put(f"if not max(({', '.join(A[j][j] for j in N)},)) * max(({', '.join(t)},)) <= {bound!r}: return {fail}")
+
+    def solve(b):
+        y, x = lower(b), {}
         for i in reversed(N):
             x[i] = _sum(new, over(y[i], i), minus=[(l[k, i], x[k]) for k in N[i + 1 :]])
         return [x[i] for i in N]
@@ -188,15 +191,14 @@ def _ldl(new, put, A, fail, ratio=None):
     return solve
 
 
-# The screens' ratios, with margins inside ``geometry.validated``'s checks
-# (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.): rows
-# sigma_min/sigma_max >= 1e-6 (validated: 1e-10); Gram kappa <= 1e6; G's LU inverse
-# has |G X - I| <= gamma_3n n^2 2^(n-1) kappa(G) (ch. 14): 0.5e-10 at 1/ratio.
-ROWS_RATIO, GRAM_RATIO = 1e-12, 1e-6
+ROWS_BOUND, GRAM_BOUND = 1e12, 1e6  # s t: kappa(mu mu^T) <= 1e12 m^2 (validated: 1e20), gram's <= 1e6 m^2
 
 
-def _metric_ratio(n, u=2.0**-53):
-    return 2e10 * 3 * n * u / (1.0 - 3 * n * u) * n * n * 2.0 ** (n - 1)
+def _metric_bound(n, u=2.0**-53):
+    """numpy's LU inverse X of G has |G X - I| <= (gamma_3n |L||U| + gamma_n |G|) |X|, |U| <= 2^(n-1) s
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 9.4): 0.5e-10 at s t of this
+    bound, which every G of kappa(G) <= 9.4e3, 1.8e3, 446, 122, 37, 12, 4.1, 1.4 meets at n = 2, ..., 9."""
+    return 0.5e-10 / (3 * n * u / (1.0 - 3 * n * u) * (n * (n + 1) / 2 * 2.0 ** (n - 1) + n))
 
 
 def _assembly(sys, Ginv, state=None):
@@ -205,9 +207,8 @@ def _assembly(sys, Ginv, state=None):
     rate of c along the free field, the Gram system, dp and H, returned as
     (v, dp, H, c, lam). ``Ginv`` is the validated constant G^-1, written as
     literals, or None: then L D L^T solves G's symmetric part, and a failed
-    pivot returns 0.0 (1.0 for the Gram matrix). With ``state`` it is an
-    accepted state's: checks, screened pivots (any failure returns 0.0), with
-    ``state`` True p := p - mu^T gram^-1 mu G^-1 p, then the field, p last."""
+    pivot returns 0.0 (1.0 for the Gram matrix). An accepted ``state``'s adds
+    checks and screens (failed: 0.0), with ``state`` True p := gamma(p), p last."""
     n, m = sys.n, sys.n_constraints
     R, M, k = range(n), range(m), 0 if Ginv is not None else n * n
 
@@ -235,14 +236,13 @@ def _assembly(sys, Ginv, state=None):
             total = _sum(new, "0.0", [(x, "1.0") for x in [*vals[:k], *(x for row in mu for x in row)]])
             put(f"if not {total} - {total} == 0.0: return 0.0")  # a finite sum
             pairs = dict.fromkeys((vals[i * n + j], vals[j * n + i]) for i in (R if k else ()) for j in R[:i])
-            for a, b in pairs:
-                if a != b:  # symmetric to 1e-9 max(1, max |G|)
-                    tol = new(f"1e-9 * max(1.0, {', '.join(f'abs({x})' for x in vals[:k])})")
-                    put(f"if not -{tol} <= {new(f'{a} - {b}')} <= {tol}: return 0.0")
-            _ldl(new, put, [[dot(mu[a], mu[b]) for b in range(a + 1)] for a in M], "0.0", ROWS_RATIO)
+            for a, b in ((a, b) for a, b in pairs if a != b):  # symmetric to 1e-9 max(1, max |G|)
+                tol = new(f"1e-9 * max(1.0, {', '.join(f'abs({x})' for x in vals[:k])})")
+                put(f"if not -{tol} <= {new(f'{a} - {b}')} <= {tol}: return 0.0")
+            _ldl(new, put, [[dot(mu[a], mu[b]) for b in range(a + 1)] for a in M], "0.0", ROWS_BOUND)
         if Ginv is None:
             solve = _ldl(new, put, [[half(vals, i, j) for j in R] for i in R], "0.0",
-                         None if state is None else _metric_ratio(n))
+                         None if state is None else _metric_bound(n))
             w = [solve(row) for row in mu]  # w_a = G^-1 mu_a
         else:
             g = [[repr(float(x)) for x in row] for row in Ginv]
@@ -251,7 +251,7 @@ def _assembly(sys, Ginv, state=None):
             def solve(b):
                 return [_sum(new, "0.0", [(g[i][j], b[j]) for j in R]) for i in R]
         gram = _ldl(new, put, [[dot(w[b], mu[a]) for b in range(a + 1)] for a in M],
-                    *(("1.0", None) if state is None else ("0.0", GRAM_RATIO)))
+                    *(("1.0", None) if state is None else ("0.0", GRAM_BOUND)))
         if state:
             lam = gram([dot(row, solve(p)) for row in mu])
             p = [_sum(new, p[i], minus=[(mu[a][i], lam[a]) for a in M]) for i in R]
@@ -263,8 +263,7 @@ def _assembly(sys, Ginv, state=None):
             rate = [_sum(new, dHq[j], quad(lambda i, l: half(dG[i], j, l))) for j in R]
         else:
             dHq = rate = grads[k]
-        rhs = [_sum(new, "0.0", quad(lambda i, j: dmu[a][j][i]), [(w[a][j], rate[j]) for j in R]) for a in M]
-        lam = gram(rhs)
+        lam = gram([_sum(new, "0.0", quad(lambda i, j: dmu[a][j][i]), [(w[a][j], rate[j]) for j in R]) for a in M])
         dp = [_sum(new, "0.0", minus=[(dHq[i], "1.0"), *((mu[a][i], lam[a]) for a in M)]) for i in R]
         H = _sum(new, f"0.5 * {dot(p, v)}", [(vals[k], "1.0")])
         return [*v, *dp, H, *(dot(row, v) for row in mu), *lam, *(() if state is None else p)]
@@ -335,17 +334,15 @@ class FieldEvaluator:
     def state(self, q, p, project=True):
         """The field at an accepted state as one flat tuple (xdot, H, c, lam,
         p), p projected onto M with ``project``: one run of the state
-        program, whose checks and screens pass only where
-        ``geometry.validated`` passes. A state they do not pass takes
-        ``project`` (its error, or its projection), then the field program."""
+        program, whose checks and screens pass only where ``validated`` does (a q-dependent metric
+        where kappa(G) <= ``_metric_bound(n)``): else ``project`` (its error, or gamma), ``evaluate``."""
         q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-        if project not in self._states:
-            met = self._constant(q.tolist()) if self.sys.metric_is_constant else None
-            self._states[project] = self._program(None if met is None else met.Ginv, project)
+        if project not in self._states:  # a constant metric's G^-1 written in
+            Ginv = self._constant(q.tolist()).Ginv if self.sys.metric_is_constant else None
+            self._states[project] = self._program(Ginv, project)
         out = self._states[project](q.tolist() + p.tolist())
         if type(out) is float:
-            projected = self.project(q, p)
-            p = projected if project else p
+            p = np.where(project, self.project(q, p), p)  # geometry's error, or gamma(p)
             xdot, lam, c, H = self.evaluate(q, p)
             out = (*xdot.tolist(), H, *c.tolist(), *lam.tolist(), *p.tolist())
         return out
@@ -365,7 +362,8 @@ def integrate(
     The run takes round((t1 - t0)/dt) steps of dt, so its last row is at
     t0 + round((t1 - t0)/dt) dt, within dt/2 of t1; a step count below one
     is refused before the first step, as one that is not finite is.
-    Each accepted state is validated, with the checks of
+    The start, validated on entry, is evaluated by ``FieldEvaluator.evaluate``;
+    each later accepted state is validated, with the checks of
     ``geometry.eden_project``, projected and evaluated by one
     ``FieldEvaluator.state`` call; where its forward pass or its fallback to
     geometry raises, the run stops with that error. With
@@ -399,12 +397,11 @@ def integrate(
         raise NonholoError(f"cannot hold a trajectory of {count} steps in memory") from None
     done = 0
 
-    def accept(t, z, project):
-        """Evaluate, check and record an accepted state; return k1."""
+    def accept(t, z, out):
+        """Check and record an accepted state from its field (xdot, H, c, lam); return k1."""
         nonlocal done
-        out = ev.state(z[:n], z[n:], project)
-        z[n:], c = out[-n:], out[2 * n + 1 : 2 * n + m + 1]  # the projection, or p itself
-        if not all(map(math.isfinite, out[2 * n : -n])):  # H, c and lam
+        c = out[2 * n + 1 : 2 * n + m + 1]
+        if not all(map(math.isfinite, out[2 * n :])):  # H, c and lam
             raise StepFailureError(
                 f"non-finite energy, residual or multiplier at t={t:.6g}",
                 trajectory=Trajectory(rows[:done], n),
@@ -415,14 +412,15 @@ def integrate(
                 f"{tol:.3e} at t={t:.6g} with projection off",
                 trajectory=Trajectory(rows[:done], n),
             )
-        rows[done] = (t, *z, *out[2 * n : -n])
+        rows[done] = (t, *z, *out[2 * n :])
         done += 1
         return np.array(out[: 2 * n])
 
     # overflow reaches accept()'s finiteness checks as inf/NaN, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            k1 = accept(t0, z, False)
+            k1, lam, c, H = ev.evaluate(z[:n], z[n:])  # the start, validated above
+            k1 = accept(t0, z, (*k1, H, *c, *lam))
             for i in range(n_steps):
                 z2 = z + 0.5 * dt * k1
                 k2, _, _, _ = ev.evaluate(z2[:n], z2[n:])
@@ -431,7 +429,9 @@ def integrate(
                 z4 = z + dt * k3
                 k4, _, _, _ = ev.evaluate(z4[:n], z4[n:])
                 z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                k1 = accept(t0 + (i + 1) * dt, z, project_each_step)
+                out = ev.state(z[:n], z[n:], project_each_step)
+                z[n:] = out[-n:]  # the projection, or p itself
+                k1 = accept(t0 + (i + 1) * dt, z, out[:-n])
         except StepFailureError:
             raise
         except NonholoError as exc:

@@ -183,7 +183,8 @@ def test_integrate_straight_line():
 
 
 def test_integrate_evaluates_once_per_accepted_state(monkeypatch):
-    # three stage evaluations per step, and one state program per accepted state
+    # the start's evaluation, three stage evaluations per step, and one state
+    # program per later accepted state
     calls = {"evaluate": 0, "state": 0}
     for name in calls:
         original = getattr(dynamics.FieldEvaluator, name)
@@ -195,7 +196,7 @@ def test_integrate_evaluates_once_per_accepted_state(monkeypatch):
         monkeypatch.setattr(dynamics.FieldEvaluator, name, counted)
     traj = dynamics.integrate(SYS_A, PhasePoint(q=[0.0, 0.0], p=[1.0, 0.0]), 0.0, 0.1, 0.01)
     assert len(traj) == 11
-    assert calls == {"evaluate": 3 * 10, "state": 10 + 1}
+    assert calls == {"evaluate": 1 + 3 * 10, "state": 10}
 
 
 @pytest.mark.parametrize("project", (True, False))
@@ -395,8 +396,8 @@ def test_a_failed_shared_projection_stops_the_run_with_its_error(monkeypatch, ca
     state, calls = dynamics.FieldEvaluator.state, [0]
 
     def fails_at_state_40(self, q, p, project=True):
-        calls[0] += 1  # the start is state 0
-        if calls[0] == 41:
+        calls[0] += 1  # the start, state 0, takes evaluate
+        if calls[0] == 40:
             raise DomainError("sqrt", "derivative unbounded at 0")
         return state(self, q, p, project)
 
@@ -467,6 +468,32 @@ def test_the_state_program_passes_only_where_validated_passes(case, project):
     else:  # the state's p, and an exact check passes where validated does
         assert np.max(np.abs(np.array(got[-sysd.n :]) - (want if project else p))) <= 1e-14
         assert type(compiled) is not float or not exact
+
+
+def _diagonal_system(n, last):
+    """A system of dimension n whose metric depends on q and is diag(1, ...,
+    1, last) at q = 0, with the one constraint row e_n."""
+    entry = [f"{last!r} + x0*x0" if i == n - 1 else "1 + x0*x0" for i in range(n)]
+    rows = "".join(f"row{i + 1} = {', '.join(entry[i] if j == i else '0' for j in range(n))}\n" for i in range(n))
+    return dsl.parse_system(
+        f"[system]\nname = t\ndim = {n}\ncoords = {', '.join(f'x{i}' for i in range(n))}\n"
+        f"[metric]\n{rows}[potential]\nV = 0\n[constraint]\nform = {', '.join(['0'] * (n - 1) + ['1'])}\n"
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_the_metric_screen_passes_up_to_its_condition_bound(n):
+    """diag(1, ..., 1, 1/kappa) passes the state program's metric screen at
+    kappa 0.98 of ``_metric_bound(n)`` and fails it at 1.02 of it (at n = 10,
+    where the bound is below 1, the identity fails); ``geometry.validated``
+    passes at both, and the state path's projection is ``eden_project``'s."""
+    bound = dynamics._metric_bound(n)
+    for kappa in (max(1.0, 0.98 * bound), 1.02 * bound):
+        sysd, q, p = _diagonal_system(n, 1.0 / kappa), np.zeros(n), np.ones(n) / n
+        ev = dynamics.FieldEvaluator(sysd)
+        out = ev.state(q, p)
+        assert (type(ev._states[True]([*q, *p])) is tuple) == (kappa <= bound)
+        assert np.max(np.abs(np.array(out[-n:]) - geometry.eden_project(sysd, q, p))) <= 1e-14
 
 
 def test_a_dual_domain_error_in_the_shared_pass_is_left_to_eden_project():

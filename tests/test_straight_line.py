@@ -239,10 +239,12 @@ def test_emitted_source_holds_slots_temporaries_helpers_and_numbers_only(name):
 # metric's (0.0) or the Gram matrix's (1.0)
 PIVOT_GUARD = re.compile(r"if not -?([td]\d+|\d[\d.e+-]*) > 0\.0: return [01]\.0")
 # an accepted-state program's tests, each returning 0.0: a pivot, the entries'
-# finite sum, a symmetry bound and a pivots' screen
+# finite sum, a symmetry bound and a screen on max A_ii max (A^-1)_ii
 _REF = r"-?(?:[td]\d+|\d[\d.e+-]*)"
+_MAX = rf"max\(\((?:{_REF}, )*{_REF},\)\)"
 STATE_GUARD = re.compile(
-    rf"if not ({_REF} > 0\.0|(t\d+|\d[\d.e+-]*) - \2 == 0\.0|-(t\d+) <= t\d+ <= \3|t\d+ >= [\d.e+-]+): return 0\.0"
+    rf"if not ({_REF} > 0\.0|(t\d+|\d[\d.e+-]*) - \2 == 0\.0|-(t\d+) <= t\d+ <= \3"
+    rf"|{_MAX} \* {_MAX} <= [\d.e+-]+): return 0\.0"
 )
 
 
