@@ -1,6 +1,6 @@
 """numpy's LAPACK gufuncs, called without the public wrappers.
 
-``np.linalg.solve``, ``inv``, ``cholesky``, ``svd(a, compute_uv=False)`` and
+``np.linalg.solve``, ``inv``, ``svd(a, compute_uv=False)`` and
 ``lstsq(a, b, rcond=None)`` check their operands, then call one gufunc of
 ``numpy.linalg._umath_linalg`` under an ``np.errstate`` whose ``call`` raises
 ``LinAlgError``. On what the package passes (float arrays of matrices,
@@ -49,7 +49,7 @@ def _lookup(name):
 
 
 def _bind(lookup):
-    """(solve, inv, cholesky, singular_values, lstsq) over the gufuncs that
+    """(solve, inv, singular_values, lstsq) over the gufuncs that
     ``lookup`` finds; where it finds none, the public np.linalg call."""
     singular = _raising("Singular matrix")
     solve1, solve_m = lookup("solve1"), lookup("solve")
@@ -68,14 +68,6 @@ def _bind(lookup):
         def inv(a):
             """np.linalg.inv(a)."""
             return inv_g(a, signature="d->d")
-
-    cholesky_g, cholesky = lookup("cholesky_lo"), np.linalg.cholesky
-    if cholesky_g is not None:
-
-        @_raising("Matrix is not positive definite")
-        def cholesky(a):
-            """np.linalg.cholesky(a), the lower factor."""
-            return cholesky_g(a, signature="d->d")
 
     svd_g = lookup("svd")
     singular_values = functools.partial(np.linalg.svd, compute_uv=False)
@@ -98,7 +90,7 @@ def _bind(lookup):
             """np.linalg.lstsq(a, b, rcond=None)[0] of each matrix of a stack."""
             return lstsq_g(a, b, np.finfo(float).eps * max(a.shape[-2:]), signature="ddd->ddid")[0]
 
-    return solve, inv, cholesky, singular_values, lstsq
+    return solve, inv, singular_values, lstsq
 
 
-solve, inv, cholesky, singular_values, lstsq = _bind(_lookup)
+solve, inv, singular_values, lstsq = _bind(_lookup)

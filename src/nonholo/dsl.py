@@ -17,9 +17,11 @@ emitter makes from a table of trees (``_Emitter``), each distinct subtree
 once: ``compile_expression``, a list of generic operations over any scalar
 type, for the tables, observables and symmetry probe, and
 ``compile_forward``, Python source of numdiff's float forward mode, which
-``dynamics.FieldEvaluator`` runs alone and followed by its whole field.
-That source is built only from slot indices, temporaries, float reprs and
-the names in ``HELPERS``: never from the text of a system file.
+``dynamics.FieldEvaluator`` runs followed by its whole field. That source
+is built only from slot indices, temporaries, float reprs and the names in
+``HELPERS``: never from the text of a system file. ``sum_source`` writes
+one left-to-right sum of products, and ``rule_ops`` the operations of
+``geometry.ldl``, the validity rule, as such source.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import numdiff
 from .errors import (
@@ -461,6 +464,45 @@ def compile_forward(exprs, names, constants=None, then=None):
     exec(compile(src, "<dsl>", "exec"), em.env)
     em.env["table"].source = src
     return em.env["table"]
+
+
+ZEROS = ("0.0", "-0.0")
+
+
+def sum_source(new, head, plus=(), minus=()):
+    """The reference of head + the products of the pairs ``plus`` - those
+    of ``minus``, left to right; a product with a zero literal is left out
+    (0 * x is 0, or NaN for x inf) and a factor 1.0 elided."""
+    terms = [f" {sign} " + (b if a == "1.0" else a if b == "1.0" else f"{a} * {b}")
+             for sign, pairs in (("+", plus), ("-", minus)) for a, b in pairs
+             if a not in ZEROS and b not in ZEROS]
+    src = "".join(([] if head in ZEROS else [" + " + head]) + terms)
+    src = "0.0" if not src else src[3:] if src[1] == "+" else "-" + src[3:]
+    return new(src) if " " in src else src
+
+
+def rule_ops(new, put, fails=("0.0", "0.0"), masks=None):
+    """``geometry.ldl``'s operations as source, each sum one line: a pivot
+    that is not > 0 (NaN too) returns ``fails[0]`` before anything divides
+    by it, a failed bound ``fails[1]``. With ``masks`` (a dict) the tests run
+    over (B,) arrays instead: each failed test's mask joins ``masks[code]``."""
+
+    def check(tests, code):
+        if masks is None:
+            put(f"if not {tests}: return {code}")
+        else:
+            masks.setdefault(code, []).append(new(f"~({tests.replace(' and ', ') & (')})"))
+
+    def within(diag, ts, bound):
+        pairs = dict.fromkeys(f"{t if a == '1.0' else f'{a} * {t}'} <= {bound!r}" for t in ts for a in diag)
+        if pairs:  # a matrix of order 0 has none
+            check(f"({' and '.join(pairs)})", fails[1])
+
+    return SimpleNamespace(
+        minus=lambda head, pairs: sum_source(new, head, minus=pairs), plus=lambda pairs: sum_source(new, "0.0", pairs),
+        over=lambda a, d: "0.0" if a in ZEROS else a if d == "1.0" else new(f"{a} / {d}"),
+        const=lambda v: repr(float(v)), pivot=lambda d: check(f"{d} > 0.0", fails[0]), within=within,
+    )
 
 
 # --- pretty printer ----------------------------------------------------------

@@ -26,11 +26,10 @@ points.
 ``integrate`` runs the multiplier route through ``FieldEvaluator``: one
 straight-line function per system (the forward pass over the tables, then
 the assembly on plain floats) at every RK4 stage, and a second at each
-accepted state, which adds ``geometry.validated``'s checks (exact, or screens
-that pass only where it passes) and Eden's projection. A state they do not
-pass goes through ``geometry.validated``, whose error stops the run, as does
-a stage point whose metric or Gram matrix fails to factor, with the error
-``geometry`` raises there.
+accepted state, which adds ``geometry.validated``'s checks, emitted from
+its rule (``geometry.ldl``), and Eden's projection. Where a check fails, or a
+stage point's metric or Gram matrix has no factor, geometry's error there
+stops the run.
 
 The routes' dense solves go through ``_lapack``, numpy's LAPACK gufuncs
 without the public wrappers: the same bits and errors, at a lower cost.
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack, dsl, geometry, numdiff
-from .errors import NonholoError, NotSPDError, RankDeficientError, StepFailureError
+from .errors import InternalConsistencyError, NonholoError, StepFailureError
 from .system import PhasePoint, SystemDefinition, hamiltonian_scalar
 
 
@@ -139,66 +138,7 @@ def nonholonomic_field_projection(
     return PhaseVelocity(dq=v[..., :n], dp=v[..., n:])
 
 
-_ZERO = ("0.0", "-0.0")
-
-
-def _sum(new, head, plus=(), minus=()):
-    """The reference of head + the products of the pairs ``plus`` - those
-    of ``minus``, left to right; a product with a zero literal is left out
-    (0 * x is 0, or NaN for x inf) and a factor 1.0 elided."""
-    terms = [f" {sign} " + (b if a == "1.0" else a if b == "1.0" else f"{a} * {b}")
-             for sign, pairs in (("+", plus), ("-", minus)) for a, b in pairs
-             if a not in _ZERO and b not in _ZERO]
-    src = "".join(([] if head in _ZERO else [" + " + head]) + terms)
-    src = "0.0" if not src else src[3:] if src[1] == "+" else "-" + src[3:]
-    return new(src) if " " in src else src
-
-
-def _ldl(new, put, A, fail, bound=None):
-    """The solver b -> A^-1 b of the symmetric A (lower triangle read) by an
-    emitted L D L^T without pivoting: each pivot d passes ``not d > 0.0``
-    (NaN fails too) or returns ``fail`` before anything divides by it. A ``bound`` adds a
-    screen, failed unless s t <= bound for s = max A_ii = max |A|, t = max |A^-1|: kappa/k^2 <= s t <= kappa."""
-    N, e, l, d = range(len(A)), {}, {}, []
-
-    def over(a, j):
-        return "0.0" if a in _ZERO else a if d[j] == "1.0" else new(f"{a} / {d[j]}")
-
-    for j in N:
-        for i in N[j:]:
-            e[i, j] = _sum(new, A[i][j], minus=[(e[i, k], l[j, k]) for k in N[:j]])
-        d.append(e[j, j])
-        put(f"if not {d[j]} > 0.0: return {fail}")
-        l.update({(i, j): over(e[i, j], j) for i in N[j + 1 :]})
-
-    def lower(b):  # L^-1 b
-        y = []
-        for i in N:
-            y.append(_sum(new, b[i], minus=[(l[i, k], y[k]) for k in N[:i]]))
-        return y
-
-    if bound is not None:  # (A^-1)_ii = sum_k y_k^2 / d_k for y = L^-1 e_i
-        ys = (lower([str(float(i == k)) for k in N]) for i in N)
-        t = [_sum(new, "0.0", [(y, over(y, k)) for k, y in enumerate(yi)]) for yi in ys]
-        put(f"if not max(({', '.join(A[j][j] for j in N)},)) * max(({', '.join(t)},)) <= {bound!r}: return {fail}")
-
-    def solve(b):
-        y, x = lower(b), {}
-        for i in reversed(N):
-            x[i] = _sum(new, over(y[i], i), minus=[(l[k, i], x[k]) for k in N[i + 1 :]])
-        return [x[i] for i in N]
-
-    return solve
-
-
-ROWS_BOUND, GRAM_BOUND = 1e12, 1e6  # s t: kappa(mu mu^T) <= 1e12 m^2 (validated: 1e20), gram's <= 1e6 m^2
-
-
-def _metric_bound(n, u=2.0**-53):
-    """numpy's LU inverse X of G has |G X - I| <= (gamma_3n |L||U| + gamma_n |G|) |X|, |U| <= 2^(n-1) s
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 9.4): 0.5e-10 at s t of this
-    bound, which every G of kappa(G) <= 9.4e3, 1.8e3, 446, 122, 37, 12, 4.1, 1.4 meets at n = 2, ..., 9."""
-    return 0.5e-10 / (3 * n * u / (1.0 - 3 * n * u) * (n * (n + 1) / 2 * 2.0 ** (n - 1) + n))
+_ZERO, _sum = dsl.ZEROS, dsl.sum_source
 
 
 def _assembly(sys, Ginv, state=None):
@@ -206,9 +146,10 @@ def _assembly(sys, Ginv, state=None):
     ``then``) on floats: v = G^-1 p, dH/dq with the symmetrized dG, c, the
     rate of c along the free field, the Gram system, dp and H, returned as
     (v, dp, H, c, lam). ``Ginv`` is the validated constant G^-1, written as
-    literals, or None: then L D L^T solves G's symmetric part, and a failed
-    pivot returns 0.0 (1.0 for the Gram matrix). An accepted ``state``'s adds
-    checks and screens (failed: 0.0), with ``state`` True p := gamma(p), p last."""
+    literals, or None: then L D L^T solves G's symmetric part
+    (``geometry.emit_rule``, as the Gram matrix). A failed pivot returns 0.0.
+    An accepted ``state``'s adds ``geometry.validated``'s checks (failed:
+    0.0), with ``state`` True p := gamma(p), p last."""
     n, m = sys.n, sys.n_constraints
     R, M, k = range(n), range(m), 0 if Ginv is not None else n * n
 
@@ -220,9 +161,9 @@ def _assembly(sys, Ginv, state=None):
         def dot(x, y):
             return _sum(new, "0.0", list(zip(x, y)))
 
-        def half(table, i, j):  # the (i, j) entry of a flat n x n table's symmetric part
+        def half(table, i, j):  # a flat n x n table's symmetric part, an equal pair as it is, as geometry's
             a, b = table[min(i, j) * n + max(i, j)], table[max(i, j) * n + min(i, j)]
-            return a if a == b else new(f"0.5 * ({a} + {b})")
+            return a if a == b else new(f"{a} if {a} == {b} else 0.5 * ({a} + {b})")
 
         def quad(T):  # sum_ij T(i, j) v_i v_j as pairs on u = v_i v_j, i <= j
             pairs = []
@@ -232,26 +173,18 @@ def _assembly(sys, Ginv, state=None):
                 pairs += [(t, _sum(new, u, [(u, "1.0")]) if i < j and T(i, j) == T(j, i) else u) for t in ts]
             return pairs
 
-        if state is not None:  # validated's checks without a factor, exactly
-            total = _sum(new, "0.0", [(x, "1.0") for x in [*vals[:k], *(x for row in mu for x in row)]])
-            put(f"if not {total} - {total} == 0.0: return 0.0")  # a finite sum
+        if state is not None:  # geometry.validated's checks before its rule (geometry.emit_rule)
+            entries = dict.fromkeys(x for x in [*vals[:k], *(x for row in mu for x in row)] if x.isidentifier())
+            if entries:  # each finite (a literal is)
+                put(f"if not ({' and '.join(f'{x} - {x} == 0.0' for x in entries)}): return 0.0")
             pairs = dict.fromkeys((vals[i * n + j], vals[j * n + i]) for i in (R if k else ()) for j in R[:i])
             for a, b in ((a, b) for a, b in pairs if a != b):  # symmetric to 1e-9 max(1, max |G|)
                 tol = new(f"1e-9 * max(1.0, {', '.join(f'abs({x})' for x in vals[:k])})")
                 put(f"if not -{tol} <= {new(f'{a} - {b}')} <= {tol}: return 0.0")
-            _ldl(new, put, [[dot(mu[a], mu[b]) for b in range(a + 1)] for a in M], "0.0", ROWS_BOUND)
-        if Ginv is None:
-            solve = _ldl(new, put, [[half(vals, i, j) for j in R] for i in R], "0.0",
-                         None if state is None else _metric_bound(n))
-            w = [solve(row) for row in mu]  # w_a = G^-1 mu_a
-        else:
-            g = [[repr(float(x)) for x in row] for row in Ginv]
-            w = [[_sum(new, "0.0", [(row[j], g[j][i]) for j in R]) for i in R] for row in mu]
-
-            def solve(b):
-                return [_sum(new, "0.0", [(g[i][j], b[j]) for j in R]) for i in R]
-        gram = _ldl(new, put, [[dot(w[b], mu[a]) for b in range(a + 1)] for a in M],
-                    *(("1.0", None) if state is None else ("0.0", GRAM_BOUND)))
+        G = [[half(vals, i, j) for j in R] for i in R] if Ginv is None else None
+        g = None if Ginv is None else [[repr(float(x)) for x in row] for row in Ginv]
+        bounds = (None,) * 3 if state is None else (geometry.METRIC_BOUND, geometry.ROWS_BOUND, geometry.GRAM_BOUND)
+        solve, w, gram = geometry.emit_rule(new, put, mu, G, g, bounds)  # w_a = G^-1 mu_a
         if state:
             lam = gram([dot(row, solve(p)) for row in mu])
             p = [_sum(new, p[i], minus=[(mu[a][i], lam[a]) for a in M]) for i in R]
@@ -278,9 +211,9 @@ class FieldEvaluator:
     over q (``dsl.compile_forward``, bitwise a width-n lift of the tables),
     then ``_assembly`` on floats. A constant metric is validated once, by
     ``geometry.metric_at`` at the first point, and its G^-1 written in; any
-    other is factored at every call. ``state`` adds the accepted state's
-    checks and projection (``_assembly``); ``project`` validates and projects
-    from the forward pass's values, as ``geometry.eden_project`` does.
+    other is factored at every call. ``state`` adds ``geometry.validated``'s
+    checks, by its rule, and Eden's projection (``_assembly``). Where a
+    program's check fails, ``geometry`` raises its own error there.
     """
 
     def __init__(self, sys: SystemDefinition):
@@ -289,7 +222,6 @@ class FieldEvaluator:
         metric = () if sys.metric_is_constant else sys.metric_exprs
         tables = (*metric, (sys.potential_expr,), *sys.constraint_exprs)
         self._exprs = [e for row in tables for e in row]
-        self._forward = dsl.compile_forward(self._exprs, sys.coords, sys.params)
         self._field = self._first if sys.metric_is_constant else self._program(None)
         self._states = {}  # the accepted-state programs, by ``project``
 
@@ -308,43 +240,32 @@ class FieldEvaluator:
         self._constant(s[: self.n])
         return self._field(s)
 
-    def project(self, q, p):
-        """``geometry.eden_project(sys, q, p)``, bitwise, with its checks and
-        errors: ``geometry.validated`` on the forward pass's values."""
-        q, n = np.asarray(q, dtype=float), self.n
-        met = self._constant(q.tolist()) if self.sys.metric_is_constant else None
-        k = 0 if met else n * n  # the metric's entries
-        vals = np.array(self._forward(q.tolist())[: len(self._exprs)])
-        G, mu = None if met else vals[:k].reshape(1, n, n), vals[k + 1 :].reshape(1, -1, n)
-        return geometry.validated(self.sys, q[None], G, met, mu, np.asarray(p, dtype=float)[None])[4][0]
+    def _failed(self, q, what):
+        """Raise geometry's error at q, where the ``what`` program failed."""
+        geometry.validated(self.sys, q[None], met=self._met)
+        raise InternalConsistencyError(f"the {what} program failed where geometry passes, at q={q.tolist()}")
 
     def evaluate(self, q, p):
         """Return (xdot 2n-vector, lam, residual c, H) at (q, p)."""
         q = np.asarray(q, dtype=float)
         out = self._field(q.tolist() + np.asarray(p, dtype=float).tolist())
-        if type(out) is float:  # a failed pivot: geometry's error there, or a plain one
-            if out == 0.0:
-                geometry.metric_at(self.sys, q)
-                raise NotSPDError(f"metric is not positive definite at q={q.tolist()}")
-            geometry.constraints_at(self.sys, q, self._met)
-            raise RankDeficientError("constraint Gram matrix is singular")
+        if type(out) is float:
+            self._failed(q, "field")
         a, n2, m = np.array(out), 2 * self.n, self.sys.n_constraints
         return a[:n2], a[n2 + m + 1 :], a[n2 + 1 : n2 + m + 1], out[n2]
 
     def state(self, q, p, project=True):
         """The field at an accepted state as one flat tuple (xdot, H, c, lam,
         p), p projected onto M with ``project``: one run of the state
-        program, whose checks and screens pass only where ``validated`` does (a q-dependent metric
-        where kappa(G) <= ``_metric_bound(n)``): else ``project`` (its error, or gamma), ``evaluate``."""
+        program, whose checks fail exactly where ``geometry.validated``'s do;
+        there, validated raises its error."""
         q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         if project not in self._states:  # a constant metric's G^-1 written in
             Ginv = self._constant(q.tolist()).Ginv if self.sys.metric_is_constant else None
             self._states[project] = self._program(Ginv, project)
         out = self._states[project](q.tolist() + p.tolist())
         if type(out) is float:
-            p = np.where(project, self.project(q, p), p)  # geometry's error, or gamma(p)
-            xdot, lam, c, H = self.evaluate(q, p)
-            out = (*xdot.tolist(), H, *c.tolist(), *lam.tolist(), *p.tolist())
+            self._failed(q, "state")
         return out
 
 
@@ -365,8 +286,8 @@ def integrate(
     The start, validated on entry, is evaluated by ``FieldEvaluator.evaluate``;
     each later accepted state is validated, with the checks of
     ``geometry.eden_project``, projected and evaluated by one
-    ``FieldEvaluator.state`` call; where its forward pass or its fallback to
-    geometry raises, the run stops with that error. With
+    ``FieldEvaluator.state`` call; where its forward pass or geometry raises,
+    the run stops with that error. With
     ``project_each_step`` the projection replaces the momentum; without it
     the raw drift is observable and the on-manifold tolerance is enforced at
     step boundaries. The evaluation at an accepted state is both its recorded
@@ -379,8 +300,7 @@ def integrate(
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     tol = geometry.ON_M_TOL if on_m_tol is None else on_m_tol
-    x = geometry.require_on_m(sys, x0.q, x0.p, tol)  # then the Gram solve of each later state's checks
-    geometry.validated(sys, x.q[None], met=x.met, mu=x.cons.mu[None], p=x.p[None])
+    geometry.require_on_m(sys, x0.q, x0.p, tol)
     ev = FieldEvaluator(sys)
     n, m = sys.n, sys.n_constraints
     span = (t1 - t0) / dt

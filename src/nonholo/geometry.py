@@ -8,8 +8,10 @@ validation (symmetry and positive definiteness, rank, conditioning, frame
 membership) plus that formula on floats or one lift of it (C). The exception
 is the Eden projection, which keeps its own numpy arithmetic because sampling
 seeds every point through it; ``gamma_apply`` is its differentiable counterpart.
-The integrator's accepted states are projected in its compiled field's own
-algebra (``dynamics.FieldEvaluator.state``), and fall back on ``validated``.
+Validity is one rule, ``ldl``, written as source by ``emit_rule``:
+``validated`` runs it compiled (``_rule``) and returns LAPACK's arrays, and
+the integrator's programs (``dynamics.FieldEvaluator``) emit it inline, so
+the two decide alike.
 Two numpy maps have one body each: ``OnMPoint.pi``, the map M -> D*
 pi = E^T p, and ``hamiltonian_vectors``, X_F = -Omega^-1 dF, which the
 splitting and every numpy Hamiltonian field read.
@@ -27,11 +29,10 @@ through ``per_point``, which reruns a stack that raises one point at a time,
 in index order; it is the only code that finds the first failing point.
 Every array a stacked pass keeps is bitwise the per-point one.
 
-Every dense solve, inverse, Cholesky factor and set of singular values here
-(the metric's and the rows' checks, the Eden projection, frame checks and
-components, the splitting) goes through ``_lapack``: numpy's LAPACK gufuncs
-with the public wrappers' error state and without their cost, bitwise the
-``np.linalg`` calls.
+Every dense solve, inverse and set of singular values here (the metric's
+inverse, the Eden projection, frame checks and components, the splitting)
+goes through ``_lapack``: numpy's LAPACK gufuncs with the public wrappers'
+error state and without their cost, bitwise the ``np.linalg`` calls.
 
 The on-manifold tolerance ON_M_TOL is the default of every operation that
 requires its phase point on M; callers may override it per call.
@@ -52,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _lapack, numdiff
+from . import _lapack, dsl, numdiff
 from .errors import (
     DomainError,
     FrameDegenerateError,
@@ -90,9 +91,6 @@ class FrameAtPoint:
     pivot_tie: bool  # a pivot tie was broken deterministically here
 
 
-_eye = functools.cache(np.eye)  # shared, never written
-
-
 def per_point(body, *stacks):
     """``body(*stacks)``: the results of one stacked pass over the leading
     axis of the stacks. An error raised over a stack may name any of its
@@ -128,78 +126,169 @@ def _check(fails, error):
         raise error(fails.index(True))
 
 
-def _not_factored(A):
-    """The mask of the matrices of A (B, n, n) without a Cholesky factor: a
-    stack is rejected as a whole, so its mask holds everywhere."""
-    try:
-        _lapack.cholesky(A)
-    except np.linalg.LinAlgError:
-        return np.ones(len(A), bool)
-    return np.zeros(len(A), bool)
+# bounds on s t (``ldl``) at every order k: kappa <= 1e8 k^2 leaves a solve the
+# 8 - 2 log10(k) digits or so that ON_M_TOL asks of a residual; the metric's part
+METRIC_BOUND = 1e8
+ROWS_BOUND = 1e8  # mu mu^T, so kappa(mu) <= 1e4 m
+GRAM_BOUND = 1e8  # mu w, w_a = G^-1 mu_a as ``_rule`` forms it
+
+
+def ldl(A, bound, ops):
+    """The validity rule of the symmetric A (k x k, lower triangle read) as
+    source (``dsl.rule_ops``), returning its solver b -> A^-1 b. Its L D L^T
+    without pivoting (no growth on SPD A: Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 10) fails where a pivot d is not > 0
+    or, with a ``bound``, where s t > bound: s = max A_ii, t = max (A^-1)_jj
+    = max sum_k y_k^2 / d_k, y = L^-1 e_j (kappa/k^2 <= s t <= kappa). Every
+    sum runs left to right."""
+    N, e, l, d = range(len(A)), {}, {}, []
+    for j in N:
+        for i in N[j:]:
+            e[i, j] = ops.minus(A[i][j], [(e[i, k], l[j, k]) for k in N[:j]])
+        d.append(e[j, j])
+        ops.pivot(d[j])
+        l.update({(i, j): ops.over(e[i, j], d[j]) for i in N[j + 1 :]})
+
+    def lower(b, j=0):  # L^-1 b for b zero above j, from j on
+        y = {}
+        for i in N[j:]:
+            y[i] = ops.minus(b[i], [(l[i, k], y[k]) for k in N[j:i]])
+        return y
+
+    if bound is not None:
+        ys = (lower([ops.const(i == j) for i in N], j) for j in N)
+        ts = [ops.plus([(y, ops.over(y, d[k])) for k, y in yj.items()]) for yj in ys]
+        ops.within([A[i][i] for i in N], ts, bound)
+
+    def solve(b):
+        y, x = lower(b), {}
+        for i in reversed(N):
+            x[i] = ops.minus(ops.over(y[i], d[i]), [(l[k, i], x[k]) for k in N[i + 1 :]])
+        return [x[i] for i in N]
+
+    return solve
+
+
+def emit_rule(new, put, mu, G=None, g=None, bounds=(METRIC_BOUND, ROWS_BOUND, GRAM_BOUND), codes=("0.0",) * 4,
+              masks=None):
+    """Emit ``ldl``'s rule on references (``dsl.rule_ops``, failing with
+    ``codes`` or into ``masks``): on the metric's symmetric part G (lower
+    triangle read), unless g holds a constant metric's G^-1; on mu mu^T
+    unless its bound is None; on the Gram matrix mu w, w_a = G^-1 mu_a.
+    Returns the metric's solver, w and the Gram matrix's solver."""
+
+    def lower(x, y):  # x_a . y_b, b <= a
+        return [[dsl.sum_source(new, "0.0", list(zip(y[b], x[a]))) for b in range(a + 1)] for a in range(len(mu))]
+
+    if g is None:
+        solve = ldl(G, bounds[0], dsl.rule_ops(new, put, codes[:2], masks))
+        w = [solve(row) for row in mu]
+    else:
+        N = range(len(g))
+        w = [[dsl.sum_source(new, "0.0", [(row[j], g[j][i]) for j in N]) for i in N] for row in mu]
+
+        def solve(b):
+            return [dsl.sum_source(new, "0.0", [(g[i][j], b[j]) for j in N]) for i in N]
+    if bounds[1] is not None:
+        ldl(lower(mu, mu), bounds[1], dsl.rule_ops(new, put, codes[2:3] * 2, masks))
+    return solve, w, ldl(lower(mu, w), bounds[2], dsl.rule_ops(new, put, codes[3:] * 2, masks))
+
+
+@functools.cache
+def _rule(n, m, constant, stack=False):
+    """``emit_rule`` compiled for one shape, a function of s: mu (m x n), then
+    the metric's lower triangle (or with ``constant`` its G^-1). It returns
+    one point's first failed check, or 0 (with ``stack``, the masks over (B,)
+    arrays): 1 the metric is not positive definite, 2 ill-conditioned, 3 mu mu^T
+    fails, 4 the Gram matrix does."""
+    em, at, masks = dsl._Emitter((), None, 1), iter(range(n * n + m * n)), {} if stack else None
+    new = em.new
+
+    def inputs(rows, cols=None):  # a lower triangle without cols
+        return [[new(f"s[{next(at)}]") for _ in range(i + 1 if cols is None else cols)] for i in range(rows)]
+
+    mu = inputs(m, n)
+    G, g = (None, inputs(n, n)) if constant else (inputs(n), None)
+    emit_rule(new, em.lines.append, mu, G, g, codes=(1, 2, 3, 4), masks=masks)
+    out = ", ".join(" | ".join(masks.get(c, ["False"])) for c in range(1, 5)) if stack else "0"
+    body = "".join(f"    {line}\n" for line in em.lines)
+    exec(compile(f"def rule(s):\n{body}    return {out}\n", "<rule>", "exec"), em.env)
+    return em.env["rule"]
+
+
+_TRIL = functools.cache(np.tril_indices)
+
+
+def _codes(n, m, constant, *parts):  # _rule's at each point of the parts (B, k), joined
+    X = np.concatenate(parts, 1)
+    if len(X) == 1:
+        return np.array([_rule(n, m, constant)(X[0].tolist())])
+    with np.errstate(all="ignore"):  # a failed pivot divides by 0
+        masks = _rule(n, m, constant, True)(list(X.T))
+    code = np.zeros(len(X), int)
+    for c in (4, 3, 2, 1):  # later checks first, so that a point's first failure stays
+        code[masks[c - 1]] = c
+    return code
+
+
+def _tril(A):  # the lower triangle of each matrix of A (B, n, n), row by row
+    return A[(slice(None), *_TRIL(A.shape[1]))]
 
 
 def _metric_checks(q, G):
     """The checks of the metric G (B, n, n) at q (B, n), in order: finite,
-    symmetric, positive definite, well conditioned. Returns the symmetrized
-    G and its inverse."""
+    symmetric, then ``_rule``'s. Returns its symmetric part and its inverse."""
 
     def failed(what):
         return lambda b: NotSPDError(f"metric {what} at q={q[b].tolist()}")
 
     largest = np.abs(G).max((1, 2))  # inf or NaN where an entry is
     _check(~np.isfinite(largest), failed("has non-finite entries"))
-    Gt, scale = G.swapaxes(1, 2), np.fmax(1.0, largest)
-    _check(np.abs(G - Gt).max((1, 2)) > 1e-9 * scale, failed("is not symmetric"))
-    Gs = 0.5 * (G + Gt)
-    _check(_not_factored(Gs), failed("is not positive definite"))
-    Ginv = _lapack.inv(Gs)
-    _check(np.abs(Gs @ Ginv - _eye(G.shape[-1])).max((1, 2)) > 1e-10 * scale,
-           failed("is too ill-conditioned"))
-    return Gs, Ginv
+    Gt = G.swapaxes(1, 2)
+    _check(np.abs(G - Gt).max((1, 2)) > 1e-9 * np.fmax(1.0, largest), failed("is not symmetric"))
+    Gs = np.where(G == Gt, G, 0.5 * (G + Gt))  # an equal pair as it is, even past DBL_MAX/2
+    code = _codes(G.shape[1], 0, False, _tril(Gs))
+    _check(code == 1, failed("is not positive definite"))
+    _check(code == 2, failed("is too ill-conditioned"))
+    return Gs, _lapack.inv(Gs)
 
 
-def _row_checks(q, mu):
-    """The checks of the constraint rows mu (B, m, n) at q (B, n): finite,
-    then independent (s is sorted and nonnegative, so vanishing rows are
-    dependent too)."""
+def _row_checks(sys, q, mu, G, Ginv):
+    """The checks of the constraint rows mu (B, m, n) at q (B, n), in order:
+    finite, then ``_rule``'s of mu mu^T and of the Gram matrix."""
     _check(~np.isfinite(mu).all((1, 2)), lambda b: RankDeficientError(
         f"constraint rows non-finite at q={q[b].tolist()}"))
-    s = _lapack.singular_values(mu)
-    _check(s[:, -1] <= 1e-10 * s[:, 0], lambda b: RankDeficientError(
-        f"constraint rows are dependent at q={q[b].tolist()} (singular values {s[b]})"))
+    (B, m, n), constant = mu.shape, sys.metric_is_constant
+    code = _codes(n, m, constant, mu.reshape(B, -1), Ginv.reshape(B, -1) if constant else _tril(G))
+    for c, what in ((3, "rows are dependent"), (4, "Gram matrix is not positive definite")):
+        _check(code == c, lambda b: RankDeficientError(f"constraint {what} at q={q[b].tolist()}"))
 
 
-def validated(sys, q, G=None, met=None, mu=None, p=None, tol=None, rows=True):
+def validated(sys, q, met=None, p=None, tol=None, rows=True):
     """The one check body, over the configurations q (B, n): the metric's
-    checks on G (B, n, n), unless ``met`` is a metric validated already;
-    with ``rows``, those of the constraint rows mu (B, m, n) and their Gram
-    matrix; then, with momenta p (B, n), the residual bound ``tol``, or the
-    Eden projection p - mu^T gram^-1 mu G^-1 p. G and mu are the tables'
-    values at q unless given (a forward pass's). Returns G, Ginv, mu, gram and
-    the residual norms or the projections, stacked. A failed check raises:
-    a lone point its first failed check's error (so a lone point whose
-    metric fails evaluates no rows), a stack one of its points' errors.
+    checks, unless ``met`` is a metric validated already; with ``rows``,
+    those of the constraint rows and their Gram matrix; then, with momenta p
+    (B, n), the residual bound ``tol``, or the Eden projection
+    p - mu^T gram^-1 mu G^-1 p. Returns LAPACK's G, Ginv, mu, gram and the
+    residual norms or the projections, stacked. A failed check raises: a
+    lone point its first failed check's error (so a lone point whose metric
+    fails evaluates no rows), a stack one of its points' errors.
     """
-    if met is None:
-        G, Ginv = _metric_checks(q, _at(sys.metric_values, q) if G is None else G)
-    else:
-        G, Ginv = met.G[None], met.Ginv[None]
-    gram = value = None
-    if rows:
-        mu = _at(sys.mu_values, q) if mu is None else mu
-        _row_checks(q, mu)
-        gram = mu @ Ginv @ mu.swapaxes(1, 2)
-        _check(_not_factored(0.5 * (gram + gram.swapaxes(1, 2))), lambda b: RankDeficientError(
-            f"constraint Gram matrix is not positive definite at q={q[b].tolist()}"))
-        if p is not None and tol is not None:
-            value = np.abs(residual_values(mu, Ginv, p)).max(-1)
-            _check(~(value <= tol), lambda b: NotOnMError(float(value[b]), tol))
-        elif p is not None:
-            try:
-                lam = _lapack.solve(gram, mu @ (Ginv @ p[..., None]))
-            except np.linalg.LinAlgError:
-                raise RankDeficientError("constraint Gram matrix is singular") from None
-            value = p - (mu.swapaxes(1, 2) @ lam)[..., 0]
+    G, Ginv = _metric_checks(q, _at(sys.metric_values, q)) if met is None else (met.G[None], met.Ginv[None])
+    if not rows:
+        return G, Ginv, None, None, None
+    mu = _at(sys.mu_values, q)
+    _row_checks(sys, q, mu, G, Ginv)
+    gram, value = mu @ Ginv @ mu.swapaxes(1, 2), None
+    if p is not None and tol is not None:
+        value = np.abs(residual_values(mu, Ginv, p)).max(-1)
+        _check(~(value <= tol), lambda b: NotOnMError(float(value[b]), tol))
+    elif p is not None:
+        try:
+            lam = _lapack.solve(gram, mu @ (Ginv @ p[..., None]))
+        except np.linalg.LinAlgError:
+            raise RankDeficientError("constraint Gram matrix is singular") from None
+        value = p - (mu.swapaxes(1, 2) @ lam)[..., 0]
     return G, Ginv, mu, gram, value
 
 

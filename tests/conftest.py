@@ -40,6 +40,17 @@ def fading_rows():
 
 
 @pytest.fixture
+def ill_conditioned_gram():
+    """The particle with G_11 = f = (x - 0.5)^2 + 1e-5 and the constraint rows
+    (1, 0, 0) and (0, sqrt f, 0): at x = 0.5 the metric's and the rows' s t
+    are 1e5 and the Gram matrix diag(1/f, f) has s t 1e10."""
+    f = "((x - 0.5)^2 + 1e-5)"
+    rows = f"form = 1, 0, 0\n\n[constraint]\nform = 0, sqrt({f}), 0"
+    source = catalog.NONHOLONOMIC_PARTICLE.replace("row1 = 1, 0, 0", f"row1 = {f}, 0, 0")
+    return dsl.parse_system(source.replace("form = y, 0, -1", rows))
+
+
+@pytest.fixture
 def sign_changing_metric():
     """The holonomic control case with G_11 = x: not positive definite for x <= 0."""
     return dsl.parse_system(catalog.HOLONOMIC_CONTROL.replace("row1 = 1, 0", "row1 = x, 0"))

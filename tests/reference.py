@@ -203,8 +203,8 @@ def closure_expression(expr, names, constants=None):
 
 
 def forward_entries(sys: SystemDefinition, flat):
-    """(G, dG, V, dV, mu, dmu) from the flat tuple of
-    ``dynamics.FieldEvaluator._forward``: dG[i] = dG/dq_i, symmetrized, and
+    """(G, dG, V, dV, mu, dmu) from the flat tuple of the forward pass over
+    ``dynamics.FieldEvaluator._exprs``: dG[i] = dG/dq_i, symmetrized, and
     dmu[a, j, i] = d mu_aj / d q_i; G and dG None for a constant metric."""
     n = sys.n
     k = 0 if sys.metric_is_constant else n * n  # the metric's entries

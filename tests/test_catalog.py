@@ -197,7 +197,8 @@ def test_stacked_sampler_is_bitwise_the_per_candidate_loop(draws, ent):
 
 
 def test_stacked_sampler_skips_the_rank_deficient_candidates(draws, fading_rows):
-    for lo, seed, count in ((0.0, 3, 100), (0.0, 4, 101), (0.6, 3, 7), (0.6, 5, 1)):
+    # the rows pass the rule for x below about 0.31
+    for lo, seed, count in ((0.0, 3, 100), (0.0, 4, 101), (0.2, 3, 7), (0.2, 5, 1)):
         region = ((lo, 1.0), (-1.0, 1.0), (-1.0, 1.0))
         (got, used), (want, _) = _both_samplers(draws, fading_rows, count, seed, region)
         assert len(got) == count and got == want

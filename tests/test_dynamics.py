@@ -10,6 +10,7 @@ from nonholo.errors import (
     InternalConsistencyError,
     NonholoError,
     NotOnMError,
+    NotSPDError,
     RankDeficientError,
     StepFailureError,
 )
@@ -165,12 +166,17 @@ def test_a_stage_without_a_factor_raises_a_package_error(system, q):
         dynamics.FieldEvaluator(sysd).evaluate(np.array(q), np.ones(sysd.n))
 
 
-def test_a_gram_pivot_the_rows_checks_pass_is_a_singular_gram_error(monkeypatch):
-    # where geometry.constraints_at passes at the point, the error is the
-    # Gram solve's own
-    monkeypatch.setattr(geometry, "constraints_at", lambda *args: None)
-    with pytest.raises(RankDeficientError, match="^constraint Gram matrix is singular$"):
-        dynamics.FieldEvaluator(_system(*TWO_ROWS)).evaluate(np.array([0.0, 1.0, 0.0]), np.ones(3))
+@pytest.mark.parametrize("system, q", [
+    ((("1 + x*x, 0, 0", "0, 1, 0", "0, 0, 1"), TWO_ROWS[1]), [0.0, 1.0, 0.0]),  # the Gram matrix's pivot
+    ((("1 - x, 0", "0, 1"), "0, 1"), [1.5, 0.0]),  # the metric's
+], ids=["gram", "metric"])
+def test_a_failed_pivot_where_geometry_passes_is_an_internal_error(monkeypatch, system, q):
+    # the field program and geometry factor alike, so a pivot that fails in
+    # the program where geometry's checks pass is the package's own fault
+    monkeypatch.setattr(geometry, "validated", lambda *args, **kwargs: None)
+    sysd = _system(*system)
+    with pytest.raises(InternalConsistencyError, match="^the field program failed where geometry passes"):
+        dynamics.FieldEvaluator(sysd).evaluate(np.array(q), np.ones(sysd.n))
 
 
 def test_integrate_straight_line():
@@ -325,22 +331,18 @@ def _bits(*arrays):
 
 
 @pytest.mark.parametrize("ent", catalog.catalog_systems(), ids=lambda e: e.id)
-def test_field_evaluator_project_is_bitwise_eden_project(ent):
-    """``project`` is ``eden_project`` bit for bit at 50 sampled points, off
-    M by a seeded kick, and the evaluation that reuses its entries is bitwise
-    a fresh evaluator's. The state program's projection is within
-    1e-14 max(1, max |p|) of it, and its field is bitwise ``evaluate`` at
-    its p; without projection, p is kept and the field is bitwise too."""
+def test_the_state_program_projects_as_eden_project(ent):
+    """At 50 sampled points, off M by a seeded kick, the state program's
+    projection is within 1e-14 max(1, max |p|) of ``eden_project``'s, and its
+    field is bitwise ``evaluate`` at its p; without projection, p is kept and
+    the field is bitwise too."""
     sysd = ent.system()
     ev, n = dynamics.FieldEvaluator(sysd), sysd.n
     rng = np.random.default_rng(15)
     for x in catalog.sample_entry_points(ent, 50, 15):
         p = x.p + rng.normal(scale=0.5, size=sysd.n)
-        projected = ev.project(x.q, p)
-        assert _bits(projected) == _bits(geometry.eden_project(sysd, x.q, p))
-        got = ev.evaluate(x.q, projected)
-        assert _bits(*got) == _bits(*dynamics.FieldEvaluator(sysd).evaluate(x.q, projected))
         out = ev.state(x.q, p)
+        projected = geometry.eden_project(sysd, x.q, p)
         assert np.max(np.abs(np.array(out[-n:]) - projected)) <= 1e-14 * max(1.0, np.max(np.abs(p)))
         assert _bits(*_flat(ev.evaluate(x.q, out[-n:]))) == _bits(*out[:-n])
         out = ev.state(x.q, p, project=False)
@@ -367,22 +369,23 @@ SINGULAR_GRAM_Q = [0.5785034702341596, 0.21720312487545024, -0.8406728309160272]
     ids=["singular-metric", "constant-not-spd", "non-finite-rows", "dependent-rows"],
 )
 def test_field_evaluator_project_raises_as_eden_project(metric, constraint, q):
+    # the state program's projection fails there, and geometry raises its error
     sysd = _system(metric, constraint)
     with pytest.raises(NonholoError) as want, np.errstate(all="ignore"):
         geometry.eden_project(sysd, q, [1.0, 1.0])
     with pytest.raises(type(want.value)) as got, np.errstate(all="ignore"):
-        dynamics.FieldEvaluator(sysd).project(q, [1.0, 1.0])
+        dynamics.FieldEvaluator(sysd).state(q, [1.0, 1.0])
     assert str(got.value) == str(want.value)
 
 
 def test_a_singular_gram_solve_is_a_rank_error():
-    # passes the Gram matrix's Cholesky check, then meets a zero pivot
+    # mu mu^T is singular here, and LAPACK's Gram solve meets a zero pivot:
+    # the rows' check refuses the point first, on both paths
     source = catalog.get_entry("nonholonomic_particle").definition
     sysd = dsl.parse_system(source + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n")
     p = [-0.3818144525703697, 0.3337808175111099, -0.3091458786446881]
-    for project in (functools.partial(geometry.eden_project, sysd),
-                    dynamics.FieldEvaluator(sysd).project):
-        with pytest.raises(RankDeficientError, match="Gram matrix is singular"):
+    for project in (functools.partial(geometry.eden_project, sysd), dynamics.FieldEvaluator(sysd).state):
+        with pytest.raises(RankDeficientError, match=r"^constraint rows are dependent at q=\[0\.578"):
             project(SINGULAR_GRAM_Q, p)
 
 
@@ -423,23 +426,59 @@ def test_a_failed_shared_projection_stops_the_run_with_its_error(monkeypatch, ca
 
 
 PARTICLE = catalog.get_entry("nonholonomic_particle").definition
-# (system, q, whether the state program's own verdict is exact): each pair
-# straddles one check of geometry.validated or one screen of the program
+BOUNDS = {"metric": geometry.METRIC_BOUND, "rows": geometry.ROWS_BOUND, "gram": geometry.GRAM_BOUND}
+
+
+def _rotated(kappa, angle=0.3):
+    """The metric rows of R diag(1, 1/kappa) R^T, R the rotation by angle,
+    q-dependent (x*x on the diagonal, 0 at q = 0)."""
+    c, s = np.cos(angle), np.sin(angle)
+    G = np.array([[c, -s], [s, c]]) @ np.diag([1.0, 1.0 / kappa]) @ np.array([[c, s], [-s, c]])
+    a, b, d = (float(v) for v in (G[0, 0], G[0, 1], G[1, 1]))
+    return (f"{a!r} + x*x, {b!r}", f"{b!r}, {d!r} + x*x")
+
+
+def _straddle(factor, st):
+    """A system whose ``factor`` has s t = st at q = 0 and whose other two
+    factors pass with room: diagonal metric and rows, as (metric, rows)."""
+    if factor == "metric":  # diag(1, 1/st)
+        return ("1 + x*x, 0", f"0, {1.0 / st!r} + x*x"), "1, 1"
+    d = float(np.sqrt(1.0 / st))  # rows diag(1, d): mu mu^T has s t 1/d^2 = st
+    if factor == "rows":  # G^-1 = diag(1, 100, 1): the Gram matrix's s t is st/100
+        return ("1 + x*x, 0, 0", "0, 0.01, 0", "0, 0, 1"), ("1, 0, 0", f"0, {d!r}, 0")
+    d = float(np.sqrt(1.0 / np.sqrt(st)))  # metric and rows at sqrt(st), the Gram matrix at st
+    return (f"{d * d!r} + x*x, 0, 0", "0, 1, 0", "0, 0, 1"), ("1, 0, 0", f"0, {d!r}, 0")
+
+
+# name: (system, q, the first words of validated's error there, or None)
 STATE_CASES = {
     # symmetric to 1e-17 where the parser probes, |q| <= 1
-    "asymmetric-0.5e-9": ((("2, 1e-9*exp(20*(x - 3))", "0, 2"), "0, 1"), [3.0, 0.0], True),
-    "asymmetric-2e-9": ((("2, 4e-9*exp(20*(x - 3))", "0, 2"), "0, 1"), [3.0, 0.0], True),
-    "inverse-residual-4.7e-11": ((("1 + x, 1 - 7e-7", "1 - 7e-7, 1"), "1, 1"), [0.0, 0.0], False),
-    "inverse-residual-1.2e-10": ((("1 + x, 1 - 6e-7", "1 - 6e-7, 1"), "1, 1"), [0.0, 0.0], False),
-    "rows-1e-9": (((*TWO_ROWS[0],), ("1 + x, 0, 0", "1, 2e-9, 0")), [0.0, 0.0, 0.0], False),
-    "rows-1e-11": (((*TWO_ROWS[0],), ("1 + x, 0, 0", "1, 2e-11, 0")), [0.0, 0.0, 0.0], False),
-    "nan-metric": ((("1 + 1e308*10*x, 0", "0, 1 + x"), "0, 1"), [0.0, 0.0], True),
-    "inf-metric": ((("1 + 1e308*10*x, 0", "0, 1 + x"), "0, 1"), [0.5, 0.0], True),
-    "nan-rows": ((("1, 0", "0, 1"), "0, 1e308*10*x"), [0.0, 0.0], True),
-    "inf-rows": ((("1, 0", "0, 1"), "0, 1e308*10*x"), [0.5, 0.0], True),
-    "singular-gram": (PARTICLE + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n", SINGULAR_GRAM_Q, False),
-    "well-posed": ((("2 + x*x, 1e-9", "1e-9, 2 + x*x"), "1 + x, 1"), [0.5, 0.0], True),
+    "asymmetric-0.5e-9": ((("2, 1e-9*exp(20*(x - 3))", "0, 2"), "0, 1"), [3.0, 0.0], None),
+    "asymmetric-2e-9": ((("2, 4e-9*exp(20*(x - 3))", "0, 2"), "0, 1"), [3.0, 0.0], "metric is not symmetric"),
+    # LAPACK's inverse has |G X - I| 4.7e-11 and 1.2e-10 here; s t is 7e5 and 8e5
+    "inverse-residual-4.7e-11": ((("1 + x, 1 - 7e-7", "1 - 7e-7, 1"), "1, 1"), [0.0, 0.0], None),
+    "inverse-residual-1.2e-10": ((("1 + x, 1 - 6e-7", "1 - 6e-7, 1"), "1, 1"), [0.0, 0.0], None),
+    # the rows' singular values differ by about 1e-9 and 1e-11
+    "rows-1e-9": (((*TWO_ROWS[0],), ("1 + x, 0, 0", "1, 2e-9, 0")), [0.0, 0.0, 0.0], "constraint rows are dependent"),
+    "rows-1e-11": (((*TWO_ROWS[0],), ("1 + x, 0, 0", "1, 2e-11, 0")), [0.0, 0.0, 0.0], "constraint rows are dependent"),
+    "nan-metric": ((("1 + 1e308*10*x, 0", "0, 1 + x"), "0, 1"), [0.0, 0.0], "metric has non-finite"),
+    "inf-metric": ((("1 + 1e308*10*x, 0", "0, 1 + x"), "0, 1"), [0.5, 0.0], "metric has non-finite"),
+    "nan-rows": ((("1, 0", "0, 1"), "0, 1e308*10*x"), [0.0, 0.0], "constraint rows non-finite"),
+    "inf-rows": ((("1, 0", "0, 1"), "0, 1e308*10*x"), [0.5, 0.0], "constraint rows non-finite"),
+    # finite entries whose sum overflows
+    "overflowing-sum": ((("1.5e308 + x, 0", "0, 1.5e308 + x"), "1, 1"), [0.0, 0.0], None),
+    "singular-gram": (PARTICLE + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n", SINGULAR_GRAM_Q,
+                      "constraint rows are dependent"),
+    "well-posed": ((("2 + x*x, 1e-9", "1e-9, 2 + x*x"), "1 + x, 1"), [0.5, 0.0], None),
+    "diagonal-1e15": ((("1 + x*x, 0", "0, 1e-15 + x*x"), "1, 1"), [0.0, 0.0], "metric is too ill-conditioned"),
+    "rotated-1e15": ((_rotated(1e15), "1, 1"), [0.0, 0.0], "metric is too ill-conditioned"),
 }
+for factor, bound in BOUNDS.items():
+    q0 = [0.0] * (2 if factor == "metric" else 3)
+    words = {"metric": "metric is too ill-conditioned", "rows": "constraint rows are dependent",
+             "gram": "constraint Gram matrix is not positive definite"}[factor]
+    STATE_CASES[f"{factor}-0.98"] = (_straddle(factor, 0.98 * bound), q0, None)
+    STATE_CASES[f"{factor}-1.02"] = (_straddle(factor, 1.02 * bound), q0, words)
 
 
 def _outcome(f, *args):
@@ -452,22 +491,23 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("project", (True, False))
 @pytest.mark.parametrize("case", STATE_CASES)
 def test_the_state_program_passes_only_where_validated_passes(case, project):
-    """At each case the state path passes exactly where ``geometry.validated``
-    passes (``eden_project``), and otherwise raises its type and message. The
-    program's own checks pass only where validated passes, and its exact
-    ones fail exactly where validated fails."""
-    system, q, exact = STATE_CASES[case]
+    """At each case the state program passes exactly where
+    ``geometry.validated`` passes (``eden_project``), and there its p is
+    within 1e-14 of eden_project's; elsewhere the state path raises
+    validated's type and message."""
+    system, q, words = STATE_CASES[case]
     sysd = dsl.parse_system(system) if type(system) is str else _system(*system)
     ev, q, p = dynamics.FieldEvaluator(sysd), np.array(q), np.ones(sysd.n) / sysd.n
     with np.errstate(all="ignore"):
         want = _outcome(geometry.eden_project, sysd, q, p)
         got = _outcome(ev.state, q, p, project)
         compiled = ev._states[project]([*q, *p]) if project in ev._states else 0.0
-    if type(want) is tuple:  # validated raises: so does the state path, and the program fails
+    if words is not None:
+        assert type(want) is tuple and want[1].startswith(words), want
         assert got == want and type(compiled) is float
-    else:  # the state's p, and an exact check passes where validated does
+    else:
+        assert type(want) is not tuple and type(compiled) is tuple
         assert np.max(np.abs(np.array(got[-sysd.n :]) - (want if project else p))) <= 1e-14
-        assert type(compiled) is not float or not exact
 
 
 def _diagonal_system(n, last):
@@ -483,25 +523,99 @@ def _diagonal_system(n, last):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_the_metric_screen_passes_up_to_its_condition_bound(n):
-    """diag(1, ..., 1, 1/kappa) passes the state program's metric screen at
-    kappa 0.98 of ``_metric_bound(n)`` and fails it at 1.02 of it (at n = 10,
-    where the bound is below 1, the identity fails); ``geometry.validated``
-    passes at both, and the state path's projection is ``eden_project``'s."""
-    bound = dynamics._metric_bound(n)
-    for kappa in (max(1.0, 0.98 * bound), 1.02 * bound):
+    """diag(1, ..., 1, 1/kappa) passes the state program and
+    ``geometry.validated`` at kappa 1 and 0.98 of ``METRIC_BOUND``, where the
+    state path's projection is ``eden_project``'s, and fails both at 1.02 of
+    it, with validated's error: the same bound at every n."""
+    bound = geometry.METRIC_BOUND
+    for kappa in (1.0, 0.98 * bound, 1.02 * bound):
         sysd, q, p = _diagonal_system(n, 1.0 / kappa), np.zeros(n), np.ones(n) / n
         ev = dynamics.FieldEvaluator(sysd)
-        out = ev.state(q, p)
+        if kappa <= bound:
+            out = ev.state(q, p)
+            assert np.max(np.abs(np.array(out[-n:]) - geometry.eden_project(sysd, q, p))) <= 1e-14
+        else:
+            for path in (ev.state, functools.partial(geometry.eden_project, sysd)):
+                with pytest.raises(NotSPDError, match=r"^metric is too ill-conditioned at q=\[0\.0"):
+                    path(q, p)
         assert (type(ev._states[True]([*q, *p])) is tuple) == (kappa <= bound)
-        assert np.max(np.abs(np.array(out[-n:]) - geometry.eden_project(sysd, q, p))) <= 1e-14
 
 
 def test_a_dual_domain_error_in_the_shared_pass_is_left_to_eden_project():
-    # sqrt(x*x) is 0 at x = 0 as a float, but its dual derivative is unbounded
+    # sqrt(x*x) is 0 at x = 0 as a float, but its dual derivative is
+    # unbounded: the state program's forward pass raises, eden_project passes
     sysd = _system(("1 + sqrt(x*x), 0", "0, 1"), "0, 1")
     with pytest.raises(DomainError):
-        dynamics.FieldEvaluator(sysd).project([0.0, 0.0], [0.0, 1.0])
+        dynamics.FieldEvaluator(sysd).state([0.0, 0.0], [0.0, 1.0])
     assert geometry.eden_project(sysd, [0.0, 0.0], [0.0, 1.0]).tolist() == [0.0, 0.0]
+
+
+class _Fixed:
+    """A system whose metric and rows are the same floats at every q."""
+
+    metric_is_constant = False
+
+    def __init__(self, G, mu):
+        self.G, self.mu = G.tolist(), mu.tolist()
+
+    def metric_values(self, q_s):
+        return self.G
+
+    def mu_values(self, q_s):
+        return self.mu
+
+
+def _state_program(n, m):
+    """The emitted accepted-state program of a system with a q-dependent n x
+    n metric and m rows, each entry an input after (q, p): s = (q, p, G, mu)."""
+    shape = type("Shape", (), {"n": n, "n_constraints": m})
+    entries = [f"g{i}" for i in range(n * n)] + [f"m{i}" for i in range(m * n)]
+    exprs = [dsl.Var(e) for e in entries[: n * n]] + [dsl.Num(0.0)] + [dsl.Var(e) for e in entries[n * n :]]
+    names = [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)] + entries
+    return dsl.compile_forward(exprs, names, None, dynamics._assembly(shape, None, True))
+
+
+def _random_case(rng, n, m):
+    """(G, mu) with random rotations and scales 1e-3 to 1e3, where one
+    factor's kappa is log-uniform from 0.1 to 1000 times its bound, so that
+    its s t (kappa/k^2 to kappa) straddles it: the metric's, the rows', or
+    the Gram matrix's, with the metric's and the rows' kappa its square root
+    each and G's small eigenvalues under the rows' large singular values."""
+    factor = rng.choice(list(BOUNDS))
+    kappa = BOUNDS[factor] * 10.0 ** rng.uniform(-1.0, 3.0)
+    low = rng.uniform(1.0, 10.0, 2)
+    k_g, k_r = {"metric": (kappa, low[0]), "rows": (low[1], kappa)}.get(factor, (kappa**0.5,) * 2)
+    U, V, W = (np.linalg.qr(rng.normal(size=(k, k)))[0] for k in (m, n, n))
+    mu = U @ np.diag(np.geomspace(1.0, k_r**-0.5, m)) @ V[:m]
+    if factor == "gram":
+        W, lam = V, np.concatenate([np.geomspace(1.0 / k_g, 1.0, m), np.ones(n - m)])
+    else:
+        lam = np.geomspace(1.0, 1.0 / k_g, n)
+    G = W.T @ np.diag(lam) @ W * 10.0 ** rng.uniform(-3, 3)
+    return 0.5 * (G + G.T), mu * 10.0 ** rng.uniform(-3, 3)
+
+
+def test_geometry_and_the_state_program_reach_the_same_verdict():
+    """On 1200 seeded metrics and rows, n 2 to 6 and m 1 to 3, geometry's
+    rule over a stack, geometry.validated at each lone point and the emitted
+    state program pass or fail alike."""
+    rng, seen = np.random.default_rng(31), set()
+    for n in range(2, 7):
+        for m in range(1, min(n - 1, 3) + 1):
+            program, cases = _state_program(n, m), [_random_case(rng, n, m) for _ in range(1200 // 12)]
+            G, mu = (np.array(c) for c in zip(*cases))
+            # geometry's codes over the stack, one row per case
+            stacked = (geometry._codes(n, m, False, mu.reshape(len(mu), -1), geometry._tril(G)) == 0).tolist()
+            for b, (Gb, mub) in enumerate(cases):
+                try:
+                    geometry.validated(_Fixed(Gb, mub), np.zeros((1, n)))
+                    alone = True
+                except NonholoError:
+                    alone = False
+                compiled = type(program([0.0] * n + [1.0] * n + [*Gb.ravel(), *mub.ravel()])) is tuple
+                assert stacked[b] == alone == compiled, (n, m, b)
+                seen.add(alone)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("project", (True, False))

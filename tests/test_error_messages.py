@@ -35,6 +35,8 @@ SOURCES = {
         "row1 = 1, 0, 0\nrow2 = 0, 1, 0\nrow3 = 0, 0, 1",
         f"row1 = 1, 1, 1\nrow2 = 1, 1 + {ILL}, 1\nrow3 = 1, 1, 1 + 2*({ILL})",
     ),
+    # diag(1, 1e-15) at x = 0.5, which LAPACK inverts to rounding
+    "diagonal_ill_metric": CONTROL.replace("row2 = 0, 1", "row2 = 0, (x - 0.5)^2 + 1e-15"),
     "bump_rows": CONTROL.replace("form = 0, 1", f"form = 0, 1 + {BUMP}"),
     "vanishing_rows": CONTROL.replace("form = 0, 1", "form = 0, y - 0.75"),
     "fading_rows": PARTICLE.replace(
@@ -42,6 +44,10 @@ SOURCES = {
     ),
     "sleigh": catalog.get_entry("chaplygin_sleigh").definition,
     "singular_gram": PARTICLE + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n",
+    # the metric's and the rows' s t are 1e5 at x = 0.5, the Gram matrix's 1e10
+    "ill_gram": PARTICLE.replace("row1 = 1, 0, 0", "row1 = (x - 0.5)^2 + 1e-5, 0, 0").replace(
+        "form = y, 0, -1", "form = 1, 0, 0\n\n[constraint]\nform = 0, sqrt((x - 0.5)^2 + 1e-5), 0"
+    ),
     "stage_gram": PARTICLE.replace(
         "form = y, 0, -1", "form = y, 0, 1\n\n[constraint]\nform = 1, 0, y"
     ),
@@ -66,6 +72,10 @@ VALIDATION = {
         "ill_metric", LEFT, [0.5, 0.25, 0.0], [1.0, 0.0, 0.25], NotSPDError,
         "metric is too ill-conditioned at q=[0.5, 0.25, 0.0]",
     ),
+    "metric-ill-conditioned-diagonal": (
+        "diagonal_ill_metric", LEFT[:2], [0.5, 0.25], [1.0, 0.0], NotSPDError,
+        "metric is too ill-conditioned at q=[0.5, 0.25]",
+    ),
     "rows-non-finite": (
         "bump_rows", LEFT[:2], [0.5, 0.25], [1.0, 0.0], RankDeficientError,
         "constraint rows non-finite at q=[0.5, 0.25]",
@@ -73,18 +83,16 @@ VALIDATION = {
     "rows-dependent": (
         "fading_rows", ((0.0, 0.5), (-1.0, 1.0), (-1.0, 1.0)), [0.95, 0.25, -0.5],
         [0.0, 1.0, 0.0], RankDeficientError,
-        "constraint rows are dependent at q=[0.95, 0.25, -0.5] "
-        "(singular values [1.41421356e+00 2.96546135e-13])",
+        "constraint rows are dependent at q=[0.95, 0.25, -0.5]",
     ),
     "rows-vanishing": (
         "vanishing_rows", ((-1.0, 1.0), (-1.0, 0.0)), [0.25, 0.75], [1.0, 0.0],
         RankDeficientError,
-        "constraint rows are dependent at q=[0.25, 0.75] (singular values [0.])",
+        "constraint rows are dependent at q=[0.25, 0.75]",
     ),
     "gram-not-spd": (
-        "fading_rows", ((0.0, 0.5), (-1.0, 1.0), (-1.0, 1.0)), [0.7, 0.25, -0.5],
-        [0.0, 1.0, 0.0], RankDeficientError,
-        "constraint Gram matrix is not positive definite at q=[0.7, 0.25, -0.5]",
+        "ill_gram", LEFT, [0.5, 0.25, -0.5], [0.0, 0.0, 1.0], RankDeficientError,
+        "constraint Gram matrix is not positive definite at q=[0.5, 0.25, -0.5]",
     ),
     "off-m": (
         "sleigh", None, [0.1, 0.2, 0.3], [0.5, 0.25, 1.0], NotOnMError,
@@ -189,7 +197,8 @@ def test_a_singular_gram_solve_alone_in_the_sampler_and_at_the_cli(
 ):
     sysd = _system("singular_gram")
     q, p = SINGULAR_GRAM
-    want = (RankDeficientError, "constraint Gram matrix is singular")
+    # mu mu^T is singular there too, and the rows' check refuses it first
+    want = (RankDeficientError, f"constraint rows are dependent at q={q}")
     assert _raised(geometry.eden_project, sysd, q, p) == want
     argv = ["simulate", "--system", _system_arg(tmp_path, "singular_gram"),
             f"--q0={_csv(q)}", f"--p0={_csv(p)}"]
@@ -364,10 +373,7 @@ def test_a_step_count_below_one_is_refused_before_the_first_step(capsys):
 def test_dependent_rows_at_an_rk4_stage_stop_the_run(tmp_path, capsys):
     # the rows (y, 0, 1) and (1, 0, y) are dependent at y = 1, which the
     # first step's second stage point reaches exactly from y = 0.95
-    message = (
-        "integration stopped: constraint rows are dependent at q=[0.0, 1.0, 0.0] "
-        "(singular values [2.00000000e+00 1.43493693e-17])"
-    )
+    message = "integration stopped: constraint rows are dependent at q=[0.0, 1.0, 0.0]"
     sysd = _system("stage_gram")
     x0 = PhasePoint(q=[0.0, 0.95, 0.0], p=[0.0, 1.0, 0.0])
     assert _raised(dynamics.integrate, sysd, x0, 0.0, 0.2, 0.1) == (errors.StepFailureError, message)

@@ -317,9 +317,24 @@ def _point_bytes(x):
 # --- the per-point reference: one point, float closures, plain numpy ----------
 
 
+def _st(A):
+    """s t = max A_ii max (A^-1)_ii of a matrix with a Cholesky factor."""
+    return np.max(np.diag(A)) * np.max(np.diag(np.linalg.inv(A)))
+
+
+def _spd_within(A, bound):
+    """Whether A has a Cholesky factor and s t <= bound."""
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return _st(A) <= bound
+
+
 def reference_on_m(sysd, q, p, tol=geometry.ON_M_TOL):
     """``require_on_m`` at one point, check by check: (q, p, G, Ginv, mu,
-    gram, residual), or the error of the first check that fails."""
+    gram, residual), or the error of the first check that fails. Positive
+    definiteness is numpy's Cholesky, s t comes from numpy's inverse."""
     q_list = [float(v) for v in q]
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     G = np.asarray(sysd.metric_values(q_list), dtype=float)
@@ -333,24 +348,19 @@ def reference_on_m(sysd, q, p, tol=geometry.ON_M_TOL):
         np.linalg.cholesky(Gs)
     except np.linalg.LinAlgError:
         raise NotSPDError(f"metric is not positive definite at q={q_list}") from None
-    Ginv = np.linalg.inv(Gs)
-    if np.abs(Gs @ Ginv - np.eye(len(G))).max() > 1e-10 * scale:
+    if not _st(Gs) <= geometry.METRIC_BOUND:
         raise NotSPDError(f"metric is too ill-conditioned at q={q_list}")
+    Ginv = np.linalg.inv(Gs)
     mu = np.asarray(sysd.mu_values(q_list), dtype=float)
     if not np.isfinite(mu).all():
         raise RankDeficientError(f"constraint rows non-finite at q={q_list}")
-    s = np.linalg.svd(mu, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
-        raise RankDeficientError(
-            f"constraint rows are dependent at q={q_list} (singular values {s})"
-        )
+    if not _spd_within(mu @ mu.T, geometry.ROWS_BOUND):
+        raise RankDeficientError(f"constraint rows are dependent at q={q_list}")
     gram = mu @ Ginv @ mu.T
-    try:
-        np.linalg.cholesky(0.5 * (gram + gram.T))
-    except np.linalg.LinAlgError:
+    if not _spd_within(0.5 * (gram + gram.T), geometry.GRAM_BOUND):
         raise RankDeficientError(
             f"constraint Gram matrix is not positive definite at q={q_list}"
-        ) from None
+        )
     r = float(np.max(np.abs((mu @ (Ginv @ p[:, None]))[:, 0])))
     if not r <= tol:
         raise NotOnMError(r, tol)
@@ -446,7 +456,7 @@ def _validated_one_by_one(sysd):
 
 
 def test_a_bad_point_in_a_stacked_validation_raises_as_it_would_alone(
-    sign_changing_metric, fading_rows
+    sign_changing_metric, fading_rows, ill_conditioned_gram
 ):
     sleigh = catalog.get_system("chaplygin_sleigh")
     fading = ((0.0, 0.5), (-1.0, 1.0), (-1.0, 1.0))
@@ -456,8 +466,8 @@ def test_a_bad_point_in_a_stacked_validation_raises_as_it_would_alone(
          lambda x: PhasePoint(q=[-0.5, x.q[1]], p=x.p), NotSPDError, "positive definite"),
         (fading_rows, fading, lambda x: PhasePoint(q=[0.95, *x.q[1:]], p=x.p),
          RankDeficientError, "rows are dependent"),
-        (fading_rows, fading, lambda x: PhasePoint(q=[0.7, *x.q[1:]], p=x.p),
-         RankDeficientError, "Gram matrix"),
+        (ill_conditioned_gram, ((-1.0, 0.0), (-1.0, 1.0), (-1.0, 1.0)),
+         lambda x: PhasePoint(q=[0.5, *x.q[1:]], p=x.p), RankDeficientError, "Gram matrix"),
     ]
     for sysd, region, spoil, error, what in cases:
         sample = catalog.sample_m_points(sysd, 9, 3, region=region)
@@ -628,7 +638,7 @@ def test_lone_points_evaluate_closures_and_lifts_on_float_cores(monkeypatch, ent
     geometry.require_on_m(sysd, x.q, x.p)
     geometry.eden_project(sysd, x.q, kick)
     geometry.frame_at(sysd, x.q)
-    dynamics.FieldEvaluator(sysd).project(x.q, kick)
+    dynamics.FieldEvaluator(sysd).state(x.q, kick)
     observables = catalog.observable_test_set(sysd)
     fgh = [observables[i] for i in (0, sysd.n, 1)]
     for kind in brackets.BRACKET_KINDS:
@@ -688,10 +698,10 @@ def test_the_bracket_formulas_never_restack_a_points_data():
 
 
 def test_dense_linear_algebra_goes_through_the_lapack_seam():
-    # solves, inverses, Cholesky factors, least squares and singular values
-    # call numpy's gufuncs in _lapack; outside it, the one such np.linalg name
-    # in the package is verify's full SVD (the tests keep np.linalg as the
-    # oracle)
+    # solves, inverses, least squares and singular values call numpy's
+    # gufuncs in _lapack; outside it, the one such np.linalg name in the
+    # package is verify's full SVD (the tests keep np.linalg as the oracle).
+    # No code calls a Cholesky factor: validity is geometry.ldl's rule
     def names(*attrs):
         return lambda node: (isinstance(node, ast.Attribute) and node.attr in attrs
                              and ast.unparse(node.value) in ("np.linalg", "numpy.linalg"))

@@ -56,6 +56,11 @@ def _bytes(x):
     return f"{x.dtype}{x.shape}".encode() + x.tobytes()
 
 
+def _forward(sysd):
+    """The forward pass that a FieldEvaluator's programs begin with, alone."""
+    return dsl.compile_forward(dynamics.FieldEvaluator(sysd)._exprs, sysd.coords, sysd.params)
+
+
 def _points(n, seed):
     """Seeded configurations where every test system is defined."""
     return np.random.default_rng(seed).uniform(0.25, 1.75, (POINTS, n))
@@ -90,9 +95,9 @@ def test_forward_is_a_lift_of_the_generic_table_bitwise(name):
 def test_field_evaluator_entries_are_the_lifted_tables_bitwise(name):
     # values, gradients and the symmetrized dG of the evaluator's forward pass
     sysd = SYSTEMS[name]()
-    ev = dynamics.FieldEvaluator(sysd)
+    forward = _forward(sysd)
     for q in _points(sysd.n, 30).tolist():
-        for got, want in zip(forward_entries(sysd, ev._forward(q)), lifted_entries(sysd, q)):
+        for got, want in zip(forward_entries(sysd, forward(q)), lifted_entries(sysd, q)):
             if want is None:
                 assert got is None
                 continue
@@ -138,10 +143,10 @@ def test_each_distinct_subtree_is_computed_once():
 def test_the_forward_source_computes_each_value_once():
     # sin's auxiliary is cos of the same argument and cos's is sin: the
     # sleigh's table calls each once, and no right-hand side repeats anywhere
-    source = dynamics.FieldEvaluator(catalog.get_system("chaplygin_sleigh"))._forward.source
+    source = _forward(catalog.get_system("chaplygin_sleigh")).source
     assert source.count("sin(") == 1 and source.count("cos(") == 1
     for make in SYSTEMS.values():
-        lines = dynamics.FieldEvaluator(make())._forward.source.splitlines()
+        lines = _forward(make()).source.splitlines()
         values = [line.split(" = ", 1)[1] for line in lines if " = " in line]
         assert len(values) == len(set(values))
 
@@ -193,14 +198,14 @@ def test_both_outputs_raise_the_closure_trees_domain_error(text):
 def test_a_system_raises_the_closure_error_from_both_outputs():
     # the first error of a table pass: metric, then potential, then rows
     sysd = SYSTEMS["all_primitives"]()
-    ev = dynamics.FieldEvaluator(sysd)
+    forward = _forward(sysd)
     for q in ([0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [-1.0, 1.0, 1.0]):
         exprs = [e for table in _tables(sysd)[:3] for e in _flat(table)]
         closures = [closure_expression(e, sysd.coords, sysd.params) for e in exprs]
         with pytest.raises(DomainError) as want:
             [f(numdiff.lift(q)) for f in closures]
         with pytest.raises(DomainError) as got:
-            ev._forward(q)
+            forward(q)
         with pytest.raises(DomainError) as generic:
             [table(numdiff.lift(q)) for table in (sysd.metric_values, sysd.potential_value, sysd.mu_values)]
         assert str(got.value) == str(want.value) == str(generic.value)
@@ -221,8 +226,7 @@ def _programs(sysd):
 def test_emitted_source_holds_slots_temporaries_helpers_and_numbers_only(name):
     sysd = SYSTEMS[name]()
     exprs = [e for table in _tables(sysd) for e in _flat(table)]
-    fns = [dynamics.FieldEvaluator(sysd)._forward, dsl.compile_forward(exprs, sysd.coords, sysd.params),
-           *_programs(sysd)]
+    fns = [_forward(sysd), dsl.compile_forward(exprs, sysd.coords, sysd.params), *_programs(sysd)]
     own = set(sysd.coords) | set(sysd.momenta) | set(sysd.params)
     for fn in fns:
         tree = ast.parse(fn.source)
@@ -235,16 +239,15 @@ def test_emitted_source_holds_slots_temporaries_helpers_and_numbers_only(name):
         assert not words & own, (name, words & own)
 
 
-# a pivot test of the field's factorizations, returning the code of the
-# metric's (0.0) or the Gram matrix's (1.0)
-PIVOT_GUARD = re.compile(r"if not -?([td]\d+|\d[\d.e+-]*) > 0\.0: return [01]\.0")
-# an accepted-state program's tests, each returning 0.0: a pivot, the entries'
-# finite sum, a symmetry bound and a screen on max A_ii max (A^-1)_ii
+# a pivot test of the field's factorizations, returning 0.0
+PIVOT_GUARD = re.compile(r"if not -?([td]\d+|\d[\d.e+-]*) > 0\.0: return 0\.0")
+# an accepted-state program's tests, each returning 0.0: a pivot, each entry
+# finite, a symmetry bound and the bound on every A_ii (A^-1)_jj
 _REF = r"-?(?:[td]\d+|\d[\d.e+-]*)"
-_MAX = rf"max\(\((?:{_REF}, )*{_REF},\)\)"
+_PAIR = rf"(?:{_REF} \* )?{_REF} <= [\d.e+-]+"
 STATE_GUARD = re.compile(
-    rf"if not ({_REF} > 0\.0|(t\d+|\d[\d.e+-]*) - \2 == 0\.0|-(t\d+) <= t\d+ <= \3"
-    rf"|{_MAX} \* {_MAX} <= [\d.e+-]+): return 0\.0"
+    rf"if not ({_REF} > 0\.0|\((?:([tk]\d+) - \2 == 0\.0 and )*([tk]\d+) - \3 == 0\.0\)"
+    rf"|-(t\d+) <= t\d+ <= \4|\((?:{_PAIR} and )*{_PAIR}\)): return 0\.0"
 )
 
 
@@ -254,7 +257,7 @@ def test_the_field_program_is_straight_line_code(name):
     # the only branches are the pivot guards (and in an accepted-state
     # program its checks and screens); each right-hand side once
     sysd = SYSTEMS[name]()
-    forward = {line.strip() for line in dynamics.FieldEvaluator(sysd)._forward.source.splitlines()}
+    forward = {line.strip() for line in _forward(sysd).source.splitlines()}
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
     for program, guard in zip(_programs(sysd), (PIVOT_GUARD, STATE_GUARD, STATE_GUARD)):
         source = program.source
@@ -304,8 +307,7 @@ def test_emitted_source_does_not_depend_on_the_identifiers():
 
     for attr in ("metric_values", "potential_value", "mu_values"):
         assert program(getattr(sysd, attr)) == program(getattr(plain, attr))
-    ev, plain_ev = dynamics.FieldEvaluator(sysd), dynamics.FieldEvaluator(plain)
-    assert ev._forward.source == plain_ev._forward.source
+    assert _forward(sysd).source == _forward(plain).source
     assert [fn.source for fn in _programs(sysd)] == [fn.source for fn in _programs(plain)]
     q = [0.3, 0.7, 1.1]
     ref = closure_expression(sysd.potential_expr, sysd.coords, sysd.params)
