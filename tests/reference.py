@@ -205,24 +205,21 @@ def closure_expression(expr, names, constants=None):
 def forward_entries(sys: SystemDefinition, flat):
     """(G, dG, V, dV, mu, dmu) from the flat tuple of the forward pass over
     ``dynamics.FieldEvaluator._exprs``: dG[i] = dG/dq_i, symmetrized, and
-    dmu[a, j, i] = d mu_aj / d q_i; G and dG None for a constant metric."""
+    dmu[a, j, i] = d mu_aj / d q_i."""
     n = sys.n
-    k = 0 if sys.metric_is_constant else n * n  # the metric's entries
+    k = n * n  # the metric's entries
     flat = np.array(flat)
     e = len(flat) // (n + 1)  # values, then partials entry by entry
     vals, grads = flat[:e], flat[e:].reshape(e, n)
-    G = dG = None
-    if k:
-        G = vals[:k].reshape(n, n)
-        dG = grads[:k].reshape(n, n, n).transpose(2, 0, 1)
-        dG = 0.5 * (dG + dG.transpose(0, 2, 1))
-    return G, dG, float(vals[k]), grads[k], vals[k + 1 :].reshape(-1, n), grads[k + 1 :].reshape(-1, n, n)
+    dG = grads[:k].reshape(n, n, n).transpose(2, 0, 1)
+    dG = 0.5 * (dG + dG.transpose(0, 2, 1))
+    return (vals[:k].reshape(n, n), dG, float(vals[k]), grads[k], vals[k + 1 :].reshape(-1, n),
+            grads[k + 1 :].reshape(-1, n, n))
 
 
 def lifted_entries(sys: SystemDefinition, q_list):
     """``forward_entries`` as one width-n lift through the generic tables:
-    (G, dG, V, dV, mu, dmu), G and dG None for a constant metric, dG
-    symmetrized."""
+    (G, dG, V, dV, mu, dmu), dG symmetrized."""
     n = sys.n
     duals = numdiff.lift(q_list)
 
@@ -237,11 +234,9 @@ def lifted_entries(sys: SystemDefinition, q_list):
                     vals[i, j] = v
         return vals, grads
 
-    G = dG = None
-    if not sys.metric_is_constant:
-        G, dG = values_and_grads(sys.metric_values(duals))
-        dG = np.ascontiguousarray(dG.transpose(2, 0, 1))
-        dG = 0.5 * (dG + dG.transpose(0, 2, 1))
+    G, dG = values_and_grads(sys.metric_values(duals))
+    dG = np.ascontiguousarray(dG.transpose(2, 0, 1))
+    dG = 0.5 * (dG + dG.transpose(0, 2, 1))
     V = sys.potential_value(duals)
     dual = isinstance(V, numdiff.DualScalar)
     V, dV = (V.value, np.array(V.partials)) if dual else (V, np.zeros(n))
@@ -252,19 +247,16 @@ def lifted_entries(sys: SystemDefinition, q_list):
 def field(sys: SystemDefinition, q, p):
     """(xdot, lam, c, H) of the multiplier route at (q, p), assembled in
     numpy as ``dynamics.FieldEvaluator.evaluate`` once did: the entries of
-    ``lifted_entries``, G^-1 by inversion (the validated one for a constant
-    metric), einsums over the symmetrized dG, and a dense solve of the Gram
-    system."""
+    ``lifted_entries``, G^-1 by inversion, einsums over the symmetrized dG,
+    and a dense solve of the Gram system."""
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     G, dG, V, dV, mu, dmu = lifted_entries(sys, q.tolist())
-    Ginv = geometry.metric_at(sys, q).Ginv if G is None else np.linalg.inv(0.5 * (G + G.T))
+    Ginv = np.linalg.inv(0.5 * (G + G.T))
     v = Ginv @ p
-    dHq = dV if dG is None else -0.5 * np.einsum("j,ijk,k->i", v, dG, v) + dV
+    dHq = -0.5 * np.einsum("j,ijk,k->i", v, dG, v) + dV
     c = mu @ v
     # dc/dq[a, i] = (d_i mu_a).v - (mu_a Ginv) dG_i v
     muGinv = mu @ Ginv
-    dc_q = np.einsum("aji,j->ai", dmu, v)
-    if dG is not None:
-        dc_q -= np.einsum("aj,ijk,k->ai", muGinv, dG, v)
+    dc_q = np.einsum("aji,j->ai", dmu, v) - np.einsum("aj,ijk,k->ai", muGinv, dG, v)
     lam = np.linalg.solve(muGinv @ mu.T, dc_q @ v + muGinv @ (-dHq))
     return np.concatenate([v, -dHq - mu.T @ lam]), lam, c, 0.5 * float(p @ v) + V

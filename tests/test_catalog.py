@@ -28,7 +28,7 @@ def test_entries_validate_over_sample_region():
         for _ in range(1000):
             q = [rng.uniform(*iv) for iv in entry.sample_region]
             met = geometry.metric_at(sysd, q)  # SPD or raises
-            geometry.constraints_at(sysd, q, met)  # full rank or raises
+            geometry.constraints_at(sysd, q)  # full rank or raises
             fr = geometry.frame_at(sysd, q)
             assert not fr.pivot_tie
             assert np.max(np.abs(met.G @ met.Ginv - np.eye(sysd.n))) < 1e-10

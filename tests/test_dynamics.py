@@ -1,4 +1,5 @@
 import functools
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,15 @@ def test_field_evaluator_project_raises_as_eden_project(metric, constraint, q):
     assert str(got.value) == str(want.value)
 
 
+def test_a_constant_metric_that_fails_the_rule_returns_unconditionally():
+    # its pivots fold as the source is emitted: the field program returns 0.0
+    # before any test, and evaluate raises geometry's error
+    ev = dynamics.FieldEvaluator(_system(("1, 2", "2, 1"), "0, 1"))
+    assert "\n    return 0.0\n" in ev._field.source and " > 0.0" not in ev._field.source
+    with pytest.raises(NotSPDError, match=r"^metric is not positive definite at q=\[0\.2, 0\.0\]$"):
+        ev.evaluate([0.2, 0.0], [1.0, 1.0])
+
+
 def test_a_singular_gram_solve_is_a_rank_error():
     # mu mu^T is singular here, and LAPACK's Gram solve meets a zero pivot:
     # the rows' check refuses the point first, on both paths
@@ -510,10 +520,11 @@ def test_the_state_program_passes_only_where_validated_passes(case, project):
         assert np.max(np.abs(np.array(got[-sysd.n :]) - (want if project else p))) <= 1e-14
 
 
-def _diagonal_system(n, last):
-    """A system of dimension n whose metric depends on q and is diag(1, ...,
-    1, last) at q = 0, with the one constraint row e_n."""
-    entry = [f"{last!r} + x0*x0" if i == n - 1 else "1 + x0*x0" for i in range(n)]
+def _diagonal_system(n, last, vary=" + x0*x0"):
+    """A system of dimension n whose metric is diag(1, ..., 1, last) at q =
+    0, each diagonal entry plus ``vary`` (constant with ""), with the one
+    constraint row e_n."""
+    entry = [f"{last!r}{vary}" if i == n - 1 else f"1{vary}" for i in range(n)]
     rows = "".join(f"row{i + 1} = {', '.join(entry[i] if j == i else '0' for j in range(n))}\n" for i in range(n))
     return dsl.parse_system(
         f"[system]\nname = t\ndim = {n}\ncoords = {', '.join(f'x{i}' for i in range(n))}\n"
@@ -526,10 +537,11 @@ def test_the_metric_screen_passes_up_to_its_condition_bound(n):
     """diag(1, ..., 1, 1/kappa) passes the state program and
     ``geometry.validated`` at kappa 1 and 0.98 of ``METRIC_BOUND``, where the
     state path's projection is ``eden_project``'s, and fails both at 1.02 of
-    it, with validated's error: the same bound at every n."""
+    it, with validated's error: the same bound at every n, for a q-dependent
+    metric and for a constant one, whose checks fold as they are emitted."""
     bound = geometry.METRIC_BOUND
-    for kappa in (1.0, 0.98 * bound, 1.02 * bound):
-        sysd, q, p = _diagonal_system(n, 1.0 / kappa), np.zeros(n), np.ones(n) / n
+    for kappa, vary in itertools.product((1.0, 0.98 * bound, 1.02 * bound), (" + x0*x0", "")):
+        sysd, q, p = _diagonal_system(n, 1.0 / kappa, vary), np.zeros(n), np.ones(n) / n
         ev = dynamics.FieldEvaluator(sysd)
         if kappa <= bound:
             out = ev.state(q, p)
@@ -553,8 +565,6 @@ def test_a_dual_domain_error_in_the_shared_pass_is_left_to_eden_project():
 class _Fixed:
     """A system whose metric and rows are the same floats at every q."""
 
-    metric_is_constant = False
-
     def __init__(self, G, mu):
         self.G, self.mu = G.tolist(), mu.tolist()
 
@@ -572,7 +582,7 @@ def _state_program(n, m):
     entries = [f"g{i}" for i in range(n * n)] + [f"m{i}" for i in range(m * n)]
     exprs = [dsl.Var(e) for e in entries[: n * n]] + [dsl.Num(0.0)] + [dsl.Var(e) for e in entries[n * n :]]
     names = [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)] + entries
-    return dsl.compile_forward(exprs, names, None, dynamics._assembly(shape, None, True))
+    return dsl.compile_forward(exprs, names, None, dynamics._assembly(shape, True))
 
 
 def _random_case(rng, n, m):
@@ -605,7 +615,7 @@ def test_geometry_and_the_state_program_reach_the_same_verdict():
             program, cases = _state_program(n, m), [_random_case(rng, n, m) for _ in range(1200 // 12)]
             G, mu = (np.array(c) for c in zip(*cases))
             # geometry's codes over the stack, one row per case
-            stacked = (geometry._codes(n, m, False, mu.reshape(len(mu), -1), geometry._tril(G)) == 0).tolist()
+            stacked = (geometry._codes(n, m, mu.reshape(len(mu), -1), geometry._tril(G)) == 0).tolist()
             for b, (Gb, mub) in enumerate(cases):
                 try:
                     geometry.validated(_Fixed(Gb, mub), np.zeros((1, n)))
@@ -620,13 +630,15 @@ def test_geometry_and_the_state_program_reach_the_same_verdict():
 
 @pytest.mark.parametrize("project", (True, False))
 def test_a_constant_metric_is_validated_once_per_trajectory(count_calls, project):
+    # the start's validation alone: the programs' checks of a constant metric
+    # fold away as they are emitted, and nothing calls metric_at
     q0 = [0.0, 0.2, 0.0]
     x0 = PhasePoint(q=q0, p=geometry.eden_project(SYS_B, q0, [1.0, 1.0, 1.0]))
-    counts = count_calls(geometry, ["_metric_checks"])
+    counts = count_calls(geometry, ["_metric_checks", "metric_at"])
     for t1 in (0.01, 0.05):
-        counts["_metric_checks"] = 0
+        counts.update(_metric_checks=0, metric_at=0)
         dynamics.integrate(SYS_B, x0, 0.0, t1, 1e-3, project_each_step=project)
-        assert counts["_metric_checks"] == 2  # the start's validation and the evaluator's
+        assert counts == {"_metric_checks": 1, "metric_at": 0}
 
 
 def test_a_no_project_run_validates_each_state_from_its_evaluation(count_calls):

@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from nonholo import catalog, cli, dsl, dynamics, errors, geometry, numdiff
+from nonholo import brackets, catalog, cli, dsl, dynamics, errors, geometry, numdiff
 from nonholo.errors import (
     FrameDegenerateError,
     FrameInvalidError,
@@ -20,7 +20,7 @@ from nonholo.errors import (
     NotSPDError,
     RankDeficientError,
 )
-from nonholo.system import PhasePoint
+from nonholo.system import DStarObservable, DStarPoint, PhasePoint
 
 CONTROL = catalog.HOLONOMIC_CONTROL
 PARTICLE = catalog.NONHOLONOMIC_PARTICLE
@@ -301,9 +301,24 @@ def test_frame_errors_alone_in_a_stack_and_at_the_cli(monkeypatch, tmp_path, cap
 
 
 def test_a_default_frame_over_vanishing_rows():
+    # frame_at reads its rows through validated, whose rule refuses them
+    # first; the default plan keeps its own check for rows read unvalidated
     sysd = _system("vanishing_rows")
-    want = (RankDeficientError, "constraint rows vanish identically here")
+    want = (RankDeficientError, "constraint rows are dependent at q=[0.25, 0.75]")
     assert _raised(geometry.frame_at, sysd, [0.25, 0.75]) == want
+    mu = np.array(sysd.mu_values([0.25, 0.75]))[None]
+    want = (RankDeficientError, "constraint rows vanish identically here")
+    assert _raised(geometry.default_frame_plans, mu) == want
+
+
+def test_frame_at_and_dstar_bracket_raise_the_rules_error():
+    # rows whose mu mu^T the rule refuses, though the frame's own elimination
+    # and checks pass: no frame, and no bracket, is built there
+    sysd, q = _system("fading_rows"), [0.5, 0.25, -0.5]
+    want = (RankDeficientError, "constraint rows are dependent at q=[0.5, 0.25, -0.5]")
+    assert _raised(geometry.frame_at, sysd, q) == want
+    f, g = (DStarObservable.from_expression(sysd, text) for text in ("pi_1", "y"))
+    assert _raised(brackets.dstar_bracket, sysd, f, g, DStarPoint(q=q, pi=[1.0])) == want
 
 
 def _trig_argv(tmp_path, case):

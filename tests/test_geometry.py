@@ -114,7 +114,7 @@ def test_eden_project_matches_constrained_least_squares():
             q = [rng.uniform(*iv) for iv in region]
             p = np.array([rng.uniform(-2, 2) for _ in range(sysd.n)])
             met = geometry.metric_at(sysd, q)
-            cons = geometry.constraints_at(sysd, q, met)
+            cons = geometry.constraints_at(sysd, q)
             oracle = kkt_projection(met, cons.mu, p)
             assert np.max(np.abs(geometry.eden_project(sysd, q, p) - oracle)) < 1e-10
 
@@ -127,7 +127,7 @@ def test_eden_idempotent_orthogonal_annihilator():
         p = np.array([rng.uniform(-2, 2) for _ in range(3)])
         pp = np.array([rng.uniform(-2, 2) for _ in range(3)])
         met = geometry.metric_at(SYS_C, q)
-        cons = geometry.constraints_at(SYS_C, q, met)
+        cons = geometry.constraints_at(SYS_C, q)
         gp = geometry.eden_project(SYS_C, q, p)
         assert np.max(np.abs(geometry.eden_project(SYS_C, q, gp) - gp)) < 1e-12
         assert geometry.residual_norm(SYS_C, q, gp) < 1e-10
