@@ -239,8 +239,8 @@ def pushforward_observable(
 def _free_cols_at(sys, q_s):
     if sys.frame_exprs is not None:
         return None
-    mu = [[numdiff.float_core(v) for v in row] for row in sys.mu_values(q_s)]
-    return geometry.default_frame_plans(numdiff.from_cores(mu, 1))[0][0]
+    mu = geometry.validated(sys, np.array([[numdiff.float_core(v) for v in q_s]]))[2]  # raises where the rule refuses
+    return geometry.default_frame_plans(mu)[0][0]
 
 
 # --- the Lie bracket of vector fields -----------------------------------------

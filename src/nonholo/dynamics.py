@@ -29,7 +29,8 @@ the assembly on plain floats) at every RK4 stage, and a second at each
 accepted state, which adds ``geometry.validated``'s checks, emitted from
 its rule (``geometry.ldl``) on any metric, constant or not, and Eden's
 projection. Where a check fails, or a stage point's metric or Gram matrix
-has no factor, geometry's error there stops the run.
+has no factor, geometry's error there stops the run. Between the program
+calls, the step loop runs on flat lists of Python floats.
 
 The routes' dense solves go through ``_lapack``, numpy's LAPACK gufuncs
 without the public wrappers: the same bits and errors, at a lower cost.
@@ -207,13 +208,14 @@ def _assembly(sys, state=None):
 class FieldEvaluator:
     """The constrained field of a system, compiled once for integration.
 
-    ``evaluate`` runs one straight-line function of (q, p): the forward pass
+    ``evaluate`` runs one straight-line function of z = (q, p), a flat list
+    of floats, and returns its flat tuple (xdot, H, c, lam): the forward pass
     over q (``dsl.compile_forward``, bitwise a width-n lift of the tables),
     then ``_assembly`` on floats, which factors the metric at every call
     (a constant metric's factor folds into literals as it is emitted).
     ``state`` adds ``geometry.validated``'s checks, by its rule, and Eden's
-    projection (``_assembly``). Where a program's check fails, ``geometry``
-    raises its own error there.
+    projection (``_assembly``), and appends p. Where a program's check
+    fails, ``geometry`` raises its own error there.
     """
 
     def __init__(self, sys: SystemDefinition):
@@ -226,31 +228,29 @@ class FieldEvaluator:
     def _program(self, state):
         return dsl.compile_forward(self._exprs, self.sys.coords, self.sys.params, _assembly(self.sys, state))
 
-    def _failed(self, q, what):
-        """Raise geometry's error at q, where the ``what`` program failed."""
+    def _failed(self, z, what):
+        """Raise geometry's error at q = z[:n], where the ``what`` program failed."""
+        q = np.array(z[: self.n], dtype=float)
         geometry.validated(self.sys, q[None])
         raise InternalConsistencyError(f"the {what} program failed where geometry passes, at q={q.tolist()}")
 
-    def evaluate(self, q, p):
-        """Return (xdot 2n-vector, lam, residual c, H) at (q, p)."""
-        q = np.asarray(q, dtype=float)
-        out = self._field(q.tolist() + np.asarray(p, dtype=float).tolist())
+    def evaluate(self, z):
+        """The field program's flat tuple (xdot, H, c, lam) at z = (q, p), a flat float list."""
+        out = self._field(z)
         if type(out) is float:
-            self._failed(q, "field")
-        a, n2, m = np.array(out), 2 * self.n, self.sys.n_constraints
-        return a[:n2], a[n2 + m + 1 :], a[n2 + 1 : n2 + m + 1], out[n2]
+            self._failed(z, "field")
+        return out
 
-    def state(self, q, p, project=True):
-        """The field at an accepted state as one flat tuple (xdot, H, c, lam,
-        p), p projected onto M with ``project``: one run of the state
-        program, whose checks fail exactly where ``geometry.validated``'s do;
-        there, validated raises its error."""
-        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    def state(self, z, project=True):
+        """The field at an accepted state z = (q, p), a flat list of floats,
+        as one flat tuple (xdot, H, c, lam, p), p projected onto M with
+        ``project``: one run of the state program, whose checks fail exactly
+        where ``geometry.validated``'s do; there, validated raises its error."""
         if project not in self._states:
             self._states[project] = self._program(project)
-        out = self._states[project](q.tolist() + p.tolist())
+        out = self._states[project](z)
         if type(out) is float:
-            self._failed(q, "state")
+            self._failed(z, "state")
         return out
 
 
@@ -272,7 +272,9 @@ def integrate(
     each later accepted state is validated, with the checks of
     ``geometry.eden_project``, projected and evaluated by one
     ``FieldEvaluator.state`` call; where its forward pass or geometry raises,
-    the run stops with that error. With
+    the run stops with that error. The stage points and the step are formed
+    on flat float lists, elementwise in numpy's order of operations on
+    arrays: z + (dt/2) k1, ..., z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4). With
     ``project_each_step`` the projection replaces the momentum; without it
     the raw drift is observable and the on-manifold tolerance is enforced at
     step boundaries. The evaluation at an accepted state is both its recorded
@@ -294,7 +296,7 @@ def integrate(
     n_steps = int(round(span))
     if n_steps < 1:
         raise NonholoError(f"step count (t1 - t0)/dt = {span!r} rounds to {n_steps} steps")
-    z = np.concatenate([x0.q, x0.p])
+    z = np.concatenate([x0.q, x0.p]).tolist()
     try:
         rows = np.empty((n_steps + 1, 2 * n + 2 * m + 2))  # (t, q, p, H, c, lam)
     except (MemoryError, ValueError):  # numpy refuses a size past its range with ValueError
@@ -303,10 +305,11 @@ def integrate(
     done = 0
 
     def accept(t, z, out):
-        """Check and record an accepted state from its field (xdot, H, c, lam); return k1."""
+        """Check and record an accepted state from its program's output; return it as k1."""
         nonlocal done
-        c = out[2 * n + 1 : 2 * n + m + 1]
-        if not all(map(math.isfinite, out[2 * n :])):  # H, c and lam
+        fields = out[2 * n : 2 * n + 2 * m + 1]  # H, c and lam; a state's p follows
+        c = fields[1 : m + 1]
+        if not all(map(math.isfinite, fields)):
             raise StepFailureError(
                 f"non-finite energy, residual or multiplier at t={t:.6g}",
                 trajectory=Trajectory(rows[:done], n),
@@ -317,31 +320,28 @@ def integrate(
                 f"{tol:.3e} at t={t:.6g} with projection off",
                 trajectory=Trajectory(rows[:done], n),
             )
-        rows[done] = (t, *z, *out[2 * n :])
+        rows[done] = (t, *z, *fields)
         done += 1
-        return np.array(out[: 2 * n])
+        return out
 
-    # overflow reaches accept()'s finiteness checks as inf/NaN, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            k1, lam, c, H = ev.evaluate(z[:n], z[n:])  # the start, validated above
-            k1 = accept(t0, z, (*k1, H, *c, *lam))
-            for i in range(n_steps):
-                z2 = z + 0.5 * dt * k1
-                k2, _, _, _ = ev.evaluate(z2[:n], z2[n:])
-                z3 = z + 0.5 * dt * k2
-                k3, _, _, _ = ev.evaluate(z3[:n], z3[n:])
-                z4 = z + dt * k3
-                k4, _, _, _ = ev.evaluate(z4[:n], z4[n:])
-                z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                out = ev.state(z[:n], z[n:], project_each_step)
-                z[n:] = out[-n:]  # the projection, or p itself
-                k1 = accept(t0 + (i + 1) * dt, z, out[:-n])
-        except StepFailureError:
-            raise
-        except NonholoError as exc:
-            raise StepFailureError(
-                f"integration stopped: {exc}",
-                trajectory=Trajectory(rows[:done], n),
-            ) from exc
+    # k1..k4 are whole program outputs, whose xdot (the first 2n entries) zip
+    # reads; float + and * overflow to inf/NaN, which accept() refuses
+    half, sixth = 0.5 * dt, dt / 6.0
+    try:
+        k1 = accept(t0, z, ev.evaluate(z))  # the start, validated above
+        for i in range(n_steps):
+            k2 = ev.evaluate([a + half * b for a, b in zip(z, k1)])
+            k3 = ev.evaluate([a + half * b for a, b in zip(z, k2)])
+            k4 = ev.evaluate([a + dt * b for a, b in zip(z, k3)])
+            z = [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
+            out = ev.state(z, project_each_step)
+            z[n:] = out[-n:]  # the projection, or p itself
+            k1 = accept(t0 + (i + 1) * dt, z, out)
+    except StepFailureError:
+        raise
+    except NonholoError as exc:
+        raise StepFailureError(
+            f"integration stopped: {exc}",
+            trajectory=Trajectory(rows[:done], n),
+        ) from exc
     return Trajectory(rows[:done], n)

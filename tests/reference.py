@@ -6,13 +6,14 @@ extension of one observable, the projected Lie bracket of two sections, the
 matrix of the canonical two-form, the route tables at a point from its own
 linear data, the finite-difference evolution check, the closure trees and
 the width-n dual pass through which the expression tables were evaluated
-before ``dsl`` emitted straight-line code, and the numpy assembly of the
-multiplier-route field that ``dynamics.FieldEvaluator`` now emits.
+before ``dsl`` emitted straight-line code, the numpy assembly of the
+multiplier-route field that ``dynamics.FieldEvaluator`` now emits, and the
+numpy RK4 loop that ``dynamics.integrate`` ran before it took plain floats.
 """
 
 import numpy as np
 
-from nonholo import brackets, dsl, geometry, numdiff
+from nonholo import brackets, dsl, dynamics, geometry, numdiff
 from nonholo.errors import DomainError, InternalConsistencyError, NonholoError, UnknownIdentifierError
 from nonholo.system import DStarPoint, Observable, PhasePoint, SystemDefinition, hamiltonian_observable
 
@@ -260,3 +261,34 @@ def field(sys: SystemDefinition, q, p):
     dc_q = np.einsum("aji,j->ai", dmu, v) - np.einsum("aj,ijk,k->ai", muGinv, dG, v)
     lam = np.linalg.solve(muGinv @ mu.T, dc_q @ v + muGinv @ (-dHq))
     return np.concatenate([v, -dHq - mu.T @ lam]), lam, c, 0.5 * float(p @ v) + V
+
+
+def rk4_rows(sys: SystemDefinition, x0: PhasePoint, t0, t1, dt, project=True) -> np.ndarray:
+    """The (t, q, p, H, c, lam) rows of a fixed-step RK4 run on (2n,) numpy
+    arrays over a ``dynamics.FieldEvaluator``'s programs, as
+    ``dynamics.integrate`` computed them before its loop took flat float
+    lists: the field program at the start and at each stage point, and the
+    state program (projecting or not) at each accepted state. No check of
+    its own: the run is assumed to stay where the programs pass."""
+    ev, n = dynamics.FieldEvaluator(sys), sys.n
+    z = np.concatenate([x0.q, x0.p]).astype(float)
+
+    def k(out):
+        return np.array(out[: 2 * n])
+
+    out = ev.evaluate(z.tolist())
+    rows, k1 = [(t0, *z, *out[2 * n :])], k(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(round((t1 - t0) / dt))):
+            z2 = z + 0.5 * dt * k1
+            k2 = k(ev.evaluate(z2.tolist()))
+            z3 = z + 0.5 * dt * k2
+            k3 = k(ev.evaluate(z3.tolist()))
+            z4 = z + dt * k3
+            k4 = k(ev.evaluate(z4.tolist()))
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out = ev.state(z.tolist(), project)
+            z[n:] = out[-n:]  # the projection, or p itself
+            rows.append((t0 + (i + 1) * dt, *z, *out[2 * n : -n]))
+            k1 = k(out)
+    return np.array(rows)

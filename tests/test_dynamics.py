@@ -1,3 +1,4 @@
+import ast
 import functools
 import itertools
 from pathlib import Path
@@ -22,6 +23,18 @@ from reference import observable_evolution_check
 SYS_A = catalog.get_system("holonomic_control")
 SYS_B = catalog.get_system("nonholonomic_particle")
 SYS_C = catalog.get_system("chaplygin_sleigh")
+
+
+def _z(q, p):
+    """(q, p) as the flat list of floats that ``FieldEvaluator`` takes."""
+    return [*map(float, q), *map(float, p)]
+
+
+def _split(sysd, out):
+    """A program's flat tuple (xdot, H, c, lam, ...) as arrays (xdot, lam, c)
+    and the float H, the order of ``reference.field``."""
+    n2, m = 2 * sysd.n, sysd.n_constraints
+    return np.array(out[:n2]), np.array(out[n2 + m + 1 : n2 + 2 * m + 1]), np.array(out[n2 + 1 : n2 + m + 1]), out[n2]
 
 
 def test_hamiltonian_field_free_particle():
@@ -118,7 +131,7 @@ def test_field_evaluator_matches_public_field():
         sysd = ent.system()
         ev = dynamics.FieldEvaluator(sysd)
         for x in catalog.sample_entry_points(ent, 20, 17):
-            fast, lam, c, H = ev.evaluate(x.q, x.p)
+            fast, lam, c, H = _split(sysd, ev.evaluate(_z(x.q, x.p)))
             ref = dynamics.nonholonomic_field_multiplier(sysd, x).as_vector()
             assert np.max(np.abs(fast - ref)) < 1e-11
             _, ref_lam = dynamics._free_field_and_multipliers(sysd, geometry.on_m_point(sysd, x))
@@ -147,7 +160,7 @@ def test_compiled_field_matches_the_numpy_assembly(name, make, ent):
         points = [(q, geometry.eden_project(sysd, q, rng.normal(size=sysd.n))) for q in qs]
     for q, on_m in points:
         for p in (on_m, on_m + rng.normal(scale=0.5, size=sysd.n)):
-            for got, want in zip(ev.evaluate(q, p), reference.field(sysd, q, p)):
+            for got, want in zip(_split(sysd, ev.evaluate(_z(q, p))), reference.field(sysd, q, p)):
                 got, want = np.atleast_1d(got), np.atleast_1d(want)
                 assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
@@ -164,7 +177,7 @@ def test_a_stage_without_a_factor_raises_a_package_error(system, q):
     # a LinAlgError, ZeroDivisionError or ValueError would escape pytest.raises
     sysd = _system(*system)
     with pytest.raises(NonholoError):
-        dynamics.FieldEvaluator(sysd).evaluate(np.array(q), np.ones(sysd.n))
+        dynamics.FieldEvaluator(sysd).evaluate(_z(q, np.ones(sysd.n)))
 
 
 @pytest.mark.parametrize("system, q", [
@@ -177,7 +190,7 @@ def test_a_failed_pivot_where_geometry_passes_is_an_internal_error(monkeypatch, 
     monkeypatch.setattr(geometry, "validated", lambda *args, **kwargs: None)
     sysd = _system(*system)
     with pytest.raises(InternalConsistencyError, match="^the field program failed where geometry passes"):
-        dynamics.FieldEvaluator(sysd).evaluate(np.array(q), np.ones(sysd.n))
+        dynamics.FieldEvaluator(sysd).evaluate(_z(q, np.ones(sysd.n)))
 
 
 def test_integrate_straight_line():
@@ -342,18 +355,12 @@ def test_the_state_program_projects_as_eden_project(ent):
     rng = np.random.default_rng(15)
     for x in catalog.sample_entry_points(ent, 50, 15):
         p = x.p + rng.normal(scale=0.5, size=sysd.n)
-        out = ev.state(x.q, p)
+        out = ev.state(_z(x.q, p))
         projected = geometry.eden_project(sysd, x.q, p)
         assert np.max(np.abs(np.array(out[-n:]) - projected)) <= 1e-14 * max(1.0, np.max(np.abs(p)))
-        assert _bits(*_flat(ev.evaluate(x.q, out[-n:]))) == _bits(*out[:-n])
-        out = ev.state(x.q, p, project=False)
-        assert _bits(out[-n:]) == _bits(p) and _bits(*_flat(ev.evaluate(x.q, p))) == _bits(*out[:-n])
-
-
-def _flat(field):
-    """``evaluate``'s (xdot, lam, c, H) in the state program's order."""
-    xdot, lam, c, H = field
-    return [*xdot, H, *c, *lam]
+        assert _bits(ev.evaluate(_z(x.q, out[-n:]))) == _bits(out[:-n])
+        out = ev.state(_z(x.q, p), project=False)
+        assert _bits(out[-n:]) == _bits(p) and _bits(ev.evaluate(_z(x.q, p))) == _bits(out[:-n])
 
 
 SINGULAR_GRAM_Q = [0.5785034702341596, 0.21720312487545024, -0.8406728309160272]
@@ -375,7 +382,7 @@ def test_field_evaluator_project_raises_as_eden_project(metric, constraint, q):
     with pytest.raises(NonholoError) as want, np.errstate(all="ignore"):
         geometry.eden_project(sysd, q, [1.0, 1.0])
     with pytest.raises(type(want.value)) as got, np.errstate(all="ignore"):
-        dynamics.FieldEvaluator(sysd).state(q, [1.0, 1.0])
+        dynamics.FieldEvaluator(sysd).state(_z(q, [1.0, 1.0]))
     assert str(got.value) == str(want.value)
 
 
@@ -385,7 +392,7 @@ def test_a_constant_metric_that_fails_the_rule_returns_unconditionally():
     ev = dynamics.FieldEvaluator(_system(("1, 2", "2, 1"), "0, 1"))
     assert "\n    return 0.0\n" in ev._field.source and " > 0.0" not in ev._field.source
     with pytest.raises(NotSPDError, match=r"^metric is not positive definite at q=\[0\.2, 0\.0\]$"):
-        ev.evaluate([0.2, 0.0], [1.0, 1.0])
+        ev.evaluate([0.2, 0.0, 1.0, 1.0])
 
 
 def test_a_singular_gram_solve_is_a_rank_error():
@@ -394,7 +401,8 @@ def test_a_singular_gram_solve_is_a_rank_error():
     source = catalog.get_entry("nonholonomic_particle").definition
     sysd = dsl.parse_system(source + "\n[constraint]\nform = y, 0, exp(-30*x) - 1\n")
     p = [-0.3818144525703697, 0.3337808175111099, -0.3091458786446881]
-    for project in (functools.partial(geometry.eden_project, sysd), dynamics.FieldEvaluator(sysd).state):
+    ev = dynamics.FieldEvaluator(sysd)
+    for project in (functools.partial(geometry.eden_project, sysd), lambda q, p: ev.state(_z(q, p))):
         with pytest.raises(RankDeficientError, match=r"^constraint rows are dependent at q=\[0\.578"):
             project(SINGULAR_GRAM_Q, p)
 
@@ -408,11 +416,11 @@ def test_a_failed_shared_projection_stops_the_run_with_its_error(monkeypatch, ca
     shared = dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
     state, calls = dynamics.FieldEvaluator.state, [0]
 
-    def fails_at_state_40(self, q, p, project=True):
+    def fails_at_state_40(self, z, project=True):
         calls[0] += 1  # the start, state 0, takes evaluate
         if calls[0] == 40:
             raise DomainError("sqrt", "derivative unbounded at 0")
-        return state(self, q, p, project)
+        return state(self, z, project)
 
     monkeypatch.setattr(dynamics.FieldEvaluator, "state", fails_at_state_40)
     message = "integration stopped: domain error in 'sqrt': derivative unbounded at 0"
@@ -433,6 +441,70 @@ def test_a_failed_shared_projection_stops_the_run_with_its_error(monkeypatch, ca
     monkeypatch.setattr(dynamics.FieldEvaluator, "state", state)
     assert cli.main(argv) == cli.EXIT_OK
     assert out.splitlines() == capsys.readouterr().out.splitlines()[:41]  # header and 40 rows
+
+
+@pytest.mark.parametrize("k", (38, 39, 40), ids=("k2", "k3", "k4"))
+def test_a_failed_stage_stops_the_run_with_its_error(monkeypatch, k):
+    """The k-th evaluate call, one stage of step 13 (the first is the
+    start's, then three per step), raises: the run stops with that error,
+    carrying the start and the 12 steps before it, bitwise the run's."""
+    x0 = catalog.sample_entry_points(catalog.get_entry("chaplygin_sleigh"), 1, 4)[0]
+    shared = dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
+    evaluate, calls = dynamics.FieldEvaluator.evaluate, [0]
+
+    def fails_at_call_k(self, z):
+        calls[0] += 1
+        if calls[0] == k:
+            raise DomainError("sqrt", "derivative unbounded at 0")
+        return evaluate(self, z)
+
+    monkeypatch.setattr(dynamics.FieldEvaluator, "evaluate", fails_at_call_k)
+    with pytest.raises(StepFailureError) as info:
+        dynamics.integrate(SYS_C, x0, 0.0, 0.1, 1e-3)
+    assert str(info.value) == "integration stopped: domain error in 'sqrt': derivative unbounded at 0"
+    assert type(info.value.__cause__) is DomainError
+    assert info.value.trajectory.rows.tobytes() == shared.rows[:13].tobytes()
+
+
+def _disk_with_potential_start(seed):
+    sysd = dsl.parse_system((DATA / "disk_with_potential.system").read_text())
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-1.0, 1.0, sysd.n)
+    return sysd, PhasePoint(q=q, p=geometry.eden_project(sysd, q, rng.normal(size=sysd.n)))
+
+
+RK4_STARTS = {
+    name: lambda seed, name=name: (catalog.get_system(name), catalog.sample_entry_points(catalog.get_entry(name), 1, seed)[0])
+    for name in ("nonholonomic_particle", "chaplygin_sleigh", "vertical_rolling_disk")
+} | {"disk_with_potential": _disk_with_potential_start}
+
+
+@pytest.mark.parametrize("project", (True, False))
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("name", sorted(RK4_STARTS))
+def test_integrate_rows_are_bitwise_the_numpy_rk4_loop(name, seed, project):
+    # the float loop forms each stage point and step in numpy's order of
+    # operations, so its 500 steps are bitwise the array loop's
+    sysd, x0 = RK4_STARTS[name](seed)
+    traj = dynamics.integrate(sysd, x0, 0.0, 0.5, 1e-3, project_each_step=project)
+    assert len(traj) == 501
+    assert traj.rows.tobytes() == reference.rk4_rows(sysd, x0, 0.0, 0.5, 1e-3, project).tobytes()
+
+
+def test_the_step_loop_holds_no_numpy():
+    # between the program calls the step works on flat float lists: no array
+    # wrapper may come back into the body of integrate's step loop, nor into
+    # the functions defined in integrate that it calls (accept)
+    source = Path(dynamics.__file__).read_text()
+    integrate = next(node for node in ast.parse(source).body
+                     if isinstance(node, ast.FunctionDef) and node.name == "integrate")
+    loops = [node for node in ast.walk(integrate) if isinstance(node, ast.For)]
+    assert [ast.unparse(loop.iter) for loop in loops] == ["range(n_steps)"]
+    inner = [node for node in ast.walk(integrate) if isinstance(node, ast.FunctionDef) and node is not integrate]
+    assert [f.name for f in inner] == ["accept"]
+    body = [*loops[0].body, *inner[0].body]
+    names = {node.id for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+    assert {"ev", "accept", "rows"} <= names and not {"np", "numpy"} & names
 
 
 PARTICLE = catalog.get_entry("nonholonomic_particle").definition
@@ -510,7 +582,7 @@ def test_the_state_program_passes_only_where_validated_passes(case, project):
     ev, q, p = dynamics.FieldEvaluator(sysd), np.array(q), np.ones(sysd.n) / sysd.n
     with np.errstate(all="ignore"):
         want = _outcome(geometry.eden_project, sysd, q, p)
-        got = _outcome(ev.state, q, p, project)
+        got = _outcome(ev.state, _z(q, p), project)
         compiled = ev._states[project]([*q, *p]) if project in ev._states else 0.0
     if words is not None:
         assert type(want) is tuple and want[1].startswith(words), want
@@ -544,10 +616,10 @@ def test_the_metric_screen_passes_up_to_its_condition_bound(n):
         sysd, q, p = _diagonal_system(n, 1.0 / kappa, vary), np.zeros(n), np.ones(n) / n
         ev = dynamics.FieldEvaluator(sysd)
         if kappa <= bound:
-            out = ev.state(q, p)
+            out = ev.state(_z(q, p))
             assert np.max(np.abs(np.array(out[-n:]) - geometry.eden_project(sysd, q, p))) <= 1e-14
         else:
-            for path in (ev.state, functools.partial(geometry.eden_project, sysd)):
+            for path in (lambda q, p: ev.state(_z(q, p)), functools.partial(geometry.eden_project, sysd)):
                 with pytest.raises(NotSPDError, match=r"^metric is too ill-conditioned at q=\[0\.0"):
                     path(q, p)
         assert (type(ev._states[True]([*q, *p])) is tuple) == (kappa <= bound)
@@ -558,7 +630,7 @@ def test_a_dual_domain_error_in_the_shared_pass_is_left_to_eden_project():
     # unbounded: the state program's forward pass raises, eden_project passes
     sysd = _system(("1 + sqrt(x*x), 0", "0, 1"), "0, 1")
     with pytest.raises(DomainError):
-        dynamics.FieldEvaluator(sysd).state([0.0, 0.0], [0.0, 1.0])
+        dynamics.FieldEvaluator(sysd).state([0.0, 0.0, 0.0, 1.0])
     assert geometry.eden_project(sysd, [0.0, 0.0], [0.0, 1.0]).tolist() == [0.0, 0.0]
 
 

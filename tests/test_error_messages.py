@@ -20,7 +20,7 @@ from nonholo.errors import (
     NotSPDError,
     RankDeficientError,
 )
-from nonholo.system import DStarObservable, DStarPoint, PhasePoint
+from nonholo.system import DStarObservable, DStarPoint, Observable, PhasePoint
 
 CONTROL = catalog.HOLONOMIC_CONTROL
 PARTICLE = catalog.NONHOLONOMIC_PARTICLE
@@ -319,6 +319,16 @@ def test_frame_at_and_dstar_bracket_raise_the_rules_error():
     assert _raised(geometry.frame_at, sysd, q) == want
     f, g = (DStarObservable.from_expression(sysd, text) for text in ("pi_1", "y"))
     assert _raised(brackets.dstar_bracket, sysd, f, g, DStarPoint(q=q, pi=[1.0])) == want
+
+
+def test_a_pushforward_reads_its_frame_plan_from_validated_rows(fading_rows):
+    # without free_cols, a push-forward picks its plan at its point from rows
+    # read through geometry.validated: where the rule refuses them, it raises
+    # the rule's error, as frame_at does, and evaluates nothing
+    push = brackets.pushforward_observable(fading_rows, Observable.from_expression(fading_rows, "p_y"))
+    want = (RankDeficientError, "constraint rows are dependent at q=[0.5, 0.25, -0.5]")
+    assert _raised(push.fn, [0.5, 0.25, -0.5, 1.0]) == want
+    assert _raised(geometry.frame_at, fading_rows, [0.5, 0.25, -0.5]) == want
 
 
 def _trig_argv(tmp_path, case):

@@ -638,7 +638,7 @@ def test_lone_points_evaluate_closures_and_lifts_on_float_cores(monkeypatch, ent
     geometry.require_on_m(sysd, x.q, x.p)
     geometry.eden_project(sysd, x.q, kick)
     geometry.frame_at(sysd, x.q)
-    dynamics.FieldEvaluator(sysd).state(x.q, kick)
+    dynamics.FieldEvaluator(sysd).state([*x.q.tolist(), *kick.tolist()])
     observables = catalog.observable_test_set(sysd)
     fgh = [observables[i] for i in (0, sysd.n, 1)]
     for kind in brackets.BRACKET_KINDS:

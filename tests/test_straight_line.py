@@ -212,8 +212,8 @@ def _programs(sysd):
     """A FieldEvaluator's field program and its two accepted-state programs
     (projecting, then not), compiled."""
     ev, q = dynamics.FieldEvaluator(sysd), _points(sysd.n, 32)[0]
-    ev.state(q, np.zeros(sysd.n), True)
-    ev.state(q, np.zeros(sysd.n), False)
+    ev.state([*q.tolist(), *[0.0] * sysd.n], True)
+    ev.state([*q.tolist(), *[0.0] * sysd.n], False)
     return [ev._field, ev._states[True], ev._states[False]]
 
 
